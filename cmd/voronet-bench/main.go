@@ -88,9 +88,6 @@ func main() {
 	}
 	start := time.Now()
 	switch {
-	case *netCodecOnly:
-		runNetCodecOnly()
-		return
 	case *netBench:
 		runNetBench()
 		return

@@ -24,40 +24,38 @@ import (
 
 // The -net mode measures the live message-passing node runtime end to
 // end: a multi-peer loopback TCP topology (and, for contrast, the
-// simnet) driving routed point queries and store GETs from concurrent
-// clients, once under the legacy serial-dispatch transport (one global
-// mutex, one Write syscall per frame) and once under the concurrent
-// default (per-peer dispatch lanes, bounded worker pool, coalesced
-// writes). One JSON line per (transport, dispatch) pair goes to stdout:
+// simnet under its serial and parallel drains) driving routed point
+// queries and store GETs from concurrent clients, then the same overlay
+// with and without the route cache under a Zipf-skewed GET stream, then
+// the pipelined client against dial-per-operation. One JSON line per
+// run goes to stdout:
 //
 //	voronet-bench -net > BENCH_net.json
 //	voronet-bench -net -net-nodes 16 -net-clients 64 -net-ops 8000
 //
-// The workload is identical across modes — same topology seed, same
-// targets, same origins — so the hop totals must match exactly; the
-// final summary line reports the throughput ratio and that hop check.
+// The workload is pinned — same topology seed, same targets, same
+// origins in every run. Any phase that reports a timed-out operation
+// makes the command exit non-zero after the lines are printed.
 var (
 	netBench   = flag.Bool("net", false, "run the live-runtime network benchmark, JSON lines on stdout")
 	netNodes   = flag.Int("net-nodes", 12, "overlay size (-net)")
 	netOps     = flag.Int("net-ops", 4000, "routed queries per phase (-net)")
 	netClients = flag.Int("net-clients", 32, "concurrent client goroutines (-net)")
 	netKeys    = flag.Int("net-keys", 64, "stored keys for the GET phase (-net)")
-	netWorkers = flag.Int("net-workers", 8, "dispatch workers per endpoint in parallel mode (-net)")
+	netWorkers = flag.Int("net-workers", 8, "dispatch workers per TCP endpoint, and of the parallel simnet drain (-net)")
 	netSimnet  = flag.Bool("net-simnet", true, "also measure the simnet serial vs parallel drain (-net)")
 	netMixVal  = flag.Int("net-mix-value-bytes", 128<<10, "background PUT value size of the mixed phase (-net)")
-	netReps    = flag.Int("net-reps", 1, "repetitions per mode, best per phase kept (-net; noise control on busy hosts)")
+	netReps    = flag.Int("net-reps", 1, "repetitions per run, best per phase kept (-net; noise control on busy hosts)")
 
-	// The lookup-stack phase: the same overlay run once as the classic
-	// single-path router and once with α-parallel speculation plus the
-	// hot-region route cache, under a Zipf-skewed GET stream. The two
+	// The lookup phase: the same overlay run once without and once with
+	// the hot-region route cache, under a Zipf-skewed GET stream. The two
 	// runs share every draw, so their hop books are directly comparable.
-	netAlpha   = flag.Int("net-alpha", 3, "speculative probes per read in the tuned lookup-stack run (-net)")
-	netCache   = flag.Int("net-route-cache", 256, "route-cache entries in the tuned lookup-stack run (-net)")
-	netZipf    = flag.Float64("net-zipf", 1.1, "Zipf exponent of the lookup-stack key popularity (-net)")
+	netCache   = flag.Int("net-route-cache", 256, "route-cache entries in the cached lookup run (-net)")
+	netZipf    = flag.Float64("net-zipf", 1.1, "Zipf exponent of the lookup phase's key popularity (-net)")
 	netPipeOps = flag.Int("net-pipe-ops", 400, "operations of the pipelined-vs-oneshot client phase (-net; oneshot dials per op, keep this modest)")
 )
 
-// netWorkload pins the randomness shared by every mode: node positions,
+// netWorkload pins the randomness shared by every run: node positions,
 // query targets, per-op origins and stored keys.
 type netWorkload struct {
 	positions []geom.Point
@@ -66,9 +64,9 @@ type netWorkload struct {
 	keys      []geom.Point
 	getOrder  []int
 
-	// The lookup-stack phase's Zipf-skewed stream: zipfKeys holds the
-	// key set most-popular-first, zipfSeq the pre-drawn per-op keys —
-	// pinned here so the baseline and tuned runs replay the same stream.
+	// The lookup phase's Zipf-skewed stream: zipfKeys holds the key set
+	// most-popular-first, zipfSeq the pre-drawn per-op keys — pinned here
+	// so the baseline and cached runs replay the same stream.
 	zipfKeys []geom.Point
 	zipfSeq  []geom.Point
 }
@@ -97,17 +95,11 @@ func buildNetWorkload() *netWorkload {
 	return w
 }
 
-// netWire selects the overlay's send codec for the next TCP run:
-// "binary" (the default wire format) or "gob" (the legacy baseline the
-// codec A/B phase reruns the mixed workload under).
-var netWire = "binary"
-
 func netNodeConfig(i int) node.Config {
 	return node.Config{
 		DMin: 0.05, LongLinks: 2, Seed: int64(i),
-		GobWire: netWire == "gob",
 		// Generous deadlines: a timed-out op would skew the hop totals the
-		// modes are compared on.
+		// runs are compared on.
 		StoreTimeout: 60 * time.Second, QueryTimeout: 60 * time.Second,
 	}
 }
@@ -175,35 +167,32 @@ func runNetClients(ops int, do func(i int) int) *netPhaseStats {
 	return st
 }
 
-// runNetTCP builds the loopback TCP overlay under the given dispatch mode
-// and measures the query and GET phases. The returned snapshot merges
-// every node's and endpoint's registry at teardown — frame counts, per-kind
-// message totals, dispatch-wait and latency histograms for the whole run.
-func runNetTCP(mode string, w *netWorkload) (query, get, mixed *netPhaseStats, snap metrics.Snapshot) {
-	opts := transport.TCPOptions{DispatchWorkers: *netWorkers}
-	if mode == "serial" {
-		opts = transport.TCPOptions{SerialDispatch: true, NoCoalesce: true}
-	}
-	nodes := make([]*node.Node, 0, *netNodes)
-	eps := make([]*transport.TCPEndpoint, 0, *netNodes)
-	defer func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	}()
+// netOverlay is one loopback TCP overlay of -net-nodes peers, joined
+// one at a time through the first.
+type netOverlay struct {
+	nodes []*node.Node
+	eps   []*transport.TCPEndpoint
+}
+
+// buildNetOverlay stands the overlay up with the given route-cache size
+// and stores one record under each of keys, spread over the peers.
+func buildNetOverlay(w *netWorkload, cacheSize int, keys []geom.Point) *netOverlay {
+	o := &netOverlay{}
 	for i := 0; i < *netNodes; i++ {
-		ep, err := transport.ListenTCPOptions("127.0.0.1:0", opts)
+		ep, err := transport.ListenTCPOptions("127.0.0.1:0", transport.TCPOptions{DispatchWorkers: *netWorkers})
 		if err != nil {
 			fatal(err)
 		}
-		eps = append(eps, ep)
-		nd := node.New(ep, w.positions[i], netNodeConfig(i))
+		o.eps = append(o.eps, ep)
+		cfg := netNodeConfig(i)
+		cfg.RouteCacheSize = cacheSize
+		nd := node.New(ep, w.positions[i], cfg)
 		if i == 0 {
 			if err := nd.Bootstrap(); err != nil {
 				fatal(err)
 			}
 		} else {
-			if err := nd.Join(nodes[0].Info().Addr); err != nil {
+			if err := nd.Join(o.nodes[0].Info().Addr); err != nil {
 				fatal(err)
 			}
 			deadline := time.Now().Add(30 * time.Second)
@@ -214,17 +203,60 @@ func runNetTCP(mode string, w *netWorkload) (query, get, mixed *netPhaseStats, s
 				time.Sleep(2 * time.Millisecond)
 			}
 		}
-		nodes = append(nodes, nd)
+		o.nodes = append(o.nodes, nd)
 	}
 	time.Sleep(200 * time.Millisecond) // let maintenance gossip settle
-
-	for i, k := range w.keys {
-		if err := nodes[i%len(nodes)].PutSync(k, []byte(fmt.Sprintf("net-%04d", i))); err != nil {
+	for i, k := range keys {
+		if err := o.nodes[i%len(o.nodes)].PutSync(k, []byte(fmt.Sprintf("net-%04d", i))); err != nil {
 			fatal(fmt.Errorf("net bench: seed put %d: %w", i, err))
 		}
 	}
+	return o
+}
 
-	query = runNetClients(*netOps, func(i int) int {
+func (o *netOverlay) close() {
+	for _, ep := range o.eps {
+		ep.Close()
+	}
+}
+
+// snapshot merges every node's and endpoint's registry — frame counts,
+// per-kind message totals, dispatch-wait and latency histograms for the
+// overlay's whole life.
+func (o *netOverlay) snapshot() (snap metrics.Snapshot) {
+	for i := range o.nodes {
+		snap.Merge(o.nodes[i].Metrics().Snapshot())
+		snap.Merge(o.eps[i].Metrics().Snapshot())
+	}
+	return snap
+}
+
+// blockingGet runs one GET through get — a node's or a client's — and
+// waits for the reply; a failed dispatch comes back as the reply's Err.
+func blockingGet(get func(geom.Point, func(store.Reply)) error, key geom.Point) store.Reply {
+	done := make(chan store.Reply, 1)
+	if err := get(key, func(r store.Reply) { done <- r }); err != nil {
+		return store.Reply{Err: err}
+	}
+	return <-done
+}
+
+// replyHops is what a phase books for a reply: its hop count, or
+// node.HopsTimedOut when the operation failed.
+func replyHops(r store.Reply) int {
+	if r.Err != nil {
+		return node.HopsTimedOut
+	}
+	return r.Hops
+}
+
+// runNetTCP measures the query, GET and mixed phases on a fresh overlay.
+func runNetTCP(w *netWorkload) (query, get, mixed *netPhaseStats, snap metrics.Snapshot) {
+	o := buildNetOverlay(w, 0, w.keys)
+	defer o.close()
+	nodes := o.nodes
+
+	queryOp := func(i int) int {
 		done := make(chan int, 1)
 		if err := nodes[w.origins[i]].Query(w.targets[i], func(_ proto.NodeInfo, hops int) {
 			done <- hops
@@ -232,26 +264,16 @@ func runNetTCP(mode string, w *netWorkload) (query, get, mixed *netPhaseStats, s
 			return node.HopsTimedOut
 		}
 		return <-done
-	})
+	}
+	query = runNetClients(*netOps, queryOp)
 	get = runNetClients(*netOps, func(i int) int {
-		done := make(chan int, 1)
-		if err := nodes[w.origins[i]].Get(w.keys[w.getOrder[i]], func(r store.Reply) {
-			if r.Err != nil {
-				done <- node.HopsTimedOut
-				return
-			}
-			done <- r.Hops
-		}); err != nil {
-			return node.HopsTimedOut
-		}
-		return <-done
+		return replyHops(blockingGet(nodes[w.origins[i]].Get, w.keys[w.getOrder[i]]))
 	})
 
 	// Mixed phase: the query stream again, this time while background
 	// writers continuously push large-value PUTs (each one a big frame to
-	// decode plus R replica frames to fan out). Under serial dispatch a
-	// node busy with one big frame stalls *every* peer's routing through
-	// it — the head-of-line pathology the per-peer lanes remove.
+	// decode plus R replica frames to fan out): a node busy with one big
+	// frame must not stall other peers' routing through it.
 	stop := make(chan struct{})
 	var bgPuts atomic.Int64
 	var bgWG sync.WaitGroup
@@ -274,23 +296,11 @@ func runNetTCP(mode string, w *netWorkload) (query, get, mixed *netPhaseStats, s
 			}
 		}(b)
 	}
-	mixed = runNetClients(*netOps, func(i int) int {
-		done := make(chan int, 1)
-		if err := nodes[w.origins[i]].Query(w.targets[i], func(_ proto.NodeInfo, hops int) {
-			done <- hops
-		}); err != nil {
-			return node.HopsTimedOut
-		}
-		return <-done
-	})
+	mixed = runNetClients(*netOps, queryOp)
 	close(stop)
 	bgWG.Wait()
 	mixed.bgOps = int(bgPuts.Load())
-	for i := range nodes {
-		snap.Merge(nodes[i].Metrics().Snapshot())
-		snap.Merge(eps[i].Metrics().Snapshot())
-	}
-	return query, get, mixed, snap
+	return query, get, mixed, o.snapshot()
 }
 
 // runNetSimnet measures the same workload over the in-memory bus: ops are
@@ -379,81 +389,26 @@ func runNetSimnet(mode string, w *netWorkload) (query *netPhaseStats, snap metri
 	return st, snap
 }
 
-// runNetLookupStack measures the low-latency lookup stack end to end: a
-// loopback TCP overlay whose nodes run with the given speculative fan-out
-// and route-cache size, driven by the pinned Zipf-skewed GET stream. The
-// baseline (alpha=1, cache=0) and tuned runs replay identical draws, so
-// p99 and first-byte hops are directly comparable; correctness is checked
-// op by op (every GET must return the seeded value).
-func runNetLookupStack(alpha, cacheSize int, w *netWorkload) (get *netPhaseStats, snap metrics.Snapshot) {
-	opts := transport.TCPOptions{DispatchWorkers: *netWorkers}
-	nodes := make([]*node.Node, 0, *netNodes)
-	eps := make([]*transport.TCPEndpoint, 0, *netNodes)
-	defer func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	}()
-	for i := 0; i < *netNodes; i++ {
-		ep, err := transport.ListenTCPOptions("127.0.0.1:0", opts)
-		if err != nil {
-			fatal(err)
-		}
-		eps = append(eps, ep)
-		cfg := netNodeConfig(i)
-		cfg.Alpha = alpha
-		cfg.RouteCacheSize = cacheSize
-		nd := node.New(ep, w.positions[i], cfg)
-		if i == 0 {
-			if err := nd.Bootstrap(); err != nil {
-				fatal(err)
-			}
-		} else {
-			if err := nd.Join(nodes[0].Info().Addr); err != nil {
-				fatal(err)
-			}
-			deadline := time.Now().Add(30 * time.Second)
-			for !nd.Joined() {
-				if time.Now().After(deadline) {
-					fatal(fmt.Errorf("net bench: lookup node %d failed to join", i))
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	time.Sleep(200 * time.Millisecond)
-
-	for i, k := range w.zipfKeys {
-		if err := nodes[i%len(nodes)].PutSync(k, []byte(fmt.Sprintf("zipf-%04d", i))); err != nil {
-			fatal(fmt.Errorf("net bench: zipf seed put %d: %w", i, err))
-		}
-	}
+// runNetLookup measures the route cache end to end: a loopback TCP
+// overlay whose nodes run with the given route-cache size, driven by the
+// pinned Zipf-skewed GET stream. The baseline (cache=0) and cached runs
+// replay identical draws, so p99 and hops are directly comparable;
+// correctness is checked op by op (every GET must find its seeded key).
+func runNetLookup(cacheSize int, w *netWorkload) (get *netPhaseStats, snap metrics.Snapshot) {
+	o := buildNetOverlay(w, cacheSize, w.zipfKeys)
+	defer o.close()
 	var wrong atomic.Int64
 	get = runNetClients(len(w.zipfSeq), func(i int) int {
-		done := make(chan int, 1)
-		if err := nodes[w.origins[i]].Get(w.zipfSeq[i], func(r store.Reply) {
-			if r.Err != nil {
-				done <- node.HopsTimedOut
-				return
-			}
-			if !r.Found {
-				wrong.Add(1)
-			}
-			done <- r.Hops
-		}); err != nil {
-			return node.HopsTimedOut
+		r := blockingGet(o.nodes[w.origins[i]].Get, w.zipfSeq[i])
+		if r.Err == nil && !r.Found {
+			wrong.Add(1)
 		}
-		return <-done
+		return replyHops(r)
 	})
 	if wrong.Load() > 0 {
-		fatal(fmt.Errorf("net bench: %d Zipf GETs missed a seeded key (alpha=%d cache=%d)", wrong.Load(), alpha, cacheSize))
+		fatal(fmt.Errorf("net bench: %d Zipf GETs missed a seeded key (cache=%d)", wrong.Load(), cacheSize))
 	}
-	for i := range nodes {
-		snap.Merge(nodes[i].Metrics().Snapshot())
-		snap.Merge(eps[i].Metrics().Snapshot())
-	}
-	return get, snap
+	return get, o.snapshot()
 }
 
 // runNetClientBench compares the pipelined client library against the
@@ -462,68 +417,20 @@ func runNetLookupStack(alpha, cacheSize int, w *netWorkload) (get *netPhaseStats
 // goroutines, once with a fresh client (fresh listener, fresh connection)
 // per operation.
 func runNetClientBench(w *netWorkload) (pipe, oneshot *netPhaseStats) {
-	opts := transport.TCPOptions{DispatchWorkers: *netWorkers}
-	nodes := make([]*node.Node, 0, *netNodes)
-	eps := make([]*transport.TCPEndpoint, 0, *netNodes)
-	defer func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	}()
-	for i := 0; i < *netNodes; i++ {
-		ep, err := transport.ListenTCPOptions("127.0.0.1:0", opts)
-		if err != nil {
-			fatal(err)
-		}
-		eps = append(eps, ep)
-		nd := node.New(ep, w.positions[i], netNodeConfig(i))
-		if i == 0 {
-			if err := nd.Bootstrap(); err != nil {
-				fatal(err)
-			}
-		} else {
-			if err := nd.Join(nodes[0].Info().Addr); err != nil {
-				fatal(err)
-			}
-			deadline := time.Now().Add(30 * time.Second)
-			for !nd.Joined() {
-				if time.Now().After(deadline) {
-					fatal(fmt.Errorf("net bench: client-phase node %d failed to join", i))
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	time.Sleep(200 * time.Millisecond)
-	for i, k := range w.keys {
-		if err := nodes[i%len(nodes)].PutSync(k, []byte(fmt.Sprintf("net-%04d", i))); err != nil {
-			fatal(fmt.Errorf("net bench: client-phase seed put %d: %w", i, err))
-		}
-	}
-
+	o := buildNetOverlay(w, 0, w.keys)
+	defer o.close()
 	ops := *netPipeOps
 	if ops > len(w.getOrder) {
 		ops = len(w.getOrder)
 	}
-	gateway := nodes[0].Info().Addr
+	gateway := o.nodes[0].Info().Addr
 
 	cl, err := client.Dial(gateway, client.Options{Timeout: 60 * time.Second})
 	if err != nil {
 		fatal(err)
 	}
 	pipe = runNetClients(ops, func(i int) int {
-		done := make(chan int, 1)
-		if err := cl.Get(w.keys[w.getOrder[i]], func(r store.Reply) {
-			if r.Err != nil {
-				done <- node.HopsTimedOut
-				return
-			}
-			done <- r.Hops
-		}); err != nil {
-			return node.HopsTimedOut
-		}
-		return <-done
+		return replyHops(blockingGet(cl.Get, w.keys[w.getOrder[i]]))
 	})
 	cl.Close()
 
@@ -533,105 +440,76 @@ func runNetClientBench(w *netWorkload) (pipe, oneshot *netPhaseStats) {
 			return node.HopsTimedOut
 		}
 		defer c.Close()
-		done := make(chan int, 1)
-		if err := c.Get(w.keys[w.getOrder[i]], func(r store.Reply) {
-			if r.Err != nil {
-				done <- node.HopsTimedOut
-				return
-			}
-			done <- r.Hops
-		}); err != nil {
-			return node.HopsTimedOut
-		}
-		return <-done
+		return replyHops(blockingGet(c.Get, w.keys[w.getOrder[i]]))
 	})
 	return pipe, oneshot
 }
 
-// runNetBench drives both transports under both dispatch modes and
-// prints one JSON line each, plus a summary line with the speedup and
-// the hop-identity check the acceptance criteria name.
+// runNetBench runs every phase and prints one JSON line each, plus a
+// summary line for the lookup and client phases.
 func runNetBench() {
 	w := buildNetWorkload()
 	enc := json.NewEncoder(os.Stdout)
-	runNetCodec(enc) // the off-network codec microphase leads the file
-	type result struct {
-		query, get, mixed *netPhaseStats
+	emit := func(line map[string]any) {
+		if err := enc.Encode(line); err != nil {
+			fatal(err)
+		}
 	}
-	tcp := map[string]result{}
+	// timeouts totals the timed-out operations of every phase: the
+	// deadlines are a minute long, so a single one means a reply was lost
+	// and the figures around it measure the deadline, not the system.
+	timeouts := 0
 	better := func(a, b *netPhaseStats) *netPhaseStats {
 		if a == nil || float64(b.completed)/b.wall > float64(a.completed)/a.wall {
 			return b
 		}
 		return a
 	}
-	// The codec A/B leg: besides serial vs parallel dispatch (both on the
-	// binary wire), the parallel mode runs once more under the legacy gob
-	// codec — same topology, same draws — so the wire-byte books and
-	// mixed-load throughput isolate the codec's contribution.
-	wireBytes := map[string]uint64{}
-	for _, run := range []struct{ mode, wire string }{
-		{"serial", "binary"}, {"parallel", "binary"}, {"parallel", "gob"},
-	} {
-		mode := run.mode
-		netWire = run.wire
-		var q, g, m *netPhaseStats
-		var snap metrics.Snapshot
-		for rep := 0; rep < max(*netReps, 1); rep++ {
-			rq, rg, rm, rs := runNetTCP(mode, w)
-			q, g, m = better(q, rq), better(g, rg), better(m, rm)
-			snap = rs // keep the last rep's books; phases keep their best
-		}
-		netWire = "binary"
-		if run.wire == "binary" {
-			tcp[mode] = result{query: q, get: g, mixed: m}
-		} else {
-			tcp["parallel-gob"] = result{query: q, get: g, mixed: m}
-		}
-		wireBytes[mode+"-"+run.wire] = sumCounterPrefix(snap, "node_wire_bytes_sent_")
-		line := map[string]any{
-			"bench":                 "net",
-			"transport":             "tcp",
-			"dispatch":              mode,
-			"wire":                  run.wire,
-			"wire_bytes_sent_total": wireBytes[mode+"-"+run.wire],
-			"nodes":                 *netNodes,
-			"clients":               *netClients,
-			"ops":                   *netOps,
-			"seed":                  *seed,
-			"gomaxprocs":            runtime.GOMAXPROCS(0),
-			"query_qps":             round3(float64(q.completed) / q.wall),
-			"routed_msgs_per_sec":   round3(float64(q.sumHops+q.completed) / q.wall),
-			"query_mean_hops":       round3(float64(q.sumHops) / float64(max(q.completed, 1))),
-			"query_sum_hops":        q.sumHops,
-			"query_timeouts":        q.timeouts,
-			"query_p50_us":          round3(q.pct(0.50)),
-			"query_p95_us":          round3(q.pct(0.95)),
-			"query_p99_us":          round3(q.pct(0.99)),
-			"get_ops_per_sec":       round3(float64(g.completed) / g.wall),
-			"get_sum_hops":          g.sumHops,
-			"get_timeouts":          g.timeouts,
-			"get_p50_us":            round3(g.pct(0.50)),
-			"get_p95_us":            round3(g.pct(0.95)),
-			"get_p99_us":            round3(g.pct(0.99)),
-			"mixed_query_qps":       round3(float64(m.completed) / m.wall),
-			"mixed_bg_put_bytes":    *netMixVal,
-			"mixed_bg_puts":         m.bgOps,
-			"mixed_timeouts":        m.timeouts,
-			"mixed_p50_us":          round3(m.pct(0.50)),
-			"mixed_p95_us":          round3(m.pct(0.95)),
-			"mixed_p99_us":          round3(m.pct(0.99)),
-			"metrics":               snap,
-			"unix_millis":           time.Now().UnixMilli(),
-		}
-		if err := enc.Encode(line); err != nil {
-			fatal(err)
-		}
+	var q, g, m *netPhaseStats
+	var snap metrics.Snapshot
+	for rep := 0; rep < max(*netReps, 1); rep++ {
+		rq, rg, rm, rs := runNetTCP(w)
+		q, g, m = better(q, rq), better(g, rg), better(m, rm)
+		snap = rs // keep the last rep's books; phases keep their best
 	}
+	timeouts += q.timeouts + g.timeouts + m.timeouts
+	emit(map[string]any{
+		"bench":               "net",
+		"transport":           "tcp",
+		"nodes":               *netNodes,
+		"clients":             *netClients,
+		"ops":                 *netOps,
+		"seed":                *seed,
+		"gomaxprocs":          runtime.GOMAXPROCS(0),
+		"query_qps":           round3(float64(q.completed) / q.wall),
+		"routed_msgs_per_sec": round3(float64(q.sumHops+q.completed) / q.wall),
+		"query_mean_hops":     round3(float64(q.sumHops) / float64(max(q.completed, 1))),
+		"query_sum_hops":      q.sumHops,
+		"query_timeouts":      q.timeouts,
+		"query_p50_us":        round3(q.pct(0.50)),
+		"query_p95_us":        round3(q.pct(0.95)),
+		"query_p99_us":        round3(q.pct(0.99)),
+		"get_ops_per_sec":     round3(float64(g.completed) / g.wall),
+		"get_sum_hops":        g.sumHops,
+		"get_timeouts":        g.timeouts,
+		"get_p50_us":          round3(g.pct(0.50)),
+		"get_p95_us":          round3(g.pct(0.95)),
+		"get_p99_us":          round3(g.pct(0.99)),
+		"mixed_query_qps":     round3(float64(m.completed) / m.wall),
+		"mixed_bg_put_bytes":  *netMixVal,
+		"mixed_bg_puts":       m.bgOps,
+		"mixed_timeouts":      m.timeouts,
+		"mixed_p50_us":        round3(m.pct(0.50)),
+		"mixed_p95_us":        round3(m.pct(0.95)),
+		"mixed_p99_us":        round3(m.pct(0.99)),
+		"metrics":             snap,
+		"unix_millis":         time.Now().UnixMilli(),
+	})
 	if *netSimnet {
 		for _, mode := range []string{"serial", "parallel"} {
 			q, snap := runNetSimnet(mode, w)
-			line := map[string]any{
+			timeouts += q.timeouts
+			emit(map[string]any{
 				"bench":               "net",
 				"transport":           "simnet",
 				"dispatch":            mode,
@@ -651,174 +529,100 @@ func runNetBench() {
 				"query_seconds_sum": round3(snap.Histograms["node_query_seconds"].Sum),
 				"metrics":           snap,
 				"unix_millis":       time.Now().UnixMilli(),
-			}
-			if err := enc.Encode(line); err != nil {
-				fatal(err)
-			}
+			})
 		}
 	}
-	// Lookup stack: baseline greedy (alpha=1, no cache) vs the tuned stack
-	// (-net-alpha speculative probes + -net-route-cache hot-region cache)
-	// over an identical Zipf-skewed GET stream.
-	lookupLine := func(label string, alpha, cacheSize int, st *netPhaseStats, snap metrics.Snapshot) map[string]any {
-		fb := snap.Histograms["node_first_byte_hops"]
-		hits := snap.Counters["node_cache_hits_total"]
-		misses := snap.Counters["node_cache_misses_total"]
-		hitRate := 0.0
-		if hits+misses > 0 {
-			hitRate = float64(hits) / float64(hits+misses)
-		}
-		return map[string]any{
-			"bench":                "net",
-			"phase":                "lookup",
-			"config":               label,
-			"alpha":                alpha,
-			"route_cache":          cacheSize,
-			"zipf_s":               *netZipf,
-			"nodes":                *netNodes,
-			"clients":              *netClients,
-			"ops":                  *netOps,
-			"seed":                 *seed,
-			"get_ops_per_sec":      round3(float64(st.completed) / st.wall),
-			"get_sum_hops":         st.sumHops,
-			"get_mean_hops":        round3(float64(st.sumHops) / float64(max(st.completed, 1))),
-			"get_timeouts":         st.timeouts,
-			"get_p50_us":           round3(st.pct(0.50)),
-			"get_p95_us":           round3(st.pct(0.95)),
-			"get_p99_us":           round3(st.pct(0.99)),
-			"first_byte_mean_hops": round3(fb.Sum / float64(max(int(fb.Count), 1))),
-			"cache_hits":           hits,
-			"cache_misses":         misses,
-			"cache_hit_rate":       round3(hitRate),
-			"cache_invalidations":  snap.Counters["node_cache_invalidations_total"],
-			"probes_wasted":        snap.Counters["node_probe_wasted_total"],
-			"unix_millis":          time.Now().UnixMilli(),
-		}
+
+	// Lookup phase: plain greedy routing vs the -net-route-cache hot-region
+	// cache over an identical Zipf-skewed GET stream. Same best-of-netReps
+	// noise control as the TCP phases: latency percentiles on a busy host
+	// swing more than the deterministic hop books do.
+	hitRate := func(snap metrics.Snapshot) float64 {
+		hits, misses := snap.Counters["node_cache_hits_total"], snap.Counters["node_cache_misses_total"]
+		return round3(float64(hits) / float64(max(hits+misses, 1)))
 	}
-	// Same best-of-netReps noise control as the TCP phases: latency
-	// percentiles on a busy host swing more than the deterministic hop
-	// books do, so each config keeps its best rep.
-	lookupReps := func(alpha, cacheSize int) (*netPhaseStats, metrics.Snapshot) {
+	lookup := func(label string, cacheSize int) (*netPhaseStats, metrics.Snapshot) {
 		var st *netPhaseStats
 		var snap metrics.Snapshot
 		for rep := 0; rep < max(*netReps, 1); rep++ {
-			rs, rsnap := runNetLookupStack(alpha, cacheSize, w)
-			if prev := st; prev == nil || better(prev, rs) == rs {
+			rs, rsnap := runNetLookup(cacheSize, w)
+			if st == nil || better(st, rs) == rs {
 				st, snap = rs, rsnap
 			}
 		}
+		timeouts += st.timeouts
+		emit(map[string]any{
+			"bench":               "net",
+			"phase":               "lookup",
+			"config":              label,
+			"route_cache":         cacheSize,
+			"zipf_s":              *netZipf,
+			"nodes":               *netNodes,
+			"clients":             *netClients,
+			"ops":                 *netOps,
+			"seed":                *seed,
+			"get_ops_per_sec":     round3(float64(st.completed) / st.wall),
+			"get_sum_hops":        st.sumHops,
+			"get_mean_hops":       round3(float64(st.sumHops) / float64(max(st.completed, 1))),
+			"get_timeouts":        st.timeouts,
+			"get_p50_us":          round3(st.pct(0.50)),
+			"get_p95_us":          round3(st.pct(0.95)),
+			"get_p99_us":          round3(st.pct(0.99)),
+			"cache_hits":          snap.Counters["node_cache_hits_total"],
+			"cache_misses":        snap.Counters["node_cache_misses_total"],
+			"cache_hit_rate":      hitRate(snap),
+			"cache_invalidations": snap.Counters["node_cache_invalidations_total"],
+			"unix_millis":         time.Now().UnixMilli(),
+		})
 		return st, snap
 	}
-	baseGet, baseSnap := lookupReps(1, 0)
-	if err := enc.Encode(lookupLine("baseline", 1, 0, baseGet, baseSnap)); err != nil {
-		fatal(err)
-	}
-	tunedGet, tunedSnap := lookupReps(*netAlpha, *netCache)
-	if err := enc.Encode(lookupLine("tuned", *netAlpha, *netCache, tunedGet, tunedSnap)); err != nil {
-		fatal(err)
-	}
-	baseFB := baseSnap.Histograms["node_first_byte_hops"]
-	tunedFB := tunedSnap.Histograms["node_first_byte_hops"]
-	lookupSummary := map[string]any{
-		"bench":                    "net",
-		"phase":                    "lookup",
-		"summary":                  true,
-		"alpha":                    *netAlpha,
-		"route_cache":              *netCache,
-		"zipf_s":                   *netZipf,
-		"p99_ratio_tuned_vs_base":  round3(tunedGet.pct(0.99) / baseGet.pct(0.99)),
-		"first_byte_hops_baseline": round3(baseFB.Sum / float64(max(int(baseFB.Count), 1))),
-		"first_byte_hops_tuned":    round3(tunedFB.Sum / float64(max(int(tunedFB.Count), 1))),
-		"cache_hit_rate_tuned":     round3(float64(tunedSnap.Counters["node_cache_hits_total"]) / float64(max(int(tunedSnap.Counters["node_cache_hits_total"]+tunedSnap.Counters["node_cache_misses_total"]), 1))),
-	}
-	if err := enc.Encode(lookupSummary); err != nil {
-		fatal(err)
-	}
+	baseGet, _ := lookup("baseline", 0)
+	cachedGet, cachedSnap := lookup("route-cache", *netCache)
+	emit(map[string]any{
+		"bench":                     "net",
+		"phase":                     "lookup",
+		"summary":                   true,
+		"route_cache":               *netCache,
+		"zipf_s":                    *netZipf,
+		"p99_ratio_cache_vs_base":   round3(cachedGet.pct(0.99) / baseGet.pct(0.99)),
+		"ops_ratio_cache_vs_base":   round3((float64(cachedGet.completed) / cachedGet.wall) / (float64(baseGet.completed) / baseGet.wall)),
+		"get_mean_hops_baseline":    round3(float64(baseGet.sumHops) / float64(max(baseGet.completed, 1))),
+		"get_mean_hops_route_cache": round3(float64(cachedGet.sumHops) / float64(max(cachedGet.completed, 1))),
+		"cache_hit_rate":            hitRate(cachedSnap),
+	})
 
 	// Pipelined client vs dial-per-operation, same overlay and key stream.
 	pipe, oneshot := runNetClientBench(w)
-	clientLine := func(mode string, st *netPhaseStats) map[string]any {
-		return map[string]any{
+	timeouts += pipe.timeouts + oneshot.timeouts
+	for _, c := range []struct {
+		mode string
+		st   *netPhaseStats
+	}{{"pipelined", pipe}, {"oneshot", oneshot}} {
+		emit(map[string]any{
 			"bench":           "net",
 			"phase":           "client",
-			"mode":            mode,
+			"mode":            c.mode,
 			"nodes":           *netNodes,
 			"clients":         *netClients,
-			"ops":             st.completed + st.timeouts,
+			"ops":             c.st.completed + c.st.timeouts,
 			"seed":            *seed,
-			"get_ops_per_sec": round3(float64(st.completed) / st.wall),
-			"get_timeouts":    st.timeouts,
-			"get_p50_us":      round3(st.pct(0.50)),
-			"get_p95_us":      round3(st.pct(0.95)),
-			"get_p99_us":      round3(st.pct(0.99)),
+			"get_ops_per_sec": round3(float64(c.st.completed) / c.st.wall),
+			"get_timeouts":    c.st.timeouts,
+			"get_p50_us":      round3(c.st.pct(0.50)),
+			"get_p95_us":      round3(c.st.pct(0.95)),
+			"get_p99_us":      round3(c.st.pct(0.99)),
 			"unix_millis":     time.Now().UnixMilli(),
-		}
+		})
 	}
-	if err := enc.Encode(clientLine("pipelined", pipe)); err != nil {
-		fatal(err)
-	}
-	if err := enc.Encode(clientLine("oneshot", oneshot)); err != nil {
-		fatal(err)
-	}
-	clientSummary := map[string]any{
+	emit(map[string]any{
 		"bench":   "net",
 		"phase":   "client",
 		"summary": true,
 		"pipelined_throughput_ratio": round3((float64(pipe.completed) / pipe.wall) /
 			(float64(oneshot.completed) / oneshot.wall)),
-	}
-	if err := enc.Encode(clientSummary); err != nil {
-		fatal(err)
-	}
+	})
 
-	ser, par := tcp["serial"], tcp["parallel"]
-	speedup := (float64(par.query.sumHops+par.query.completed) / par.query.wall) /
-		(float64(ser.query.sumHops+ser.query.completed) / ser.query.wall)
-	summary := map[string]any{
-		"bench":            "net",
-		"transport":        "tcp",
-		"summary":          true,
-		"throughput_ratio": round3(speedup),
-		"get_ratio":        round3((float64(par.get.completed) / par.get.wall) / (float64(ser.get.completed) / ser.get.wall)),
-		"mixed_qps_ratio":  round3((float64(par.mixed.completed) / par.mixed.wall) / (float64(ser.mixed.completed) / ser.mixed.wall)),
-		// Parallel-dispatch tail degradation under mixed load: parallel p99
-		// over serial p99. The bounded coalesce window keeps this <= 1.2.
-		"mixed_p99_ratio":   round3(par.mixed.pct(0.99) / ser.mixed.pct(0.99)),
-		"hops_identical":    ser.query.sumHops == par.query.sumHops && ser.get.sumHops == par.get.sumHops,
-		"serial_sum_hops":   ser.query.sumHops,
-		"parallel_sum_hops": par.query.sumHops,
+	if timeouts > 0 {
+		fatal(fmt.Errorf("net bench: %d operations timed out; the lines above measure the deadline, not the system", timeouts))
 	}
-	if err := enc.Encode(summary); err != nil {
-		fatal(err)
-	}
-	verdictStderr := "MATCHES"
-	if speedup < 2 {
-		verdictStderr = "DIVERGES"
-	}
-	fmt.Fprintf(os.Stderr, "# net %s — parallel dispatch vs serial baseline: %.2fx routed throughput (want >= 2x)\n",
-		verdictStderr, speedup)
-
-	// Codec A/B summary: parallel dispatch, binary vs gob wire. The hop
-	// identity check matters here too — a codec must change bytes and
-	// nanoseconds, never routing.
-	parGob := tcp["parallel-gob"]
-	wireRatio := 0.0
-	if wireBytes["parallel-binary"] > 0 {
-		wireRatio = float64(wireBytes["parallel-gob"]) / float64(wireBytes["parallel-binary"])
-	}
-	codecSummary := map[string]any{
-		"bench":                      "net",
-		"phase":                      "codec_ab",
-		"summary":                    true,
-		"wire_bytes_binary":          wireBytes["parallel-binary"],
-		"wire_bytes_gob":             wireBytes["parallel-gob"],
-		"wire_bytes_ratio_gob":       round3(wireRatio),
-		"mixed_qps_ratio_vs_gob":     round3((float64(par.mixed.completed) / par.mixed.wall) / (float64(parGob.mixed.completed) / parGob.mixed.wall)),
-		"query_qps_ratio_vs_gob":     round3((float64(par.query.completed) / par.query.wall) / (float64(parGob.query.completed) / parGob.query.wall)),
-		"hops_identical_across_wire": par.query.sumHops == parGob.query.sumHops && par.get.sumHops == parGob.get.sumHops,
-	}
-	if err := enc.Encode(codecSummary); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "# codec A/B — binary vs gob wire under parallel dispatch: %.2fx fewer bytes on the wire\n", wireRatio)
 }

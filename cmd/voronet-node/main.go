@@ -73,14 +73,12 @@ var (
 	syncEvery = flag.Duration("sync-interval", 30*time.Second, "anti-entropy replica sweep period (0 disables)")
 	debugAddr = flag.String("debug-addr", "", "serve JSON metrics and pprof on this HTTP address (e.g. 127.0.0.1:6060)")
 	connect   = flag.String("connect", "", "run as a pipelined client of the overlay member at this address (no join)")
-	alpha     = flag.Int("alpha", 1, "speculative parallel probes per read (<=1 disables)")
 	cacheSize = flag.Int("route-cache", 0, "route/owner cache entries (0 disables)")
 
 	walDir      = flag.String("wal-dir", "", "write-ahead log directory: log every acked write, replay on restart")
 	walFsync    = flag.String("wal-fsync", "always", "WAL fsync policy: always|batch|never (-wal-dir)")
 	walFlush    = flag.Duration("wal-flush", time.Second, "periodic WAL flush period under -wal-fsync=batch")
 	maxInflight = flag.Int("max-inflight", 0, "shed store work beyond this many inflight ops (0 disables)")
-	gobWire     = flag.Bool("gob-wire", false, "send with the legacy gob codec instead of the binary wire format (A/B baseline; mixed overlays interoperate)")
 )
 
 func main() {
@@ -99,10 +97,8 @@ func main() {
 		DMin:           voronet.DefaultDMin(*nmax),
 		LongLinks:      *links,
 		Seed:           time.Now().UnixNano(),
-		Alpha:          *alpha,
 		RouteCacheSize: *cacheSize,
 		MaxInflight:    *maxInflight,
-		GobWire:        *gobWire,
 	}
 	var nd *node.Node
 	if *walDir != "" {
@@ -366,7 +362,7 @@ func main() {
 // multiplexed connection to the gateway member. Operations issued while
 // earlier ones await their replies genuinely overlap on the wire.
 func runClient(gateway string) {
-	cl, err := client.Dial(gateway, client.Options{Timeout: 30 * time.Second, GobWire: *gobWire})
+	cl, err := client.Dial(gateway, client.Options{Timeout: 30 * time.Second})
 	if err != nil {
 		fatal(err)
 	}

@@ -51,10 +51,6 @@ type Options struct {
 	// RetryBackoff is the delay before the first retry, doubling on each
 	// further attempt (DefaultRetryBackoff when zero and Retries > 0).
 	RetryBackoff time.Duration
-	// GobWire sends requests with the legacy gob codec instead of the
-	// binary wire format — the A/B baseline knob, mirroring
-	// node.Config.GobWire. Replies decode either way.
-	GobWire bool
 }
 
 // Client is a pipelined connection to a VoroNet overlay. Methods are safe
@@ -69,7 +65,6 @@ type Client struct {
 	retries  int
 	backoff  time.Duration
 	retried  atomic.Uint64
-	gobWire  bool
 
 	mu     sync.Mutex
 	closed bool
@@ -88,7 +83,6 @@ func Dial(gateway string, opts Options) (*Client, error) {
 	}
 	c := New(ep, gateway, opts.Timeout)
 	c.SetRetryPolicy(opts.Retries, opts.RetryBackoff)
-	c.gobWire = opts.GobWire
 	c.ownEP = true
 	return c, nil
 }
@@ -124,10 +118,6 @@ func (c *Client) SetRetryPolicy(retries int, backoff time.Duration) {
 
 // Retried returns how many overload-shed retries this client has issued.
 func (c *Client) Retried() uint64 { return c.retried.Load() }
-
-// SetGobWire switches the request codec for a client built with New
-// (Dial wires it from Options.GobWire). Call before issuing operations.
-func (c *Client) SetGobWire(on bool) { c.gobWire = on }
 
 // Addr returns the client's reply address.
 func (c *Client) Addr() string { return c.self.Addr }
@@ -226,18 +216,11 @@ func (c *Client) dispatchAttempt(purpose proto.RoutedPurpose, key geom.Point, va
 	}
 	// Encode into a pooled buffer: Endpoint.Send never retains the
 	// payload after it returns (see transport.Endpoint), so the buffer
-	// recycles as soon as the outcome is known. GobWire selects the
-	// legacy codec for A/B runs; Decode auto-detects, so a gob client
-	// interoperates with a binary overlay and vice versa.
+	// recycles as soon as the outcome is known.
 	wb := proto.GetBuf()
 	defer wb.Put()
-	b, err := proto.AppendEncodeMode(wb.B[:0], env, c.gobWire)
-	if err != nil {
-		c.inflight.Cancel(id)
-		return err
-	}
-	wb.B = b
-	if err := c.ep.Send(c.gateway, b); err != nil {
+	wb.B = proto.AppendEncode(wb.B[:0], env)
+	if err := c.ep.Send(c.gateway, wb.B); err != nil {
 		c.inflight.Cancel(id)
 		return err
 	}

@@ -51,12 +51,7 @@ func newShedGateway(t *testing.T, bus *transport.Bus, sheds int) *shedGateway {
 			reply.Version = 1
 		}
 		g.mu.Unlock()
-		b, err := proto.Encode(reply)
-		if err != nil {
-			t.Errorf("encode reply: %v", err)
-			return
-		}
-		_ = g.ep.Send(env.Origin.Addr, b)
+		_ = g.ep.Send(env.Origin.Addr, proto.AppendEncode(nil, reply))
 	})
 	return g
 }

@@ -1,18 +1,16 @@
 package core
 
 import (
-	"container/list"
-	"math"
-	"sync"
 	"sync/atomic"
 
+	"voronet/internal/cellcache"
 	"voronet/internal/geom"
 )
 
 // ownerCache is the simulator mirror of the distributed hot-region owner
 // cache (internal/node's Config.RouteCacheSize): a small shared LRU
-// mapping a quantised attribute-space cell to the object last resolved
-// as the owner of a key in that cell. Routers consult it at the start of
+// (internal/cellcache) mapping a quantised attribute-space cell to the
+// object last resolved as the owner of a key in that cell. Routers consult it at the start of
 // resolve and, when the cached object is strictly closer to the target
 // than the origin, jump straight to it (one hop) before the greedy walk
 // continues — the in-process equivalent of feeding the cached owner into
@@ -22,104 +20,36 @@ import (
 // closer, so it can cost a wasted comparison but never misroute.
 //
 // The cache is shared by every Router of the overlay (the pooled store
-// clients included) behind its own leaf mutex; it takes no overlay lock,
+// clients included) behind the LRU's leaf mutex; it takes no overlay lock,
 // so it is safe to touch from under the overlay's read lock on every
 // resolve. Entries naming a removed object are dropped eagerly by
 // Overlay.remove; everything else ages out by LRU.
 type ownerCache struct {
-	mu      sync.Mutex
-	cap     int
-	grid    float64
-	entries map[uint64]*list.Element
-	lru     *list.List // front = most recently used
+	*cellcache.LRU[ObjectID]
 
 	hits, misses, jumps atomic.Uint64
 }
 
-// ownerCacheEntry is one cached cell→owner binding.
-type ownerCacheEntry struct {
-	cell  uint64
-	owner ObjectID
-}
-
-// defaultOwnerCacheGrid matches the node cache's quantisation floor:
-// cells never get coarser than 1/256 of the unit square even for large
-// DMin, so distinct hot regions rarely share a cell.
-const defaultOwnerCacheGrid = 1.0 / 256
-
 func newOwnerCache(capacity int, dmin float64) *ownerCache {
-	grid := dmin
-	if grid < defaultOwnerCacheGrid || math.IsNaN(grid) {
-		grid = defaultOwnerCacheGrid
-	}
-	return &ownerCache{
-		cap:     capacity,
-		grid:    grid,
-		entries: make(map[uint64]*list.Element, capacity),
-		lru:     list.New(),
-	}
+	return &ownerCache{LRU: cellcache.New[ObjectID](capacity, dmin)}
 }
 
-// cellOf quantises p to its grid cell, packed into one map key. The
-// int32 fold keeps any finite point addressable (long-link targets
-// overshoot the unit square).
-func (c *ownerCache) cellOf(p geom.Point) uint64 {
-	cx := uint64(uint32(int32(math.Floor(p.X / c.grid))))
-	cy := uint64(uint32(int32(math.Floor(p.Y / c.grid))))
-	return cx<<32 | cy
-}
-
-// lookup returns the cached owner for p's cell, refreshing its recency.
+// lookup returns the cached owner for p's cell and counts the outcome.
 func (c *ownerCache) lookup(p geom.Point) (ObjectID, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[c.cellOf(p)]
-	if !ok {
+	id, ok := c.Lookup(p)
+	if ok {
+		c.hits.Add(1)
+	} else {
 		c.misses.Add(1)
-		return NoObject, false
 	}
-	c.hits.Add(1)
-	c.lru.MoveToFront(el)
-	return el.Value.(*ownerCacheEntry).owner, true
-}
-
-// insert records owner as the resolved owner for p's cell, evicting the
-// least recently used entry at capacity.
-func (c *ownerCache) insert(p geom.Point, owner ObjectID) {
-	if owner == NoObject {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cell := c.cellOf(p)
-	if el, ok := c.entries[cell]; ok {
-		el.Value.(*ownerCacheEntry).owner = owner
-		c.lru.MoveToFront(el)
-		return
-	}
-	for c.lru.Len() >= c.cap && c.lru.Len() > 0 {
-		oldest := c.lru.Back()
-		delete(c.entries, oldest.Value.(*ownerCacheEntry).cell)
-		c.lru.Remove(oldest)
-	}
-	c.entries[cell] = c.lru.PushFront(&ownerCacheEntry{cell: cell, owner: owner})
+	return id, ok
 }
 
 // invalidateOwner drops every entry naming id and returns how many it
 // removed — called when the object leaves the overlay, so a dead owner
 // does not linger even as a jump hint.
 func (c *ownerCache) invalidateOwner(id ObjectID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for cell, el := range c.entries {
-		if el.Value.(*ownerCacheEntry).owner == id {
-			delete(c.entries, cell)
-			c.lru.Remove(el)
-			dropped++
-		}
-	}
-	return dropped
+	return c.DropIf(func(_ geom.Point, owner ObjectID) bool { return owner == id })
 }
 
 // RouteCacheStats snapshots the owner cache's counters.
@@ -151,14 +81,11 @@ func (o *Overlay) RouteCacheStats() RouteCacheStats {
 	if c == nil {
 		return RouteCacheStats{}
 	}
-	c.mu.Lock()
-	entries := c.lru.Len()
-	c.mu.Unlock()
 	return RouteCacheStats{
 		Hits:    c.hits.Load(),
 		Misses:  c.misses.Load(),
 		Jumps:   c.jumps.Load(),
-		Entries: entries,
+		Entries: c.Len(),
 	}
 }
 

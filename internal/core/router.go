@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"voronet/internal/delaunay"
@@ -99,124 +98,10 @@ func (r *Router) resolve(from ObjectID, target geom.Point) (RouteResult, error) 
 	var v delaunay.VertexID
 	v, r.nbuf = r.o.tr.NearestSiteRO(target, cur.vert, r.nbuf)
 	owner := r.o.byVertex[v]
-	if c := r.o.cache; c != nil {
-		c.insert(target, owner)
+	if c := r.o.cache; c != nil && owner != NoObject {
+		c.Insert(target, owner)
 	}
 	return RouteResult{Stop: cur.ID, Owner: owner, Hops: hops}, nil
-}
-
-// AlphaRouteResult reports one α-parallel point resolution
-// (RouteToPointAlpha): the embedded RouteResult carries the owner and the
-// first-byte hop count — the minimum over all probes, which is what an
-// origin racing α speculative copies of a read observes as latency — while
-// Probes and TotalHops expose the fan-out's bandwidth cost.
-type AlphaRouteResult struct {
-	RouteResult
-	// Probes is the number of independent walks dispatched: the primary
-	// greedy walk plus up to alpha-1 speculative ones.
-	Probes int
-	// TotalHops sums the hop counts of every probe; TotalHops - Hops is
-	// the traffic speculation wasted to win Hops.
-	TotalHops int
-}
-
-// RouteToPointAlpha is the simulator mirror of the distributed α-parallel
-// dispatch (internal/node's Config.Alpha): the primary copy runs the
-// ordinary greedy walk from the origin, and a speculative copy jumps
-// directly to each of the next alpha-1 strictly-closer neighbours of the
-// origin (over vn ∪ cn ∪ LRn, nearest to the target first) and walks on
-// from there. The owner is identical across probes — speculation only
-// changes which probe's answer arrives first — so the result's Hops is
-// min(primary, 1 + probe walk) per probe. alpha <= 1 degenerates to
-// RouteToPoint exactly.
-func (r *Router) RouteToPointAlpha(from ObjectID, target geom.Point, alpha int) (AlphaRouteResult, error) {
-	r.o.mu.RLock()
-	defer r.o.mu.RUnlock()
-	return r.resolveAlpha(from, target, alpha)
-}
-
-// resolveAlpha is RouteToPointAlpha under a held overlay read lock.
-func (r *Router) resolveAlpha(from ObjectID, target geom.Point, alpha int) (AlphaRouteResult, error) {
-	primary, err := r.resolve(from, target)
-	out := AlphaRouteResult{RouteResult: primary, Probes: 1, TotalHops: primary.Hops}
-	if err != nil || alpha <= 1 {
-		return out, err
-	}
-	cands := r.alphaCandidates(from, target, alpha)
-	// cands[0] is the greedy first hop the primary walk already took;
-	// probes cover the runners-up, exactly as Node.dispatchRouted does.
-	for i := 1; i < len(cands); i++ {
-		pr, perr := r.resolve(cands[i], target)
-		if perr != nil {
-			// A lost probe never fails the operation — the primary
-			// answer already resolved it.
-			continue
-		}
-		hops := pr.Hops + 1 // the jump to the runner-up is itself a hop
-		out.Probes++
-		out.TotalHops += hops
-		if hops < out.Hops {
-			out.Hops = hops
-			out.Stop = pr.Stop
-		}
-	}
-	return out, nil
-}
-
-// alphaCandidates returns up to alpha neighbours of `from` strictly closer
-// to target than `from` itself, nearest first, drawn from the same
-// candidate set greedyNeighbor scans (Voronoi neighbours, close
-// neighbours, long links). Caller holds the overlay read lock.
-func (r *Router) alphaCandidates(from ObjectID, target geom.Point, alpha int) []ObjectID {
-	origin := r.o.objs[from]
-	if origin == nil {
-		return nil
-	}
-	selfD := geom.Dist2(origin.Pos, target)
-	type cand struct {
-		id ObjectID
-		d  float64
-	}
-	var cands []cand
-	seen := map[ObjectID]bool{from: true}
-	add := func(id ObjectID, pos geom.Point) {
-		if id == NoObject || seen[id] {
-			return
-		}
-		seen[id] = true
-		if d := geom.Dist2(pos, target); d < selfD {
-			cands = append(cands, cand{id, d})
-		}
-	}
-	r.nbuf = r.o.tr.Neighbors(origin.vert, r.nbuf)
-	for _, v := range r.nbuf {
-		add(r.o.byVertex[v], r.o.tr.Point(v))
-	}
-	if !r.o.cfg.DisableCloseNeighbours {
-		r.rt.gbuf = r.o.grid.withinEntries(origin.Pos, r.o.dmin, origin.ID, r.rt.gbuf)
-		for _, e := range r.rt.gbuf {
-			add(e.id, e.pos)
-		}
-	}
-	for _, id := range origin.longNbrs {
-		if id != NoObject {
-			add(id, r.o.objs[id].Pos)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].id < cands[j].id
-	})
-	if len(cands) > alpha {
-		cands = cands[:alpha]
-	}
-	out := make([]ObjectID, len(cands))
-	for i, c := range cands {
-		out[i] = c.id
-	}
-	return out
 }
 
 // Owner resolves Obj(p) with a read-only nearest-site walk; hint

@@ -39,12 +39,6 @@ type Store struct {
 	// so the per-operation mode branch costs no overlay lock round-trip.
 	fictiveQueries bool
 
-	// alpha mirrors internal/node's Config.Alpha for the fast read path:
-	// when > 1, Get resolves via RouteToPointAlpha and reports the
-	// first-byte hop count (the winning probe's). Writes stay serial —
-	// speculation only ever accelerates reads. Set before driving load.
-	alpha int
-
 	mu      sync.RWMutex // guards buckets (the map, not the Locals)
 	buckets map[ObjectID]*store.Local
 
@@ -133,12 +127,6 @@ func NewStore(ov *Overlay, replication int) *Store {
 // Replication returns the replication factor R.
 func (s *Store) Replication() int { return s.rep }
 
-// SetAlpha sets the speculative fan-out for reads (alpha <= 1 restores
-// the classic single-walk resolution). Not safe to call concurrently with
-// operations; configure before driving load. Ignored in FictiveQueries
-// mode, which serialises through HandleQuery for paper-fidelity costing.
-func (s *Store) SetAlpha(alpha int) { s.alpha = alpha }
-
 func (s *Store) bucket(id ObjectID) *store.Local {
 	s.mu.RLock()
 	b := s.buckets[id]
@@ -212,13 +200,7 @@ func (s *Store) Get(from ObjectID, key geom.Point) (value []byte, hops int, err 
 	defer s.ov.shards.runlock(sh)
 	s.ov.mu.RLock()
 	defer s.ov.mu.RUnlock()
-	var res RouteResult
-	if a := s.alpha; a > 1 {
-		ar, aerr := c.r.resolveAlpha(from, key, a)
-		res, err = ar.RouteResult, aerr
-	} else {
-		res, err = c.r.resolve(from, key)
-	}
+	res, err := c.r.resolve(from, key)
 	if err != nil {
 		return nil, res.Hops, err
 	}

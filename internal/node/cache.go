@@ -1,18 +1,15 @@
 package node
 
 import (
-	"container/list"
-	"math"
-	"sync"
-
+	"voronet/internal/cellcache"
 	"voronet/internal/geom"
 	"voronet/internal/proto"
 )
 
-// routeCache is the hot-region owner cache (the path-caching half of the
-// Kademlia-style lookup acceleration): a small LRU mapping a quantised
-// attribute-space cell to the node last observed answering for a key in
-// that cell. The origin consults it before the greedy scan and feeds the
+// routeCache is the hot-region owner cache: a small LRU
+// (internal/cellcache) mapping a quantised attribute-space cell to the
+// node last observed answering for a key in that cell, along with the
+// exact key that populated it. The origin consults it before the greedy scan and feeds the
 // cached owner in as one more next-hop candidate; because the candidate
 // must still win the strictly-closer distance test, a stale entry can
 // cost at most a wasted comparison — it can never misroute, loop, or
@@ -31,152 +28,39 @@ import (
 //     owner is dropped, since that region is no longer the owner's;
 //   - cleared wholesale when this node leaves.
 //
-// Locking: the cache has its own leaf mutex and takes no other lock, so
+// Locking: the LRU has its own leaf mutex and takes no other lock, so
 // it is safe to touch from under n.mu (read or write) and from callback
 // paths alike.
 type routeCache struct {
-	mu      sync.Mutex
-	cap     int
-	grid    float64
-	entries map[uint64]*list.Element
-	lru     *list.List // front = most recently used
+	*cellcache.LRU[proto.NodeInfo]
 }
-
-// cacheEntry is one cached region→owner binding. key is the exact
-// target that populated the entry; invalidation distance tests run
-// against it rather than the cell centre, so they exactly mirror the
-// ownership comparisons the store layer makes.
-type cacheEntry struct {
-	cell  uint64
-	key   geom.Point
-	owner proto.NodeInfo
-}
-
-// defaultCacheGrid is the quantisation floor: cells never get coarser
-// than this even for large DMin, so distinct hot regions rarely share a
-// cell (a shared cell only costs evictions, never correctness).
-const defaultCacheGrid = 1.0 / 256
 
 func newRouteCache(capacity int, dmin float64) *routeCache {
-	grid := dmin
-	if grid < defaultCacheGrid || math.IsNaN(grid) {
-		grid = defaultCacheGrid
-	}
-	return &routeCache{
-		cap:     capacity,
-		grid:    grid,
-		entries: make(map[uint64]*list.Element, capacity),
-		lru:     list.New(),
-	}
+	return &routeCache{cellcache.New[proto.NodeInfo](capacity, dmin)}
 }
 
-// cellOf quantises p to its grid cell. Coordinates live in [0,1] with
-// small excursions (long-link targets overshoot the square); the int32
-// fold keeps any finite point addressable.
-func (rc *routeCache) cellOf(p geom.Point) uint64 {
-	cx := uint64(uint32(int32(math.Floor(p.X / rc.grid))))
-	cy := uint64(uint32(int32(math.Floor(p.Y / rc.grid))))
-	return cx<<32 | cy
-}
-
-// lookup returns the cached owner for p's cell, refreshing its recency.
-func (rc *routeCache) lookup(p geom.Point) (proto.NodeInfo, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	el, ok := rc.entries[rc.cellOf(p)]
-	if !ok {
-		return proto.NodeInfo{}, false
-	}
-	rc.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).owner, true
-}
-
-// insert records owner as the answerer for p's cell, evicting the least
-// recently used entry at capacity.
+// insert records owner as the answerer for p's cell; an answer that
+// names nobody is not worth a slot.
 func (rc *routeCache) insert(p geom.Point, owner proto.NodeInfo) {
-	if owner.Addr == "" {
-		return
+	if owner.Addr != "" {
+		rc.Insert(p, owner)
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	cell := rc.cellOf(p)
-	if el, ok := rc.entries[cell]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.key, ent.owner = p, owner
-		rc.lru.MoveToFront(el)
-		return
-	}
-	for rc.lru.Len() >= rc.cap && rc.lru.Len() > 0 {
-		oldest := rc.lru.Back()
-		delete(rc.entries, oldest.Value.(*cacheEntry).cell)
-		rc.lru.Remove(oldest)
-	}
-	rc.entries[cell] = rc.lru.PushFront(&cacheEntry{cell: cell, key: p, owner: owner})
 }
 
 // invalidateOwner drops every entry naming addr and returns how many it
 // removed. Called from the tombstone path: leave, crash repair and
 // tombstone gossip all funnel through it.
 func (rc *routeCache) invalidateOwner(addr string) int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	removed := 0
-	for el := rc.lru.Front(); el != nil; {
-		next := el.Next()
-		if ent := el.Value.(*cacheEntry); ent.owner.Addr == addr {
-			delete(rc.entries, ent.cell)
-			rc.lru.Remove(el)
-			removed++
-		}
-		el = next
-	}
-	return removed
+	return rc.DropIf(func(_ geom.Point, owner proto.NodeInfo) bool { return owner.Addr == addr })
 }
 
 // invalidateTakenOver drops every entry whose key the newcomer at pos is
 // strictly closer to than the cached owner — those regions changed hands
-// in the AddVoronoiRegion the caller just executed. Returns the number
-// removed.
+// in the AddVoronoiRegion the caller just executed. The test runs against
+// the exact key that populated the entry, so it mirrors the ownership
+// comparison the store layer makes. Returns the number removed.
 func (rc *routeCache) invalidateTakenOver(pos geom.Point) int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	removed := 0
-	for el := rc.lru.Front(); el != nil; {
-		next := el.Next()
-		if ent := el.Value.(*cacheEntry); geom.Dist2(pos, ent.key) < geom.Dist2(ent.owner.Pos, ent.key) {
-			delete(rc.entries, ent.cell)
-			rc.lru.Remove(el)
-			removed++
-		}
-		el = next
-	}
-	return removed
-}
-
-// hottest returns the keys of the k most-recently-used entries, hottest
-// first — the candidates the background refresher re-validates (see
-// refresh.go).
-func (rc *routeCache) hottest(k int) []geom.Point {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	out := make([]geom.Point, 0, k)
-	for el := rc.lru.Front(); el != nil && len(out) < k; el = el.Next() {
-		out = append(out, el.Value.(*cacheEntry).key)
-	}
-	return out
-}
-
-// clear empties the cache (this node left the overlay).
-func (rc *routeCache) clear() {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.entries = make(map[uint64]*list.Element, rc.cap)
-	rc.lru.Init()
-}
-
-// size returns the number of cached entries.
-func (rc *routeCache) size() int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.lru.Len()
+	return rc.DropIf(func(key geom.Point, owner proto.NodeInfo) bool {
+		return geom.Dist2(pos, key) < geom.Dist2(owner.Pos, key)
+	})
 }

@@ -7,24 +7,22 @@ import (
 	"testing"
 
 	"voronet/internal/geom"
-	"voronet/internal/proto"
 	"voronet/internal/store"
 )
 
-// lookupStackCluster builds a cluster whose nodes run the full tuned
-// lookup stack: α-parallel speculation plus the hot-region route cache.
+// lookupStackCluster builds a cluster whose nodes run with the
+// hot-region route cache.
 func lookupStackCluster(t *testing.T, n int, seed int64) *cluster {
 	t.Helper()
 	return newClusterCfg(t, n, 0.02, seed, func(cfg *Config) {
-		cfg.Alpha = 3
 		cfg.RouteCacheSize = 64
 	})
 }
 
 // TestCacheCoherenceUnderChurn is the cache-invalidation property suite:
 // two clusters replay one identical seeded script of joins, leaves,
-// crashes, puts, deletes and reads — one cluster with the tuned lookup
-// stack (alpha=3 + route cache), one with the classic serial router. Every
+// crashes, puts, deletes and reads — one cluster with the route cache,
+// one without. Every
 // reply must be identical between the two: any stale cache entry surviving
 // a view change would surface as a divergent owner, value, or found bit.
 func TestCacheCoherenceUnderChurn(t *testing.T) {
@@ -138,75 +136,6 @@ func TestCacheCoherenceUnderChurn(t *testing.T) {
 	}
 	if invals == 0 {
 		t.Fatal("churn script produced no cache invalidations — property untested")
-	}
-}
-
-// TestAlphaAnswersMatchSerial: with speculation on, every query and read
-// resolves to exactly the answer the serial protocol gives — probes can
-// only waste bandwidth, never change results — and late duplicate answers
-// are counted, not delivered.
-func TestAlphaAnswersMatchSerial(t *testing.T) {
-	tuned := lookupStackCluster(t, 30, 55)
-	plain := newClusterCfg(t, 30, 0.02, 55, nil)
-
-	script := func(c *cluster) []string {
-		rng := rand.New(rand.NewSource(99))
-		var log []string
-		// Seed some records.
-		keys := make([]geom.Point, 40)
-		for i := range keys {
-			keys[i] = geom.Pt(rng.Float64(), rng.Float64())
-			origin := c.nodes[rng.Intn(len(c.nodes))]
-			var r store.Reply
-			if err := origin.Put(keys[i], []byte{byte(i)}, func(rep store.Reply) { r = rep }); err != nil {
-				t.Fatal(err)
-			}
-			c.bus.Drain()
-			if r.Err != nil || !r.Found {
-				t.Fatalf("seed put %d: %+v", i, r)
-			}
-		}
-		for q := 0; q < 120; q++ {
-			origin := c.nodes[rng.Intn(len(c.nodes))]
-			if q%3 == 0 {
-				p := geom.Pt(rng.Float64(), rng.Float64())
-				var owner string
-				var hops int
-				if err := origin.Query(p, func(o proto.NodeInfo, h int) { owner, hops = o.Addr, h }); err != nil {
-					t.Fatal(err)
-				}
-				c.bus.Drain()
-				_ = hops // speculative first-byte hops may beat serial; only the owner must match
-				log = append(log, fmt.Sprintf("query %v owner=%s", p, owner))
-			} else {
-				k := keys[rng.Intn(len(keys))]
-				var r store.Reply
-				if err := origin.Get(k, func(rep store.Reply) { r = rep }); err != nil {
-					t.Fatal(err)
-				}
-				c.bus.Drain()
-				log = append(log, fmt.Sprintf("get %v found=%v val=%q", k, r.Found, r.Value))
-			}
-		}
-		return log
-	}
-
-	tunedLog := script(tuned)
-	plainLog := script(plain)
-	for i := range tunedLog {
-		if tunedLog[i] != plainLog[i] {
-			t.Fatalf("op %d diverged:\n  tuned: %s\n  plain: %s", i, tunedLog[i], plainLog[i])
-		}
-	}
-
-	// Speculation really ran: some probes lost the race and were dropped
-	// at the origin as wasted, none leaked as user-visible answers.
-	var wasted uint64
-	for _, nd := range tuned.nodes {
-		wasted += nd.Metrics().Snapshot().Counters["node_probe_wasted_total"]
-	}
-	if wasted == 0 {
-		t.Fatal("alpha=3 run recorded no wasted probes — speculation never fanned out")
 	}
 }
 

@@ -19,22 +19,22 @@ func TestRouteCacheLRUEviction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rc.insert(pts[i], info(fmt.Sprintf("n%d", i), pts[i]))
 	}
-	if rc.size() != 3 {
-		t.Fatalf("size = %d, want 3", rc.size())
+	if rc.Len() != 3 {
+		t.Fatalf("size = %d, want 3", rc.Len())
 	}
 	// Touch the oldest entry so the middle one becomes LRU.
-	if _, ok := rc.lookup(pts[0]); !ok {
+	if _, ok := rc.Lookup(pts[0]); !ok {
 		t.Fatal("entry 0 missing before eviction")
 	}
 	rc.insert(pts[3], info("n3", pts[3]))
-	if rc.size() != 3 {
-		t.Fatalf("size = %d after eviction, want 3", rc.size())
+	if rc.Len() != 3 {
+		t.Fatalf("size = %d after eviction, want 3", rc.Len())
 	}
-	if _, ok := rc.lookup(pts[1]); ok {
+	if _, ok := rc.Lookup(pts[1]); ok {
 		t.Fatal("LRU entry 1 survived the eviction")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if owner, ok := rc.lookup(pts[i]); !ok || owner.Addr != fmt.Sprintf("n%d", i) {
+		if owner, ok := rc.Lookup(pts[i]); !ok || owner.Addr != fmt.Sprintf("n%d", i) {
 			t.Fatalf("entry %d = %+v (present %v)", i, owner, ok)
 		}
 	}
@@ -47,34 +47,36 @@ func TestRouteCacheCellQuantisation(t *testing.T) {
 	a, b := geom.Pt(0.51, 0.52), geom.Pt(0.53, 0.58)
 	rc.insert(a, info("first", a))
 	rc.insert(b, info("second", b))
-	if rc.size() != 1 {
-		t.Fatalf("size = %d, want 1 (same cell)", rc.size())
+	if rc.Len() != 1 {
+		t.Fatalf("size = %d, want 1 (same cell)", rc.Len())
 	}
-	if owner, ok := rc.lookup(a); !ok || owner.Addr != "second" {
+	if owner, ok := rc.Lookup(a); !ok || owner.Addr != "second" {
 		t.Fatalf("lookup(a) = %+v, want overwritten owner", owner)
 	}
 	// A key in the neighbouring cell is independent.
 	c := geom.Pt(0.61, 0.52)
-	if _, ok := rc.lookup(c); ok {
+	if _, ok := rc.Lookup(c); ok {
 		t.Fatal("neighbouring cell unexpectedly cached")
 	}
 	rc.insert(c, info("third", c))
-	if rc.size() != 2 {
-		t.Fatalf("size = %d, want 2", rc.size())
+	if rc.Len() != 2 {
+		t.Fatalf("size = %d, want 2", rc.Len())
 	}
 	// The quantisation floor: a tiny DMin never coarsens below 1/256,
 	// and a NaN DMin (unset config) falls back to it too.
-	if g := newRouteCache(4, 1e-9).grid; g != defaultCacheGrid {
-		t.Fatalf("grid = %v, want floor %v", g, defaultCacheGrid)
+	floor := newRouteCache(4, 1e-9)
+	floor.insert(geom.Pt(0.5001, 0.5001), info("floor", geom.Pt(0.5001, 0.5001)))
+	if owner, ok := floor.Lookup(geom.Pt(0.5003, 0.5003)); !ok || owner.Addr != "floor" {
+		t.Fatal("points 0.0002 apart missed each other: the grid went finer than the 1/256 floor")
 	}
 	// Slightly-negative excursions (long-link targets overshoot the unit
 	// square) quantise without panicking and stay distinct from cell 0.
 	neg := geom.Pt(-0.01, 0.5)
 	rc.insert(neg, info("edge", neg))
-	if owner, ok := rc.lookup(neg); !ok || owner.Addr != "edge" {
+	if owner, ok := rc.Lookup(neg); !ok || owner.Addr != "edge" {
 		t.Fatalf("negative-coordinate entry = %+v (present %v)", owner, ok)
 	}
-	if owner, _ := rc.lookup(geom.Pt(0.01, 0.5)); owner.Addr == "edge" {
+	if owner, _ := rc.Lookup(geom.Pt(0.01, 0.5)); owner.Addr == "edge" {
 		t.Fatal("negative cell collided with positive cell")
 	}
 }
@@ -88,13 +90,13 @@ func TestRouteCacheInvalidateOwner(t *testing.T) {
 	if removed := rc.invalidateOwner("dead"); removed != 2 {
 		t.Fatalf("invalidateOwner removed %d, want 2", removed)
 	}
-	if rc.size() != 1 {
-		t.Fatalf("size = %d, want 1", rc.size())
+	if rc.Len() != 1 {
+		t.Fatalf("size = %d, want 1", rc.Len())
 	}
-	if _, ok := rc.lookup(pts[0]); ok {
+	if _, ok := rc.Lookup(pts[0]); ok {
 		t.Fatal("dead owner's entry survived")
 	}
-	if owner, ok := rc.lookup(pts[1]); !ok || owner.Addr != "alive" {
+	if owner, ok := rc.Lookup(pts[1]); !ok || owner.Addr != "alive" {
 		t.Fatalf("unrelated entry dropped: %+v (present %v)", owner, ok)
 	}
 	if removed := rc.invalidateOwner("dead"); removed != 0 {
@@ -113,10 +115,10 @@ func TestRouteCacheInvalidateTakenOver(t *testing.T) {
 	if removed := rc.invalidateTakenOver(newcomer); removed != 1 {
 		t.Fatalf("invalidateTakenOver removed %d, want 1", removed)
 	}
-	if _, ok := rc.lookup(keyB); ok {
+	if _, ok := rc.Lookup(keyB); ok {
 		t.Fatal("taken-over region still cached")
 	}
-	if owner, ok := rc.lookup(keyA); !ok || owner.Addr != "a" {
+	if owner, ok := rc.Lookup(keyA); !ok || owner.Addr != "a" {
 		t.Fatalf("unaffected region dropped: %+v (present %v)", owner, ok)
 	}
 }
@@ -125,13 +127,13 @@ func TestRouteCacheClear(t *testing.T) {
 	rc := newRouteCache(4, 0.05)
 	rc.insert(geom.Pt(0.1, 0.1), info("x", geom.Pt(0.1, 0.1)))
 	rc.insert(geom.Pt(0.9, 0.9), info("y", geom.Pt(0.9, 0.9)))
-	rc.clear()
-	if rc.size() != 0 {
-		t.Fatalf("size = %d after clear, want 0", rc.size())
+	rc.Clear()
+	if rc.Len() != 0 {
+		t.Fatalf("size = %d after clear, want 0", rc.Len())
 	}
 	// The cache stays usable after a clear (re-join after leave).
 	rc.insert(geom.Pt(0.5, 0.5), info("z", geom.Pt(0.5, 0.5)))
-	if rc.size() != 1 {
-		t.Fatalf("size = %d after re-insert, want 1", rc.size())
+	if rc.Len() != 1 {
+		t.Fatalf("size = %d after re-insert, want 1", rc.Len())
 	}
 }

@@ -10,23 +10,22 @@ import (
 	"voronet/internal/proto"
 )
 
-// Digest-based anti-entropy: SyncReplicas no longer pushes full records
-// every sweep. Instead each target first receives a KindSyncDigest — a
+// Digest-based anti-entropy: SyncReplicas does not push full records.
+// Each target first receives a KindSyncDigest — a
 // compact sorted list of 8-byte fingerprints of the records this node
 // would push there — and answers with a KindSyncPull naming only the
 // fingerprints it does not hold; the sender then streams full records
 // (ordinary KindReplicaSync) for exactly that subset. When replicas
 // already agree (the common steady state), the whole exchange is one
-// small digest per target and silence back: no-diff sync bytes drop by
-// an order of magnitude (the acceptance measurement lives in
-// SyncReplicasProbe and the harness SyncBytes step).
+// small digest per target and silence back: a no-diff sweep costs an
+// order of magnitude fewer bytes than pushing the records would
+// (measured by SyncReplicasProbe and the harness SyncBytes step).
 //
 // The exchange is stateless on both sides — the pull is answered by
 // recomputing placement from the current view, so a view change between
 // digest and pull at worst wastes one round, never corrupts. All
 // correctness still rests on the receiver's newest-wins Apply:
-// duplicated, reordered or stale streams converge exactly as the full
-// push did. Config.FullSyncReplicas restores the old unconditional push.
+// duplicated, reordered or stale streams converge.
 
 // recordFP fingerprints a record's identity: key bits, version and
 // tombstone flag through 64-bit FNV-1a. The value bytes are deliberately
@@ -55,9 +54,9 @@ func recFPs(recs []proto.StoreRecord) []uint64 {
 }
 
 // packFPs serialises fingerprints as sorted little-endian 8-byte words —
-// one flat blob, not a gob []uint64 (gob's per-element varint framing
-// would double the size), sorted so identical sets produce identical
-// bytes (replayable transcripts).
+// one flat blob (fingerprints are uniform 64-bit values, which a varint
+// would only lengthen), sorted so identical sets produce identical bytes
+// (replayable transcripts).
 func packFPs(fps []uint64) []byte {
 	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
 	out := make([]byte, 0, len(fps)*8)
@@ -220,10 +219,10 @@ func (n *Node) handleSyncPull(env *proto.Envelope) {
 }
 
 // SyncReplicasProbe measures, without sending anything, what one
-// anti-entropy sweep would cost on the wire in each mode: the encoded
-// bytes of the digest envelopes (the whole cost of a no-diff digest
-// sweep) versus the encoded bytes of the full-record push. The harness
-// SyncBytes step asserts the ratio; BENCH_chaos.json records it.
+// anti-entropy sweep costs on the wire — the encoded bytes of the digest
+// envelopes, which is all a no-diff sweep sends — against the encoded
+// bytes of pushing every record instead. The harness SyncBytes step
+// asserts the ratio; BENCH_chaos.json records it.
 func (n *Node) SyncReplicasProbe() (digestBytes, fullBytes int) {
 	n.mu.RLock()
 	if !n.joined {
@@ -238,26 +237,19 @@ func (n *Node) SyncReplicasProbe() (digestBytes, fullBytes int) {
 	if len(recs) == 0 {
 		return 0, 0
 	}
-	// Measure in the codec this node actually sends with (Config.GobWire
-	// selects the legacy baseline), so the probe's byte accounting
-	// matches what the wire counters would record.
 	wb := proto.GetBuf()
 	defer wb.Put()
 	for _, t := range syncTargets(self, vns, rep, recs, "") {
-		if b, err := proto.AppendEncodeMode(wb.B[:0], &proto.Envelope{
+		wb.B = proto.AppendEncode(wb.B[:0], &proto.Envelope{
 			Type: proto.KindSyncDigest, From: self, Handoff: t.handoff,
 			Digest: packFPs(recFPs(t.recs)),
-		}, n.cfg.GobWire); err == nil {
-			wb.B = b
-			digestBytes += len(b)
-		}
+		})
+		digestBytes += len(wb.B)
 		for _, chunk := range chunkRecords(t.recs) {
-			if b, err := proto.AppendEncodeMode(wb.B[:0], &proto.Envelope{
+			wb.B = proto.AppendEncode(wb.B[:0], &proto.Envelope{
 				Type: proto.KindReplicaSync, From: self, Records: chunk, Handoff: t.handoff,
-			}, n.cfg.GobWire); err == nil {
-				wb.B = b
-				fullBytes += len(b)
-			}
+			})
+			fullBytes += len(wb.B)
 		}
 	}
 	return digestBytes, fullBytes

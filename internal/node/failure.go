@@ -101,7 +101,7 @@ func (n *Node) NotifyDeparted(addr string) {
 			Origin:  self,
 			Link:    j,
 		}
-		n.handle(self.Addr, mustEncode(env))
+		n.handle(self.Addr, proto.AppendEncode(nil, env))
 	}
 	// Store repair: records the dead peer owned lost their owner-side
 	// copy; re-replicate the ones we now own and push the rest to their

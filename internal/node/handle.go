@@ -201,16 +201,13 @@ func (n *Node) deliver(env *proto.Envelope) {
 		delete(n.queries, env.QueryID)
 		n.queryMu.Unlock()
 		if pq == nil {
-			// A losing speculative probe's answer (or one past its
-			// deadline): the request is already resolved, the work was
-			// wasted.
-			n.nm.probeWasted.Inc()
+			// The answer outlived its request: the deadline reaped it.
+			n.nm.lateAnswers.Inc()
 			return
 		}
 		pq.timer.Stop()
 		n.nm.queryLatency.Observe(time.Since(pq.start).Seconds())
 		n.nm.queryHops.Observe(float64(env.Hops))
-		n.nm.firstByteHops.Observe(float64(env.Hops))
 		if n.cache != nil && env.From.Addr != n.self.Addr {
 			n.cache.insert(pq.target, env.From)
 		}
@@ -226,7 +223,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 			r.Err = store.ErrOverloaded
 		}
 		if !n.inflight.Resolve(env.QueryID, r) {
-			n.nm.probeWasted.Inc()
+			n.nm.lateAnswers.Inc()
 		}
 	case proto.KindReplicaSync:
 		n.handleReplicaSync(env)
@@ -267,7 +264,7 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 	n.mu.RLock()
 	if !n.joined {
 		// Not joined, or a concurrent Leave completed while the replica
-		// probe ran without the lock.
+		// lookup ran without the lock.
 		n.mu.RUnlock()
 		return
 	}
@@ -308,7 +305,7 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 	// loses the scan or fails the send (repairing the views), it cannot
 	// misroute or serve a stale owner.
 	if n.cache != nil && env.Hops == 0 {
-		if owner, ok := n.cache.lookup(env.Target); ok {
+		if owner, ok := n.cache.Lookup(env.Target); ok {
 			n.nm.cacheHits.Inc()
 			consider(owner, "cache")
 		} else {
@@ -394,21 +391,17 @@ func (n *Node) admitJoin(env *proto.Envelope) {
 	// Optimistic phase (see surgery.go): the joiner's neighbour list is a
 	// pure function of the candidate pool, so compute it off-lock and only
 	// redo it under the lock if the pool moved in between.
-	var newVN []proto.NodeInfo
-	var specPool map[string]proto.NodeInfo
-	if !n.cfg.SerialSurgery {
-		n.mu.RLock()
-		specPool = n.candidatePool()
-		specPool[j.Addr] = j
-		n.mu.RUnlock()
-		newVN = miniNeighbors(j, specPool)
-	}
+	n.mu.RLock()
+	specPool := n.candidatePool()
+	specPool[j.Addr] = j
+	n.mu.RUnlock()
+	newVN := miniNeighbors(j, specPool)
 
 	n.mu.Lock()
 	// Candidate pool: us, our neighbours, their neighbours.
 	pool := n.candidatePool()
 	pool[j.Addr] = j
-	if specPool == nil || !poolsEqual(pool, specPool) {
+	if !poolsEqual(pool, specPool) {
 		newVN = miniNeighbors(j, pool)
 	}
 
@@ -486,7 +479,7 @@ func (n *Node) handleJoinGrant(env *proto.Envelope) {
 			Origin:  n.self,
 			Link:    jdx,
 		}
-		n.handle(n.self.Addr, mustEncode(env))
+		n.handle(n.self.Addr, proto.AppendEncode(nil, env))
 	}
 }
 
@@ -502,20 +495,16 @@ func (n *Node) handleSetNeighbors(env *proto.Envelope) {
 func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 	// Optimistic phase (see surgery.go): snapshot the pool under the read
 	// lock, run the Delaunay recompute with no lock held.
-	var specPool map[string]proto.NodeInfo
-	var specVN []proto.NodeInfo
-	if !n.cfg.SerialSurgery {
-		n.mu.RLock()
-		if !n.joined || j.Addr == n.self.Addr ||
-			(n.tombs[j.Addr] && j.Gen <= n.tombGen[j.Addr]) {
-			n.mu.RUnlock()
-			return
-		}
-		specPool = n.candidatePool()
-		specPool[j.Addr] = j
+	n.mu.RLock()
+	if !n.joined || j.Addr == n.self.Addr ||
+		(n.tombs[j.Addr] && j.Gen <= n.tombGen[j.Addr]) {
 		n.mu.RUnlock()
-		specVN = miniNeighbors(n.self, specPool)
+		return
 	}
+	specPool := n.candidatePool()
+	specPool[j.Addr] = j
+	n.mu.RUnlock()
+	specVN := miniNeighbors(n.self, specPool)
 	n.mu.Lock()
 	if !n.joined || j.Addr == n.self.Addr {
 		n.mu.Unlock()
@@ -607,23 +596,19 @@ func (n *Node) handleNeighborList(env *proto.Envelope) {
 	// Optimistic phase (see surgery.go): build the pool as it will look
 	// after the sender's list is stored — candidatePoolOverride substitutes
 	// the fresh list without mutating the table — and recompute off-lock.
-	var specPool map[string]proto.NodeInfo
-	var specVN []proto.NodeInfo
-	if !n.cfg.SerialSurgery {
-		n.mu.RLock()
-		if !n.joined {
-			n.mu.RUnlock()
-			return
-		}
-		if _, isNbr := n.vn[env.From.Addr]; !isNbr && !mentionsUs {
-			n.mu.RUnlock()
-			return
-		}
-		specPool = n.candidatePoolOverride(env.From.Addr, env.Neighbors)
-		specPool[env.From.Addr] = env.From
+	n.mu.RLock()
+	if !n.joined {
 		n.mu.RUnlock()
-		specVN = miniNeighbors(n.self, specPool)
+		return
 	}
+	if _, isNbr := n.vn[env.From.Addr]; !isNbr && !mentionsUs {
+		n.mu.RUnlock()
+		return
+	}
+	specPool := n.candidatePoolOverride(env.From.Addr, env.Neighbors)
+	specPool[env.From.Addr] = env.From
+	n.mu.RUnlock()
+	specVN := miniNeighbors(n.self, specPool)
 	n.mu.Lock()
 	if !n.joined {
 		n.mu.Unlock()
@@ -785,19 +770,15 @@ func (n *Node) handleLeave(env *proto.Envelope) {
 	// Optimistic phase (see surgery.go): the post-leave pool is today's
 	// pool minus the departed node, so it can be built and recomputed
 	// without the write lock.
-	var specPool map[string]proto.NodeInfo
-	var specVN []proto.NodeInfo
-	if !n.cfg.SerialSurgery {
-		n.mu.RLock()
-		if !n.joined {
-			n.mu.RUnlock()
-			return
-		}
-		specPool = n.candidatePool()
-		delete(specPool, gone)
+	n.mu.RLock()
+	if !n.joined {
 		n.mu.RUnlock()
-		specVN = miniNeighbors(n.self, specPool)
+		return
 	}
+	specPool := n.candidatePool()
+	delete(specPool, gone)
+	n.mu.RUnlock()
+	specVN := miniNeighbors(n.self, specPool)
 	n.mu.Lock()
 	if !n.joined {
 		n.mu.Unlock()

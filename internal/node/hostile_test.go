@@ -1,26 +1,12 @@
 package node
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"voronet/internal/geom"
 	"voronet/internal/proto"
 	"voronet/internal/transport"
 )
-
-// rawEncode serialises an envelope with gob directly, bypassing any
-// validation the proto package performs: the bytes a malicious peer would
-// put on the wire.
-func rawEncode(t *testing.T, env *proto.Envelope) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // TestNegativeLinkEnvelopeDoesNotPanic: a KindLongLinkGrant (or Update)
 // carrying Link: -1 used to crash the node with an index-out-of-range
@@ -46,9 +32,10 @@ func TestNegativeLinkEnvelopeDoesNotPanic(t *testing.T) {
 			Origin: proto.NodeInfo{Addr: "evil", Pos: geom.Pt(0.1, 0.1)}, Hops: -7},
 	}
 	for _, env := range hostile {
-		// The wire path: raw gob bytes reach handle, Decode's validation
-		// rejects the negative fields, the frame is dropped.
-		n.handle("evil", rawEncode(t, env))
+		// The wire path: the encoder zigzags the negative fields onto the
+		// wire as they are — the bytes a malicious peer would send —
+		// Decode's validation rejects them, the frame is dropped.
+		n.handle("evil", proto.AppendEncode(nil, env))
 		// The defence-in-depth path: inject the decoded envelope past the
 		// wire validation straight into the dispatcher; the in-handler
 		// bounds checks must hold on their own.

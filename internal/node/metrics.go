@@ -57,16 +57,13 @@ type nodeMetrics struct {
 
 	traced *metrics.Counter // node_traced_routes_total: envelopes handled with Trace set
 
-	// The low-latency lookup stack: route-cache effectiveness, the cost
-	// of α-parallel speculation, and the latency-defining hop count of
-	// the first answer to arrive (which speculation and caching shrink;
-	// node_query_hops / store_*_hops keep recording whichever probe won).
-	cacheHits          *metrics.Counter   // node_cache_hits_total: origin found a cached owner for the target's cell
-	cacheMisses        *metrics.Counter   // node_cache_misses_total: origin consulted the cache and found nothing
-	cacheInvalidations *metrics.Counter   // node_cache_invalidations_total: entries dropped by view-change surgery
-	cacheRefresh       *metrics.Counter   // node_cache_refresh_total: hot entries re-validated by the background refresher
-	probeWasted        *metrics.Counter   // node_probe_wasted_total: answers for an already-resolved request
-	firstByteHops      *metrics.Histogram // node_first_byte_hops: hops of the first answer per read (Query / GET)
+	// The route cache's effectiveness, and answers that arrived after
+	// the deadline had already reaped their request.
+	cacheHits          *metrics.Counter // node_cache_hits_total: origin found a cached owner for the target's cell
+	cacheMisses        *metrics.Counter // node_cache_misses_total: origin consulted the cache and found nothing
+	cacheInvalidations *metrics.Counter // node_cache_invalidations_total: entries dropped by view-change surgery
+	cacheRefresh       *metrics.Counter // node_cache_refresh_total: hot entries re-validated by the background refresher
+	lateAnswers        *metrics.Counter // node_late_answers_total: answers for a request its deadline already reaped
 
 	// Durability (see durable.go) and overload shedding.
 	walAppends       *metrics.Counter   // wal_appends_total: records logged
@@ -113,8 +110,7 @@ func newNodeMetrics() nodeMetrics {
 		cacheMisses:        r.Counter("node_cache_misses_total"),
 		cacheInvalidations: r.Counter("node_cache_invalidations_total"),
 		cacheRefresh:       r.Counter("node_cache_refresh_total"),
-		probeWasted:        r.Counter("node_probe_wasted_total"),
-		firstByteHops:      r.Histogram("node_first_byte_hops", hops),
+		lateAnswers:        r.Counter("node_late_answers_total"),
 
 		walAppends:       r.Counter("wal_appends_total"),
 		walErrs:          r.Counter("wal_errors_total"),

@@ -66,18 +66,11 @@ type Config struct {
 	// fires once with HopsTimedOut — instead of leaking forever
 	// (default 5s).
 	QueryTimeout time.Duration
-	// Alpha is the speculative-routing fan-out: an idempotent read
-	// (Query, store GET) is dispatched from the origin to up to Alpha
-	// strictly-closer candidates at once; the first answer wins and late
-	// duplicates are counted in node_probe_wasted_total. Values <= 1
-	// keep the classic single-path greedy dispatch (the default).
-	// Writes always route single-path regardless.
-	Alpha int
 	// RouteCacheSize enables the hot-region owner cache with that many
 	// entries: origins remember which node answered for a target cell
 	// and feed it into the next greedy scan as an extra candidate (see
 	// cache.go for the coherence rules). 0 (the default) disables the
-	// cache entirely — byte-identical routing with prior releases.
+	// cache.
 	RouteCacheSize int
 	// WALDir, when non-empty and the node is built with NewDurable,
 	// holds the write-ahead log: every acked PUT/DELETE (and every
@@ -97,24 +90,12 @@ type Config struct {
 	// (counted in store_shed_total) instead of queueing toward a
 	// timeout. 0 (the default) disables admission control.
 	MaxInflight int
-	// FullSyncReplicas restores the pre-digest anti-entropy behaviour:
-	// SyncReplicas pushes full records unconditionally. The default
-	// (false) exchanges compact fingerprints first and streams only the
-	// records the receiver is missing (see digest.go).
-	FullSyncReplicas bool
 	// Generation is this node's incarnation number, carried in its
 	// NodeInfo. NewDurable overrides it with the persisted counter from
 	// the WAL directory (bumped on every open), which is what lets a
 	// crashed node rejoin at its old address without stale departure
 	// gossip killing it again. Leave 0 for nodes that never restart.
 	Generation uint64
-	// SerialSurgery disables the optimistic view-surgery path (see
-	// surgery.go): handlers then run their Delaunay recompute entirely
-	// under the write lock, the pre-optimistic behaviour. The default
-	// (false) precomputes off-lock and validates by pool equality before
-	// installing. Exists for A/B benchmarking; the installed views and
-	// the serial-simnet transcripts are identical either way.
-	SerialSurgery bool
 	// CacheRefreshInterval, with RouteCacheSize > 0, starts a background
 	// loop that re-queries the origin's hottest cached targets each
 	// interval: the answer re-populates (or corrects) the cache entry
@@ -124,13 +105,6 @@ type Config struct {
 	// CacheRefreshBatch bounds how many hot entries each refresh round
 	// re-validates (default 4).
 	CacheRefreshBatch int
-	// GobWire restores the legacy encoding/gob wire codec for every
-	// frame this node sends — the A/B baseline for the binary codec.
-	// Inbound frames are auto-detected from their first byte either way,
-	// so gob and binary nodes interoperate in one overlay (see
-	// proto/wire.go). Default false: the compact zero-allocation binary
-	// codec.
-	GobWire bool
 }
 
 // HopsTimedOut is the hop count a Query callback receives when its
@@ -229,7 +203,7 @@ type Node struct {
 	storeBusy atomic.Int64
 
 	// nm caches the node's metric instruments (see metrics.go); the
-	// registry is exposed via Metrics() and the legacy Sent counter via
+	// registry is exposed via Metrics() and the total send count via
 	// SentCount().
 	nm nodeMetrics
 }
@@ -238,8 +212,7 @@ type Node struct {
 // that reaps it if the answer never arrives (the owner crashed
 // mid-query): without the timer the entry — and everything the callback
 // closure captures — would leak forever. start feeds the query-latency
-// histogram; target lets the winning answer populate the route cache;
-// path is nil unless the query was traced.
+// histogram; target lets the answer populate the route cache.
 type pendingQuery struct {
 	cb     func(owner proto.NodeInfo, hops int, path []proto.TraceHop)
 	start  time.Time
@@ -471,98 +444,10 @@ func (n *Node) query(p geom.Point, trace bool, cb func(owner proto.NodeInfo, hop
 		QueryID: id,
 		Trace:   trace,
 	}
-	// Start routing at ourselves (speculatively fanning out at Alpha > 1).
-	n.dispatchRouted(env)
+	// Start routing at ourselves: the origin is hop 0 of the greedy path,
+	// handled like any other hop.
+	n.handle(n.self.Addr, proto.AppendEncode(nil, env))
 	return nil
-}
-
-// dispatchRouted starts routing env at this node. With cfg.Alpha > 1 and
-// an idempotent read purpose (Query, store GET), it additionally fans
-// speculative probes out to the next-best strictly-closer candidates in
-// the local view: the primary copy takes the classic greedy path through
-// handleRoute (whose scan will pick the single best candidate), and each
-// extra probe jumps straight to one runner-up candidate and continues
-// greedily from there. All probes carry the same QueryID, so the first
-// answer resolves the request at the origin and late duplicates are
-// dropped by the query/inflight tables (counted in
-// node_probe_wasted_total). Correctness never depends on a probe: the
-// primary path alone is the unmodified serial protocol.
-//
-// Writes (PUT/DELETE) and every other purpose stay single-path — a
-// duplicated write would apply twice and split the version chain. Traced
-// envelopes also stay single-path: a trace documents the greedy route,
-// and racing probes would make it nondeterministic.
-func (n *Node) dispatchRouted(env *proto.Envelope) {
-	speculate := n.cfg.Alpha > 1 && !env.Trace &&
-		(env.Purpose == proto.PurposeQuery || env.Purpose == proto.PurposeStoreGet)
-	if speculate && n.cache != nil {
-		// Cache-first: when the hot-region cache already names an owner
-		// for this target, the primary path below will route straight to
-		// it — fanning probes out on top would only burn bandwidth on the
-		// very keys the cache exists to shortcut. Speculation is for the
-		// cold keys the cache cannot help.
-		if _, ok := n.cache.lookup(env.Target); ok {
-			speculate = false
-		}
-	}
-	if speculate {
-		cands := n.alphaCandidates(env.Target, n.cfg.Alpha)
-		for i := 1; i < len(cands); i++ {
-			probe := *env
-			// The direct jump to the runner-up is itself one hop.
-			probe.Hops = 1
-			probe.From = n.self
-			if err := n.sendWithRetry(cands[i].Addr, &probe); err != nil {
-				// A dead candidate costs the probe, never the request:
-				// repair the views and move on — the primary path below
-				// re-scans after the repair.
-				n.NotifyDeparted(cands[i].Addr)
-			}
-		}
-	}
-	n.handle(n.self.Addr, mustEncode(env))
-}
-
-// alphaCandidates snapshots the up-to-alpha strictly-closer candidates
-// for target among vn ∪ cn ∪ long links, nearest first with ties broken
-// by address (the same deterministic order the greedy scan uses). The
-// head of the list is what handleRoute's scan will choose, so
-// speculative probes go to entries [1:].
-func (n *Node) alphaCandidates(target geom.Point, alpha int) []proto.NodeInfo {
-	n.mu.RLock()
-	selfD := geom.Dist2(n.self.Pos, target)
-	seen := make(map[string]bool, len(n.vn)+len(n.cn)+len(n.longNbrs))
-	cands := make([]proto.NodeInfo, 0, alpha*2)
-	consider := func(c proto.NodeInfo) {
-		if c.Addr == "" || c.Addr == n.self.Addr || seen[c.Addr] || n.deadLocked(c) {
-			return
-		}
-		if geom.Dist2(c.Pos, target) < selfD {
-			seen[c.Addr] = true
-			cands = append(cands, c)
-		}
-	}
-	for _, v := range n.vn {
-		consider(v)
-	}
-	for _, c := range n.cn {
-		consider(c)
-	}
-	for _, l := range n.longNbrs {
-		consider(l)
-	}
-	n.mu.RUnlock()
-	sort.Slice(cands, func(i, j int) bool {
-		di, dj := geom.Dist2(cands[i].Pos, target), geom.Dist2(cands[j].Pos, target)
-		if di != dj {
-			return di < dj
-		}
-		return cands[i].Addr < cands[j].Addr
-	})
-	if len(cands) > alpha {
-		cands = cands[:alpha]
-	}
-	return cands
 }
 
 // Leave departs the overlay: the node recomputes the tessellation around
@@ -669,7 +554,7 @@ func (n *Node) Leave() error {
 	n.longNbrs = nil
 	n.longTargets = nil
 	if n.cache != nil {
-		n.cache.clear()
+		n.cache.Clear()
 	}
 	n.mu.Unlock()
 
@@ -706,18 +591,15 @@ func (n *Node) send(to string, env *proto.Envelope) error {
 	// straight back to the pool on every path out of this function.
 	wb := proto.GetBuf()
 	defer wb.Put()
-	b, err := proto.AppendEncodeMode(wb.B[:0], env, n.cfg.GobWire)
-	if err != nil {
-		return err
-	}
-	wb.B = b
+	wb.B = proto.AppendEncode(wb.B[:0], env)
+	b := wb.B
 	n.nm.sent.Inc()
 	n.nm.sentByKind[env.Type].Inc()
 	n.nm.wireSentByKind[env.Type].Add(uint64(len(b)))
 	switch env.Type {
 	case proto.KindReplicaSync, proto.KindSyncDigest, proto.KindSyncPull:
-		// All replica-maintenance traffic, digest-mode and full-record
-		// alike, so the anti-entropy savings show up in one series.
+		// All replica-maintenance traffic, fingerprints and full records
+		// alike, in one series.
 		n.nm.antiEntropyBytes.Add(uint64(len(b)))
 	}
 	if to == n.self.Addr {
@@ -747,14 +629,6 @@ func (n *Node) sendWithRetry(to string, env *proto.Envelope) error {
 	}
 	n.nm.retries.Inc()
 	return n.send(to, env)
-}
-
-func mustEncode(env *proto.Envelope) []byte {
-	b, err := proto.Encode(env)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 func (n *Node) String() string {

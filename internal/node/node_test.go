@@ -21,7 +21,7 @@ type cluster struct {
 	rng   *rand.Rand
 	seq   int
 	// cfgMut, when set before nodes are added, adjusts each node's config
-	// (e.g. enabling Alpha or RouteCacheSize for the lookup-stack tests).
+	// (e.g. enabling RouteCacheSize for the route-cache tests).
 	cfgMut func(*Config)
 }
 

@@ -60,7 +60,7 @@ func (n *Node) RangeQuery(a, b geom.Point, cb func(owner proto.NodeInfo)) error 
 		Origin:  n.self,
 		QueryID: id,
 	}
-	n.handle(n.self.Addr, mustEncode(env))
+	n.handle(n.self.Addr, proto.AppendEncode(nil, env))
 	return nil
 }
 

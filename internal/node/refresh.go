@@ -67,7 +67,7 @@ func (n *Node) refreshCacheOnce() {
 	if batch <= 0 {
 		batch = 4
 	}
-	for _, key := range n.cache.hottest(batch) {
+	for _, key := range n.cache.Hottest(batch) {
 		if err := n.Query(key, func(proto.NodeInfo, int) {}); err != nil {
 			return // not joined (raced a Leave): try again next tick
 		}

@@ -29,7 +29,7 @@ func TestCacheRefreshLoop(t *testing.T) {
 	if owner == "" {
 		t.Fatal("seed query unanswered")
 	}
-	if origin.cache.size() == 0 {
+	if origin.cache.Len() == 0 {
 		t.Fatal("seed query did not populate the cache")
 	}
 
@@ -44,7 +44,7 @@ func TestCacheRefreshLoop(t *testing.T) {
 		c.bus.Drain()
 	}
 
-	if cached, ok := origin.cache.lookup(key); !ok || cached.Addr != owner {
+	if cached, ok := origin.cache.Lookup(key); !ok || cached.Addr != owner {
 		t.Fatalf("after refresh: cached owner %q (present %v), want %q", cached.Addr, ok, owner)
 	}
 

@@ -121,9 +121,6 @@ func (n *Node) storeOpTraced(purpose proto.RoutedPurpose, key geom.Point, value 
 		if r.Err == nil {
 			n.nm.storeLatencyFor(purpose).Observe(time.Since(start).Seconds())
 			n.nm.storeHopsFor(purpose).Observe(float64(r.Hops))
-			if purpose == proto.PurposeStoreGet {
-				n.nm.firstByteHops.Observe(float64(r.Hops))
-			}
 			if n.cache != nil && r.Owner.Addr != "" && r.Owner.Addr != n.self.Addr {
 				n.cache.insert(key, r.Owner)
 			}
@@ -145,9 +142,8 @@ func (n *Node) storeOpTraced(purpose proto.RoutedPurpose, key geom.Point, value 
 		QueryID: id,
 		Trace:   trace,
 	}
-	// Start routing at ourselves (we may already own the key's region);
-	// GETs fan out speculatively at Alpha > 1.
-	n.dispatchRouted(env)
+	// Start routing at ourselves (we may already own the key's region).
+	n.handle(n.self.Addr, proto.AppendEncode(nil, env))
 	return nil
 }
 
@@ -226,11 +222,10 @@ func (n *Node) StoreLookup(key geom.Point) (proto.StoreRecord, bool) { return n.
 // version wins, equal versions keep the resident record — so repeated
 // sweeps converge. It returns the number of records considered.
 //
-// By default the sweep is digest-first (see digest.go): each target gets
-// a compact fingerprint list of what we would push and pulls only what
-// it lacks, so a no-diff sweep costs a digest per target instead of the
-// full record stream. Config.FullSyncReplicas restores the
-// unconditional push.
+// The sweep is digest-first (see digest.go): each target gets a compact
+// fingerprint list of what we would push and pulls only what it lacks,
+// so a no-diff sweep costs a digest per target instead of the full
+// record stream.
 func (n *Node) SyncReplicas() int {
 	n.mu.RLock()
 	if !n.joined {
@@ -240,19 +235,14 @@ func (n *Node) SyncReplicas() int {
 	self := n.self
 	vns := n.vnList()
 	rep := n.cfg.Replication
-	full := n.cfg.FullSyncReplicas
 	n.mu.RUnlock()
 	recs := n.kv.Snapshot()
 	if len(recs) == 0 {
 		return 0
 	}
-	if full {
-		n.pushByOwner(self, vns, recs, "")
-		return len(recs)
-	}
 	for _, t := range syncTargets(self, vns, rep, recs, "") {
-		// Best effort, like the full push: an unreachable target is
-		// repaired by its own departure notifications.
+		// Best effort: an unreachable target is repaired by its own
+		// departure notifications.
 		_ = n.send(t.addr, &proto.Envelope{
 			Type: proto.KindSyncDigest, From: self, Handoff: t.handoff,
 			Digest: packFPs(recFPs(t.recs)),

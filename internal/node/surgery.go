@@ -5,30 +5,29 @@ import "voronet/internal/proto"
 // Optimistic view surgery
 //
 // The expensive step of every view change is the local Delaunay
-// computation (miniNeighbors) over the candidate pool — historically run
-// under the write lock, stalling every concurrent routed message on the
-// node. The handlers in handle.go instead run it optimistically, in the
-// same spirit as internal/core's sharded engine:
+// computation (miniNeighbors) over the candidate pool; under the write
+// lock it would stall every concurrent routed message on the node. The
+// handlers in handle.go run it optimistically, in the same spirit as
+// internal/core's sharded engine:
 //
 //	R. snapshot the candidate pool under the read lock and compute the
 //	   new neighbour list with no lock held;
 //	W. take the write lock, rebuild the pool from current state and
 //	   compare: if nothing changed in between (by far the common case,
 //	   and always the case under the serial simnet), install the
-//	   precomputed list; otherwise recompute under the lock — which is
-//	   byte-for-byte the pre-optimistic code path.
+//	   precomputed list; otherwise recompute under the lock.
 //
 // Validation is by pool equality, not a generation counter: the pool is
 // exactly the computation's input, so input-equality is the strongest
 // possible "nothing changed" check and cannot be defeated by a mutation
-// that forgets to bump a counter. Config.SerialSurgery skips phase R
-// entirely for A/B comparison.
+// that forgets to bump a counter.
 //
 // The write lock is still taken for the install, so the lock-across-send
 // audit (TestNoLockHeldAcrossSends) and the deterministic transcript
 // property are untouched: under the serial simnet no handler runs between
 // the two phases, the pools always match, and the installed view — and
-// therefore every message sent — is identical to the serial path's.
+// therefore every message sent — is what a recompute under the lock
+// would install.
 
 // poolsEqual reports whether two candidate pools have exactly the same
 // members with exactly the same identities (proto.NodeInfo is comparable).
@@ -46,10 +45,9 @@ func poolsEqual(a, b map[string]proto.NodeInfo) bool {
 
 // recomputeFromLocked installs specVN — computed off-lock from specPool —
 // when specPool still equals the freshly rebuilt pool; otherwise it falls
-// back to recomputing under the lock. specPool == nil (serial surgery, or
-// no phase R ran) always recomputes. Caller holds n.mu.
+// back to recomputing under the lock. Caller holds n.mu.
 func (n *Node) recomputeFromLocked(pool, specPool map[string]proto.NodeInfo, specVN []proto.NodeInfo) bool {
-	if specPool != nil && poolsEqual(pool, specPool) {
+	if poolsEqual(pool, specPool) {
 		return n.installVNLocked(specVN)
 	}
 	return n.installVNLocked(miniNeighbors(n.self, pool))

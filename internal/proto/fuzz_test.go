@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"voronet/internal/geom"
@@ -42,26 +43,58 @@ func hostileSeeds() []*Envelope {
 	}
 }
 
-// FuzzEnvelopeRoundTrip feeds arbitrary bytes to Decode — which sniffs
-// the codec from the first byte, so one fuzz target covers the binary v1
-// decoder and the legacy gob path alike. Garbage must be rejected with an
-// error (never a panic — a node drops the frame and stays up); anything
-// Decode does accept must re-encode and re-decode to the same wire bytes,
-// so a decoded envelope can always be forwarded intact; and the two
-// codecs must agree: round-tripping an accepted envelope through gob has
-// to land on the identical binary encoding (the differential corpus of
-// the acceptance criteria).
+// historicalGobFrame is a KindStoreReply envelope as the retired
+// encoding/gob codec framed it (881 bytes, type descriptors and all) —
+// what an old transcript or a not-yet-upgraded peer would present.
+// Decode must reject it; it also seeds the fuzzer with a long,
+// structured non-v1 input.
+const historicalGobFrame = "" +
+	"fe01387f03010108456e76656c6f706501ff80000119010454797065010400010446726f6d01ff82000107507572706f" +
+	"7365010400010654617267657401ff840001075461726765744201ff840001064f726967696e01ff820001044c696e6b" +
+	"0104000104486f70730104000107517565727949440106000105547261636501020001045061746801ff880001094e65" +
+	"696768626f727301ff8a00010654776f486f7001ff8e000109436c6f736543616e6401ff8a0001044261636b01ff9200" +
+	"01074772616e74657201ff82000108446570617274656401ff9400010b446570617274656447656e01ff960001055661" +
+	"6c7565010a000105466f756e64010200010756657273696f6e01060001075265636f72647301ff9a00010748616e646f" +
+	"66660102000104536865640102000106446967657374010a00000030ff81030101084e6f6465496e666f01ff82000103" +
+	"010441646472010c000103506f7301ff8400010347656e01060000001fff8303010105506f696e7401ff840001020101" +
+	"5801080001015901080000001fff87020101105b5d70726f746f2e5472616365486f7001ff880001ff86000032ff8503" +
+	"0101085472616365486f7001ff86000103010441646472010c00010452756c65010c0001054e616e6f7301040000001f" +
+	"ff89020101105b5d70726f746f2e4e6f6465496e666f01ff8a0001ff82000025ff8d020101165b5d70726f746f2e4e65" +
+	"696768626f725265636f726401ff8e0001ff8c00002eff8b0301010e4e65696768626f725265636f726401ff8c000102" +
+	"01044e6f646501ff82000102564e01ff8a00000020ff91020101115b5d70726f746f2e4261636b456e74727901ff9200" +
+	"01ff90000038ff8f030101094261636b456e74727901ff9000010301064f726967696e01ff820001044c696e6b010400" +
+	"010654617267657401ff8400000016ff93020101085b5d737472696e6701ff9400010c000016ff95020101085b5d7569" +
+	"6e74363401ff96000106000022ff99020101135b5d70726f746f2e53746f72655265636f726401ff9a0001ff98000044" +
+	"ff970301010b53746f72655265636f726401ff9800010401034b657901ff8400010556616c7565010a00010756657273" +
+	"696f6e010600010744656c6574656401020000002cff80011e0101046e3030310101fed03f01fee83f00000200010001" +
+	"0200000363070200000301760101010c00"
+
+func gobFrame(t testing.TB) []byte {
+	b, err := hex.DecodeString(historicalGobFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDecodeRejectsGobFrame: the first byte of a frame is the format
+// version; a gob stream is not a v1 frame and is refused outright.
+func TestDecodeRejectsGobFrame(t *testing.T) {
+	if env, err := Decode(gobFrame(t)); err == nil {
+		t.Fatalf("gob frame decoded to %+v, want error", env)
+	}
+}
+
+// FuzzEnvelopeRoundTrip feeds arbitrary bytes to Decode. Garbage must be
+// rejected with an error (never a panic — a node drops the frame and
+// stays up); anything Decode does accept must re-encode and re-decode to
+// the same wire bytes, so a decoded envelope can always be forwarded
+// intact.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
-	// Both encodings of every well-formed seed shape (and of the curated
-	// Samples set), so mutations explore both wire grammars.
 	for _, env := range append(fuzzSeeds(), Samples()...) {
-		gb, err := EncodeGob(env)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(gb)
 		f.Add(AppendEncode(nil, env))
 	}
+	f.Add(gobFrame(f))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
 	// Hostile binary shapes: truncated frames, unterminated varints,
@@ -73,21 +106,16 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	f.Add([]byte{wireMagic, byte(KindStoreReply), 0x80, 0x80, 0x08, 0xFF, 0xFF, 0xFF, 0x7F, 0xAA})
 	f.Add([]byte{wireMagic, byte(KindJoinGrant), 0x80, 0x08, 0xFF, 0xFF, 0x03, 0x00})
 	f.Add([]byte{wireMagic, byte(KindRoute), 0x80, 0x80, 0x80, 0x01})
-	for _, env := range fuzzSeeds() {
+	// A truncated and an over-long frame of every shape and every kind.
+	for _, env := range append(fuzzSeeds(), Samples()...) {
 		b := AppendEncode(nil, env)
 		f.Add(b[:len(b)/2])
 		f.Add(append(append([]byte{}, b...), 0x00))
 	}
-	// Negative Link/Hops envelopes encode fine (gob carries any int, the
-	// binary codec zigzags) but must be rejected by Decode's validation —
-	// seed the fuzzer with them so mutations explore the hostile-field
-	// space in both grammars.
+	// Negative Link/Hops envelopes zigzag-encode fine but must be
+	// rejected by Decode's validation — seed the fuzzer with them so
+	// mutations explore the hostile-field space.
 	for _, env := range hostileSeeds() {
-		gb, err := EncodeGob(env)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(gb)
 		f.Add(AppendEncode(nil, env))
 	}
 
@@ -96,36 +124,14 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		if err != nil {
 			return // malformed input rejected cleanly: the contract holds
 		}
-		b1, err := Encode(env)
-		if err != nil {
-			t.Fatalf("accepted envelope failed to re-encode: %v", err)
-		}
+		b1 := AppendEncode(nil, env)
 		env2, err := Decode(b1)
 		if err != nil {
 			t.Fatalf("re-encoded envelope failed to decode: %v", err)
 		}
-		b2, err := Encode(env2)
-		if err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
+		b2 := AppendEncode(nil, env2)
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("encode/decode is not a fixpoint:\n%x\n%x", b1, b2)
-		}
-		// Differential leg: the same envelope through the gob codec must
-		// land back on the identical binary bytes. (Bytes, not DeepEqual:
-		// fuzz inputs can carry NaN floats, which compare unequal to
-		// themselves but round-trip bit-exactly through both codecs.)
-		gb, err := EncodeGob(env)
-		if err != nil {
-			t.Fatalf("accepted envelope failed to gob-encode: %v", err)
-		}
-		envG, err := Decode(gb)
-		if err != nil {
-			t.Fatalf("gob re-decode failed: %v", err)
-		}
-		b3 := AppendEncode(nil, envG)
-		if !bytes.Equal(b1, b3) {
-			t.Fatalf("codecs disagree after round-trip:\nbinary: %x\nvia gob: %x", b1, b3)
 		}
 	})
 }
@@ -136,11 +142,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 // rejects such envelopes outright.
 func TestDecodeRejectsNegativeFields(t *testing.T) {
 	for i, env := range hostileSeeds() {
-		b, err := Encode(env)
-		if err != nil {
-			t.Fatalf("seed %d: encode: %v", i, err)
-		}
-		if got, err := Decode(b); err == nil {
+		if got, err := Decode(AppendEncode(nil, env)); err == nil {
 			t.Errorf("seed %d: negative-field envelope decoded to %+v, want rejection", i, got)
 		}
 	}

@@ -4,8 +4,7 @@
 // neighbourhood-maintenance messages of §4.2 (AddVoronoiRegion /
 // RemoveVoronoiRegion) and the store replication/handoff messages of
 // internal/store. Messages travel in the compact binary v1 codec (see
-// wire.go); encoding/gob remains as the auto-detected legacy format
-// behind node Config.GobWire.
+// wire.go).
 //
 // The vocabulary follows the paper: a node's entry for another object
 // carries its address and its coordinates in the unit square (§3, "each
@@ -14,10 +13,7 @@
 package proto
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"voronet/internal/geom"
 )
@@ -27,8 +23,8 @@ import (
 // never durably restarted, bumped by each WAL-backed restart at the same
 // address — and is what lets departure gossip about a crashed
 // incarnation coexist with its rejoined successor: a tombstone kills
-// (Addr, Gen), never Addr forever. gob omits zero fields, so gen-free
-// overlays put nothing extra on the wire.
+// (Addr, Gen), never Addr forever. The codec omits zero fields, so
+// gen-free overlays put nothing extra on the wire.
 type NodeInfo struct {
 	Addr string
 	Pos  geom.Point
@@ -212,8 +208,7 @@ type NeighborRecord struct {
 }
 
 // Envelope is the single wire message. Fields are populated according to
-// Type; both codecs omit empty ones cheaply (the binary codec via its
-// presence bitmap, gob via its zero-value skip).
+// Type; the codec omits empty ones via its presence bitmap.
 type Envelope struct {
 	Type Kind
 	From NodeInfo
@@ -271,79 +266,22 @@ type Envelope struct {
 // decoder allocate unboundedly before the payload is even validated.
 const MaxEnvelopeBytes = 1 << 20
 
-// Encode serialises an envelope with the binary v1 codec (see wire.go)
-// into fresh storage. Hot paths should prefer AppendEncode with a pooled
-// WireBuf; Encode exists for callers that keep the bytes around.
-func Encode(e *Envelope) ([]byte, error) {
-	return AppendEncode(nil, e), nil
-}
-
-// gobScratch pairs the encode buffer a gob frame is built in with the
-// output staging both codec paths share. bytes.Buffer growth — the
-// dominant allocation of the old per-call path — is amortised by the
-// pool; the gob.Encoder itself must stay per-frame, because every frame
-// is decoded by a fresh gob.Decoder (frames are self-contained: peers,
-// transcripts and restarted connections cannot share stream state), and
-// a reused encoder stops emitting the type descriptors a fresh decoder
-// needs. That per-frame descriptor retransmission is exactly the cost
-// the binary codec removes.
-type gobScratch struct{ buf bytes.Buffer }
-
-var gobPool = sync.Pool{New: func() any { return new(gobScratch) }}
-
-// AppendEncodeGob appends the legacy gob encoding of e to dst — the
-// honest A/B baseline for the binary codec, with the per-call
-// bytes.Buffer churn pooled away.
-func AppendEncodeGob(dst []byte, e *Envelope) ([]byte, error) {
-	s := gobPool.Get().(*gobScratch)
-	s.buf.Reset()
-	if err := gob.NewEncoder(&s.buf).Encode(e); err != nil {
-		gobPool.Put(s)
-		return nil, fmt.Errorf("proto: encode: %w", err)
-	}
-	dst = append(dst, s.buf.Bytes()...)
-	gobPool.Put(s)
-	return dst, nil
-}
-
-// EncodeGob is AppendEncodeGob into fresh storage.
-func EncodeGob(e *Envelope) ([]byte, error) { return AppendEncodeGob(nil, e) }
-
-// AppendEncodeMode appends e in the selected codec: gob when gobWire is
-// set (the Config.GobWire A/B baseline), binary v1 otherwise.
-func AppendEncodeMode(dst []byte, e *Envelope, gobWire bool) ([]byte, error) {
-	if gobWire {
-		return AppendEncodeGob(dst, e)
-	}
-	return AppendEncode(dst, e), nil
-}
-
-// Decode deserialises an envelope of either codec, sniffed from the
-// first byte: wireMagic selects the binary v1 decoder, anything else is
-// gob (a gob stream can never start with wireMagic — see wire.go), so
-// binary and GobWire nodes interoperate in one overlay and old gob
-// transcripts stay decodable. Malformed bytes yield an error, never a
-// panic: nodes drop garbage frames and stay up (see
-// FuzzEnvelopeRoundTrip). Structurally valid frames carrying
-// semantically impossible field values are rejected here too: no
-// legitimate sender ever produces a negative Link, Hops or
-// BackEntry.Link, and a negative Link used to reach a slice index and
-// crash the receiving node.
+// Decode deserialises one binary v1 frame. The first byte is the format
+// version (wireMagic); a frame that starts with anything else is an
+// error. Malformed bytes yield an error, never a panic: nodes drop
+// garbage frames and stay up (see FuzzEnvelopeRoundTrip). Structurally
+// valid frames carrying semantically impossible field values are
+// rejected here too: no legitimate sender ever produces a negative Link,
+// Hops or BackEntry.Link, and a negative Link would otherwise reach a
+// slice index in the receiving node.
 func Decode(b []byte) (*Envelope, error) {
 	if len(b) > MaxEnvelopeBytes {
 		return nil, fmt.Errorf("proto: decode: frame of %d bytes exceeds %d", len(b), MaxEnvelopeBytes)
 	}
-	if len(b) > 0 && b[0] == wireMagic {
-		return decodeBinary(b)
+	if len(b) == 0 || b[0] != wireMagic {
+		return nil, errBadMagic
 	}
-	var e Envelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("proto: decode: %w", err)
-	}
-	if err := e.validate(); err != nil {
-		return nil, err
-	}
-	return &e, nil
+	return decodeBinary(b)
 }
 
 // validate rejects field values no correct peer can send. It runs on every

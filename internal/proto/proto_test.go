@@ -39,11 +39,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		},
 		Handoff: true,
 	}
-	b, err := Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Decode(b)
+	out, err := Decode(AppendEncode(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +49,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not gob")); err == nil {
+	if _, err := Decode([]byte("not a frame")); err == nil {
 		t.Fatal("garbage must not decode")
 	}
 	if _, err := Decode(nil); err == nil {
@@ -62,11 +58,7 @@ func TestDecodeGarbage(t *testing.T) {
 }
 
 func TestEmptyEnvelope(t *testing.T) {
-	b, err := Encode(&Envelope{Type: KindLeave})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Decode(b)
+	out, err := Decode(AppendEncode(nil, &Envelope{Type: KindLeave}))
 	if err != nil {
 		t.Fatal(err)
 	}

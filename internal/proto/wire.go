@@ -1,5 +1,5 @@
 // Binary wire codec: a hand-rolled, versioned, length-delimited envelope
-// encoding that replaces per-frame encoding/gob on the hot TCP path.
+// encoding.
 //
 // Frame layout (all multi-byte integers little-endian):
 //
@@ -13,19 +13,15 @@
 // patterns, LE); strings and byte slices are uvarint length + bytes;
 // unsigned counters (QueryID, Version, Gen) are uvarints; signed ints
 // that ride the wire (Link, Hops) are zigzag varints so hostile negative
-// values still encode — Decode's validate() rejects them, exactly as it
-// does on the gob path. TraceHop.Nanos is a fixed 8-byte LE int64: it is
+// values still encode — Decode's validate() rejects them.
+// TraceHop.Nanos is a fixed 8-byte LE int64: it is
 // a wall-clock reading, and a varint would make frame sizes (and the
 // node_wire_bytes_* books) timing-dependent across replays. Struct
 // slices are uvarint count + elements.
 //
-// Version policy: the first byte of every binary frame is wireMagic+
-// version. gob streams can never start with a byte in [0x80, 0xF7] (gob's
-// leading uvarint is either a one-byte value <= 0x7F or a negated byte
-// count >= 0xF8), so Decode sniffs byte 0: 0xB1 selects the binary v1
-// decoder, anything else falls through to gob — old transcripts and
-// frames from GobWire peers stay decodable forever. A future layout
-// change bumps the version byte (0xB2, ...) and keeps the old decoder.
+// Version policy: the first byte of every frame is the format version,
+// 0xB1 for v1; Decode rejects a frame that starts with anything else. A
+// layout change bumps the byte (0xB2, ...).
 //
 // AppendEncode performs zero heap allocations (gated by
 // TestAppendEncodeZeroAllocs); senders thread pooled buffers through it
@@ -44,9 +40,7 @@ import (
 	"voronet/internal/geom"
 )
 
-// wireMagic is the first byte of every binary v1 frame. It must stay in
-// [0x80, 0xF7], the band a gob stream's first byte never occupies, so
-// Decode can tell the two codecs apart from one byte.
+// wireMagic is the first byte of every v1 frame: the format version.
 const wireMagic = 0xB1
 
 // Flag bits: one per optional envelope field, in encode order. Bool
@@ -331,7 +325,10 @@ type wireReader struct {
 	err error
 }
 
-var errTruncated = fmt.Errorf("proto: decode: truncated binary frame")
+var (
+	errTruncated = fmt.Errorf("proto: decode: truncated binary frame")
+	errBadMagic  = fmt.Errorf("proto: decode: frame does not start with the v1 format byte 0x%X", wireMagic)
+)
 
 func (r *wireReader) fail(format string, args ...any) {
 	if r.err == nil {

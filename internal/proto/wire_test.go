@@ -13,8 +13,8 @@ import (
 // randEnvelope draws a random envelope of the given kind, populating the
 // fields that kind legitimately carries (plus, occasionally, ones it does
 // not — the codec is kind-agnostic and must round-trip any field mix).
-// Slices are left nil when empty, matching what gob decode produces, so
-// decoded envelopes from the two codecs can be compared with DeepEqual.
+// Slices are left nil when empty, matching what Decode produces, so a
+// decoded envelope can be compared to its source with DeepEqual.
 func randEnvelope(rng *rand.Rand, k Kind) *Envelope {
 	pt := func() geom.Point { return geom.Pt(rng.Float64()*2-0.5, rng.Float64()*2-0.5) }
 	str := func() string {
@@ -133,38 +133,27 @@ func randEnvelope(rng *rand.Rand, k Kind) *Envelope {
 	return e
 }
 
-// TestBinaryGobDifferential is the differential round-trip property test
-// of the acceptance criteria: for every kind, over many randomly drawn
-// envelopes (and the curated Samples), the gob path and the binary path
-// must decode to semantically identical envelopes, and the binary
-// encoding must be a fixpoint (decode ∘ encode = id on wire bytes), so a
-// decoded envelope can always be forwarded intact.
+// TestBinaryGobDifferential is the round-trip property test of the wire
+// codec: for every kind, over many randomly drawn envelopes (and the
+// curated Samples), decoding an encoded envelope must give back the
+// source envelope exactly, and the encoding must be a fixpoint (decode ∘
+// encode = id on wire bytes), so a decoded envelope can always be
+// forwarded intact.
 func TestBinaryGobDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	check := func(t *testing.T, env *Envelope) {
 		t.Helper()
-		gb, err := EncodeGob(env)
+		b := AppendEncode(nil, env)
+		got, err := Decode(b)
 		if err != nil {
-			t.Fatalf("gob encode: %v", err)
+			t.Fatalf("decode: %v (frame %x)", err, b)
 		}
-		fromGob, err := Decode(gb)
-		if err != nil {
-			t.Fatalf("gob decode: %v", err)
+		if !reflect.DeepEqual(env, got) {
+			t.Fatalf("round trip changed a kind %v envelope:\n sent: %+v\n got : %+v", env.Type, env, got)
 		}
-		bb := AppendEncode(nil, env)
-		if len(bb) > len(gb) {
-			t.Errorf("binary frame (%d B) larger than gob (%d B) for kind %v", len(bb), len(gb), env.Type)
-		}
-		fromBin, err := Decode(bb)
-		if err != nil {
-			t.Fatalf("binary decode: %v (frame %x)", err, bb)
-		}
-		if !reflect.DeepEqual(fromGob, fromBin) {
-			t.Fatalf("codecs disagree for kind %v:\n gob   : %+v\n binary: %+v", env.Type, fromGob, fromBin)
-		}
-		again := AppendEncode(nil, fromBin)
-		if !bytes.Equal(bb, again) {
-			t.Fatalf("binary encode not a fixpoint for kind %v:\n%x\n%x", env.Type, bb, again)
+		again := AppendEncode(nil, got)
+		if !bytes.Equal(b, again) {
+			t.Fatalf("encode not a fixpoint for kind %v:\n%x\n%x", env.Type, b, again)
 		}
 	}
 	for _, env := range Samples() {
@@ -273,9 +262,8 @@ func putUvarint(buf []byte, v uint64) int {
 	return i + 1
 }
 
-// TestBinaryRejectsNegativeFields mirrors the gob-path hostile-seed test:
-// negative Link / Hops / Back.Link zigzag-encode fine but must be thrown
-// out by validation, on both codecs.
+// TestBinaryRejectsNegativeFields: negative Link / Hops / Back.Link
+// zigzag-encode fine but must be thrown out by validation.
 func TestBinaryRejectsNegativeFields(t *testing.T) {
 	for i, env := range hostileSeeds() {
 		b := AppendEncode(nil, env)
@@ -305,48 +293,13 @@ func TestWireBufPoolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGobStreamNeverStartsWithMagic backs the one-byte codec sniff: the
-// gob encoding of every sample and of hundreds of random envelopes must
-// not begin with wireMagic, or Decode would misroute it to the binary
-// decoder.
-func TestGobStreamNeverStartsWithMagic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	envs := Samples()
-	for k := Kind(0); k < KindCount; k++ {
-		for i := 0; i < 50; i++ {
-			envs = append(envs, randEnvelope(rng, k))
-		}
-	}
-	for _, env := range envs {
-		b, err := EncodeGob(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) > 0 && b[0] == wireMagic {
-			t.Fatalf("gob frame starts with the binary magic byte %#x: %x", wireMagic, b[:8])
-		}
-	}
-}
-
-// BenchmarkAppendEncode / BenchmarkEncodeGob put numbers on the codec
-// swap; voronet-bench -net's codec phase reports the same comparison as
-// JSON.
+// BenchmarkAppendEncode / BenchmarkDecodeBinary put numbers on the codec.
 func BenchmarkAppendEncode(b *testing.B) {
 	envs := Samples()
 	buf := make([]byte, 0, 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = AppendEncode(buf[:0], envs[i%len(envs)])
-	}
-}
-
-func BenchmarkEncodeGob(b *testing.B) {
-	envs := Samples()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeGob(envs[i%len(envs)]); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -361,43 +314,4 @@ func BenchmarkDecodeBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkDecodeGob(b *testing.B) {
-	var frames [][]byte
-	for _, e := range Samples() {
-		f, err := EncodeGob(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		frames = append(frames, f)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(frames[i%len(frames)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestBytesPerEnvelopeAdvantage documents the size win the CI codec gate
-// asserts end to end: across the representative sample set the binary
-// codec must be at least 2× smaller than gob.
-func TestBytesPerEnvelopeAdvantage(t *testing.T) {
-	var gobTotal, binTotal int
-	for _, env := range Samples() {
-		gb, err := EncodeGob(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gobTotal += len(gb)
-		binTotal += len(AppendEncode(nil, env))
-	}
-	if binTotal*2 > gobTotal {
-		t.Fatalf("binary codec too large: %d B vs gob %d B across %d samples (want ≤ 0.5×)",
-			binTotal, gobTotal, len(Samples()))
-	}
-	t.Logf("bytes per envelope: gob %.1f, binary %.1f (%.2fx smaller)",
-		float64(gobTotal)/float64(len(Samples())), float64(binTotal)/float64(len(Samples())),
-		float64(gobTotal)/float64(binTotal))
 }

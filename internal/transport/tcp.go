@@ -14,22 +14,14 @@ import (
 	"voronet/internal/metrics"
 )
 
-// TCPOptions tunes a TCP endpoint's dispatch and write behaviour. The zero
-// value selects the concurrent defaults: per-connection ordered delivery
-// lanes dispatched by a bounded worker pool, and coalesced frame writes.
+// TCPOptions tunes a TCP endpoint's dispatch. The zero value selects
+// the default worker count.
 type TCPOptions struct {
 	// DispatchWorkers bounds how many handler invocations run at once
 	// across all inbound connections; messages from one connection are
 	// always handled in order, one at a time. <= 0 selects GOMAXPROCS
 	// (at least 2, so a slow handler cannot monopolise the endpoint).
 	DispatchWorkers int
-	// SerialDispatch restores the legacy behaviour: one global mutex
-	// serialises every handler invocation across all connections. This is
-	// the pre-concurrency baseline voronet-bench -net measures against.
-	SerialDispatch bool
-	// NoCoalesce disables write coalescing: every Send performs its own
-	// Write syscall, as the pre-concurrency transport did.
-	NoCoalesce bool
 }
 
 func (o TCPOptions) workers() int {
@@ -56,20 +48,23 @@ func (o TCPOptions) workers() int {
 // connection only (the kernel socket buffer and TCP flow control are the
 // bounded mailbox), never its peers'. The handler must be safe for
 // concurrent invocation (internal/node is; its read paths share an
-// RWMutex). TCPOptions.SerialDispatch restores the legacy single-mutex
-// dispatch.
+// RWMutex).
+//
+// Outbound connections are write-only — a peer answers by dialling back —
+// so each one has a watcher goroutine blocked in Read whose only job is
+// to notice the peer's FIN or RST and evict the connection from the
+// cache; without it a frame written to a connection whose peer has gone
+// would succeed into the kernel buffer and vanish.
 type TCPEndpoint struct {
 	ln      net.Listener
-	opts    TCPOptions
 	sem     chan struct{} // bounds concurrent handler invocations
 	mu      sync.Mutex    // guards conns/inbound + handler installation
 	conns   map[string]*tcpConn
 	inbound map[net.Conn]struct{}
 	handler Handler
 
-	dispatch sync.Mutex // serialises handler invocations (SerialDispatch)
-	closed   bool
-	wg       sync.WaitGroup
+	closed bool
+	wg     sync.WaitGroup // accept loop, read loops, outbound watchers
 
 	metrics *metrics.Registry
 	em      endpointMetrics
@@ -139,8 +134,6 @@ type tcpConn struct {
 	flushing bool
 	pending  []pendingFrame
 	wbuf     []byte // flusher-private batch scratch (single flusher at a time)
-
-	wmu sync.Mutex // serialises writes in NoCoalesce mode
 }
 
 // pendingFrame is one queued frame awaiting a coalesced flush; done
@@ -170,10 +163,9 @@ const MaxFrame = 1 << 20
 // frameBuf is a pooled outbound frame buffer: Send encodes
 // [header | payload] into one and blocks until the write carrying those
 // bytes finished (directly or inside a coalesced flush batch), so the
-// buffer can return to the pool the moment Send's outcome is known —
-// per-frame allocation churn was the transport-side half of the
-// per-message cost the pooled codec removes. maxPooledFrame keeps the
-// occasional MiB-sized value frame from pinning pool memory.
+// buffer can return to the pool the moment Send's outcome is known.
+// maxPooledFrame keeps the occasional MiB-sized value frame from pinning
+// pool memory.
 type frameBuf struct{ b []byte }
 
 const maxPooledFrame = 1 << 18
@@ -188,13 +180,12 @@ func putFrameBuf(fb *frameBuf) {
 }
 
 // ListenTCP starts an endpoint on the given address ("127.0.0.1:0" picks a
-// free port) with the default concurrent options.
+// free port) with the default options.
 func ListenTCP(addr string) (*TCPEndpoint, error) {
 	return ListenTCPOptions(addr, TCPOptions{})
 }
 
-// ListenTCPOptions starts an endpoint with explicit dispatch and write
-// options.
+// ListenTCPOptions starts an endpoint with explicit dispatch options.
 func ListenTCPOptions(addr string, opts TCPOptions) (*TCPEndpoint, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -203,7 +194,6 @@ func ListenTCPOptions(addr string, opts TCPOptions) (*TCPEndpoint, error) {
 	reg := metrics.NewRegistry()
 	ep := &TCPEndpoint{
 		ln:      ln,
-		opts:    opts,
 		sem:     make(chan struct{}, opts.workers()),
 		conns:   make(map[string]*tcpConn),
 		inbound: make(map[net.Conn]struct{}),
@@ -261,12 +251,10 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 	}()
 
 	// This read loop IS the connection's ordered delivery lane: frames are
-	// handled inline, one at a time, in arrival order. In the default
-	// parallel mode the endpoint semaphore bounds concurrency across
-	// lanes and a handler that stalls blocks only this connection (its
-	// socket buffer and TCP flow control provide the bounded mailbox); in
-	// SerialDispatch mode the legacy global mutex serialises handlers
-	// across all connections.
+	// handled inline, one at a time, in arrival order. The endpoint
+	// semaphore bounds concurrency across lanes and a handler that stalls
+	// blocks only this connection (its socket buffer and TCP flow control
+	// provide the bounded mailbox).
 	// Frames are read into two buffers reused for the life of the
 	// connection (the Handler contract: payloads are valid only for the
 	// duration of the call, and every handler in this codebase decodes or
@@ -288,13 +276,11 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		}
 		if peer == "" {
 			// First frame on a fresh inbound connection: the peer dialled
-			// us anew, which is the one observable signal that it may have
-			// restarted — in which case our cached outbound connection to
-			// it is a dead socket whose first write would succeed into the
-			// kernel buffer and vanish (the RST only surfaces on the write
-			// after). Drop the cached connection while it is idle so the
-			// next Send re-dials the live incarnation. A healthy peer
-			// re-dialling costs one extra dial, nothing more.
+			// us anew, which hints that it may have restarted without our
+			// outbound watcher having seen a FIN or RST (a host that lost
+			// power sends neither). Drop the cached connection while it is
+			// idle so the next Send re-dials the live incarnation. A
+			// healthy peer re-dialling costs one extra dial, nothing more.
 			peer = from
 			e.refreshOutbound(from)
 		}
@@ -304,29 +290,18 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		if h == nil {
 			continue
 		}
-		// The wait for a dispatch slot (worker semaphore or the legacy
-		// global mutex) is the endpoint's contention signal; the gauge
-		// pair brackets the handler so /metrics shows live concurrency.
+		// The wait for a dispatch slot is the endpoint's contention
+		// signal; the gauge pair brackets the handler so /metrics shows
+		// live concurrency.
 		wait := time.Now()
-		if e.opts.SerialDispatch {
-			e.dispatch.Lock()
-			e.em.dispatchWait.Observe(time.Since(wait).Seconds())
-			e.em.framesIn.Inc()
-			e.em.bytesIn.Add(uint64(len(payload)))
-			e.em.inflight.Inc()
-			h(from, payload)
-			e.em.inflight.Dec()
-			e.dispatch.Unlock()
-		} else {
-			e.sem <- struct{}{}
-			e.em.dispatchWait.Observe(time.Since(wait).Seconds())
-			e.em.framesIn.Inc()
-			e.em.bytesIn.Add(uint64(len(payload)))
-			e.em.inflight.Inc()
-			h(from, payload)
-			e.em.inflight.Dec()
-			<-e.sem
-		}
+		e.sem <- struct{}{}
+		e.em.dispatchWait.Observe(time.Since(wait).Seconds())
+		e.em.framesIn.Inc()
+		e.em.bytesIn.Add(uint64(len(payload)))
+		e.em.inflight.Inc()
+		h(from, payload)
+		e.em.inflight.Dec()
+		<-e.sem
 		if cap(payloadBuf) > maxPooledFrame {
 			// Don't let one oversized value frame pin a MiB of buffer for
 			// the connection's remaining lifetime.
@@ -342,32 +317,26 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 // fails and Send's error path evicts it anyway.
 func (e *TCPEndpoint) refreshOutbound(to string) {
 	e.mu.Lock()
-	c, ok := e.conns[to]
-	if ok {
-		c.mu.Lock()
-		idle := !c.flushing && len(c.pending) == 0
-		c.mu.Unlock()
-		if !idle {
-			c = nil
-		} else {
-			delete(e.conns, to)
-		}
-	} else {
-		c = nil
-	}
+	c := e.conns[to]
 	e.mu.Unlock()
-	if c != nil {
-		c.c.Close()
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	idle := !c.flushing && len(c.pending) == 0
+	c.mu.Unlock()
+	if idle {
+		e.evict(to, c)
 		e.em.refreshes.Inc()
 	}
 }
 
 // Send dials (or reuses) a connection to the peer and writes one frame.
 // Concurrent Sends are safe: frames to the same peer never interleave
-// their bytes, and unless NoCoalesce is set, frames queued while another
-// frame's write syscall is in flight are flushed together with a single
-// Write (group commit). Send returns once its own frame has been written
-// (or the coalesced write carrying it failed).
+// their bytes, and frames queued while another frame's write syscall is
+// in flight are flushed together with a single Write (group commit).
+// Send returns once its own frame has been written (or the coalesced
+// write carrying it failed).
 func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	e.mu.Lock()
 	if e.closed {
@@ -395,37 +364,49 @@ func (e *TCPEndpoint) Send(to string, payload []byte) error {
 		} else {
 			c = &tcpConn{c: nc, em: &e.em}
 			e.conns[to] = c
+			e.wg.Add(1)
+			go e.watchOutbound(to, c)
 		}
 		e.mu.Unlock()
 	}
 	fb := framePool.Get().(*frameBuf)
 	fb.b = appendFrame(fb.b[:0], e.Addr(), payload)
-	frame := fb.b
-	var err error
-	if e.opts.NoCoalesce {
-		c.wmu.Lock()
-		_, err = c.c.Write(frame)
-		c.wmu.Unlock()
-	} else {
-		// writeCoalesced returns only after the Write call that carried
-		// this frame's bytes finished (its own, or a flush batch that
-		// copied them out first), so the buffer is reusable on return.
-		err = c.writeCoalesced(frame)
-	}
+	// writeCoalesced returns only after the Write call that carried this
+	// frame's bytes finished (its own, or a flush batch that copied them
+	// out first), so the buffer is reusable on return.
+	err := c.writeCoalesced(fb.b)
 	putFrameBuf(fb)
 	if err != nil {
 		e.em.sendErrs.Inc()
-		e.mu.Lock()
-		if e.conns[to] == c {
-			delete(e.conns, to)
-		}
-		e.mu.Unlock()
-		c.c.Close()
+		e.evict(to, c)
 		return err
 	}
 	e.em.framesOut.Inc()
 	e.em.bytesOut.Add(uint64(len(payload)))
 	return nil
+}
+
+// watchOutbound blocks in Read on a dialled connection. Nothing is ever
+// sent to us on it, so Read returns only when the peer closed or reset
+// the connection, or when we closed it ourselves; either way the cache
+// entry is dead.
+func (e *TCPEndpoint) watchOutbound(to string, c *tcpConn) {
+	defer e.wg.Done()
+	var b [1]byte
+	_, _ = c.c.Read(b[:]) // any outcome means the connection is finished
+	e.evict(to, c)
+}
+
+// evict removes c from the connection cache, if it is still the cached
+// connection to `to`, and closes it. A Send that already holds c fails
+// its Write and reports the error to its caller.
+func (e *TCPEndpoint) evict(to string, c *tcpConn) {
+	e.mu.Lock()
+	if e.conns[to] == c {
+		delete(e.conns, to)
+	}
+	e.mu.Unlock()
+	c.c.Close()
 }
 
 // writeCoalesced writes one frame with group commit (see tcpConn). It
@@ -504,8 +485,8 @@ func (cc *tcpConn) flushPending() {
 }
 
 // Close shuts the endpoint down, tearing down outbound and inbound
-// connections and waiting for the reader and dispatcher goroutines to
-// drain.
+// connections and waiting for the accept, reader and watcher goroutines
+// to exit.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
 	e.closed = true

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -213,5 +214,75 @@ func TestTCPSendAfterPeerRestart(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("frame to the restarted peer was lost")
+	}
+}
+
+// TestTCPSendAfterPeerRestartIsDelivered: the same restart, but the new
+// incarnation never dials the sender first, so nothing but the peer's
+// FIN tells the sender its cached connection is dead. A Send that
+// returns nil must have reached the new listener — before the outbound
+// watcher it went into the dead socket's kernel buffer and vanished.
+// Closing the endpoints must also stop every watcher goroutine.
+func TestTCPSendAfterPeerRestartIsDelivered(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	a, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := b1.Addr()
+	b1Got := make(chan string, 1)
+	b1.SetHandler(func(_ string, p []byte) { b1Got <- string(p) })
+	if err := a.Send(addr, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-b1Got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first incarnation never received the frame")
+	}
+	if err := b1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The FIN reaches a's watcher asynchronously; wait for the eviction it
+	// causes rather than racing it.
+	cached := func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.conns[addr] != nil
+	}
+	for deadline := time.Now().Add(5 * time.Second); cached(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("connection to the closed peer is still cached: nothing watches it for FIN")
+		}
+	}
+
+	b2, err := ListenTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2Got := make(chan string, 1)
+	b2.SetHandler(func(_ string, p []byte) { b2Got <- string(p) })
+	if err := a.Send(addr, []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-b2Got:
+		if got != "two" {
+			t.Fatalf("restarted peer got %q, want %q", got, "two")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send returned nil but the restarted peer received nothing")
+	}
+
+	a.Close()
+	b2.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the endpoints existed", runtime.NumGoroutine(), baseline)
+		}
 	}
 }

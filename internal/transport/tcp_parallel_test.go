@@ -114,125 +114,60 @@ func TestTCPParallelDispatchOverlaps(t *testing.T) {
 	}
 }
 
-// TestTCPSerialDispatchOption: the legacy mode must never let two handler
-// invocations overlap, across any number of connections.
-func TestTCPSerialDispatchOption(t *testing.T) {
-	recv, err := ListenTCPOptions("127.0.0.1:0", TCPOptions{SerialDispatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-
-	var inflight, maxInflight, got atomic.Int64
-	recv.SetHandler(func(string, []byte) {
-		cur := inflight.Add(1)
-		for {
-			prev := maxInflight.Load()
-			if cur <= prev || maxInflight.CompareAndSwap(prev, cur) {
-				break
-			}
-		}
-		time.Sleep(200 * time.Microsecond)
-		inflight.Add(-1)
-		got.Add(1)
-	})
-
-	const senders = 4
-	const perSender = 25
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		ep, err := ListenTCP("127.0.0.1:0")
+// TestTCPCoalescedWritesIntact: hammer one connection from many
+// goroutines; group-commit coalescing must never corrupt or drop a frame.
+func TestTCPCoalescedWritesIntact(t *testing.T) {
+	t.Run("coalesced", func(t *testing.T) {
+		recv, err := ListenTCP("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer ep.Close()
-		wg.Add(1)
-		go func(ep *TCPEndpoint) {
-			defer wg.Done()
-			for i := 0; i < perSender; i++ {
-				if err := ep.Send(recv.Addr(), []byte("x")); err != nil {
-					t.Errorf("send: %v", err)
-					return
-				}
-			}
-		}(ep)
-	}
-	wg.Wait()
-	deadline := time.Now().Add(10 * time.Second)
-	for got.Load() < senders*perSender && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got.Load() != senders*perSender {
-		t.Fatalf("delivered %d of %d", got.Load(), senders*perSender)
-	}
-	if m := maxInflight.Load(); m != 1 {
-		t.Fatalf("serial dispatch overlapped %d handlers", m)
-	}
-}
-
-// TestTCPCoalescedWritesIntact: hammer one connection from many goroutines
-// in both write modes; group-commit coalescing must never corrupt or drop
-// a frame.
-func TestTCPCoalescedWritesIntact(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts TCPOptions
-	}{
-		{"coalesced", TCPOptions{}},
-		{"no-coalesce", TCPOptions{NoCoalesce: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			recv, err := ListenTCP("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer recv.Close()
-			var mu sync.Mutex
-			seen := make(map[string]bool)
-			var got atomic.Int64
-			recv.SetHandler(func(_ string, payload []byte) {
-				mu.Lock()
-				seen[string(payload)] = true
-				mu.Unlock()
-				got.Add(1)
-			})
-
-			snd, err := ListenTCPOptions("127.0.0.1:0", mode.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer snd.Close()
-
-			const workers = 16
-			const perWorker = 100
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < perWorker; i++ {
-						msg := fmt.Sprintf("w%02d-i%03d", w, i)
-						if err := snd.Send(recv.Addr(), []byte(msg)); err != nil {
-							t.Errorf("send %s: %v", msg, err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			total := int64(workers * perWorker)
-			deadline := time.Now().Add(10 * time.Second)
-			for got.Load() < total && time.Now().Before(deadline) {
-				time.Sleep(2 * time.Millisecond)
-			}
+		defer recv.Close()
+		var mu sync.Mutex
+		seen := make(map[string]bool)
+		var got atomic.Int64
+		recv.SetHandler(func(_ string, payload []byte) {
 			mu.Lock()
-			defer mu.Unlock()
-			if int64(len(seen)) != total || got.Load() != total {
-				t.Fatalf("distinct %d, delivered %d, want %d (frames corrupted, dropped or duplicated)",
-					len(seen), got.Load(), total)
-			}
+			seen[string(payload)] = true
+			mu.Unlock()
+			got.Add(1)
 		})
-	}
+
+		snd, err := ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snd.Close()
+
+		const workers = 16
+		const perWorker = 100
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					msg := fmt.Sprintf("w%02d-i%03d", w, i)
+					if err := snd.Send(recv.Addr(), []byte(msg)); err != nil {
+						t.Errorf("send %s: %v", msg, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		total := int64(workers * perWorker)
+		deadline := time.Now().Add(10 * time.Second)
+		for got.Load() < total && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if int64(len(seen)) != total || got.Load() != total {
+			t.Fatalf("distinct %d, delivered %d, want %d (frames corrupted, dropped or duplicated)",
+				len(seen), got.Load(), total)
+		}
+	})
 }
 
 // TestBusParallelDrainFIFOAndCounts: the opt-in parallel simnet drain must
