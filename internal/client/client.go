@@ -116,7 +116,9 @@ func (c *Client) SetRetryPolicy(retries int, backoff time.Duration) {
 	c.retries, c.backoff = retries, backoff
 }
 
-// Retried returns how many overload-shed retries this client has issued.
+// Retried returns how many times this client has re-dispatched an
+// operation: overload-shed retries, and sends to the gateway repeated
+// after a transport error.
 func (c *Client) Retried() uint64 { return c.retried.Load() }
 
 // Addr returns the client's reply address.
@@ -166,9 +168,9 @@ func (c *Client) handle(from string, payload []byte) {
 }
 
 // dispatch registers cb under a fresh request ID and sends one routed
-// envelope to the gateway. A failed send unregisters the callback and
-// returns the error — cb fires exactly once (reply or deadline) iff
-// dispatch returned nil.
+// envelope to the gateway. A send that fails twice unregisters the
+// callback and returns the error — cb fires exactly once (reply or
+// deadline) iff dispatch returned nil.
 func (c *Client) dispatch(purpose proto.RoutedPurpose, key geom.Point, value []byte, cb func(store.Reply)) error {
 	if cb == nil {
 		cb = func(store.Reply) {}
@@ -220,11 +222,20 @@ func (c *Client) dispatchAttempt(purpose proto.RoutedPurpose, key geom.Point, va
 	wb := proto.GetBuf()
 	defer wb.Put()
 	wb.B = proto.AppendEncode(wb.B[:0], env)
-	if err := c.ep.Send(c.gateway, wb.B); err != nil {
-		c.inflight.Cancel(id)
-		return err
+	err := c.ep.Send(c.gateway, wb.B)
+	if err != nil && !errors.Is(err, transport.ErrUnknownPeer) && !errors.Is(err, transport.ErrClosed) {
+		// A cached connection to the gateway can die between two
+		// operations (the gateway restarted, an idle timeout in between).
+		// The transport evicted it when the send failed, so sending again
+		// dials afresh — as internal/node does for its own sends. The
+		// structural errors cannot be retried away.
+		c.retried.Add(1)
+		err = c.ep.Send(c.gateway, wb.B)
 	}
-	return nil
+	if err != nil {
+		c.inflight.Cancel(id)
+	}
+	return err
 }
 
 // Put stores value under key; cb fires with the owner's ack (or a

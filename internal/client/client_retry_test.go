@@ -3,6 +3,7 @@ package client_test
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,6 +31,11 @@ func newShedGateway(t *testing.T, bus *transport.Bus, sheds int) *shedGateway {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveSheds(ep, sheds)
+}
+
+// serveSheds makes ep a shedGateway.
+func serveSheds(ep transport.Endpoint, sheds int) *shedGateway {
 	g := &shedGateway{ep: ep, sheds: sheds}
 	ep.SetHandler(func(from string, payload []byte) {
 		env, err := proto.Decode(payload)
@@ -204,5 +210,73 @@ func TestClientNoRetryByDefault(t *testing.T) {
 	}
 	if n := gw.requests(); n != 1 {
 		t.Fatalf("gateway saw %d requests, want 1", n)
+	}
+}
+
+// resetOnce is a client's endpoint whose next Send, once armed, fails the
+// way a write to a connection the peer has reset does. Over real sockets
+// that failure needs the send to land in the instant between the peer's
+// reset and the local lane noticing it; the test needs it every time.
+type resetOnce struct {
+	transport.Endpoint
+	armed atomic.Bool
+}
+
+func (r *resetOnce) Send(to string, payload []byte) error {
+	if r.armed.CompareAndSwap(true, false) {
+		return errors.New("write: connection reset by peer")
+	}
+	return r.Endpoint.Send(to, payload)
+}
+
+// TestClientRetriesFailedGatewaySend: the gateway goes away and comes
+// back on the same address between two GETs, and the client's send on
+// the connection it had fails. The transport has dropped that connection,
+// so the client sends once more, which dials the new incarnation; the
+// caller sees a GET that worked, and Retried() the retry.
+func TestClientRetriesFailedGatewaySend(t *testing.T) {
+	listen := func(addr string) *transport.TCPEndpoint {
+		t.Helper()
+		ep, err := transport.ListenTCP(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		return ep
+	}
+	gwEP := listen("127.0.0.1:0")
+	addr := gwEP.Addr()
+	serveSheds(gwEP, 0)
+	tcp := listen("127.0.0.1:0")
+	cep := &resetOnce{Endpoint: tcp}
+	cl := client.New(cep, addr, 5*time.Second)
+	defer cl.Close()
+
+	key := geom.Pt(0.5, 0.5)
+	if _, err := cl.GetSync(key); err != nil {
+		t.Fatalf("first get: %v", err)
+	}
+	gwEP.Close()
+	// Let the client's transport see the FIN, so that what follows tests
+	// the retry and not a frame swallowed by a half-closed socket.
+	for deadline := time.Now().Add(5 * time.Second); tcp.Metrics().Snapshot().Gauges["tcp_open_conns"] != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("client still holds a connection to the closed gateway")
+		}
+	}
+	gw2 := serveSheds(listen(addr), 0)
+
+	cep.armed.Store(true)
+	if _, err := cl.GetSync(key); err != nil {
+		t.Fatalf("get after gateway restart: %v", err)
+	}
+	if n := cl.Retried(); n != 1 {
+		t.Fatalf("Retried() = %d, want 1", n)
+	}
+	if n := gw2.requests(); n != 1 {
+		t.Fatalf("restarted gateway saw %d requests, want 1", n)
+	}
+	if cl.Pending() != 0 {
+		t.Fatalf("pending = %d, want 0", cl.Pending())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"voronet/internal/metrics"
@@ -18,9 +19,9 @@ import (
 // the default worker count.
 type TCPOptions struct {
 	// DispatchWorkers bounds how many handler invocations run at once
-	// across all inbound connections; messages from one connection are
-	// always handled in order, one at a time. <= 0 selects GOMAXPROCS
-	// (at least 2, so a slow handler cannot monopolise the endpoint).
+	// across all connections; messages from one connection are always
+	// handled in order, one at a time. <= 0 selects GOMAXPROCS (at least
+	// 2, so a slow handler cannot monopolise the endpoint).
 	DispatchWorkers int
 }
 
@@ -35,36 +36,38 @@ func (o TCPOptions) workers() int {
 	return w
 }
 
-// TCPEndpoint is a transport endpoint over TCP. Each message is a
-// length-prefixed frame carrying the sender address and the payload.
-// Connections are dialled on demand and cached.
+// TCPEndpoint is a transport endpoint over TCP. There is one duplex
+// connection per peer pair: whichever side first has something to say
+// dials and announces its listen address in a hello frame, and from then
+// on both sides send on that socket — a reply, an ack or a replica push
+// to a peer that already reached us costs no dial. After the hello every
+// message is one length-prefixed frame.
 //
-// Inbound delivery is organised as per-peer ordered lanes: every inbound
-// connection's read loop invokes the handler inline, one frame at a time
-// in arrival order, with a semaphore bounding how many handler
-// invocations run at once across connections. Messages from one peer are
-// therefore handled strictly FIFO while independent peers' messages are
-// handled in parallel; a slow handler stops frame reads on its own
-// connection only (the kernel socket buffer and TCP flow control are the
-// bounded mailbox), never its peers'. The handler must be safe for
-// concurrent invocation (internal/node is; its read paths share an
-// RWMutex).
+// Every connection, dialled or accepted, has an ordered read lane: its
+// goroutine invokes the handler inline, one frame at a time in arrival
+// order, with a semaphore bounding how many handler invocations run at
+// once across connections. Messages on one connection are therefore
+// handled strictly FIFO while independent peers' messages are handled in
+// parallel; a slow handler stops frame reads on its own connection only
+// (the kernel socket buffer and TCP flow control are the bounded mailbox),
+// never its peers'. The handler must be safe for concurrent invocation
+// (internal/node is; its read paths share an RWMutex).
 //
-// Outbound connections are write-only — a peer answers by dialling back —
-// so each one has a watcher goroutine blocked in Read whose only job is
-// to notice the peer's FIN or RST and evict the connection from the
-// cache; without it a frame written to a connection whose peer has gone
-// would succeed into the kernel buffer and vanish.
+// The lane is also what notices the peer's FIN or RST and drops the
+// connection from the cache; without that a frame written to a connection
+// whose peer has gone would succeed into the kernel buffer and vanish.
 type TCPEndpoint struct {
 	ln      net.Listener
+	addr    string        // ln's address: what peers dial and what the hello carries
+	hello   []byte        // the frame a dialled connection opens with
 	sem     chan struct{} // bounds concurrent handler invocations
-	mu      sync.Mutex    // guards conns/inbound + handler installation
-	conns   map[string]*tcpConn
-	inbound map[net.Conn]struct{}
-	handler Handler
+	handler atomic.Pointer[Handler]
 
+	mu     sync.Mutex            // guards conns, open and closed
+	conns  map[string]*tcpConn   // the connection Send uses for each peer
+	open   map[*tcpConn]struct{} // every connection not yet closed by us
 	closed bool
-	wg     sync.WaitGroup // accept loop, read loops, outbound watchers
+	wg     sync.WaitGroup // accept loop and read lanes
 
 	metrics *metrics.Registry
 	em      endpointMetrics
@@ -81,9 +84,10 @@ type endpointMetrics struct {
 	framesOut *metrics.Counter // frames written (or queued into a coalesced write)
 	bytesOut  *metrics.Counter
 	sendErrs  *metrics.Counter // Send calls that returned an error
-	dials     *metrics.Counter // outbound connections established
-	accepts   *metrics.Counter // inbound connections accepted
-	refreshes *metrics.Counter // cached outbound conns dropped on peer re-dial
+	dials     *metrics.Counter // connections dialled
+	accepts   *metrics.Counter // connections accepted
+	refreshes *metrics.Counter // cached connections superseded by a fresh inbound one
+	openConns *metrics.Gauge   // connections, dialled or accepted, whose lane is running
 
 	// dispatchWait is the time an inbound frame waited for a dispatch
 	// worker slot (the endpoint's lock-wait signal: it grows when
@@ -105,19 +109,20 @@ func newEndpointMetrics(r *metrics.Registry) endpointMetrics {
 		dials:        r.Counter("tcp_dials_total"),
 		accepts:      r.Counter("tcp_accepts_total"),
 		refreshes:    r.Counter("tcp_conn_refresh_total"),
+		openConns:    r.Gauge("tcp_open_conns"),
 		dispatchWait: r.Histogram("tcp_dispatch_wait_seconds", metrics.LatencyBuckets()),
 		inflight:     r.Gauge("tcp_inflight_dispatches"),
 		queueBytes:   r.Gauge("tcp_write_queue_bytes"),
 	}
 }
 
-// tcpConn is one cached outbound connection with group-commit write
-// coalescing: the first sender to reach an idle connection writes its
-// frame immediately and becomes the flusher; frames from senders that
-// arrive while that write syscall is in flight accumulate in pending and
-// are flushed in batches once it returns. Coalescing adds no latency when
-// the connection is idle and batches exactly when the connection is the
-// bottleneck.
+// tcpConn is one connection, dialled or accepted: a read lane (see
+// TCPEndpoint.lane) and a writer with group-commit coalescing: the first
+// sender to reach an idle connection writes its frame immediately and
+// becomes the flusher; frames from senders that arrive while that write
+// syscall is in flight accumulate in pending and are flushed in batches
+// once it returns. Coalescing adds no latency when the connection is idle
+// and batches exactly when the connection is the bottleneck.
 //
 // Each flush batch is capped at maxCoalesceBytes: the backlog is drained
 // FIFO in bounded Writes rather than one unbounded Write, so a small
@@ -130,10 +135,14 @@ type tcpConn struct {
 	c  net.Conn
 	em *endpointMetrics // owning endpoint's instruments (may be nil in tests)
 
+	// peer is the other side's listen address: the address dialled, or
+	// the one an accepted connection's hello announced (set by the lane
+	// before it publishes the connection in conns).
+	peer string
+
 	mu       sync.Mutex // guards pending/flushing
 	flushing bool
 	pending  []pendingFrame
-	wbuf     []byte // flusher-private batch scratch (single flusher at a time)
 }
 
 // pendingFrame is one queued frame awaiting a coalesced flush; done
@@ -156,16 +165,28 @@ func (cc *tcpConn) queueGauge() *metrics.Gauge {
 	return cc.em.queueBytes
 }
 
+// idle reports whether no write is in flight and none is queued.
+func (cc *tcpConn) idle() bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return !cc.flushing && len(cc.pending) == 0
+}
+
 // MaxFrame is the largest accepted message frame (1 MiB); VoroNet views
 // are O(1) so real frames are tiny.
 const MaxFrame = 1 << 20
 
-// frameBuf is a pooled outbound frame buffer: Send encodes
-// [header | payload] into one and blocks until the write carrying those
-// bytes finished (directly or inside a coalesced flush batch), so the
-// buffer can return to the pool the moment Send's outcome is known.
-// maxPooledFrame keeps the occasional MiB-sized value frame from pinning
-// pool memory.
+// maxHello bounds the listen address a hello may carry (a DNS name is at
+// most 253 bytes, a port 5).
+const maxHello = 260
+
+// frameBuf is a pooled frame buffer. Send encodes [length | payload] into
+// one and blocks until the write carrying those bytes finished (directly
+// or inside a coalesced flush batch), so the buffer can return to the
+// pool the moment Send's outcome is known; a flusher flattens its batches
+// into one, and a lane reads into one a frame too large for its read
+// buffer. maxPooledFrame keeps the occasional MiB-sized value frame from
+// pinning pool memory.
 type frameBuf struct{ b []byte }
 
 const maxPooledFrame = 1 << 18
@@ -194,19 +215,21 @@ func ListenTCPOptions(addr string, opts TCPOptions) (*TCPEndpoint, error) {
 	reg := metrics.NewRegistry()
 	ep := &TCPEndpoint{
 		ln:      ln,
+		addr:    ln.Addr().String(),
 		sem:     make(chan struct{}, opts.workers()),
 		conns:   make(map[string]*tcpConn),
-		inbound: make(map[net.Conn]struct{}),
+		open:    make(map[*tcpConn]struct{}),
 		metrics: reg,
 		em:      newEndpointMetrics(reg),
 	}
+	ep.hello = appendFrame(nil, []byte(ep.addr))
 	ep.wg.Add(1)
 	go ep.acceptLoop()
 	return ep, nil
 }
 
 // Addr returns the listening address.
-func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
+func (e *TCPEndpoint) Addr() string { return e.addr }
 
 // Metrics returns the endpoint's instrument registry (frame and byte
 // counters, dispatch-wait histogram, in-flight and write-queue gauges),
@@ -214,171 +237,171 @@ func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
 func (e *TCPEndpoint) Metrics() *metrics.Registry { return e.metrics }
 
 // SetHandler installs the inbound handler.
-func (e *TCPEndpoint) SetHandler(h Handler) {
-	e.mu.Lock()
-	e.handler = h
-	e.mu.Unlock()
-}
+func (e *TCPEndpoint) SetHandler(h Handler) { e.handler.Store(&h) }
 
 func (e *TCPEndpoint) acceptLoop() {
 	defer e.wg.Done()
 	for {
-		c, err := e.ln.Accept()
+		nc, err := e.ln.Accept()
 		if err != nil {
 			return
 		}
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			c.Close()
-			return
-		}
-		e.inbound[c] = struct{}{}
-		e.mu.Unlock()
 		e.em.accepts.Inc()
-		e.wg.Add(1)
-		go e.readLoop(c)
+		e.mu.Lock()
+		ok := e.startLane(&tcpConn{c: nc, em: &e.em})
+		e.mu.Unlock()
+		if !ok {
+			return
+		}
 	}
 }
 
-func (e *TCPEndpoint) readLoop(c net.Conn) {
-	defer e.wg.Done()
-	defer func() {
-		c.Close()
-		e.mu.Lock()
-		delete(e.inbound, c)
-		e.mu.Unlock()
-	}()
+// startLane books c as open and starts its read lane; on a closed
+// endpoint it closes c instead and reports false. Called with e.mu held.
+func (e *TCPEndpoint) startLane(c *tcpConn) bool {
+	if e.closed {
+		c.c.Close()
+		return false
+	}
+	e.open[c] = struct{}{}
+	e.em.openConns.Inc()
+	e.wg.Add(1)
+	go e.lane(c)
+	return true
+}
 
-	// This read loop IS the connection's ordered delivery lane: frames are
-	// handled inline, one at a time, in arrival order. The endpoint
-	// semaphore bounds concurrency across lanes and a handler that stalls
-	// blocks only this connection (its socket buffer and TCP flow control
-	// provide the bounded mailbox).
-	// Frames are read into two buffers reused for the life of the
-	// connection (the Handler contract: payloads are valid only for the
-	// duration of the call, and every handler in this codebase decodes or
-	// copies synchronously). The peer's address is constant per
-	// connection, so the `from` string is interned once; together with
-	// the pooled send frames this makes the steady-state transport path
-	// allocation-free per message.
-	r := bufio.NewReader(c)
-	peer := ""
-	var fromBuf, payloadBuf []byte
-	for {
-		fromB, payload, err := readFrameInto(r, &fromBuf, &payloadBuf)
+// laneReadBuf is the size of every lane's read buffer. Connections live
+// as long as both peers do, so each side of each peer pair pays it for the
+// life of the overlay: on the benchmark's tcp-get workload (256 peers, 8
+// clients, ≈ 100-byte frames) peak memory is 56.7 MiB with bufio's
+// default 4 KiB, 41.1 with 2 KiB, 32.9 with 1 KiB and 28.7 with 512 B, at
+// the same throughput (46.9 MiB when connections were torn down as fast
+// as they were made). 1 KiB holds whole every protocol message but a
+// store record above ≈ 900 bytes; a frame that does not fit is read
+// straight into a pooled buffer (readFrame).
+const laneReadBuf = 1 << 10
+
+// lane is c's ordered delivery lane: frames are handled inline, one at a
+// time, in arrival order. The endpoint semaphore bounds concurrency
+// across lanes and a handler that stalls blocks only this connection. It
+// runs until the connection fails or either side closes it.
+//
+// An accepted connection's first frame is the dialler's hello, so the
+// peer's address is fixed per connection — nothing later on the wire can
+// change it — and the `from` string handed to the handler is allocated
+// once. Together with in-place frame reads and the pooled send frames
+// this makes the steady-state transport path allocation-free per message.
+func (e *TCPEndpoint) lane(c *tcpConn) {
+	defer e.wg.Done()
+	defer e.em.openConns.Dec()
+	defer e.evict(c)
+	r := bufio.NewReaderSize(c.c, laneReadBuf)
+	if c.peer == "" { // accepted: the hello names the peer
+		err := readFrame(r, func(hello []byte) {
+			if len(hello) <= maxHello {
+				c.peer = string(hello)
+			}
+		})
 		if err != nil {
 			return
 		}
-		from := peer
-		if string(fromB) != peer { // comparison does not allocate
-			from = string(fromB)
+		if _, _, err := net.SplitHostPort(c.peer); err != nil {
+			return // not a hello: no address to answer on
 		}
-		if peer == "" {
-			// First frame on a fresh inbound connection: the peer dialled
-			// us anew, which hints that it may have restarted without our
-			// outbound watcher having seen a FIN or RST (a host that lost
-			// power sends neither). Drop the cached connection while it is
-			// idle so the next Send re-dials the live incarnation. A
-			// healthy peer re-dialling costs one extra dial, nothing more.
-			peer = from
-			e.refreshOutbound(from)
-		}
-		e.mu.Lock()
-		h := e.handler
-		e.mu.Unlock()
-		if h == nil {
-			continue
-		}
-		// The wait for a dispatch slot is the endpoint's contention
-		// signal; the gauge pair brackets the handler so /metrics shows
-		// live concurrency.
-		wait := time.Now()
-		e.sem <- struct{}{}
-		e.em.dispatchWait.Observe(time.Since(wait).Seconds())
-		e.em.framesIn.Inc()
-		e.em.bytesIn.Add(uint64(len(payload)))
-		e.em.inflight.Inc()
-		h(from, payload)
-		e.em.inflight.Dec()
-		<-e.sem
-		if cap(payloadBuf) > maxPooledFrame {
-			// Don't let one oversized value frame pin a MiB of buffer for
-			// the connection's remaining lifetime.
-			payloadBuf = nil
-		}
+		e.adopt(c)
+	}
+	deliver := func(payload []byte) { e.dispatch(c.peer, payload) }
+	for readFrame(r, deliver) == nil {
 	}
 }
 
-// refreshOutbound drops the cached outbound connection to `to` if it is
-// idle (no coalesced write in flight, nothing queued). Called when `to`
-// dials in on a fresh connection — the restart hint; see readLoop. A
-// connection mid-write is left alone: if it really is dead the write
-// fails and Send's error path evicts it anyway.
-func (e *TCPEndpoint) refreshOutbound(to string) {
+// adopt makes the accepted connection c the route to the peer its hello
+// named. If another connection to that peer is cached, c supersedes it
+// while it is idle: the peer dialling anew hints that it may have
+// restarted without our lane on the old socket having seen a FIN or RST
+// (a host that lost power sends neither), and an idle connection has
+// nothing to lose. A connection mid-write is left alone: if it really is
+// dead the write fails and Send's error path evicts it anyway.
+//
+// The superseded connection is not closed here. It may be perfectly
+// healthy — when both sides dial at once each adopts the other's — and
+// closing it would fail or re-dial the next send of the peer that has
+// just cached it, which we would take as another restart hint, and so on
+// for ever. Its lane keeps serving what arrives on it; the peer's FIN, or
+// the TCP keep-alive Go enables on every connection, reaps it.
+func (e *TCPEndpoint) adopt(c *tcpConn) {
 	e.mu.Lock()
-	c := e.conns[to]
-	e.mu.Unlock()
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	idle := !c.flushing && len(c.pending) == 0
-	c.mu.Unlock()
-	if idle {
-		e.evict(to, c)
+	defer e.mu.Unlock()
+	if old := e.conns[c.peer]; old != nil {
+		if !old.idle() {
+			return
+		}
 		e.em.refreshes.Inc()
 	}
+	e.conns[c.peer] = c
 }
 
-// Send dials (or reuses) a connection to the peer and writes one frame.
-// Concurrent Sends are safe: frames to the same peer never interleave
-// their bytes, and frames queued while another frame's write syscall is
-// in flight are flushed together with a single Write (group commit).
-// Send returns once its own frame has been written (or the coalesced
-// write carrying it failed).
+// dispatch hands one inbound frame to the handler under the endpoint's
+// concurrency bound.
+func (e *TCPEndpoint) dispatch(from string, payload []byte) {
+	h := e.handler.Load()
+	if h == nil {
+		return
+	}
+	// The wait for a dispatch slot is the endpoint's contention signal;
+	// the gauge pair brackets the handler so /metrics shows live
+	// concurrency.
+	wait := time.Now()
+	e.sem <- struct{}{}
+	e.em.dispatchWait.Observe(time.Since(wait).Seconds())
+	e.em.framesIn.Inc()
+	e.em.bytesIn.Add(uint64(len(payload)))
+	e.em.inflight.Inc()
+	(*h)(from, payload)
+	e.em.inflight.Dec()
+	<-e.sem
+}
+
+// Send writes one frame on the connection to the peer, dialling only if
+// neither side has yet. Concurrent Sends are safe: frames to the same
+// peer never interleave their bytes, and frames queued while another
+// frame's write syscall is in flight are flushed together with a single
+// Write (group commit). Send returns once its own frame has been written
+// (or the coalesced write carrying it failed).
 func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return ErrClosed
 	}
-	c, ok := e.conns[to]
+	c := e.conns[to]
 	e.mu.Unlock()
-	if !ok {
-		nc, err := net.Dial("tcp", to)
-		if err != nil {
-			e.em.sendErrs.Inc()
-			return fmt.Errorf("transport: dial %s: %w", to, err)
+	var err error
+	dialled := false
+	if c == nil {
+		if c, dialled, err = e.dial(to); err != nil {
+			return err
 		}
-		e.em.dials.Inc()
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			nc.Close()
-			return ErrClosed
-		}
-		if existing, dup := e.conns[to]; dup {
-			nc.Close()
-			c = existing
-		} else {
-			c = &tcpConn{c: nc, em: &e.em}
-			e.conns[to] = c
-			e.wg.Add(1)
-			go e.watchOutbound(to, c)
-		}
-		e.mu.Unlock()
 	}
 	fb := framePool.Get().(*frameBuf)
-	fb.b = appendFrame(fb.b[:0], e.Addr(), payload)
-	// writeCoalesced returns only after the Write call that carried this
+	fb.b = fb.b[:0]
+	// Either write returns only after the Write call that carried this
 	// frame's bytes finished (its own, or a flush batch that copied them
 	// out first), so the buffer is reusable on return.
-	err := c.writeCoalesced(fb.b)
+	if dialled {
+		// A connection is born with its write flag held by the Send that
+		// dialled it, so the hello leads whatever else is sent on it, in
+		// one Write with this frame.
+		fb.b = appendFrame(append(fb.b, e.hello...), payload)
+		err = c.writeAsFlusher(fb.b)
+	} else {
+		fb.b = appendFrame(fb.b, payload)
+		err = c.writeCoalesced(fb.b)
+	}
 	putFrameBuf(fb)
 	if err != nil {
 		e.em.sendErrs.Inc()
-		e.evict(to, c)
+		e.evict(c)
 		return err
 	}
 	e.em.framesOut.Inc()
@@ -386,25 +409,40 @@ func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	return nil
 }
 
-// watchOutbound blocks in Read on a dialled connection. Nothing is ever
-// sent to us on it, so Read returns only when the peer closed or reset
-// the connection, or when we closed it ourselves; either way the cache
-// entry is dead.
-func (e *TCPEndpoint) watchOutbound(to string, c *tcpConn) {
-	defer e.wg.Done()
-	var b [1]byte
-	_, _ = c.c.Read(b[:]) // any outcome means the connection is finished
-	e.evict(to, c)
+// dial connects to the peer and caches the connection. If one appeared in
+// the meantime — another Send dialled, or the peer reached us first — the
+// new socket is dropped unused and that connection is returned, with mine
+// false.
+func (e *TCPEndpoint) dial(to string) (c *tcpConn, mine bool, err error) {
+	nc, err := net.Dial("tcp", to)
+	if err != nil {
+		e.em.sendErrs.Inc()
+		return nil, false, fmt.Errorf("transport: dial %s: %w", to, err)
+	}
+	e.em.dials.Inc()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if existing := e.conns[to]; existing != nil {
+		nc.Close()
+		return existing, false, nil
+	}
+	c = &tcpConn{c: nc, em: &e.em, peer: to, flushing: true}
+	if !e.startLane(c) {
+		return nil, false, ErrClosed
+	}
+	e.conns[to] = c
+	return c, true, nil
 }
 
-// evict removes c from the connection cache, if it is still the cached
-// connection to `to`, and closes it. A Send that already holds c fails
-// its Write and reports the error to its caller.
-func (e *TCPEndpoint) evict(to string, c *tcpConn) {
+// evict takes c out of the endpoint's books — it stops being the route to
+// its peer, if it was — and closes it. A Send that already holds c fails
+// its Write and reports the error to its caller; c's lane exits.
+func (e *TCPEndpoint) evict(c *tcpConn) {
 	e.mu.Lock()
-	if e.conns[to] == c {
-		delete(e.conns, to)
+	if e.conns[c.peer] == c {
+		delete(e.conns, c.peer)
 	}
+	delete(e.open, c)
 	e.mu.Unlock()
 	c.c.Close()
 }
@@ -424,15 +462,20 @@ func (cc *tcpConn) writeCoalesced(frame []byte) error {
 	}
 	cc.flushing = true
 	cc.mu.Unlock()
+	return cc.writeAsFlusher(frame)
+}
 
+// writeAsFlusher writes frame for the caller that holds the flushing flag,
+// and hands the flag on.
+func (cc *tcpConn) writeAsFlusher(frame []byte) error {
 	_, err := cc.c.Write(frame)
 	// Anything that queued up behind us is flushed by a dedicated
 	// goroutine, not by looping here: this goroutine is usually a
-	// connection read loop's handler, and under sustained load the
-	// pending buffer can refill faster than it drains — looping would
-	// hold this sender (and its lane, and a dispatch-worker slot)
-	// captive indefinitely. At most one flushPending goroutine exists
-	// per connection, because flushing stays true until it drains.
+	// connection lane's handler, and under sustained load the pending
+	// buffer can refill faster than it drains — looping would hold this
+	// sender (and its lane, and a dispatch-worker slot) captive
+	// indefinitely. At most one flushPending goroutine exists per
+	// connection, because flushing stays true until it drains.
 	cc.mu.Lock()
 	if len(cc.pending) == 0 {
 		cc.flushing = false
@@ -450,6 +493,10 @@ func (cc *tcpConn) writeCoalesced(frame []byte) error {
 // outcome every frame in the batch observes. It runs until the queue is
 // empty and then releases the flushing flag.
 func (cc *tcpConn) flushPending() {
+	// The batch scratch is borrowed for the drain, not kept on the
+	// connection, which outlives its bursts by hours.
+	scratch := framePool.Get().(*frameBuf)
+	defer putFrameBuf(scratch)
 	for {
 		cc.mu.Lock()
 		if len(cc.pending) == 0 {
@@ -469,80 +516,84 @@ func (cc *tcpConn) flushPending() {
 		cc.queueGauge().Add(-int64(bytes))
 		cc.mu.Unlock()
 
-		// Flatten into the flusher-private scratch: one Write per batch
-		// keeps group commit's syscall economics without net.Buffers
-		// (whose writev fast path only exists for real TCP conns).
-		buf := cc.wbuf[:0]
+		// Flatten into the scratch: one Write per batch keeps group
+		// commit's syscall economics without net.Buffers (whose writev
+		// fast path only exists for real TCP conns).
+		buf := scratch.b[:0]
 		for _, f := range frames {
 			buf = append(buf, f.buf...)
 		}
 		_, werr := cc.c.Write(buf)
-		cc.wbuf = buf[:0]
+		scratch.b = buf
 		for _, f := range frames {
 			f.done <- werr
 		}
 	}
 }
 
-// Close shuts the endpoint down, tearing down outbound and inbound
-// connections and waiting for the accept, reader and watcher goroutines
-// to exit.
+// Close shuts the endpoint down, closing every connection and waiting for
+// the accept loop and the read lanes to exit.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
 	e.closed = true
-	for _, c := range e.conns {
+	for c := range e.open {
 		c.c.Close()
 	}
 	e.conns = map[string]*tcpConn{}
-	for c := range e.inbound {
-		c.Close()
-	}
 	e.mu.Unlock()
 	err := e.ln.Close()
 	e.wg.Wait()
 	return err
 }
 
-// Frame format: u32 fromLen | from | u32 payloadLen | payload.
+// Frame format: u32 payloadLen | payload. The first frame a dialler sends
+// is its hello, whose payload is its listen address.
 
 // appendFrame appends one whole frame to buf so it can be written with a
 // single Write call.
-func appendFrame(buf []byte, from string, payload []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(from)))
-	buf = append(buf, from...)
+func appendFrame(buf, payload []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
 	return append(buf, payload...)
 }
 
-// readFrameInto reads one frame, reusing (and growing as needed) the
-// caller's two buffers. The returned slices alias those buffers and are
-// valid only until the next call — the read loop enforces the Handler
-// payload-lifetime contract before reusing them.
-func readFrameInto(r io.Reader, fromBuf, payloadBuf *[]byte) (from, payload []byte, err error) {
-	if from, err = readSegment(r, fromBuf); err != nil {
-		return
+// readFrame reads one frame and calls fn with its payload, which is valid
+// only during the call (the Handler payload-lifetime contract): a frame
+// that fits r's buffer is handed over where it lies and discarded after,
+// a larger one is read into a pooled buffer that goes back when fn
+// returns.
+func readFrame(r *bufio.Reader, fn func(payload []byte)) error {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		return err
 	}
-	payload, err = readSegment(r, payloadBuf)
-	return
-}
-
-func readSegment(r io.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
-		return nil, errors.New("transport: oversized frame")
+		return errors.New("transport: oversized frame")
 	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
+	size := 4 + int(n)
+	if size <= r.Size() {
+		b, err := r.Peek(size)
+		if err != nil {
+			return err
+		}
+		fn(b[4:])
+		_, err = r.Discard(size)
+		return err
 	}
-	b := (*buf)[:n]
+	if _, err := r.Discard(4); err != nil {
+		return err
+	}
+	fb := framePool.Get().(*frameBuf)
+	defer putFrameBuf(fb)
+	if cap(fb.b) < int(n) {
+		fb.b = make([]byte, n)
+	}
+	b := fb.b[:n]
 	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
+		return err
 	}
-	return b, nil
+	fn(b)
+	return nil
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)

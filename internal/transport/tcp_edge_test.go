@@ -152,8 +152,9 @@ func TestTCPConcurrentSends(t *testing.T) {
 // sender's cached outbound connection to the dead incarnation accepts its
 // first write into the kernel buffer (the RST only surfaces on the write
 // after), silently losing one frame — exactly the frame that grants a
-// durably-restarted node its rejoin. The restarted peer's fresh inbound
-// dial is the refresh signal (refreshOutbound).
+// durably-restarted node its rejoin. The first incarnation's FIN evicts
+// the connection, or the restarted peer's fresh inbound one supersedes
+// it, whichever a's lanes see first.
 func TestTCPSendAfterPeerRestart(t *testing.T) {
 	a, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -220,9 +221,9 @@ func TestTCPSendAfterPeerRestart(t *testing.T) {
 // TestTCPSendAfterPeerRestartIsDelivered: the same restart, but the new
 // incarnation never dials the sender first, so nothing but the peer's
 // FIN tells the sender its cached connection is dead. A Send that
-// returns nil must have reached the new listener — before the outbound
-// watcher it went into the dead socket's kernel buffer and vanished.
-// Closing the endpoints must also stop every watcher goroutine.
+// returns nil must have reached the new listener, not gone into the dead
+// socket's kernel buffer and vanished. Closing the endpoints must also
+// stop every read lane.
 func TestTCPSendAfterPeerRestartIsDelivered(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	a, err := ListenTCP("127.0.0.1:0")
@@ -247,7 +248,7 @@ func TestTCPSendAfterPeerRestartIsDelivered(t *testing.T) {
 	if err := b1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The FIN reaches a's watcher asynchronously; wait for the eviction it
+	// The FIN reaches a's lane asynchronously; wait for the eviction it
 	// causes rather than racing it.
 	cached := func() bool {
 		a.mu.Lock()
@@ -256,7 +257,7 @@ func TestTCPSendAfterPeerRestartIsDelivered(t *testing.T) {
 	}
 	for deadline := time.Now().Add(5 * time.Second); cached(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("connection to the closed peer is still cached: nothing watches it for FIN")
+			t.Fatal("connection to the closed peer is still cached: nothing reads it for FIN")
 		}
 	}
 
