@@ -193,7 +193,8 @@ func BenchmarkKleinbergBaseline(b *testing.B) {
 }
 
 // BenchmarkInsert measures raw object insertion (tessellation update, cn
-// index, long-link resolution).
+// index, long-link resolution): one overlay grown to b.N objects, so
+// -benchtime 100000x builds a 100 000-object overlay.
 func BenchmarkInsert(b *testing.B) {
 	b.ReportAllocs()
 	ov := voronet.New(voronet.Config{NMax: 1 << 20, Seed: 31})
@@ -205,6 +206,27 @@ func BenchmarkInsert(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "objs/s")
+}
+
+// BenchmarkBulkLoad builds the overlay BenchmarkInsert grows — same seed,
+// same b.N points — in one Overlay.BulkLoad at GOMAXPROCS workers (set it
+// with -cpu). The ratio of the two objs/s at equal -benchtime Nx is the
+// bulk-build speed-up.
+func BenchmarkBulkLoad(b *testing.B) {
+	b.ReportAllocs()
+	ov := voronet.New(voronet.Config{NMax: 1 << 20, Seed: 31})
+	rng := rand.New(rand.NewSource(31))
+	src := &workload.Uniform{Rand: rng}
+	pts := make([]voronet.Point, b.N)
+	for i := range pts {
+		pts[i] = src.Next()
+	}
+	b.ResetTimer()
+	if _, err := ov.BulkLoad(pts, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "objs/s")
 }
 
 // BenchmarkJoin measures the full protocol join (Algorithm 1: routing,
@@ -270,31 +292,66 @@ func BenchmarkStorePut(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreGet measures an object-store GET end to end on a mirror
-// pre-loaded with keys.
-func BenchmarkStoreGet(b *testing.B) {
-	b.ReportAllocs()
-	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 53})
+// storeGetSetup builds what every BenchmarkStoreGet case reads: a store on
+// a benchN-object overlay (the same one for either owner-resolution mode)
+// holding 2000 uniform keys and a 1024-key hot set, plus a Zipf(1.1)
+// popularity stream over the hot set.
+func storeGetSetup(b *testing.B, fictive bool) (st *voronet.Store, from voronet.ObjectID, uniform, zipf []voronet.Point) {
+	// The overlay's seed differs from the point stream's: equal seeds make
+	// the long-link target draws repeat the positions' random sequence,
+	// and routes at benchN come out twice as long (49 hops against 23).
+	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 54, FictiveQueries: fictive})
 	rng := rand.New(rand.NewSource(53))
 	src := &workload.Uniform{Rand: rng}
-	for ov.Len() < benchN/2 {
+	for ov.Len() < benchN {
 		ov.Insert(src.Next())
 	}
-	st := voronet.NewStore(ov, voronet.DefaultReplication)
-	from, _ := ov.RandomObject(rng)
-	keys := make([]voronet.Point, 2000)
-	for i := range keys {
-		keys[i] = src.Next()
-		if _, _, err := st.Put(from, keys[i], []byte("benchmark-payload")); err != nil {
+	st = voronet.NewStore(ov, voronet.DefaultReplication)
+	from, _ = ov.RandomObject(rng)
+	uniform = make([]voronet.Point, 2000)
+	for i := range uniform {
+		uniform[i] = src.Next()
+	}
+	hot := workload.NewZipfKeys(1.1, 1024, rng)
+	for _, k := range append(hot.Keys(), uniform...) {
+		if _, _, err := st.Put(from, k, []byte("benchmark-payload")); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := st.Get(from, keys[i%len(keys)]); err != nil {
-			b.Fatal(err)
+	zipf = make([]voronet.Point, 1<<14)
+	for i := range zipf {
+		zipf[i] = hot.Next()
+	}
+	return st, from, uniform, zipf
+}
+
+// BenchmarkStoreGet measures an object-store GET end to end on a mirror
+// pre-loaded with keys, and the mean routed hops per GET: over uniform
+// keys, over Zipf-popular keys without and with the 512-entry route
+// cache, and with owners resolved by Algorithm 4's literal fictive
+// insert/remove (Config.FictiveQueries, the paper's cost model).
+func BenchmarkStoreGet(b *testing.B) {
+	get := func(st *voronet.Store, from voronet.ObjectID, keys []voronet.Point) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			hops := 0
+			for i := 0; i < b.N; i++ {
+				_, h, err := st.Get(from, keys[i%len(keys)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				hops += h
+			}
+			b.ReportMetric(float64(hops)/float64(b.N), "hops")
 		}
 	}
+	st, from, uniform, zipf := storeGetSetup(b, false)
+	b.Run("uniform", get(st, from, uniform))
+	b.Run("zipf1.1", get(st, from, zipf))
+	st.SetRouteCache(512)
+	b.Run("zipf1.1+cache512", get(st, from, zipf))
+	fst, ffrom, funiform, _ := storeGetSetup(b, true)
+	b.Run("fictive", get(fst, ffrom, funiform))
 }
 
 // BenchmarkHandleQuery measures Algorithm 4 end to end (routing plus the

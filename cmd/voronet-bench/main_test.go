@@ -1,0 +1,85 @@
+package main
+
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestCPUProfileSurvivesFailure: a mode that fails must still leave a
+// complete profile behind — that is the run one wants to look at. The
+// unknown scenario used to leave through os.Exit past the deferred stop.
+func TestCPUProfileSurvivesFailure(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "f")
+	if code := run([]string{"-chaos", "-scenario", "no-such", "-cpuprofile", prof}); code != 2 {
+		t.Fatalf("exit status %d, want 2", code)
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pprof writes the profile gzip-compressed when it is stopped.
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("profile is %d bytes and not gzip-framed: stopped too late or never", len(b))
+	}
+}
+
+// TestDocsNameWhatExists keeps README.md, DESIGN.md and EXPERIMENTS.md
+// from pointing at result files that are not in the tree or at
+// voronet-bench flags that are not defined. Text under a "Retired …"
+// heading is history and exempt.
+func TestDocsNameWhatExists(t *testing.T) {
+	root := filepath.Join("..", "..")
+	resultFile := regexp.MustCompile(`\bBENCH_\w+\.(?:json|txt)\b|\bbenchmark/results/[\w.-]+\.json\b`)
+	flagWord := regexp.MustCompile(`(?:^|\s)-{1,2}([a-z][\w-]*)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		retired, retiredLevel, inFence, inSh := false, 0, false, false
+		for i, line := range strings.Split(string(text), "\n") {
+			at := func(format string, args ...any) {
+				t.Helper()
+				t.Errorf("%s:%d: "+format, append([]any{doc, i + 1}, args...)...)
+			}
+			if strings.HasPrefix(line, "```") {
+				inFence = !inFence
+				inSh = inFence && strings.TrimSpace(line[3:]) == "sh"
+				continue
+			}
+			if level := len(line) - len(strings.TrimLeft(line, "#")); !inFence && level > 0 && strings.HasPrefix(line[level:], " ") {
+				// A heading ends a retired section unless it is nested in it.
+				if strings.Contains(line, "Retired") {
+					retired, retiredLevel = true, level
+				} else if level <= retiredLevel {
+					retired = false
+				}
+			}
+			if retired {
+				continue
+			}
+			for _, f := range resultFile.FindAllString(line, -1) {
+				if _, err := os.Stat(filepath.Join(root, f)); err != nil {
+					at("names %s, which is not in the tree", f)
+				}
+			}
+			if cmd := strings.Index(line, "voronet-bench "); inSh && cmd >= 0 {
+				// Up to a pipe, a redirect or a comment: what follows is
+				// another program's command line.
+				args := line[cmd:]
+				if end := strings.IndexAny(args, "|>#&;"); end >= 0 {
+					args = args[:end]
+				}
+				for _, m := range flagWord.FindAllStringSubmatch(args, -1) {
+					if flag.Lookup(m[1]) == nil {
+						at("voronet-bench has no flag -%s", m[1])
+					}
+				}
+			}
+		}
+	}
+}

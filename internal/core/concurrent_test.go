@@ -186,43 +186,77 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	}
 }
 
-// TestStoreDoParallel drives the worker fan-out front-end: a mixed
-// put/get/delete batch across 8 workers must leave exactly the same store
-// state as the serial replay of the same per-key operation sequences.
+// TestStoreDoParallel drives the store from 8 goroutines at once: a mixed
+// put/get/delete batch must leave exactly the same store state as the
+// serial replay of the same per-key operation sequences.
 func TestStoreDoParallel(t *testing.T) {
 	o := New(Config{NMax: 2000, Seed: 311})
 	rng := rand.New(rand.NewSource(312))
 	ids := fill(t, o, &workload.Uniform{Rand: rng}, 400)
 	st := NewStore(o, 3)
 
+	// fanOut runs op(0..n-1) in contiguous chunks across 8 goroutines and
+	// returns one error per op, order-aligned.
+	fanOut := func(n int, op func(i int) error) []error {
+		const workers = 8
+		errs := make([]error, n)
+		chunk := (n + workers - 1) / workers
+		var wg sync.WaitGroup
+		for lo := 0; lo < n; lo += chunk {
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				for i := lo; i < hi; i++ {
+					errs[i] = op(i)
+				}
+			}(lo, min(lo+chunk, n))
+		}
+		wg.Wait()
+		return errs
+	}
+
 	keys := make([]geom.Point, 64)
 	for i := range keys {
 		keys[i] = geom.Pt(rng.Float64(), rng.Float64())
 	}
-	var puts []StoreOp
-	for i, k := range keys {
-		puts = append(puts, StoreOp{Kind: OpPut, From: ids[rng.Intn(len(ids))], Key: k, Value: []byte(fmt.Sprintf("p%03d", i))})
+	putFrom := make([]ObjectID, len(keys))
+	for i := range keys {
+		putFrom[i] = ids[rng.Intn(len(ids))]
 	}
-	for i, res := range st.Do(puts, 8) {
-		if res.Err != nil {
-			t.Fatalf("put %d: %v", i, res.Err)
+	for i, err := range fanOut(len(keys), func(i int) error {
+		_, _, err := st.Put(putFrom[i], keys[i], []byte(fmt.Sprintf("p%03d", i)))
+		return err
+	}) {
+		if err != nil {
+			t.Fatalf("put %d: %v", i, err)
 		}
 	}
 	// Second wave: one get per key plus deletes of every fourth key. Gets
 	// race the deletes of their key across workers; per-key
 	// linearisability is all the distributed store promises, so only the
 	// final state is asserted.
-	var ops []StoreOp
+	type storeOp struct {
+		del  bool // a delete; otherwise a get
+		from ObjectID
+		key  geom.Point
+	}
+	var ops []storeOp
 	for i, k := range keys {
-		ops = append(ops, StoreOp{Kind: OpGet, From: ids[rng.Intn(len(ids))], Key: k})
+		ops = append(ops, storeOp{from: ids[rng.Intn(len(ids))], key: k})
 		if i%4 == 0 {
-			ops = append(ops, StoreOp{Kind: OpDelete, From: ids[rng.Intn(len(ids))], Key: k})
+			ops = append(ops, storeOp{del: true, from: ids[rng.Intn(len(ids))], key: k})
 		}
 	}
-	results := st.Do(ops, 8)
-	for i, res := range results {
-		if res.Err != nil && !errors.Is(res.Err, store.ErrNotFound) {
-			t.Fatalf("op %d (%v): %v", i, ops[i].Kind, res.Err)
+	for i, err := range fanOut(len(ops), func(i int) error {
+		if ops[i].del {
+			_, err := st.Delete(ops[i].from, ops[i].key)
+			return err
+		}
+		_, _, err := st.Get(ops[i].from, ops[i].key)
+		return err
+	}) {
+		if err != nil && !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("op %d (delete=%v): %v", i, ops[i].del, err)
 		}
 	}
 	// Final state: deleted keys answer not-found, the rest their payload.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -292,79 +291,6 @@ func (s *Store) replicateLocked(c *storeClient, owner, exclude ObjectID, rec pro
 		vns = vns[:len(vns)-1]
 		s.bucket(best).Apply(rec)
 	}
-}
-
-// StoreOp is one operation for the Do fan-out front-end.
-type StoreOp struct {
-	Kind  OpKind
-	From  ObjectID
-	Key   geom.Point
-	Value []byte // OpPut only
-}
-
-// OpKind selects the operation of a StoreOp.
-type OpKind uint8
-
-// StoreOp kinds.
-const (
-	OpPut OpKind = iota
-	OpGet
-	OpDelete
-)
-
-// StoreResult reports one completed StoreOp.
-type StoreResult struct {
-	Owner ObjectID
-	Hops  int
-	Value []byte // OpGet only
-	Err   error
-}
-
-// Do executes ops across `workers` goroutines (0 selects GOMAXPROCS) and
-// returns one result per op, order-aligned. Operations on distinct keys
-// are independent; operations on the same key race exactly as concurrent
-// clients of the distributed store do (the per-bucket versioning keeps
-// every interleaving consistent). (The bench harness fans out with its
-// own worker loop because it also times each operation; Do is the
-// batteries-included equivalent for callers that only need results.)
-func (s *Store) Do(ops []StoreOp, workers int) []StoreResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ops) {
-		workers = len(ops)
-	}
-	results := make([]StoreResult, len(ops))
-	if workers == 0 {
-		return results
-	}
-	var wg sync.WaitGroup
-	chunk := (len(ops) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(ops))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				op := ops[i]
-				r := &results[i]
-				switch op.Kind {
-				case OpPut:
-					r.Owner, r.Hops, r.Err = s.Put(op.From, op.Key, op.Value)
-				case OpGet:
-					r.Value, r.Hops, r.Err = s.Get(op.From, op.Key)
-				case OpDelete:
-					r.Hops, r.Err = s.Delete(op.From, op.Key)
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return results
 }
 
 // OnInsert performs the store side of AddVoronoiRegion for a freshly

@@ -333,7 +333,7 @@ func (r *Registry) Names() []string {
 // meaningless; the max is the hot spot). Histograms merge bucket-wise
 // when bounds match; mismatched bounds keep s's entry and add only
 // count/sum. Merge is how per-node registries aggregate into one
-// cluster-wide snapshot (voronet-bench -net).
+// cluster-wide snapshot (the chaos harness, a node's debug endpoint).
 func (s *Snapshot) Merge(other Snapshot) {
 	if s.Counters == nil {
 		s.Counters = map[string]uint64{}

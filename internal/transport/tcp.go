@@ -15,27 +15,6 @@ import (
 	"voronet/internal/metrics"
 )
 
-// TCPOptions tunes a TCP endpoint's dispatch. The zero value selects
-// the default worker count.
-type TCPOptions struct {
-	// DispatchWorkers bounds how many handler invocations run at once
-	// across all connections; messages from one connection are always
-	// handled in order, one at a time. <= 0 selects GOMAXPROCS (at least
-	// 2, so a slow handler cannot monopolise the endpoint).
-	DispatchWorkers int
-}
-
-func (o TCPOptions) workers() int {
-	if o.DispatchWorkers > 0 {
-		return o.DispatchWorkers
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w < 2 {
-		w = 2
-	}
-	return w
-}
-
 // TCPEndpoint is a transport endpoint over TCP. There is one duplex
 // connection per peer pair: whichever side first has something to say
 // dials and announces its listen address in a hello frame, and from then
@@ -75,7 +54,7 @@ type TCPEndpoint struct {
 
 // endpointMetrics caches the endpoint's instruments so the hot paths
 // never touch the registry map. All fields are nil-safe no-ops when the
-// registry is nil (they never are: ListenTCPOptions always builds one —
+// registry is nil (they never are: ListenTCP always builds one —
 // the per-event cost is a handful of atomic ops, measured <5% on the
 // store benchmark).
 type endpointMetrics struct {
@@ -201,22 +180,20 @@ func putFrameBuf(fb *frameBuf) {
 }
 
 // ListenTCP starts an endpoint on the given address ("127.0.0.1:0" picks a
-// free port) with the default options.
+// free port).
 func ListenTCP(addr string) (*TCPEndpoint, error) {
-	return ListenTCPOptions(addr, TCPOptions{})
-}
-
-// ListenTCPOptions starts an endpoint with explicit dispatch options.
-func ListenTCPOptions(addr string, opts TCPOptions) (*TCPEndpoint, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
 	reg := metrics.NewRegistry()
+	// GOMAXPROCS handler invocations at once across all connections, at
+	// least 2 so a slow handler cannot monopolise the endpoint.
+	workers := max(runtime.GOMAXPROCS(0), 2)
 	ep := &TCPEndpoint{
 		ln:      ln,
 		addr:    ln.Addr().String(),
-		sem:     make(chan struct{}, opts.workers()),
+		sem:     make(chan struct{}, workers),
 		conns:   make(map[string]*tcpConn),
 		open:    make(map[*tcpConn]struct{}),
 		metrics: reg,

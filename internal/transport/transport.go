@@ -70,10 +70,10 @@ type Bus struct {
 	now   uint64
 	rng   *rand.Rand
 
-	// Message accounting. Atomics, not plain fields: Drain's parallel
-	// mode and any goroutine holding a snapshot read them concurrently
-	// with senders. The conservation law tests and the harness checker
-	// rely on is sends == delivered + dropped + pending.
+	// Message accounting. Atomics, not plain fields: any goroutine
+	// holding a snapshot reads them concurrently with senders and Drain.
+	// The conservation law tests and the harness checker rely on is
+	// sends == delivered + dropped + pending.
 	sends     atomic.Uint64 // Send calls that returned nil (queued or fault-dropped)
 	delivered atomic.Uint64 // messages handed to a handler
 	dropped   atomic.Uint64 // lost to faults at send time or to a detached destination
@@ -88,11 +88,6 @@ type Bus struct {
 	linkRules  map[[2]string]LinkRule
 	peerRules  map[string]LinkRule
 	partitions map[string]map[string]int
-
-	// parallelWorkers > 1 switches Drain to the opt-in parallel delivery
-	// mode (see SetParallelDelivery). Zero keeps the deterministic serial
-	// drain that chaos transcripts depend on.
-	parallelWorkers int
 }
 
 // LinkRule describes fault injection for a set of directed links. The zero
@@ -288,44 +283,11 @@ func (b *Bus) partitioned(from, to string) bool {
 	return false
 }
 
-// SetParallelDelivery switches Drain to the opt-in parallel mode: ready
-// messages are handed to handlers concurrently, up to workers goroutines
-// at once, preserving per-destination FIFO order (each destination's
-// messages are delivered in (time, send sequence) order by a single
-// goroutine per round). Handlers must be safe for concurrent invocation.
-//
-// Parallel delivery deliberately gives up transcript determinism: the
-// interleaving of handlers — and therefore the send order of any messages
-// they emit — depends on the scheduler, so chaos transcripts require the
-// default serial mode (workers <= 1 restores it). Fault rules still apply
-// at send time either way; TestBusParallelDrainEquivalence asserts the
-// two modes agree on protocol outcomes on a fault-free bus.
-func (b *Bus) SetParallelDelivery(workers int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if workers <= 1 {
-		b.parallelWorkers = 0
-	} else {
-		b.parallelWorkers = workers
-	}
-}
-
 // Drain delivers queued messages in virtual-time order (including ones
 // enqueued by handlers during the drain) until the queue is empty,
 // advancing the virtual clock to each message's delivery time. It returns
 // the number of messages delivered.
-//
-// In parallel mode (SetParallelDelivery) Drain proceeds in rounds: every
-// message queued at the start of a round is delivered, concurrently
-// across destinations, before the messages those deliveries enqueue are
-// considered.
 func (b *Bus) Drain() int {
-	b.mu.Lock()
-	workers := b.parallelWorkers
-	b.mu.Unlock()
-	if workers > 1 {
-		return b.drainParallel(workers)
-	}
 	n := 0
 	for {
 		b.mu.Lock()
@@ -353,64 +315,6 @@ func (b *Bus) Drain() int {
 	}
 }
 
-// drainParallel delivers rounds of queued messages concurrently across
-// destinations: within a round, each destination's messages keep their
-// (time, send sequence) order and are delivered by one goroutine, while a
-// semaphore bounds how many destinations are being served at once.
-func (b *Bus) drainParallel(workers int) int {
-	n := 0
-	for {
-		b.mu.Lock()
-		if len(b.queue) == 0 {
-			b.mu.Unlock()
-			return n
-		}
-		// Pop the whole round in (time, seq) order, advancing the clock
-		// past every message in it, and resolve handlers while the lock
-		// protects the peer table.
-		type delivery struct {
-			h Handler
-			m busMsg
-		}
-		groups := make(map[string][]delivery)
-		var order []string
-		for len(b.queue) > 0 {
-			m := heap.Pop(&b.queue).(busMsg)
-			if m.at > b.now {
-				b.now = m.at
-			}
-			ep := b.peers[m.to]
-			if ep == nil || ep.handler == nil {
-				b.dropped.Add(1)
-				continue
-			}
-			b.delivered.Add(1)
-			if _, seen := groups[m.to]; !seen {
-				order = append(order, m.to)
-			}
-			groups[m.to] = append(groups[m.to], delivery{h: ep.handler, m: m})
-		}
-		b.mu.Unlock()
-
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for _, to := range order {
-			msgs := groups[to]
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(msgs []delivery) {
-				defer wg.Done()
-				for _, d := range msgs {
-					d.h(d.m.from, d.m.payload)
-				}
-				<-sem
-			}(msgs)
-			n += len(msgs)
-		}
-		wg.Wait()
-	}
-}
-
 // Pending returns the number of undelivered messages.
 func (b *Bus) Pending() int {
 	b.mu.Lock()
@@ -431,7 +335,7 @@ func (b *Bus) DeliveredCount() uint64 { return b.delivered.Load() }
 func (b *Bus) DroppedCount() uint64 { return b.dropped.Load() }
 
 // MetricsSnapshot exports the bus counters as a metrics snapshot, for
-// merging into node registries (voronet-bench, the harness checker).
+// merging into node registries (the harness checker).
 // Every accepted send is accounted exactly once as delivered, dropped or
 // pending, so bus_sends_total == bus_delivered_total + bus_dropped_total
 // + bus_pending after any full Drain.

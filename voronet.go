@@ -119,22 +119,6 @@ type Store = core.Store
 // StoreRecord is one stored payload with its version and tombstone flag.
 type StoreRecord = proto.StoreRecord
 
-// StoreOp is one operation for the Store.Do worker fan-out.
-type StoreOp = core.StoreOp
-
-// StoreResult reports one completed StoreOp.
-type StoreResult = core.StoreResult
-
-// OpKind selects the operation of a StoreOp.
-type OpKind = core.OpKind
-
-// StoreOp kinds.
-const (
-	OpPut    = core.OpPut
-	OpGet    = core.OpGet
-	OpDelete = core.OpDelete
-)
-
 // DefaultReplication is the default store replication factor R.
 const DefaultReplication = store.DefaultReplication
 
