@@ -192,12 +192,17 @@ func BenchmarkKleinbergBaseline(b *testing.B) {
 	b.ReportMetric(agg.Mean(), "hops")
 }
 
+// The micro-benchmarks below seed the overlay's RNG (long-link targets)
+// one above the position stream's, as internal/sim does: equal seeds make
+// the target draws repeat the positions' random sequence, and routes at
+// benchN come out twice as long (49 hops against 23).
+
 // BenchmarkInsert measures raw object insertion (tessellation update, cn
 // index, long-link resolution): one overlay grown to b.N objects, so
 // -benchtime 100000x builds a 100 000-object overlay.
 func BenchmarkInsert(b *testing.B) {
 	b.ReportAllocs()
-	ov := voronet.New(voronet.Config{NMax: 1 << 20, Seed: 31})
+	ov := voronet.New(voronet.Config{NMax: 1 << 20, Seed: 32})
 	rng := rand.New(rand.NewSource(31))
 	src := &workload.Uniform{Rand: rng}
 	b.ResetTimer()
@@ -209,13 +214,13 @@ func BenchmarkInsert(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "objs/s")
 }
 
-// BenchmarkBulkLoad builds the overlay BenchmarkInsert grows — same seed,
+// BenchmarkBulkLoad builds the overlay BenchmarkInsert grows — same seeds,
 // same b.N points — in one Overlay.BulkLoad at GOMAXPROCS workers (set it
 // with -cpu). The ratio of the two objs/s at equal -benchtime Nx is the
 // bulk-build speed-up.
 func BenchmarkBulkLoad(b *testing.B) {
 	b.ReportAllocs()
-	ov := voronet.New(voronet.Config{NMax: 1 << 20, Seed: 31})
+	ov := voronet.New(voronet.Config{NMax: 1 << 20, Seed: 32})
 	rng := rand.New(rand.NewSource(31))
 	src := &workload.Uniform{Rand: rng}
 	pts := make([]voronet.Point, b.N)
@@ -233,7 +238,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 // fictive objects, long-link search).
 func BenchmarkJoin(b *testing.B) {
 	b.ReportAllocs()
-	ov := voronet.New(voronet.Config{NMax: 1 << 20, Seed: 37})
+	ov := voronet.New(voronet.Config{NMax: 1 << 20, Seed: 38})
 	rng := rand.New(rand.NewSource(37))
 	src := &workload.Uniform{Rand: rng}
 	var last voronet.ObjectID = voronet.NoObject
@@ -252,23 +257,28 @@ func BenchmarkJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteToObject measures one greedy route on a 20k overlay.
+// BenchmarkRouteToObject measures one greedy route on a 20k overlay, and
+// the mean hops per route.
 func BenchmarkRouteToObject(b *testing.B) {
 	b.ReportAllocs()
-	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 41})
+	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 42})
 	rng := rand.New(rand.NewSource(41))
 	src := &workload.Uniform{Rand: rng}
 	for ov.Len() < benchN {
 		ov.Insert(src.Next())
 	}
 	b.ResetTimer()
+	hops := 0
 	for i := 0; i < b.N; i++ {
 		a, _ := ov.RandomObject(rng)
 		c, _ := ov.RandomObject(rng)
-		if _, err := ov.RouteToObject(a, c); err != nil {
+		h, err := ov.RouteToObject(a, c)
+		if err != nil {
 			b.Fatal(err)
 		}
+		hops += h
 	}
+	b.ReportMetric(float64(hops)/float64(b.N), "hops")
 }
 
 // BenchmarkStorePut measures an object-store PUT end to end on the
@@ -276,7 +286,7 @@ func BenchmarkRouteToObject(b *testing.B) {
 // storage and replication to the owner's neighbourhood.
 func BenchmarkStorePut(b *testing.B) {
 	b.ReportAllocs()
-	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 47})
+	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 48})
 	rng := rand.New(rand.NewSource(47))
 	src := &workload.Uniform{Rand: rng}
 	for ov.Len() < benchN/2 {
@@ -297,9 +307,6 @@ func BenchmarkStorePut(b *testing.B) {
 // holding 2000 uniform keys and a 1024-key hot set, plus a Zipf(1.1)
 // popularity stream over the hot set.
 func storeGetSetup(b *testing.B, fictive bool) (st *voronet.Store, from voronet.ObjectID, uniform, zipf []voronet.Point) {
-	// The overlay's seed differs from the point stream's: equal seeds make
-	// the long-link target draws repeat the positions' random sequence,
-	// and routes at benchN come out twice as long (49 hops against 23).
 	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 54, FictiveQueries: fictive})
 	rng := rand.New(rand.NewSource(53))
 	src := &workload.Uniform{Rand: rng}
@@ -358,7 +365,7 @@ func BenchmarkStoreGet(b *testing.B) {
 // fictive insert/remove dance).
 func BenchmarkHandleQuery(b *testing.B) {
 	b.ReportAllocs()
-	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 43})
+	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 44})
 	rng := rand.New(rand.NewSource(43))
 	src := &workload.Uniform{Rand: rng}
 	for ov.Len() < benchN/2 {

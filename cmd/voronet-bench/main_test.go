@@ -2,9 +2,11 @@ package main
 
 import (
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -28,11 +30,25 @@ func TestCPUProfileSurvivesFailure(t *testing.T) {
 }
 
 // TestDocsNameWhatExists keeps README.md, DESIGN.md and EXPERIMENTS.md
-// from pointing at result files that are not in the tree or at
-// voronet-bench flags that are not defined. Text under a "Retired …"
-// heading is history and exempt.
+// from pointing at result files or Go source files that are not in the
+// tree or at voronet-bench flags that are not defined. Text under a
+// "Retired …" heading is history and exempt.
 func TestDocsNameWhatExists(t *testing.T) {
 	root := filepath.Join("..", "..")
+	// A doc may name a source file by any suffix of its path
+	// (`node/surgery.go`), so index the tree's Go files by "/"+path.
+	var goFiles []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			rel, _ := filepath.Rel(root, path)
+			goFiles = append(goFiles, "/"+filepath.ToSlash(rel))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goFile := regexp.MustCompile("`([\\w./-]+\\.go)`")
 	resultFile := regexp.MustCompile(`\bBENCH_\w+\.(?:json|txt)\b|\bbenchmark/results/[\w.-]+\.json\b`)
 	flagWord := regexp.MustCompile(`(?:^|\s)-{1,2}([a-z][\w-]*)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
@@ -65,6 +81,12 @@ func TestDocsNameWhatExists(t *testing.T) {
 			for _, f := range resultFile.FindAllString(line, -1) {
 				if _, err := os.Stat(filepath.Join(root, f)); err != nil {
 					at("names %s, which is not in the tree", f)
+				}
+			}
+			for _, m := range goFile.FindAllStringSubmatch(line, -1) {
+				named := func(f string) bool { return strings.HasSuffix(f, "/"+m[1]) }
+				if !slices.ContainsFunc(goFiles, named) {
+					at("names %s, which is not in the tree", m[1])
 				}
 			}
 			if cmd := strings.Index(line, "voronet-bench "); inSh && cmd >= 0 {

@@ -35,16 +35,14 @@ type bulkLink struct {
 // sequential stream — a different but equally distributed draw. The
 // result is bit-identical for every worker count (see bulkChunk).
 //
-// BulkLoad is a bootstrap operation: it takes the whole overlay — every
-// shard lock plus the write lock — for the duration. On a non-empty
-// overlay it falls back to serial insertion (the takeover exchange with
-// existing objects' links has no batched equivalent).
+// BulkLoad is a bootstrap operation: it holds the overlay write lock for
+// the duration. On a non-empty overlay it falls back to serial insertion
+// (the takeover exchange with existing objects' links has no batched
+// equivalent).
 func (o *Overlay) BulkLoad(points []geom.Point, workers int) ([]ObjectID, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	o.shards.lockSet(allShards)
-	defer o.shards.unlockSet(allShards)
 	o.mu.Lock()
 	defer o.mu.Unlock()
 

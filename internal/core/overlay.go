@@ -82,21 +82,6 @@ type Config struct {
 	// maintenance without measurably changing routing. Off by default for
 	// paper fidelity; see EXPERIMENTS.md ("maintenance costs").
 	InteriorTargets bool
-	// SerialSurgery disables the region-sharded surgery engine: Insert,
-	// Join and Remove (and the Store churn operations built on them) then
-	// hold the overlay write lock for their whole duration, exactly the
-	// pre-sharding code path. The default (false) runs surgery through the
-	// sharded engine in surgery.go: the expensive phases — routing, cavity
-	// estimation, long-link target resolution — run under the read lock
-	// with only the conflict region's shard locks held exclusively, and
-	// the write lock is taken just for the short commit window, so churn
-	// in distant regions proceeds concurrently. The option exists for A/B
-	// benchmarking (the CI concurrent-churn gate measures sharded vs
-	// serial) and for paper-fidelity cost accounting: the serial Join is
-	// the literal Algorithm 1 sequence, while the sharded Join batches its
-	// long-link routing before the commit, which can shift hop and
-	// fictive-insert counts by a hair (never the resulting structure).
-	SerialSurgery bool
 	// FictiveQueries makes HandleQuery resolve the owner of the query
 	// point the way Algorithm 4 literally does: insert a fictive object at
 	// DistanceToRegion(target) and one at the target, read off the nearest
@@ -184,21 +169,9 @@ type Overlay struct {
 	// and delegates to unexported lockless implementations.
 	mu sync.RWMutex
 
-	// shards is the region lock grid of the sharded surgery engine
-	// (shards.go / surgery.go). Shard locks are always taken before mu,
-	// never while holding it.
-	shards shardMap
-
 	cfg  Config
 	dmin float64
-	rng  *rand.Rand
-	// rngMu guards rng: long-link target draws happen both under the
-	// write lock (serial surgery) and under the read lock (the sharded
-	// engine's preparation phase), so the RNG needs its own leaf lock.
-	rngMu sync.Mutex
-
-	// surgeons pools the per-operation scratch of the sharded engine.
-	surgeons sync.Pool
+	rng  *rand.Rand // long-link target draws; write-locked paths only
 
 	tr  *delaunay.Triangulation
 	vor *voronoi.Diagram
@@ -499,9 +472,6 @@ func (o *Overlay) owner(p geom.Point, hint ObjectID, vbuf []delaunay.VertexID) (
 // routing cost accounting. The figure harness uses Insert to build large
 // overlays; Join exercises and accounts the full Algorithm 1 path.
 func (o *Overlay) Insert(p geom.Point) (ObjectID, error) {
-	if !o.cfg.SerialSurgery {
-		return o.insertSharded(p, nil)
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.insert(p, delaunay.NoVertex)
@@ -541,16 +511,14 @@ func (o *Overlay) insertCore(p geom.Point, hint delaunay.VertexID, mode insertMo
 	if mode == modeFull && !o.cfg.DisableLongLinks {
 		for j := 0; j < o.cfg.LongLinks; j++ {
 			tgt := o.chooseLRT(p)
-			o.registerLongLink(obj, j, tgt, obj.vert)
+			o.registerLongLink(obj, j, tgt)
 		}
 	}
 	return id, nil
 }
 
 // insertBase performs the link-free part of an insertion: tessellation
-// surgery, bookkeeping, and the BLRn takeover exchange. The sharded commit
-// path (surgery.go) reuses it with targets drawn during its preparation
-// phase; insertCore draws them inline.
+// surgery, bookkeeping, and the BLRn takeover exchange.
 func (o *Overlay) insertBase(p geom.Point, hint delaunay.VertexID) (ObjectID, *Object, error) {
 	v, err := o.tr.Insert(p, hint)
 	if err != nil {
@@ -592,12 +560,12 @@ func (o *Overlay) insertBase(p geom.Point, hint delaunay.VertexID) (ObjectID, *O
 	return id, obj, nil
 }
 
-// registerLongLink resolves Obj(tgt) with a nearest-site descent from
-// resolveHint and records link j of obj: target, owner, and the owner's
-// BLRn entry. Caller holds the write lock.
-func (o *Overlay) registerLongLink(obj *Object, j int, tgt geom.Point, resolveHint delaunay.VertexID) {
+// registerLongLink resolves Obj(tgt) with a nearest-site descent from obj
+// and records link j of obj: target, owner, and the owner's BLRn entry.
+// Caller holds the write lock.
+func (o *Overlay) registerLongLink(obj *Object, j int, tgt geom.Point) {
 	obj.longTargets = append(obj.longTargets, tgt)
-	ownerV := o.tr.NearestSite(tgt, resolveHint)
+	ownerV := o.tr.NearestSite(tgt, obj.vert)
 	ownerID := o.byVertex[ownerV]
 	obj.longNbrs = append(obj.longNbrs, ownerID)
 	o.objs[ownerID].back = append(o.objs[ownerID].back, BackRef{Obj: obj.ID, Link: j})
@@ -609,9 +577,6 @@ func (o *Overlay) registerLongLink(obj *Object, j int, tgt geom.Point, resolveHi
 // neighbour closest to its target, which is exactly the new owner of the
 // target point.
 func (o *Overlay) Remove(id ObjectID) error {
-	if !o.cfg.SerialSurgery {
-		return o.removeSharded(id, nil)
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.remove(id)

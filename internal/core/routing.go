@@ -14,12 +14,9 @@ import (
 // (Choose-LRT): a radius with density proportional to r^(1-s) on
 // [dmin, √2] — log-uniform for the paper's s = 2 — and a uniform angle.
 // The target may land outside the unit square; its owner is still the
-// nearest object (§4.3.2).
+// nearest object (§4.3.2). It draws from the overlay's own RNG, which the
+// write lock guards: every caller (insertCore, join, setNMax) holds it.
 func (o *Overlay) chooseLRT(p geom.Point) geom.Point {
-	// The RNG has its own leaf lock: serial surgery draws under the write
-	// lock, the sharded engine's preparation phase under the read lock.
-	o.rngMu.Lock()
-	defer o.rngMu.Unlock()
 	return o.chooseLRTWith(o.rng, p)
 }
 
@@ -273,9 +270,6 @@ func (o *Overlay) routeToPoint(rt *routeState, cur **Object, target geom.Point) 
 // used as the introduction point (the paper assumes each joining object
 // knows one object in the overlay).
 func (o *Overlay) Join(p geom.Point, via ObjectID) (ObjectID, error) {
-	if !o.cfg.SerialSurgery {
-		return o.joinSharded(p, via, nil)
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.join(p, via)

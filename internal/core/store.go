@@ -25,10 +25,10 @@ import (
 // nearest-site walk, and touches only the independently-locked buckets —
 // so reads and writes to *different keys* run genuinely in parallel, and
 // all of them run in parallel with each other while a single overlay
-// writer proceeds serially. When removing objects under concurrent store
-// traffic, use RemoveObject — it runs the store handoff and the
-// tessellation surgery atomically; the two-call OnRemove + Overlay.Remove
-// form is for serial drivers. With Config.FictiveQueries set, operations
+// writer proceeds serially. Objects that come and go while a store is
+// attached do so through InsertObject, JoinObject and RemoveObject, which
+// run the tessellation surgery and the store handoff under one hold of
+// the overlay write lock. With Config.FictiveQueries set, operations
 // instead route through HandleQuery (Algorithm 4's fictive insert/remove
 // dance) for paper-fidelity cost accounting and therefore serialise.
 type Store struct {
@@ -160,9 +160,6 @@ func (s *Store) Put(from ObjectID, key geom.Point, value []byte) (owner ObjectID
 	}
 	c := s.client()
 	defer s.clients.Put(c)
-	sh := shardOf(key)
-	s.ov.shards.rlock(sh)
-	defer s.ov.shards.runlock(sh)
 	s.ov.mu.RLock()
 	defer s.ov.mu.RUnlock()
 	res, err := c.r.resolve(from, key)
@@ -194,9 +191,6 @@ func (s *Store) Get(from ObjectID, key geom.Point) (value []byte, hops int, err 
 	}
 	c := s.client()
 	defer s.clients.Put(c)
-	sh := shardOf(key)
-	s.ov.shards.rlock(sh)
-	defer s.ov.shards.runlock(sh)
 	s.ov.mu.RLock()
 	defer s.ov.mu.RUnlock()
 	res, err := c.r.resolve(from, key)
@@ -232,9 +226,6 @@ func (s *Store) Delete(from ObjectID, key geom.Point) (hops int, err error) {
 	}
 	c := s.client()
 	defer s.clients.Put(c)
-	sh := shardOf(key)
-	s.ov.shards.rlock(sh)
-	defer s.ov.shards.runlock(sh)
 	s.ov.mu.RLock()
 	defer s.ov.mu.RUnlock()
 	res, err := c.r.resolve(from, key)
@@ -293,23 +284,11 @@ func (s *Store) replicateLocked(c *storeClient, owner, exclude ObjectID, rec pro
 	}
 }
 
-// OnInsert performs the store side of AddVoronoiRegion for a freshly
-// inserted object: each new Voronoi neighbour hands over the records whose
-// key now falls in the newcomer's region (keeping its copy as a replica),
-// and the newcomer re-replicates them. Call it right after Overlay.Insert
-// or Overlay.Join. Fast-path operations landing between the insert and
-// this handoff see the distributed system's mid-churn semantics: a GET at
-// the new owner may miss a record still travelling (eventually
-// consistent), and a PUT is stored at the new owner and survives the
-// handoff — no acknowledged write is lost.
-func (s *Store) OnInsert(id ObjectID) {
-	c := s.client()
-	defer s.clients.Put(c)
-	s.ov.mu.Lock()
-	defer s.ov.mu.Unlock()
-	s.onInsertLocked(c, id)
-}
-
+// onInsertLocked performs the store side of AddVoronoiRegion for a
+// freshly inserted object: each new Voronoi neighbour hands over the
+// records whose key now falls in the newcomer's region (keeping its copy
+// as a replica), and the newcomer re-replicates them. The caller holds the
+// overlay write lock since before the insertion.
 func (s *Store) onInsertLocked(c *storeClient, id ObjectID) {
 	obj := s.ov.objs[id]
 	if obj == nil {
@@ -341,48 +320,16 @@ func (s *Store) onInsertLocked(c *storeClient, id ObjectID) {
 	}
 }
 
-// OnRemove performs the store side of RemoveVoronoiRegion for a departing
-// object: every record in its bucket is handed to the Voronoi neighbour
-// closest to its key — the region's next owner — which re-replicates it.
-// Call it right before Overlay.Remove, while the tessellation still holds
-// the departing object.
-//
-// OnRemove + Overlay.Remove as two calls leaves a window in which a
-// concurrent fast-path PUT could re-create the drained bucket and lose an
-// acknowledged write once the object disappears. With concurrent store
-// traffic use RemoveObject, which runs the handoff and the tessellation
-// surgery in one atomic step; the two-call form is for serial drivers
-// (the sim mirror protocol keeps handoff and surgery as separate protocol
-// events).
-func (s *Store) OnRemove(id ObjectID) {
-	c := s.client()
-	defer s.clients.Put(c)
-	s.ov.mu.Lock()
-	defer s.ov.mu.Unlock()
-	s.onRemoveLocked(c, id)
-}
-
 // InsertObject inserts an object at p together with its store handoff,
-// atomically with respect to concurrent Put/Get/Delete. The two-call
-// Overlay.Insert + OnInsert form leaves a window in which a PUT acked by
-// the fresh owner (whose bucket restarts the key's version chain) can be
-// clobbered by the handoff delivering an older value with a higher
-// version; running both under one write lock keeps every key's version
-// chain continuous across ownership changes.
-//
-// Under the sharded engine (SerialSurgery unset) the atomicity is
-// shard-scoped rather than global: surgery plus handoff run while the
-// write locks of the shards covering the conflict region are held, and a
-// Put/Get/Delete read-locks its key's shard before resolving — so
-// operations on keys near the churn serialise against the full
-// surgery+handoff step, while traffic in distant regions proceeds
-// concurrently.
+// atomically with respect to concurrent Put/Get/Delete: surgery and
+// handoff run under one hold of the overlay write lock. Were the lock
+// released between them, a PUT acked by the fresh owner (whose bucket
+// restarts the key's version chain) could be clobbered by the handoff
+// delivering an older value with a higher version; one hold keeps every
+// key's version chain continuous across ownership changes.
 func (s *Store) InsertObject(p geom.Point) (ObjectID, error) {
 	c := s.client()
 	defer s.clients.Put(c)
-	if !s.ov.cfg.SerialSurgery {
-		return s.ov.insertSharded(p, func(id ObjectID) { s.onInsertLocked(c, id) })
-	}
 	s.ov.mu.Lock()
 	defer s.ov.mu.Unlock()
 	id, err := s.ov.insert(p, delaunay.NoVertex)
@@ -395,13 +342,10 @@ func (s *Store) InsertObject(p geom.Point) (ObjectID, error) {
 
 // JoinObject is InsertObject through the full routed join protocol
 // (Algorithm 1): protocol join plus store handoff in one atomic step
-// (shard-scoped under the sharded engine; see InsertObject).
+// (see InsertObject).
 func (s *Store) JoinObject(p geom.Point, via ObjectID) (ObjectID, error) {
 	c := s.client()
 	defer s.clients.Put(c)
-	if !s.ov.cfg.SerialSurgery {
-		return s.ov.joinSharded(p, via, func(id ObjectID) { s.onInsertLocked(c, id) })
-	}
 	s.ov.mu.Lock()
 	defer s.ov.mu.Unlock()
 	id, err := s.ov.join(p, via)
@@ -413,23 +357,24 @@ func (s *Store) JoinObject(p geom.Point, via ObjectID) (ObjectID, error) {
 }
 
 // RemoveObject removes object id from the overlay together with its store
-// handoff, atomically with respect to concurrent Put/Get/Delete: no
-// operation can slip between the bucket drain and the object's
-// disappearance, because the handoff runs while the shard write locks
-// covering the departing object's star are held (sharded engine) or under
-// the overlay write lock (SerialSurgery).
+// handoff, atomically with respect to concurrent Put/Get/Delete: the
+// bucket drain and the surgery run under one hold of the overlay write
+// lock, so no fast-path PUT can re-create the drained bucket and lose an
+// acknowledged write when the object disappears.
 func (s *Store) RemoveObject(id ObjectID) error {
 	c := s.client()
 	defer s.clients.Put(c)
-	if !s.ov.cfg.SerialSurgery {
-		return s.ov.removeSharded(id, func(id ObjectID) { s.onRemoveLocked(c, id) })
-	}
 	s.ov.mu.Lock()
 	defer s.ov.mu.Unlock()
 	s.onRemoveLocked(c, id)
 	return s.ov.remove(id)
 }
 
+// onRemoveLocked performs the store side of RemoveVoronoiRegion for a
+// departing object, while the tessellation still holds it: every record in
+// its bucket is handed to the Voronoi neighbour closest to its key — the
+// region's next owner — which re-replicates it. The caller holds the
+// overlay write lock and removes the object under the same hold.
 func (s *Store) onRemoveLocked(c *storeClient, id ObjectID) {
 	s.mu.Lock()
 	b := s.buckets[id]

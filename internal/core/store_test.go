@@ -113,11 +113,10 @@ func TestStoreChurnHandoff(t *testing.T) {
 
 	// Joins: every new region must inherit the records it now owns.
 	for i := 0; i < 15; i++ {
-		id, err := ov.Insert(geom.Pt(rng.Float64(), rng.Float64()))
+		id, err := st.InsertObject(geom.Pt(rng.Float64(), rng.Float64()))
 		if err != nil {
 			continue
 		}
-		st.OnInsert(id)
 		ids = append(ids, id)
 	}
 	check("post-join")
@@ -129,8 +128,7 @@ func TestStoreChurnHandoff(t *testing.T) {
 		if ov.Object(id) == nil {
 			continue
 		}
-		st.OnRemove(id)
-		if err := ov.Remove(id); err != nil {
+		if err := st.RemoveObject(id); err != nil {
 			t.Fatal(err)
 		}
 		removed++

@@ -155,58 +155,6 @@ func TestInsertBulkParallelWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestCavityVertsROMatchesInsertion checks the read-only conflict probe
-// against ground truth: the cavity vertices it reports for a point must be
-// exactly the sites that are Voronoi neighbours of the point once it is
-// actually inserted (the carved faces' corners are the new star), and the
-// probe must leave the structure untouched.
-func TestCavityVertsROMatchesInsertion(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	tr := New()
-	pts := make([]geom.Point, 500)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64(), rng.Float64())
-	}
-	tr.InsertBulk(pts)
-	var buf []VertexID
-	for trial := 0; trial < 200; trial++ {
-		p := geom.Pt(rng.Float64()*1.2-0.1, rng.Float64()*1.2-0.1)
-		var ok bool
-		buf, ok = tr.CavityVertsRO(p, NoVertex, buf)
-		if !ok {
-			t.Fatalf("trial %d: unexpected duplicate at %v", trial, p)
-		}
-		cavity := map[VertexID]bool{}
-		for _, v := range buf {
-			cavity[v] = true
-		}
-		before := tr.NumSites()
-		v, err := tr.Insert(p, NoVertex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		star := tr.Neighbors(v, nil)
-		for _, u := range star {
-			if u != Infinite && !cavity[u] {
-				t.Fatalf("trial %d: star vertex %d missing from RO cavity", trial, u)
-			}
-		}
-		if err := tr.Remove(v); err != nil {
-			t.Fatal(err)
-		}
-		if tr.NumSites() != before {
-			t.Fatalf("trial %d: site count drifted", trial)
-		}
-	}
-	// Duplicate probe: reports ok=false, mutates nothing.
-	if _, ok := tr.CavityVertsRO(pts[17], NoVertex, buf); ok {
-		t.Fatal("duplicate position must report ok=false")
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHilbertDistanceBasics(t *testing.T) {
 	// First-order curve visits the four quadrant cells in the canonical
 	// order (0,0) (0,1) (1,1) (1,0).

@@ -4,9 +4,9 @@ import "voronet/internal/geom"
 
 // Samples returns one representative, realistically populated envelope
 // per wire kind. The set is shared by the zero-allocation encode gate
-// (TestAppendEncodeZeroAllocs), the fuzz corpus seeds, and the
-// voronet-bench -net codec phase, so all three measure the same message
-// shapes the live node actually sends.
+// (TestAppendEncodeZeroAllocs), the round-trip tests and the fuzz corpus
+// seeds, so all of them exercise the message shapes the live node
+// actually sends.
 func Samples() []*Envelope {
 	ni := func(addr string, x, y float64) NodeInfo {
 		return NodeInfo{Addr: addr, Pos: geom.Pt(x, y)}

@@ -62,11 +62,10 @@ func TestStoreEquivalenceUnderChurn(t *testing.T) {
 		nodes[addr] = nd
 		addrs = append(addrs, addr)
 
-		id, err := ov.Insert(pos)
+		id, err := st.InsertObject(pos)
 		if err != nil {
 			t.Fatalf("mirror insert: %v", err)
 		}
-		st.OnInsert(id)
 		idOf[addr] = id
 		return addr
 	}
@@ -84,8 +83,7 @@ func TestStoreEquivalenceUnderChurn(t *testing.T) {
 				break
 			}
 		}
-		st.OnRemove(idOf[addr])
-		if err := ov.Remove(idOf[addr]); err != nil {
+		if err := st.RemoveObject(idOf[addr]); err != nil {
 			t.Fatalf("mirror remove: %v", err)
 		}
 		delete(idOf, addr)

@@ -194,8 +194,7 @@ func TestStorePublicAPI(t *testing.T) {
 	}
 
 	// The owner leaves; the record must be handed to the next owner.
-	st.OnRemove(owner)
-	if err := ov.Remove(owner); err != nil {
+	if err := st.RemoveObject(owner); err != nil {
 		t.Fatal(err)
 	}
 	val, _, err = st.Get(ids[3], key)
