@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"voronet"
 	"voronet/internal/kleinberg"
@@ -254,6 +255,66 @@ func BenchmarkJoin(b *testing.B) {
 			b.Fatal(err)
 		}
 		last = id
+	}
+}
+
+// BenchmarkChurnAt100k is BenchmarkJoin where the BLRn lists are long: a
+// 100 000-object overlay provisioned for exactly that many (so a fifth of
+// the long-link targets leave the unit square and pile up on the hull
+// objects), then Store.JoinObject and Store.RemoveObject in alternation,
+// as the benchmark's sim-churn writer does. ns/op is the mean over joins
+// and removes; exterior-ms/op is the mean of the joins whose own drawn
+// target left the square — the slow ones.
+func BenchmarkChurnAt100k(b *testing.B) {
+	b.ReportAllocs()
+	ov := voronet.New(voronet.Config{NMax: 100000, Seed: 52})
+	rng := rand.New(rand.NewSource(51))
+	src := &workload.Uniform{Rand: rng}
+	pts := make([]voronet.Point, 100000)
+	for i := range pts {
+		pts[i] = src.Next()
+	}
+	ids, err := ov.BulkLoad(pts, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := voronet.NewStore(ov, 0)
+	// A standing pool, so a remove takes an object that joined a while ago.
+	var joined []voronet.ObjectID
+	for len(joined) < 64 {
+		id, err := st.JoinObject(src.Next(), ids[rng.Intn(len(ids))])
+		if err != nil {
+			b.Fatal(err)
+		}
+		joined = append(joined, id)
+	}
+	var exterior time.Duration
+	nExterior := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 1 {
+			k := rng.Intn(len(joined))
+			if err := st.RemoveObject(joined[k]); err != nil {
+				b.Fatal(err)
+			}
+			joined[k] = joined[len(joined)-1]
+			joined = joined[:len(joined)-1]
+			continue
+		}
+		t0 := time.Now()
+		id, err := st.JoinObject(src.Next(), ids[rng.Intn(len(ids))])
+		if err != nil {
+			b.Fatal(err)
+		}
+		d := time.Since(t0)
+		joined = append(joined, id)
+		if tgts, _ := ov.LongTargets(id); !tgts[0].InUnitSquare() {
+			exterior += d
+			nExterior++
+		}
+	}
+	if nExterior > 0 {
+		b.ReportMetric(exterior.Seconds()*1e3/float64(nExterior), "exterior-ms/op")
 	}
 }
 

@@ -75,11 +75,10 @@ func (o *Overlay) BulkLoad(points []geom.Point, workers int) ([]ObjectID, error)
 		}
 		id := o.nextID
 		o.nextID++
-		arena = append(arena, Object{ID: id, Pos: p, vert: v})
+		arena = append(arena, Object{ID: id, Pos: p, vert: v, slot: int32(len(o.ids))})
 		obj := &arena[len(arena)-1]
 		o.objs[id] = obj
 		o.setVertexObject(v, id)
-		o.idPos[id] = len(o.ids)
 		o.ids = append(o.ids, id)
 		o.grid.add(p, id)
 		ids[i] = id
@@ -135,7 +134,7 @@ func (o *Overlay) BulkLoad(points []geom.Point, workers int) ([]ObjectID, error)
 			ownerID := o.byVertex[l.owner]
 			obj.longTargets = append(obj.longTargets, l.tgt)
 			obj.longNbrs = append(obj.longNbrs, ownerID)
-			o.objs[ownerID].back = append(o.objs[ownerID].back, BackRef{Obj: obj.ID, Link: i % k})
+			o.objs[ownerID].addBack(obj, i%k)
 		}
 	}
 	return ids, nil

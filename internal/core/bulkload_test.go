@@ -61,6 +61,38 @@ func TestBulkLoadWorkerCountInvariant(t *testing.T) {
 		return o
 	}
 	ref := build(1)
+
+	// Against the same points inserted one by one: the target draws differ
+	// (per-chunk streams), the bookkeeping must not — same IDs at the same
+	// positions, one BLRn entry per link, and both pass the deep check,
+	// which holds every entry's object pointer, inline target and slot.
+	serial := New(Config{NMax: 10000, Seed: 5, LongLinks: 1})
+	for _, p := range pts {
+		if _, err := serial.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, o := range map[string]*Overlay{"BulkLoad": ref, "Insert": serial} {
+		if err := o.CheckInvariants(true); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		entries := 0
+		for _, id := range o.ids {
+			entries += len(o.objs[id].back)
+		}
+		if entries != o.Len()*o.cfg.LongLinks {
+			t.Fatalf("%s: %d BLRn entries for %d links", name, entries, o.Len()*o.cfg.LongLinks)
+		}
+	}
+	if serial.Len() != ref.Len() {
+		t.Fatalf("Insert built %d objects, BulkLoad %d", serial.Len(), ref.Len())
+	}
+	for _, id := range ref.ids {
+		if b := serial.objs[id]; b == nil || b.Pos != ref.objs[id].Pos {
+			t.Fatalf("object %d differs between BulkLoad and Insert", id)
+		}
+	}
+
 	for _, w := range []int{2, 4, 8} {
 		o := build(w)
 		if o.Len() != ref.Len() {

@@ -18,8 +18,9 @@ import (
 //  2. object/vertex/id bookkeeping is bijective and consistent;
 //  3. every object has exactly Config.LongLinks long links (unless
 //     disabled), each registered in its holder's BLRn set;
-//  4. every BLRn entry points back to an object whose corresponding long
-//     link names the holder;
+//  4. every BLRn entry points at the live record of an object whose
+//     corresponding long link names the holder, and carries that link's
+//     target bit for bit;
 //  5. deep: LRn_j(w) is exactly the object owning the region containing
 //     LRt_j(w) — the paper's long-link placement invariant ("the object in
 //     charge of the target of the long range link is always the closest
@@ -37,9 +38,9 @@ func (o *Overlay) CheckInvariants(deep bool) error {
 			liveVerts++
 		}
 	}
-	if len(o.objs) != len(o.ids) || len(o.objs) != liveVerts || len(o.objs) != len(o.idPos) {
-		return fmt.Errorf("bookkeeping sizes diverge: objs=%d ids=%d byVertex=%d idPos=%d",
-			len(o.objs), len(o.ids), liveVerts, len(o.idPos))
+	if len(o.objs) != len(o.ids) || len(o.objs) != liveVerts {
+		return fmt.Errorf("bookkeeping sizes diverge: objs=%d ids=%d byVertex=%d",
+			len(o.objs), len(o.ids), liveVerts)
 	}
 	if o.tr.NumSites() != len(o.objs) {
 		return fmt.Errorf("triangulation has %d sites for %d objects", o.tr.NumSites(), len(o.objs))
@@ -49,8 +50,8 @@ func (o *Overlay) CheckInvariants(deep bool) error {
 		if obj == nil {
 			return fmt.Errorf("ids[%d]=%d has no object", i, id)
 		}
-		if o.idPos[id] != i {
-			return fmt.Errorf("idPos[%d]=%d, want %d", id, o.idPos[id], i)
+		if obj.ID != id || int(obj.slot) != i {
+			return fmt.Errorf("ids[%d]=%d is object %d with slot %d", i, id, obj.ID, obj.slot)
 		}
 		if o.byVertex[obj.vert] != id {
 			return fmt.Errorf("byVertex[%d]=%d, want %d", obj.vert, o.byVertex[obj.vert], id)
@@ -77,24 +78,20 @@ func (o *Overlay) CheckInvariants(deep bool) error {
 			if holder == nil {
 				return fmt.Errorf("object %d long link %d names dead object %d", id, j, nid)
 			}
-			found := false
-			for _, ref := range holder.back {
-				if ref.Obj == id && ref.Link == j {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if holder.backIndex(obj, j) < 0 {
 				return fmt.Errorf("object %d long link %d not registered in BLRn(%d)", id, j, nid)
 			}
 		}
-		for _, ref := range obj.back {
-			w := o.objs[ref.Obj]
-			if w == nil {
-				return fmt.Errorf("BLRn(%d) references dead object %d", id, ref.Obj)
+		for _, e := range obj.back {
+			w, j := e.obj, int(e.link)
+			if w == nil || o.objs[w.ID] != w {
+				return fmt.Errorf("BLRn(%d) entry %+v is not a live object record", id, e)
 			}
-			if ref.Link >= len(w.longNbrs) || w.longNbrs[ref.Link] != id {
-				return fmt.Errorf("BLRn(%d) entry (%d,%d) not mirrored", id, ref.Obj, ref.Link)
+			if j >= len(w.longNbrs) || w.longNbrs[j] != id {
+				return fmt.Errorf("BLRn(%d) entry (%d,%d) not mirrored", id, w.ID, j)
+			}
+			if e.tgt != w.longTargets[j] {
+				return fmt.Errorf("BLRn(%d) entry (%d,%d) carries target %v, link has %v", id, w.ID, j, e.tgt, w.longTargets[j])
 			}
 		}
 	}

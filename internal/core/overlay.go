@@ -111,6 +111,7 @@ type Object struct {
 	Pos geom.Point
 
 	vert delaunay.VertexID
+	slot int32 // index of ID in Overlay.ids
 	// longTargets[j] is LRt_j: the target point of the j-th long link,
 	// fixed at join time (Algorithm 3).
 	longTargets []geom.Point
@@ -119,7 +120,48 @@ type Object struct {
 	longNbrs []ObjectID
 	// back is BLRn: the (object, link) pairs whose target lies in this
 	// object's region. Used only for long-link repair, never for routing.
-	back []BackRef
+	back []backEntry
+}
+
+// backEntry is one BLRn entry, holding everything the hand-over loops of
+// insertBase and remove read: they compare tgt against two positions for
+// every entry of every ring neighbour's list, so the target sits in the
+// list itself (one sequential pass, no map probe, no pointer chase) and
+// obj is dereferenced only for an entry that moves. 32 bytes.
+type backEntry struct {
+	obj  *Object    // the link's object; always the live o.objs[obj.ID]
+	tgt  geom.Point // obj.longTargets[link], fixed for the entry's lifetime
+	link int32
+}
+
+// addBack registers link j of w (whose target is already recorded) in
+// holder's BLRn.
+func (holder *Object) addBack(w *Object, j int) {
+	holder.back = append(holder.back, backEntry{obj: w, tgt: w.longTargets[j], link: int32(j)})
+}
+
+// backIndex returns the position of link j of w in holder's BLRn, or -1.
+func (holder *Object) backIndex(w *Object, j int) int {
+	for i := range holder.back {
+		if e := &holder.back[i]; e.obj == w && int(e.link) == j {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropBack withdraws link j of w from holder's BLRn and reports whether
+// it was registered there.
+func (holder *Object) dropBack(w *Object, j int) bool {
+	i := holder.backIndex(w, j)
+	if i < 0 {
+		return false
+	}
+	last := len(holder.back) - 1
+	holder.back[i] = holder.back[last]
+	holder.back[last] = backEntry{} // do not pin w past its removal
+	holder.back = holder.back[:last]
+	return true
 }
 
 // BackRef identifies one long link of one object (BLRn entry).
@@ -181,8 +223,7 @@ type Overlay struct {
 	// slice, not a map: vertex slots are freelist-reused so it stays
 	// compact, and the lookup sits on every hop of every route.
 	byVertex []ObjectID
-	ids      []ObjectID       // live IDs, for O(1) random sampling
-	idPos    map[ObjectID]int // position of each ID in ids
+	ids      []ObjectID // live IDs, for O(1) random sampling; ids[obj.slot] == obj.ID
 	nextID   ObjectID
 
 	grid *closeIndex
@@ -196,6 +237,8 @@ type Overlay struct {
 
 	nbuf []delaunay.VertexID // scratch (write-locked paths only)
 	cbuf []ObjectID          // scratch (write-locked paths only)
+	ring []*Object           // remove's Voronoi neighbours (write-locked paths only)
+	rpos []geom.Point        // their positions, index-aligned with ring
 	rt   routeState          // routing scratch (write-locked paths only)
 	qsc  queryScratch        // flood scratch (write-locked paths only)
 }
@@ -234,14 +277,13 @@ func New(cfg Config) *Overlay {
 	}
 	tr := delaunay.New()
 	o := &Overlay{
-		cfg:   cfg,
-		dmin:  dmin,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		tr:    tr,
-		vor:   voronoi.New(tr),
-		objs:  make(map[ObjectID]*Object),
-		idPos: make(map[ObjectID]int),
-		grid:  newCloseIndex(dmin),
+		cfg:  cfg,
+		dmin: dmin,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		tr:   tr,
+		vor:  voronoi.New(tr),
+		objs: make(map[ObjectID]*Object),
+		grid: newCloseIndex(dmin),
 	}
 	o.rt = routeState{vor: o.vor, steps: &o.counters.GreedySteps}
 	return o
@@ -364,7 +406,8 @@ func (o *Overlay) closeNeighbors(id ObjectID, buf []ObjectID) ([]ObjectID, error
 }
 
 // LongNeighbors returns the long-range view LRn(o): one entry per long
-// link. The returned slice aliases internal state; do not modify.
+// link. The slice is a snapshot the caller owns; a concurrent writer
+// re-homes links in place, so the live one is never handed out.
 func (o *Overlay) LongNeighbors(id ObjectID) ([]ObjectID, error) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -372,10 +415,11 @@ func (o *Overlay) LongNeighbors(id ObjectID) ([]ObjectID, error) {
 	if obj == nil {
 		return nil, ErrNotFound
 	}
-	return obj.longNbrs, nil
+	return append([]ObjectID(nil), obj.longNbrs...), nil
 }
 
-// LongTargets returns the fixed long-link target points LRt(o).
+// LongTargets returns a snapshot of the long-link target points LRt(o),
+// fixed at join time and re-drawn only by SetNMax.
 func (o *Overlay) LongTargets(id ObjectID) ([]geom.Point, error) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -383,10 +427,10 @@ func (o *Overlay) LongTargets(id ObjectID) ([]geom.Point, error) {
 	if obj == nil {
 		return nil, ErrNotFound
 	}
-	return obj.longTargets, nil
+	return append([]geom.Point(nil), obj.longTargets...), nil
 }
 
-// BackLongRange returns the BLRn(o) view.
+// BackLongRange returns a snapshot of the BLRn(o) view, in list order.
 func (o *Overlay) BackLongRange(id ObjectID) ([]BackRef, error) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -394,7 +438,11 @@ func (o *Overlay) BackLongRange(id ObjectID) ([]BackRef, error) {
 	if obj == nil {
 		return nil, ErrNotFound
 	}
-	return obj.back, nil
+	refs := make([]BackRef, len(obj.back))
+	for i, e := range obj.back {
+		refs[i] = BackRef{Obj: e.obj.ID, Link: int(e.link)}
+	}
+	return refs, nil
 }
 
 // Cell returns object id's Voronoi region as a convex counterclockwise
@@ -529,10 +577,9 @@ func (o *Overlay) insertBase(p geom.Point, hint delaunay.VertexID) (ObjectID, *O
 	}
 	id := o.nextID
 	o.nextID++
-	obj := &Object{ID: id, Pos: p, vert: v}
+	obj := &Object{ID: id, Pos: p, vert: v, slot: int32(len(o.ids))}
 	o.objs[id] = obj
 	o.setVertexObject(v, id)
-	o.idPos[id] = len(o.ids)
 	o.ids = append(o.ids, id)
 	o.grid.add(p, id)
 
@@ -542,19 +589,17 @@ func (o *Overlay) insertBase(p geom.Point, hint delaunay.VertexID) (ObjectID, *O
 	// invariant LRn_j(w) = Obj(LRt_j(w)).
 	o.nbuf = o.tr.Neighbors(v, o.nbuf)
 	for _, nv := range o.nbuf {
-		nid := o.byVertex[nv]
-		nb := o.objs[nid]
+		nb := o.objs[o.byVertex[nv]]
 		kept := nb.back[:0]
-		for _, ref := range nb.back {
-			w := o.objs[ref.Obj]
-			tgt := w.longTargets[ref.Link]
-			if geom.Dist2(p, tgt) < geom.Dist2(nb.Pos, tgt) {
-				w.longNbrs[ref.Link] = id
-				obj.back = append(obj.back, ref)
+		for _, e := range nb.back {
+			if geom.Dist2(p, e.tgt) < geom.Dist2(nb.Pos, e.tgt) {
+				e.obj.longNbrs[e.link] = id
+				obj.back = append(obj.back, e)
 			} else {
-				kept = append(kept, ref)
+				kept = append(kept, e)
 			}
 		}
+		clear(nb.back[len(kept):]) // do not pin the moved entries' objects
 		nb.back = kept
 	}
 	return id, obj, nil
@@ -568,7 +613,7 @@ func (o *Overlay) registerLongLink(obj *Object, j int, tgt geom.Point) {
 	ownerV := o.tr.NearestSite(tgt, obj.vert)
 	ownerID := o.byVertex[ownerV]
 	obj.longNbrs = append(obj.longNbrs, ownerID)
-	o.objs[ownerID].back = append(o.objs[ownerID].back, BackRef{Obj: obj.ID, Link: j})
+	o.objs[ownerID].addBack(obj, j)
 }
 
 // Remove deletes object id and repairs the overlay per §4.2.2
@@ -592,33 +637,37 @@ func (o *Overlay) remove(id ObjectID) error {
 		o.cache.invalidateOwner(id)
 	}
 
-	// Collect the Voronoi neighbours before surgery.
+	// The Voronoi neighbours before surgery, with their positions side by
+	// side: every BLRn entry below is measured against the whole ring.
 	o.nbuf = o.tr.Neighbors(obj.vert, o.nbuf)
-	nbrs := append([]delaunay.VertexID(nil), o.nbuf...)
-	o.counters.MaintenanceMessages += uint64(len(nbrs))
+	o.ring, o.rpos = o.ring[:0], o.rpos[:0]
+	for _, nv := range o.nbuf {
+		nb := o.objs[o.byVertex[nv]]
+		o.ring = append(o.ring, nb)
+		o.rpos = append(o.rpos, nb.Pos)
+	}
+	o.counters.MaintenanceMessages += uint64(len(o.ring))
 
-	// Delegate BLRn entries to the closest Voronoi neighbour.
-	for _, ref := range obj.back {
-		if ref.Obj == id {
+	// Delegate BLRn entries to the closest Voronoi neighbour (the first
+	// such in ring order).
+	for _, e := range obj.back {
+		if e.obj == obj {
 			continue // our own self-link dies with us
 		}
-		w := o.objs[ref.Obj]
-		tgt := w.longTargets[ref.Link]
-		best := NoObject
+		best := -1
 		bestD := math.Inf(1)
-		for _, nv := range nbrs {
-			nid := o.byVertex[nv]
-			if d := geom.Dist2(o.objs[nid].Pos, tgt); d < bestD {
-				best, bestD = nid, d
+		for i, q := range o.rpos {
+			if d := geom.Dist2(q, e.tgt); d < bestD {
+				best, bestD = i, d
 			}
 		}
-		if best == NoObject {
+		if best < 0 {
 			// Last object leaving: the link cannot be repaired; drop it.
-			w.longNbrs[ref.Link] = NoObject
+			e.obj.longNbrs[e.link] = NoObject
 			continue
 		}
-		w.longNbrs[ref.Link] = best
-		o.objs[best].back = append(o.objs[best].back, ref)
+		e.obj.longNbrs[e.link] = o.ring[best].ID
+		o.ring[best].back = append(o.ring[best].back, e)
 		o.counters.MaintenanceMessages += 2 // inform z and y (§4.2.2)
 	}
 	obj.back = nil
@@ -628,14 +677,7 @@ func (o *Overlay) remove(id ObjectID) error {
 		if nid == id || nid == NoObject {
 			continue
 		}
-		holder := o.objs[nid]
-		for i, ref := range holder.back {
-			if ref.Obj == id && ref.Link == j {
-				holder.back[i] = holder.back[len(holder.back)-1]
-				holder.back = holder.back[:len(holder.back)-1]
-				break
-			}
-		}
+		o.objs[nid].dropBack(obj, j)
 		o.counters.MaintenanceMessages++
 	}
 
@@ -648,13 +690,12 @@ func (o *Overlay) remove(id ObjectID) error {
 	}
 	o.grid.remove(obj.Pos, id)
 	o.byVertex[obj.vert] = NoObject
-	delete(o.objs, id)
-	pos := o.idPos[id]
+	// The last live ID takes over the freed slot (itself, when obj is last).
 	last := len(o.ids) - 1
-	o.ids[pos] = o.ids[last]
-	o.idPos[o.ids[pos]] = pos
+	moved := o.objs[o.ids[last]]
+	o.ids[obj.slot], moved.slot = moved.ID, obj.slot
 	o.ids = o.ids[:last]
-	delete(o.idPos, id)
+	delete(o.objs, id)
 	o.counters.Leaves++
 	return nil
 }

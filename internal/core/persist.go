@@ -95,12 +95,12 @@ func Load(r io.Reader) (*Overlay, error) {
 			ID:          os.ID,
 			Pos:         os.Pos,
 			vert:        v,
+			slot:        int32(len(o.ids)),
 			longTargets: os.LongTargets,
 			longNbrs:    os.LongNbrs,
 		}
 		o.objs[os.ID] = obj
 		o.setVertexObject(v, os.ID)
-		o.idPos[os.ID] = len(o.ids)
 		o.ids = append(o.ids, os.ID)
 		o.grid.add(os.Pos, os.ID)
 		if os.ID >= o.nextID {
@@ -118,7 +118,7 @@ func Load(r io.Reader) (*Overlay, error) {
 			if holder == nil {
 				return nil, fmt.Errorf("voronet: load: object %d link %d names missing object %d", id, j, nid)
 			}
-			holder.back = append(holder.back, BackRef{Obj: id, Link: j})
+			holder.addBack(obj, j)
 		}
 	}
 	return o, nil

@@ -59,6 +59,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(t1, t2) {
 			t.Fatalf("object %d targets differ", id)
 		}
+		// BLRn is not saved: Load re-derives it, target included.
+		if b1, b2 := sortedBackRefs(o, id), sortedBackRefs(o2, id); !reflect.DeepEqual(b1, b2) {
+			t.Fatalf("object %d BLRn %v vs %v", id, b1, b2)
+		}
 		c1, _ := o.CloseNeighbors(id, nil)
 		c2, _ := o2.CloseNeighbors(id, nil)
 		sortIDs(c1)

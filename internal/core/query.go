@@ -252,12 +252,10 @@ func (o *Overlay) setNMax(nmax, denseThreshold int) int {
 	newDMin := DefaultDMin(nmax)
 
 	// Rebuild the close-neighbour grid at the new radius.
-	oldGrid := o.grid
 	o.grid = newCloseIndex(newDMin)
 	for _, id := range o.ids {
 		o.grid.add(o.objs[id].Pos, id)
 	}
-	_ = oldGrid
 	prevDMin := o.dmin
 	o.dmin = newDMin
 
@@ -279,13 +277,7 @@ func (o *Overlay) setNMax(nmax, denseThreshold int) int {
 		for j := range obj.longTargets {
 			// Withdraw the old link...
 			if holder := o.objs[obj.longNbrs[j]]; holder != nil {
-				for i, ref := range holder.back {
-					if ref.Obj == id && ref.Link == j {
-						holder.back[i] = holder.back[len(holder.back)-1]
-						holder.back = holder.back[:len(holder.back)-1]
-						break
-					}
-				}
+				holder.dropBack(obj, j)
 			}
 			// ...and draw a fresh one under the new dmin.
 			tgt := o.chooseLRT(obj.Pos)
@@ -293,7 +285,7 @@ func (o *Overlay) setNMax(nmax, denseThreshold int) int {
 			ownerV := o.tr.NearestSite(tgt, obj.vert)
 			ownerID := o.byVertex[ownerV]
 			obj.longNbrs[j] = ownerID
-			o.objs[ownerID].back = append(o.objs[ownerID].back, BackRef{Obj: id, Link: j})
+			o.objs[ownerID].addBack(obj, j)
 		}
 	}
 	return refreshed

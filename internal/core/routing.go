@@ -338,7 +338,7 @@ func (o *Overlay) join(p geom.Point, via ObjectID) (ObjectID, error) {
 			o.counters.JoinRouteSteps += uint64(lhops)
 			obj.longTargets = append(obj.longTargets, tgt)
 			obj.longNbrs = append(obj.longNbrs, ownerID)
-			o.objs[ownerID].back = append(o.objs[ownerID].back, BackRef{Obj: id, Link: j})
+			o.objs[ownerID].addBack(obj, j)
 		}
 	}
 	o.counters.Joins++
