@@ -364,11 +364,10 @@ func BenchmarkStorePut(b *testing.B) {
 }
 
 // storeGetSetup builds what every BenchmarkStoreGet case reads: a store on
-// a benchN-object overlay (the same one for either owner-resolution mode)
-// holding 2000 uniform keys and a 1024-key hot set, plus a Zipf(1.1)
-// popularity stream over the hot set.
-func storeGetSetup(b *testing.B, fictive bool) (st *voronet.Store, from voronet.ObjectID, uniform, zipf []voronet.Point) {
-	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 54, FictiveQueries: fictive})
+// a benchN-object overlay holding 2000 uniform keys and a 1024-key hot
+// set, plus a Zipf(1.1) popularity stream over the hot set.
+func storeGetSetup(b *testing.B) (st *voronet.Store, from voronet.ObjectID, uniform, zipf []voronet.Point) {
+	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 54})
 	rng := rand.New(rand.NewSource(53))
 	src := &workload.Uniform{Rand: rng}
 	for ov.Len() < benchN {
@@ -395,9 +394,8 @@ func storeGetSetup(b *testing.B, fictive bool) (st *voronet.Store, from voronet.
 
 // BenchmarkStoreGet measures an object-store GET end to end on a mirror
 // pre-loaded with keys, and the mean routed hops per GET: over uniform
-// keys, over Zipf-popular keys without and with the 512-entry route
-// cache, and with owners resolved by Algorithm 4's literal fictive
-// insert/remove (Config.FictiveQueries, the paper's cost model).
+// keys and over Zipf-popular keys without and with the 512-entry route
+// cache.
 func BenchmarkStoreGet(b *testing.B) {
 	get := func(st *voronet.Store, from voronet.ObjectID, keys []voronet.Point) func(*testing.B) {
 		return func(b *testing.B) {
@@ -413,17 +411,15 @@ func BenchmarkStoreGet(b *testing.B) {
 			b.ReportMetric(float64(hops)/float64(b.N), "hops")
 		}
 	}
-	st, from, uniform, zipf := storeGetSetup(b, false)
+	st, from, uniform, zipf := storeGetSetup(b)
 	b.Run("uniform", get(st, from, uniform))
 	b.Run("zipf1.1", get(st, from, zipf))
 	st.SetRouteCache(512)
 	b.Run("zipf1.1+cache512", get(st, from, zipf))
-	fst, ffrom, funiform, _ := storeGetSetup(b, true)
-	b.Run("fictive", get(fst, ffrom, funiform))
 }
 
 // BenchmarkHandleQuery measures Algorithm 4 end to end (routing plus the
-// fictive insert/remove dance).
+// read-only owner resolution).
 func BenchmarkHandleQuery(b *testing.B) {
 	b.ReportAllocs()
 	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 44})

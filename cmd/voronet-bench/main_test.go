@@ -31,23 +31,54 @@ func TestCPUProfileSurvivesFailure(t *testing.T) {
 
 // TestDocsNameWhatExists keeps README.md, DESIGN.md and EXPERIMENTS.md
 // from pointing at result files or Go source files that are not in the
-// tree or at voronet-bench flags that are not defined. Text under a
-// "Retired …" heading is history and exempt.
+// tree, at voronet-bench flags that are not defined, or (back-ticked) at
+// tests, benchmarks and fuzz targets no *_test.go declares; the same for
+// every such name in .github/workflows/ci.yml, where a `-run` pattern
+// that matches nothing passes silently. Text under a "Retired …" heading
+// is history and exempt.
 func TestDocsNameWhatExists(t *testing.T) {
 	root := filepath.Join("..", "..")
 	// A doc may name a source file by any suffix of its path
-	// (`node/surgery.go`), so index the tree's Go files by "/"+path.
-	var goFiles []string
+	// (`node/store.go`), so index the tree's Go files by "/"+path.
+	var goFiles, testFuncs []string
+	testDecl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
 			rel, _ := filepath.Rel(root, path)
 			goFiles = append(goFiles, "/"+filepath.ToSlash(rel))
+			if strings.HasSuffix(path, "_test.go") {
+				src, err := os.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				for _, m := range testDecl.FindAllSubmatch(src, -1) {
+					testFuncs = append(testFuncs, string(m[1]))
+				}
+			}
 		}
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// `go test -run X` selects by unanchored match, and the docs shorten
+	// families the same way: a name stands if it prefixes a declared one.
+	declared := func(name string) bool {
+		return slices.ContainsFunc(testFuncs, func(f string) bool { return strings.HasPrefix(f, name) })
+	}
+	testName := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9]\w*`)
+	ci, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(ci), "\n") {
+		for _, name := range testName.FindAllString(line, -1) {
+			if !declared(name) {
+				t.Errorf("ci.yml:%d: names %s, which no *_test.go declares", i+1, name)
+			}
+		}
+	}
+	tickedTest := regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Z0-9]\\w*)")
 	goFile := regexp.MustCompile("`([\\w./-]+\\.go)`")
 	resultFile := regexp.MustCompile(`\bBENCH_\w+\.(?:json|txt)\b|\bbenchmark/results/[\w.-]+\.json\b`)
 	flagWord := regexp.MustCompile(`(?:^|\s)-{1,2}([a-z][\w-]*)`)
@@ -87,6 +118,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 				named := func(f string) bool { return strings.HasSuffix(f, "/"+m[1]) }
 				if !slices.ContainsFunc(goFiles, named) {
 					at("names %s, which is not in the tree", m[1])
+				}
+			}
+			for _, m := range tickedTest.FindAllStringSubmatch(line, -1) {
+				if !declared(m[1]) {
+					at("names %s, which no *_test.go declares", m[1])
 				}
 			}
 			if cmd := strings.Index(line, "voronet-bench "); inSh && cmd >= 0 {

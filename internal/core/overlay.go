@@ -82,19 +82,6 @@ type Config struct {
 	// maintenance without measurably changing routing. Off by default for
 	// paper fidelity; see EXPERIMENTS.md ("maintenance costs").
 	InteriorTargets bool
-	// FictiveQueries makes HandleQuery resolve the owner of the query
-	// point the way Algorithm 4 literally does: insert a fictive object at
-	// DistanceToRegion(target) and one at the target, read off the nearest
-	// Voronoi neighbour, and remove both again — two real Delaunay
-	// insert/remove pairs per query, accounted in Counters.FictiveInserts.
-	// This is the paper-fidelity cost model. Off by default: queries then
-	// resolve the owner with a read-only nearest-site walk from the
-	// stopping object, which mutates nothing (the owner named is the same;
-	// see TestOwnerResolutionEquivalence) and is what lets reads run
-	// concurrently. Joins always use the fictive protocol — they mutate
-	// the tessellation anyway and the paper's join cost accounting
-	// (Algorithm 1 + 2) depends on it.
-	FictiveQueries bool
 }
 
 // DefaultDMin returns the paper's close-neighbour radius for a given NMax:

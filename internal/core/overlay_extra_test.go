@@ -119,7 +119,7 @@ func TestLinkRadiusExponents(t *testing.T) {
 	const n = 40000
 	half := math.Sqrt2 / 2
 	for i := 0; i < n; i++ {
-		r := o.sampleLinkRadius(o.rng)
+		r := linkRadius(o)
 		if r < o.DMin()-1e-15 || r > math.Sqrt2+1e-12 {
 			t.Fatalf("s=0 radius %g out of bounds", r)
 		}
@@ -136,7 +136,7 @@ func TestLinkRadiusExponents(t *testing.T) {
 	o3 := New(Config{NMax: 10000, Seed: 7, LongLinkExponent: 3})
 	below := 0
 	for i := 0; i < n; i++ {
-		if o3.sampleLinkRadius(o3.rng) <= half {
+		if linkRadius(o3) <= half {
 			below++
 		}
 	}

@@ -7,11 +7,17 @@ import (
 	"testing"
 
 	"voronet/internal/geom"
+	"voronet/internal/kleinberg"
 	"voronet/internal/workload"
 )
 
 func newTestOverlay(nmax int) *Overlay {
 	return New(Config{NMax: nmax, Seed: 1})
+}
+
+// linkRadius draws Choose-LRT's radius exactly as chooseLRTWith does.
+func linkRadius(o *Overlay) float64 {
+	return kleinberg.SampleRadius(o.dmin, math.Sqrt2, o.cfg.LongLinkExponent, o.rng)
 }
 
 func fill(t *testing.T, o *Overlay, src workload.Source, n int) []ObjectID {
@@ -310,6 +316,7 @@ func TestHandleQuery(t *testing.T) {
 	o := newTestOverlay(2000)
 	rng := rand.New(rand.NewSource(11))
 	ids := fill(t, o, &workload.Uniform{Rand: rng}, 400)
+	o.ResetCounters()
 	for q := 0; q < 100; q++ {
 		from := ids[rng.Intn(len(ids))]
 		p := geom.Pt(rng.Float64(), rng.Float64())
@@ -322,7 +329,14 @@ func TestHandleQuery(t *testing.T) {
 			t.Fatalf("query owner %d, want %d", res.Owner, want)
 		}
 	}
-	// The fictive dance must leave the overlay unchanged.
+	// Queries resolve the owner read-only: counted, and no fictive object
+	// is ever inserted for one.
+	if c := o.Counters(); c.Queries != 100 || c.FictiveInserts != 0 {
+		t.Fatalf("100 queries counted %d, with %d fictive inserts", c.Queries, c.FictiveInserts)
+	}
+	if _, err := o.HandleQuery(999999, geom.Pt(0.5, 0.5)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("unknown origin: %v", err)
+	}
 	if o.Len() != len(ids) {
 		t.Fatalf("queries changed the overlay size: %d != %d", o.Len(), len(ids))
 	}
@@ -498,7 +512,7 @@ func TestLongLinkRadiusDistribution(t *testing.T) {
 	var count int
 	median := math.Sqrt(o.DMin() * math.Sqrt2)
 	for i := 0; i < n; i++ {
-		if o.sampleLinkRadius(o.rng) < median {
+		if linkRadius(o) < median {
 			count++
 		}
 	}
@@ -508,7 +522,7 @@ func TestLongLinkRadiusDistribution(t *testing.T) {
 	}
 	// Bounds.
 	for i := 0; i < 1000; i++ {
-		r := o.sampleLinkRadius(o.rng)
+		r := linkRadius(o)
 		if r < o.DMin()-1e-15 || r > math.Sqrt2+1e-12 {
 			t.Fatalf("radius %g out of [dmin, √2]", r)
 		}
@@ -525,7 +539,7 @@ func TestChooseLRTLemma2(t *testing.T) {
 	n := 50000
 	counts := map[float64]int{0.01: 0, 0.1: 0, 1.0: 0}
 	for i := 0; i < n; i++ {
-		r := o.sampleLinkRadius(o.rng)
+		r := linkRadius(o)
 		for d := range counts {
 			if r <= d {
 				counts[d]++

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -92,67 +91,5 @@ func checkResolutionAgreement(t *testing.T, o *Overlay, from ObjectID, p geom.Po
 	if fast != fict && !o.equidistantOwners(p, fast, fict) {
 		t.Fatalf("%s: owner of %v: fast path %d (d=%g), fictive %d (d=%g)",
 			label, p, fast, geom.Dist2(o.objs[fast].Pos, p), fict, geom.Dist2(o.objs[fict].Pos, p))
-	}
-}
-
-// TestFictiveQueriesFlag pins the public semantics of the fidelity flag:
-// with FictiveQueries set HandleQuery accounts fictive insertions exactly
-// as Algorithm 4 specifies; without it queries leave the fictive counter
-// untouched — and both name the same owners on the same overlay content.
-func TestFictiveQueriesFlag(t *testing.T) {
-	build := func(fictive bool) (*Overlay, []ObjectID) {
-		o := New(Config{NMax: 1000, Seed: 9, FictiveQueries: fictive})
-		rng := rand.New(rand.NewSource(10))
-		ids := fill(t, o, &workload.Uniform{Rand: rng}, 250)
-		return o, ids
-	}
-	fast, idsFast := build(false)
-	fict, idsFict := build(true)
-	if len(idsFast) != len(idsFict) {
-		t.Fatalf("overlays diverged: %d vs %d objects", len(idsFast), len(idsFict))
-	}
-
-	fast.ResetCounters()
-	fict.ResetCounters()
-	rng := rand.New(rand.NewSource(11))
-	const queries = 80
-	for q := 0; q < queries; q++ {
-		p := geom.Pt(rng.Float64(), rng.Float64())
-		from := idsFast[rng.Intn(len(idsFast))]
-		rFast, err := fast.HandleQuery(from, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rFict, err := fict.HandleQuery(from, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rFast.Owner != rFict.Owner && !fast.equidistantOwners(p, rFast.Owner, rFict.Owner) {
-			t.Fatalf("query %v: fast owner %d, fictive owner %d", p, rFast.Owner, rFict.Owner)
-		}
-	}
-	cFast, cFict := fast.Counters(), fict.Counters()
-	if cFast.Queries != queries || cFict.Queries != queries {
-		t.Fatalf("query counts: fast %d, fictive %d", cFast.Queries, cFict.Queries)
-	}
-	if cFast.FictiveInserts != 0 {
-		t.Fatalf("fast path performed %d fictive inserts", cFast.FictiveInserts)
-	}
-	if cFict.FictiveInserts == 0 {
-		t.Fatal("fidelity mode performed no fictive inserts")
-	}
-	// The dance must still leave the overlay unchanged.
-	if fict.Len() != len(idsFict) {
-		t.Fatalf("fictive queries changed the overlay: %d objects", fict.Len())
-	}
-	if err := fict.CheckInvariants(true); err != nil {
-		t.Fatal(err)
-	}
-	// Both modes reject unknown introduction objects identically.
-	if _, err := fast.HandleQuery(999999, geom.Pt(0.5, 0.5)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("fast path unknown origin: %v", err)
-	}
-	if _, err := fict.HandleQuery(999999, geom.Pt(0.5, 0.5)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("fictive path unknown origin: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"voronet/internal/delaunay"
 	"voronet/internal/geom"
+	"voronet/internal/kleinberg"
 	"voronet/internal/voronoi"
 )
 
@@ -25,7 +26,7 @@ func (o *Overlay) chooseLRT(p geom.Point) geom.Point {
 // (bulkload.go), so the caller owns the locking story.
 func (o *Overlay) chooseLRTWith(rng *rand.Rand, p geom.Point) geom.Point {
 	draw := func() geom.Point {
-		r := o.sampleLinkRadius(rng)
+		r := kleinberg.SampleRadius(o.dmin, math.Sqrt2, o.cfg.LongLinkExponent, rng)
 		theta := rng.Float64() * 2 * math.Pi
 		return geom.Pt(p.X+r*math.Cos(theta), p.Y+r*math.Sin(theta))
 	}
@@ -39,19 +40,6 @@ func (o *Overlay) chooseLRTWith(rng *rand.Rand, p geom.Point) geom.Point {
 		}
 	}
 	return tgt
-}
-
-func (o *Overlay) sampleLinkRadius(rng *rand.Rand) float64 {
-	rmin, rmax := o.dmin, math.Sqrt2
-	u := rng.Float64()
-	if s := o.cfg.LongLinkExponent; s != 2 {
-		e := 2 - s
-		lo := math.Pow(rmin, e)
-		hi := math.Pow(rmax, e)
-		return math.Pow(lo+u*(hi-lo), 1/e)
-	}
-	// a ~ U[ln dmin, ln √2]; r = e^a.
-	return math.Exp(math.Log(rmin) + u*(math.Log(rmax)-math.Log(rmin)))
 }
 
 // routeState is the mutable state one routing walk consumes: neighbour
@@ -436,13 +424,13 @@ func (o *Overlay) resolveByFictive(cur *Object, tgt geom.Point) (ObjectID, error
 // `from`, determine the owner, and "answer" it by returning the owner.
 // Hops is the Greedyneighbour count.
 //
-// Owner determination depends on Config.FictiveQueries: by default the
-// stopping object resolves Obj(query) with a read-only nearest-site walk
-// (the stop condition guarantees the owner is in its vicinity — Lemma 4);
-// with the flag set it performs the paper's literal fictive insert/remove
-// dance and accounts its cost. Either way the call serialises against the
-// overlay (it updates the shared counters); the Router/Store fast path is
-// the concurrent equivalent.
+// The stopping object resolves Obj(query) with a read-only nearest-site
+// walk (the stop condition guarantees the owner is in its vicinity —
+// Lemma 4); the paper's literal fictive insert/remove dance names the same
+// owner (resolveByFictive, which join's searchLongLink still performs;
+// TestOwnerResolutionEquivalence). The call serialises against the overlay
+// (it updates the shared counters); the Router/Store fast path is the
+// concurrent equivalent.
 func (o *Overlay) HandleQuery(from ObjectID, query geom.Point) (RouteResult, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -458,15 +446,7 @@ func (o *Overlay) handleQuery(from ObjectID, query geom.Point) (RouteResult, err
 	if err != nil {
 		return RouteResult{Hops: hops}, err
 	}
-	var owner ObjectID
-	if o.cfg.FictiveQueries {
-		owner, err = o.resolveByFictive(cur, query)
-		if err != nil {
-			return RouteResult{Hops: hops}, err
-		}
-	} else {
-		owner = o.resolveByNearest(cur, query)
-	}
+	owner := o.resolveByNearest(cur, query)
 	o.counters.MaintenanceMessages++ // AnswerQuery back to the requester
 	o.counters.Queries++
 	return RouteResult{Stop: cur.ID, Owner: owner, Hops: hops}, nil

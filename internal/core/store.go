@@ -28,15 +28,10 @@ import (
 // writer proceeds serially. Objects that come and go while a store is
 // attached do so through InsertObject, JoinObject and RemoveObject, which
 // run the tessellation surgery and the store handoff under one hold of
-// the overlay write lock. With Config.FictiveQueries set, operations
-// instead route through HandleQuery (Algorithm 4's fictive insert/remove
-// dance) for paper-fidelity cost accounting and therefore serialise.
+// the overlay write lock.
 type Store struct {
 	ov  *Overlay
 	rep int
-	// fictiveQueries caches Config.FictiveQueries (immutable after New)
-	// so the per-operation mode branch costs no overlay lock round-trip.
-	fictiveQueries bool
 
 	mu      sync.RWMutex // guards buckets (the map, not the Locals)
 	buckets map[ObjectID]*store.Local
@@ -114,10 +109,9 @@ func NewStore(ov *Overlay, replication int) *Store {
 		replication = store.DefaultReplication
 	}
 	s := &Store{
-		ov:             ov,
-		rep:            replication,
-		fictiveQueries: ov.Config().FictiveQueries,
-		buckets:        make(map[ObjectID]*store.Local),
+		ov:      ov,
+		rep:     replication,
+		buckets: make(map[ObjectID]*store.Local),
 	}
 	s.clients.New = func() any { return &storeClient{r: ov.NewRouter()} }
 	return s
@@ -149,15 +143,6 @@ func (s *Store) Put(from ObjectID, key geom.Point, value []byte) (owner ObjectID
 		start := time.Now()
 		defer func() { m.done(m.putLat, m.putHop, start, hops, err) }()
 	}
-	if s.fictive() {
-		res, err := s.ov.HandleQuery(from, key)
-		if err != nil {
-			return NoObject, 0, err
-		}
-		rec := s.bucket(res.Owner).Put(key, value)
-		s.replicate(res.Owner, NoObject, rec)
-		return res.Owner, res.Hops, nil
-	}
 	c := s.client()
 	defer s.clients.Put(c)
 	s.ov.mu.RLock()
@@ -177,17 +162,6 @@ func (s *Store) Get(from ObjectID, key geom.Point) (value []byte, hops int, err 
 	if m := s.metrics; m != nil {
 		start := time.Now()
 		defer func() { m.done(m.getLat, m.getHop, start, hops, err) }()
-	}
-	if s.fictive() {
-		res, err := s.ov.HandleQuery(from, key)
-		if err != nil {
-			return nil, 0, err
-		}
-		rec, ok := s.bucket(res.Owner).Get(key)
-		if !ok {
-			return nil, res.Hops, store.ErrNotFound
-		}
-		return rec.Value, res.Hops, nil
 	}
 	c := s.client()
 	defer s.clients.Put(c)
@@ -212,18 +186,6 @@ func (s *Store) Delete(from ObjectID, key geom.Point) (hops int, err error) {
 		start := time.Now()
 		defer func() { m.done(m.delLat, m.delHop, start, hops, err) }()
 	}
-	if s.fictive() {
-		res, err := s.ov.HandleQuery(from, key)
-		if err != nil {
-			return 0, err
-		}
-		tomb, ok := s.bucket(res.Owner).Delete(key)
-		if !ok {
-			return res.Hops, store.ErrNotFound
-		}
-		s.replicate(res.Owner, NoObject, tomb)
-		return res.Hops, nil
-	}
 	c := s.client()
 	defer s.clients.Put(c)
 	s.ov.mu.RLock()
@@ -240,47 +202,23 @@ func (s *Store) Delete(from ObjectID, key geom.Point) (hops int, err error) {
 	return res.Hops, nil
 }
 
-func (s *Store) fictive() bool { return s.fictiveQueries }
-
 func (s *Store) client() *storeClient { return s.clients.Get().(*storeClient) }
 
-// replicate pushes rec to the rep Voronoi neighbours of owner closest to
-// the record's key, skipping `exclude` (a departing object). It takes the
-// overlay locks itself; the caller must hold none.
-func (s *Store) replicate(owner, exclude ObjectID, rec proto.StoreRecord) {
-	c := s.client()
-	defer s.clients.Put(c)
-	s.ov.mu.RLock()
-	defer s.ov.mu.RUnlock()
-	s.replicateLocked(c, owner, exclude, rec)
-}
-
-// replicateLocked is replicate under a held overlay read lock, placing
-// replicas via the client's private scratch.
+// replicateLocked pushes rec to the rep Voronoi neighbours of owner
+// nearest to the record's key (store.Closest), skipping `exclude` (a
+// departing object), under a held overlay lock; the neighbour list lives
+// in the client's private scratch.
 func (s *Store) replicateLocked(c *storeClient, owner, exclude ObjectID, rec proto.StoreRecord) {
 	vns, err := c.r.voronoiNeighbors(owner, c.vns)
 	c.vns = vns[:0]
 	if err != nil {
 		return
 	}
-	for picked := 0; picked < s.rep && len(vns) > 0; picked++ {
-		best, bestAt := NoObject, -1
-		bestD := 0.0
-		for i, id := range vns {
-			if id == exclude {
-				continue
-			}
-			d := geom.Dist2(s.ov.objs[id].Pos, rec.Key)
-			if bestAt < 0 || d < bestD {
-				best, bestAt, bestD = id, i, d
-			}
-		}
-		if bestAt < 0 {
-			return
-		}
-		vns[bestAt] = vns[len(vns)-1]
-		vns = vns[:len(vns)-1]
-		s.bucket(best).Apply(rec)
+	var rank [8]int
+	for _, i := range store.Closest(rank[:0], s.rep, len(vns), rec.Key, func(i int) (geom.Point, bool) {
+		return s.ov.objs[vns[i]].Pos, vns[i] != exclude
+	}) {
+		s.bucket(vns[i]).Apply(rec)
 	}
 }
 
@@ -394,17 +332,11 @@ func (s *Store) onRemoveLocked(c *storeClient, id ObjectID) {
 	for i, nid := range vns {
 		pos[i] = s.ov.objs[nid].Pos
 	}
+	at := func(i int) (geom.Point, bool) { return pos[i], true }
 	for _, rec := range b.Snapshot() {
-		best, bestAt := NoObject, -1
-		bestD := 0.0
-		for i, nid := range vns {
-			d := geom.Dist2(pos[i], rec.Key)
-			if bestAt < 0 || d < bestD {
-				best, bestAt, bestD = nid, i, d
-			}
-		}
-		if s.bucket(best).Apply(rec) {
-			s.replicateLocked(c, best, id, rec)
+		i := store.Nearest(len(vns), rec.Key, at)
+		if i >= 0 && s.bucket(vns[i]).Apply(rec) {
+			s.replicateLocked(c, vns[i], id, rec)
 		}
 	}
 }

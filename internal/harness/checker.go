@@ -9,6 +9,7 @@ import (
 	"voronet/internal/node"
 	"voronet/internal/proto"
 	"voronet/internal/stats"
+	"voronet/internal/store"
 )
 
 // CheckReport is the outcome of one network-wide invariant check.
@@ -100,22 +101,14 @@ func (ref *reference) ownerOf(p geom.Point) *member {
 }
 
 // replicaSet returns the owner's R reference neighbours closest to key,
-// ranked by (distance, address) exactly as the owner ranks them.
+// ranked by the store's own rule (store.Closest over the address-sorted
+// reference list, so ties rank by address exactly as the owner's do).
 func (ref *reference) replicaSet(owner *member, key geom.Point, rf int) []*member {
-	nbrs := append([]proto.NodeInfo(nil), ref.nbrs[owner.addr]...)
-	sort.Slice(nbrs, func(i, j int) bool {
-		di, dj := geom.Dist2(nbrs[i].Pos, key), geom.Dist2(nbrs[j].Pos, key)
-		if di != dj {
-			return di < dj
-		}
-		return nbrs[i].Addr < nbrs[j].Addr
-	})
-	if rf > len(nbrs) {
-		rf = len(nbrs)
-	}
-	out := make([]*member, 0, rf)
-	for _, v := range nbrs[:rf] {
-		out = append(out, ref.byAddr[v.Addr])
+	nbrs := ref.nbrs[owner.addr]
+	rank := store.Closest(nil, rf, len(nbrs), key, func(i int) (geom.Point, bool) { return nbrs[i].Pos, true })
+	out := make([]*member, 0, len(rank))
+	for _, i := range rank {
+		out = append(out, ref.byAddr[nbrs[i].Addr])
 	}
 	return out
 }

@@ -51,12 +51,12 @@ func Scenarios() []Scenario {
 			},
 		},
 		{
-			// The sharded-surgery stress: a batch flash crowd lands while
-			// the overlay is simultaneously shrinking by leaves and
-			// crashes, then a second crowd hits the shrunken mesh. Every
-			// Check runs the full invariant battery, so any conflict-set
-			// miscomputation in the concurrent view surgery (lost back
-			// refs, torn Voronoi stars, replica holes) fails the scenario.
+			// The view-surgery stress: a batch flash crowd lands while the
+			// overlay is simultaneously shrinking by leaves and crashes,
+			// then a second crowd hits the shrunken mesh. Every Check runs
+			// the full invariant battery, so any miscomputation in the
+			// overlapping view recomputes (lost back refs, torn Voronoi
+			// stars, replica holes) fails the scenario.
 			Name: "flash-crowd-churn", Seed: 110,
 			Steps: []Step{
 				Join{N: 10},

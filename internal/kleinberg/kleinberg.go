@@ -41,7 +41,7 @@ func New(n, k int, s float64, rng *rand.Rand) *Grid {
 		x, y := v%n, v/n
 		contacts := make([]int32, 0, k)
 		for len(contacts) < k {
-			r := sampleRadius(1, maxR, s, rng)
+			r := SampleRadius(1, maxR, s, rng)
 			theta := rng.Float64() * 2 * math.Pi
 			tx := x + int(math.Round(r*math.Cos(theta)))
 			ty := y + int(math.Round(r*math.Sin(theta)))
@@ -59,7 +59,13 @@ func New(n, k int, s float64, rng *rand.Rand) *Grid {
 	return g
 }
 
-func sampleRadius(rmin, rmax, s float64, rng *rand.Rand) float64 {
+// SampleRadius draws a long-range radius on [rmin, rmax] with density
+// proportional to r^(1-s) by inverse CDF from one rng.Float64() — the
+// radius draw of Choose-LRT (Algorithm 3), shared by the lattice above,
+// the simulator (internal/core) and the live node (internal/node), which
+// each draw the angle next. For s = 2 it is log-uniform: a ~ U[ln rmin,
+// ln rmax], r = e^a.
+func SampleRadius(rmin, rmax, s float64, rng *rand.Rand) float64 {
 	u := rng.Float64()
 	if s == 2 {
 		return math.Exp(math.Log(rmin) + u*(math.Log(rmax)-math.Log(rmin)))

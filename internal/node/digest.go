@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 
-	"voronet/internal/geom"
 	"voronet/internal/proto"
 )
 
@@ -75,71 +75,19 @@ func unpackFPs(b []byte) []uint64 {
 	return fps
 }
 
-// syncTarget is one anti-entropy destination: the records this node
-// would push to addr, either as replica refresh (handoff false) or as an
-// ownership handoff. One address can appear twice, once per mode.
-type syncTarget struct {
-	addr    string
-	handoff bool
-	recs    []proto.StoreRecord
-}
-
-// syncTargets computes the full anti-entropy push plan, mirroring
-// pushByOwner's placement exactly: records this node owns go to the
-// replication closest Voronoi neighbours per key (replica refresh),
-// records it merely holds go to the key's owner as a handoff. Targets
-// and records keep first-seen order over the sorted record snapshot, so
-// derived message sequences are deterministic.
-func syncTargets(self proto.NodeInfo, vns []proto.NodeInfo, replication int, recs []proto.StoreRecord, exclude string) []syncTarget {
-	type tkey struct {
-		addr    string
-		handoff bool
+// syncPlan places every record this node holds by its current view — the
+// anti-entropy push plan, mode and destination exactly as a full push
+// would choose them — and returns it with the number of records
+// considered. Both are zero when the node is not joined.
+func (n *Node) syncPlan() ([]pushTo, int) {
+	n.mu.RLock()
+	joined, vns := n.joined, n.vnList()
+	n.mu.RUnlock()
+	if !joined {
+		return nil, 0
 	}
-	idx := make(map[tkey]int)
-	var out []syncTarget
-	add := func(addr string, handoff bool, rec proto.StoreRecord) {
-		if addr == "" || addr == exclude {
-			return
-		}
-		k := tkey{addr, handoff}
-		i, ok := idx[k]
-		if !ok {
-			i = len(out)
-			idx[k] = i
-			out = append(out, syncTarget{addr: addr, handoff: handoff})
-		}
-		out[i].recs = append(out[i].recs, rec)
-	}
-	sorted := append([]proto.NodeInfo(nil), vns...)
-	for _, rec := range recs {
-		owner, isSelf := ownerForKey(self, vns, rec.Key)
-		if !isSelf {
-			add(owner.Addr, true, rec)
-			continue
-		}
-		// Replica set: the replication closest neighbours, distance then
-		// address — the same ordering replicateRecords uses, so digest
-		// mode and full mode name identical destinations.
-		sort.Slice(sorted, func(i, j int) bool {
-			di, dj := geom.Dist2(sorted[i].Pos, rec.Key), geom.Dist2(sorted[j].Pos, rec.Key)
-			if di != dj {
-				return di < dj
-			}
-			return sorted[i].Addr < sorted[j].Addr
-		})
-		picked := 0
-		for _, v := range sorted {
-			if picked == replication {
-				break
-			}
-			if v.Addr == exclude {
-				continue
-			}
-			add(v.Addr, false, rec)
-			picked++
-		}
-	}
-	return out
+	recs := n.kv.Snapshot()
+	return placementPlan(n.self, vns, n.cfg.Replication, recs, false), len(recs)
 }
 
 // handleSyncDigest answers an anti-entropy opener: fingerprint our whole
@@ -181,40 +129,17 @@ func (n *Node) handleSyncDigest(env *proto.Envelope) {
 // if the view moved between digest and pull, unmatched fingerprints are
 // simply dropped and the next sweep re-offers them.
 func (n *Node) handleSyncPull(env *proto.Envelope) {
-	n.mu.RLock()
-	if !n.joined {
-		n.mu.RUnlock()
-		return
-	}
-	self := n.self
-	vns := n.vnList()
-	rep := n.cfg.Replication
-	n.mu.RUnlock()
-	recs := n.kv.Snapshot()
-	if len(recs) == 0 {
-		return
-	}
 	wanted := make(map[uint64]bool, len(env.Digest)/8)
 	for _, fp := range unpackFPs(env.Digest) {
 		wanted[fp] = true
 	}
-	for _, t := range syncTargets(self, vns, rep, recs, "") {
+	plan, _ := n.syncPlan()
+	for _, t := range plan {
 		if t.addr != env.From.Addr || t.handoff != env.Handoff {
 			continue
 		}
-		var stream []proto.StoreRecord
-		for _, rec := range t.recs {
-			if wanted[recordFP(rec)] {
-				stream = append(stream, rec)
-			}
-		}
-		for _, chunk := range chunkRecords(stream) {
-			// Best effort, like every anti-entropy push: a vanished
-			// peer is repaired by its own departure notifications.
-			_ = n.send(t.addr, &proto.Envelope{
-				Type: proto.KindReplicaSync, From: self, Records: chunk, Handoff: t.handoff,
-			})
-		}
+		t.recs = slices.DeleteFunc(t.recs, func(rec proto.StoreRecord) bool { return !wanted[recordFP(rec)] })
+		n.sendPushes([]pushTo{t})
 	}
 }
 
@@ -224,30 +149,18 @@ func (n *Node) handleSyncPull(env *proto.Envelope) {
 // bytes of pushing every record instead. The harness SyncBytes step
 // asserts the ratio; BENCH_chaos.json records it.
 func (n *Node) SyncReplicasProbe() (digestBytes, fullBytes int) {
-	n.mu.RLock()
-	if !n.joined {
-		n.mu.RUnlock()
-		return 0, 0
-	}
-	self := n.self
-	vns := n.vnList()
-	rep := n.cfg.Replication
-	n.mu.RUnlock()
-	recs := n.kv.Snapshot()
-	if len(recs) == 0 {
-		return 0, 0
-	}
+	plan, _ := n.syncPlan()
 	wb := proto.GetBuf()
 	defer wb.Put()
-	for _, t := range syncTargets(self, vns, rep, recs, "") {
+	for _, t := range plan {
 		wb.B = proto.AppendEncode(wb.B[:0], &proto.Envelope{
-			Type: proto.KindSyncDigest, From: self, Handoff: t.handoff,
+			Type: proto.KindSyncDigest, From: n.self, Handoff: t.handoff,
 			Digest: packFPs(recFPs(t.recs)),
 		})
 		digestBytes += len(wb.B)
 		for _, chunk := range chunkRecords(t.recs) {
 			wb.B = proto.AppendEncode(wb.B[:0], &proto.Envelope{
-				Type: proto.KindReplicaSync, From: self, Records: chunk, Handoff: t.handoff,
+				Type: proto.KindReplicaSync, From: n.self, Records: chunk, Handoff: t.handoff,
 			})
 			fullBytes += len(wb.B)
 		}

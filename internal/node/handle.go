@@ -2,7 +2,9 @@ package node
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"voronet/internal/geom"
@@ -388,22 +390,13 @@ func (n *Node) admitJoin(env *proto.Envelope) {
 	defer func() { n.nm.joinAdmitTime.Observe(time.Since(start).Seconds()) }()
 	j := env.Origin
 
-	// Optimistic phase (see surgery.go): the joiner's neighbour list is a
-	// pure function of the candidate pool, so compute it off-lock and only
-	// redo it under the lock if the pool moved in between.
+	// The read lock suffices: the joiner's neighbour list is computed from
+	// the candidate pool (us, our neighbours, their neighbours) and nothing
+	// of ours is written.
 	n.mu.RLock()
-	specPool := n.candidatePool()
-	specPool[j.Addr] = j
-	n.mu.RUnlock()
-	newVN := miniNeighbors(j, specPool)
-
-	n.mu.Lock()
-	// Candidate pool: us, our neighbours, their neighbours.
 	pool := n.candidatePool()
 	pool[j.Addr] = j
-	if !poolsEqual(pool, specPool) {
-		newVN = miniNeighbors(j, pool)
-	}
+	newVN := miniNeighbors(j, pool)
 
 	// Bootstrap two-hop knowledge for the joiner from what we know.
 	var records []proto.NeighborRecord
@@ -417,7 +410,7 @@ func (n *Node) admitJoin(env *proto.Envelope) {
 			}
 		}
 	}
-	n.mu.Unlock()
+	n.mu.RUnlock()
 
 	// Grant the joiner its region and view.
 	n.send(j.Addr, &proto.Envelope{
@@ -493,18 +486,6 @@ func (n *Node) handleSetNeighbors(env *proto.Envelope) {
 // refreshes neighbours, and performs the close-neighbour and BLRn
 // exchanges of AddVoronoiRegion.
 func (n *Node) integrateNewcomer(j proto.NodeInfo) {
-	// Optimistic phase (see surgery.go): snapshot the pool under the read
-	// lock, run the Delaunay recompute with no lock held.
-	n.mu.RLock()
-	if !n.joined || j.Addr == n.self.Addr ||
-		(n.tombs[j.Addr] && j.Gen <= n.tombGen[j.Addr]) {
-		n.mu.RUnlock()
-		return
-	}
-	specPool := n.candidatePool()
-	specPool[j.Addr] = j
-	n.mu.RUnlock()
-	specVN := miniNeighbors(n.self, specPool)
 	n.mu.Lock()
 	if !n.joined || j.Addr == n.self.Addr {
 		n.mu.Unlock()
@@ -523,7 +504,7 @@ func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 	}
 	pool := n.candidatePool()
 	pool[j.Addr] = j
-	changed := n.recomputeFromLocked(pool, specPool, specVN)
+	changed := n.recomputeLocked(pool)
 	// Cache coherence on AddVoronoiRegion: regions the newcomer is now
 	// strictly closer to changed hands, so their cached owners are stale.
 	if n.cache != nil {
@@ -567,13 +548,7 @@ func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 	// Store handoff: the records whose key now lies in the newcomer's
 	// region migrate to it (the storage face of AddVoronoiRegion). We keep
 	// our copy as a replica; the newcomer re-replicates.
-	if moved := n.storeHandoffToNewcomer(j); len(moved) > 0 {
-		for _, chunk := range chunkRecords(moved) {
-			n.send(j.Addr, &proto.Envelope{
-				Type: proto.KindReplicaSync, From: n.self, Records: chunk, Handoff: true,
-			})
-		}
-	}
+	n.sendPushes([]pushTo{{j.Addr, true, n.storeHandoffToNewcomer(j)}})
 }
 
 // handleNeighborList refreshes the sender's entry in the two-hop table and
@@ -593,22 +568,6 @@ func (n *Node) handleNeighborList(env *proto.Envelope) {
 			break
 		}
 	}
-	// Optimistic phase (see surgery.go): build the pool as it will look
-	// after the sender's list is stored — candidatePoolOverride substitutes
-	// the fresh list without mutating the table — and recompute off-lock.
-	n.mu.RLock()
-	if !n.joined {
-		n.mu.RUnlock()
-		return
-	}
-	if _, isNbr := n.vn[env.From.Addr]; !isNbr && !mentionsUs {
-		n.mu.RUnlock()
-		return
-	}
-	specPool := n.candidatePoolOverride(env.From.Addr, env.Neighbors)
-	specPool[env.From.Addr] = env.From
-	n.mu.RUnlock()
-	specVN := miniNeighbors(n.self, specPool)
 	n.mu.Lock()
 	if !n.joined {
 		n.mu.Unlock()
@@ -622,7 +581,7 @@ func (n *Node) handleNeighborList(env *proto.Envelope) {
 	n.twoHop[env.From.Addr] = env.Neighbors
 	pool := n.candidatePool()
 	pool[env.From.Addr] = env.From
-	changed := n.recomputeFromLocked(pool, specPool, specVN)
+	changed := n.recomputeLocked(pool)
 	_, nowNbr := n.vn[env.From.Addr]
 	var vns []proto.NodeInfo
 	var moves []backMove
@@ -704,24 +663,14 @@ func (n *Node) backRebalanceLocked(exclude string) []backMove {
 	if len(n.back) == 0 || len(n.vn) == 0 {
 		return nil
 	}
-	vns := n.vnList()
+	vns := without(n.vnList(), exclude)
 	var moves []backMove
 	kept := n.back[:0]
 	for _, ref := range n.back {
-		best := proto.NodeInfo{}
-		bestD := geom.Dist2(n.self.Pos, ref.Target)
-		for _, v := range vns {
-			if v.Addr == exclude {
-				continue
-			}
-			if d := geom.Dist2(v.Pos, ref.Target); d < bestD {
-				best, bestD = v, d
-			}
-		}
-		if best.Addr == "" {
+		if to, isSelf := ownerForKey(n.self, vns, ref.Target); isSelf {
 			kept = append(kept, ref)
 		} else {
-			moves = append(moves, backMove{to: best, ref: ref})
+			moves = append(moves, backMove{to: to, ref: ref})
 		}
 	}
 	n.back = kept
@@ -767,18 +716,6 @@ func (n *Node) sendBackMoves(moves []backMove) {
 // we hold in the two-hop table, supplies the hole's other border nodes).
 func (n *Node) handleLeave(env *proto.Envelope) {
 	gone := env.From.Addr
-	// Optimistic phase (see surgery.go): the post-leave pool is today's
-	// pool minus the departed node, so it can be built and recomputed
-	// without the write lock.
-	n.mu.RLock()
-	if !n.joined {
-		n.mu.RUnlock()
-		return
-	}
-	specPool := n.candidatePool()
-	delete(specPool, gone)
-	n.mu.RUnlock()
-	specVN := miniNeighbors(n.self, specPool)
 	n.mu.Lock()
 	if !n.joined {
 		n.mu.Unlock()
@@ -792,7 +729,7 @@ func (n *Node) handleLeave(env *proto.Envelope) {
 	delete(n.vn, gone)
 	delete(n.twoHop, gone)
 	delete(n.cn, gone)
-	n.recomputeFromLocked(pool, specPool, specVN)
+	n.recomputeLocked(pool)
 	vns := n.vnList()
 	dep, depGen := n.departedLocked()
 	n.mu.Unlock()
@@ -923,15 +860,11 @@ func (n *Node) departedLocked() ([]string, []uint64) {
 	return addrs, gens
 }
 
-// recomputeLocked rebuilds vn from the pool and reports whether the set
-// changed. Caller holds n.mu.
+// recomputeLocked rebuilds vn from the pool — the local Delaunay
+// computation every view change comes down to — and reports whether the
+// set changed. Caller holds n.mu.
 func (n *Node) recomputeLocked(pool map[string]proto.NodeInfo) bool {
-	return n.installVNLocked(miniNeighbors(n.self, pool))
-}
-
-// installVNLocked replaces vn with newVN and reports whether the set
-// changed. Caller holds n.mu.
-func (n *Node) installVNLocked(newVN []proto.NodeInfo) bool {
+	newVN := miniNeighbors(n.self, pool)
 	fresh := make(map[string]proto.NodeInfo, len(newVN))
 	for _, v := range newVN {
 		fresh[v.Addr] = v
@@ -960,12 +893,18 @@ func (n *Node) installVNLocked(newVN []proto.NodeInfo) bool {
 // that map iteration order never leak into the message sequence. Caller
 // holds n.mu.
 func (n *Node) vnList() []proto.NodeInfo {
-	out := make([]proto.NodeInfo, 0, len(n.vn))
+	return n.vnAppendLocked(make([]proto.NodeInfo, 0, len(n.vn)))
+}
+
+// vnAppendLocked is vnList into buf[:0]: a caller with a stack buffer (the
+// GET path's inReplicaSet) snapshots the view without allocating.
+func (n *Node) vnAppendLocked(buf []proto.NodeInfo) []proto.NodeInfo {
+	buf = buf[:0]
 	for _, v := range n.vn {
-		out = append(out, v)
+		buf = append(buf, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+	slices.SortFunc(buf, func(a, b proto.NodeInfo) int { return strings.Compare(a.Addr, b.Addr) })
+	return buf
 }
 
 // NearestKnown returns the closest node to p among this node's view

@@ -38,6 +38,7 @@ import (
 
 	"voronet/internal/delaunay"
 	"voronet/internal/geom"
+	"voronet/internal/kleinberg"
 	"voronet/internal/proto"
 	"voronet/internal/store"
 	"voronet/internal/transport"
@@ -485,14 +486,8 @@ func (n *Node) Leave() error {
 		if ref.Origin.Addr == n.self.Addr {
 			continue
 		}
-		best := proto.NodeInfo{}
-		bestD := math.Inf(1)
-		for _, v := range vns {
-			if d := geom.Dist2(v.Pos, ref.Target); d < bestD {
-				best, bestD = v, d
-			}
-		}
-		if best.Addr == "" {
+		best, ok := nearestOf(vns, ref.Target)
+		if !ok {
 			continue
 		}
 		out = append(out,
@@ -514,26 +509,17 @@ func (n *Node) Leave() error {
 	// Voronoi neighbour closest to its key — after our region disappears
 	// that neighbour owns the key — marked Handoff so the recipient
 	// restores the replication factor.
-	if recs := n.kv.Snapshot(); len(recs) > 0 && len(vns) > 0 {
-		order, batches := batchRecords(recs, func(rec proto.StoreRecord) string {
-			best := ""
-			bestD := math.Inf(1)
-			for _, v := range vns {
-				// vns is sorted by address, so the strict < keeps the
-				// lowest-address neighbour on ties — the same rule as
-				// ownerForKey.
-				if d := geom.Dist2(v.Pos, rec.Key); d < bestD {
-					best, bestD = v.Addr, d
-				}
-			}
-			return best
-		})
-		for _, addr := range order {
-			for _, chunk := range chunkRecords(batches[addr]) {
-				out = append(out, outMsg{addr, &proto.Envelope{
-					Type: proto.KindReplicaSync, From: n.self, Records: chunk, Handoff: true,
-				}})
-			}
+	var handoffs []pushTo
+	for _, rec := range n.kv.Snapshot() {
+		if to, ok := nearestOf(vns, rec.Key); ok {
+			handoffs = addPush(handoffs, to.Addr, true, rec)
+		}
+	}
+	for _, t := range handoffs {
+		for _, chunk := range chunkRecords(t.recs) {
+			out = append(out, outMsg{t.addr, &proto.Envelope{
+				Type: proto.KindReplicaSync, From: n.self, Records: chunk, Handoff: true,
+			}})
 		}
 	}
 	// Clear in place: handlers read n.kv without n.mu, so the pointer
@@ -572,11 +558,10 @@ func (n *Node) Leave() error {
 	return nil
 }
 
-// chooseLRT draws a long-link target (Algorithm 3) around the node.
+// chooseLRT draws a long-link target (Algorithm 3, the paper's s = 2)
+// around the node: radius first, then angle, as internal/core does.
 func (n *Node) chooseLRT() geom.Point {
-	rmin, rmax := n.cfg.DMin, math.Sqrt2
-	u := n.rng.Float64()
-	r := math.Exp(math.Log(rmin) + u*(math.Log(rmax)-math.Log(rmin)))
+	r := kleinberg.SampleRadius(n.cfg.DMin, math.Sqrt2, 2, n.rng)
 	theta := n.rng.Float64() * 2 * math.Pi
 	return geom.Pt(n.self.Pos.X+r*math.Cos(theta), n.self.Pos.Y+r*math.Sin(theta))
 }

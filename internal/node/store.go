@@ -2,7 +2,7 @@ package node
 
 import (
 	"errors"
-	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -227,92 +227,115 @@ func (n *Node) StoreLookup(key geom.Point) (proto.StoreRecord, bool) { return n.
 // so a no-diff sweep costs a digest per target instead of the full
 // record stream.
 func (n *Node) SyncReplicas() int {
-	n.mu.RLock()
-	if !n.joined {
-		n.mu.RUnlock()
-		return 0
-	}
-	self := n.self
-	vns := n.vnList()
-	rep := n.cfg.Replication
-	n.mu.RUnlock()
-	recs := n.kv.Snapshot()
-	if len(recs) == 0 {
-		return 0
-	}
-	for _, t := range syncTargets(self, vns, rep, recs, "") {
+	plan, held := n.syncPlan()
+	for _, t := range plan {
 		// Best effort: an unreachable target is repaired by its own
 		// departure notifications.
 		_ = n.send(t.addr, &proto.Envelope{
-			Type: proto.KindSyncDigest, From: self, Handoff: t.handoff,
+			Type: proto.KindSyncDigest, From: n.self, Handoff: t.handoff,
 			Digest: packFPs(recFPs(t.recs)),
 		})
 	}
-	return len(recs)
+	return held
 }
 
-// batchRecords groups recs by the address assign returns, preserving
-// first-seen order so derived message sequences are deterministic. An
-// empty assignment drops the record.
-func batchRecords(recs []proto.StoreRecord, assign func(proto.StoreRecord) string) ([]string, map[string][]proto.StoreRecord) {
-	batches := make(map[string][]proto.StoreRecord)
-	var order []string
+// pushTo is one destination of a placement plan: the records due at addr,
+// as replica refresh (handoff false) or as ownership hand-off. One address
+// can appear twice in a plan, once per mode.
+type pushTo struct {
+	addr    string
+	handoff bool
+	recs    []proto.StoreRecord
+}
+
+// addPush files rec under (addr, handoff), keeping destinations and their
+// records in first-seen order so derived message sequences are
+// deterministic.
+func addPush(plan []pushTo, addr string, handoff bool, rec proto.StoreRecord) []pushTo {
+	for i := range plan {
+		if plan[i].addr == addr && plan[i].handoff == handoff {
+			plan[i].recs = append(plan[i].recs, rec)
+			return plan
+		}
+	}
+	return append(plan, pushTo{addr, handoff, []proto.StoreRecord{rec}})
+}
+
+// placementPlan is the store's placement rule applied to a view: a record
+// self owns (ownerForKey) is due at the r members of vns nearest to its
+// key (store.Closest) as replica refresh; a record another member owns is
+// due at that member as a hand-off, and the owner re-replicates whatever
+// changed its state. owned vouches that self owns every record — a routed
+// operation executed here, a hand-off just received — and skips the
+// ownership test. vns must be address-sorted (ties rank by address, so
+// every node computes the same set) and hold no peer that must not be
+// sent to. Replica destinations come first, then hand-offs.
+func placementPlan(self proto.NodeInfo, vns []proto.NodeInfo, r int, recs []proto.StoreRecord, owned bool) []pushTo {
+	var replicas, handoffs []pushTo
+	var buf [8]int
+	rank, at := buf[:0], infoPos(vns)
 	for _, rec := range recs {
-		addr := assign(rec)
-		if addr == "" {
-			continue
+		if !owned {
+			if owner, isSelf := ownerForKey(self, vns, rec.Key); !isSelf {
+				handoffs = addPush(handoffs, owner.Addr, true, rec)
+				continue
+			}
 		}
-		if _, seen := batches[addr]; !seen {
-			order = append(order, addr)
+		rank = store.Closest(rank, r, len(vns), rec.Key, at)
+		for _, i := range rank {
+			replicas = addPush(replicas, vns[i].Addr, false, rec)
 		}
-		batches[addr] = append(batches[addr], rec)
 	}
-	return order, batches
+	return append(replicas, handoffs...)
 }
 
-// pushByOwner sends each record toward where the local view places it:
-// records this node owns go to their replica set via replicateRecords,
-// the rest travel to the key's owner as a handoff (the owner
-// re-replicates anything that changed its state). exclude names a peer
-// never to replicate to (a departed address). Caller must not hold n.mu.
-func (n *Node) pushByOwner(self proto.NodeInfo, vns []proto.NodeInfo, recs []proto.StoreRecord, exclude string) {
-	var owned []proto.StoreRecord
-	order, batches := batchRecords(recs, func(rec proto.StoreRecord) string {
-		owner, isSelf := ownerForKey(self, vns, rec.Key)
-		if isSelf {
-			owned = append(owned, rec)
-			return ""
-		}
-		return owner.Addr
-	})
-	if len(owned) > 0 {
-		n.replicateRecords(owned, false, exclude)
-	}
-	for _, addr := range order {
-		for _, chunk := range chunkRecords(batches[addr]) {
-			// Best effort: an unreachable owner is repaired by its own
-			// departure notifications.
-			_ = n.send(addr, &proto.Envelope{
-				Type: proto.KindReplicaSync, From: self, Records: chunk, Handoff: true,
+// sendPushes streams a plan's records, one KindReplicaSync per
+// envelope-sized chunk. Best effort: an unreachable destination is
+// repaired by its own departure notifications. Caller must not hold n.mu.
+func (n *Node) sendPushes(plan []pushTo) {
+	for _, t := range plan {
+		for _, chunk := range chunkRecords(t.recs) {
+			_ = n.send(t.addr, &proto.Envelope{
+				Type: proto.KindReplicaSync, From: n.self, Records: chunk, Handoff: t.handoff,
 			})
 		}
 	}
 }
 
-// ownerForKey returns the owner of key per this view — the nearest of
-// self and vns, ties to the lowest address with self winning its ties —
-// and whether it is self.
-func ownerForKey(self proto.NodeInfo, vns []proto.NodeInfo, key geom.Point) (proto.NodeInfo, bool) {
-	best := self
-	bestD := geom.Dist2(self.Pos, key)
-	isSelf := true
-	for _, v := range vns {
-		d := geom.Dist2(v.Pos, key)
-		if d < bestD || (d == bestD && !isSelf && v.Addr < best.Addr) {
-			best, bestD, isSelf = v, d, false
-		}
+// infoPos adapts a view list to store.Nearest / store.Closest.
+func infoPos(vns []proto.NodeInfo) func(int) (geom.Point, bool) {
+	return func(i int) (geom.Point, bool) { return vns[i].Pos, true }
+}
+
+// without returns vns minus the peer at addr, filtering in place.
+func without(vns []proto.NodeInfo, addr string) []proto.NodeInfo {
+	return slices.DeleteFunc(vns, func(v proto.NodeInfo) bool { return v.Addr == addr })
+}
+
+// nearestOf returns the member of vns nearest to key — ties to the lower
+// index, the lower address in a view list — or false when there is none.
+func nearestOf(vns []proto.NodeInfo, key geom.Point) (proto.NodeInfo, bool) {
+	i := store.Nearest(len(vns), key, infoPos(vns))
+	if i < 0 {
+		return proto.NodeInfo{}, false
 	}
-	return best, isSelf
+	return vns[i], true
+}
+
+// ownerForKey returns the owner of key per this view — the nearest of
+// self and vns, self winning its ties and the address-sorted vns theirs by
+// the lower address — and whether it is self.
+func ownerForKey(self proto.NodeInfo, vns []proto.NodeInfo, key geom.Point) (proto.NodeInfo, bool) {
+	i := store.Nearest(1+len(vns), key, func(i int) (geom.Point, bool) {
+		if i == 0 {
+			return self.Pos, true
+		}
+		return vns[i-1].Pos, true
+	})
+	if i <= 0 {
+		return self, true
+	}
+	return vns[i-1], false
 }
 
 // handleStoreOwned executes a routed store operation at the owner of the
@@ -345,7 +368,7 @@ func (n *Node) handleStoreOwned(env *proto.Envelope) {
 		// Log before the ack: once the origin sees Found, the record
 		// survives a crash of this process (wal.SyncAlways).
 		n.walAppend(rec)
-		n.replicateRecords([]proto.StoreRecord{rec}, false, "")
+		n.replicateRecords([]proto.StoreRecord{rec}, "")
 		reply.Found = true
 		reply.Version = rec.Version
 	case proto.PurposeStoreGet:
@@ -359,7 +382,7 @@ func (n *Node) handleStoreOwned(env *proto.Envelope) {
 	case proto.PurposeStoreDelete:
 		if tomb, ok := n.kv.Delete(env.Target); ok {
 			n.walAppend(tomb)
-			n.replicateRecords([]proto.StoreRecord{tomb}, false, "")
+			n.replicateRecords([]proto.StoreRecord{tomb}, "")
 			reply.Found = true
 			reply.Version = tomb.Version
 		}
@@ -441,7 +464,7 @@ func (n *Node) handleReplicaSync(env *proto.Envelope) {
 	if env.Handoff && len(changed) > 0 {
 		// Exclude the sender: a leaving node hands off and must not be
 		// re-replicated to.
-		n.replicateRecords(changed, false, env.From.Addr)
+		n.replicateRecords(changed, env.From.Addr)
 	}
 }
 
@@ -473,6 +496,7 @@ func (n *Node) redelegateHandoff(env *proto.Envelope, self proto.NodeInfo, lastV
 	for _, v := range lastVN {
 		addrGen[v.Addr] = v.Gen
 	}
+	alive := func(i int) (geom.Point, bool) { return lastVN[i].Pos, !dead[lastVN[i].Addr] }
 	pending := env.Records
 	for len(pending) > 0 {
 		depart := make([]string, 0, len(gone))
@@ -489,26 +513,17 @@ func (n *Node) redelegateHandoff(env *proto.Envelope, self proto.NodeInfo, lastV
 				departGen[i] = g
 			}
 		}
-		order, batches := batchRecords(pending, func(rec proto.StoreRecord) string {
-			best := ""
-			bestD := math.Inf(1)
-			for _, v := range lastVN {
-				if dead[v.Addr] {
-					continue
-				}
-				if d := geom.Dist2(v.Pos, rec.Key); d < bestD || (d == bestD && v.Addr < best) {
-					best, bestD = v.Addr, d
-				}
+		var plan []pushTo
+		for _, rec := range pending {
+			// No surviving candidate: the record dies with us.
+			if i := store.Nearest(len(lastVN), rec.Key, alive); i >= 0 {
+				plan = addPush(plan, lastVN[i].Addr, true, rec)
 			}
-			return best // "" when no surviving candidate: the record dies with us
-		})
-		if len(order) == 0 {
-			return
 		}
 		pending = nil
-		for _, addr := range order {
-			failed := false
-			for _, chunk := range chunkRecords(batches[addr]) {
+		for _, t := range plan {
+			addr, failed := t.addr, false
+			for _, chunk := range chunkRecords(t.recs) {
 				if err := n.send(addr, &proto.Envelope{
 					Type: proto.KindReplicaSync, From: self, Records: chunk,
 					Handoff: true, Departed: depart, DepartedGen: departGen,
@@ -524,57 +539,21 @@ func (n *Node) redelegateHandoff(env *proto.Envelope, self proto.NodeInfo, lastV
 				dead[addr] = true
 				gone[addr] = true
 				goneGen[addr] = addrGen[addr]
-				pending = append(pending, batches[addr]...)
+				pending = append(pending, t.recs...)
 			}
 		}
 	}
 }
 
-// replicateRecords pushes records to their replica set: for each record,
-// the cfg.Replication Voronoi neighbours closest to its key. Batches one
-// message per distinct target. exclude (may be empty) names a peer to skip.
-func (n *Node) replicateRecords(recs []proto.StoreRecord, handoff bool, exclude string) {
+// replicateRecords pushes records this node owns to their replica set —
+// for each, the cfg.Replication Voronoi neighbours nearest to its key —
+// one batch per distinct target. exclude (may be empty) names a peer to
+// leave out.
+func (n *Node) replicateRecords(recs []proto.StoreRecord, exclude string) {
 	n.mu.RLock()
-	vns := n.vnList()
-	r := n.cfg.Replication
+	vns := without(n.vnList(), exclude)
 	n.mu.RUnlock()
-	if len(vns) == 0 || len(recs) == 0 {
-		return
-	}
-	batches := make(map[string][]proto.StoreRecord)
-	order := make([]string, 0, len(vns))
-	for _, rec := range recs {
-		sort.Slice(vns, func(i, j int) bool {
-			di, dj := geom.Dist2(vns[i].Pos, rec.Key), geom.Dist2(vns[j].Pos, rec.Key)
-			if di != dj {
-				return di < dj
-			}
-			// Equidistant replicas rank by address so the replica set is
-			// the same no matter which node computes it.
-			return vns[i].Addr < vns[j].Addr
-		})
-		picked := 0
-		for _, v := range vns {
-			if picked == r {
-				break
-			}
-			if v.Addr == exclude {
-				continue
-			}
-			if _, seen := batches[v.Addr]; !seen {
-				order = append(order, v.Addr)
-			}
-			batches[v.Addr] = append(batches[v.Addr], rec)
-			picked++
-		}
-	}
-	for _, addr := range order {
-		for _, chunk := range chunkRecords(batches[addr]) {
-			n.send(addr, &proto.Envelope{
-				Type: proto.KindReplicaSync, From: n.self, Records: chunk, Handoff: handoff,
-			})
-		}
-	}
+	n.sendPushes(placementPlan(n.self, vns, n.cfg.Replication, recs, true))
 }
 
 // inReplicaSet reports whether this node is in the key's current replica
@@ -589,40 +568,30 @@ func (n *Node) inReplicaSet(key geom.Point) bool {
 	defer n.mu.RUnlock()
 	// The owner candidate by our view: nearest to the key among us and
 	// our neighbours.
-	ownerAddr := n.self.Addr
-	ownerD := geom.Dist2(n.self.Pos, key)
-	for _, v := range n.vn {
-		if dv := geom.Dist2(v.Pos, key); dv < ownerD {
-			ownerD, ownerAddr = dv, v.Addr
-		}
-	}
-	if ownerAddr == n.self.Addr {
+	var view [16]proto.NodeInfo
+	owner, isSelf := ownerForKey(n.self, n.vnAppendLocked(view[:0]), key)
+	if isSelf {
 		return true
 	}
-	lst, ok := n.twoHop[ownerAddr]
+	lst, ok := n.twoHop[owner.Addr]
 	if !ok {
 		return false
 	}
-	selfD := geom.Dist2(n.self.Pos, key)
-	inList := false
-	closer := 0
-	for _, v := range lst {
-		if v.Addr == n.self.Addr {
-			inList = true
-			continue
-		}
-		dv := geom.Dist2(v.Pos, key)
-		if dv < ownerD {
-			// The candidate has a neighbour closer to the key, so it is
-			// not the owner (greedy property): we are too far from the key
-			// to know the true replica set.
-			return false
-		}
-		if dv < selfD {
-			closer++
+	if _, owns := ownerForKey(owner, lst, key); !owns {
+		// The candidate has a neighbour closer to the key, so it is not
+		// the owner (greedy property): we are too far from the key to
+		// know the true replica set.
+		return false
+	}
+	// The owner's own ranking of its own list: what replicateRecords
+	// pushes to is what answers.
+	var rank [8]int
+	for _, i := range store.Closest(rank[:0], n.cfg.Replication, len(lst), key, infoPos(lst)) {
+		if lst[i].Addr == n.self.Addr {
+			return true
 		}
 	}
-	return inList && closer < n.cfg.Replication
+	return false
 }
 
 // storeHandoffToNewcomer collects the records whose key now falls in the
@@ -646,8 +615,5 @@ func (n *Node) repairDepartedRecords(self, gone proto.NodeInfo, vns []proto.Node
 	affected := n.kv.Collect(func(k geom.Point) bool {
 		return geom.Dist2(gone.Pos, k) < geom.Dist2(self.Pos, k)
 	})
-	if len(affected) == 0 {
-		return
-	}
-	n.pushByOwner(self, vns, affected, gone.Addr)
+	n.sendPushes(placementPlan(self, vns, n.cfg.Replication, affected, false))
 }

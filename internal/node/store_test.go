@@ -3,9 +3,13 @@ package node
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"voronet/internal/geom"
+	"voronet/internal/proto"
 	"voronet/internal/store"
 )
 
@@ -247,4 +251,121 @@ func TestStoreEndToEndChurn(t *testing.T) {
 	}
 	keys = append(keys[:50], keys[100:]...)
 	verify("post-churn-writes")
+}
+
+// crossCluster is the five-node cross the tie tests stand on: an owner at
+// the centre and four neighbours at equal distance from it, joined in an
+// order that keeps every intermediate triangulation non-degenerate.
+func crossCluster(t *testing.T) (c *cluster, centre *Node) {
+	t.Helper()
+	c = newCluster(t, 0, 0.02, 140)
+	for _, p := range []geom.Point{
+		geom.Pt(0.5, 0.5), geom.Pt(0.25, 0.5), geom.Pt(0.5, 0.25), geom.Pt(0.75, 0.5), geom.Pt(0.5, 0.75),
+	} {
+		c.addNode(t, p, 0.02)
+	}
+	c.checkViewsAgainstReference(t)
+	return c, c.nodes[0]
+}
+
+// TestReplicaSetMembershipMatchesPlacement: the reader's replica test and
+// the writer's placement are one ranking. With R = 3 and four neighbours,
+// a key that ties two of them at the rank boundary is pushed to the lower
+// address only — and only the nodes that were pushed to may answer for it.
+// (Counting strictly closer peers, every neighbour used to claim
+// membership.)
+func TestReplicaSetMembershipMatchesPlacement(t *testing.T) {
+	c, centre := crossCluster(t)
+	for _, key := range []geom.Point{
+		geom.Pt(0.5, 0.5),       // the owner's position: all four neighbours tie
+		geom.Pt(0.5625, 0.5625), // two tie for first, the other two for the last seat
+	} {
+		c.putKey(t, c.nodes[3], key, []byte("v"))
+		holders := 0
+		for _, nd := range c.nodes {
+			_, holds := nd.StoreLookup(key)
+			if holds {
+				holders++
+			}
+			if in := nd.inReplicaSet(key); in != holds {
+				t.Errorf("key %v at %s: holds the record %v, inReplicaSet %v", key, nd.Info().Addr, holds, in)
+			}
+		}
+		if _, ok := centre.StoreLookup(key); !ok || holders != 4 {
+			t.Errorf("key %v: %d holders (owner holds: %v), want the owner and 3 replicas", key, holders, ok)
+		}
+	}
+}
+
+// TestPlacementPlanMatchesRanking checks the plan against the rule written
+// the slow way, over random views: a record the view owns is due at exactly
+// the r members of the address-sorted list that a stable sort by distance
+// puts first, as replica refresh; a record it does not own is due at
+// ownerForKey's answer alone, as a hand-off. Lattice positions make ties
+// routine.
+func TestPlacementPlanMatchesRanking(t *testing.T) {
+	rng := rand.New(rand.NewSource(141))
+	pt := func() geom.Point { return geom.Pt(float64(rng.Intn(9))/8, float64(rng.Intn(9))/8) }
+	for trial := 0; trial < 500; trial++ {
+		self := proto.NodeInfo{Addr: "self", Pos: pt()}
+		vns := make([]proto.NodeInfo, rng.Intn(8))
+		for i := range vns {
+			vns[i] = proto.NodeInfo{Addr: fmt.Sprintf("v%d", i), Pos: pt()}
+		}
+		r := 1 + rng.Intn(4)
+		recs := make([]proto.StoreRecord, 1+rng.Intn(6))
+		for i := range recs {
+			recs[i] = proto.StoreRecord{Key: pt(), Version: uint64(i + 1)}
+		}
+		due := map[uint64][]string{} // record version → "addr/handoff", in plan order
+		for _, p := range placementPlan(self, vns, r, recs, false) {
+			for _, rec := range p.recs {
+				due[rec.Version] = append(due[rec.Version], fmt.Sprintf("%s/%v", p.addr, p.handoff))
+			}
+		}
+		for _, rec := range recs {
+			var want []string
+			if owner, isSelf := ownerForKey(self, vns, rec.Key); !isSelf {
+				want = []string{owner.Addr + "/true"}
+			} else {
+				ranked := append([]proto.NodeInfo(nil), vns...)
+				sort.SliceStable(ranked, func(i, j int) bool {
+					return geom.Dist2(ranked[i].Pos, rec.Key) < geom.Dist2(ranked[j].Pos, rec.Key)
+				})
+				for _, v := range ranked[:min(r, len(ranked))] {
+					want = append(want, v.Addr+"/false")
+				}
+			}
+			got := due[rec.Version]
+			sort.Strings(got)
+			sort.Strings(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: key %v (self %v, view %v, r=%d) due at %v, want %v", trial, rec.Key, self, vns, r, got, want)
+			}
+		}
+	}
+}
+
+// TestPlacementHotPathAllocs: sharing the rule costs the GET and PUT paths
+// nothing. The replica test allocates nothing; a PUT's replica push
+// allocates no more than the separate per-record sort it replaced (38 per
+// push-and-delivery of one record to three replicas at e0d111f, measured
+// by this same loop; 34 now).
+func TestPlacementHotPathAllocs(t *testing.T) {
+	c, centre := crossCluster(t)
+	key := geom.Pt(0.5625, 0.5625)
+	c.putKey(t, centre, key, []byte("v"))
+	if a := testing.AllocsPerRun(200, func() { c.nodes[1].inReplicaSet(key) }); a != 0 {
+		t.Errorf("inReplicaSet: %v allocs per call, want 0", a)
+	}
+	rec, _ := centre.StoreLookup(key)
+	recs := []proto.StoreRecord{rec}
+	a := testing.AllocsPerRun(200, func() {
+		centre.replicateRecords(recs, "")
+		c.bus.Drain()
+	})
+	t.Logf("replicateRecords + delivery of one record to 3 replicas: %v allocs", a)
+	if a > 38 {
+		t.Errorf("replicateRecords: %v allocs per push, e0d111f's was 38", a)
+	}
 }
