@@ -80,7 +80,7 @@ func (o *Overlay) BulkLoad(points []geom.Point, workers int) ([]ObjectID, error)
 		o.objs[id] = obj
 		o.setVertexObject(v, id)
 		o.ids = append(o.ids, id)
-		o.grid.add(p, id)
+		o.grid.add(v)
 		ids[i] = id
 	}
 
@@ -131,10 +131,10 @@ func (o *Overlay) BulkLoad(points []geom.Point, workers int) ([]ObjectID, error)
 		lo := c * bulkChunk
 		for i, l := range out {
 			obj := o.objs[live[lo+i/k]]
-			ownerID := o.byVertex[l.owner]
+			holder := o.objs[o.byVertex[l.owner]]
 			obj.longTargets = append(obj.longTargets, l.tgt)
-			obj.longNbrs = append(obj.longNbrs, ownerID)
-			o.objs[ownerID].addBack(obj, i%k)
+			o.setLong(obj, i%k, holder)
+			holder.addBack(obj, i%k)
 		}
 	}
 	return ids, nil

@@ -107,9 +107,9 @@ func TestBulkLoadWorkerCountInvariant(t *testing.T) {
 				t.Fatalf("workers=%d: object %d link count differs", w, id)
 			}
 			for j := range a.longTargets {
-				if a.longTargets[j] != b.longTargets[j] || a.longNbrs[j] != b.longNbrs[j] {
+				if a.longTargets[j] != b.longTargets[j] || ref.longNeighbor(a, j) != o.longNeighbor(b, j) {
 					t.Fatalf("workers=%d: object %d link %d differs: (%v,%d) vs (%v,%d)",
-						w, id, j, a.longTargets[j], a.longNbrs[j], b.longTargets[j], b.longNbrs[j])
+						w, id, j, a.longTargets[j], ref.longNeighbor(a, j), b.longTargets[j], o.longNeighbor(b, j))
 				}
 			}
 		}

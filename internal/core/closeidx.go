@@ -1,108 +1,128 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
+	"voronet/internal/delaunay"
 	"voronet/internal/geom"
 )
 
-// closeIndex is a uniform grid over the plane with cell width dmin, used to
-// answer close-neighbour queries (cn(o) = objects within dmin of o) in O(1)
+// closeIndex is a uniform grid over the unit square, used to answer
+// close-neighbour queries (cn(o) = objects within dmin of o) in O(1)
 // expected time. It is the simulator's equivalent of the per-object cn sets
 // the distributed protocol maintains via Lemma 1; the two are
 // property-tested to agree.
 //
-// Cells are keyed by both coordinates packed into one int64 so lookups hit
-// the runtime's fast 64-bit map path — the grid probe runs once per greedy
-// hop, which makes it one of the hottest loads in the overlay.
+// The grid probe runs on about half of all greedy hops, so the index is
+// two dense arrays and nothing else: head holds the first vertex of each
+// cell's chain and next, indexed by vertex, the following one (0 ends a
+// chain and marks an empty cell, vertex 0 being the infinite vertex).
+// Positions are read from the triangulation, whose vertices BulkLoad lays
+// out along the Hilbert curve, so the vertices of one 3×3 block are
+// neighbours in memory too.
+//
+// A coordinate outside [0, 1) — fictive objects at exterior long-link
+// targets, objects placed on or beyond the border — clamps into the border
+// cells. Clamping is monotone and 1-Lipschitz on cell indices, so two
+// points within one cell width of each other still have keys at most one
+// apart on each axis, and a 3×3 block around the clamped key covers radius
+// `cell` exactly as it does without the clamp.
 type closeIndex struct {
-	cell  float64
-	cells map[int64][]gridEntry
+	tr   *delaunay.Triangulation
+	r2   float64 // the squared radius the index answers; r <= cell
+	cell float64 // cell width
+	side int     // cells per axis
+	head []int32 // side×side, row-major in x
+	next []int32 // by vertex
 }
 
-type gridEntry struct {
-	id  ObjectID
-	pos geom.Point
+// newCloseIndex returns an empty index answering radius dmin over tr's
+// sites. The cell width is dmin, but never below 1/(2·√nmax): a tiny
+// Config.DMin cannot allocate more than ~4·nmax heads. At the default dmin
+// (1/dmin = √π·√nmax ≈ 1.77·√nmax) the cell width is dmin itself.
+func newCloseIndex(tr *delaunay.Triangulation, dmin float64, nmax int) *closeIndex {
+	cell := math.Max(dmin, 1/(2*math.Sqrt(float64(nmax))))
+	side := int(math.Ceil(1 / cell))
+	return &closeIndex{tr: tr, r2: dmin * dmin, cell: cell, side: side, head: make([]int32, side*side)}
 }
 
-func newCloseIndex(cell float64) *closeIndex {
-	if cell <= 0 {
-		cell = 1e-3
+// key returns p's clamped cell coordinates.
+func (c *closeIndex) key(p geom.Point) (int, int) {
+	return c.clamp(p.X), c.clamp(p.Y)
+}
+
+func (c *closeIndex) clamp(x float64) int {
+	k := x / c.cell
+	if !(k > 0) {
+		return 0
 	}
-	return &closeIndex{cell: cell, cells: make(map[int64][]gridEntry)}
+	if k >= float64(c.side) {
+		return c.side - 1
+	}
+	return int(k)
 }
 
-func packCell(x, y int32) int64 {
-	return int64(x)<<32 | int64(uint32(y))
+// add links the live vertex v into its cell's chain.
+func (c *closeIndex) add(v delaunay.VertexID) {
+	for int(v) >= len(c.next) {
+		c.next = append(c.next, 0)
+	}
+	kx, ky := c.key(c.tr.Point(v))
+	h := &c.head[kx*c.side+ky]
+	c.next[v] = *h
+	*h = int32(v)
 }
 
-func (c *closeIndex) key(p geom.Point) (int32, int32) {
-	return int32(math.Floor(p.X / c.cell)), int32(math.Floor(p.Y / c.cell))
-}
-
-func (c *closeIndex) add(p geom.Point, id ObjectID) {
+// remove unlinks v, whose site was at p, from its cell's chain.
+func (c *closeIndex) remove(v delaunay.VertexID, p geom.Point) {
 	kx, ky := c.key(p)
-	k := packCell(kx, ky)
-	c.cells[k] = append(c.cells[k], gridEntry{id: id, pos: p})
+	at := &c.head[kx*c.side+ky]
+	for *at != int32(v) {
+		at = &c.next[*at]
+	}
+	*at = c.next[v]
+	c.next[v] = 0
 }
 
-func (c *closeIndex) remove(p geom.Point, id ObjectID) {
-	kx, ky := c.key(p)
-	k := packCell(kx, ky)
-	s := c.cells[k]
-	for i := range s {
-		if s[i].id == id {
-			s[i] = s[len(s)-1]
-			s = s[:len(s)-1]
-			break
+// check verifies that the chains hold exactly the live vertices, n of
+// them, each on the chain of its own cell and on no other.
+func (c *closeIndex) check(n int) error {
+	seen := 0
+	for cell, h := range c.head {
+		for v := h; v != 0; v = c.next[v] {
+			if seen++; seen > n {
+				return fmt.Errorf("close-neighbour index chains more than the %d live vertices", n)
+			}
+			if !c.tr.Alive(delaunay.VertexID(v)) {
+				return fmt.Errorf("close-neighbour index chains dead vertex %d", v)
+			}
+			if kx, ky := c.key(c.tr.Point(delaunay.VertexID(v))); kx*c.side+ky != cell {
+				return fmt.Errorf("vertex %d is chained in cell %d, its site is in cell %d", v, cell, kx*c.side+ky)
+			}
 		}
 	}
-	if len(s) == 0 {
-		delete(c.cells, k)
-	} else {
-		c.cells[k] = s
+	if seen != n {
+		return fmt.Errorf("close-neighbour index chains %d of %d live vertices", seen, n)
 	}
+	return nil
 }
 
-// withinEntries appends to buf the (id, position) entries of all objects
-// at distance <= r from p, excluding exclude. The overlay always queries
-// with r = dmin = the cell width, so a 3×3 cell neighbourhood suffices.
-// This is the one copy of the grid scan — it runs once per greedy hop, so
-// the other forms are projections of it rather than separate loops.
-func (c *closeIndex) withinEntries(p geom.Point, r float64, exclude ObjectID, buf []gridEntry) []gridEntry {
+// within appends to buf[:0] the vertices within the index's radius of p,
+// excluding exclude. The radius is the one the index was built for, which
+// the cell width is never below, so a 3×3 cell neighbourhood suffices.
+// This is the one copy of the grid scan.
+func (c *closeIndex) within(p geom.Point, exclude delaunay.VertexID, buf []delaunay.VertexID) []delaunay.VertexID {
 	buf = buf[:0]
 	kx, ky := c.key(p)
-	r2 := r * r
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			for _, e := range c.cells[packCell(kx+dx, ky+dy)] {
-				if e.id == exclude {
-					continue
-				}
-				if geom.Dist2(p, e.pos) <= r2 {
-					buf = append(buf, e)
+	for x := max(kx-1, 0); x <= min(kx+1, c.side-1); x++ {
+		for y := max(ky-1, 0); y <= min(ky+1, c.side-1); y++ {
+			for v := c.head[x*c.side+y]; v != 0; v = c.next[v] {
+				if delaunay.VertexID(v) != exclude && geom.Dist2(p, c.tr.Point(delaunay.VertexID(v))) <= c.r2 {
+					buf = append(buf, delaunay.VertexID(v))
 				}
 			}
 		}
 	}
 	return buf
-}
-
-// within is withinEntries projected to IDs. The entry scratch is local:
-// within serves concurrent read-locked callers (CloseNeighbors), so it
-// must not share state through the index.
-func (c *closeIndex) within(p geom.Point, r float64, exclude ObjectID, buf []ObjectID) []ObjectID {
-	entries := c.withinEntries(p, r, exclude, nil)
-	buf = buf[:0]
-	for _, e := range entries {
-		buf = append(buf, e.id)
-	}
-	return buf
-}
-
-// count returns the number of objects within r of p, excluding exclude,
-// reusing buf for the scan (returned grown for the next call).
-func (c *closeIndex) count(p geom.Point, r float64, exclude ObjectID, buf []gridEntry) (int, []gridEntry) {
-	buf = c.withinEntries(p, r, exclude, buf)
-	return len(buf), buf
 }

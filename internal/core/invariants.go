@@ -17,7 +17,10 @@ import (
 //  1. the underlying triangulation is a valid Delaunay triangulation;
 //  2. object/vertex/id bookkeeping is bijective and consistent;
 //  3. every object has exactly Config.LongLinks long links (unless
-//     disabled), each registered in its holder's BLRn set;
+//     disabled); each one's arena slot is empty or names a live vertex,
+//     carries that vertex's site bit for bit and is registered in its
+//     holder's BLRn set; slots past an object's links, and every slot of a
+//     free vertex, are zero;
 //  4. every BLRn entry points at the live record of an object whose
 //     corresponding long link names the holder, and carries that link's
 //     target bit for bit;
@@ -25,7 +28,9 @@ import (
 //     LRt_j(w) — the paper's long-link placement invariant ("the object in
 //     charge of the target of the long range link is always the closest
 //     from the target point", §3.3);
-//  6. the close-neighbour index agrees with Lemma 1's local computation.
+//  6. every live vertex is on exactly one chain of the close-neighbour
+//     index, the chain of its (clamped) cell; deep: the index agrees with
+//     Lemma 1's local computation.
 func (o *Overlay) CheckInvariants(deep bool) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -65,21 +70,40 @@ func (o *Overlay) CheckInvariants(deep bool) error {
 	}
 
 	// Long links and BLRn cross-consistency.
+	if len(o.long) != len(o.byVertex)*o.cfg.LongLinks {
+		return fmt.Errorf("long-link arena holds %d slots for %d vertices of %d links", len(o.long), len(o.byVertex), o.cfg.LongLinks)
+	}
+	for v, id := range o.byVertex {
+		if id != NoObject {
+			continue
+		}
+		for j, l := range o.longOf(delaunay.VertexID(v)) {
+			if l != (longLink{}) {
+				return fmt.Errorf("free vertex %d keeps long link %d: %+v", v, j, l)
+			}
+		}
+	}
 	for _, id := range o.ids {
 		obj := o.objs[id]
-		if !o.cfg.DisableLongLinks && len(obj.longNbrs) != o.cfg.LongLinks {
-			return fmt.Errorf("object %d has %d long links, want %d", id, len(obj.longNbrs), o.cfg.LongLinks)
+		if !o.cfg.DisableLongLinks && len(obj.longTargets) != o.cfg.LongLinks {
+			return fmt.Errorf("object %d has %d long links, want %d", id, len(obj.longTargets), o.cfg.LongLinks)
 		}
-		for j, nid := range obj.longNbrs {
-			if nid == NoObject {
-				continue // legitimately orphaned (overlay emptied past it)
+		for j, l := range o.longOf(obj.vert) {
+			if l == (longLink{}) {
+				continue // legitimately orphaned (overlay emptied past it), or no such link
 			}
-			holder := o.objs[nid]
+			if j >= len(obj.longTargets) {
+				return fmt.Errorf("object %d has %d long links and a slot %d: %+v", id, len(obj.longTargets), j, l)
+			}
+			if !o.tr.Alive(l.v) || o.tr.Point(l.v) != l.pos {
+				return fmt.Errorf("object %d long link %d names vertex %d at %v; the site is %v", id, j, l.v, l.pos, o.tr.Point(l.v))
+			}
+			holder := o.objs[o.byVertex[l.v]]
 			if holder == nil {
-				return fmt.Errorf("object %d long link %d names dead object %d", id, j, nid)
+				return fmt.Errorf("object %d long link %d names vertex %d, which has no object", id, j, l.v)
 			}
 			if holder.backIndex(obj, j) < 0 {
-				return fmt.Errorf("object %d long link %d not registered in BLRn(%d)", id, j, nid)
+				return fmt.Errorf("object %d long link %d not registered in BLRn(%d)", id, j, holder.ID)
 			}
 		}
 		for _, e := range obj.back {
@@ -87,7 +111,7 @@ func (o *Overlay) CheckInvariants(deep bool) error {
 			if w == nil || o.objs[w.ID] != w {
 				return fmt.Errorf("BLRn(%d) entry %+v is not a live object record", id, e)
 			}
-			if j >= len(w.longNbrs) || w.longNbrs[j] != id {
+			if j >= len(w.longTargets) || o.longOf(w.vert)[j].v != obj.vert {
 				return fmt.Errorf("BLRn(%d) entry (%d,%d) not mirrored", id, w.ID, j)
 			}
 			if e.tgt != w.longTargets[j] {
@@ -96,13 +120,17 @@ func (o *Overlay) CheckInvariants(deep bool) error {
 		}
 	}
 
+	if err := o.grid.check(len(o.ids)); err != nil {
+		return err
+	}
+
 	if deep {
 		for _, id := range o.ids {
 			obj := o.objs[id]
 			for j, tgt := range obj.longTargets {
 				ownerV := o.tr.NearestSite(tgt, obj.vert)
 				want := o.byVertex[ownerV]
-				got := obj.longNbrs[j]
+				got := o.longNeighbor(obj, j)
 				if got != want && !o.equidistantOwners(tgt, got, want) {
 					return fmt.Errorf("object %d long link %d points to %d, owner is %d", id, j, got, want)
 				}
@@ -158,16 +186,14 @@ func (o *Overlay) closeNeighborsLemma1(id ObjectID) ([]ObjectID, error) {
 			out = append(out, cid)
 		}
 	}
-	var vbuf []delaunay.VertexID
+	var vbuf, cbuf []delaunay.VertexID
 	vbuf = o.tr.Neighbors(obj.vert, vbuf)
-	var cbuf []ObjectID
 	for _, v := range vbuf {
-		nid := o.byVertex[v]
-		consider(nid)
+		consider(o.byVertex[v])
 		// Close neighbours of the Voronoi neighbour.
-		cbuf = o.grid.within(o.objs[nid].Pos, o.dmin, nid, cbuf)
-		for _, cid := range cbuf {
-			consider(cid)
+		cbuf = o.grid.within(o.tr.Point(v), v, cbuf)
+		for _, cv := range cbuf {
+			consider(o.byVertex[cv])
 		}
 	}
 	return out, nil

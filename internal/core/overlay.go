@@ -100,11 +100,9 @@ type Object struct {
 	vert delaunay.VertexID
 	slot int32 // index of ID in Overlay.ids
 	// longTargets[j] is LRt_j: the target point of the j-th long link,
-	// fixed at join time (Algorithm 3).
+	// fixed at join time (Algorithm 3). LRn_j, the object currently owning
+	// the target's region, lives in Overlay.long.
 	longTargets []geom.Point
-	// longNbrs[j] is LRn_j: the object currently owning the Voronoi region
-	// of longTargets[j].
-	longNbrs []ObjectID
 	// back is BLRn: the (object, link) pairs whose target lies in this
 	// object's region. Used only for long-link repair, never for routing.
 	back []backEntry
@@ -149,6 +147,15 @@ func (holder *Object) dropBack(w *Object, j int) bool {
 	holder.back[last] = backEntry{} // do not pin w past its removal
 	holder.back = holder.back[:last]
 	return true
+}
+
+// longLink is one LRn entry as a routing hop reads it: the neighbour's
+// vertex and — so that the hop touches nothing else to learn it — the
+// neighbour's position, which is fixed for as long as the vertex is live.
+// The zero value (the infinite vertex) is "no link". 24 bytes.
+type longLink struct {
+	v   delaunay.VertexID
+	pos geom.Point
 }
 
 // BackRef identifies one long link of one object (BLRn entry).
@@ -210,8 +217,13 @@ type Overlay struct {
 	// slice, not a map: vertex slots are freelist-reused so it stays
 	// compact, and the lookup sits on every hop of every route.
 	byVertex []ObjectID
-	ids      []ObjectID // live IDs, for O(1) random sampling; ids[obj.slot] == obj.ID
-	nextID   ObjectID
+	// long is LRn for every object in one arena: link j of the object at
+	// vertex v is long[int(v)·cfg.LongLinks + j]. Written only through
+	// setLong (and cleared when remove frees the vertex), under mu held
+	// exclusively, like byVertex.
+	long   []longLink
+	ids    []ObjectID // live IDs, for O(1) random sampling; ids[obj.slot] == obj.ID
+	nextID ObjectID
 
 	grid *closeIndex
 
@@ -223,20 +235,46 @@ type Overlay struct {
 	counters Counters
 
 	nbuf []delaunay.VertexID // scratch (write-locked paths only)
-	cbuf []ObjectID          // scratch (write-locked paths only)
 	ring []*Object           // remove's Voronoi neighbours (write-locked paths only)
 	rpos []geom.Point        // their positions, index-aligned with ring
 	rt   routeState          // routing scratch (write-locked paths only)
 	qsc  queryScratch        // flood scratch (write-locked paths only)
 }
 
-// setVertexObject records v → id, growing the dense table as the
-// triangulation allocates new vertex slots.
+// setVertexObject records v → id, growing the vertex-indexed tables as
+// the triangulation allocates new vertex slots.
 func (o *Overlay) setVertexObject(v delaunay.VertexID, id ObjectID) {
 	for int(v) >= len(o.byVertex) {
 		o.byVertex = append(o.byVertex, NoObject)
+		o.long = append(o.long, make([]longLink, o.cfg.LongLinks)...)
 	}
 	o.byVertex[v] = id
+}
+
+// longOf returns the LRn slots of the object at vertex v, one per
+// configured long link; slots past the object's link count are empty.
+func (o *Overlay) longOf(v delaunay.VertexID) []longLink {
+	k := o.cfg.LongLinks
+	return o.long[int(v)*k : int(v)*k+k]
+}
+
+// setLong records holder as LRn_j(w); a nil holder clears the link. Every
+// write of a long link goes through here.
+func (o *Overlay) setLong(w *Object, j int, holder *Object) {
+	l := longLink{}
+	if holder != nil {
+		l = longLink{v: holder.vert, pos: holder.Pos}
+	}
+	o.longOf(w.vert)[j] = l
+}
+
+// longNeighbor returns LRn_j(w) as an object ID, NoObject for an orphaned
+// link.
+func (o *Overlay) longNeighbor(w *Object, j int) ObjectID {
+	if l := o.longOf(w.vert)[j]; l.v != delaunay.Infinite {
+		return o.byVertex[l.v]
+	}
+	return NoObject
 }
 
 // vertexObject is the bounds-checked read of the vertex→object table.
@@ -270,7 +308,7 @@ func New(cfg Config) *Overlay {
 		tr:   tr,
 		vor:  voronoi.New(tr),
 		objs: make(map[ObjectID]*Object),
-		grid: newCloseIndex(dmin),
+		grid: newCloseIndex(tr, dmin, cfg.NMax),
 	}
 	o.rt = routeState{vor: o.vor, steps: &o.counters.GreedySteps}
 	return o
@@ -389,7 +427,12 @@ func (o *Overlay) closeNeighbors(id ObjectID, buf []ObjectID) ([]ObjectID, error
 	if obj == nil {
 		return buf[:0], ErrNotFound
 	}
-	return o.grid.within(obj.Pos, o.dmin, id, buf), nil
+	var vb [16]delaunay.VertexID
+	buf = buf[:0]
+	for _, v := range o.grid.within(obj.Pos, obj.vert, vb[:0]) {
+		buf = append(buf, o.byVertex[v])
+	}
+	return buf, nil
 }
 
 // LongNeighbors returns the long-range view LRn(o): one entry per long
@@ -402,7 +445,11 @@ func (o *Overlay) LongNeighbors(id ObjectID) ([]ObjectID, error) {
 	if obj == nil {
 		return nil, ErrNotFound
 	}
-	return append([]ObjectID(nil), obj.longNbrs...), nil
+	var ln []ObjectID
+	for j := range obj.longTargets {
+		ln = append(ln, o.longNeighbor(obj, j))
+	}
+	return ln, nil
 }
 
 // LongTargets returns a snapshot of the long-link target points LRt(o),
@@ -455,10 +502,7 @@ func (o *Overlay) DistanceToRegion(id ObjectID, p geom.Point) (geom.Point, float
 	if obj == nil {
 		return geom.Point{}, 0, ErrNotFound
 	}
-	z, d := o.fictiveSite(obj, p)
-	if o.tr.Dimension() >= 2 {
-		z, d = o.vor.DistanceToRegion(obj.vert, p)
-	}
+	z, d := o.fictiveSite(obj.vert, p)
 	return z, d, nil
 }
 
@@ -568,7 +612,7 @@ func (o *Overlay) insertBase(p geom.Point, hint delaunay.VertexID) (ObjectID, *O
 	o.objs[id] = obj
 	o.setVertexObject(v, id)
 	o.ids = append(o.ids, id)
-	o.grid.add(p, id)
+	o.grid.add(v)
 
 	// Take over the back long-range links whose targets now fall in R(p):
 	// each new Voronoi neighbour hands over the BLRn entries that are
@@ -580,7 +624,7 @@ func (o *Overlay) insertBase(p geom.Point, hint delaunay.VertexID) (ObjectID, *O
 		kept := nb.back[:0]
 		for _, e := range nb.back {
 			if geom.Dist2(p, e.tgt) < geom.Dist2(nb.Pos, e.tgt) {
-				e.obj.longNbrs[e.link] = id
+				o.setLong(e.obj, int(e.link), obj)
 				obj.back = append(obj.back, e)
 			} else {
 				kept = append(kept, e)
@@ -597,10 +641,9 @@ func (o *Overlay) insertBase(p geom.Point, hint delaunay.VertexID) (ObjectID, *O
 // Caller holds the write lock.
 func (o *Overlay) registerLongLink(obj *Object, j int, tgt geom.Point) {
 	obj.longTargets = append(obj.longTargets, tgt)
-	ownerV := o.tr.NearestSite(tgt, obj.vert)
-	ownerID := o.byVertex[ownerV]
-	obj.longNbrs = append(obj.longNbrs, ownerID)
-	o.objs[ownerID].addBack(obj, j)
+	holder := o.objs[o.byVertex[o.tr.NearestSite(tgt, obj.vert)]]
+	o.setLong(obj, j, holder)
+	holder.addBack(obj, j)
 }
 
 // Remove deletes object id and repairs the overlay per §4.2.2
@@ -650,17 +693,18 @@ func (o *Overlay) remove(id ObjectID) error {
 		}
 		if best < 0 {
 			// Last object leaving: the link cannot be repaired; drop it.
-			e.obj.longNbrs[e.link] = NoObject
+			o.setLong(e.obj, int(e.link), nil)
 			continue
 		}
-		e.obj.longNbrs[e.link] = o.ring[best].ID
+		o.setLong(e.obj, int(e.link), o.ring[best])
 		o.ring[best].back = append(o.ring[best].back, e)
 		o.counters.MaintenanceMessages += 2 // inform z and y (§4.2.2)
 	}
 	obj.back = nil
 
 	// Withdraw our own long links from their holders' BLRn sets.
-	for j, nid := range obj.longNbrs {
+	for j := range obj.longTargets {
+		nid := o.longNeighbor(obj, j)
 		if nid == id || nid == NoObject {
 			continue
 		}
@@ -669,14 +713,15 @@ func (o *Overlay) remove(id ObjectID) error {
 	}
 
 	// Close neighbours learn of the departure (§4.2.2).
-	o.cbuf = o.grid.within(obj.Pos, o.dmin, id, o.cbuf)
-	o.counters.MaintenanceMessages += uint64(len(o.cbuf))
+	o.nbuf = o.grid.within(obj.Pos, obj.vert, o.nbuf)
+	o.counters.MaintenanceMessages += uint64(len(o.nbuf))
 
 	if err := o.tr.Remove(obj.vert); err != nil {
 		return fmt.Errorf("voronet: remove: %w", err)
 	}
-	o.grid.remove(obj.Pos, id)
+	o.grid.remove(obj.vert, obj.Pos)
 	o.byVertex[obj.vert] = NoObject
+	clear(o.longOf(obj.vert))
 	// The last live ID takes over the freed slot (itself, when obj is last).
 	last := len(o.ids) - 1
 	moved := o.objs[o.ids[last]]

@@ -504,6 +504,41 @@ func TestSetNMaxRefreshesDenseNeighbourhoods(t *testing.T) {
 	}
 }
 
+// TestSetNMaxDensityMatchesBruteForce is the regression test for the
+// density test running on the grid rebuilt at the *new*, smaller radius:
+// a 3×3 block of new cells does not cover the previous dmin, so most dense
+// neighbourhoods went uncounted (45 refreshed here where 742 are dense).
+func TestSetNMaxDensityMatchesBruteForce(t *testing.T) {
+	o := New(Config{NMax: 500, Seed: 41})
+	rng := rand.New(rand.NewSource(42))
+	ids := fill(t, o, &workload.Uniform{Rand: rng}, 2000)
+	const threshold = 4
+	prev := o.DMin()
+	want := 0
+	for _, a := range ids {
+		pa, _ := o.Position(a)
+		dense := 0
+		for _, b := range ids {
+			if pb, _ := o.Position(b); b != a && geom.Dist2(pa, pb) <= prev*prev {
+				dense++
+			}
+		}
+		if dense > threshold {
+			want++
+		}
+	}
+	if want < 100 {
+		t.Fatalf("only %d dense neighbourhoods: the scenario exercises nothing", want)
+	}
+	if got := o.SetNMax(4000, threshold); got != want {
+		t.Fatalf("SetNMax refreshed %d objects, %d have more than %d objects within the previous dmin %g (new %g)",
+			got, want, threshold, prev, o.DMin())
+	}
+	if err := o.CheckInvariants(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLongLinkRadiusDistribution(t *testing.T) {
 	// For s = 2 the radius is log-uniform on [dmin, √2]: the median must be
 	// close to exp((ln dmin + ln √2)/2) = sqrt(dmin·√2).

@@ -45,12 +45,11 @@ func (o *Overlay) Save(w io.Writer) error {
 	}
 	for _, id := range o.ids {
 		obj := o.objs[id]
-		s.Objects = append(s.Objects, objectSnapshot{
-			ID:          obj.ID,
-			Pos:         obj.Pos,
-			LongTargets: obj.longTargets,
-			LongNbrs:    obj.longNbrs,
-		})
+		os := objectSnapshot{ID: obj.ID, Pos: obj.Pos, LongTargets: obj.longTargets}
+		for j := range obj.longTargets {
+			os.LongNbrs = append(os.LongNbrs, o.longNeighbor(obj, j))
+		}
+		s.Objects = append(s.Objects, os)
 	}
 	if err := gob.NewEncoder(w).Encode(&s); err != nil {
 		return fmt.Errorf("voronet: save: %w", err)
@@ -70,9 +69,12 @@ func Load(r io.Reader) (*Overlay, error) {
 	if s.Version != snapshotVersion {
 		return nil, fmt.Errorf("voronet: load: snapshot version %d, want %d", s.Version, snapshotVersion)
 	}
+	if s.Config.NMax <= 0 || !(s.DMin > 0) {
+		return nil, fmt.Errorf("voronet: load: NMax %d, dmin %v", s.Config.NMax, s.DMin)
+	}
 	o := New(s.Config)
 	o.dmin = s.DMin
-	o.grid = newCloseIndex(s.DMin)
+	o.grid = newCloseIndex(o.tr, s.DMin, s.Config.NMax)
 	o.nextID = s.NextID
 
 	// Rebuild the tessellation with locality-sorted bulk insertion. The
@@ -91,33 +93,38 @@ func Load(r io.Reader) (*Overlay, error) {
 		if o.vertexObject(v) != NoObject {
 			return nil, fmt.Errorf("voronet: load: duplicate position for object %d", os.ID)
 		}
+		if len(os.LongNbrs) != len(os.LongTargets) || len(os.LongNbrs) > o.cfg.LongLinks {
+			return nil, fmt.Errorf("voronet: load: object %d has %d long links for %d targets, configured %d",
+				os.ID, len(os.LongNbrs), len(os.LongTargets), o.cfg.LongLinks)
+		}
 		obj := &Object{
 			ID:          os.ID,
 			Pos:         os.Pos,
 			vert:        v,
 			slot:        int32(len(o.ids)),
 			longTargets: os.LongTargets,
-			longNbrs:    os.LongNbrs,
 		}
 		o.objs[os.ID] = obj
 		o.setVertexObject(v, os.ID)
 		o.ids = append(o.ids, os.ID)
-		o.grid.add(os.Pos, os.ID)
+		o.grid.add(v)
 		if os.ID >= o.nextID {
 			o.nextID = os.ID + 1
 		}
 	}
-	// Re-derive the back long-range sets from the saved links.
-	for _, id := range o.ids {
-		obj := o.objs[id]
-		for j, nid := range obj.longNbrs {
+	// Write the saved links into the arena and re-derive the back
+	// long-range sets from them.
+	for _, os := range s.Objects {
+		obj := o.objs[os.ID]
+		for j, nid := range os.LongNbrs {
 			if nid == NoObject {
 				continue
 			}
 			holder := o.objs[nid]
 			if holder == nil {
-				return nil, fmt.Errorf("voronet: load: object %d link %d names missing object %d", id, j, nid)
+				return nil, fmt.Errorf("voronet: load: object %d link %d names missing object %d", os.ID, j, nid)
 			}
+			o.setLong(obj, j, holder)
 			holder.addBack(obj, j)
 		}
 	}

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"voronet/internal/workload"
 )
@@ -114,6 +117,64 @@ func TestLoadErrors(t *testing.T) {
 	b[len(b)-1] ^= 0xFF
 	if _, err := Load(bytes.NewReader(b)); err == nil {
 		t.Log("note: tail corruption not always detectable by gob; acceptable")
+	}
+}
+
+// TestLoadSnapshotWrittenBeforeArena loads a snapshot written by commit
+// c023bab — when LRn was a slice per object — and writes it back: the bytes
+// must come out identical, so the format stands in both directions. It
+// then rejects the link shapes the arena cannot hold.
+func TestLoadSnapshotWrittenBeforeArena(t *testing.T) {
+	raw, err := os.ReadFile("testdata/snapshot_c023bab.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Len() != 120 {
+		t.Fatalf("loaded %d objects, want 120", o.Len())
+	}
+	if err := o.CheckInvariants(true); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := o.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), raw) {
+		t.Fatalf("re-saved snapshot differs from the one loaded (%d vs %d bytes)", buf.Len(), len(raw))
+	}
+
+	var s snapshot
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(*snapshot){
+		"more links than configured": func(s *snapshot) { s.Config.LongLinks = 1 },
+		"links without targets":      func(s *snapshot) { s.Objects[3].LongTargets = s.Objects[3].LongTargets[:1] },
+		"no radius":                  func(s *snapshot) { s.DMin = 0 },
+		"no provisioning":            func(s *snapshot) { s.Config.NMax = 0 },
+	} {
+		bad := s
+		bad.Objects = append([]objectSnapshot(nil), s.Objects...)
+		corrupt(&bad)
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(&bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: snapshot loaded", name)
+		}
+	}
+}
+
+// TestObjectRecordSize keeps the per-object record at what it is without a
+// long-neighbour slice of its own (104 bytes before).
+func TestObjectRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Object{}); n > 80 {
+		t.Fatalf("Object is %d bytes, want <= 80", n)
 	}
 }
 

@@ -75,21 +75,21 @@ func (o *Overlay) RangeQuery(from ObjectID, a, b geom.Point) ([]ObjectID, QueryS
 // so the two paths cannot drift apart.
 func (o *Overlay) rangeQuery(rt *routeState, sc *queryScratch, from ObjectID, a, b geom.Point) ([]ObjectID, QueryStats, error) {
 	var st QueryStats
-	cur := o.objs[from]
-	if cur == nil {
+	src := o.objs[from]
+	if src == nil {
 		return nil, st, ErrNotFound
 	}
 	if len(o.ids) == 0 {
 		return nil, st, ErrEmpty
 	}
 	// Route to the owner of the segment start.
-	hops, err := o.routeToPoint(rt, &cur, a)
+	stop, hops, err := o.routeToPoint(rt, src.vert, a)
 	if err != nil {
 		return nil, st, err
 	}
 	st.RouteHops = hops
 	var ownerV delaunay.VertexID
-	ownerV, rt.nbuf = o.tr.NearestSiteRO(a, cur.vert, rt.nbuf)
+	ownerV, rt.nbuf = o.tr.NearestSiteRO(a, stop, rt.nbuf)
 	result := o.floodSegment(o.byVertex[ownerV], a, b, rt.vor, sc, &st)
 	return result, st, nil
 }
@@ -179,17 +179,17 @@ func (o *Overlay) RadiusQuery(from ObjectID, centre geom.Point, r float64) ([]Ob
 // Router.RadiusQuery; see rangeQuery.
 func (o *Overlay) radiusQuery(rt *routeState, sc *queryScratch, from ObjectID, centre geom.Point, r float64) ([]ObjectID, QueryStats, error) {
 	var st QueryStats
-	cur := o.objs[from]
-	if cur == nil {
+	src := o.objs[from]
+	if src == nil {
 		return nil, st, ErrNotFound
 	}
-	hops, err := o.routeToPoint(rt, &cur, centre)
+	stop, hops, err := o.routeToPoint(rt, src.vert, centre)
 	if err != nil {
 		return nil, st, err
 	}
 	st.RouteHops = hops
 	var ownerV delaunay.VertexID
-	ownerV, rt.nbuf = o.tr.NearestSiteRO(centre, cur.vert, rt.nbuf)
+	ownerV, rt.nbuf = o.tr.NearestSiteRO(centre, stop, rt.nbuf)
 	result := o.floodDisk(o.byVertex[ownerV], centre, r, rt.vor, sc, &st)
 	return result, st, nil
 }
@@ -249,15 +249,16 @@ func (o *Overlay) setNMax(nmax, denseThreshold int) int {
 		return 0
 	}
 	o.cfg.NMax = nmax
-	newDMin := DefaultDMin(nmax)
+	o.dmin = DefaultDMin(nmax)
 
-	// Rebuild the close-neighbour grid at the new radius.
-	o.grid = newCloseIndex(newDMin)
+	// Rebuild the close-neighbour grid at the new radius, keeping the old
+	// one for the density test below: an index answers only the radius it
+	// was built for.
+	prev := o.grid
+	o.grid = newCloseIndex(o.tr, o.dmin, nmax)
 	for _, id := range o.ids {
-		o.grid.add(o.objs[id].Pos, id)
+		o.grid.add(o.objs[id].vert)
 	}
-	prevDMin := o.dmin
-	o.dmin = newDMin
 
 	if o.cfg.DisableLongLinks {
 		return 0
@@ -268,24 +269,22 @@ func (o *Overlay) setNMax(nmax, denseThreshold int) int {
 		// Density test against the *previous* radius: objects that had more
 		// close neighbours than the threshold re-draw their links under the
 		// new dmin.
-		var dense int
-		dense, o.rt.gbuf = o.grid.count(obj.Pos, prevDMin, id, o.rt.gbuf)
-		if dense <= denseThreshold {
+		o.rt.cbuf = prev.within(obj.Pos, obj.vert, o.rt.cbuf)
+		if len(o.rt.cbuf) <= denseThreshold {
 			continue
 		}
 		refreshed++
 		for j := range obj.longTargets {
 			// Withdraw the old link...
-			if holder := o.objs[obj.longNbrs[j]]; holder != nil {
+			if holder := o.objs[o.longNeighbor(obj, j)]; holder != nil {
 				holder.dropBack(obj, j)
 			}
 			// ...and draw a fresh one under the new dmin.
 			tgt := o.chooseLRT(obj.Pos)
 			obj.longTargets[j] = tgt
-			ownerV := o.tr.NearestSite(tgt, obj.vert)
-			ownerID := o.byVertex[ownerV]
-			obj.longNbrs[j] = ownerID
-			o.objs[ownerID].addBack(obj, j)
+			holder := o.objs[o.byVertex[o.tr.NearestSite(tgt, obj.vert)]]
+			o.setLong(obj, j, holder)
+			holder.addBack(obj, j)
 		}
 	}
 	return refreshed

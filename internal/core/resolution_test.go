@@ -79,8 +79,8 @@ func TestOwnerResolutionEquivalenceDegenerate(t *testing.T) {
 // resolves the owner both ways from the same stopping object and compares.
 func checkResolutionAgreement(t *testing.T, o *Overlay, from ObjectID, p geom.Point, label string) {
 	t.Helper()
-	cur := o.objs[from]
-	if _, err := o.routeToPoint(&o.rt, &cur, p); err != nil {
+	cur, _, err := o.routeToPoint(&o.rt, o.objs[from].vert, p)
+	if err != nil {
 		t.Fatalf("%s: route to %v: %v", label, p, err)
 	}
 	fast := o.resolveByNearest(cur, p)

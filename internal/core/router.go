@@ -90,18 +90,18 @@ func (r *Router) resolve(from ObjectID, target geom.Point) (RouteResult, error) 
 			}
 		}
 	}
-	hops, err := r.o.routeToPoint(&r.rt, &cur, target)
+	stop, hops, err := r.o.routeToPoint(&r.rt, cur.vert, target)
 	hops += jump
 	if err != nil {
 		return RouteResult{Hops: hops}, err
 	}
 	var v delaunay.VertexID
-	v, r.nbuf = r.o.tr.NearestSiteRO(target, cur.vert, r.nbuf)
+	v, r.nbuf = r.o.tr.NearestSiteRO(target, stop, r.nbuf)
 	owner := r.o.byVertex[v]
 	if c := r.o.cache; c != nil && owner != NoObject {
 		c.Insert(target, owner)
 	}
-	return RouteResult{Stop: cur.ID, Owner: owner, Hops: hops}, nil
+	return RouteResult{Stop: r.o.byVertex[stop], Owner: owner, Hops: hops}, nil
 }
 
 // Owner resolves Obj(p) with a read-only nearest-site walk; hint

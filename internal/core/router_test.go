@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
+	"voronet/internal/geom"
 	"voronet/internal/workload"
 )
 
@@ -70,5 +72,57 @@ func TestMeasureRoutesParallel(t *testing.T) {
 	}
 	if _, _, err := o.MeasureRoutes([]RoutePair{{From: 999999, To: ids[0]}}, 2); err == nil {
 		t.Fatal("missing object must error")
+	}
+}
+
+// TestRouteZeroAllocs pins the read path at zero allocations per operation
+// once its scratch is warm: a routed point through a Router, and a GET
+// through the Store's pooled client. Skipped under the race detector,
+// where sync.Pool drops items at random and the store client is rebuilt.
+func TestRouteZeroAllocs(t *testing.T) {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not meaningful under -race")
+			}
+		}
+	}
+	o := newTestOverlay(20000)
+	ids, err := o.BulkLoad(bulkTestPoints(20000, 31), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(32))
+	keys := make([]geom.Point, 256)
+	st := NewStore(o, 0)
+	for i := range keys {
+		keys[i] = geom.Pt(rng.Float64(), rng.Float64())
+		if _, _, err := st.Put(ids[rng.Intn(len(ids))], keys[i], []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := o.NewRouter()
+	i := 0
+	route := func() {
+		i++
+		if _, err := r.RouteToPoint(ids[i*7919%len(ids)], keys[i%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func() {
+		i++
+		if _, _, err := st.Get(ids[i*7919%len(ids)], keys[i%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := 0; w < 2*len(keys); w++ { // warm the scratch buffers
+		route()
+		get()
+	}
+	if n := testing.AllocsPerRun(2000, route); n != 0 {
+		t.Errorf("Router.RouteToPoint allocates %.3f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(2000, get); n != 0 {
+		t.Errorf("Store.Get allocates %.3f times per call, want 0", n)
 	}
 }

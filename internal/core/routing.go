@@ -50,8 +50,8 @@ func (o *Overlay) chooseLRTWith(rng *rand.Rand, p geom.Point) geom.Point {
 // paths execute the very same walk functions below, so they can never
 // drift apart.
 type routeState struct {
-	nbuf  []delaunay.VertexID
-	gbuf  []gridEntry
+	nbuf  []delaunay.VertexID // vn of the current hop's object, walked once
+	cbuf  []delaunay.VertexID // its cn scan
 	vor   *voronoi.Diagram
 	steps *uint64
 }
@@ -66,48 +66,40 @@ func (o *Overlay) GreedyNeighbor(id ObjectID, target geom.Point) (ObjectID, erro
 	if obj == nil {
 		return NoObject, ErrNotFound
 	}
-	n := o.greedyNeighbor(&o.rt, obj, target)
-	if n == nil {
-		return NoObject, nil
-	}
-	return n.ID, nil
+	o.rt.nbuf = o.tr.Neighbors(obj.vert, o.rt.nbuf)
+	return o.vertexObject(o.greedyNeighbor(&o.rt, obj.vert, obj.Pos, target)), nil
 }
 
-// greedyNeighbor scans vn ∪ cn ∪ LRn considering (id, position) pairs read
-// straight from the triangulation and the grid — one object-map lookup for
-// the winner instead of one per candidate, which matters at one call per
-// routing hop.
-func (o *Overlay) greedyNeighbor(rt *routeState, obj *Object, target geom.Point) *Object {
+// greedyNeighbor scans vn ∪ cn ∪ LRn of the object at vertex cur (whose
+// position is pos) and returns the candidate closest to target, the first
+// such in that order, or NoVertex when there is none. The caller has
+// walked vn(cur) into rt.nbuf. Everything the scan reads is indexed by
+// vertex — the triangulation's sites, the grid's chains, the long-link
+// arena — so a hop probes no map and follows no object pointer.
+func (o *Overlay) greedyNeighbor(rt *routeState, cur delaunay.VertexID, pos, target geom.Point) delaunay.VertexID {
 	*rt.steps++
-	best := NoObject
+	best := delaunay.NoVertex
 	bestD := math.Inf(1)
-	consider := func(id ObjectID, pos geom.Point) {
-		if id == obj.ID {
-			return
-		}
-		if d := geom.Dist2(pos, target); d < bestD {
-			best, bestD = id, d
+	consider := func(v delaunay.VertexID, q geom.Point) {
+		if d := geom.Dist2(q, target); d < bestD {
+			best, bestD = v, d
 		}
 	}
-	rt.nbuf = o.tr.Neighbors(obj.vert, rt.nbuf)
 	for _, v := range rt.nbuf {
-		consider(o.byVertex[v], o.tr.Point(v))
+		consider(v, o.tr.Point(v))
 	}
-	if !o.cfg.DisableCloseNeighbours && !cnCannotWin(obj.Pos, target, o.dmin, bestD) {
-		rt.gbuf = o.grid.withinEntries(obj.Pos, o.dmin, obj.ID, rt.gbuf)
-		for _, e := range rt.gbuf {
-			consider(e.id, e.pos)
+	if !o.cfg.DisableCloseNeighbours && !cnCannotWin(pos, target, o.dmin, bestD) {
+		rt.cbuf = o.grid.within(pos, cur, rt.cbuf)
+		for _, v := range rt.cbuf {
+			consider(v, o.tr.Point(v))
 		}
 	}
-	for _, id := range obj.longNbrs {
-		if id != NoObject {
-			consider(id, o.objs[id].Pos)
+	for _, l := range o.longOf(cur) {
+		if l.v != delaunay.Infinite && l.v != cur {
+			consider(l.v, l.pos)
 		}
 	}
-	if best == NoObject {
-		return nil
-	}
-	return o.objs[best]
+	return best
 }
 
 // cnCannotWin reports whether the close-neighbour scan can be skipped
@@ -138,32 +130,35 @@ func (o *Overlay) RouteToObject(from, to ObjectID) (int, error) {
 }
 
 // routeToObject is the object-routing loop shared by the serial path and
-// the Router.
+// the Router. The cursor is a vertex and its position: the walk reads no
+// object record between the two it starts from.
 func (o *Overlay) routeToObject(rt *routeState, from, to ObjectID) (int, error) {
-	cur := o.objs[from]
+	src := o.objs[from]
 	dst := o.objs[to]
-	if cur == nil || dst == nil {
+	if src == nil || dst == nil {
 		return 0, ErrNotFound
 	}
-	target := dst.Pos
+	cur, pos, target := src.vert, src.Pos, dst.Pos
 	hops := 0
 	limit := len(o.ids) + 16
-	for cur.ID != to {
-		next := o.greedyNeighbor(rt, cur, target)
+	for cur != dst.vert {
+		rt.nbuf = o.tr.Neighbors(cur, rt.nbuf)
+		next := o.greedyNeighbor(rt, cur, pos, target)
 		hops++
-		if next == nil {
-			return hops, fmt.Errorf("voronet: routing stalled at %d (no neighbours)", cur.ID)
+		if next == delaunay.NoVertex {
+			return hops, fmt.Errorf("voronet: routing stalled at %d (no neighbours)", o.byVertex[cur])
 		}
-		if geom.Dist2(next.Pos, target) >= geom.Dist2(cur.Pos, target) {
+		npos := o.tr.Point(next)
+		if geom.Dist2(npos, target) >= geom.Dist2(pos, target) {
 			// Cannot happen on a correct overlay: greedy routing on a
 			// Delaunay triangulation always makes strict progress towards
 			// the region owner, and the target is an object.
-			return hops, fmt.Errorf("voronet: greedy routing regressed at %d", cur.ID)
+			return hops, fmt.Errorf("voronet: greedy routing regressed at %d", o.byVertex[cur])
 		}
 		if hops > limit {
 			return hops, fmt.Errorf("voronet: routing exceeded %d hops", limit)
 		}
-		cur = next
+		cur, pos = next, npos
 	}
 	return hops, nil
 }
@@ -189,60 +184,57 @@ type RouteResult struct {
 func (o *Overlay) RouteToPoint(from ObjectID, target geom.Point) (RouteResult, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	cur := o.objs[from]
-	if cur == nil {
+	src := o.objs[from]
+	if src == nil {
 		return RouteResult{}, ErrNotFound
 	}
-	hops, err := o.routeToPoint(&o.rt, &cur, target)
+	stop, hops, err := o.routeToPoint(&o.rt, src.vert, target)
 	if err != nil {
 		return RouteResult{Hops: hops}, err
 	}
-	ownerV := o.tr.NearestSite(target, cur.vert)
-	return RouteResult{Stop: cur.ID, Owner: o.byVertex[ownerV], Hops: hops}, nil
+	ownerV := o.tr.NearestSite(target, stop)
+	return RouteResult{Stop: o.byVertex[stop], Owner: o.byVertex[ownerV], Hops: hops}, nil
 }
 
-// routeToPoint advances *cur until Algorithm 5's stop condition holds and
-// returns the hop count. Shared by the serial path and the Router via rt.
-func (o *Overlay) routeToPoint(rt *routeState, cur **Object, target geom.Point) (int, error) {
+// routeToPoint walks from vertex cur until Algorithm 5's stop condition
+// holds and returns the stopping vertex and the hop count. Shared by the
+// serial path and the Router via rt. Each hop walks the fan of cur once:
+// the stop test and the greedy scan both read rt.nbuf.
+func (o *Overlay) routeToPoint(rt *routeState, cur delaunay.VertexID, target geom.Point) (delaunay.VertexID, int, error) {
+	pos := o.tr.Point(cur)
 	hops := 0
 	limit := len(o.ids) + 16
 	for {
-		c := *cur
-		dCur := geom.Dist(target, c.Pos)
+		dCur := geom.Dist(target, pos)
 		if dCur <= o.dmin {
-			return hops, nil
+			return cur, hops, nil
 		}
-		if o.tr.Dimension() < 2 {
-			// Degenerate overlay (≤2 objects or collinear): regions are
-			// halfplanes/slabs; route greedily to the nearest object.
-			next := o.greedyNeighbor(rt, c, target)
-			hops++
-			if next == nil || geom.Dist2(next.Pos, target) >= geom.Dist2(c.Pos, target) {
-				return hops, nil
-			}
-			*cur = next
-			continue
-		}
+		rt.nbuf = o.tr.Neighbors(cur, rt.nbuf)
 		// Cheap one-pass lower bound first; the exact cell-based distance
-		// only runs near the stop, where the bound cannot decide.
-		if !rt.vor.DistanceToRegionBeyond(c.vert, target, dCur/3) {
-			_, dz := rt.vor.DistanceToRegion(c.vert, target)
-			if dz <= dCur/3 {
-				return hops, nil
+		// only runs near the stop, where the bound cannot decide. A
+		// degenerate overlay (≤2 objects or collinear) has halfplanes and
+		// slabs for regions: it routes greedily to the nearest object.
+		if o.tr.Dimension() >= 2 && !rt.vor.BeyondBisectors(cur, rt.nbuf, target, dCur/3) {
+			if _, dz := rt.vor.DistanceToRegion(cur, target); dz <= dCur/3 {
+				return cur, hops, nil
 			}
 		}
-		next := o.greedyNeighbor(rt, c, target)
+		next := o.greedyNeighbor(rt, cur, pos, target)
 		hops++
-		if next == nil {
-			return hops, nil
+		if next == delaunay.NoVertex {
+			return cur, hops, nil
 		}
-		if geom.Dist2(next.Pos, target) >= geom.Dist2(c.Pos, target) {
-			return hops, fmt.Errorf("voronet: point routing regressed at %d", c.ID)
+		npos := o.tr.Point(next)
+		if geom.Dist2(npos, target) >= geom.Dist2(pos, target) {
+			if o.tr.Dimension() < 2 {
+				return cur, hops, nil
+			}
+			return cur, hops, fmt.Errorf("voronet: point routing regressed at %d", o.byVertex[cur])
 		}
 		if hops > limit {
-			return hops, fmt.Errorf("voronet: point routing exceeded %d hops", limit)
+			return cur, hops, fmt.Errorf("voronet: point routing exceeded %d hops", limit)
 		}
-		*cur = next
+		cur, pos = next, npos
 	}
 }
 
@@ -279,8 +271,7 @@ func (o *Overlay) join(p geom.Point, via ObjectID) (ObjectID, error) {
 	}
 
 	// Route towards the new position (AddObject's loop).
-	cur := start
-	hops, err := o.routeToPoint(&o.rt, &cur, p)
+	stop, hops, err := o.routeToPoint(&o.rt, start.vert, p)
 	if err != nil {
 		return NoObject, err
 	}
@@ -288,16 +279,16 @@ func (o *Overlay) join(p geom.Point, via ObjectID) (ObjectID, error) {
 
 	// Fictive object z = DistanceToRegion(p) at the stopping object, unless
 	// p is already in R(stop) (Lemma 4 lets us insert z, then p from z).
-	z, dz := o.fictiveSite(cur, p)
+	z, dz := o.fictiveSite(stop, p)
 	var zID ObjectID = NoObject
 	if dz > 0 {
-		if id, err := o.insertCore(z, cur.vert, modeFictive); err == nil {
+		if id, err := o.insertCore(z, stop, modeFictive); err == nil {
 			zID = id
 			o.counters.FictiveInserts++
 		}
 	}
 
-	hint := cur.vert
+	hint := stop
 	if zID != NoObject {
 		hint = o.objs[zID].vert
 	}
@@ -313,7 +304,8 @@ func (o *Overlay) join(p geom.Point, via ObjectID) (ObjectID, error) {
 	}
 	obj := o.objs[id]
 	// AddVoronoiRegion exchanges O(|vn|) messages (§4.2.1).
-	o.counters.MaintenanceMessages += uint64(o.tr.Degree(obj.vert))
+	o.nbuf = o.tr.Neighbors(obj.vert, o.nbuf)
+	o.counters.MaintenanceMessages += uint64(len(o.nbuf))
 
 	// Establish the long links through the routed protocol (Algorithm 2).
 	if !o.cfg.DisableLongLinks {
@@ -325,8 +317,9 @@ func (o *Overlay) join(p geom.Point, via ObjectID) (ObjectID, error) {
 			}
 			o.counters.JoinRouteSteps += uint64(lhops)
 			obj.longTargets = append(obj.longTargets, tgt)
-			obj.longNbrs = append(obj.longNbrs, ownerID)
-			o.objs[ownerID].addBack(obj, j)
+			holder := o.objs[ownerID]
+			o.setLong(obj, j, holder)
+			holder.addBack(obj, j)
 		}
 	}
 	o.counters.Joins++
@@ -338,22 +331,23 @@ func (o *Overlay) join(p geom.Point, via ObjectID) (ObjectID, error) {
 // the paper describes ("finding LRn(x) requires to add two objects (to be
 // removed!)").
 func (o *Overlay) searchLongLink(obj *Object, tgt geom.Point) (ObjectID, int, error) {
-	cur := obj
-	hops, err := o.routeToPoint(&o.rt, &cur, tgt)
+	stop, hops, err := o.routeToPoint(&o.rt, obj.vert, tgt)
 	if err != nil {
 		return NoObject, hops, err
 	}
-	owner, err := o.resolveByFictive(cur, tgt)
+	owner, err := o.resolveByFictive(stop, tgt)
 	return owner, hops, err
 }
 
-// fictiveSite computes z = DistanceToRegion(target) at cur, handling the
-// degenerate (dim < 2) overlay where regions are not polygons.
-func (o *Overlay) fictiveSite(cur *Object, target geom.Point) (geom.Point, float64) {
+// fictiveSite computes z = DistanceToRegion(target) at the object at
+// vertex cur, handling the degenerate (dim < 2) overlay where regions are
+// not polygons.
+func (o *Overlay) fictiveSite(cur delaunay.VertexID, target geom.Point) (geom.Point, float64) {
 	if o.tr.Dimension() < 2 {
-		return cur.Pos, geom.Dist(cur.Pos, target)
+		pos := o.tr.Point(cur)
+		return pos, geom.Dist(pos, target)
 	}
-	return o.vor.DistanceToRegion(cur.vert, target)
+	return o.vor.DistanceToRegion(cur, target)
 }
 
 // resolveByFictive determines Obj(tgt) the way the protocol does: insert a
@@ -362,16 +356,16 @@ func (o *Overlay) fictiveSite(cur *Object, target geom.Point) (geom.Point, float
 // both again. Exercising the real insert/remove machinery here is
 // deliberate: it is what the protocol costs and what the paper's
 // correctness argument (Lemma 4) is about.
-func (o *Overlay) resolveByFictive(cur *Object, tgt geom.Point) (ObjectID, error) {
+func (o *Overlay) resolveByFictive(cur delaunay.VertexID, tgt geom.Point) (ObjectID, error) {
 	z, dz := o.fictiveSite(cur, tgt)
 	var zID, tID ObjectID = NoObject, NoObject
 	if dz > 0 {
-		if id, err := o.insertCore(z, cur.vert, modeFictive); err == nil {
+		if id, err := o.insertCore(z, cur, modeFictive); err == nil {
 			zID = id
 			o.counters.FictiveInserts++
 		}
 	}
-	hint := cur.vert
+	hint := cur
 	if zID != NoObject {
 		hint = o.objs[zID].vert
 	}
@@ -414,7 +408,7 @@ func (o *Overlay) resolveByFictive(cur *Object, tgt geom.Point) (ObjectID, error
 	if owner == NoObject {
 		// tgt coincided with an existing object, or its neighbours were all
 		// fictive: fall back to the ground truth.
-		v := o.tr.NearestSite(tgt, cur.vert)
+		v := o.tr.NearestSite(tgt, cur)
 		owner = o.byVertex[v]
 	}
 	return owner, nil
@@ -438,18 +432,18 @@ func (o *Overlay) HandleQuery(from ObjectID, query geom.Point) (RouteResult, err
 }
 
 func (o *Overlay) handleQuery(from ObjectID, query geom.Point) (RouteResult, error) {
-	cur := o.objs[from]
-	if cur == nil {
+	src := o.objs[from]
+	if src == nil {
 		return RouteResult{}, ErrNotFound
 	}
-	hops, err := o.routeToPoint(&o.rt, &cur, query)
+	stop, hops, err := o.routeToPoint(&o.rt, src.vert, query)
 	if err != nil {
 		return RouteResult{Hops: hops}, err
 	}
-	owner := o.resolveByNearest(cur, query)
+	owner := o.resolveByNearest(stop, query)
 	o.counters.MaintenanceMessages++ // AnswerQuery back to the requester
 	o.counters.Queries++
-	return RouteResult{Stop: cur.ID, Owner: owner, Hops: hops}, nil
+	return RouteResult{Stop: o.byVertex[stop], Owner: owner, Hops: hops}, nil
 }
 
 // resolveByNearest determines Obj(tgt) from the stopping object with a
@@ -458,8 +452,8 @@ func (o *Overlay) handleQuery(from ObjectID, query geom.Point) (RouteResult, err
 // O(1) expected: Algorithm 5's stop condition left us within a constant
 // factor of the target's region (Lemma 4), so the greedy descent crosses
 // only a handful of cells.
-func (o *Overlay) resolveByNearest(cur *Object, tgt geom.Point) ObjectID {
+func (o *Overlay) resolveByNearest(cur delaunay.VertexID, tgt geom.Point) ObjectID {
 	var v delaunay.VertexID
-	v, o.nbuf = o.tr.NearestSiteRO(tgt, cur.vert, o.nbuf)
+	v, o.nbuf = o.tr.NearestSiteRO(tgt, cur, o.nbuf)
 	return o.byVertex[v]
 }

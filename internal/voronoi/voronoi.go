@@ -111,17 +111,25 @@ func (d *Diagram) Contains(v delaunay.VertexID, p geom.Point) bool {
 }
 
 // DistanceToRegionBeyond reports whether dist(p, R(v)) provably exceeds
-// thresh, using the maximum bisector violation as a lower bound: R(v) is
-// contained in every halfplane {x : |x−v| ≤ |x−u|}, so p's distance to the
-// region is at least its distance past any single bisector. One pass over
-// the neighbours, no cell construction — this is what lets greedy routing
-// evaluate Algorithm 5's stop condition in O(deg) per hop, falling back to
-// the exact DistanceToRegion only when the bound cannot decide (i.e. near
-// the stop). A false result means "not provable", not "within thresh".
+// thresh: BeyondBisectors over v's own neighbour walk.
 func (d *Diagram) DistanceToRegionBeyond(v delaunay.VertexID, p geom.Point, thresh float64) bool {
-	o := d.tr.Point(v)
 	d.nbuf = d.tr.Neighbors(v, d.nbuf)
-	for _, u := range d.nbuf {
+	return d.BeyondBisectors(v, d.nbuf, p, thresh)
+}
+
+// BeyondBisectors reports whether dist(p, R(v)) provably exceeds thresh,
+// given nbrs = the Voronoi neighbours of v, using the maximum bisector
+// violation as a lower bound: R(v) is contained in every halfplane
+// {x : |x−v| ≤ |x−u|}, so p's distance to the region is at least its
+// distance past any single bisector. One pass over the neighbours, no cell
+// construction — this is what lets greedy routing evaluate Algorithm 5's
+// stop condition in O(deg) per hop on the neighbour list the hop's scan
+// reads anyway, falling back to the exact DistanceToRegion only when the
+// bound cannot decide (i.e. near the stop). A false result means "not
+// provable", not "within thresh".
+func (d *Diagram) BeyondBisectors(v delaunay.VertexID, nbrs []delaunay.VertexID, p geom.Point, thresh float64) bool {
+	o := d.tr.Point(v)
+	for _, u := range nbrs {
 		q := d.tr.Point(u)
 		n := q.Sub(o)
 		nn := n.Dot(n)
