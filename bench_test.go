@@ -264,7 +264,9 @@ func BenchmarkJoin(b *testing.B) {
 // objects), then Store.JoinObject and Store.RemoveObject in alternation,
 // as the benchmark's sim-churn writer does. ns/op is the mean over joins
 // and removes; exterior-ms/op is the mean of the joins whose own drawn
-// target left the square — the slow ones.
+// target left the square: the ones whose probe objects become hull
+// vertices, which costs that Delaunay surgery and nothing else (fictive
+// objects take no part in the BLRn exchange).
 func BenchmarkChurnAt100k(b *testing.B) {
 	b.ReportAllocs()
 	ov := voronet.New(voronet.Config{NMax: 100000, Seed: 52})

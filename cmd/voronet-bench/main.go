@@ -424,9 +424,11 @@ func runMaintenance() error {
 				p.N, p.JoinRouteSteps, p.JoinMaintenance, p.LeaveMaintenance, p.FictivePerJoin)
 		}
 		first, last := pts[0], pts[len(pts)-1]
-		verdict("Maint/"+map[bool]string{false: "literal", true: "interior"}[variant.interior],
-			last.LeaveMaintenance < 2.5*first.LeaveMaintenance,
+		name := "Maint/" + map[bool]string{false: "literal", true: "interior"}[variant.interior]
+		verdict(name, last.LeaveMaintenance < 2.5*first.LeaveMaintenance,
 			"per-leave maintenance stays O(1)")
+		verdict(name+"/join", last.JoinMaintenance < 2.5*first.JoinMaintenance,
+			"per-join maintenance stays O(1); what grows is the hull ring of an exterior probe")
 	}
 	return nil
 }

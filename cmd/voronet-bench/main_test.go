@@ -29,6 +29,27 @@ func TestCPUProfileSurvivesFailure(t *testing.T) {
 	}
 }
 
+// TestCommittedFiguresDivergeOnlyWhereKnown reads the committed
+// BENCH_fig.txt and requires its DIVERGES verdicts to be exactly the ones
+// listed here, each with an entry in EXPERIMENTS.md: a new divergence
+// cannot be committed unnoticed, and one that was fixed must leave the
+// list.
+func TestCommittedFiguresDivergeOnlyWhereKnown(t *testing.T) {
+	known := []string{"Fig7/alpha5"}
+	text, err := os.ReadFile(filepath.Join("..", "..", "BENCH_fig.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^# (\S+) +DIVERGES\b`).FindAllStringSubmatch(string(text), -1) {
+		got = append(got, m[1])
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, known) {
+		t.Errorf("BENCH_fig.txt says DIVERGES for %v; the allow-list is %v", got, known)
+	}
+}
+
 // TestDocsNameWhatExists keeps README.md, DESIGN.md and EXPERIMENTS.md
 // from pointing at result files or Go source files that are not in the
 // tree, at voronet-bench flags that are not defined, or (back-ticked) at

@@ -55,40 +55,9 @@ var handOverScenarios = []handOverScenario{
 	}},
 }
 
-// handOverDigests pins the BLRn hand-over move for move. The constants were
-// first printed by this very file at commit 5914c5d (the parent of the
-// change that made back entries carry their target) and held unchanged
-// through the move of LRn and the close-neighbour grid into vertex-indexed
-// arrays. They were re-pinned once, for the SetNMax density fix alone
-// (TestSetNMaxDensityMatchesBruteForce): the doubling in the middle of the
-// run now re-draws the links of every object that has a close neighbour,
-// not of the few a 3×3 block of the *new* cells happened to catch. Commit
-// c023bab with only that fix applied prints these same nine constants
-// (CHANGES.md, PR 22, has the old ones). Scenario-major, seeds 1-3.
-var handOverDigests = map[string][3]uint64{
-	"uniform":  {0x47cce8feef2d33e0, 0xb6c93e18c5b9f5cf, 0x59f0ee41c9ade07b},
-	"exterior": {0xe758ec8548515f6a, 0x525c3c146548ec59, 0x509e8feb8d1e984d},
-	"ring":     {0x3ac7d5809bb118be, 0xef00e30883f76d41, 0xfb75e6d82c732ede},
-}
-
-// TestHandOverDigest runs 1 500 alternating Join/Remove steps and one
-// SetNMax doubling over each scenario and folds every protocol counter,
-// every object's LRn and every object's BLRn (as a sorted set) into one
-// FNV-1a digest. It is written against exported accessors only, so the
-// same file compiles before and after a change to the entry layout; any
-// change to a move, a tie-break or a count changes a digest.
-func TestHandOverDigest(t *testing.T) {
-	for _, sc := range handOverScenarios {
-		for seed := int64(1); seed <= 3; seed++ {
-			got := handOverDigest(t, sc, seed)
-			if want := handOverDigests[sc.name][seed-1]; got != want {
-				t.Errorf("%s seed %d: digest %#016x, pinned %#016x", sc.name, seed, got, want)
-			}
-		}
-	}
-}
-
-func handOverDigest(t *testing.T, sc handOverScenario, seed int64) uint64 {
+// build returns the scenario's starting overlay for one seed, the IDs of
+// its objects and the position stream, advanced past the seed points.
+func (sc handOverScenario) build(t *testing.T, seed int64) (*Overlay, []ObjectID, *rand.Rand) {
 	t.Helper()
 	cfg := sc.cfg
 	cfg.Seed = seed + 1000 // distinct from the position stream's
@@ -117,11 +86,63 @@ func handOverDigest(t *testing.T, sc handOverScenario, seed int64) uint64 {
 			t.Fatalf("%s: %.2f of targets are exterior, want >= %.2f", sc.name, frac, sc.minExterior)
 		}
 	}
+	return o, live, rng
+}
+
+// handOverState pins the BLRn hand-over move for move: which object holds
+// which entry and which object every long link names, after the run below.
+// The nine constants were printed by this very file at commit f560abf (the
+// parent of the change that took fictive objects out of the BLRn exchange)
+// and hold unchanged across it; a change to a move or a tie-break changes
+// one. Scenario-major, seeds 1-3.
+var handOverState = map[string][3]uint64{
+	"uniform":  {0x80eb13169610f3ff, 0x24c37410994b35fb, 0x8f2979d6395ccaa9},
+	"exterior": {0xa82b4d645726606d, 0x755c9a1893b52dbf, 0x4e44d44e2ee0b123},
+	"ring":     {0xa6e950d0b7054b17, 0xe1c208780d218cc4, 0x36cf484d364f2b45},
+}
+
+// handOverTraffic pins Counters.MaintenanceMessages for the same runs: what
+// the moves are charged, which only a change to the cost model may touch.
+// Re-pinned once, by the change named above (CHANGES.md, PR 23, has the
+// values f560abf prints).
+var handOverTraffic = map[string][3]uint64{
+	"uniform":  {19933, 20122, 19459},
+	"exterior": {22328, 22451, 21977},
+	"ring":     {28256, 28001, 28363},
+}
+
+// TestHandOverDigest runs 1 500 alternating Join/Remove steps and one
+// SetNMax doubling over each scenario and checks two things apart. The
+// state digest folds every protocol counter but MaintenanceMessages, every
+// object's LRn and every object's BLRn (as a sorted set) into one FNV-1a
+// value: same links, same holders, same routes. The traffic value is
+// MaintenanceMessages alone: how many messages that took. The test is
+// written against exported accessors only, so the same file compiles
+// before and after a change to the entry layout.
+func TestHandOverDigest(t *testing.T) {
+	for _, sc := range handOverScenarios {
+		for seed := int64(1); seed <= 3; seed++ {
+			state, traffic := handOverDigest(t, sc, seed)
+			if want := handOverState[sc.name][seed-1]; state != want {
+				t.Errorf("%s seed %d: state digest %#016x, pinned %#016x", sc.name, seed, state, want)
+			}
+			if want := handOverTraffic[sc.name][seed-1]; traffic != want {
+				t.Errorf("%s seed %d: %d maintenance messages, pinned %d", sc.name, seed, traffic, want)
+			}
+		}
+	}
+}
+
+// handOverDigest returns the state digest and the maintenance-message
+// count of one scenario × seed.
+func handOverDigest(t *testing.T, sc handOverScenario, seed int64) (state, traffic uint64) {
+	t.Helper()
+	o, live, rng := sc.build(t, seed)
 
 	const steps = 1500
 	for step := 0; step < steps; step++ {
 		if step == steps/2 {
-			o.SetNMax(2*cfg.NMax, 0)
+			o.SetNMax(2*sc.cfg.NMax, 0)
 		}
 		if step%2 == 0 {
 			via := live[rng.Intn(len(live))]
@@ -150,7 +171,7 @@ func handOverDigest(t *testing.T, sc handOverScenario, seed int64) uint64 {
 		h.Write(b[:])
 	}
 	c := o.Counters()
-	for _, v := range []uint64{c.GreedySteps, c.JoinRouteSteps, c.MaintenanceMessages,
+	for _, v := range []uint64{c.GreedySteps, c.JoinRouteSteps,
 		c.FictiveInserts, c.Joins, c.Leaves, c.Queries} {
 		put(v)
 	}
@@ -174,7 +195,7 @@ func handOverDigest(t *testing.T, sc handOverScenario, seed int64) uint64 {
 			put(uint64(ref.Link))
 		}
 	}
-	return h.Sum64()
+	return h.Sum64(), c.MaintenanceMessages
 }
 
 // sortedBackRefs returns BLRn(id) as a sorted set: list order depends on

@@ -75,12 +75,13 @@ type Config struct {
 	// InteriorTargets redraws each long-link target until it falls inside
 	// the unit square. The paper allows LRt outside [0,1]² (§4.3.2), but
 	// exterior targets pile up in the regions of the few boundary
-	// objects, whose BLRn sets then grow with N and drag per-join
-	// maintenance up with them (every routed operation near the hull
-	// shuffles the pile through its fictive objects). Conditioning the
-	// target distribution on the square restores O(1) BLRn sets and O(1)
-	// maintenance without measurably changing routing. Off by default for
-	// paper fidelity; see EXPERIMENTS.md ("maintenance costs").
+	// objects, whose BLRn sets then grow with N: a real join or leave on
+	// the hull moves a share of the pile. (Routed operations near the hull
+	// do not — fictive objects hold no BLRn entry; per-join maintenance is
+	// ≈ 19 messages with the switch and 23–40 without.) Conditioning the
+	// target distribution on the square restores O(1) BLRn sets without
+	// measurably changing routing. Off by default for paper fidelity; see
+	// EXPERIMENTS.md ("A fictive object holds no back-links").
 	InteriorTargets bool
 }
 
@@ -109,7 +110,7 @@ type Object struct {
 }
 
 // backEntry is one BLRn entry, holding everything the hand-over loops of
-// insertBase and remove read: they compare tgt against two positions for
+// takeOver and remove read: they compare tgt against two positions for
 // every entry of every ring neighbour's list, so the target sits in the
 // list itself (one sequential pass, no map probe, no pointer chase) and
 // obj is dereferenced only for an entry that moves. 32 bytes.
@@ -556,38 +557,18 @@ func (o *Overlay) Insert(p geom.Point) (ObjectID, error) {
 	return o.insert(p, delaunay.NoVertex)
 }
 
-// insertMode selects how much of AddVoronoiRegion an insertion performs.
-type insertMode int
-
-const (
-	// modeFull: a regular object — BLRn exchange and long links.
-	modeFull insertMode = iota
-	// modeJoining: a real object inserted by Join; the BLRn exchange runs
-	// but long links are established separately through Algorithm 2.
-	modeJoining
-	// modeFictive: a fictive object of Algorithms 1, 2, 4 — no long links
-	// of its own. It still performs the BLRn exchange: the exchange is
-	// load-bearing for the exact ownership invariant (a fictive object
-	// wedged between an entry's holder and a newly inserted real object
-	// would otherwise hide the transfer), and its removal re-delegates
-	// every entry to the true owner.
-	modeFictive
-)
-
+// insert adds a regular object at p: tessellation surgery, the BLRn
+// take-over, and its long links.
 func (o *Overlay) insert(p geom.Point, hint delaunay.VertexID) (ObjectID, error) {
-	return o.insertCore(p, hint, modeFull)
-}
-
-// insertCore adds an object at p according to mode.
-func (o *Overlay) insertCore(p geom.Point, hint delaunay.VertexID, mode insertMode) (ObjectID, error) {
 	id, obj, err := o.insertBase(p, hint)
 	if err != nil {
 		return NoObject, err
 	}
+	o.takeOver(obj)
 	// Choose the long-link targets and resolve their owners directly
 	// against the tessellation (structurally identical to the routed
 	// SearchLongLink used by Join).
-	if mode == modeFull && !o.cfg.DisableLongLinks {
+	if !o.cfg.DisableLongLinks {
 		for j := 0; j < o.cfg.LongLinks; j++ {
 			tgt := o.chooseLRT(p)
 			o.registerLongLink(obj, j, tgt)
@@ -597,7 +578,8 @@ func (o *Overlay) insertCore(p geom.Point, hint delaunay.VertexID, mode insertMo
 }
 
 // insertBase performs the link-free part of an insertion: tessellation
-// surgery, bookkeeping, and the BLRn takeover exchange.
+// surgery and bookkeeping. The object holds no BLRn entry until takeOver
+// runs for it.
 func (o *Overlay) insertBase(p geom.Point, hint delaunay.VertexID) (ObjectID, *Object, error) {
 	v, err := o.tr.Insert(p, hint)
 	if err != nil {
@@ -613,12 +595,17 @@ func (o *Overlay) insertBase(p geom.Point, hint delaunay.VertexID) (ObjectID, *O
 	o.setVertexObject(v, id)
 	o.ids = append(o.ids, id)
 	o.grid.add(v)
+	return id, obj, nil
+}
 
-	// Take over the back long-range links whose targets now fall in R(p):
-	// each new Voronoi neighbour hands over the BLRn entries that are
-	// closer to p than to it (§4.2.1). The exchange preserves the exact
-	// invariant LRn_j(w) = Obj(LRt_j(w)).
-	o.nbuf = o.tr.Neighbors(v, o.nbuf)
+// takeOver moves to obj the back long-range links whose targets fall in
+// its region: each Voronoi neighbour hands over the BLRn entries that are
+// closer to obj than to it (§4.2.1). The exchange preserves the exact
+// invariant LRn_j(w) = Obj(LRt_j(w)), provided every neighbour is a real
+// object: the previous owner of any point of R(obj) is then among them.
+func (o *Overlay) takeOver(obj *Object) {
+	p := obj.Pos
+	o.nbuf = o.tr.Neighbors(obj.vert, o.nbuf)
 	for _, nv := range o.nbuf {
 		nb := o.objs[o.byVertex[nv]]
 		kept := nb.back[:0]
@@ -633,7 +620,33 @@ func (o *Overlay) insertBase(p geom.Point, hint delaunay.VertexID) (ObjectID, *O
 		clear(nb.back[len(kept):]) // do not pin the moved entries' objects
 		nb.back = kept
 	}
-	return id, obj, nil
+}
+
+// insertFictive inserts a fictive object — the z of Algorithm 1, the z and
+// Target of Algorithm 2 — and returns NoObject when the site is taken. A
+// fictive object does tessellation surgery and nothing else: it never
+// takes, holds or re-delegates a BLRn entry. It is inserted and removed
+// within one hold of the write lock and nothing routes in between, so any
+// entry it took it would hand straight back to the holder it came from;
+// and a real object inserted beside it runs its takeOver once the fictive
+// one is gone (join), so no holder is ever hidden behind one.
+func (o *Overlay) insertFictive(p geom.Point, hint delaunay.VertexID) ObjectID {
+	id, _, err := o.insertBase(p, hint)
+	if err != nil {
+		return NoObject
+	}
+	o.counters.FictiveInserts++
+	return id
+}
+
+// removeFictive removes a fictive object: its ring recomputes the
+// tessellation (remove charges it) and there is nothing to re-delegate.
+func (o *Overlay) removeFictive(id ObjectID) error {
+	if err := o.remove(id); err != nil {
+		return err
+	}
+	o.counters.Leaves-- // fictive removals are not protocol leaves
+	return nil
 }
 
 // registerLongLink resolves Obj(tgt) with a nearest-site descent from obj
@@ -667,22 +680,26 @@ func (o *Overlay) remove(id ObjectID) error {
 		o.cache.invalidateOwner(id)
 	}
 
-	// The Voronoi neighbours before surgery, with their positions side by
-	// side: every BLRn entry below is measured against the whole ring.
+	// The Voronoi neighbours before surgery each learn of the departure.
 	o.nbuf = o.tr.Neighbors(obj.vert, o.nbuf)
-	o.ring, o.rpos = o.ring[:0], o.rpos[:0]
-	for _, nv := range o.nbuf {
-		nb := o.objs[o.byVertex[nv]]
-		o.ring = append(o.ring, nb)
-		o.rpos = append(o.rpos, nb.Pos)
-	}
-	o.counters.MaintenanceMessages += uint64(len(o.ring))
+	o.counters.MaintenanceMessages += uint64(len(o.nbuf))
 
 	// Delegate BLRn entries to the closest Voronoi neighbour (the first
-	// such in ring order).
+	// such in ring order). The ring — the neighbours' records with their
+	// positions side by side, every entry being measured against all of
+	// them — is built for the first entry there is to place: a fictive
+	// object holds none, and it is most of what is ever removed.
+	o.ring, o.rpos = o.ring[:0], o.rpos[:0]
 	for _, e := range obj.back {
 		if e.obj == obj {
 			continue // our own self-link dies with us
+		}
+		if len(o.ring) == 0 {
+			for _, nv := range o.nbuf {
+				nb := o.objs[o.byVertex[nv]]
+				o.ring = append(o.ring, nb)
+				o.rpos = append(o.rpos, nb.Pos)
+			}
 		}
 		best := -1
 		bestD := math.Inf(1)

@@ -16,7 +16,7 @@ import (
 // [dmin, √2] — log-uniform for the paper's s = 2 — and a uniform angle.
 // The target may land outside the unit square; its owner is still the
 // nearest object (§4.3.2). It draws from the overlay's own RNG, which the
-// write lock guards: every caller (insertCore, join, setNMax) holds it.
+// write lock guards: every caller (insert, join, setNMax) holds it.
 func (o *Overlay) chooseLRT(p geom.Point) geom.Point {
 	return o.chooseLRTWith(o.rng, p)
 }
@@ -280,29 +280,26 @@ func (o *Overlay) join(p geom.Point, via ObjectID) (ObjectID, error) {
 	// Fictive object z = DistanceToRegion(p) at the stopping object, unless
 	// p is already in R(stop) (Lemma 4 lets us insert z, then p from z).
 	z, dz := o.fictiveSite(stop, p)
-	var zID ObjectID = NoObject
+	zID, hint := NoObject, stop
 	if dz > 0 {
-		if id, err := o.insertCore(z, stop, modeFictive); err == nil {
-			zID = id
-			o.counters.FictiveInserts++
+		if zID = o.insertFictive(z, stop); zID != NoObject {
+			hint = o.objs[zID].vert
 		}
 	}
-
-	hint := stop
+	id, obj, err := o.insertBase(p, hint)
 	if zID != NoObject {
-		hint = o.objs[zID].vert
-	}
-	id, err := o.insertCore(p, hint, modeJoining)
-	if zID != NoObject {
-		if rerr := o.remove(zID); rerr != nil {
+		if rerr := o.removeFictive(zID); rerr != nil {
 			return NoObject, rerr
 		}
-		o.counters.Leaves-- // fictive removals are not protocol leaves
 	}
 	if err != nil {
 		return NoObject, err
 	}
-	obj := o.objs[id]
+	// The take-over runs once the stepping-stone is gone, against the
+	// joiner's final, all-real neighbourhood: z held nothing, so every
+	// entry whose target is now nearest the joiner is still with a Voronoi
+	// neighbour of the joiner.
+	o.takeOver(obj)
 	// AddVoronoiRegion exchanges O(|vn|) messages (§4.2.1).
 	o.nbuf = o.tr.Neighbors(obj.vert, o.nbuf)
 	o.counters.MaintenanceMessages += uint64(len(o.nbuf))
@@ -358,21 +355,13 @@ func (o *Overlay) fictiveSite(cur delaunay.VertexID, target geom.Point) (geom.Po
 // correctness argument (Lemma 4) is about.
 func (o *Overlay) resolveByFictive(cur delaunay.VertexID, tgt geom.Point) (ObjectID, error) {
 	z, dz := o.fictiveSite(cur, tgt)
-	var zID, tID ObjectID = NoObject, NoObject
+	zID, hint := NoObject, cur
 	if dz > 0 {
-		if id, err := o.insertCore(z, cur, modeFictive); err == nil {
-			zID = id
-			o.counters.FictiveInserts++
+		if zID = o.insertFictive(z, cur); zID != NoObject {
+			hint = o.objs[zID].vert
 		}
 	}
-	hint := cur
-	if zID != NoObject {
-		hint = o.objs[zID].vert
-	}
-	if id, err := o.insertCore(tgt, hint, modeFictive); err == nil {
-		tID = id
-		o.counters.FictiveInserts++
-	}
+	tID := o.insertFictive(tgt, hint)
 
 	// Remove the stepping-stone z before reading off the owner, as
 	// Algorithm 4 does (AddVoronoiRegion(z); AddVoronoiRegion(Query);
@@ -381,12 +370,11 @@ func (o *Overlay) resolveByFictive(cur delaunay.VertexID, tgt geom.Point) (Objec
 	// object is exactly the object owning the target's region afterwards;
 	// scanning while z is still present could name a shadowed second-best.
 	if zID != NoObject {
-		if err := o.remove(zID); err != nil {
+		if err := o.removeFictive(zID); err != nil {
 			return NoObject, err
 		}
-		o.counters.Leaves--
 	}
-	var owner ObjectID = NoObject
+	owner := NoObject
 	if tID != NoObject {
 		tObj := o.objs[tID]
 		o.nbuf = o.tr.Neighbors(tObj.vert, o.nbuf)
@@ -400,10 +388,9 @@ func (o *Overlay) resolveByFictive(cur delaunay.VertexID, tgt geom.Point) (Objec
 				owner, best = nid, d
 			}
 		}
-		if err := o.remove(tID); err != nil {
+		if err := o.removeFictive(tID); err != nil {
 			return NoObject, err
 		}
-		o.counters.Leaves--
 	}
 	if owner == NoObject {
 		// tgt coincided with an existing object, or its neighbours were all

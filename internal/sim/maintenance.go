@@ -19,12 +19,18 @@ type MaintenancePoint struct {
 	// (routing to the insertion region plus the long-link searches).
 	JoinRouteSteps float64
 	// JoinMaintenance is the mean number of neighbourhood-update messages
-	// per join.
+	// per join: the joiner's Voronoi neighbours plus the ring of each
+	// fictive object it removed. Fictive objects hold no BLRn entry, so no
+	// entry-transfer message is in it; what grows with N is the ring of a
+	// probe that became a hull vertex.
 	JoinMaintenance float64
-	// LeaveMaintenance is the mean number of messages per leave.
+	// LeaveMaintenance is the mean number of messages per leave: the
+	// leaver's ring and close neighbours, one per long link withdrawn and
+	// two per BLRn entry it re-delegates.
 	LeaveMaintenance float64
 	// FictivePerJoin is the mean number of fictive-object insertions per
-	// join (Algorithms 1 and 2 use up to 1 + 2·k of them).
+	// join (Algorithms 1 and 2 use up to 1 + 2·k of them); each does
+	// tessellation surgery only.
 	FictivePerJoin float64
 }
 
