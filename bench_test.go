@@ -396,8 +396,7 @@ func storeGetSetup(b *testing.B) (st *voronet.Store, from voronet.ObjectID, unif
 
 // BenchmarkStoreGet measures an object-store GET end to end on a mirror
 // pre-loaded with keys, and the mean routed hops per GET: over uniform
-// keys and over Zipf-popular keys without and with the 512-entry route
-// cache.
+// keys and over Zipf-popular keys.
 func BenchmarkStoreGet(b *testing.B) {
 	get := func(st *voronet.Store, from voronet.ObjectID, keys []voronet.Point) func(*testing.B) {
 		return func(b *testing.B) {
@@ -416,8 +415,6 @@ func BenchmarkStoreGet(b *testing.B) {
 	st, from, uniform, zipf := storeGetSetup(b)
 	b.Run("uniform", get(st, from, uniform))
 	b.Run("zipf1.1", get(st, from, zipf))
-	st.SetRouteCache(512)
-	b.Run("zipf1.1+cache512", get(st, from, zipf))
 }
 
 // BenchmarkHandleQuery measures Algorithm 4 end to end (routing plus the

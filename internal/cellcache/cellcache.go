@@ -1,9 +1,9 @@
-// Package cellcache is the quantised-cell LRU under both route caches —
-// the live node's (internal/node) and the simulator's (internal/core):
-// the attribute space is cut into square cells and each cell remembers
-// the value last inserted for a point inside it, least recently used
-// cells giving way at capacity. What a value means, and when entries
-// must be dropped for coherence, is the caller's business (DropIf).
+// Package cellcache is the quantised-cell LRU under the live node's route
+// cache (internal/node): the attribute space is cut into square cells and
+// each cell remembers the value last inserted for a point inside it,
+// least recently used cells giving way at capacity. What a value means,
+// and when entries must be dropped for coherence, is the caller's
+// business (DropIf).
 package cellcache
 
 import (
@@ -115,18 +115,6 @@ func (c *LRU[V]) DropIf(drop func(key geom.Point, v V) bool) int {
 		el = next
 	}
 	return removed
-}
-
-// Hottest returns the keys of the k most recently used entries, hottest
-// first.
-func (c *LRU[V]) Hottest(k int) []geom.Point {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]geom.Point, 0, k)
-	for el := c.order.Front(); el != nil && len(out) < k; el = el.Next() {
-		out = append(out, el.Value.(*entry[V]).key)
-	}
-	return out
 }
 
 // Clear empties the cache.

@@ -98,7 +98,7 @@ func New(ep transport.Endpoint, gateway string, timeout time.Duration) *Client {
 		ep:       ep,
 		gateway:  gateway,
 		timeout:  timeout,
-		inflight: store.NewInflight(),
+		inflight: store.NewInflight(0),
 		self:     proto.NodeInfo{Addr: ep.Addr()},
 	}
 	ep.SetHandler(c.handle)
@@ -206,7 +206,7 @@ func (c *Client) dispatchAttempt(purpose proto.RoutedPurpose, key geom.Point, va
 			})
 		}
 	}
-	id := c.inflight.Add(inner, c.timeout)
+	id, _ := c.inflight.Add(inner, c.timeout) // no limit: never refused
 	env := &proto.Envelope{
 		Type:    proto.KindRoute,
 		Purpose: purpose,

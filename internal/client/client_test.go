@@ -30,7 +30,7 @@ func busOverlay(t *testing.T, n int) (*transport.Bus, []*node.Node) {
 		}
 		nd := node.New(ep, geom.Pt(rng.Float64(), rng.Float64()), node.Config{
 			DMin: 0.05, LongLinks: 1, Seed: int64(i),
-			QueryTimeout: 365 * 24 * time.Hour, StoreTimeout: 365 * 24 * time.Hour,
+			RequestTimeout: 365 * 24 * time.Hour,
 		})
 		if i == 0 {
 			if err := nd.Bootstrap(); err != nil {
@@ -183,7 +183,7 @@ func TestClientPipelinedTCP(t *testing.T) {
 	cfg := func(i int) node.Config {
 		return node.Config{
 			DMin: 0.05, LongLinks: 2, Seed: int64(i), Replication: 2,
-			StoreTimeout: 5 * time.Second, QueryTimeout: 5 * time.Second,
+			RequestTimeout: 5 * time.Second,
 		}
 	}
 	var nodes []*node.Node

@@ -338,3 +338,62 @@ func TestRouterQueriesMatchSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestReadEntryPointsAgree pins the one resolve behind every read: for
+// drawn (from, target) pairs — exterior targets included, on a full
+// overlay and on collinear and two-object ones (dim < 2) —
+// Overlay.RouteToPoint, Router.RouteToPoint and HandleQuery return the
+// same Stop, Owner and Hops, and Store.Put / Store.Get route the same hops
+// to the same owner.
+func TestReadEntryPointsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(913))
+	full := New(Config{NMax: 3000, Seed: 912})
+	fill(t, full, workload.NewPowerLaw(2, rng), 600)
+	line := New(Config{NMax: 100, Seed: 911})
+	for _, x := range []float64{0.1, 0.35, 0.5, 0.9} {
+		if _, err := line.Insert(geom.Pt(x, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair := New(Config{NMax: 100, Seed: 910})
+	for _, p := range []geom.Point{{X: 0.25, Y: 0.4}, {X: 0.75, Y: 0.6}} {
+		if _, err := pair.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		o     *Overlay
+		pairs int
+	}{{"full", full, 400}, {"collinear", line, 50}, {"pair", pair, 50}} {
+		o := tc.o
+		ids := o.ids
+		r := o.NewRouter()
+		st := NewStore(o, 0)
+		for q := 0; q < tc.pairs; q++ {
+			from := ids[rng.Intn(len(ids))]
+			p := geom.Pt(rng.Float64(), rng.Float64())
+			if q%3 == 0 {
+				p = geom.Pt(rng.Float64()*2-0.5, rng.Float64()*2-0.5)
+			}
+			want, err := o.RouteToPoint(from, p)
+			if err != nil {
+				t.Fatalf("%s: Overlay.RouteToPoint(%d, %v): %v", tc.name, from, p, err)
+			}
+			if got, err := r.RouteToPoint(from, p); err != nil || got != want {
+				t.Fatalf("%s: Router.RouteToPoint(%d, %v) = %+v, %v; Overlay says %+v", tc.name, from, p, got, err, want)
+			}
+			if got, err := o.HandleQuery(from, p); err != nil || got != want {
+				t.Fatalf("%s: HandleQuery(%d, %v) = %+v, %v; RouteToPoint says %+v", tc.name, from, p, got, err, want)
+			}
+			owner, hops, err := st.Put(from, p, []byte{byte(q)})
+			if err != nil || owner != want.Owner || hops != want.Hops {
+				t.Fatalf("%s: Store.Put(%d, %v) = owner %d, %d hops, %v; RouteToPoint says %+v", tc.name, from, p, owner, hops, err, want)
+			}
+			val, hops, err := st.Get(from, p)
+			if err != nil || hops != want.Hops || len(val) != 1 || val[0] != byte(q) {
+				t.Fatalf("%s: Store.Get(%d, %v) = %v, %d hops, %v; want the value put at owner %d over %d hops", tc.name, from, p, val, hops, err, want.Owner, want.Hops)
+			}
+		}
+	}
+}

@@ -160,16 +160,11 @@ func (o *Overlay) equidistantOwners(tgt geom.Point, a, b ObjectID) bool {
 	return geom.Dist2(oa.Pos, tgt) == geom.Dist2(ob.Pos, tgt)
 }
 
-// CloseNeighborsLemma1 computes cn(id) the way the distributed protocol
+// closeNeighborsLemma1 computes cn(id) the way the distributed protocol
 // does after Lemma 1: every close neighbour of a freshly inserted object is
 // either one of its Voronoi neighbours or a close neighbour of one of them.
-// The simulator's grid index must agree exactly; tests enforce this.
-func (o *Overlay) CloseNeighborsLemma1(id ObjectID) ([]ObjectID, error) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.closeNeighborsLemma1(id)
-}
-
+// The simulator's grid index must agree exactly; CheckInvariants enforces
+// this.
 func (o *Overlay) closeNeighborsLemma1(id ObjectID) ([]ObjectID, error) {
 	obj := o.objs[id]
 	if obj == nil {

@@ -228,11 +228,6 @@ type Overlay struct {
 
 	grid *closeIndex
 
-	// cache is the optional shared hot-region owner cache (see cache.go);
-	// nil unless SetRouteCache installed one. Routers read the pointer on
-	// every resolve, so install it before driving load.
-	cache *ownerCache
-
 	counters Counters
 
 	nbuf []delaunay.VertexID // scratch (write-locked paths only)
@@ -674,10 +669,6 @@ func (o *Overlay) remove(id ObjectID) error {
 	obj := o.objs[id]
 	if obj == nil {
 		return ErrNotFound
-	}
-	if o.cache != nil {
-		// A departed owner must not linger even as a jump hint.
-		o.cache.invalidateOwner(id)
 	}
 
 	// The Voronoi neighbours before surgery each learn of the departure.

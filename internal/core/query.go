@@ -75,22 +75,13 @@ func (o *Overlay) RangeQuery(from ObjectID, a, b geom.Point) ([]ObjectID, QueryS
 // so the two paths cannot drift apart.
 func (o *Overlay) rangeQuery(rt *routeState, sc *queryScratch, from ObjectID, a, b geom.Point) ([]ObjectID, QueryStats, error) {
 	var st QueryStats
-	src := o.objs[from]
-	if src == nil {
-		return nil, st, ErrNotFound
-	}
-	if len(o.ids) == 0 {
-		return nil, st, ErrEmpty
-	}
 	// Route to the owner of the segment start.
-	stop, hops, err := o.routeToPoint(rt, src.vert, a)
+	res, err := o.resolve(rt, from, a)
 	if err != nil {
 		return nil, st, err
 	}
-	st.RouteHops = hops
-	var ownerV delaunay.VertexID
-	ownerV, rt.nbuf = o.tr.NearestSiteRO(a, stop, rt.nbuf)
-	result := o.floodSegment(o.byVertex[ownerV], a, b, rt.vor, sc, &st)
+	st.RouteHops = res.Hops
+	result := o.floodSegment(res.Owner, a, b, rt.vor, sc, &st)
 	return result, st, nil
 }
 
@@ -179,18 +170,12 @@ func (o *Overlay) RadiusQuery(from ObjectID, centre geom.Point, r float64) ([]Ob
 // Router.RadiusQuery; see rangeQuery.
 func (o *Overlay) radiusQuery(rt *routeState, sc *queryScratch, from ObjectID, centre geom.Point, r float64) ([]ObjectID, QueryStats, error) {
 	var st QueryStats
-	src := o.objs[from]
-	if src == nil {
-		return nil, st, ErrNotFound
-	}
-	stop, hops, err := o.routeToPoint(rt, src.vert, centre)
+	res, err := o.resolve(rt, from, centre)
 	if err != nil {
 		return nil, st, err
 	}
-	st.RouteHops = hops
-	var ownerV delaunay.VertexID
-	ownerV, rt.nbuf = o.tr.NearestSiteRO(centre, stop, rt.nbuf)
-	result := o.floodDisk(o.byVertex[ownerV], centre, r, rt.vor, sc, &st)
+	st.RouteHops = res.Hops
+	result := o.floodDisk(res.Owner, centre, r, rt.vor, sc, &st)
 	return result, st, nil
 }
 

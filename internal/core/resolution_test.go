@@ -83,7 +83,8 @@ func checkResolutionAgreement(t *testing.T, o *Overlay, from ObjectID, p geom.Po
 	if err != nil {
 		t.Fatalf("%s: route to %v: %v", label, p, err)
 	}
-	fast := o.resolveByNearest(cur, p)
+	fastV, _ := o.tr.NearestSiteRO(p, cur, nil)
+	fast := o.byVertex[fastV]
 	fict, err := o.resolveByFictive(cur, p)
 	if err != nil {
 		t.Fatalf("%s: fictive resolution at %v: %v", label, p, err)

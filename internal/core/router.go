@@ -55,53 +55,12 @@ func (r *Router) routeToObject(from, to ObjectID) (int, error) {
 	return r.o.routeToObject(&r.rt, from, to)
 }
 
-// RouteToPoint routes towards an arbitrary point per Algorithm 5's
-// framework and resolves the owner with a read-only nearest-site walk from
-// the stopping object — the concurrent, mutation-free equivalent of
-// Overlay.RouteToPoint.
+// RouteToPoint is the concurrent equivalent of Overlay.RouteToPoint: the
+// very same resolve, fed by the router's private scratch.
 func (r *Router) RouteToPoint(from ObjectID, target geom.Point) (RouteResult, error) {
 	r.o.mu.RLock()
 	defer r.o.mu.RUnlock()
-	return r.resolve(from, target)
-}
-
-// resolve routes from `from` towards target and names Obj(target). Caller
-// holds (at least) the overlay read lock.
-//
-// With an owner cache installed (Overlay.SetRouteCache) the walk first
-// consults it: a cached owner strictly closer to the target than the
-// origin is jumped to directly — one hop, charged honestly — and the
-// greedy walk continues from there. On a cache hit for the true owner
-// the whole route collapses to that single hop. The resolved owner
-// (re)populates the cache on every successful resolve.
-func (r *Router) resolve(from ObjectID, target geom.Point) (RouteResult, error) {
-	cur := r.o.objs[from]
-	if cur == nil {
-		return RouteResult{}, ErrNotFound
-	}
-	jump := 0
-	if c := r.o.cache; c != nil {
-		if id, ok := c.lookup(target); ok {
-			if hint := r.o.objs[id]; hint != nil &&
-				geom.Dist2(hint.Pos, target) < geom.Dist2(cur.Pos, target) {
-				cur = hint
-				jump = 1
-				c.jumps.Add(1)
-			}
-		}
-	}
-	stop, hops, err := r.o.routeToPoint(&r.rt, cur.vert, target)
-	hops += jump
-	if err != nil {
-		return RouteResult{Hops: hops}, err
-	}
-	var v delaunay.VertexID
-	v, r.nbuf = r.o.tr.NearestSiteRO(target, stop, r.nbuf)
-	owner := r.o.byVertex[v]
-	if c := r.o.cache; c != nil && owner != NoObject {
-		c.Insert(target, owner)
-	}
-	return RouteResult{Stop: r.o.byVertex[stop], Owner: owner, Hops: hops}, nil
+	return r.o.resolve(&r.rt, from, target)
 }
 
 // Owner resolves Obj(p) with a read-only nearest-site walk; hint

@@ -184,16 +184,30 @@ type RouteResult struct {
 func (o *Overlay) RouteToPoint(from ObjectID, target geom.Point) (RouteResult, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	return o.resolve(&o.rt, from, target)
+}
+
+// resolve routes from object `from` towards target (routeToPoint) and
+// names Obj(target) with a nearest-site walk from the stopping object —
+// O(1) expected, since Algorithm 5's stop condition left the walk within
+// a constant factor of the target's region (Lemma 4). Every read in the
+// package goes through it: RouteToPoint and HandleQuery on the Overlay and
+// the Router, the range and radius floods, and the Store's Put, Get and
+// Delete. It is read-only — all scratch comes from rt, and it touches
+// neither the triangulation's walk RNG nor its hint — so any number of
+// callers may run it under the overlay's read lock, each with its own rt.
+func (o *Overlay) resolve(rt *routeState, from ObjectID, target geom.Point) (RouteResult, error) {
 	src := o.objs[from]
 	if src == nil {
 		return RouteResult{}, ErrNotFound
 	}
-	stop, hops, err := o.routeToPoint(&o.rt, src.vert, target)
+	stop, hops, err := o.routeToPoint(rt, src.vert, target)
 	if err != nil {
 		return RouteResult{Hops: hops}, err
 	}
-	ownerV := o.tr.NearestSite(target, stop)
-	return RouteResult{Stop: o.byVertex[stop], Owner: o.byVertex[ownerV], Hops: hops}, nil
+	var v delaunay.VertexID
+	v, rt.nbuf = o.tr.NearestSiteRO(target, stop, rt.nbuf)
+	return RouteResult{Stop: o.byVertex[stop], Owner: o.byVertex[v], Hops: hops}, nil
 }
 
 // routeToPoint walks from vertex cur until Algorithm 5's stop condition
@@ -405,42 +419,20 @@ func (o *Overlay) resolveByFictive(cur delaunay.VertexID, tgt geom.Point) (Objec
 // `from`, determine the owner, and "answer" it by returning the owner.
 // Hops is the Greedyneighbour count.
 //
-// The stopping object resolves Obj(query) with a read-only nearest-site
-// walk (the stop condition guarantees the owner is in its vicinity —
-// Lemma 4); the paper's literal fictive insert/remove dance names the same
-// owner (resolveByFictive, which join's searchLongLink still performs;
+// The stopping object names Obj(query) by resolve's read-only walk; the
+// paper's literal fictive insert/remove dance names the same owner
+// (resolveByFictive, which join's searchLongLink still performs;
 // TestOwnerResolutionEquivalence). The call serialises against the overlay
 // (it updates the shared counters); the Router/Store fast path is the
 // concurrent equivalent.
 func (o *Overlay) HandleQuery(from ObjectID, query geom.Point) (RouteResult, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.handleQuery(from, query)
-}
-
-func (o *Overlay) handleQuery(from ObjectID, query geom.Point) (RouteResult, error) {
-	src := o.objs[from]
-	if src == nil {
-		return RouteResult{}, ErrNotFound
-	}
-	stop, hops, err := o.routeToPoint(&o.rt, src.vert, query)
+	res, err := o.resolve(&o.rt, from, query)
 	if err != nil {
-		return RouteResult{Hops: hops}, err
+		return res, err
 	}
-	owner := o.resolveByNearest(stop, query)
 	o.counters.MaintenanceMessages++ // AnswerQuery back to the requester
 	o.counters.Queries++
-	return RouteResult{Stop: o.byVertex[stop], Owner: owner, Hops: hops}, nil
-}
-
-// resolveByNearest determines Obj(tgt) from the stopping object with a
-// read-only nearest-site walk — the mutation-free equivalent of
-// resolveByFictive. Starting the walk at the stopping object makes it
-// O(1) expected: Algorithm 5's stop condition left us within a constant
-// factor of the target's region (Lemma 4), so the greedy descent crosses
-// only a handful of cells.
-func (o *Overlay) resolveByNearest(cur delaunay.VertexID, tgt geom.Point) ObjectID {
-	var v delaunay.VertexID
-	v, o.nbuf = o.tr.NearestSiteRO(tgt, cur, o.nbuf)
-	return o.byVertex[v]
+	return res, nil
 }

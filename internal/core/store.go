@@ -2,11 +2,9 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"voronet/internal/delaunay"
 	"voronet/internal/geom"
-	"voronet/internal/metrics"
 	"voronet/internal/proto"
 	"voronet/internal/store"
 )
@@ -37,61 +35,6 @@ type Store struct {
 	buckets map[ObjectID]*store.Local
 
 	clients sync.Pool // *storeClient
-
-	// metrics is nil unless SetMetrics installed a registry; the off
-	// mode costs one pointer load per operation (the <5% overhead
-	// budget of DESIGN.md §Observability is measured against it).
-	metrics *simStoreMetrics
-}
-
-// simStoreMetrics caches the sim-mirror store's instruments (resolved
-// once in SetMetrics, never per operation).
-type simStoreMetrics struct {
-	ops    *metrics.Counter // simstore_ops_total
-	errs   *metrics.Counter // simstore_errors_total
-	putLat *metrics.Histogram
-	getLat *metrics.Histogram
-	delLat *metrics.Histogram
-	putHop *metrics.Histogram
-	getHop *metrics.Histogram
-	delHop *metrics.Histogram
-}
-
-// SetMetrics installs reg as the store's metric sink: per-operation
-// latency and hop histograms (simstore_{put,get,delete}_{seconds,hops})
-// plus total/error counters. Pass nil to switch metrics off again. Not
-// safe to call concurrently with operations; install before driving
-// load.
-func (s *Store) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		s.metrics = nil
-		return
-	}
-	lat := metrics.LatencyBuckets()
-	hop := metrics.HopBuckets()
-	s.metrics = &simStoreMetrics{
-		ops:    reg.Counter("simstore_ops_total"),
-		errs:   reg.Counter("simstore_errors_total"),
-		putLat: reg.Histogram("simstore_put_seconds", lat),
-		getLat: reg.Histogram("simstore_get_seconds", lat),
-		delLat: reg.Histogram("simstore_delete_seconds", lat),
-		putHop: reg.Histogram("simstore_put_hops", hop),
-		getHop: reg.Histogram("simstore_get_hops", hop),
-		delHop: reg.Histogram("simstore_delete_hops", hop),
-	}
-}
-
-// done records one finished operation; errored ops stay out of the
-// latency/hops books so placement failures cannot skew the route
-// distributions.
-func (m *simStoreMetrics) done(lat, hop *metrics.Histogram, start time.Time, hops int, err error) {
-	m.ops.Inc()
-	if err != nil {
-		m.errs.Inc()
-		return
-	}
-	lat.Observe(time.Since(start).Seconds())
-	hop.Observe(float64(hops))
 }
 
 // storeClient is the per-goroutine scratch of one in-flight store
@@ -139,15 +82,11 @@ func (s *Store) bucket(id ObjectID) *store.Local {
 // Put routes a PUT from object `from` to the owner of key, which stores
 // value and replicates it. It returns the owner and the route's hop count.
 func (s *Store) Put(from ObjectID, key geom.Point, value []byte) (owner ObjectID, hops int, err error) {
-	if m := s.metrics; m != nil {
-		start := time.Now()
-		defer func() { m.done(m.putLat, m.putHop, start, hops, err) }()
-	}
 	c := s.client()
 	defer s.clients.Put(c)
 	s.ov.mu.RLock()
 	defer s.ov.mu.RUnlock()
-	res, err := c.r.resolve(from, key)
+	res, err := s.ov.resolve(&c.r.rt, from, key)
 	if err != nil {
 		return NoObject, res.Hops, err
 	}
@@ -159,15 +98,11 @@ func (s *Store) Put(from ObjectID, key geom.Point, value []byte) (owner ObjectID
 // Get routes a GET from object `from` and returns the owner's record
 // value, or store.ErrNotFound for a missing or deleted key.
 func (s *Store) Get(from ObjectID, key geom.Point) (value []byte, hops int, err error) {
-	if m := s.metrics; m != nil {
-		start := time.Now()
-		defer func() { m.done(m.getLat, m.getHop, start, hops, err) }()
-	}
 	c := s.client()
 	defer s.clients.Put(c)
 	s.ov.mu.RLock()
 	defer s.ov.mu.RUnlock()
-	res, err := c.r.resolve(from, key)
+	res, err := s.ov.resolve(&c.r.rt, from, key)
 	if err != nil {
 		return nil, res.Hops, err
 	}
@@ -182,15 +117,11 @@ func (s *Store) Get(from ObjectID, key geom.Point) (value []byte, hops int, err 
 // tombstones the record and replicates the tombstone. It returns
 // store.ErrNotFound when the owner had no live record.
 func (s *Store) Delete(from ObjectID, key geom.Point) (hops int, err error) {
-	if m := s.metrics; m != nil {
-		start := time.Now()
-		defer func() { m.done(m.delLat, m.delHop, start, hops, err) }()
-	}
 	c := s.client()
 	defer s.clients.Put(c)
 	s.ov.mu.RLock()
 	defer s.ov.mu.RUnlock()
-	res, err := c.r.resolve(from, key)
+	res, err := s.ov.resolve(&c.r.rt, from, key)
 	if err != nil {
 		return res.Hops, err
 	}

@@ -299,10 +299,9 @@ func (r *Run) nodeConfig(idx int, addr string) node.Config {
 		Seed:        r.scn.Seed + int64(idx),
 		Replication: r.scn.Replication,
 		// Replies either arrive during the drain or are lost to a fault;
-		// effectively infinite timeouts keep wall-clock timers (which
+		// an effectively infinite timeout keeps wall-clock timers (which
 		// would be nondeterministic) out of the run entirely.
-		StoreTimeout: 365 * 24 * time.Hour,
-		QueryTimeout: 365 * 24 * time.Hour,
+		RequestTimeout: 365 * 24 * time.Hour,
 	}
 	if r.scn.Durable {
 		cfg.WALDir = filepath.Join(r.walRoot, addr)

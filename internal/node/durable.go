@@ -32,7 +32,6 @@ func NewDurable(ep transport.Endpoint, pos geom.Point, cfg Config) (*Node, wal.R
 	n := newNode(ep, pos, cfg)
 	l, stats, err := wal.Open(wal.Options{
 		Dir:          cfg.WALDir,
-		SegmentBytes: cfg.WALSegmentBytes,
 		Policy:       cfg.WALSync,
 		FsyncObserve: n.nm.walFsync.Observe,
 	}, func(rec proto.StoreRecord) { n.kv.Apply(rec) })
@@ -44,7 +43,6 @@ func NewDurable(ep transport.Endpoint, pos geom.Point, cfg Config) (*Node, wal.R
 	// peers that tombstoned the previous incarnation admit this one only
 	// because its generation is higher.
 	n.self.Gen = stats.Generation
-	n.cfg.Generation = stats.Generation
 	n.nm.walReplayed.Add(uint64(stats.Records))
 	n.nm.walCorrupt.Add(uint64(stats.CorruptFrames))
 	if stats.Truncated {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"voronet/internal/geom"
@@ -210,6 +212,48 @@ func TestOverloadAdmissionControl(t *testing.T) {
 	}
 	owner.storeBusy.Add(-1)
 	c.putKey(t, origin, key, []byte("e"))
+}
+
+// TestMaxInflightIsExactUnderConcurrency: origin-side admission checks the
+// budget and takes the slot in one step, so however many callers arrive
+// at once, exactly MaxInflight are admitted and the rest are shed. The
+// key is owned elsewhere and the bus is not drained, so every admitted op
+// stays pending while the others knock.
+func TestMaxInflightIsExactUnderConcurrency(t *testing.T) {
+	const budget, callers, rounds = 2, 64, 40
+	c := newClusterCfg(t, 12, 0.02, 203, func(cfg *Config) { cfg.MaxInflight = budget })
+	origin := c.nodes[1]
+	key := c.nodes[5].Info().Pos
+	for round := 1; round <= rounds; round++ {
+		var admitted atomic.Int64
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				switch err := origin.Put(key, []byte("v"), nil); {
+				case err == nil:
+					admitted.Add(1)
+				case !errors.Is(err, store.ErrOverloaded):
+					t.Errorf("put: %v", err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if a, p := admitted.Load(), origin.inflight.Pending(); a != budget || p != budget {
+			t.Fatalf("round %d: %d of %d concurrent puts admitted, %d pending; the budget is %d", round, a, callers, p, budget)
+		}
+		if shed := origin.nm.storeShed.Value(); shed != uint64(round*(callers-budget)) {
+			t.Fatalf("round %d: store_shed_total = %d, want %d", round, shed, round*(callers-budget))
+		}
+		c.bus.Drain()
+		if p := origin.inflight.Pending(); p != 0 {
+			t.Fatalf("round %d: %d ops still pending after the drain", round, p)
+		}
+	}
 }
 
 // TestDigestSyncNoDiffRatio is the anti-entropy bytes regression

@@ -27,12 +27,12 @@ func (n *Node) NotifyDeparted(addr string) {
 		n.mu.Unlock()
 		return
 	}
-	if n.tombs[addr] {
+	if g, dead := n.tombs[addr]; dead {
 		// Idempotence — unless a newer incarnation of the address has
 		// since rejoined our views; its crash is fresh news.
 		v, inVN := n.vn[addr]
 		c, inCN := n.cn[addr]
-		if !(inVN && v.Gen > n.tombGen[addr]) && !(inCN && c.Gen > n.tombGen[addr]) {
+		if !(inVN && v.Gen > g) && !(inCN && c.Gen > g) {
 			n.mu.Unlock()
 			return
 		}

@@ -43,7 +43,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 	needTombWork := len(env.Departed) > 0
 	if !needTombWork {
 		n.mu.RLock()
-		needTombWork = n.tombs[env.From.Addr]
+		_, needTombWork = n.tombs[env.From.Addr]
 		n.mu.RUnlock()
 	}
 	if needTombWork {
@@ -79,8 +79,8 @@ func (n *Node) deliver(env *proto.Envelope) {
 		// on its way out), or the message is a straggler from the dead
 		// incarnation itself (sender generation below the one that died).
 		lifted := false
-		if !selfDeparted && env.Type != proto.KindLeave && env.Type != proto.KindLeaveCN &&
-			n.tombs[env.From.Addr] && env.From.Gen >= n.tombGen[env.From.Addr] {
+		if g, dead := n.tombs[env.From.Addr]; dead && env.From.Gen >= g &&
+			!selfDeparted && env.Type != proto.KindLeave && env.Type != proto.KindLeaveCN {
 			n.liftTombLocked(env.From.Addr)
 			lifted = true
 		}
@@ -491,8 +491,8 @@ func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 		n.mu.Unlock()
 		return
 	}
-	if n.tombs[j.Addr] {
-		if j.Gen <= n.tombGen[j.Addr] {
+	if g, dead := n.tombs[j.Addr]; dead {
+		if j.Gen <= g {
 			// Stale gossip about a dead incarnation: integrating it would
 			// resurrect a crashed node until the next purge killed it
 			// again. Only a strictly newer generation — a durably
@@ -770,19 +770,16 @@ func (n *Node) candidatePool() map[string]proto.NodeInfo {
 // owner can never linger as a cached candidate. Caller holds n.mu (the
 // cache is a leaf lock).
 func (n *Node) tombstoneLocked(addr string, gen uint64) {
-	if n.tombs[addr] {
+	if g, dead := n.tombs[addr]; dead {
 		// Already dead — but a later incarnation may have died since;
 		// remember the highest generation seen dead so its gossip
 		// cannot be shadowed by the older tombstone.
-		if gen > n.tombGen[addr] {
-			n.tombGen[addr] = gen
+		if gen > g {
+			n.tombs[addr] = gen
 		}
 		return
 	}
-	n.tombs[addr] = true
-	if gen > 0 {
-		n.tombGen[addr] = gen
-	}
+	n.tombs[addr] = gen
 	n.tombOrder = append(n.tombOrder, addr)
 	if n.cache != nil {
 		if dropped := n.cache.invalidateOwner(addr); dropped > 0 {
@@ -791,12 +788,11 @@ func (n *Node) tombstoneLocked(addr string, gen uint64) {
 	}
 }
 
-// liftTombLocked removes a tombstone entirely — presence, generation and
-// the re-advertisement queue entry — so this node stops gossiping the
+// liftTombLocked removes a tombstone entirely — the entry and its place
+// in the re-advertisement queue — so this node stops gossiping the
 // departure of an address it has seen alive again. Caller holds n.mu.
 func (n *Node) liftTombLocked(addr string) {
 	delete(n.tombs, addr)
-	delete(n.tombGen, addr)
 	for i, a := range n.tombOrder {
 		if a == addr {
 			n.tombOrder = append(n.tombOrder[:i], n.tombOrder[i+1:]...)
@@ -810,7 +806,8 @@ func (n *Node) liftTombLocked(addr string) {
 // that died. A NodeInfo carrying a higher generation is a durably
 // restarted successor and passes. Caller holds n.mu (read or write).
 func (n *Node) deadLocked(c proto.NodeInfo) bool {
-	return n.tombs[c.Addr] && c.Gen <= n.tombGen[c.Addr]
+	g, dead := n.tombs[c.Addr]
+	return dead && c.Gen <= g
 }
 
 // purgeTombstonedLocked removes tombstoned addresses from the live views.
@@ -850,7 +847,7 @@ func (n *Node) departedLocked() ([]string, []uint64) {
 	addrs := append([]string(nil), n.tombOrder[start:]...)
 	var gens []uint64
 	for i, a := range addrs {
-		if g := n.tombGen[a]; g > 0 {
+		if g := n.tombs[a]; g > 0 {
 			if gens == nil {
 				gens = make([]uint64, len(addrs))
 			}

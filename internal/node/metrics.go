@@ -62,7 +62,6 @@ type nodeMetrics struct {
 	cacheHits          *metrics.Counter // node_cache_hits_total: origin found a cached owner for the target's cell
 	cacheMisses        *metrics.Counter // node_cache_misses_total: origin consulted the cache and found nothing
 	cacheInvalidations *metrics.Counter // node_cache_invalidations_total: entries dropped by view-change surgery
-	cacheRefresh       *metrics.Counter // node_cache_refresh_total: hot entries re-validated by the background refresher
 	lateAnswers        *metrics.Counter // node_late_answers_total: answers for a request its deadline already reaped
 
 	// Durability (see durable.go) and overload shedding.
@@ -109,7 +108,6 @@ func newNodeMetrics() nodeMetrics {
 		cacheHits:          r.Counter("node_cache_hits_total"),
 		cacheMisses:        r.Counter("node_cache_misses_total"),
 		cacheInvalidations: r.Counter("node_cache_invalidations_total"),
-		cacheRefresh:       r.Counter("node_cache_refresh_total"),
 		lateAnswers:        r.Counter("node_late_answers_total"),
 
 		walAppends:       r.Counter("wal_appends_total"),
@@ -160,8 +158,3 @@ func (nm *nodeMetrics) storeHopsFor(p proto.RoutedPurpose) *metrics.Histogram {
 // snapshot it with Metrics().Snapshot() or merge it into a debug
 // endpoint (see cmd/voronet-node's -debug-addr).
 func (n *Node) Metrics() *metrics.Registry { return n.nm.reg }
-
-// SentCount returns the number of protocol messages this node has sent
-// (the old Node.Sent counter, now backed by the registry's
-// node_sent_total so cost accounting and metrics cannot diverge).
-func (n *Node) SentCount() uint64 { return n.nm.sent.Value() }

@@ -58,15 +58,14 @@ type Config struct {
 	// record is pushed to the R Voronoi neighbours of the owner closest
 	// to the key (default store.DefaultReplication).
 	Replication int
-	// StoreTimeout bounds each routed store operation; the callback fires
-	// with store.ErrTimeout when it passes (default 5s).
-	StoreTimeout time.Duration
-	// QueryTimeout bounds each routed Query and RangeQuery: when it
-	// passes without an answer (the owner crashed mid-query, the answer
-	// was lost), the registered callback is reaped — a Query callback
-	// fires once with HopsTimedOut — instead of leaking forever
-	// (default 5s).
-	QueryTimeout time.Duration
+	// RequestTimeout bounds every routed request this node originates
+	// (default 5s). A store operation's callback fires with
+	// store.ErrTimeout when it passes. A Query or RangeQuery left without
+	// an answer (the owner crashed mid-query, the answer was lost) has
+	// its registered callback reaped instead of leaking forever — a Query
+	// callback fires once with HopsTimedOut, a RangeQuery's collection
+	// window closes.
+	RequestTimeout time.Duration
 	// RouteCacheSize enables the hot-region owner cache with that many
 	// entries: origins remember which node answered for a target cell
 	// and feed it into the next greedy scan as an extra candidate (see
@@ -80,10 +79,8 @@ type Config struct {
 	WALDir string
 	// WALSync selects the WAL fsync cadence (default wal.SyncAlways:
 	// an acked write is on disk before the ack leaves the node).
+	// Segments rotate at wal.DefaultSegmentBytes.
 	WALSync wal.SyncPolicy
-	// WALSegmentBytes overrides the WAL segment rotation threshold
-	// (default wal.DefaultSegmentBytes).
-	WALSegmentBytes int64
 	// MaxInflight bounds admitted store work: at the origin, no more
 	// than this many locally-issued routed store ops may be pending; at
 	// the owner, no more than this many store ops execute concurrently.
@@ -91,21 +88,6 @@ type Config struct {
 	// (counted in store_shed_total) instead of queueing toward a
 	// timeout. 0 (the default) disables admission control.
 	MaxInflight int
-	// Generation is this node's incarnation number, carried in its
-	// NodeInfo. NewDurable overrides it with the persisted counter from
-	// the WAL directory (bumped on every open), which is what lets a
-	// crashed node rejoin at its old address without stale departure
-	// gossip killing it again. Leave 0 for nodes that never restart.
-	Generation uint64
-	// CacheRefreshInterval, with RouteCacheSize > 0, starts a background
-	// loop that re-queries the origin's hottest cached targets each
-	// interval: the answer re-populates (or corrects) the cache entry
-	// before a client pays for the miss. 0 (the default) disables the
-	// refresher; see refresh.go.
-	CacheRefreshInterval time.Duration
-	// CacheRefreshBatch bounds how many hot entries each refresh round
-	// re-validates (default 4).
-	CacheRefreshBatch int
 }
 
 // HopsTimedOut is the hop count a Query callback receives when its
@@ -148,13 +130,12 @@ type Node struct {
 	back        []proto.BackEntry
 
 	// tombs records departed addresses so that stale gossip cannot
-	// resurrect them (see handle). tombOrder bounds what we re-advertise.
-	// tombGen holds, lazily (gen-free overlays never touch it), the
-	// incarnation number each tombstoned address died at: a NodeInfo
-	// carrying a higher generation is a durably restarted successor and
-	// passes every tombstone filter (see deadLocked).
-	tombs     map[string]bool
-	tombGen   map[string]uint64
+	// resurrect them (see handle): presence means dead, the value is the
+	// incarnation number the address died at (0 on overlays without
+	// generations). A NodeInfo carrying a higher generation is a durably
+	// restarted successor and passes every tombstone filter (see
+	// deadLocked). tombOrder bounds what we re-advertise.
+	tombs     map[string]uint64
 	tombOrder []string
 
 	// lastVN snapshots the Voronoi neighbour list at departure: a store
@@ -183,11 +164,6 @@ type Node struct {
 	// under n.mu and from callback paths.
 	cache *routeCache
 
-	// refreshStop ends the background cache refresher (see refresh.go);
-	// nil when no refresher was configured.
-	refreshStop chan struct{}
-	refreshOnce sync.Once
-
 	// Durability (see durable.go): wal is set once by NewDurable before
 	// the message handler is installed and never reassigned, so the nil
 	// fast path needs no lock; all operations on a live log serialise
@@ -204,8 +180,7 @@ type Node struct {
 	storeBusy atomic.Int64
 
 	// nm caches the node's metric instruments (see metrics.go); the
-	// registry is exposed via Metrics() and the total send count via
-	// SentCount().
+	// registry is exposed via Metrics().
 	nm nodeMetrics
 }
 
@@ -273,33 +248,28 @@ func newNode(ep transport.Endpoint, pos geom.Point, cfg Config) *Node {
 	if cfg.Replication <= 0 {
 		cfg.Replication = store.DefaultReplication
 	}
-	if cfg.StoreTimeout <= 0 {
-		cfg.StoreTimeout = 5 * time.Second
-	}
-	if cfg.QueryTimeout <= 0 {
-		cfg.QueryTimeout = 5 * time.Second
+	if cfg.RequestTimeout <= 0 {
+		cfg.RequestTimeout = 5 * time.Second
 	}
 	n := &Node{
 		ep:        ep,
-		self:      proto.NodeInfo{Addr: ep.Addr(), Pos: pos, Gen: cfg.Generation},
+		self:      proto.NodeInfo{Addr: ep.Addr(), Pos: pos},
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ int64(len(ep.Addr())))),
 		vn:        make(map[string]proto.NodeInfo),
 		twoHop:    make(map[string][]proto.NodeInfo),
 		cn:        make(map[string]proto.NodeInfo),
-		tombs:     make(map[string]bool),
-		tombGen:   make(map[string]uint64),
+		tombs:     make(map[string]uint64),
 		queries:   make(map[uint64]*pendingQuery),
 		rangeHits: make(map[uint64]*pendingRange),
 		rangeSeen: make(map[rangeKey]bool),
 		kv:        store.NewLocal(),
-		inflight:  store.NewInflight(),
+		inflight:  store.NewInflight(cfg.MaxInflight),
 		nm:        newNodeMetrics(),
 	}
 	if cfg.RouteCacheSize > 0 {
 		n.cache = newRouteCache(cfg.RouteCacheSize, cfg.DMin)
 	}
-	n.startRefresher()
 	return n
 }
 
@@ -395,7 +365,7 @@ func (n *Node) Join(via string) error {
 
 // Query greedy-routes a point query (Algorithm 4) and invokes cb with the
 // owning object and the hop count when the answer arrives. If no answer
-// arrives within Config.QueryTimeout — the owner crashed mid-query, the
+// arrives within Config.RequestTimeout — the owner crashed mid-query, the
 // answer was lost — cb fires exactly once with the zero NodeInfo and
 // HopsTimedOut, and the registration is reaped rather than leaked.
 func (n *Node) Query(p geom.Point, cb func(owner proto.NodeInfo, hops int)) error {
@@ -423,7 +393,7 @@ func (n *Node) query(p geom.Point, trace bool, cb func(owner proto.NodeInfo, hop
 	n.querySeq++
 	id := n.querySeq
 	pq := &pendingQuery{cb: cb, start: time.Now(), target: p}
-	pq.timer = time.AfterFunc(n.cfg.QueryTimeout, func() {
+	pq.timer = time.AfterFunc(n.cfg.RequestTimeout, func() {
 		n.queryMu.Lock()
 		reaped := n.queries[id] == pq
 		if reaped {
@@ -554,7 +524,6 @@ func (n *Node) Leave() error {
 	// recovering: a rejoin at this address must start clean, exactly as
 	// the in-memory store does (n.kv.Clear).
 	n.walReset()
-	n.stopRefresher()
 	return nil
 }
 

@@ -49,11 +49,13 @@ func (c *cluster) addNode(t *testing.T, pos geom.Point, dmin float64) *Node {
 		t.Fatal(err)
 	}
 	// Replies either arrive during the synchronous drain or are lost for
-	// good; an effectively infinite query timeout keeps wall-clock reaper
-	// timers (whose async callbacks would race with test state) out of
-	// bus-driven tests. The reaper itself is tested in query_leak_test.go.
+	// good; an effectively infinite request timeout keeps wall-clock
+	// reaper and store-timeout timers (whose async callbacks would race
+	// with test state) out of bus-driven tests — no test on this cluster
+	// waits for a store.ErrTimeout. The reaper itself is tested in
+	// query_leak_test.go.
 	cfg := Config{DMin: dmin, LongLinks: 1, Seed: int64(c.seq),
-		QueryTimeout: 365 * 24 * time.Hour}
+		RequestTimeout: 365 * 24 * time.Hour}
 	if c.cfgMut != nil {
 		c.cfgMut(&cfg)
 	}

@@ -28,6 +28,8 @@ func pendingRanges(n *Node) int {
 // after the query reached it but before its answer could be delivered.
 // The registered callback used to leak in n.queries forever; now the
 // per-query deadline reaps it and fires it exactly once with HopsTimedOut.
+// (The tests in this file issue no store operation: the 50 ms
+// RequestTimeout is wanted for its query and range-query reaper only.)
 func TestQueryTimeoutReapsCallback(t *testing.T) {
 	bus := transport.NewBus()
 	mk := func(addr string, pos geom.Point) (*Node, transport.Endpoint) {
@@ -36,7 +38,7 @@ func TestQueryTimeoutReapsCallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		return New(ep, pos, Config{DMin: 0.05, LongLinks: 1, Seed: 7,
-			QueryTimeout: 50 * time.Millisecond}), ep
+			RequestTimeout: 50 * time.Millisecond}), ep
 	}
 	origin, _ := mk("origin", geom.Pt(0.1, 0.1))
 	owner, ownerEP := mk("owner", geom.Pt(0.9, 0.9))
@@ -104,13 +106,13 @@ func TestRangeQueryTimeoutReapsCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := New(epA, geom.Pt(0.1, 0.5), Config{DMin: 0.05, LongLinks: 1, Seed: 3,
-		QueryTimeout: 50 * time.Millisecond})
+		RequestTimeout: 50 * time.Millisecond})
 	epB, err := bus.Attach("b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := New(epB, geom.Pt(0.9, 0.5), Config{DMin: 0.05, LongLinks: 1, Seed: 4,
-		QueryTimeout: 50 * time.Millisecond})
+		RequestTimeout: 50 * time.Millisecond})
 	if err := a.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}

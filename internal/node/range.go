@@ -27,7 +27,7 @@ import (
 // object as answers arrive (ordering is arbitrary; the in-memory bus makes
 // collection synchronous under Drain). There is no completion signal — the
 // protocol, like the paper's sketch, is fire-and-collect; the collection
-// window closes after Config.QueryTimeout, when the callback registration
+// window closes after Config.RequestTimeout, when the callback registration
 // is reaped (late hits are dropped, never leaked).
 func (n *Node) RangeQuery(a, b geom.Point, cb func(owner proto.NodeInfo)) error {
 	n.mu.RLock()
@@ -40,7 +40,7 @@ func (n *Node) RangeQuery(a, b geom.Point, cb func(owner proto.NodeInfo)) error 
 	n.querySeq++
 	id := n.querySeq
 	pr := &pendingRange{cb: cb}
-	pr.timer = time.AfterFunc(n.cfg.QueryTimeout, func() {
+	pr.timer = time.AfterFunc(n.cfg.RequestTimeout, func() {
 		n.queryMu.Lock()
 		if n.rangeHits[id] == pr {
 			delete(n.rangeHits, id)

@@ -15,12 +15,10 @@ import (
 // the same departure repair a failed forward does, so the crashed origin
 // is tombstoned out of the answerer's views.
 func TestCrashedOriginReplyCountsAndRepairs(t *testing.T) {
-	// Infinite store timeout for the same reason the shared cluster pins
-	// QueryTimeout: the crashed origin's inflight timer would otherwise
-	// fire asynchronously after the test completes.
-	c := newClusterCfg(t, 16, 0.02, 41, func(cfg *Config) {
-		cfg.StoreTimeout = 365 * 24 * time.Hour
-	})
+	// The shared cluster's infinite RequestTimeout is what this test
+	// needs: the crashed origin's inflight timer would otherwise fire
+	// asynchronously after the test completes.
+	c := newCluster(t, 16, 0.02, 41)
 
 	// Pick an origin and a key it does not own, so the reply really has
 	// to travel back over the transport; owner is the node that will have
@@ -78,7 +76,7 @@ func TestCrashedOriginReplyCountsAndRepairs(t *testing.T) {
 	// can never pick the dead address again.
 	c.bus.Drain()
 	owner.mu.RLock()
-	tombstoned := owner.tombs[gone]
+	_, tombstoned := owner.tombs[gone]
 	owner.mu.RUnlock()
 	if !tombstoned {
 		t.Fatalf("owner %s did not tombstone crashed origin %s after the failed reply",

@@ -151,5 +151,6 @@ func TestRouteNoRetryOnStructuralFailure(t *testing.T) {
 func (n *Node) tombstoned(addr string) bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.tombs[addr]
+	_, dead := n.tombs[addr]
+	return dead
 }

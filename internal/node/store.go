@@ -95,13 +95,13 @@ func (n *Node) storeOpTraced(purpose proto.RoutedPurpose, key geom.Point, value 
 		n.mu.RUnlock()
 		return ErrNotJoined
 	}
-	timeout := n.cfg.StoreTimeout
 	n.mu.RUnlock()
 	// Origin-side admission: a draining node (mid-Shutdown) and an
-	// origin already at its inflight budget refuse synchronously —
+	// origin already at its inflight budget (inflight.Add below, which
+	// checks and takes a slot in one step) refuse synchronously —
 	// shedding here costs nothing on the wire, and the caller learns
 	// "retry later" in microseconds instead of a timeout later.
-	if n.draining.Load() || (n.cfg.MaxInflight > 0 && n.inflight.Pending() >= n.cfg.MaxInflight) {
+	if n.draining.Load() {
 		n.nm.storeShed.Inc()
 		return store.ErrOverloaded
 	}
@@ -132,7 +132,11 @@ func (n *Node) storeOpTraced(purpose proto.RoutedPurpose, key geom.Point, value 
 		}
 		inner(r)
 	}
-	id := n.inflight.Add(instrumented, timeout)
+	id, ok := n.inflight.Add(instrumented, n.cfg.RequestTimeout)
+	if !ok {
+		n.nm.storeShed.Inc()
+		return store.ErrOverloaded
+	}
 	env := &proto.Envelope{
 		Type:    proto.KindRoute,
 		Purpose: purpose,

@@ -34,7 +34,7 @@ func TestTCPConcurrentAPIDuringChurn(t *testing.T) {
 	mkCfg := func(i int) Config {
 		return Config{
 			DMin: 0.05, LongLinks: 2, Seed: int64(i), Replication: 2,
-			StoreTimeout: 2 * time.Second, QueryTimeout: 2 * time.Second,
+			RequestTimeout: 2 * time.Second,
 		}
 	}
 	var nodes []*Node

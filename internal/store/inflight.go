@@ -35,6 +35,7 @@ type Reply struct {
 type Inflight struct {
 	mu      sync.Mutex
 	seq     uint64
+	limit   int // most requests pending at once; 0 = no limit
 	pending map[uint64]*pendingReq
 }
 
@@ -43,18 +44,25 @@ type pendingReq struct {
 	timer *time.Timer
 }
 
-// NewInflight returns an empty correlation table.
-func NewInflight() *Inflight {
-	return &Inflight{pending: make(map[uint64]*pendingReq)}
+// NewInflight returns an empty correlation table that admits at most
+// limit unresolved requests at a time (limit <= 0: any number).
+func NewInflight(limit int) *Inflight {
+	return &Inflight{limit: limit, pending: make(map[uint64]*pendingReq)}
 }
 
 // Add registers cb and returns the request ID to route with. If timeout is
 // positive and no reply resolves the ID in time, cb fires with
-// Reply{Err: ErrTimeout}.
-func (f *Inflight) Add(cb func(Reply), timeout time.Duration) uint64 {
+// Reply{Err: ErrTimeout}. With the table at its limit Add registers
+// nothing and returns ok = false: the check and the registration are one
+// step under the table's lock, so concurrent callers cannot overshoot.
+func (f *Inflight) Add(cb func(Reply), timeout time.Duration) (id uint64, ok bool) {
 	f.mu.Lock()
+	if f.limit > 0 && len(f.pending) >= f.limit {
+		f.mu.Unlock()
+		return 0, false
+	}
 	f.seq++
-	id := f.seq
+	id = f.seq
 	req := &pendingReq{cb: cb}
 	f.pending[id] = req
 	if timeout > 0 {
@@ -63,7 +71,7 @@ func (f *Inflight) Add(cb func(Reply), timeout time.Duration) uint64 {
 		})
 	}
 	f.mu.Unlock()
-	return id
+	return id, true
 }
 
 // Resolve fires the callback registered under id with r and forgets the

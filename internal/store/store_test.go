@@ -103,9 +103,9 @@ func TestLocalCollect(t *testing.T) {
 }
 
 func TestInflightResolve(t *testing.T) {
-	f := NewInflight()
+	f := NewInflight(0)
 	var got Reply
-	id := f.Add(func(r Reply) { got = r }, 0)
+	id, _ := f.Add(func(r Reply) { got = r }, 0)
 	if f.Pending() != 1 {
 		t.Fatalf("pending = %d", f.Pending())
 	}
@@ -123,8 +123,23 @@ func TestInflightResolve(t *testing.T) {
 	}
 }
 
+func TestInflightLimit(t *testing.T) {
+	f := NewInflight(1)
+	id, ok := f.Add(func(Reply) {}, 0)
+	if !ok {
+		t.Fatal("first add refused under a limit of 1")
+	}
+	if _, ok := f.Add(func(Reply) {}, 0); ok || f.Pending() != 1 {
+		t.Fatalf("add at the limit: admitted=%v pending=%d", ok, f.Pending())
+	}
+	f.Resolve(id, Reply{})
+	if next, ok := f.Add(func(Reply) {}, 0); !ok || next != id+1 {
+		t.Fatalf("add after resolve: id %d admitted=%v; a refusal must not consume an ID", next, ok)
+	}
+}
+
 func TestInflightTimeout(t *testing.T) {
-	f := NewInflight()
+	f := NewInflight(0)
 	done := make(chan Reply, 1)
 	f.Add(func(r Reply) { done <- r }, 10*time.Millisecond)
 	select {
