@@ -75,11 +75,9 @@ func TestMeasureRoutesParallel(t *testing.T) {
 	}
 }
 
-// TestRouteZeroAllocs pins the read path at zero allocations per operation
-// once its scratch is warm: a routed point through a Router, and a GET
-// through the Store's pooled client. Skipped under the race detector,
-// where sync.Pool drops items at random and the store client is rebuilt.
-func TestRouteZeroAllocs(t *testing.T) {
+// skipUnderRace skips a test whose allocation or heap counts the race
+// detector's instrumentation would void.
+func skipUnderRace(t *testing.T) {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
 			if s.Key == "-race" && s.Value == "true" {
@@ -87,6 +85,14 @@ func TestRouteZeroAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRouteZeroAllocs pins the read path at zero allocations per operation
+// once its scratch is warm: a routed point through a Router, and a GET
+// through the Store's pooled client. Skipped under the race detector,
+// where sync.Pool drops items at random and the store client is rebuilt.
+func TestRouteZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
 	o := newTestOverlay(20000)
 	ids, err := o.BulkLoad(bulkTestPoints(20000, 31), 2)
 	if err != nil {

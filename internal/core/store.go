@@ -96,7 +96,10 @@ func (s *Store) Put(from ObjectID, key geom.Point, value []byte) (owner ObjectID
 }
 
 // Get routes a GET from object `from` and returns the owner's record
-// value, or store.ErrNotFound for a missing or deleted key.
+// value, or store.ErrNotFound for a missing or deleted key. The value is
+// the stored slice itself, shared with the store and with the key's R
+// replicas, which hold the same backing array: the caller must not
+// modify it.
 func (s *Store) Get(from ObjectID, key geom.Point) (value []byte, hops int, err error) {
 	c := s.client()
 	defer s.clients.Put(c)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"voronet/internal/geom"
@@ -134,4 +135,83 @@ func TestStoreChurnHandoff(t *testing.T) {
 		removed++
 	}
 	check("post-leave")
+}
+
+// TestStorePutCopiesCallerBuffer pins the ownership contract on both sides
+// of the store: Put copies the caller's value (the caller may reuse its
+// buffer at once), and the copy survives the owner's departure at the new
+// owner, a former replica.
+func TestStorePutCopiesCallerBuffer(t *testing.T) {
+	ov, ids, _ := growUniform(t, 200, 59)
+	st := NewStore(ov, 3)
+	key := geom.Pt(0.61, 0.27)
+	buf := []byte("original")
+	owner, _, err := st.Put(ids[0], key, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "CLOBBER!")
+	from := ids[0]
+	if from == owner {
+		from = ids[1]
+	}
+	if v, _, err := st.Get(from, key); err != nil || string(v) != "original" {
+		t.Fatalf("get after the caller reused its buffer: %q, %v", v, err)
+	}
+	if err := st.RemoveObject(owner); err != nil {
+		t.Fatal(err)
+	}
+	next, err := ov.Owner(key, NoObject)
+	if err != nil || next == owner {
+		t.Fatalf("owner after removal: %d, %v", next, err)
+	}
+	if v, _, err := st.Get(from, key); err != nil || string(v) != "original" {
+		t.Fatalf("get at the new owner %d: %q, %v", next, v, err)
+	}
+}
+
+// TestStoreBytesPerCopy prices one stored copy of a 16-byte key in the
+// simulator's store: the heap growth across 5 000 PUTs of 128-byte values
+// onto a 20 000-object overlay, measured as benchmark/sim.go measures
+// mem_mb, divided by the copies held. The replicas share the owner's
+// value, so a copy costs its record slot, its share of a Local and of the
+// buckets map, and a quarter of the value.
+func TestStoreBytesPerCopy(t *testing.T) {
+	skipUnderRace(t)
+	const objects, keys = 20000, 5000
+	ov := newTestOverlay(objects)
+	ids, err := ov.BulkLoad(bulkTestPoints(objects, 61), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(ov, 0)
+	rng := rand.New(rand.NewSource(62))
+	val := make([]byte, 128)
+	heapInuse := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapInuse
+	}
+	before := heapInuse()
+	for i := 0; i < keys; i++ {
+		rng.Read(val)
+		if _, _, err := st.Put(ids[rng.Intn(len(ids))], geom.Pt(rng.Float64(), rng.Float64()), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := float64(heapInuse()) - float64(before)
+	copies := 0
+	for _, b := range st.snapshotBuckets() {
+		copies += b.Len()
+	}
+	if want := keys * (st.Replication() + 1); copies != want {
+		t.Fatalf("%d copies, want %d", copies, want)
+	}
+	perCopy := grown / float64(copies)
+	t.Logf("%d copies in %d buckets: %.0f B of heap, %.1f B per copy", copies, len(st.snapshotBuckets()), grown, perCopy)
+	if perCopy > 200 {
+		t.Errorf("a stored copy costs %.1f B of heap, want at most 200", perCopy)
+	}
 }

@@ -59,12 +59,47 @@ var (
 // tessellation at message-handling time, never cached.
 type Local struct {
 	mu   sync.Mutex
-	recs map[geom.Point]proto.StoreRecord
+	recs []proto.StoreRecord // arrival order, except that a dropped record's slot takes the last one
+	idx  map[geom.Point]int  // key → position in recs; nil until len(recs) > indexAbove
 }
 
+// indexAbove is the record count past which find uses idx: a scan of up to
+// 8 contiguous 56-byte records costs no more than a hash, and even a
+// one-entry Go map costs a whole 8-slot table group (≈ 640 B).
+const indexAbove = 8
+
 // NewLocal returns an empty local store.
-func NewLocal() *Local {
-	return &Local{recs: make(map[geom.Point]proto.StoreRecord)}
+func NewLocal() *Local { return &Local{} }
+
+// find returns key's position in recs and its record, or -1 when absent
+// (keys compare as map keys do); set stores rec there, appending for -1.
+func (l *Local) find(key geom.Point) (int, proto.StoreRecord) {
+	if l.idx == nil {
+		for i := range l.recs {
+			if l.recs[i].Key == key {
+				return i, l.recs[i]
+			}
+		}
+	} else if i, ok := l.idx[key]; ok {
+		return i, l.recs[i]
+	}
+	return -1, proto.StoreRecord{}
+}
+
+func (l *Local) set(i int, rec proto.StoreRecord) {
+	if i >= 0 {
+		l.recs[i] = rec
+		return
+	}
+	l.recs = append(l.recs, rec)
+	if l.idx != nil {
+		l.idx[rec.Key] = len(l.recs) - 1
+	} else if len(l.recs) > indexAbove {
+		l.idx = make(map[geom.Point]int, 2*len(l.recs))
+		for j, r := range l.recs {
+			l.idx[r.Key] = j
+		}
+	}
 }
 
 // Get returns the live record for key. ok is false when the key is absent
@@ -72,8 +107,8 @@ func NewLocal() *Local {
 func (l *Local) Get(key geom.Point) (proto.StoreRecord, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec, ok := l.recs[key]
-	if !ok || rec.Deleted {
+	i, rec := l.find(key)
+	if i < 0 || rec.Deleted {
 		return proto.StoreRecord{}, false
 	}
 	return rec, true
@@ -84,8 +119,8 @@ func (l *Local) Get(key geom.Point) (proto.StoreRecord, bool) {
 func (l *Local) Lookup(key geom.Point) (proto.StoreRecord, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec, ok := l.recs[key]
-	return rec, ok
+	i, rec := l.find(key)
+	return rec, i >= 0
 }
 
 // Put writes value under key with the next version and returns the stored
@@ -93,12 +128,13 @@ func (l *Local) Lookup(key geom.Point) (proto.StoreRecord, bool) {
 func (l *Local) Put(key geom.Point, value []byte) proto.StoreRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	i, old := l.find(key)
 	rec := proto.StoreRecord{
 		Key:     key,
 		Value:   append([]byte(nil), value...),
-		Version: l.recs[key].Version + 1,
+		Version: old.Version + 1,
 	}
-	l.recs[key] = rec
+	l.set(i, rec)
 	return rec
 }
 
@@ -108,12 +144,12 @@ func (l *Local) Put(key geom.Point, value []byte) proto.StoreRecord {
 func (l *Local) Delete(key geom.Point) (proto.StoreRecord, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	old, ok := l.recs[key]
-	if !ok || old.Deleted {
+	i, old := l.find(key)
+	if i < 0 || old.Deleted {
 		return proto.StoreRecord{}, false
 	}
 	rec := proto.StoreRecord{Key: key, Version: old.Version + 1, Deleted: true}
-	l.recs[key] = rec
+	l.set(i, rec)
 	return rec, true
 }
 
@@ -124,10 +160,11 @@ func (l *Local) Delete(key geom.Point) (proto.StoreRecord, bool) {
 func (l *Local) Apply(rec proto.StoreRecord) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if old, ok := l.recs[rec.Key]; ok && old.Version >= rec.Version {
+	i, old := l.find(rec.Key)
+	if i >= 0 && old.Version >= rec.Version {
 		return false
 	}
-	l.recs[rec.Key] = rec
+	l.set(i, rec)
 	return true
 }
 
@@ -139,11 +176,17 @@ func (l *Local) Apply(rec proto.StoreRecord) bool {
 func (l *Local) DropTombstone(key geom.Point, version uint64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec, ok := l.recs[key]
-	if !ok || !rec.Deleted || rec.Version != version {
+	i, rec := l.find(key)
+	if i < 0 || !rec.Deleted || rec.Version != version {
 		return false
 	}
-	delete(l.recs, key)
+	last := len(l.recs) - 1
+	if l.idx != nil { // the last record moves to slot i; when i is last, the delete undoes the move
+		l.idx[l.recs[last].Key] = i
+		delete(l.idx, key)
+	}
+	l.recs[i], l.recs[last] = l.recs[last], proto.StoreRecord{}
+	l.recs = l.recs[:last]
 	return true
 }
 
@@ -152,7 +195,7 @@ func (l *Local) DropTombstone(key geom.Point, version uint64) bool {
 func (l *Local) Clear() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.recs = make(map[geom.Point]proto.StoreRecord)
+	l.recs, l.idx = nil, nil
 }
 
 // Len returns the number of live (non-tombstoned) records.
@@ -173,10 +216,7 @@ func (l *Local) Len() int {
 func (l *Local) Snapshot() []proto.StoreRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]proto.StoreRecord, 0, len(l.recs))
-	for _, rec := range l.recs {
-		out = append(out, rec)
-	}
+	out := append(make([]proto.StoreRecord, 0, len(l.recs)), l.recs...)
 	sortRecords(out)
 	return out
 }
@@ -189,8 +229,8 @@ func (l *Local) Collect(pred func(key geom.Point) bool) []proto.StoreRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []proto.StoreRecord
-	for k, rec := range l.recs {
-		if pred(k) {
+	for _, rec := range l.recs {
+		if pred(rec.Key) {
 			out = append(out, rec)
 		}
 	}
@@ -198,8 +238,8 @@ func (l *Local) Collect(pred func(key geom.Point) bool) []proto.StoreRecord {
 	return out
 }
 
-// sortRecords orders records by key, X before Y (map iteration order must
-// never leak into the wire: replayable chaos transcripts depend on it).
+// sortRecords orders records by key, X before Y (storage order must never
+// leak into the wire: replayable chaos transcripts depend on it).
 func sortRecords(recs []proto.StoreRecord) {
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i].Key, recs[j].Key
