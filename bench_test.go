@@ -320,6 +320,53 @@ func BenchmarkChurnAt100k(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteAfterChurn prices a routed hop on a 100 000-object overlay
+// built by BulkLoad, fresh and after 10 % churn: 10 000 removes, each
+// followed by a Join that reuses freed vertex slots, so the vertex-indexed
+// arrays no longer follow the Hilbert order. Both cases route the same
+// query stream through one Router; ns/hop is the number to compare.
+func BenchmarkRouteAfterChurn(b *testing.B) {
+	const n = 100000
+	ov := voronet.New(voronet.Config{NMax: n, Seed: 58})
+	rng := rand.New(rand.NewSource(57))
+	src := &workload.Uniform{Rand: rng}
+	pts := make([]voronet.Point, n)
+	for i := range pts {
+		pts[i] = src.Next()
+	}
+	ids, err := ov.BulkLoad(pts, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	route := func(b *testing.B) {
+		rt := ov.NewRouter()
+		q := rand.New(rand.NewSource(59))
+		hops := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := rt.RouteToPoint(ids[q.Intn(n)], voronet.Pt(q.Float64(), q.Float64()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			hops += res.Hops
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
+		b.ReportMetric(float64(hops)/float64(b.N), "hops")
+	}
+	b.Run("fresh", route)
+	for i := 0; i < n/10; i++ {
+		k := rng.Intn(n)
+		if err := ov.Remove(ids[k]); err != nil {
+			b.Fatal(err)
+		}
+		via := ids[(k+1+rng.Intn(n-1))%n]
+		if ids[k], err = ov.Join(src.Next(), via); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("churned", route)
+}
+
 // BenchmarkRouteToObject measures one greedy route on a 20k overlay, and
 // the mean hops per route.
 func BenchmarkRouteToObject(b *testing.B) {

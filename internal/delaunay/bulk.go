@@ -2,6 +2,7 @@ package delaunay
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -33,18 +34,26 @@ func (t *Triangulation) InsertBulk(points []geom.Point) []VertexID {
 // layer parallelises everything it builds on top — long links, grid, back
 // references — in core.BulkLoad). The sort uses a total order (key, then
 // coordinates, then input index), so the insertion sequence — and therefore
-// the resulting structure — is bit-identical for every worker count.
+// the resulting structure — is bit-identical for every worker count. The
+// neighbour slots are filled once, after the last insertion.
 func (t *Triangulation) InsertBulkParallel(points []geom.Point, workers int) []VertexID {
 	ids := make([]VertexID, len(points))
 	order := hilbertOrderParallel(points, workers)
+	// n sites close into 2n - 2 faces on the sphere; the last cavity's
+	// faces wait on the free list beside them.
+	t.verts = slices.Grow(t.verts, len(points))
+	t.adj = slices.Grow(t.adj, len(points))
+	t.faces = slices.Grow(t.faces, 2*len(points)+64)
 	hint := t.lastInsertedHint()
 	for _, idx := range order {
-		v, err := t.Insert(points[idx], hint)
+		v, err := t.insert(points[idx], hint)
 		ids[idx] = v
 		if err == nil {
 			hint = v
 		}
 	}
+	t.flush()
+	t.queue = nil // every vertex passed through it; do not keep its capacity
 	return ids
 }
 

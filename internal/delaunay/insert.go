@@ -9,6 +9,13 @@ import "voronet/internal/geom"
 // Inserting at the exact position of an existing site returns that site's
 // ID and a *DuplicateError (matching errors.Is(err, ErrDuplicate)).
 func (t *Triangulation) Insert(p geom.Point, hint VertexID) (VertexID, error) {
+	v, err := t.insert(p, hint)
+	t.flush()
+	return v, err
+}
+
+// insert is Insert without the flush of the neighbour slots.
+func (t *Triangulation) insert(p geom.Point, hint VertexID) (VertexID, error) {
 	v := t.newVertex(p)
 	if err := t.place(v, hint); err != nil {
 		t.freeVertex(v)
@@ -39,12 +46,12 @@ func (t *Triangulation) insertSite(v VertexID, hint VertexID) error {
 		return &DuplicateError{Existing: loc.Vertex}
 	}
 
-	// Seed the conflict region.
-	t.epoch++
+	// Seed the conflict region. A cavity face is marked by clearing its
+	// alive flag; every one of them is freed below.
 	t.cavity = t.cavity[:0]
 	t.boundary = t.boundary[:0]
 	push := func(f FaceID) {
-		t.faces[f].mark = t.epoch
+		t.faces[f].alive = false
 		t.cavity = append(t.cavity, f)
 	}
 	switch loc.Kind {
@@ -62,7 +69,7 @@ func (t *Triangulation) insertSite(v VertexID, hint VertexID) error {
 		fc := t.faces[f]
 		for k := 0; k < 3; k++ {
 			g := fc.n[k]
-			if t.faces[g].mark == t.epoch {
+			if !t.faces[g].alive {
 				continue
 			}
 			if t.inConflict(g, p) {
@@ -102,7 +109,7 @@ func (t *Triangulation) insertSite(v VertexID, hint VertexID) error {
 	for _, f := range t.cavity {
 		t.freeFace(f)
 	}
-	t.verts[v].face = t.boundary[0].newFace
+	t.setFace(v, t.boundary[0].newFace)
 	t.lastFace = t.boundary[0].newFace
 	return nil
 }

@@ -13,6 +13,7 @@ var RebuildCount uint64
 // RemoveVoronoiRegion (§4.2.2) and of the fictive-object removals in
 // AddObject / SearchLongLink / HandlingQuery (Algorithms 1, 2, 4).
 func (t *Triangulation) Remove(v VertexID) error {
+	defer t.flush()
 	if v == Infinite || !t.Alive(v) {
 		return ErrNotFound
 	}
@@ -457,10 +458,10 @@ func (t *Triangulation) flipEdge(f FaceID, i int) bool {
 	t.faces[fa].n[t.neighborIndex(fa, f)] = g
 	// fb still points to f, gb still points to g.
 
-	t.verts[vv].face = f
-	t.verts[a].face = f
-	t.verts[d].face = f
-	t.verts[b].face = g
+	t.setFace(vv, f)
+	t.setFace(a, f)
+	t.setFace(d, f)
+	t.setFace(b, g)
 	return true
 }
 
@@ -488,10 +489,10 @@ func (t *Triangulation) rebuildAll() {
 	for id := 1; id < len(t.verts); id++ {
 		if t.verts[id].alive {
 			sites = append(sites, VertexID(id))
-			t.verts[id].face = NoFace
+			t.setFace(VertexID(id), NoFace)
 		}
 	}
-	t.verts[Infinite].face = NoFace
+	t.setFace(Infinite, NoFace)
 	t.faces = t.faces[:0]
 	t.freeFaces = t.freeFaces[:0]
 	t.line = t.line[:0]

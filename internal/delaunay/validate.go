@@ -2,6 +2,7 @@ package delaunay
 
 import (
 	"fmt"
+	"slices"
 
 	"voronet/internal/geom"
 )
@@ -20,8 +21,15 @@ import (
 //  5. Euler's formula for the sphere (V − E + F = 2);
 //  6. the empty-circumcircle property holds across every internal edge and
 //     the hull is convex (local Delaunayhood, which implies global);
-//  7. in degenerate mode, the chain is sorted, collinear and complete.
+//  7. in degenerate mode, the chain is sorted, collinear and complete;
+//  8. no vertex is queued for a refill of its neighbour slots, and every
+//     live vertex whose fan has at most adjK finite neighbours holds
+//     exactly its fan walk in its slots, while a wider fan is marked so
+//     Neighbors walks it.
 func (t *Triangulation) Validate() error {
+	if len(t.queue) != 0 || slices.ContainsFunc(t.verts, func(x vertex) bool { return x.queued }) {
+		return fmt.Errorf("vertices queued outside Insert/Remove (queue length %d)", len(t.queue))
+	}
 	if t.dim < 2 {
 		return t.validateLowDim()
 	}
@@ -103,6 +111,16 @@ func (t *Triangulation) Validate() error {
 	}
 	if nAliveVerts != t.nFinite {
 		return fmt.Errorf("site count: have %d, tracked %d", nAliveVerts, t.nFinite)
+	}
+	var walk, got []VertexID
+	for id := VertexID(1); int(id) < len(t.verts); id++ {
+		if !t.verts[id].alive {
+			continue
+		}
+		walk, got = t.fan(id, walk[:0]), t.Neighbors(id, got)
+		if n := t.verts[id].nadj; (n <= adjK) != (len(walk) <= adjK) || !slices.Equal(got, walk) {
+			return fmt.Errorf("vertex %d: Neighbors %v (count byte %d), fan walk %v", id, got, n, walk)
+		}
 	}
 	// Euler: V - E + F = 2 with V including the infinite vertex and
 	// E = 3F/2 on a closed triangulated sphere.
