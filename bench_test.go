@@ -429,14 +429,19 @@ func storeGetSetup(b *testing.B) (st *voronet.Store, from voronet.ObjectID, unif
 		uniform[i] = src.Next()
 	}
 	hot := workload.NewZipfKeys(1.1, 1024, rng)
-	for _, k := range append(hot.Keys(), uniform...) {
-		if _, _, err := st.Put(from, k, []byte("benchmark-payload")); err != nil {
-			b.Fatal(err)
-		}
-	}
 	zipf = make([]voronet.Point, 1<<14)
 	for i := range zipf {
 		zipf[i] = hot.Next()
+	}
+	stored := map[voronet.Point]bool{}
+	for _, k := range append(uniform, zipf...) {
+		if stored[k] {
+			continue
+		}
+		stored[k] = true
+		if _, _, err := st.Put(from, k, []byte("benchmark-payload")); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return st, from, uniform, zipf
 }

@@ -26,7 +26,8 @@
 // overlay member: it speaks the same query/put/get/del commands, but every
 // operation travels through the member at ADDR over one multiplexed
 // connection (internal/client) and no object is inserted into the
-// attribute space.
+// attribute space. Replies come back to the client's own -listen address,
+// so on another host pass one the overlay's members can dial.
 //
 // With -debug-addr the node also serves live introspection over HTTP:
 // GET /metrics returns the merged node + transport snapshot as JSON, and
@@ -44,6 +45,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -84,7 +86,9 @@ var (
 func main() {
 	flag.Parse()
 	if *connect != "" {
-		runClient(*connect)
+		if err := runClient(*connect, *listen, os.Stdin, os.Stdout); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	ep, err := transport.ListenTCP(*listen)
@@ -359,84 +363,88 @@ func main() {
 }
 
 // runClient is the -connect mode: a pipelined client REPL over one
-// multiplexed connection to the gateway member. Operations issued while
-// earlier ones await their replies genuinely overlap on the wire.
-func runClient(gateway string) {
-	cl, err := client.Dial(gateway, client.Options{Timeout: 30 * time.Second})
+// multiplexed connection to the gateway member, reading commands from in
+// and answering on out. Replies come back to listenAddr, which the
+// answering members dial, so it must be reachable from them. Operations
+// issued while earlier ones await their replies genuinely overlap on the
+// wire.
+func runClient(gateway, listenAddr string, in io.Reader, out io.Writer) error {
+	cl, err := client.Dial(gateway, client.Options{Listen: listenAddr, Timeout: 30 * time.Second})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer cl.Close()
-	fmt.Printf("client %s -> gateway %s\n", cl.Addr(), gateway)
+	fmt.Fprintf(out, "client %s -> gateway %s\n", cl.Addr(), gateway)
 
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
+	sc := bufio.NewScanner(in)
+	fmt.Fprint(out, "> ")
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {
-			fmt.Print("> ")
+			fmt.Fprint(out, "> ")
 			continue
 		}
 		switch fields[0] {
 		case "query":
 			key, err := parseKeyArgs(fields, 3)
 			if err != nil {
-				fmt.Println("usage: query X Y")
+				fmt.Fprintln(out, "usage: query X Y")
 				break
 			}
 			owner, hops, err := cl.QuerySync(key)
 			if err != nil {
-				fmt.Println("query:", err)
+				fmt.Fprintln(out, "query:", err)
 				break
 			}
-			fmt.Printf("owner of (%g, %g): %s at (%g, %g), %d hops\n",
+			fmt.Fprintf(out, "owner of (%g, %g): %s at (%g, %g), %d hops\n",
 				key.X, key.Y, owner.Addr, owner.Pos.X, owner.Pos.Y, hops)
 		case "put":
 			if len(fields) < 4 {
-				fmt.Println("usage: put X Y VALUE")
+				fmt.Fprintln(out, "usage: put X Y VALUE")
 				break
 			}
 			key, err := parseKey(fields[1], fields[2])
 			if err != nil {
-				fmt.Println("put:", err)
+				fmt.Fprintln(out, "put:", err)
 				break
 			}
 			value := strings.Join(fields[3:], " ")
 			if err := cl.PutSync(key, []byte(value)); err != nil {
-				fmt.Println("put:", err)
+				fmt.Fprintln(out, "put:", err)
 				break
 			}
-			fmt.Printf("stored %q at (%g, %g)\n", value, key.X, key.Y)
+			fmt.Fprintf(out, "stored %q at (%g, %g)\n", value, key.X, key.Y)
 		case "get":
 			key, err := parseKeyArgs(fields, 3)
 			if err != nil {
-				fmt.Println("usage: get X Y")
+				fmt.Fprintln(out, "usage: get X Y")
 				break
 			}
 			v, err := cl.GetSync(key)
 			if err != nil {
-				fmt.Println("get:", err)
+				fmt.Fprintln(out, "get:", err)
 				break
 			}
-			fmt.Printf("(%g, %g) = %q\n", key.X, key.Y, v)
+			fmt.Fprintf(out, "(%g, %g) = %q\n", key.X, key.Y, v)
 		case "del":
 			key, err := parseKeyArgs(fields, 3)
 			if err != nil {
-				fmt.Println("usage: del X Y")
+				fmt.Fprintln(out, "usage: del X Y")
 				break
 			}
 			if err := cl.DeleteSync(key); err != nil {
-				fmt.Println("del:", err)
+				fmt.Fprintln(out, "del:", err)
 				break
 			}
-			fmt.Printf("deleted (%g, %g)\n", key.X, key.Y)
+			fmt.Fprintf(out, "deleted (%g, %g)\n", key.X, key.Y)
 		case "exit", "quit":
-			return
+			return nil
 		default:
-			fmt.Println("commands: query X Y | put X Y VALUE | get X Y | del X Y | exit")
+			fmt.Fprintln(out, "commands: query X Y | put X Y VALUE | get X Y | del X Y | exit")
 		}
-		fmt.Print("> ")
+		fmt.Fprint(out, "> ")
 	}
+	return sc.Err()
 }
 
 // parseKeyArgs parses fields[1], fields[2] as a key when the command has

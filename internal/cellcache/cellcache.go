@@ -124,10 +124,3 @@ func (c *LRU[V]) Clear() {
 	c.entries = make(map[uint64]*list.Element, c.cap)
 	c.order.Init()
 }
-
-// Len returns the number of cached entries.
-func (c *LRU[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}

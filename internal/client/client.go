@@ -28,12 +28,8 @@ import (
 	"voronet/internal/transport"
 )
 
-// DefaultTimeout is the per-request deadline when Options.Timeout is zero.
-const DefaultTimeout = 30 * time.Second
-
-// DefaultRetryBackoff is the first retry delay when Options.Retries > 0
-// and Options.RetryBackoff is zero. Each further attempt doubles it.
-const DefaultRetryBackoff = 50 * time.Millisecond
+// defaultTimeout is the per-request deadline when Options.Timeout is zero.
+const defaultTimeout = 30 * time.Second
 
 // Options tunes Dial.
 type Options struct {
@@ -41,16 +37,8 @@ type Options struct {
 	// ("127.0.0.1:0" when empty — note the reply path requires the
 	// answering nodes to be able to dial it back).
 	Listen string
-	// Timeout is the per-request deadline (DefaultTimeout when zero).
+	// Timeout is the per-request deadline (30 s when zero).
 	Timeout time.Duration
-	// Retries is how many times an operation refused with
-	// store.ErrOverloaded (an admission-control shed, not a failure) is
-	// transparently re-dispatched before the error reaches the caller.
-	// Zero disables retrying.
-	Retries int
-	// RetryBackoff is the delay before the first retry, doubling on each
-	// further attempt (DefaultRetryBackoff when zero and Retries > 0).
-	RetryBackoff time.Duration
 }
 
 // Client is a pipelined connection to a VoroNet overlay. Methods are safe
@@ -62,8 +50,6 @@ type Client struct {
 	timeout  time.Duration
 	inflight *store.Inflight
 	self     proto.NodeInfo
-	retries  int
-	backoff  time.Duration
 	retried  atomic.Uint64
 
 	mu     sync.Mutex
@@ -82,7 +68,6 @@ func Dial(gateway string, opts Options) (*Client, error) {
 		return nil, err
 	}
 	c := New(ep, gateway, opts.Timeout)
-	c.SetRetryPolicy(opts.Retries, opts.RetryBackoff)
 	c.ownEP = true
 	return c, nil
 }
@@ -92,7 +77,7 @@ func Dial(gateway string, opts Options) (*Client, error) {
 // handler; the endpoint is not closed by Client.Close.
 func New(ep transport.Endpoint, gateway string, timeout time.Duration) *Client {
 	if timeout <= 0 {
-		timeout = DefaultTimeout
+		timeout = defaultTimeout
 	}
 	c := &Client{
 		ep:       ep,
@@ -105,27 +90,12 @@ func New(ep transport.Endpoint, gateway string, timeout time.Duration) *Client {
 	return c
 }
 
-// SetRetryPolicy configures transparent retrying of overload sheds for a
-// client built with New (Dial wires it from Options): up to retries
-// re-dispatches per operation, the first after backoff, doubling each
-// attempt. Call before issuing operations.
-func (c *Client) SetRetryPolicy(retries int, backoff time.Duration) {
-	if retries > 0 && backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
-	c.retries, c.backoff = retries, backoff
-}
-
-// Retried returns how many times this client has re-dispatched an
-// operation: overload-shed retries, and sends to the gateway repeated
-// after a transport error.
+// Retried returns how many times this client has sent an operation to
+// the gateway again after a transport error.
 func (c *Client) Retried() uint64 { return c.retried.Load() }
 
 // Addr returns the client's reply address.
 func (c *Client) Addr() string { return c.self.Addr }
-
-// Pending returns the number of operations awaiting a reply.
-func (c *Client) Pending() int { return c.inflight.Pending() }
 
 // Close tears the client down. Replies arriving afterwards are dropped;
 // in-flight operations fail via their own deadlines. The endpoint is
@@ -155,7 +125,7 @@ func (c *Client) handle(from string, payload []byte) {
 		}
 		if env.Shed {
 			// The owner refused the op under overload: an explicit
-			// retry-later error, which the retry policy may absorb.
+			// retry-later error for the caller.
 			r.Err = store.ErrOverloaded
 		}
 		c.inflight.Resolve(env.QueryID, r)
@@ -175,38 +145,13 @@ func (c *Client) dispatch(purpose proto.RoutedPurpose, key geom.Point, value []b
 	if cb == nil {
 		cb = func(store.Reply) {}
 	}
-	return c.dispatchAttempt(purpose, key, value, cb, 0)
-}
-
-// dispatchAttempt is dispatch with retry bookkeeping: while attempts
-// remain, an ErrOverloaded reply (origin-gateway or owner shed) is
-// absorbed and the operation re-dispatched after an exponentially grown
-// backoff instead of reaching the caller. Each attempt is a fresh
-// request with its own deadline; the caller's callback still fires
-// exactly once.
-func (c *Client) dispatchAttempt(purpose proto.RoutedPurpose, key geom.Point, value []byte, cb func(store.Reply), attempt int) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return transport.ErrClosed
 	}
 	c.mu.Unlock()
-	inner := cb
-	if attempt < c.retries {
-		inner = func(r store.Reply) {
-			if !errors.Is(r.Err, store.ErrOverloaded) {
-				cb(r)
-				return
-			}
-			c.retried.Add(1)
-			time.AfterFunc(c.backoff<<attempt, func() {
-				if err := c.dispatchAttempt(purpose, key, value, cb, attempt+1); err != nil {
-					cb(store.Reply{Err: err})
-				}
-			})
-		}
-	}
-	id, _ := c.inflight.Add(inner, c.timeout) // no limit: never refused
+	id, _ := c.inflight.Add(cb, c.timeout) // no limit: never refused
 	env := &proto.Envelope{
 		Type:    proto.KindRoute,
 		Purpose: purpose,
@@ -250,17 +195,6 @@ func (c *Client) Get(key geom.Point, cb func(store.Reply)) error {
 	return c.dispatch(proto.PurposeStoreGet, key, nil, cb)
 }
 
-// Delete tombstones the record under key.
-func (c *Client) Delete(key geom.Point, cb func(store.Reply)) error {
-	return c.dispatch(proto.PurposeStoreDelete, key, nil, cb)
-}
-
-// Query resolves the overlay node owning point p's Voronoi region; cb's
-// Reply carries it in Owner.
-func (c *Client) Query(p geom.Point, cb func(store.Reply)) error {
-	return c.dispatch(proto.PurposeQuery, p, nil, cb)
-}
-
 // sync runs op and waits for its reply.
 func (c *Client) sync(op func(cb func(store.Reply)) error) (store.Reply, error) {
 	ch := make(chan store.Reply, 1)
@@ -289,9 +223,12 @@ func (c *Client) GetSync(key geom.Point) ([]byte, error) {
 	return r.Value, nil
 }
 
-// DeleteSync is Delete, awaited; store.ErrNotFound reports a missing key.
+// DeleteSync tombstones the record under key and waits for the owner's
+// answer; store.ErrNotFound reports a missing key.
 func (c *Client) DeleteSync(key geom.Point) error {
-	r, err := c.sync(func(cb func(store.Reply)) error { return c.Delete(key, cb) })
+	r, err := c.sync(func(cb func(store.Reply)) error {
+		return c.dispatch(proto.PurposeStoreDelete, key, nil, cb)
+	})
 	if err != nil {
 		return err
 	}
@@ -301,10 +238,12 @@ func (c *Client) DeleteSync(key geom.Point) error {
 	return nil
 }
 
-// QuerySync is Query, awaited: the owner of p's region and the hop count
-// of the answer.
+// QuerySync resolves the overlay node owning point p's Voronoi region and
+// returns it with the hop count of the answer.
 func (c *Client) QuerySync(p geom.Point) (proto.NodeInfo, int, error) {
-	r, err := c.sync(func(cb func(store.Reply)) error { return c.Query(p, cb) })
+	r, err := c.sync(func(cb func(store.Reply)) error {
+		return c.dispatch(proto.PurposeQuery, p, nil, cb)
+	})
 	if err != nil {
 		return proto.NodeInfo{}, 0, err
 	}

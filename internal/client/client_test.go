@@ -1,4 +1,4 @@
-package client_test
+package client
 
 import (
 	"errors"
@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"voronet/internal/client"
 	"voronet/internal/geom"
 	"voronet/internal/node"
+	"voronet/internal/proto"
 	"voronet/internal/store"
 	"voronet/internal/transport"
 )
@@ -59,7 +59,7 @@ func TestClientOverBus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := client.New(cep, nodes[3].Info().Addr, 0)
+	cl := New(cep, nodes[3].Info().Addr, 0)
 	defer cl.Close()
 
 	rng := rand.New(rand.NewSource(11))
@@ -78,13 +78,10 @@ func TestClientOverBus(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if cl.Pending() != n {
-		t.Fatalf("pending = %d before drain, want %d in flight at once", cl.Pending(), n)
+	if bus.Pending() != n {
+		t.Fatalf("%d requests on the wire before drain, want %d in flight at once", bus.Pending(), n)
 	}
 	bus.Drain()
-	if cl.Pending() != 0 {
-		t.Fatalf("pending = %d after drain, want 0", cl.Pending())
-	}
 	for i := 0; i < n; i++ {
 		r, ok := acks[i]
 		if !ok || r.Err != nil || !r.Found {
@@ -114,7 +111,7 @@ func TestClientOverBus(t *testing.T) {
 	// Query: the answer names the true owner (closest member to the point).
 	p := keys[0]
 	var q store.Reply
-	if err := cl.Query(p, func(r store.Reply) { q = r }); err != nil {
+	if err := cl.dispatch(proto.PurposeQuery, p, nil, func(r store.Reply) { q = r }); err != nil {
 		t.Fatal(err)
 	}
 	bus.Drain()
@@ -133,7 +130,7 @@ func TestClientOverBus(t *testing.T) {
 
 	// Delete, then the GET reports not-found.
 	var del, miss store.Reply
-	if err := cl.Delete(keys[0], func(r store.Reply) { del = r }); err != nil {
+	if err := cl.dispatch(proto.PurposeStoreDelete, keys[0], nil, func(r store.Reply) { del = r }); err != nil {
 		t.Fatal(err)
 	}
 	bus.Drain()
@@ -150,15 +147,15 @@ func TestClientOverBus(t *testing.T) {
 }
 
 // TestClientFailedSendCancels: a dispatch the transport refuses leaves no
-// orphaned inflight entry (the callback never fires, the error is the
-// caller's signal).
+// orphaned inflight entry: the callback never fires, not even when the
+// request's deadline passes; the error is the caller's signal.
 func TestClientFailedSendCancels(t *testing.T) {
 	bus := transport.NewBus()
 	cep, err := bus.Attach("client")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := client.New(cep, "nowhere", 0)
+	cl := New(cep, "nowhere", time.Millisecond)
 	defer cl.Close()
 	err = cl.Put(geom.Pt(0.5, 0.5), []byte("x"), func(store.Reply) {
 		t.Error("callback fired for a failed send")
@@ -166,9 +163,7 @@ func TestClientFailedSendCancels(t *testing.T) {
 	if !errors.Is(err, transport.ErrUnknownPeer) {
 		t.Fatalf("err = %v, want ErrUnknownPeer", err)
 	}
-	if cl.Pending() != 0 {
-		t.Fatalf("pending = %d after failed send, want 0", cl.Pending())
-	}
+	time.Sleep(20 * time.Millisecond) // well past the deadline
 }
 
 // TestClientPipelinedTCP is the end-to-end check over real sockets: one
@@ -219,7 +214,7 @@ func TestClientPipelinedTCP(t *testing.T) {
 		nodes = append(nodes, nd)
 	}
 
-	cl, err := client.Dial(nodes[1].Info().Addr, client.Options{Timeout: 10 * time.Second})
+	cl, err := Dial(nodes[1].Info().Addr, Options{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,8 +255,5 @@ func TestClientPipelinedTCP(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-	if cl.Pending() != 0 {
-		t.Fatalf("pending = %d after all ops resolved, want 0", cl.Pending())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"voronet/internal/geom"
@@ -104,4 +105,8 @@ func TestCloseNeighborsMatchBruteForce(t *testing.T) {
 		sortIDs(ids)
 		check("after removals")
 	}
+}
+
+func sortIDs(s []ObjectID) {
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

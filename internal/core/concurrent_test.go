@@ -74,7 +74,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 				from := stable[rng.Intn(len(stable))]
 				switch rng.Intn(6) {
 				case 0:
-					if _, err := r.RouteToObject(from, stable[rng.Intn(len(stable))]); !tolerated(err) {
+					if _, err := r.routeToObject(from, stable[rng.Intn(len(stable))]); !tolerated(err) {
 						fail(err)
 						return
 					}
@@ -101,7 +101,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					}
 				case 4:
 					y := rng.Float64()
-					if _, _, err := r.RangeQuery(from, geom.Pt(0.2, y), geom.Pt(0.8, y)); !tolerated(err) {
+					if _, _, err := o.RangeQuery(from, geom.Pt(0.2, y), geom.Pt(0.8, y)); !tolerated(err) {
 						fail(err)
 						return
 					}
@@ -275,8 +275,8 @@ func TestStoreDoParallel(t *testing.T) {
 }
 
 // TestRouterQueriesMatchSerial pins the Router read engine to the
-// serially-accounted Overlay implementations: owners, point routes and
-// range/radius results must be identical on a frozen overlay.
+// serially-accounted Overlay implementations: owners and point routes must
+// be identical on a frozen overlay.
 func TestRouterQueriesMatchSerial(t *testing.T) {
 	o := New(Config{NMax: 3000, Seed: 321})
 	rng := rand.New(rand.NewSource(322))
@@ -296,7 +296,7 @@ func TestRouterQueriesMatchSerial(t *testing.T) {
 			t.Fatalf("owner of %v: serial %d, router %d", p, so, ro)
 		}
 
-		sres, err1 := o.RouteToPoint(from, p)
+		sres, err1 := o.HandleQuery(from, p)
 		rres, err2 := r.RouteToPoint(from, p)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("route errors: %v, %v", err1, err2)
@@ -309,42 +309,13 @@ func TestRouterQueriesMatchSerial(t *testing.T) {
 			t.Fatalf("route owner of %v: serial %d, router %d", p, sres.Owner, rres.Owner)
 		}
 	}
-
-	y := 0.37
-	sSeg, _, err1 := o.RangeQuery(ids[0], geom.Pt(0.1, y), geom.Pt(0.9, y))
-	rSeg, _, err2 := r.RangeQuery(ids[0], geom.Pt(0.1, y), geom.Pt(0.9, y))
-	if err1 != nil || err2 != nil {
-		t.Fatalf("range errors: %v, %v", err1, err2)
-	}
-	if len(sSeg) != len(rSeg) {
-		t.Fatalf("range sizes: serial %d, router %d", len(sSeg), len(rSeg))
-	}
-	for i := range sSeg {
-		if sSeg[i] != rSeg[i] {
-			t.Fatalf("range result %d: serial %d, router %d", i, sSeg[i], rSeg[i])
-		}
-	}
-	sDisk, _, err1 := o.RadiusQuery(ids[0], geom.Pt(0.5, 0.5), 0.17)
-	rDisk, _, err2 := r.RadiusQuery(ids[0], geom.Pt(0.5, 0.5), 0.17)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("radius errors: %v, %v", err1, err2)
-	}
-	if len(sDisk) != len(rDisk) {
-		t.Fatalf("radius sizes: serial %d, router %d", len(sDisk), len(rDisk))
-	}
-	for i := range sDisk {
-		if sDisk[i] != rDisk[i] {
-			t.Fatalf("radius result %d: serial %d, router %d", i, sDisk[i], rDisk[i])
-		}
-	}
 }
 
 // TestReadEntryPointsAgree pins the one resolve behind every read: for
 // drawn (from, target) pairs — exterior targets included, on a full
 // overlay and on collinear and two-object ones (dim < 2) —
-// Overlay.RouteToPoint, Router.RouteToPoint and HandleQuery return the
-// same Stop, Owner and Hops, and Store.Put / Store.Get route the same hops
-// to the same owner.
+// Router.RouteToPoint and HandleQuery return the same Stop, Owner and
+// Hops, and Store.Put / Store.Get route the same hops to the same owner.
 func TestReadEntryPointsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(913))
 	full := New(Config{NMax: 3000, Seed: 912})
@@ -376,12 +347,9 @@ func TestReadEntryPointsAgree(t *testing.T) {
 			if q%3 == 0 {
 				p = geom.Pt(rng.Float64()*2-0.5, rng.Float64()*2-0.5)
 			}
-			want, err := o.RouteToPoint(from, p)
+			want, err := r.RouteToPoint(from, p)
 			if err != nil {
-				t.Fatalf("%s: Overlay.RouteToPoint(%d, %v): %v", tc.name, from, p, err)
-			}
-			if got, err := r.RouteToPoint(from, p); err != nil || got != want {
-				t.Fatalf("%s: Router.RouteToPoint(%d, %v) = %+v, %v; Overlay says %+v", tc.name, from, p, got, err, want)
+				t.Fatalf("%s: Router.RouteToPoint(%d, %v): %v", tc.name, from, p, err)
 			}
 			if got, err := o.HandleQuery(from, p); err != nil || got != want {
 				t.Fatalf("%s: HandleQuery(%d, %v) = %+v, %v; RouteToPoint says %+v", tc.name, from, p, got, err, want)

@@ -18,14 +18,14 @@ import (
 // Overlay.ids order.
 type linkSnapshot struct {
 	ids  []ObjectID
-	back [][]BackRef
+	back [][]backRef
 	long [][]ObjectID
 }
 
 func snapshotLinks(o *Overlay) linkSnapshot {
 	s := linkSnapshot{ids: append([]ObjectID(nil), o.ids...)}
 	for _, id := range s.ids {
-		back, _ := o.BackLongRange(id)
+		back, _ := o.backLongRange(id)
 		long, _ := o.LongNeighbors(id)
 		s.back = append(s.back, back)
 		s.long = append(s.long, long)
@@ -147,10 +147,10 @@ func TestJoinBehindSteppingStoneKeepsOwnership(t *testing.T) {
 			}
 			behindZ++
 		}
-		holder := map[BackRef]ObjectID{}
+		holder := map[backRef]ObjectID{}
 		for _, id := range o.ids {
 			for j := range o.objs[id].longTargets {
-				holder[BackRef{Obj: id, Link: j}] = o.longNeighbor(o.objs[id], j)
+				holder[backRef{Obj: id, Link: j}] = o.longNeighbor(o.objs[id], j)
 			}
 		}
 
@@ -168,7 +168,7 @@ func TestJoinBehindSteppingStoneKeepsOwnership(t *testing.T) {
 		live = append(live, id)
 
 		took, tookHidden := false, false
-		back, _ := o.BackLongRange(id)
+		back, _ := o.backLongRange(id)
 		for _, ref := range back {
 			if from, ok := holder[ref]; ok {
 				took = took || besideZ[from]

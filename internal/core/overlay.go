@@ -159,8 +159,8 @@ type longLink struct {
 	pos geom.Point
 }
 
-// BackRef identifies one long link of one object (BLRn entry).
-type BackRef struct {
+// backRef identifies one long link of one object (BLRn entry).
+type backRef struct {
 	Obj  ObjectID
 	Link int
 }
@@ -188,18 +188,15 @@ type Counters struct {
 //
 // Concurrency: the overlay follows a single-writer / many-readers
 // discipline guarded by an internal RWMutex. Mutating operations (Insert,
-// Join, Remove, SetNMax) and every operation that touches the shared
-// counters or scratch buffers — RouteToObject, RouteToPoint, HandleQuery,
-// RangeQuery, RadiusQuery, GreedyNeighbor, and the scratch-backed
-// accessors VoronoiNeighbors, Cell and DistanceToRegion — take the write
-// lock and therefore serialise. The read lock covers the Router engine
-// (and the Store fast path built on it) plus the scratch-free accessors
-// (Owner, Position, CloseNeighbors, Degree, Len, ...), so any number of
-// goroutines can route, resolve owners and query concurrently through
-// per-goroutine Routers, including while a single writer joins and
-// leaves objects. To read Voronoi neighbourhoods or run queries from
-// many goroutines, use Router — not the serially-accounted Overlay
-// methods of the same name.
+// Join, Remove) and every operation that touches the shared counters or
+// scratch buffers — RouteToObject, HandleQuery, RangeQuery, RadiusQuery,
+// GreedyNeighbor, and the scratch-backed accessors VoronoiNeighbors and
+// Cell — take the write lock and therefore serialise. The read lock covers
+// the Router engine (and the Store fast path built on it) plus the
+// scratch-free accessors (Owner, Position, CloseNeighbors, Degree, Len,
+// ...), so any number of goroutines can route and resolve owners
+// concurrently through per-goroutine Routers, including while a single
+// writer joins and leaves objects.
 type Overlay struct {
 	// mu is the read/write gate described above. Internal code never
 	// locks; every exported entry point acquires exactly one lock level
@@ -324,13 +321,6 @@ func (o *Overlay) DMin() float64 {
 	return o.dmin
 }
 
-// Config returns the overlay's configuration.
-func (o *Overlay) Config() Config {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.cfg
-}
-
 // Counters returns a snapshot of the protocol cost counters.
 func (o *Overlay) Counters() Counters {
 	o.mu.RLock()
@@ -343,14 +333,6 @@ func (o *Overlay) ResetCounters() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.counters = Counters{}
-}
-
-// Object returns the object record for id, or nil. The record's protocol
-// state (long links, BLRn) is only stable while no writer runs.
-func (o *Overlay) Object(id ObjectID) *Object {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.objs[id]
 }
 
 // Position returns the position of object id.
@@ -449,7 +431,7 @@ func (o *Overlay) LongNeighbors(id ObjectID) ([]ObjectID, error) {
 }
 
 // LongTargets returns a snapshot of the long-link target points LRt(o),
-// fixed at join time and re-drawn only by SetNMax.
+// fixed at join time.
 func (o *Overlay) LongTargets(id ObjectID) ([]geom.Point, error) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -460,17 +442,17 @@ func (o *Overlay) LongTargets(id ObjectID) ([]geom.Point, error) {
 	return append([]geom.Point(nil), obj.longTargets...), nil
 }
 
-// BackLongRange returns a snapshot of the BLRn(o) view, in list order.
-func (o *Overlay) BackLongRange(id ObjectID) ([]BackRef, error) {
+// backLongRange returns a snapshot of the BLRn(o) view, in list order.
+func (o *Overlay) backLongRange(id ObjectID) ([]backRef, error) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	obj := o.objs[id]
 	if obj == nil {
 		return nil, ErrNotFound
 	}
-	refs := make([]BackRef, len(obj.back))
+	refs := make([]backRef, len(obj.back))
 	for i, e := range obj.back {
-		refs[i] = BackRef{Obj: e.obj.ID, Link: int(e.link)}
+		refs[i] = backRef{Obj: e.obj.ID, Link: int(e.link)}
 	}
 	return refs, nil
 }
@@ -487,19 +469,6 @@ func (o *Overlay) Cell(id ObjectID) []geom.Point {
 		return nil
 	}
 	return append([]geom.Point(nil), o.vor.Cell(obj.vert)...)
-}
-
-// DistanceToRegion returns the point of R(id) closest to p and its
-// distance — the paper's DistanceToRegion primitive (§4.2.3).
-func (o *Overlay) DistanceToRegion(id ObjectID, p geom.Point) (geom.Point, float64, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	obj := o.objs[id]
-	if obj == nil {
-		return geom.Point{}, 0, ErrNotFound
-	}
-	z, d := o.fictiveSite(obj.vert, p)
-	return z, d, nil
 }
 
 // Degree returns |vn(o)|.

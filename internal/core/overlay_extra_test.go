@@ -13,20 +13,16 @@ import (
 
 func TestAccessors(t *testing.T) {
 	o := New(Config{NMax: 500, Seed: 99, LongLinks: 2})
-	if got := o.Config().LongLinks; got != 2 {
-		t.Fatalf("Config: %d", got)
-	}
 	rng := rand.New(rand.NewSource(100))
 	ids := fill(t, o, &workload.Uniform{Rand: rng}, 50)
-
-	if o.Object(ids[0]) == nil || o.Object(987654) != nil {
-		t.Fatal("Object lookup wrong")
+	if ln, err := o.LongNeighbors(ids[0]); err != nil || len(ln) != 2 {
+		t.Fatalf("LongNeighbors: %v, %v; want 2 links", ln, err)
 	}
 	if _, err := o.Position(987654); !errors.Is(err, ErrNotFound) {
 		t.Fatal("Position of missing object must fail")
 	}
-	if _, err := o.BackLongRange(987654); !errors.Is(err, ErrNotFound) {
-		t.Fatal("BackLongRange of missing object must fail")
+	if _, err := o.backLongRange(987654); !errors.Is(err, ErrNotFound) {
+		t.Fatal("backLongRange of missing object must fail")
 	}
 	if _, err := o.LongTargets(987654); !errors.Is(err, ErrNotFound) {
 		t.Fatal("LongTargets of missing object must fail")
@@ -90,7 +86,7 @@ func TestBackLongRangeView(t *testing.T) {
 	for _, id := range ids {
 		ln, _ := o.LongNeighbors(id)
 		for j, holder := range ln {
-			back, err := o.BackLongRange(holder)
+			back, err := o.backLongRange(holder)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +268,7 @@ func TestRouteToPointFromOutsideSquare(t *testing.T) {
 		{X: -0.5, Y: 0.5}, {X: 1.5, Y: 1.5}, {X: 0.5, Y: -1.2}, {X: 2.0, Y: -0.3},
 	}
 	for _, tgt := range targets {
-		res, err := o.RouteToPoint(ids[0], tgt)
+		res, err := o.HandleQuery(ids[0], tgt)
 		if err != nil {
 			t.Fatalf("route to %v: %v", tgt, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"voronet/internal/geom"
 	"voronet/internal/kleinberg"
@@ -163,7 +164,7 @@ func TestRouteToPointFindsOwner(t *testing.T) {
 	for q := 0; q < 200; q++ {
 		from := ids[rng.Intn(len(ids))]
 		p := geom.Pt(rng.Float64(), rng.Float64())
-		res, err := o.RouteToPoint(from, p)
+		res, err := o.HandleQuery(from, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,70 +476,6 @@ func TestAblationConfigs(t *testing.T) {
 	}
 }
 
-func TestSetNMaxRefreshesDenseNeighbourhoods(t *testing.T) {
-	// Provision for 100 objects, insert 2000 clustered ones: close
-	// neighbourhoods overflow; growing NMax must shrink dmin and re-draw
-	// links of dense objects.
-	o := New(Config{NMax: 100, Seed: 19})
-	rng := rand.New(rand.NewSource(20))
-	src := workload.NewClusters(3, 0.01, rng)
-	fill(t, o, src, 1500)
-	oldDMin := o.DMin()
-
-	refreshed := o.SetNMax(10000, 4)
-	if o.DMin() >= oldDMin {
-		t.Fatalf("dmin did not shrink: %g -> %g", oldDMin, o.DMin())
-	}
-	if refreshed == 0 {
-		t.Fatal("no dense neighbourhood was refreshed")
-	}
-	if err := o.CheckInvariants(true); err != nil {
-		t.Fatal(err)
-	}
-	// Routing still works.
-	ids := o.ids
-	for q := 0; q < 50; q++ {
-		if _, err := o.RouteToObject(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestSetNMaxDensityMatchesBruteForce is the regression test for the
-// density test running on the grid rebuilt at the *new*, smaller radius:
-// a 3×3 block of new cells does not cover the previous dmin, so most dense
-// neighbourhoods went uncounted (45 refreshed here where 742 are dense).
-func TestSetNMaxDensityMatchesBruteForce(t *testing.T) {
-	o := New(Config{NMax: 500, Seed: 41})
-	rng := rand.New(rand.NewSource(42))
-	ids := fill(t, o, &workload.Uniform{Rand: rng}, 2000)
-	const threshold = 4
-	prev := o.DMin()
-	want := 0
-	for _, a := range ids {
-		pa, _ := o.Position(a)
-		dense := 0
-		for _, b := range ids {
-			if pb, _ := o.Position(b); b != a && geom.Dist2(pa, pb) <= prev*prev {
-				dense++
-			}
-		}
-		if dense > threshold {
-			want++
-		}
-	}
-	if want < 100 {
-		t.Fatalf("only %d dense neighbourhoods: the scenario exercises nothing", want)
-	}
-	if got := o.SetNMax(4000, threshold); got != want {
-		t.Fatalf("SetNMax refreshed %d objects, %d have more than %d objects within the previous dmin %g (new %g)",
-			got, want, threshold, prev, o.DMin())
-	}
-	if err := o.CheckInvariants(true); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLongLinkRadiusDistribution(t *testing.T) {
 	// For s = 2 the radius is log-uniform on [dmin, √2]: the median must be
 	// close to exp((ln dmin + ln √2)/2) = sqrt(dmin·√2).
@@ -621,5 +558,13 @@ func TestOwnerAndGreedyNeighborErrors(t *testing.T) {
 	// Singleton with a self long-link: no other neighbour exists.
 	if n != NoObject {
 		t.Fatalf("singleton greedy neighbour: %d", n)
+	}
+}
+
+// TestObjectRecordSize keeps the per-object record at what it is without a
+// long-neighbour slice of its own (104 bytes before).
+func TestObjectRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Object{}); n > 80 {
+		t.Fatalf("Object is %d bytes, want <= 80", n)
 	}
 }

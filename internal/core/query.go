@@ -5,13 +5,12 @@ import (
 
 	"voronet/internal/delaunay"
 	"voronet/internal/geom"
-	"voronet/internal/voronoi"
 )
 
 // This file implements the richer query mechanisms the paper sketches as
 // perspectives (§7): range queries along a segment of the attribute space
 // and radius (disk) queries, both resolved by local forwarding over the
-// tessellation, plus the dynamic-NMax adaptation sketch.
+// tessellation.
 
 // QueryStats accounts the cost of a multi-object query.
 type QueryStats struct {
@@ -27,8 +26,8 @@ type QueryStats struct {
 // queryScratch is the reusable state of one query flood: a
 // generation-stamped visited set (cleared in O(1) by bumping the
 // generation instead of reallocating a map per call), the worklist, and a
-// vertex buffer for neighbour expansion. The overlay owns one for the
-// serially-accounted query path; every Router owns its own.
+// vertex buffer for neighbour expansion. The overlay owns one, used under
+// its write lock.
 type queryScratch struct {
 	mark  map[ObjectID]uint64
 	gen   uint64
@@ -61,36 +60,27 @@ func (sc *queryScratch) push(id ObjectID) bool {
 // segment [a, b] — the paper's one-attribute range query, "represented as a
 // segment in the unit square ... reached easily by forwarding the query
 // along this line" (§7). Results are ordered by projection onto the
-// segment. from is the query's introduction object. The call serialises
-// (it accounts into the shared counters); Router.RangeQuery is the
-// concurrent equivalent.
+// segment. from is the query's introduction object. The call serialises:
+// it accounts into the shared counters.
 func (o *Overlay) RangeQuery(from ObjectID, a, b geom.Point) ([]ObjectID, QueryStats, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.rangeQuery(&o.rt, &o.qsc, from, a, b)
-}
-
-// rangeQuery is the route-to-start-then-flood implementation shared by
-// the serial path and the Router: all mutable state comes from rt and sc,
-// so the two paths cannot drift apart.
-func (o *Overlay) rangeQuery(rt *routeState, sc *queryScratch, from ObjectID, a, b geom.Point) ([]ObjectID, QueryStats, error) {
 	var st QueryStats
 	// Route to the owner of the segment start.
-	res, err := o.resolve(rt, from, a)
+	res, err := o.resolve(&o.rt, from, a)
 	if err != nil {
 		return nil, st, err
 	}
 	st.RouteHops = res.Hops
-	result := o.floodSegment(res.Owner, a, b, rt.vor, sc, &st)
-	return result, st, nil
+	return o.floodSegment(res.Owner, a, b, &st), st, nil
 }
 
 // floodSegment floods from the owner of segment start a over every object
 // whose region intersects [a, b] (the set of such regions is connected, so
 // neighbour forwarding covers it) and returns them ordered by projection
-// onto the segment. vor and sc supply the caller's scratch, so concurrent
-// callers never share state.
-func (o *Overlay) floodSegment(start ObjectID, a, b geom.Point, vor *voronoi.Diagram, sc *queryScratch, st *QueryStats) []ObjectID {
+// onto the segment.
+func (o *Overlay) floodSegment(start ObjectID, a, b geom.Point, st *QueryStats) []ObjectID {
+	sc := &o.qsc
 	inQuery := func(id ObjectID) bool {
 		obj := o.objs[id]
 		if o.tr.Dimension() < 2 {
@@ -99,7 +89,7 @@ func (o *Overlay) floodSegment(start ObjectID, a, b geom.Point, vor *voronoi.Dia
 			q := geom.ClosestPointOnSegment(obj.Pos, a, b)
 			return o.ownerIs(q, id)
 		}
-		return o.regionIntersectsSegment(obj, a, b, vor)
+		return o.regionIntersectsSegment(obj, a, b)
 	}
 
 	sc.begin(len(o.ids))
@@ -141,48 +131,41 @@ func (o *Overlay) ownerIs(p geom.Point, id ObjectID) bool {
 	return true
 }
 
-// regionIntersectsSegment reports whether R(obj) meets segment [a, b],
-// evaluated against the caller's Voronoi scratch view.
-func (o *Overlay) regionIntersectsSegment(obj *Object, a, b geom.Point, vor *voronoi.Diagram) bool {
+// regionIntersectsSegment reports whether R(obj) meets segment [a, b].
+func (o *Overlay) regionIntersectsSegment(obj *Object, a, b geom.Point) bool {
 	// Quick accept: the object's site projects onto the segment within its
 	// own region.
 	q := geom.ClosestPointOnSegment(obj.Pos, a, b)
-	if vor.Contains(obj.vert, q) {
+	if o.vor.Contains(obj.vert, q) {
 		return true
 	}
 	// Exact test via the cell polygon.
-	return geom.ConvexPolygonIntersectsSegment(vor.Cell(obj.vert), a, b)
+	return geom.ConvexPolygonIntersectsSegment(o.vor.Cell(obj.vert), a, b)
 }
 
 // RadiusQuery returns the objects within distance r of centre — the
 // paper's "radius query, where all objects in a given disk are queried"
 // (§7). The query floods outward from the owner of the centre through
 // every object whose region intersects the disk, which is exactly the
-// connected set DistanceToRegion ≤ r. The call serialises;
-// Router.RadiusQuery is the concurrent equivalent.
+// connected set whose distance to the centre is at most r. The call
+// serialises: it accounts into the shared counters.
 func (o *Overlay) RadiusQuery(from ObjectID, centre geom.Point, r float64) ([]ObjectID, QueryStats, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.radiusQuery(&o.rt, &o.qsc, from, centre, r)
-}
-
-// radiusQuery is the shared implementation behind Overlay.RadiusQuery and
-// Router.RadiusQuery; see rangeQuery.
-func (o *Overlay) radiusQuery(rt *routeState, sc *queryScratch, from ObjectID, centre geom.Point, r float64) ([]ObjectID, QueryStats, error) {
 	var st QueryStats
-	res, err := o.resolve(rt, from, centre)
+	res, err := o.resolve(&o.rt, from, centre)
 	if err != nil {
 		return nil, st, err
 	}
 	st.RouteHops = res.Hops
-	result := o.floodDisk(res.Owner, centre, r, rt.vor, sc, &st)
-	return result, st, nil
+	return o.floodDisk(res.Owner, centre, r, &st), st, nil
 }
 
 // floodDisk floods from the owner of centre over every object whose region
 // intersects the disk and returns the objects inside it, ordered by
-// distance to the centre. vor and sc supply the caller's scratch.
-func (o *Overlay) floodDisk(start ObjectID, centre geom.Point, r float64, vor *voronoi.Diagram, sc *queryScratch, st *QueryStats) []ObjectID {
+// distance to the centre.
+func (o *Overlay) floodDisk(start ObjectID, centre geom.Point, r float64, st *QueryStats) []ObjectID {
+	sc := &o.qsc
 	sc.begin(len(o.ids))
 	var result []ObjectID
 	sc.push(start)
@@ -194,7 +177,7 @@ func (o *Overlay) floodDisk(start ObjectID, centre geom.Point, r float64, vor *v
 		if o.tr.Dimension() < 2 {
 			intersects = geom.Dist(obj.Pos, centre) <= r || o.ownerIs(centre, id)
 		} else {
-			_, dist := vor.DistanceToRegion(obj.vert, centre)
+			_, dist := o.vor.DistanceToRegion(obj.vert, centre)
 			intersects = dist <= r
 		}
 		if !intersects {
@@ -215,62 +198,4 @@ func (o *Overlay) floodDisk(start ObjectID, centre geom.Point, r float64, vor *v
 		return geom.Dist2(o.objs[result[i]].Pos, centre) < geom.Dist2(o.objs[result[j]].Pos, centre)
 	})
 	return result
-}
-
-// SetNMax implements the dynamic-NMax perspective (§7, second point): when
-// the overlay grows past its provisioned size, raise NMax, shrink dmin
-// accordingly, and re-draw the long links of the objects whose close
-// neighbourhood became denser than the threshold ("updating only the
-// objects whose neighbourhood is too dense"). Returns the number of
-// objects whose links were re-drawn.
-func (o *Overlay) SetNMax(nmax, denseThreshold int) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.setNMax(nmax, denseThreshold)
-}
-
-func (o *Overlay) setNMax(nmax, denseThreshold int) int {
-	if nmax <= 0 || nmax == o.cfg.NMax {
-		return 0
-	}
-	o.cfg.NMax = nmax
-	o.dmin = DefaultDMin(nmax)
-
-	// Rebuild the close-neighbour grid at the new radius, keeping the old
-	// one for the density test below: an index answers only the radius it
-	// was built for.
-	prev := o.grid
-	o.grid = newCloseIndex(o.tr, o.dmin, nmax)
-	for _, id := range o.ids {
-		o.grid.add(o.objs[id].vert)
-	}
-
-	if o.cfg.DisableLongLinks {
-		return 0
-	}
-	refreshed := 0
-	for _, id := range o.ids {
-		obj := o.objs[id]
-		// Density test against the *previous* radius: objects that had more
-		// close neighbours than the threshold re-draw their links under the
-		// new dmin.
-		o.rt.cbuf = prev.within(obj.Pos, obj.vert, o.rt.cbuf)
-		if len(o.rt.cbuf) <= denseThreshold {
-			continue
-		}
-		refreshed++
-		for j := range obj.longTargets {
-			// Withdraw the old link...
-			if holder := o.objs[o.longNeighbor(obj, j)]; holder != nil {
-				holder.dropBack(obj, j)
-			}
-			// ...and draw a fresh one under the new dmin.
-			tgt := o.chooseLRT(obj.Pos)
-			obj.longTargets[j] = tgt
-			holder := o.objs[o.byVertex[o.tr.NearestSite(tgt, obj.vert)]]
-			o.setLong(obj, j, holder)
-			holder.addBack(obj, j)
-		}
-	}
-	return refreshed
 }

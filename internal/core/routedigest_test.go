@@ -116,7 +116,7 @@ func routeDigest(t *testing.T, sc routeScenario, seed int64) uint64 {
 		}
 		for i := 0; i < 2000; i++ {
 			from, to := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
-			hops, err := r.RouteToObject(from, to)
+			hops, err := r.routeToObject(from, to)
 			if err != nil {
 				t.Fatalf("%s seed %d: RouteToObject(%d, %d): %v", sc.name, seed, from, to, err)
 			}

@@ -10,10 +10,10 @@ import (
 )
 
 // Router is the overlay's concurrent read engine: it performs greedy
-// routing, mutation-free owner resolution and query floods without
-// touching any shared overlay state — it owns its scratch buffers, its
-// Voronoi scratch view, its flood scratch and its own step counter. Every
-// exported Router method takes the overlay's read lock, so any number of
+// routing and mutation-free owner resolution without touching any shared
+// overlay state — it owns its scratch buffers, its Voronoi scratch view
+// and its own step counter. Every Router method takes the overlay's read
+// lock, so any number of
 // Routers can run concurrently on different goroutines, including while a
 // single writer joins, inserts and removes objects (the writer holds the
 // write lock and serialises against all readers).
@@ -32,7 +32,6 @@ type Router struct {
 	// paths cannot drift apart.
 	rt   routeState
 	nbuf []delaunay.VertexID
-	sc   queryScratch
 }
 
 // NewRouter returns a router bound to the overlay.
@@ -42,21 +41,17 @@ func (o *Overlay) NewRouter() *Router {
 	return r
 }
 
-// RouteToObject greedily routes from one object to another and returns the
+// routeToObject greedily routes from one object to another and returns the
 // hop count, exactly like Overlay.RouteToObject but safe to call from
 // multiple goroutines concurrently.
-func (r *Router) RouteToObject(from, to ObjectID) (int, error) {
+func (r *Router) routeToObject(from, to ObjectID) (int, error) {
 	r.o.mu.RLock()
 	defer r.o.mu.RUnlock()
-	return r.routeToObject(from, to)
-}
-
-func (r *Router) routeToObject(from, to ObjectID) (int, error) {
 	return r.o.routeToObject(&r.rt, from, to)
 }
 
-// RouteToPoint is the concurrent equivalent of Overlay.RouteToPoint: the
-// very same resolve, fed by the router's private scratch.
+// RouteToPoint routes from object `from` towards target per Algorithm 5
+// and names the owner of target's region (see resolve).
 func (r *Router) RouteToPoint(from ObjectID, target geom.Point) (RouteResult, error) {
 	r.o.mu.RLock()
 	defer r.o.mu.RUnlock()
@@ -77,14 +72,8 @@ func (r *Router) Owner(p geom.Point, hint ObjectID) (ObjectID, error) {
 	return id, nil
 }
 
-// VoronoiNeighbors appends vn(id) to buf using the router's private vertex
-// scratch — the concurrent equivalent of Overlay.VoronoiNeighbors.
-func (r *Router) VoronoiNeighbors(id ObjectID, buf []ObjectID) ([]ObjectID, error) {
-	r.o.mu.RLock()
-	defer r.o.mu.RUnlock()
-	return r.voronoiNeighbors(id, buf)
-}
-
+// voronoiNeighbors appends vn(id) to buf using the router's private vertex
+// scratch. The caller holds the overlay's lock.
 func (r *Router) voronoiNeighbors(id ObjectID, buf []ObjectID) ([]ObjectID, error) {
 	obj := r.o.objs[id]
 	if obj == nil {
@@ -96,21 +85,6 @@ func (r *Router) voronoiNeighbors(id ObjectID, buf []ObjectID) ([]ObjectID, erro
 		buf = append(buf, r.o.byVertex[v])
 	}
 	return buf, nil
-}
-
-// RangeQuery is the concurrent equivalent of Overlay.RangeQuery: the very
-// same shared implementation, fed by the router's private scratch.
-func (r *Router) RangeQuery(from ObjectID, a, b geom.Point) ([]ObjectID, QueryStats, error) {
-	r.o.mu.RLock()
-	defer r.o.mu.RUnlock()
-	return r.o.rangeQuery(&r.rt, &r.sc, from, a, b)
-}
-
-// RadiusQuery is the concurrent equivalent of Overlay.RadiusQuery.
-func (r *Router) RadiusQuery(from ObjectID, centre geom.Point, rad float64) ([]ObjectID, QueryStats, error) {
-	r.o.mu.RLock()
-	defer r.o.mu.RUnlock()
-	return r.o.radiusQuery(&r.rt, &r.sc, from, centre, rad)
 }
 
 // RoutePair is one sampled couple for MeasureRoutes.
@@ -152,7 +126,7 @@ func (o *Overlay) MeasureRoutes(pairs []RoutePair, workers int) ([]int, uint64, 
 			defer wg.Done()
 			r := o.NewRouter()
 			for i := lo; i < hi; i++ {
-				h, err := r.RouteToObject(pairs[i].From, pairs[i].To)
+				h, err := r.routeToObject(pairs[i].From, pairs[i].To)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {

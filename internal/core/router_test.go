@@ -19,7 +19,7 @@ func TestRouterMatchesSequentialRouting(t *testing.T) {
 		a := ids[rng.Intn(len(ids))]
 		b := ids[rng.Intn(len(ids))]
 		h1, err1 := o.RouteToObject(a, b)
-		h2, err2 := r.RouteToObject(a, b)
+		h2, err2 := r.routeToObject(a, b)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("error mismatch: %v vs %v", err1, err2)
 		}

@@ -16,7 +16,7 @@ import (
 // [dmin, √2] — log-uniform for the paper's s = 2 — and a uniform angle.
 // The target may land outside the unit square; its owner is still the
 // nearest object (§4.3.2). It draws from the overlay's own RNG, which the
-// write lock guards: every caller (insert, join, setNMax) holds it.
+// write lock guards: every caller (insert, join) holds it.
 func (o *Overlay) chooseLRT(p geom.Point) geom.Point {
 	return o.chooseLRTWith(o.rng, p)
 }
@@ -173,29 +173,22 @@ type RouteResult struct {
 	Hops int
 }
 
-// RouteToPoint routes from object `from` towards an arbitrary target point
-// per the framework of Algorithm 5: forward greedily while
+// resolve routes from object `from` towards an arbitrary target point per
+// the framework of Algorithm 5 (routeToPoint): forward greedily while
 //
 //	d(DistanceToRegion(target), target) > ⅓·d(target, current)
 //	and d(target, current) > dmin,
 //
 // then stop; the stopping object can insert the target locally (Lemma 4).
-// The returned Owner is the object whose Voronoi region contains target.
-func (o *Overlay) RouteToPoint(from ObjectID, target geom.Point) (RouteResult, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.resolve(&o.rt, from, target)
-}
-
-// resolve routes from object `from` towards target (routeToPoint) and
-// names Obj(target) with a nearest-site walk from the stopping object —
-// O(1) expected, since Algorithm 5's stop condition left the walk within
-// a constant factor of the target's region (Lemma 4). Every read in the
-// package goes through it: RouteToPoint and HandleQuery on the Overlay and
-// the Router, the range and radius floods, and the Store's Put, Get and
-// Delete. It is read-only — all scratch comes from rt, and it touches
-// neither the triangulation's walk RNG nor its hint — so any number of
-// callers may run it under the overlay's read lock, each with its own rt.
+// It then names Obj(target), the object whose Voronoi region contains
+// target, with a nearest-site walk from the stopping object — O(1)
+// expected, since the stop condition left the walk within a constant
+// factor of the target's region. Every read in the package goes through
+// it: HandleQuery, Router.RouteToPoint, the range and radius floods, and
+// the Store's Put, Get and Delete. It is read-only — all scratch comes
+// from rt, and it touches neither the triangulation's walk RNG nor its
+// hint — so any number of callers may run it under the overlay's read
+// lock, each with its own rt.
 func (o *Overlay) resolve(rt *routeState, from ObjectID, target geom.Point) (RouteResult, error) {
 	src := o.objs[from]
 	if src == nil {

@@ -286,23 +286,6 @@ func (s *Store) Copies(key geom.Point) int {
 	return n
 }
 
-// Len returns the number of live records at the key's current owner,
-// summed over all owners — i.e. the number of distinct live keys as the
-// owners see them.
-func (s *Store) Len() int {
-	seen := make(map[geom.Point]bool)
-	for _, b := range s.snapshotBuckets() {
-		for _, rec := range b.Snapshot() {
-			if !seen[rec.Key] {
-				if _, err := s.StatusOf(rec.Key); err == nil {
-					seen[rec.Key] = true
-				}
-			}
-		}
-	}
-	return len(seen)
-}
-
 // snapshotBuckets copies the bucket list so diagnostics can iterate
 // without holding the map lock across per-bucket work.
 func (s *Store) snapshotBuckets() []*store.Local {
@@ -313,17 +296,4 @@ func (s *Store) snapshotBuckets() []*store.Local {
 		out = append(out, b)
 	}
 	return out
-}
-
-// StatusOf resolves key's current owner and reports whether it holds a
-// live record (store.ErrNotFound otherwise).
-func (s *Store) StatusOf(key geom.Point) (ObjectID, error) {
-	owner, err := s.ov.Owner(key, NoObject)
-	if err != nil {
-		return NoObject, err
-	}
-	if _, ok := s.bucket(owner).Get(key); !ok {
-		return owner, store.ErrNotFound
-	}
-	return owner, nil
 }

@@ -99,7 +99,7 @@ func TestStoreChurnHandoff(t *testing.T) {
 	check := func(phase string) {
 		live := ids[:0:0]
 		for _, id := range ids {
-			if ov.Object(id) != nil {
+			if _, err := ov.Position(id); err == nil {
 				live = append(live, id)
 			}
 		}
@@ -126,7 +126,7 @@ func TestStoreChurnHandoff(t *testing.T) {
 	removed := 0
 	for removed < 15 {
 		id := ids[rng.Intn(len(ids))]
-		if ov.Object(id) == nil {
+		if _, err := ov.Position(id); err != nil {
 			continue
 		}
 		if err := st.RemoveObject(id); err != nil {

@@ -9,7 +9,7 @@ import (
 	"voronet/internal/geom"
 )
 
-// InsertBulk inserts many sites at once in a locality-aware order
+// InsertBulkParallel inserts many sites at once in a locality-aware order
 // (Hilbert-curve sort, the core of a BRIO build): consecutive insertions
 // land near each other, so the remembering walk from the previous site is
 // O(1) steps and the whole build is close to linear time. Results are
@@ -21,13 +21,10 @@ import (
 // to co-circular retriangulation) — so this is purely a construction-time
 // optimisation: the experiment engine uses it to build 300 000-object
 // overlays in seconds.
-func (t *Triangulation) InsertBulk(points []geom.Point) []VertexID {
-	return t.InsertBulkParallel(points, 1)
-}
-
-// InsertBulkParallel is InsertBulk with the construction's embarrassingly
-// parallel prefix — Hilbert key computation and the locality sort — spread
-// over `workers` goroutines (0 selects GOMAXPROCS). The insertion loop
+//
+// The construction's embarrassingly parallel prefix — Hilbert key
+// computation and the locality sort — is spread over `workers` goroutines
+// (0 selects GOMAXPROCS). The insertion loop
 // itself stays serial: the triangulation's face/vertex arenas are a single
 // mutable structure and the hinted Bowyer–Watson insert is already O(1)
 // expected, so the sort is the part worth parallelising here (the overlay

@@ -16,7 +16,7 @@ func TestInsertBulkMatchesIncremental(t *testing.T) {
 	}
 	// Bulk build.
 	bulk := New()
-	ids := bulk.InsertBulk(pts)
+	ids := bulk.InsertBulkParallel(pts, 1)
 	if err := bulk.Validate(); err != nil {
 		t.Fatalf("bulk validate: %v", err)
 	}
@@ -62,15 +62,15 @@ func neighborPositions(tr *Triangulation, v VertexID, pos func(*Triangulation, V
 
 func TestInsertBulkDuplicatesAndTinyInputs(t *testing.T) {
 	tr := New()
-	if ids := tr.InsertBulk(nil); len(ids) != 0 {
+	if ids := tr.InsertBulkParallel(nil, 1); len(ids) != 0 {
 		t.Fatal("empty bulk insert")
 	}
-	ids := tr.InsertBulk([]geom.Point{{X: 0.5, Y: 0.5}})
+	ids := tr.InsertBulkParallel([]geom.Point{{X: 0.5, Y: 0.5}}, 1)
 	if len(ids) != 1 || !tr.Alive(ids[0]) {
 		t.Fatal("singleton bulk insert")
 	}
 	// Duplicates resolve to the existing ID.
-	ids2 := tr.InsertBulk([]geom.Point{{X: 0.5, Y: 0.5}, {X: 0.25, Y: 0.5}})
+	ids2 := tr.InsertBulkParallel([]geom.Point{{X: 0.5, Y: 0.5}, {X: 0.25, Y: 0.5}}, 1)
 	if ids2[0] != ids[0] {
 		t.Fatalf("duplicate should return existing id %d, got %d", ids[0], ids2[0])
 	}
@@ -78,7 +78,7 @@ func TestInsertBulkDuplicatesAndTinyInputs(t *testing.T) {
 		t.Fatalf("sites: %d", tr.NumSites())
 	}
 	// Bulk into an already-populated triangulation.
-	tr.InsertBulk([]geom.Point{{X: 0.9, Y: 0.9}, {X: 0.1, Y: 0.8}})
+	tr.InsertBulkParallel([]geom.Point{{X: 0.9, Y: 0.9}, {X: 0.1, Y: 0.8}}, 1)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func BenchmarkInsertBulk20k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := New()
-		tr.InsertBulk(pts)
+		tr.InsertBulkParallel(pts, 1)
 	}
 }
 

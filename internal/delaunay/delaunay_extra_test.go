@@ -2,7 +2,9 @@ package delaunay
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -10,12 +12,12 @@ import (
 )
 
 func TestDuplicateErrorMessage(t *testing.T) {
-	err := &DuplicateError{Existing: 7}
+	err := &duplicateError{Existing: 7}
 	if err.Error() == "" {
 		t.Fatal("empty error message")
 	}
 	if !errors.Is(err, ErrDuplicate) {
-		t.Fatal("DuplicateError must match ErrDuplicate")
+		t.Fatal("duplicateError must match ErrDuplicate")
 	}
 }
 
@@ -30,14 +32,14 @@ func TestNumFiniteFacesEuler(t *testing.T) {
 		}
 	}
 	h := 0
-	tr.ForEachSite(func(v VertexID, _ geom.Point) bool {
-		if tr.IsHullVertex(v) {
+	forEachSite(tr, func(v VertexID, _ geom.Point) bool {
+		if isHullVertex(tr, v) {
 			h++
 		}
 		return true
 	})
-	if want := 2*n - h - 2; tr.NumFiniteFaces() != want {
-		t.Fatalf("finite faces %d, want %d (n=%d h=%d)", tr.NumFiniteFaces(), want, n, h)
+	if want := 2*n - h - 2; tr.numFiniteFaces() != want {
+		t.Fatalf("finite faces %d, want %d (n=%d h=%d)", tr.numFiniteFaces(), want, n, h)
 	}
 }
 
@@ -61,7 +63,7 @@ func TestFacesAroundCompleteFan(t *testing.T) {
 	// The interior site's fan has exactly Degree faces, all finite, all
 	// starting with the site itself.
 	count := 0
-	tr.FacesAround(c, func(a, b, d VertexID) bool {
+	tr.facesAround(c, func(a, b, d VertexID) bool {
 		if a != c {
 			t.Fatalf("fan face does not start at the site: %v", a)
 		}
@@ -77,7 +79,7 @@ func TestFacesAroundCompleteFan(t *testing.T) {
 
 	// Early termination.
 	count = 0
-	tr.FacesAround(c, func(_, _, _ VertexID) bool { count++; return false })
+	tr.facesAround(c, func(_, _, _ VertexID) bool { count++; return false })
 	if count != 1 {
 		t.Fatalf("early stop visited %d", count)
 	}
@@ -85,7 +87,7 @@ func TestFacesAroundCompleteFan(t *testing.T) {
 	// Hull site fans include infinite faces.
 	hull := VertexID(1)
 	sawInfinite := false
-	tr.FacesAround(hull, func(_, b, d VertexID) bool {
+	tr.facesAround(hull, func(_, b, d VertexID) bool {
 		if b == Infinite || d == Infinite {
 			sawInfinite = true
 		}
@@ -106,7 +108,7 @@ func TestLocateExhaustiveAgreesWithWalk(t *testing.T) {
 	}
 	for q := 0; q < 200; q++ {
 		p := geom.Pt(rng.Float64()*1.4-0.2, rng.Float64()*1.4-0.2)
-		a := tr.Locate(p, NoVertex)
+		a := tr.locate(p, NoVertex)
 		b := tr.locateExhaustive(p, true)
 		if a.Kind != b.Kind {
 			t.Fatalf("kind mismatch at %v: walk %v, scan %v", p, a.Kind, b.Kind)
@@ -119,7 +121,7 @@ func TestLocateExhaustiveAgreesWithWalk(t *testing.T) {
 		}
 	}
 	// Exact-site queries.
-	tr.ForEachSite(func(v VertexID, p geom.Point) bool {
+	forEachSite(tr, func(v VertexID, p geom.Point) bool {
 		loc := tr.locateExhaustive(p, true)
 		if loc.Kind != LocVertex || loc.Vertex != v {
 			t.Fatalf("exhaustive locate missed site %d", v)
@@ -230,7 +232,6 @@ func TestQuickInsertRemoveRoundTrip(t *testing.T) {
 
 func TestRebuildFallbackCounter(t *testing.T) {
 	// The rebuild fallback must not fire on ordinary workloads.
-	start := RebuildCount
 	tr := New()
 	rng := rand.New(rand.NewSource(24))
 	var ids []VertexID
@@ -244,7 +245,67 @@ func TestRebuildFallbackCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if RebuildCount != start {
-		t.Fatalf("rebuild fallback fired %d times on a random workload", RebuildCount-start)
+	if tr.rebuilds != 0 {
+		t.Fatalf("rebuild fallback fired %d times on a random workload", tr.rebuilds)
+	}
+}
+
+// TestTriangulationsShareNoState builds two triangulations on two
+// goroutines from inputs that force the exact-arithmetic fallback of both
+// predicates: a cocircular ring (InCircle) and a chain of collinear points
+// on its diagonal (Orient2D). Under -race it fails if the package or the
+// predicates keep mutable package-level state.
+func TestTriangulationsShareNoState(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr := New()
+			for i := 0; i < 64; i++ {
+				a := 2 * math.Pi * float64(i) / 64
+				tr.Insert(geom.Pt(0.5+0.4*math.Cos(a), 0.5+0.4*math.Sin(a)), NoVertex)
+			}
+			for i := 1; i < 32; i++ {
+				x := 0.2 + 0.6*float64(i)/32
+				tr.Insert(geom.Pt(x, x), NoVertex)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// forEachSite calls fn for every live finite site until fn returns false.
+func forEachSite(t *Triangulation, fn func(VertexID, geom.Point) bool) {
+	for id := 1; id < len(t.verts); id++ {
+		if t.verts[id].alive && !fn(VertexID(id), t.verts[id].p) {
+			return
+		}
+	}
+}
+
+// isHullVertex reports whether v lies on the convex hull of the sites.
+func isHullVertex(t *Triangulation, v VertexID) bool {
+	if !t.Alive(v) {
+		return false
+	}
+	if t.dim < 2 {
+		return true
+	}
+	start := t.verts[v].face
+	f := start
+	for {
+		i := t.vertIndex(f, v)
+		fc := &t.faces[f]
+		if fc.v[(i+1)%3] == Infinite || fc.v[(i+2)%3] == Infinite {
+			return true
+		}
+		f = t.ccwNextAround(v, f)
+		if f == start {
+			return false
+		}
 	}
 }

@@ -112,22 +112,22 @@ func TestInsertOnEdgeAndVertexLocations(t *testing.T) {
 	mustValidate(t, tr, "triangle")
 
 	// Strictly inside.
-	loc := tr.Locate(geom.Pt(0.25, 0.25), NoVertex)
+	loc := tr.locate(geom.Pt(0.25, 0.25), NoVertex)
 	if loc.Kind != LocFace {
 		t.Fatalf("inside: kind %v", loc.Kind)
 	}
 	// On the interior of an edge.
-	loc = tr.Locate(geom.Pt(0.5, 0.5), NoVertex)
+	loc = tr.locate(geom.Pt(0.5, 0.5), NoVertex)
 	if loc.Kind != LocEdge {
 		t.Fatalf("on hypotenuse: kind %v", loc.Kind)
 	}
 	// On a vertex.
-	loc = tr.Locate(geom.Pt(1, 0), NoVertex)
+	loc = tr.locate(geom.Pt(1, 0), NoVertex)
 	if loc.Kind != LocVertex {
 		t.Fatalf("on vertex: kind %v", loc.Kind)
 	}
 	// Outside.
-	loc = tr.Locate(geom.Pt(2, 2), NoVertex)
+	loc = tr.locate(geom.Pt(2, 2), NoVertex)
 	if loc.Kind != LocOutside {
 		t.Fatalf("outside: kind %v", loc.Kind)
 	}
@@ -576,11 +576,11 @@ func TestIsHullVertex(t *testing.T) {
 	}
 	centre := mustInsert(t, tr, geom.Pt(0.5, 0.5))
 	for _, c := range corners {
-		if !tr.IsHullVertex(c) {
+		if !isHullVertex(tr, c) {
 			t.Errorf("corner %d should be on hull", c)
 		}
 	}
-	if tr.IsHullVertex(centre) {
+	if isHullVertex(tr, centre) {
 		t.Error("centre should not be on hull")
 	}
 }
@@ -597,8 +597,8 @@ func TestLocateWithHint(t *testing.T) {
 	for q := 0; q < 200; q++ {
 		p := geom.Pt(rng.Float64(), rng.Float64())
 		hint := ids[rng.Intn(len(ids))]
-		locA := tr.Locate(p, hint)
-		locB := tr.Locate(p, NoVertex)
+		locA := tr.locate(p, hint)
+		locB := tr.locate(p, NoVertex)
 		if locA.Kind != locB.Kind {
 			t.Fatalf("hint changes location kind: %v vs %v", locA.Kind, locB.Kind)
 		}
@@ -615,11 +615,6 @@ func TestForEachIteration(t *testing.T) {
 	mustInsert(t, tr, geom.Pt(0, 1))
 	mustInsert(t, tr, geom.Pt(1, 1))
 
-	sites := 0
-	tr.ForEachSite(func(VertexID, geom.Point) bool { sites++; return true })
-	if sites != 4 {
-		t.Fatalf("ForEachSite visited %d", sites)
-	}
 	faces := 0
 	tr.ForEachFiniteFace(func(a, b, c VertexID) bool {
 		faces++
@@ -634,7 +629,7 @@ func TestForEachIteration(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	tr.ForEachSite(func(VertexID, geom.Point) bool { n++; return false })
+	tr.ForEachFiniteFace(func(a, b, c VertexID) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop visited %d", n)
 	}
@@ -659,7 +654,7 @@ func TestLargeUniformInsertion(t *testing.T) {
 	mustValidate(t, tr, "20k uniform")
 	// Average finite degree in a Delaunay triangulation is < 6.
 	total := 0
-	tr.ForEachSite(func(v VertexID, _ geom.Point) bool {
+	forEachSite(tr, func(v VertexID, _ geom.Point) bool {
 		total += tr.Degree(v)
 		return true
 	})

@@ -7,7 +7,7 @@ import "voronet/internal/geom"
 // object reached by greedy routing, which makes insertion O(1) expected.
 //
 // Inserting at the exact position of an existing site returns that site's
-// ID and a *DuplicateError (matching errors.Is(err, ErrDuplicate)).
+// ID and a *duplicateError (matching errors.Is(err, ErrDuplicate)).
 func (t *Triangulation) Insert(p geom.Point, hint VertexID) (VertexID, error) {
 	v, err := t.insert(p, hint)
 	t.flush()
@@ -19,7 +19,7 @@ func (t *Triangulation) insert(p geom.Point, hint VertexID) (VertexID, error) {
 	v := t.newVertex(p)
 	if err := t.place(v, hint); err != nil {
 		t.freeVertex(v)
-		if de, ok := err.(*DuplicateError); ok {
+		if de, ok := err.(*duplicateError); ok {
 			return de.Existing, err
 		}
 		return NoVertex, err
@@ -41,9 +41,9 @@ func (t *Triangulation) place(v VertexID, hint VertexID) error {
 // locate, grow the conflict cavity, carve it and star the boundary from v.
 func (t *Triangulation) insertSite(v VertexID, hint VertexID) error {
 	p := t.verts[v].p
-	loc := t.Locate(p, hint)
+	loc := t.locate(p, hint)
 	if loc.Kind == LocVertex {
-		return &DuplicateError{Existing: loc.Vertex}
+		return &duplicateError{Existing: loc.Vertex}
 	}
 
 	// Seed the conflict region. A cavity face is marked by clearing its
@@ -138,7 +138,7 @@ func (t *Triangulation) placeLowDim(v VertexID) error {
 	p := t.verts[v].p
 	for _, u := range t.line {
 		if t.verts[u].p == p {
-			return &DuplicateError{Existing: u}
+			return &duplicateError{Existing: u}
 		}
 	}
 	if len(t.line) >= 2 {

@@ -21,7 +21,7 @@ const (
 	LocOutside
 )
 
-// Location is the result of Locate.
+// Location is the result of locate.
 type Location struct {
 	Kind   LocKind
 	Face   FaceID
@@ -43,17 +43,17 @@ func (w *walkRng) intn3() int {
 	return int(x % 3)
 }
 
-// Locate finds the position of p in the triangulation using a remembering
+// locate finds the position of p in the triangulation using a remembering
 // visibility walk starting near hint (a live vertex, or NoVertex to start
 // from the last touched face). It requires dimension 2.
 //
 // The walk is guaranteed to terminate on a Delaunay triangulation; as a
 // defence in depth a step budget triggers an exhaustive scan.
-func (t *Triangulation) Locate(p geom.Point, hint VertexID) Location {
+func (t *Triangulation) locate(p geom.Point, hint VertexID) Location {
 	return t.locateWalk(p, t.startFace(hint), nil)
 }
 
-// LocateRO is Locate without side effects: it neither advances the
+// LocateRO is locate without side effects: it neither advances the
 // triangulation's walk RNG nor updates the last-face cache, so any number
 // of goroutines may call it concurrently as long as no insertion or
 // removal runs at the same time.
@@ -280,7 +280,7 @@ func (t *Triangulation) nearestSite(p geom.Point, hint VertexID, buf []VertexID,
 	if ro {
 		loc = t.LocateRO(p, hint)
 	} else {
-		loc = t.Locate(p, hint)
+		loc = t.locate(p, hint)
 	}
 	var cur VertexID
 	switch loc.Kind {

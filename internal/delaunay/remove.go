@@ -2,12 +2,6 @@ package delaunay
 
 import "voronet/internal/geom"
 
-// RebuildCount counts how many times Remove fell back to a full rebuild.
-// The fallback preserves correctness on pathologically degenerate inputs at
-// O(n) cost; it should be (and in all our workloads is) essentially never
-// taken. Exposed for tests and observability.
-var RebuildCount uint64
-
 // Remove deletes site v and retriangulates the hole so the structure stays
 // exactly Delaunay. This is the substrate of the paper's
 // RemoveVoronoiRegion (§4.2.2) and of the fictive-object removals in
@@ -60,7 +54,7 @@ func (t *Triangulation) Remove(v VertexID) error {
 	if !ok {
 		// Defensive fallback for degenerate link polygons the surgical path
 		// declines to handle: rebuild from scratch, which is always correct.
-		RebuildCount++
+		t.rebuilds++
 		t.nFinite--
 		t.freeVertex(v)
 		t.rebuildAll()

@@ -31,7 +31,7 @@ func checkSlots(t *testing.T, tr *Triangulation, ctx string) {
 	t.Helper()
 	mustValidate(t, tr, ctx)
 	var walk, got []VertexID
-	tr.ForEachSite(func(v VertexID, _ geom.Point) bool {
+	forEachSite(tr, func(v VertexID, _ geom.Point) bool {
 		if tr.Dimension() < 2 {
 			walk = tr.Neighbors(v, walk)
 		} else {
@@ -156,8 +156,8 @@ func TestNeighborSlotsMatchFan(t *testing.T) {
 		}
 		for tr.NumSites() > 3 {
 			var hull []VertexID
-			tr.ForEachSite(func(v VertexID, _ geom.Point) bool {
-				if tr.IsHullVertex(v) {
+			forEachSite(tr, func(v VertexID, _ geom.Point) bool {
+				if isHullVertex(tr, v) {
 					hull = append(hull, v)
 				}
 				return true
@@ -211,7 +211,7 @@ func TestNeighborSlotsMatchFan(t *testing.T) {
 			p := geom.Pt(rng.Float64(), rng.Float64())
 			in = append(in, p, p)
 		}
-		bulk.InsertBulk(in)
+		bulk.InsertBulkParallel(in, 1)
 		checkSlots(t, bulk, "bulk with duplicates")
 	})
 }
@@ -224,19 +224,19 @@ func TestInsertLargeCavity(t *testing.T) {
 	euler := func(t *testing.T, tr *Triangulation) {
 		t.Helper()
 		h := 0
-		tr.ForEachSite(func(v VertexID, _ geom.Point) bool {
-			if tr.IsHullVertex(v) {
+		forEachSite(tr, func(v VertexID, _ geom.Point) bool {
+			if isHullVertex(tr, v) {
 				h++
 			}
 			return true
 		})
-		if n, want := tr.NumSites(), 2*tr.NumSites()-h-2; tr.NumFiniteFaces() != want {
-			t.Fatalf("finite faces %d, want %d (n=%d h=%d)", tr.NumFiniteFaces(), want, n, h)
+		if n, want := tr.NumSites(), 2*tr.NumSites()-h-2; tr.numFiniteFaces() != want {
+			t.Fatalf("finite faces %d, want %d (n=%d h=%d)", tr.numFiniteFaces(), want, n, h)
 		}
 	}
 	t.Run("ring centre", func(t *testing.T) {
 		tr := New()
-		tr.InsertBulk(ringPoints(2000, 0.4, rand.New(rand.NewSource(86))))
+		tr.InsertBulkParallel(ringPoints(2000, 0.4, rand.New(rand.NewSource(86))), 1)
 		c := mustInsert(t, tr, geom.Pt(0.5, 0.5))
 		mustValidate(t, tr, "ring centre")
 		if d := tr.Degree(c); d != 2000 {
@@ -251,7 +251,7 @@ func TestInsertLargeCavity(t *testing.T) {
 			pts[i] = geom.Pt(x, x*x)
 		}
 		tr := New()
-		tr.InsertBulk(pts)
+		tr.InsertBulkParallel(pts, 1)
 		far := mustInsert(t, tr, geom.Pt(0.5, -1e6))
 		mustValidate(t, tr, "far outside")
 		if d := tr.Degree(far); d < len(pts)/2 {
@@ -278,7 +278,7 @@ func skipUnderRace(t *testing.T) {
 func TestDegreeZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	tr := New()
-	tr.InsertBulk(ringPoints(64, 0.4, rand.New(rand.NewSource(87))))
+	tr.InsertBulkParallel(ringPoints(64, 0.4, rand.New(rand.NewSource(87))), 1)
 	c := mustInsert(t, tr, geom.Pt(0.5, 0.5))
 	chain := New()
 	for i := 0; i < 5; i++ {

@@ -67,23 +67,23 @@ const (
 var (
 	// ErrDuplicate reports an insertion at the exact position of an
 	// existing site. The existing site's ID accompanies it via
-	// DuplicateError.
+	// duplicateError.
 	ErrDuplicate = errors.New("delaunay: duplicate site")
 	// ErrNotFound reports an operation on a dead or out-of-range vertex.
 	ErrNotFound = errors.New("delaunay: no such site")
 )
 
-// DuplicateError wraps ErrDuplicate with the existing site.
-type DuplicateError struct {
+// duplicateError wraps ErrDuplicate with the existing site.
+type duplicateError struct {
 	Existing VertexID
 }
 
-func (e *DuplicateError) Error() string {
+func (e *duplicateError) Error() string {
 	return fmt.Sprintf("delaunay: duplicate site (existing vertex %d)", e.Existing)
 }
 
 // Is reports whether target is ErrDuplicate.
-func (e *DuplicateError) Is(target error) bool { return target == ErrDuplicate }
+func (e *duplicateError) Is(target error) bool { return target == ErrDuplicate }
 
 // adjK is the number of neighbour slots per vertex. Over the fans that the
 // GETs of a 300 000-object uniform overlay read, each weighted by how often
@@ -119,6 +119,12 @@ type Triangulation struct {
 
 	nFinite      int // live finite vertices
 	nFiniteFaces int // live finite faces
+
+	// rebuilds counts how many times Remove fell back to a full rebuild.
+	// The fallback preserves correctness on pathologically degenerate
+	// inputs at O(n) cost; it should be (and in all our workloads is)
+	// essentially never taken.
+	rebuilds int
 
 	// dim is the affine dimension of the current site set: -1 empty,
 	// 0 one site, 1 collinear sites, 2 full triangulation.
@@ -164,8 +170,8 @@ func New() *Triangulation {
 // NumSites returns the number of live finite sites.
 func (t *Triangulation) NumSites() int { return t.nFinite }
 
-// NumFiniteFaces returns the number of live finite faces.
-func (t *Triangulation) NumFiniteFaces() int { return t.nFiniteFaces }
+// numFiniteFaces returns the number of live finite faces.
+func (t *Triangulation) numFiniteFaces() int { return t.nFiniteFaces }
 
 // Dimension returns the affine dimension of the site set: -1 when empty,
 // 0 for a single site, 1 while all sites are collinear, 2 otherwise.
@@ -361,47 +367,13 @@ func (t *Triangulation) Degree(v VertexID) int {
 		return len(t.Neighbors(v, buf[:0]))
 	}
 	n := 0
-	t.FacesAround(v, func(_, b, _ VertexID) bool {
+	t.facesAround(v, func(_, b, _ VertexID) bool {
 		if b != Infinite {
 			n++
 		}
 		return true
 	})
 	return n
-}
-
-// IsHullVertex reports whether v lies on the convex hull of the sites.
-func (t *Triangulation) IsHullVertex(v VertexID) bool {
-	if !t.Alive(v) {
-		return false
-	}
-	if t.dim < 2 {
-		return true
-	}
-	start := t.verts[v].face
-	f := start
-	for {
-		i := t.vertIndex(f, v)
-		fc := &t.faces[f]
-		if fc.v[(i+1)%3] == Infinite || fc.v[(i+2)%3] == Infinite {
-			return true
-		}
-		f = t.ccwNextAround(v, f)
-		if f == start {
-			return false
-		}
-	}
-}
-
-// ForEachSite calls fn for every live finite site until fn returns false.
-func (t *Triangulation) ForEachSite(fn func(VertexID, geom.Point) bool) {
-	for id := 1; id < len(t.verts); id++ {
-		if t.verts[id].alive {
-			if !fn(VertexID(id), t.verts[id].p) {
-				return
-			}
-		}
-	}
 }
 
 // ForEachFiniteFace calls fn for every finite face (counterclockwise vertex
@@ -417,10 +389,10 @@ func (t *Triangulation) ForEachFiniteFace(fn func(a, b, c VertexID) bool) {
 	}
 }
 
-// FacesAround calls fn for each face incident to v in counterclockwise
+// facesAround calls fn for each face incident to v in counterclockwise
 // order. fn receives the face's vertices with v first. Infinite faces are
 // included (one of b, c is Infinite). Only valid in dimension 2.
-func (t *Triangulation) FacesAround(v VertexID, fn func(a, b, c VertexID) bool) {
+func (t *Triangulation) facesAround(v VertexID, fn func(a, b, c VertexID) bool) {
 	if !t.Alive(v) || t.dim < 2 {
 		return
 	}

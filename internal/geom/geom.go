@@ -35,12 +35,6 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 // Dot returns the dot product p·q.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
-// Cross returns the 2-D cross product p×q = p.X·q.Y − p.Y·q.X.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between p and q.
 func Dist(p, q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
@@ -64,30 +58,6 @@ func (p Point) ClampUnitSquare() Point {
 	return Point{math.Min(1, math.Max(0, p.X)), math.Min(1, math.Max(0, p.Y))}
 }
 
-// Circumcenter returns the circumcentre of triangle abc, i.e. the Voronoi
-// vertex dual to the Delaunay face abc. ok is false when the points are
-// (numerically) collinear and no finite circumcentre exists.
-//
-// The computation is translated to the origin at a for accuracy; it is not
-// exact, which is fine: circumcentres parameterise Voronoi cell *geometry*
-// (drawing, DistanceToRegion) while all topological decisions go through
-// the exact predicates.
-func Circumcenter(a, b, c Point) (Point, bool) {
-	bx := b.X - a.X
-	by := b.Y - a.Y
-	cx := c.X - a.X
-	cy := c.Y - a.Y
-	d := 2 * (bx*cy - by*cx)
-	if d == 0 {
-		return Point{}, false
-	}
-	b2 := bx*bx + by*by
-	c2 := cx*cx + cy*cy
-	ux := (cy*b2 - by*c2) / d
-	uy := (bx*c2 - cx*b2) / d
-	return Point{a.X + ux, a.Y + uy}, true
-}
-
 // ClosestPointOnSegment returns the point of segment [a,b] closest to p.
 func ClosestPointOnSegment(p, a, b Point) Point {
 	ab := b.Sub(a)
@@ -103,13 +73,6 @@ func ClosestPointOnSegment(p, a, b Point) Point {
 		return b
 	}
 	return a.Add(ab.Scale(t))
-}
-
-// SegmentIntersectsDisk reports whether segment [a,b] intersects the closed
-// disk of centre c and radius r.
-func SegmentIntersectsDisk(a, b, c Point, r float64) bool {
-	q := ClosestPointOnSegment(c, a, b)
-	return Dist2(q, c) <= r*r
 }
 
 // ConvexPolygonIntersectsSegment reports whether a convex counterclockwise

@@ -12,16 +12,6 @@ const (
 	iccErrBoundA = (10.0 + 96.0*epsilon) * epsilon
 )
 
-// Counters for observability in tests and benchmarks: how often the exact
-// fallback fired. They are not synchronised; treat them as best-effort
-// diagnostics (the simulator is single-goroutine per overlay).
-var (
-	// Orient2DExactCount counts exact-arithmetic fallbacks of Orient2D.
-	Orient2DExactCount uint64
-	// InCircleExactCount counts exact-arithmetic fallbacks of InCircle.
-	InCircleExactCount uint64
-)
-
 // Orient2D returns the orientation of the ordered triple (a, b, c):
 //
 //	+1 if they make a counterclockwise turn (c lies left of a→b),
@@ -58,7 +48,6 @@ func Orient2D(a, b, c Point) int {
 	if det >= errBound || -det >= errBound {
 		return signOf(det)
 	}
-	Orient2DExactCount++
 	return orient2DExact(a, b, c)
 }
 
@@ -112,7 +101,6 @@ func InCircle(a, b, c, d Point) int {
 	if det > errBound || -det > errBound {
 		return signOf(det)
 	}
-	InCircleExactCount++
 	return inCircleExact(a, b, c, d)
 }
 

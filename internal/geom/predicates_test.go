@@ -217,41 +217,6 @@ func TestExpansionSumAndScale(t *testing.T) {
 	}
 }
 
-func TestCircumcenter(t *testing.T) {
-	a, b, c := Pt(0, 0), Pt(2, 0), Pt(0, 2)
-	cc, ok := Circumcenter(a, b, c)
-	if !ok {
-		t.Fatal("circumcenter of right triangle must exist")
-	}
-	if math.Abs(cc.X-1) > 1e-12 || math.Abs(cc.Y-1) > 1e-12 {
-		t.Errorf("got %v, want (1,1)", cc)
-	}
-	if _, ok := Circumcenter(Pt(0, 0), Pt(1, 1), Pt(2, 2)); ok {
-		t.Error("collinear points must not have a circumcentre")
-	}
-}
-
-func TestCircumcenterEquidistant(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy float64) bool {
-		a := Pt(math.Mod(math.Abs(ax), 1), math.Mod(math.Abs(ay), 1))
-		b := Pt(math.Mod(math.Abs(bx), 1), math.Mod(math.Abs(by), 1))
-		c := Pt(math.Mod(math.Abs(cx), 1), math.Mod(math.Abs(cy), 1))
-		if !finitePts(a, b, c) || Orient2D(a, b, c) == 0 {
-			return true
-		}
-		cc, ok := Circumcenter(a, b, c)
-		if !ok {
-			return false
-		}
-		ra, rb, rc := Dist(cc, a), Dist(cc, b), Dist(cc, c)
-		tol := 1e-6 * (1 + ra)
-		return math.Abs(ra-rb) < tol && math.Abs(ra-rc) < tol
-	}
-	if err := quick.Check(f, quickCfg()); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestClosestPointOnSegment(t *testing.T) {
 	a, b := Pt(0, 0), Pt(10, 0)
 	cases := []struct {
@@ -270,19 +235,6 @@ func TestClosestPointOnSegment(t *testing.T) {
 	// Degenerate segment.
 	if got := ClosestPointOnSegment(Pt(3, 4), a, a); got != a {
 		t.Errorf("degenerate segment: got %v, want %v", got, a)
-	}
-}
-
-func TestSegmentIntersectsDisk(t *testing.T) {
-	a, b := Pt(0, 0), Pt(10, 0)
-	if !SegmentIntersectsDisk(a, b, Pt(5, 1), 1.5) {
-		t.Error("disk overlapping the middle must intersect")
-	}
-	if SegmentIntersectsDisk(a, b, Pt(5, 3), 1.5) {
-		t.Error("distant disk must not intersect")
-	}
-	if !SegmentIntersectsDisk(a, b, Pt(-1, 0), 1.0) {
-		t.Error("disk touching endpoint must intersect")
 	}
 }
 

@@ -116,7 +116,7 @@ func (ref *reference) replicaSet(owner *member, key geom.Point, rf int) []*membe
 // runCheck executes every invariant aspect and returns the report. The
 // checker reads node state through public accessors only — it never sends
 // messages, so checking cannot perturb the run.
-func (r *Run) runCheck(c Check) CheckReport {
+func (r *Run) runCheck(c check) CheckReport {
 	rep := CheckReport{}
 	ref, err := r.buildReference()
 	if err != nil {

@@ -149,7 +149,7 @@ type Run struct {
 	dropFaults  bool
 	partitioned bool
 	lossy       bool
-	activeParts []Partition
+	activeParts []partition
 
 	expected map[geom.Point]*expectation
 	res      *Result

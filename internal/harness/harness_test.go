@@ -156,12 +156,12 @@ func TestCrashUntracksOnlyWhollyLostKeys(t *testing.T) {
 	s := Scenario{
 		Name: "crash-accounting", Seed: 991,
 		Steps: []Step{
-			Join{N: 24},
-			Workload{Ops: 50},
-			Settle{},
-			Crash{Count: 3},
-			Settle{},
-			Check{},
+			join{N: 24},
+			storeWorkload{Ops: 50},
+			settle{},
+			crash{Count: 3},
+			settle{},
+			check{},
 		},
 	}
 	res, err := s.Run()

@@ -15,22 +15,22 @@ func Scenarios() []Scenario {
 			// replica placement must track every population change.
 			Name: "churn-storm", Seed: 101,
 			Steps: []Step{
-				Join{N: 30},
-				Workload{Ops: 60},
-				Settle{},
-				Check{},
-				Leave{Count: 5},
-				Crash{Count: 3},
-				Join{N: 10},
-				Settle{},
-				Workload{Ops: 60, GetFrac: 0.4},
-				Settle{},
-				Check{},
-				Leave{Count: 4},
-				Crash{Count: 2},
-				Join{N: 6},
-				Settle{},
-				Check{},
+				join{N: 30},
+				storeWorkload{Ops: 60},
+				settle{},
+				check{},
+				leave{Count: 5},
+				crash{Count: 3},
+				join{N: 10},
+				settle{},
+				storeWorkload{Ops: 60, GetFrac: 0.4},
+				settle{},
+				check{},
+				leave{Count: 4},
+				crash{Count: 2},
+				join{N: 6},
+				settle{},
+				check{},
 			},
 		},
 		{
@@ -39,15 +39,15 @@ func Scenarios() []Scenario {
 			// surgery.
 			Name: "flash-crowd", Seed: 102,
 			Steps: []Step{
-				Join{N: 5},
-				Settle{},
-				Check{},
-				Join{N: 50, Batch: true},
-				Settle{},
-				Check{},
-				Workload{Ops: 50, GetFrac: 0.3},
-				Settle{},
-				Check{},
+				join{N: 5},
+				settle{},
+				check{},
+				join{N: 50, Batch: true},
+				settle{},
+				check{},
+				storeWorkload{Ops: 50, GetFrac: 0.3},
+				settle{},
+				check{},
 			},
 		},
 		{
@@ -59,21 +59,21 @@ func Scenarios() []Scenario {
 			// stars, replica holes) fails the scenario.
 			Name: "flash-crowd-churn", Seed: 110,
 			Steps: []Step{
-				Join{N: 10},
-				Settle{},
-				Check{},
-				Join{N: 30, Batch: true},
-				Leave{Count: 4},
-				Crash{Count: 3},
-				Settle{},
-				Check{},
-				Workload{Ops: 60, GetFrac: 0.4},
-				Join{N: 20, Batch: true},
-				Crash{Count: 4},
-				Settle{},
-				Workload{Ops: 40, GetFrac: 0.5},
-				Settle{},
-				Check{},
+				join{N: 10},
+				settle{},
+				check{},
+				join{N: 30, Batch: true},
+				leave{Count: 4},
+				crash{Count: 3},
+				settle{},
+				check{},
+				storeWorkload{Ops: 60, GetFrac: 0.4},
+				join{N: 20, Batch: true},
+				crash{Count: 4},
+				settle{},
+				storeWorkload{Ops: 40, GetFrac: 0.5},
+				settle{},
+				check{},
 			},
 		},
 		{
@@ -83,18 +83,18 @@ func Scenarios() []Scenario {
 			// replica-set coverage for every surviving key.
 			Name: "partition-heal", Seed: 103,
 			Steps: []Step{
-				Join{N: 30},
-				Workload{Ops: 60},
-				Settle{},
-				Check{},
-				Partition{Name: "east-west", At: 0.5},
-				Workload{Ops: 80, GetFrac: 0.3},
-				Check{SkipStore: true}, // views are fault-free; stores diverge until heal
-				Heal{},
-				Settle{},
-				Workload{Ops: 30, GetFrac: 0.5},
-				Settle{},
-				Check{},
+				join{N: 30},
+				storeWorkload{Ops: 60},
+				settle{},
+				check{},
+				partition{Name: "east-west", At: 0.5},
+				storeWorkload{Ops: 80, GetFrac: 0.3},
+				check{SkipStore: true}, // views are fault-free; stores diverge until heal
+				heal{},
+				settle{},
+				storeWorkload{Ops: 30, GetFrac: 0.5},
+				settle{},
+				check{},
 			},
 		},
 		{
@@ -102,15 +102,15 @@ func Scenarios() []Scenario {
 			// the write traffic, then loses nodes around the hot spot.
 			Name: "hot-keys", Seed: 104,
 			Steps: []Step{
-				Join{N: 25},
-				Workload{Dist: "zipf", Ops: 120, GetFrac: 0.5, Keys: 12},
-				Settle{},
-				Check{},
-				Crash{Count: 3},
-				Settle{},
-				Workload{Dist: "zipf", Ops: 80, GetFrac: 0.5, Keys: 12},
-				Settle{},
-				Check{},
+				join{N: 25},
+				storeWorkload{Dist: "zipf", Ops: 120, GetFrac: 0.5, Keys: 12},
+				settle{},
+				check{},
+				crash{Count: 3},
+				settle{},
+				storeWorkload{Dist: "zipf", Ops: 80, GetFrac: 0.5, Keys: 12},
+				settle{},
+				check{},
 			},
 		},
 		{
@@ -119,15 +119,15 @@ func Scenarios() []Scenario {
 			// anti-entropy settle must restore full replication.
 			Name: "lossy-links", Seed: 105,
 			Steps: []Step{
-				Join{N: 25},
-				Workload{Ops: 40},
-				Settle{},
-				Check{},
-				Lossy{Rate: 0.08},
-				Workload{Ops: 80, GetFrac: 0.5},
-				ClearFaults{},
-				Settle{},
-				Check{},
+				join{N: 25},
+				storeWorkload{Ops: 40},
+				settle{},
+				check{},
+				lossy{Rate: 0.08},
+				storeWorkload{Ops: 80, GetFrac: 0.5},
+				clearFaults{},
+				settle{},
+				check{},
 			},
 		},
 		{
@@ -136,15 +136,15 @@ func Scenarios() []Scenario {
 			// joining through the reordered gossip.
 			Name: "straggler", Seed: 106,
 			Steps: []Step{
-				Join{N: 25},
-				Straggler{Node: 3, MinLat: 50, MaxLat: 120},
-				Workload{Ops: 60, GetFrac: 0.3},
-				Join{N: 10},
-				Settle{},
-				Check{},
-				ClearFaults{},
-				Settle{},
-				Check{},
+				join{N: 25},
+				straggler{Node: 3, MinLat: 50, MaxLat: 120},
+				storeWorkload{Ops: 60, GetFrac: 0.3},
+				join{N: 10},
+				settle{},
+				check{},
+				clearFaults{},
+				settle{},
+				check{},
 			},
 		},
 		{
@@ -153,15 +153,15 @@ func Scenarios() []Scenario {
 			// long links and restore the replication factor.
 			Name: "blackout", Seed: 107,
 			Steps: []Step{
-				Join{N: 30},
-				Workload{Ops: 60},
-				Settle{},
-				Check{},
-				Crash{Count: 6},
-				Settle{},
-				Workload{Ops: 40, GetFrac: 0.5},
-				Settle{},
-				Check{},
+				join{N: 30},
+				storeWorkload{Ops: 60},
+				settle{},
+				check{},
+				crash{Count: 6},
+				settle{},
+				storeWorkload{Ops: 40, GetFrac: 0.5},
+				settle{},
+				check{},
 			},
 		},
 		{
@@ -173,19 +173,19 @@ func Scenarios() []Scenario {
 			// 0.15× of the full-record push (the digest acceptance bound).
 			Name: "crash-restart", Seed: 109, Durable: true,
 			Steps: []Step{
-				Join{N: 24},
-				Workload{Ops: 150, GetFrac: 0.2, ValueBytes: 2048},
-				Settle{},
-				Check{},
-				Crash{Count: 6},
-				Settle{},
-				Restart{},
-				Settle{},
-				Check{},
-				SyncBytes{MaxRatio: 0.15},
-				Workload{Ops: 60, GetFrac: 0.5, ValueBytes: 2048},
-				Settle{},
-				Check{},
+				join{N: 24},
+				storeWorkload{Ops: 150, GetFrac: 0.2, ValueBytes: 2048},
+				settle{},
+				check{},
+				crash{Count: 6},
+				settle{},
+				restart{},
+				settle{},
+				check{},
+				syncBytes{MaxRatio: 0.15},
+				storeWorkload{Ops: 60, GetFrac: 0.5, ValueBytes: 2048},
+				settle{},
+				check{},
 			},
 		},
 		{
@@ -193,20 +193,20 @@ func Scenarios() []Scenario {
 			// routing must be exact at every plateau.
 			Name: "elastic", Seed: 108,
 			Steps: []Step{
-				Join{N: 20},
-				Settle{},
-				Check{},
-				Join{N: 20},
-				Workload{Ops: 40},
-				Settle{},
-				Check{},
-				Leave{Count: 15},
-				Settle{},
-				Check{},
-				Join{N: 10},
-				Workload{Ops: 40, GetFrac: 0.5},
-				Settle{},
-				Check{},
+				join{N: 20},
+				settle{},
+				check{},
+				join{N: 20},
+				storeWorkload{Ops: 40},
+				settle{},
+				check{},
+				leave{Count: 15},
+				settle{},
+				check{},
+				join{N: 10},
+				storeWorkload{Ops: 40, GetFrac: 0.5},
+				settle{},
+				check{},
 			},
 		},
 	}

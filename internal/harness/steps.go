@@ -11,16 +11,16 @@ import (
 	"voronet/internal/workload"
 )
 
-// Join adds N nodes to the overlay, each joining through a random live
+// join adds N nodes to the overlay, each joining through a random live
 // sponsor. With Batch set, all N join requests are issued before the bus
 // drains once — a flash crowd arriving within one network round instead
 // of a sequential trickle.
-type Join struct {
+type join struct {
 	N     int
 	Batch bool
 }
 
-func (s Join) run(r *Run) error {
+func (s join) run(r *Run) error {
 	mode := "sequential"
 	if s.Batch {
 		mode = "batch"
@@ -77,11 +77,11 @@ func (s Join) run(r *Run) error {
 	return nil
 }
 
-// Leave makes Count random live nodes depart gracefully (store handoff,
+// leave makes Count random live nodes depart gracefully (store handoff,
 // BLRn delegation, neighbourhood repair — the §4.2.2 protocol).
-type Leave struct{ Count int }
+type leave struct{ Count int }
 
-func (s Leave) run(r *Run) error {
+func (s leave) run(r *Run) error {
 	for i := 0; i < s.Count; i++ {
 		live := r.live()
 		if len(live) <= 1 {
@@ -99,15 +99,15 @@ func (s Leave) run(r *Run) error {
 	return nil
 }
 
-// Crash kills Count random live nodes abruptly: endpoints close with no
+// crash kills Count random live nodes abruptly: endpoints close with no
 // leave protocol, records and links die with them, and the surviving
 // population receives failure-detector notifications (NotifyDeparted) and
 // repairs itself. Tracked keys whose every live copy was on a crashed
 // node are recorded as lost and untracked — losing more than the
 // replication factor simultaneously is data loss by design, not a bug.
-type Crash struct{ Count int }
+type crash struct{ Count int }
 
-func (s Crash) run(r *Run) error {
+func (s crash) run(r *Run) error {
 	live := r.live()
 	count := s.Count
 	if count > len(live)-1 {
@@ -184,17 +184,17 @@ func (s Crash) run(r *Run) error {
 	return nil
 }
 
-// Partition splits the live population into two named groups by attribute
+// partition splits the live population into two named groups by attribute
 // coordinate — members with Pos.X (or Pos.Y when Axis is "y") below At go
 // west, the rest east — and installs the partition on the bus. Messages
 // crossing the cut are dropped until Heal.
-type Partition struct {
+type partition struct {
 	Name string
 	Axis string // "x" (default) or "y"
 	At   float64
 }
 
-func (s Partition) run(r *Run) error {
+func (s partition) run(r *Run) error {
 	for i, p := range r.activeParts {
 		if p.Name == s.Name {
 			r.activeParts = append(r.activeParts[:i], r.activeParts[i+1:]...)
@@ -213,7 +213,7 @@ func (s Partition) run(r *Run) error {
 // membership and returns the group sizes. Called again after every join
 // while the partition stands, so newcomers are constrained by coordinate
 // instead of silently bridging the cut.
-func (r *Run) installPartition(s Partition) (west, east int) {
+func (r *Run) installPartition(s partition) (west, east int) {
 	var w, e []string
 	for _, m := range r.live() {
 		c := infoOf(m).Pos.X
@@ -237,11 +237,11 @@ func axisName(a string) string {
 	return "x"
 }
 
-// Heal removes every installed partition. Replica sets damaged while the
+// heal removes every installed partition. Replica sets damaged while the
 // partition stood are restored by the next Settle's anti-entropy sweep.
-type Heal struct{}
+type heal struct{}
 
-func (s Heal) run(r *Run) error {
+func (s heal) run(r *Run) error {
 	r.bus.Heal()
 	r.activeParts = nil
 	r.partitioned = false
@@ -249,11 +249,11 @@ func (s Heal) run(r *Run) error {
 	return nil
 }
 
-// Lossy installs a default link rule dropping the given fraction of every
+// lossy installs a default link rule dropping the given fraction of every
 // message (seeded, deterministic). Rate 0 restores perfect links.
-type Lossy struct{ Rate float64 }
+type lossy struct{ Rate float64 }
 
-func (s Lossy) run(r *Run) error {
+func (s lossy) run(r *Run) error {
 	r.bus.SetDefaultRule(transport.LinkRule{Drop: s.Rate})
 	r.dropFaults = s.Rate > 0
 	if s.Rate > 0 {
@@ -263,15 +263,15 @@ func (s Lossy) run(r *Run) error {
 	return nil
 }
 
-// Straggler gives every link into and out of one node (by join index) a
+// straggler gives every link into and out of one node (by join index) a
 // latency in [MinLat, MaxLat] virtual ticks, reordering its traffic
 // against the rest of the network.
-type Straggler struct {
+type straggler struct {
 	Node           int
 	MinLat, MaxLat uint64
 }
 
-func (s Straggler) run(r *Run) error {
+func (s straggler) run(r *Run) error {
 	if s.Node < 0 || s.Node >= len(r.members) {
 		return fmt.Errorf("straggler: no member %d", s.Node)
 	}
@@ -281,18 +281,18 @@ func (s Straggler) run(r *Run) error {
 	return nil
 }
 
-// ClearFaults removes every link, peer and default rule (partitions heal
+// clearFaults removes every link, peer and default rule (partitions heal
 // separately).
-type ClearFaults struct{}
+type clearFaults struct{}
 
-func (s ClearFaults) run(r *Run) error {
+func (s clearFaults) run(r *Run) error {
 	r.bus.ClearRules()
 	r.dropFaults = false
 	r.tr.logf("clearfaults")
 	return nil
 }
 
-// Workload issues Ops routed store operations from random live nodes:
+// storeWorkload issues Ops routed store operations from random live nodes:
 // puts with fresh values, and gets with probability GetFrac. Keys come
 // from the named distribution — "uniform" draws fresh uniform keys for
 // puts and revisits tracked keys for gets; "zipf" draws from a fixed
@@ -300,7 +300,7 @@ func (s ClearFaults) run(r *Run) error {
 // head keys). Operations whose reply never arrives (lost to a fault) are
 // recorded as lost; a lost put makes the key's value indeterminate until
 // the next acknowledged put.
-type Workload struct {
+type storeWorkload struct {
 	Dist    string // "uniform" (default) or "zipf"
 	Ops     int
 	GetFrac float64
@@ -313,7 +313,7 @@ type Workload struct {
 	ValueBytes int
 }
 
-func (s Workload) run(r *Run) error {
+func (s storeWorkload) run(r *Run) error {
 	live := r.live()
 	if len(live) == 0 {
 		return fmt.Errorf("workload: no live nodes")
@@ -452,16 +452,16 @@ func (r *Run) doGet(m *member, key geom.Point) bool {
 	return true
 }
 
-// Settle quiesces the network: each round drains the bus, runs one
+// settle quiesces the network: each round drains the bus, runs one
 // anti-entropy sweep (every live node pushes the records it owns to their
 // replica sets) and drains again. Two rounds reach a fixpoint after any
 // single fault epoch: the first restores ownership placement, the second
 // re-replicates from the restored owners. Once no drop faults remain
 // active, the run leaves the lossy regime: reads are strongly checked
 // again.
-type Settle struct{ Rounds int }
+type settle struct{ Rounds int }
 
-func (s Settle) run(r *Run) error {
+func (s settle) run(r *Run) error {
 	rounds := s.Rounds
 	if rounds <= 0 {
 		rounds = 2
@@ -481,13 +481,13 @@ func (s Settle) run(r *Run) error {
 	return nil
 }
 
-// Check runs the network-wide invariant checker: global Delaunay validity
+// check runs the network-wide invariant checker: global Delaunay validity
 // of the union of local views, long-link back-pointer symmetry, replica
 // placement and value convergence of every tracked key, and
 // greedy-routing reachability over sampled pairs. Zero-valued fields mean
 // strict: MinRouteSuccess 0 is read as 1.0 and all aspects are checked
 // unless skipped explicitly.
-type Check struct {
+type check struct {
 	Samples         int     // routing pairs to sample (default 40)
 	MinRouteSuccess float64 // required success fraction (default 1.0)
 	SkipViews       bool
@@ -495,7 +495,7 @@ type Check struct {
 	SkipStore       bool
 }
 
-func (s Check) run(r *Run) error {
+func (s check) run(r *Run) error {
 	rep := r.runCheck(s)
 	r.res.Checks = append(r.res.Checks, rep)
 	r.tr.logf("check nodes=%d views=%d backlinks=%d store=%d/%d route=%d/%d %s %s",
@@ -521,16 +521,16 @@ func (s Check) run(r *Run) error {
 	return nil
 }
 
-// Restart revives crashed members of a Durable scenario at their old
+// restart revives crashed members of a Durable scenario at their old
 // addresses: each victim reattaches to the bus, replays its write-ahead
 // log into a fresh store (the recovered record count is asserted and
 // logged — paths never are), and rejoins through a random live sponsor.
 // The persisted incarnation counter bumped by the WAL open is what lets
 // the survivors, who tombstoned the old incarnation, admit the new one.
 // Count 0 restarts every crashed member, in join order.
-type Restart struct{ Count int }
+type restart struct{ Count int }
 
-func (s Restart) run(r *Run) error {
+func (s restart) run(r *Run) error {
 	if !r.scn.Durable {
 		return fmt.Errorf("restart: scenario is not durable")
 	}
@@ -585,14 +585,14 @@ func (s Restart) run(r *Run) error {
 	return nil
 }
 
-// SyncBytes probes every live node's anti-entropy cost in both modes
+// syncBytes probes every live node's anti-entropy cost in both modes
 // (digest opener vs full-record push — node.SyncReplicasProbe encodes
 // the envelopes without sending) and fails the run when digest/full
 // exceeds MaxRatio. Run it on a converged store: the digest bytes then
 // are the entire recurring cost of a no-diff sweep.
-type SyncBytes struct{ MaxRatio float64 }
+type syncBytes struct{ MaxRatio float64 }
 
-func (s SyncBytes) run(r *Run) error {
+func (s syncBytes) run(r *Run) error {
 	var digest, full int
 	for _, m := range r.live() {
 		d, f := m.nd.SyncReplicasProbe()
@@ -618,17 +618,17 @@ func (s SyncBytes) run(r *Run) error {
 
 // ensure all step types satisfy Step.
 var (
-	_ Step = Join{}
-	_ Step = Leave{}
-	_ Step = Crash{}
-	_ Step = Partition{}
-	_ Step = Heal{}
-	_ Step = Lossy{}
-	_ Step = Straggler{}
-	_ Step = ClearFaults{}
-	_ Step = Workload{}
-	_ Step = Settle{}
-	_ Step = Check{}
-	_ Step = Restart{}
-	_ Step = SyncBytes{}
+	_ Step = join{}
+	_ Step = leave{}
+	_ Step = crash{}
+	_ Step = partition{}
+	_ Step = heal{}
+	_ Step = lossy{}
+	_ Step = straggler{}
+	_ Step = clearFaults{}
+	_ Step = storeWorkload{}
+	_ Step = settle{}
+	_ Step = check{}
+	_ Step = restart{}
+	_ Step = syncBytes{}
 )

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"voronet/internal/stats"
 )
 
 // TestSampleRadiusFollowsDHarmonicLaw verifies the long-range contact
@@ -66,7 +64,7 @@ func TestSampleRadiusFollowsDHarmonicLaw(t *testing.T) {
 				t.Fatalf("s=%g: bucket %d expectation %.2f too small for χ²", s, i, expected[i])
 			}
 		}
-		chi2 := stats.ChiSquared(observed, expected)
+		chi2 := chiSquared(observed, expected)
 		t.Logf("s=%g: χ² = %.2f (critical %.2f at 15 dof, α=0.001)", s, chi2, critical)
 		if chi2 > critical {
 			t.Fatalf("s=%g: χ² = %.2f exceeds %.2f — radius sampling does not follow the d-harmonic law", s, chi2, critical)
@@ -101,5 +99,43 @@ func TestGridContactsRespectExponentShape(t *testing.T) {
 	}
 	if farAt3 > farAt2/2 {
 		t.Fatalf("s=3 (%.3f) should be much shorter-ranged than s=2 (%.3f)", farAt3, farAt2)
+	}
+}
+
+// chiSquared returns the χ² statistic Σ (obs−exp)²/exp for observed bucket
+// counts against expected counts. Buckets with non-positive expectation
+// are skipped (they carry no information). Statistical tests compare the
+// result against a critical value for their degrees of freedom.
+func chiSquared(observed, expected []float64) float64 {
+	if len(observed) != len(expected) {
+		return math.Inf(1)
+	}
+	s := 0.0
+	for i := range observed {
+		if expected[i] <= 0 {
+			continue
+		}
+		d := observed[i] - expected[i]
+		s += d * d / expected[i]
+	}
+	return s
+}
+
+func TestChiSquared(t *testing.T) {
+	// Perfect agreement scores zero.
+	if got := chiSquared([]float64{10, 20, 30}, []float64{10, 20, 30}); got != 0 {
+		t.Fatalf("exact fit scored %g", got)
+	}
+	// One bucket off by its own expectation contributes exactly 1·exp/exp.
+	if got := chiSquared([]float64{20, 20}, []float64{10, 20}); got != 10 {
+		t.Fatalf("single deviation scored %g, want 10", got)
+	}
+	// Zero-expectation buckets are skipped, not divided by.
+	if got := chiSquared([]float64{5, 10}, []float64{0, 10}); got != 0 {
+		t.Fatalf("zero-expectation bucket scored %g", got)
+	}
+	// Length mismatch is an unconditional rejection.
+	if got := chiSquared([]float64{1}, []float64{1, 2}); !math.IsInf(got, 1) {
+		t.Fatalf("length mismatch scored %g", got)
 	}
 }

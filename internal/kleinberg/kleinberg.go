@@ -24,9 +24,6 @@ type Grid struct {
 	long [][]int32 // long[v] = long-range contact node indices
 }
 
-// NodeID addresses a lattice node as row*N + col.
-type NodeID = int32
-
 // New builds the lattice and samples the long-range contacts. The radius
 // of each contact is drawn log-uniformly for s = 2 (the same continuous
 // trick as VoroNet's Choose-LRT) and by inverse-CDF of r^(1-s) otherwise;
@@ -94,10 +91,10 @@ func (g *Grid) dist(a, b int32) int {
 	return dx + dy
 }
 
-// Route greedily forwards from a to b over lattice plus long-range links,
+// route greedily forwards from a to b over lattice plus long-range links,
 // returning the hop count. Greedy always terminates: a lattice neighbour
 // strictly reduces Manhattan distance.
-func (g *Grid) Route(a, b int32) (int, error) {
+func (g *Grid) route(a, b int32) (int, error) {
 	if a < 0 || int(a) >= g.Nodes() || b < 0 || int(b) >= g.Nodes() {
 		return 0, fmt.Errorf("kleinberg: node out of range")
 	}
@@ -144,7 +141,7 @@ func (g *Grid) MeanRouteLength(samples int, rng *rand.Rand) (float64, error) {
 	for i := 0; i < samples; i++ {
 		a := rng.Int31n(n)
 		b := rng.Int31n(n)
-		h, err := g.Route(a, b)
+		h, err := g.route(a, b)
 		if err != nil {
 			return 0, err
 		}

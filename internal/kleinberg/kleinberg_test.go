@@ -12,7 +12,7 @@ func TestRouteArrives(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := rng.Int31n(int32(g.Nodes()))
 		b := rng.Int31n(int32(g.Nodes()))
-		h, err := g.Route(a, b)
+		h, err := g.route(a, b)
 		if err != nil {
 			t.Fatalf("route %d->%d: %v", a, b, err)
 		}
@@ -30,7 +30,7 @@ func TestRouteNeverLongerThanLattice(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := rng.Int31n(int32(g.Nodes()))
 		b := rng.Int31n(int32(g.Nodes()))
-		h, err := g.Route(a, b)
+		h, err := g.route(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func BenchmarkKleinbergRoute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := rng.Int31n(int32(g.Nodes()))
 		t := rng.Int31n(int32(g.Nodes()))
-		if _, err := g.Route(a, t); err != nil {
+		if _, err := g.route(a, t); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// DebugMux builds the live-introspection HTTP mux served by
+// debugMux builds the live-introspection HTTP mux served by
 // voronet-node's -debug-addr listener:
 //
 //	GET /metrics        — one JSON Snapshot merged over all sources
@@ -18,7 +18,7 @@ import (
 // sources are snapshotted and merged in order at request time, so one
 // process can expose several registries (node + transport endpoint)
 // through a single endpoint. Nil sources are skipped.
-func DebugMux(sources ...func() Snapshot) *http.ServeMux {
+func debugMux(sources ...func() Snapshot) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		merged := Snapshot{}
@@ -51,7 +51,7 @@ type DebugServer struct {
 }
 
 // ServeDebug starts an HTTP debug listener on addr ("127.0.0.1:0" picks
-// a free port) serving DebugMux(sources...). It returns once the
+// a free port) serving debugMux(sources...). It returns once the
 // listener is bound; serving continues in a background goroutine.
 func ServeDebug(addr string, sources ...func() Snapshot) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -59,7 +59,7 @@ func ServeDebug(addr string, sources ...func() Snapshot) (*DebugServer, error) {
 		return nil, err
 	}
 	srv := &http.Server{
-		Handler:           DebugMux(sources...),
+		Handler:           debugMux(sources...),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	go srv.Serve(ln)

@@ -44,26 +44,10 @@ func (c *Counter) Add(d uint64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // Gauge is an instantaneous signed level (queue depths, in-flight
 // dispatches, buffered bytes). All methods are safe on a nil receiver.
 type Gauge struct {
 	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
 }
 
 // Add moves the gauge by d (negative d decreases it).
@@ -79,14 +63,6 @@ func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec moves the gauge down by one.
 func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
 
 // Histogram is a fixed-bucket histogram: bucket i counts observations v
 // with v <= Bounds[i]; one implicit overflow bucket counts the rest. The
@@ -130,22 +106,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the running sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds:  h.bounds,
@@ -167,38 +127,6 @@ type HistogramSnapshot struct {
 	Buckets []uint64  `json:"buckets"`
 	Count   uint64    `json:"count"`
 	Sum     float64   `json:"sum"`
-}
-
-// Quantile returns an upper-bound estimate of quantile q (0 <= q <= 1)
-// from the bucket counts: the bound of the bucket containing the q-th
-// observation, or +Inf if it falls in the overflow bucket.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, b := range s.Buckets {
-		cum += b
-		if cum >= rank {
-			if i < len(s.Bounds) {
-				return s.Bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
-// Mean returns the average observed value.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // Snapshot is a point-in-time copy of a registry, with deterministic
@@ -295,37 +223,15 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
+		s.Counters[name] = c.v.Load()
 	}
 	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
+		s.Gauges[name] = g.v.Load()
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.snapshot()
 	}
 	return s
-}
-
-// Names returns every registered instrument name, sorted, for
-// diagnostics and tests.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Merge adds other's counters and histogram contents into s and keeps

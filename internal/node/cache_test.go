@@ -19,17 +19,11 @@ func TestRouteCacheLRUEviction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rc.insert(pts[i], info(fmt.Sprintf("n%d", i), pts[i]))
 	}
-	if rc.Len() != 3 {
-		t.Fatalf("size = %d, want 3", rc.Len())
-	}
 	// Touch the oldest entry so the middle one becomes LRU.
 	if _, ok := rc.Lookup(pts[0]); !ok {
 		t.Fatal("entry 0 missing before eviction")
 	}
 	rc.insert(pts[3], info("n3", pts[3]))
-	if rc.Len() != 3 {
-		t.Fatalf("size = %d after eviction, want 3", rc.Len())
-	}
 	if _, ok := rc.Lookup(pts[1]); ok {
 		t.Fatal("LRU entry 1 survived the eviction")
 	}
@@ -47,11 +41,10 @@ func TestRouteCacheCellQuantisation(t *testing.T) {
 	a, b := geom.Pt(0.51, 0.52), geom.Pt(0.53, 0.58)
 	rc.insert(a, info("first", a))
 	rc.insert(b, info("second", b))
-	if rc.Len() != 1 {
-		t.Fatalf("size = %d, want 1 (same cell)", rc.Len())
-	}
-	if owner, ok := rc.Lookup(a); !ok || owner.Addr != "second" {
-		t.Fatalf("lookup(a) = %+v, want overwritten owner", owner)
+	for _, k := range []geom.Point{a, b} {
+		if owner, ok := rc.Lookup(k); !ok || owner.Addr != "second" {
+			t.Fatalf("lookup(%v) = %+v, want the one overwritten entry", k, owner)
+		}
 	}
 	// A key in the neighbouring cell is independent.
 	c := geom.Pt(0.61, 0.52)
@@ -59,8 +52,11 @@ func TestRouteCacheCellQuantisation(t *testing.T) {
 		t.Fatal("neighbouring cell unexpectedly cached")
 	}
 	rc.insert(c, info("third", c))
-	if rc.Len() != 2 {
-		t.Fatalf("size = %d, want 2", rc.Len())
+	if owner, _ := rc.Lookup(a); owner.Addr != "second" {
+		t.Fatalf("lookup(a) = %+v after the neighbouring insert, want second", owner)
+	}
+	if owner, _ := rc.Lookup(c); owner.Addr != "third" {
+		t.Fatalf("lookup(c) = %+v, want third", owner)
 	}
 	// The quantisation floor: a tiny DMin never coarsens below 1/256,
 	// and a NaN DMin (unset config) falls back to it too.
@@ -90,11 +86,10 @@ func TestRouteCacheInvalidateOwner(t *testing.T) {
 	if removed := rc.invalidateOwner("dead"); removed != 2 {
 		t.Fatalf("invalidateOwner removed %d, want 2", removed)
 	}
-	if rc.Len() != 1 {
-		t.Fatalf("size = %d, want 1", rc.Len())
-	}
-	if _, ok := rc.Lookup(pts[0]); ok {
-		t.Fatal("dead owner's entry survived")
+	for _, p := range []geom.Point{pts[0], pts[2]} {
+		if _, ok := rc.Lookup(p); ok {
+			t.Fatalf("dead owner's entry at %v survived", p)
+		}
 	}
 	if owner, ok := rc.Lookup(pts[1]); !ok || owner.Addr != "alive" {
 		t.Fatalf("unrelated entry dropped: %+v (present %v)", owner, ok)
@@ -128,12 +123,14 @@ func TestRouteCacheClear(t *testing.T) {
 	rc.insert(geom.Pt(0.1, 0.1), info("x", geom.Pt(0.1, 0.1)))
 	rc.insert(geom.Pt(0.9, 0.9), info("y", geom.Pt(0.9, 0.9)))
 	rc.Clear()
-	if rc.Len() != 0 {
-		t.Fatalf("size = %d after clear, want 0", rc.Len())
+	for _, p := range []geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.9, 0.9)} {
+		if _, ok := rc.Lookup(p); ok {
+			t.Fatalf("entry at %v survived the clear", p)
+		}
 	}
 	// The cache stays usable after a clear (re-join after leave).
 	rc.insert(geom.Pt(0.5, 0.5), info("z", geom.Pt(0.5, 0.5)))
-	if rc.Len() != 1 {
-		t.Fatalf("size = %d after re-insert, want 1", rc.Len())
+	if owner, ok := rc.Lookup(geom.Pt(0.5, 0.5)); !ok || owner.Addr != "z" {
+		t.Fatalf("re-inserted entry = %+v (present %v)", owner, ok)
 	}
 }

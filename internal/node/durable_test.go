@@ -126,7 +126,7 @@ func TestShutdownLosesNoAckedWrite(t *testing.T) {
 	if err := victim.Put(geom.Pt(0.5, 0.5), []byte("late"), nil); !errors.Is(err, store.ErrOverloaded) {
 		t.Fatalf("draining put: got %v, want ErrOverloaded", err)
 	}
-	if victim.nm.storeShed.Value() == 0 {
+	if counter(victim, "store_shed_total") == 0 {
 		t.Fatal("draining refusal not counted in store_shed_total")
 	}
 
@@ -182,8 +182,8 @@ func TestOverloadAdmissionControl(t *testing.T) {
 	if err := origin.Put(geom.Pt(0.5, 0.5), []byte("b"), nil); !errors.Is(err, store.ErrOverloaded) {
 		t.Fatalf("second put at budget: got %v, want ErrOverloaded", err)
 	}
-	if origin.nm.storeShed.Value() != 1 {
-		t.Fatalf("origin store_shed_total = %d, want 1", origin.nm.storeShed.Value())
+	if counter(origin, "store_shed_total") != 1 {
+		t.Fatalf("origin store_shed_total = %d, want 1", counter(origin, "store_shed_total"))
 	}
 	c.bus.Drain()
 	if first == nil || first.Err != nil || !first.Found {
@@ -204,11 +204,11 @@ func TestOverloadAdmissionControl(t *testing.T) {
 	if shed == nil || !errors.Is(shed.Err, store.ErrOverloaded) {
 		t.Fatalf("owner shed reply: %+v, want ErrOverloaded", shed)
 	}
-	if owner.nm.storeShed.Value() == 0 {
+	if counter(owner, "store_shed_total") == 0 {
 		t.Fatal("owner refusal not counted in store_shed_total")
 	}
-	if origin.nm.storeTimeouts.Value() != 0 {
-		t.Fatalf("owner shed miscounted as timeout at origin: %d", origin.nm.storeTimeouts.Value())
+	if counter(origin, "store_timeouts_total") != 0 {
+		t.Fatalf("owner shed miscounted as timeout at origin: %d", counter(origin, "store_timeouts_total"))
 	}
 	owner.storeBusy.Add(-1)
 	c.putKey(t, origin, key, []byte("e"))
@@ -218,14 +218,15 @@ func TestOverloadAdmissionControl(t *testing.T) {
 // budget and takes the slot in one step, so however many callers arrive
 // at once, exactly MaxInflight are admitted and the rest are shed. The
 // key is owned elsewhere and the bus is not drained, so every admitted op
-// stays pending while the others knock.
+// stays pending while the others knock; the drain then answers exactly
+// the admitted ones.
 func TestMaxInflightIsExactUnderConcurrency(t *testing.T) {
 	const budget, callers, rounds = 2, 64, 40
 	c := newClusterCfg(t, 12, 0.02, 203, func(cfg *Config) { cfg.MaxInflight = budget })
 	origin := c.nodes[1]
 	key := c.nodes[5].Info().Pos
 	for round := 1; round <= rounds; round++ {
-		var admitted atomic.Int64
+		var admitted, acked atomic.Int64
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < callers; g++ {
@@ -233,7 +234,7 @@ func TestMaxInflightIsExactUnderConcurrency(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				switch err := origin.Put(key, []byte("v"), nil); {
+				switch err := origin.Put(key, []byte("v"), func(store.Reply) { acked.Add(1) }); {
 				case err == nil:
 					admitted.Add(1)
 				case !errors.Is(err, store.ErrOverloaded):
@@ -243,15 +244,15 @@ func TestMaxInflightIsExactUnderConcurrency(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		if a, p := admitted.Load(), origin.inflight.Pending(); a != budget || p != budget {
-			t.Fatalf("round %d: %d of %d concurrent puts admitted, %d pending; the budget is %d", round, a, callers, p, budget)
+		if a, p := admitted.Load(), acked.Load(); a != budget || p != 0 {
+			t.Fatalf("round %d: %d of %d concurrent puts admitted, %d answered before the drain; the budget is %d", round, a, callers, p, budget)
 		}
-		if shed := origin.nm.storeShed.Value(); shed != uint64(round*(callers-budget)) {
+		if shed := counter(origin, "store_shed_total"); shed != uint64(round*(callers-budget)) {
 			t.Fatalf("round %d: store_shed_total = %d, want %d", round, shed, round*(callers-budget))
 		}
 		c.bus.Drain()
-		if p := origin.inflight.Pending(); p != 0 {
-			t.Fatalf("round %d: %d ops still pending after the drain", round, p)
+		if p := acked.Load(); p != budget {
+			t.Fatalf("round %d: the drain answered %d of %d admitted ops", round, p, budget)
 		}
 	}
 }
@@ -296,7 +297,7 @@ func TestDigestSyncNoDiffRatio(t *testing.T) {
 	// sender and receiver.
 	pulls := func() (n uint64) {
 		for _, nd := range c.nodes {
-			n += nd.nm.sentByKind[proto.KindSyncPull].Value() + nd.nm.sentByKind[proto.KindReplicaSync].Value()
+			n += counter(nd, "node_send_"+proto.KindSyncPull.String()+"_total") + counter(nd, "node_send_"+proto.KindReplicaSync.String()+"_total")
 		}
 		return n
 	}
@@ -338,4 +339,9 @@ func TestDigestSyncRepairsWipedReplica(t *testing.T) {
 			t.Fatalf("record %v not repaired by digest sweep: got %+v ok=%v", rec.Key, got, ok)
 		}
 	}
+}
+
+// counter reads the node's counter registered under name.
+func counter(nd *Node, name string) uint64 {
+	return nd.Metrics().Snapshot().Counters[name]
 }

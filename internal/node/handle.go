@@ -1,7 +1,6 @@
 package node
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -213,7 +212,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 		if n.cache != nil && env.From.Addr != n.self.Addr {
 			n.cache.insert(pq.target, env.From)
 		}
-		pq.cb(env.From, env.Hops, env.Path)
+		pq.cb(env.From, env.Hops)
 	case proto.KindStoreReply:
 		r := store.Reply{
 			Found: env.Found, Value: env.Value, Version: env.Version,
@@ -902,35 +901,4 @@ func (n *Node) vnAppendLocked(buf []proto.NodeInfo) []proto.NodeInfo {
 	}
 	slices.SortFunc(buf, func(a, b proto.NodeInfo) int { return strings.Compare(a.Addr, b.Addr) })
 	return buf
-}
-
-// NearestKnown returns the closest node to p among this node's view
-// (including itself) — a local helper for diagnostics and examples.
-func (n *Node) NearestKnown(p geom.Point) proto.NodeInfo {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	best := n.self
-	bestD := geom.Dist2(n.self.Pos, p)
-	for _, v := range n.vn {
-		if d := geom.Dist2(v.Pos, p); d < bestD {
-			best, bestD = v, d
-		}
-	}
-	for _, v := range n.cn {
-		if d := geom.Dist2(v.Pos, p); d < bestD {
-			best, bestD = v, d
-		}
-	}
-	for _, v := range n.longNbrs {
-		if v.Addr == "" {
-			continue
-		}
-		if d := geom.Dist2(v.Pos, p); d < bestD {
-			best, bestD = v, d
-		}
-	}
-	if bestD == math.Inf(1) {
-		return n.self
-	}
-	return best
 }

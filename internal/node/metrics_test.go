@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -10,31 +11,28 @@ import (
 	"voronet/internal/store"
 )
 
-// tracedQuery runs one traced query from the given node, drains the bus,
-// and returns the answer. The cluster's effectively-infinite query timeout
+// tracedQuery runs one traced GET for a key nobody has written from the
+// given node, drains the bus, and returns who answered, over how many
+// hops and along which path. No replica holds the key, so the owner of
+// its region answers. The cluster's effectively-infinite request timeout
 // guarantees the callback fired during the drain or not at all.
 func tracedQuery(t *testing.T, c *cluster, from *Node, p geom.Point) (proto.NodeInfo, int, []proto.TraceHop) {
 	t.Helper()
 	var (
-		owner proto.NodeInfo
-		hops  int
-		path  []proto.TraceHop
+		r     store.Reply
 		fired bool
 	)
-	err := from.QueryTrace(p, func(o proto.NodeInfo, h int, pth []proto.TraceHop) {
-		owner, hops, path, fired = o, h, pth, true
-	})
-	if err != nil {
-		t.Fatalf("QueryTrace: %v", err)
+	if err := from.getTrace(p, func(got store.Reply) { r, fired = got, true }); err != nil {
+		t.Fatalf("getTrace: %v", err)
 	}
 	c.bus.Drain()
 	if !fired {
-		t.Fatalf("traced query for %v never answered", p)
+		t.Fatalf("traced lookup of %v never answered", p)
 	}
-	if hops == HopsTimedOut {
-		t.Fatalf("traced query for %v timed out", p)
+	if r.Err != nil && !errors.Is(r.Err, store.ErrNotFound) {
+		t.Fatalf("traced lookup of %v: %v", p, r.Err)
 	}
-	return owner, hops, path
+	return r.Owner, r.Hops, r.Path
 }
 
 // TestTracedQueryReturnsGreedyPath checks the trace contract on a live
@@ -98,7 +96,7 @@ func TestTracedStoreGetPath(t *testing.T) {
 	}
 	var got store.Reply
 	fired := false
-	if err := c.nodes[5].GetTrace(key, func(r store.Reply) { got, fired = r, true }); err != nil {
+	if err := c.nodes[5].getTrace(key, func(r store.Reply) { got, fired = r, true }); err != nil {
 		t.Fatal(err)
 	}
 	c.bus.Drain()
@@ -133,7 +131,7 @@ func TestTracedStoreGetPath(t *testing.T) {
 }
 
 // runReplayWorkload builds a seeded cluster and drives a fixed workload
-// (queries, puts, gets — some traced) over the serial simnet. Everything
+// (puts and gets, some traced) over the serial simnet. Everything
 // that feeds it is derived from seed, so two calls with the same seed
 // must take byte-identical routing decisions.
 func runReplayWorkload(t *testing.T, seed int64) (*cluster, []string) {

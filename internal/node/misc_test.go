@@ -3,29 +3,12 @@ package node
 import (
 	"strings"
 	"testing"
-
-	"voronet/internal/geom"
 )
 
-func TestNearestKnownAndString(t *testing.T) {
+func TestNodeString(t *testing.T) {
 	c := newCluster(t, 25, 0.05, 94)
 	nd := c.nodes[5]
 	if s := nd.String(); !strings.Contains(s, nd.Info().Addr) {
 		t.Fatalf("String(): %q", s)
-	}
-	// NearestKnown returns the closest node within the local view; it must
-	// never be farther than the node itself and must prefer a neighbour
-	// whose position is closer.
-	for q := 0; q < 40; q++ {
-		p := geom.Pt(c.rng.Float64(), c.rng.Float64())
-		got := nd.NearestKnown(p)
-		if geom.Dist2(got.Pos, p) > geom.Dist2(nd.Info().Pos, p) {
-			t.Fatalf("NearestKnown farther than self for %v", p)
-		}
-		for _, v := range nd.Neighbors() {
-			if geom.Dist2(v.Pos, p) < geom.Dist2(got.Pos, p) {
-				t.Fatalf("NearestKnown missed closer neighbour %s", v.Addr)
-			}
-		}
 	}
 }

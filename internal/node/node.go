@@ -79,7 +79,7 @@ type Config struct {
 	WALDir string
 	// WALSync selects the WAL fsync cadence (default wal.SyncAlways:
 	// an acked write is on disk before the ack leaves the node).
-	// Segments rotate at wal.DefaultSegmentBytes.
+	// Segments rotate at 4 MiB.
 	WALSync wal.SyncPolicy
 	// MaxInflight bounds admitted store work: at the origin, no more
 	// than this many locally-issued routed store ops may be pending; at
@@ -190,7 +190,7 @@ type Node struct {
 // closure captures — would leak forever. start feeds the query-latency
 // histogram; target lets the answer populate the route cache.
 type pendingQuery struct {
-	cb     func(owner proto.NodeInfo, hops int, path []proto.TraceHop)
+	cb     func(owner proto.NodeInfo, hops int)
 	start  time.Time
 	target geom.Point
 	timer  *time.Timer
@@ -369,20 +369,6 @@ func (n *Node) Join(via string) error {
 // answer was lost — cb fires exactly once with the zero NodeInfo and
 // HopsTimedOut, and the registration is reaped rather than leaked.
 func (n *Node) Query(p geom.Point, cb func(owner proto.NodeInfo, hops int)) error {
-	return n.query(p, false, func(owner proto.NodeInfo, hops int, _ []proto.TraceHop) {
-		cb(owner, hops)
-	})
-}
-
-// QueryTrace is Query with per-hop tracing: the envelope travels with
-// Trace set, every node on the greedy path appends one proto.TraceHop,
-// and cb additionally receives the accumulated path (ending with the
-// owner's terminal hop). On timeout the path is nil.
-func (n *Node) QueryTrace(p geom.Point, cb func(owner proto.NodeInfo, hops int, path []proto.TraceHop)) error {
-	return n.query(p, true, cb)
-}
-
-func (n *Node) query(p geom.Point, trace bool, cb func(owner proto.NodeInfo, hops int, path []proto.TraceHop)) error {
 	n.mu.RLock()
 	if !n.joined {
 		n.mu.RUnlock()
@@ -402,7 +388,7 @@ func (n *Node) query(p geom.Point, trace bool, cb func(owner proto.NodeInfo, hop
 		n.queryMu.Unlock()
 		if reaped {
 			n.nm.queryTimeouts.Inc()
-			cb(proto.NodeInfo{}, HopsTimedOut, nil)
+			cb(proto.NodeInfo{}, HopsTimedOut)
 		}
 	})
 	n.queries[id] = pq
@@ -413,7 +399,6 @@ func (n *Node) query(p geom.Point, trace bool, cb func(owner proto.NodeInfo, hop
 		Target:  p,
 		Origin:  n.self,
 		QueryID: id,
-		Trace:   trace,
 	}
 	// Start routing at ourselves: the origin is hop 0 of the greedy path,
 	// handled like any other hop.

@@ -121,8 +121,8 @@ func TestRangeQueryTimeoutReapsCallback(t *testing.T) {
 	}
 	bus.Drain()
 
-	// Sever b's answers so the collection window closes on the deadline.
-	bus.SetLinkRule("b", "a", transport.LinkRule{Down: true})
+	// Cut b off so the collection window closes on the deadline.
+	bus.SetPeerRule("b", transport.LinkRule{Down: true})
 	if err := a.RangeQuery(geom.Pt(0.8, 0.5), geom.Pt(0.95, 0.5), func(proto.NodeInfo) {}); err != nil {
 		t.Fatal(err)
 	}

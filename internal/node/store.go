@@ -13,7 +13,7 @@ import (
 )
 
 // maxSyncBatchBytes bounds the record payload of one KindReplicaSync
-// envelope so frames stay far below proto.MaxEnvelopeBytes and the TCP
+// envelope so frames stay far below the codec's 1 MiB frame cap and the TCP
 // frame cap whatever the batch size — large handoffs are chunked, never
 // silently rejected by the decoder.
 const maxSyncBatchBytes = 256 << 10
@@ -67,17 +67,17 @@ func (n *Node) Delete(key geom.Point, cb func(store.Reply)) error {
 	return n.storeOp(proto.PurposeStoreDelete, key, nil, cb)
 }
 
-// GetTrace is Get with per-hop tracing: the request travels with Trace
+// getTrace is Get with per-hop tracing: the request travels with Trace
 // set, every node on the greedy path appends one proto.TraceHop, and
 // the reply's Path holds the full route, ending with the answering
 // owner ("owner") or on-path replica ("replica").
-func (n *Node) GetTrace(key geom.Point, cb func(store.Reply)) error {
+func (n *Node) getTrace(key geom.Point, cb func(store.Reply)) error {
 	return n.storeOpTraced(proto.PurposeStoreGet, key, nil, cb, true)
 }
 
-// GetTraceSync is GetTrace blocking until the reply (or timeout).
+// GetTraceSync is a traced Get blocking until the reply (or timeout).
 func (n *Node) GetTraceSync(key geom.Point) (store.Reply, error) {
-	return n.waitOp(func(cb func(store.Reply)) error { return n.GetTrace(key, cb) })
+	return n.waitOp(func(cb func(store.Reply)) error { return n.getTrace(key, cb) })
 }
 
 func (n *Node) storeOp(purpose proto.RoutedPurpose, key geom.Point, value []byte, cb func(store.Reply)) error {

@@ -91,7 +91,7 @@ func TestDecodeRejectsGobFrame(t *testing.T) {
 // the same wire bytes, so a decoded envelope can always be forwarded
 // intact.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
-	for _, env := range append(fuzzSeeds(), Samples()...) {
+	for _, env := range append(fuzzSeeds(), samples()...) {
 		f.Add(AppendEncode(nil, env))
 	}
 	f.Add(gobFrame(f))
@@ -107,7 +107,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	f.Add([]byte{wireMagic, byte(KindJoinGrant), 0x80, 0x08, 0xFF, 0xFF, 0x03, 0x00})
 	f.Add([]byte{wireMagic, byte(KindRoute), 0x80, 0x80, 0x80, 0x01})
 	// A truncated and an over-long frame of every shape and every kind.
-	for _, env := range append(fuzzSeeds(), Samples()...) {
+	for _, env := range append(fuzzSeeds(), samples()...) {
 		b := AppendEncode(nil, env)
 		f.Add(b[:len(b)/2])
 		f.Add(append(append([]byte{}, b...), 0x00))
@@ -149,7 +149,7 @@ func TestDecodeRejectsNegativeFields(t *testing.T) {
 }
 
 func TestDecodeRejectsOversizedFrame(t *testing.T) {
-	big := make([]byte, MaxEnvelopeBytes+1)
+	big := make([]byte, maxEnvelopeBytes+1)
 	if _, err := Decode(big); err == nil {
 		t.Fatal("oversized frame must be rejected")
 	}

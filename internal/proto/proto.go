@@ -175,9 +175,9 @@ type TraceHop struct {
 	Nanos int64
 }
 
-// MaxTracePath bounds an accepted trace path. Greedy routes are
+// maxTracePath bounds an accepted trace path. Greedy routes are
 // O(log²N) hops; anything longer than this is garbage or an attack.
-const MaxTracePath = 4096
+const maxTracePath = 4096
 
 // BackEntry is one BLRn element on the wire: the origin object, which of
 // its links this is, and the link's immutable target point.
@@ -260,11 +260,11 @@ type Envelope struct {
 	Digest []byte
 }
 
-// MaxEnvelopeBytes bounds an accepted wire frame (it matches the TCP
+// maxEnvelopeBytes bounds an accepted wire frame (it matches the TCP
 // transport's 1 MiB frame cap). VoroNet views are O(1), so real envelopes
 // are tiny; the bound keeps a malicious length prefix from making the
 // decoder allocate unboundedly before the payload is even validated.
-const MaxEnvelopeBytes = 1 << 20
+const maxEnvelopeBytes = 1 << 20
 
 // Decode deserialises one binary v1 frame. The first byte is the format
 // version (wireMagic); a frame that starts with anything else is an
@@ -275,8 +275,8 @@ const MaxEnvelopeBytes = 1 << 20
 // Hops or BackEntry.Link, and a negative Link would otherwise reach a
 // slice index in the receiving node.
 func Decode(b []byte) (*Envelope, error) {
-	if len(b) > MaxEnvelopeBytes {
-		return nil, fmt.Errorf("proto: decode: frame of %d bytes exceeds %d", len(b), MaxEnvelopeBytes)
+	if len(b) > maxEnvelopeBytes {
+		return nil, fmt.Errorf("proto: decode: frame of %d bytes exceeds %d", len(b), maxEnvelopeBytes)
 	}
 	if len(b) == 0 || b[0] != wireMagic {
 		return nil, errBadMagic
@@ -298,8 +298,8 @@ func (e *Envelope) validate() error {
 			return fmt.Errorf("proto: decode: negative Back[%d].Link %d", i, e.Back[i].Link)
 		}
 	}
-	if len(e.Path) > MaxTracePath {
-		return fmt.Errorf("proto: decode: trace path of %d hops exceeds %d", len(e.Path), MaxTracePath)
+	if len(e.Path) > maxTracePath {
+		return fmt.Errorf("proto: decode: trace path of %d hops exceeds %d", len(e.Path), maxTracePath)
 	}
 	if len(e.Digest)%8 != 0 {
 		return fmt.Errorf("proto: decode: digest of %d bytes is not a whole number of fingerprints", len(e.Digest))

@@ -467,7 +467,7 @@ func (r *wireReader) nodeInfos() []NodeInfo {
 }
 
 // decodeBinary parses one binary v1 frame. The caller has already
-// checked the magic byte and the MaxEnvelopeBytes cap.
+// checked the magic byte and the maxEnvelopeBytes cap.
 func decodeBinary(b []byte) (*Envelope, error) {
 	if len(b) < 2 {
 		return nil, errTruncated

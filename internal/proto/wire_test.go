@@ -156,7 +156,7 @@ func TestBinaryGobDifferential(t *testing.T) {
 			t.Fatalf("encode not a fixpoint for kind %v:\n%x\n%x", env.Type, b, again)
 		}
 	}
-	for _, env := range Samples() {
+	for _, env := range samples() {
 		check(t, env)
 	}
 	for k := Kind(0); k < KindCount; k++ {
@@ -173,7 +173,7 @@ func TestBinaryGobDifferential(t *testing.T) {
 // acceptance criteria: once the destination buffer has warmed up,
 // AppendEncode must not touch the heap for any representative envelope.
 func TestAppendEncodeZeroAllocs(t *testing.T) {
-	for _, env := range Samples() {
+	for _, env := range samples() {
 		env := env
 		t.Run(env.Type.String(), func(t *testing.T) {
 			buf := make([]byte, 0, 4096)
@@ -191,7 +191,7 @@ func TestAppendEncodeZeroAllocs(t *testing.T) {
 // frame must be rejected with an error (the flags promise fields the
 // bytes do not deliver), never a panic and never a partial envelope.
 func TestBinaryDecodeRejectsTruncation(t *testing.T) {
-	for _, env := range Samples() {
+	for _, env := range samples() {
 		full := AppendEncode(nil, env)
 		for cut := 0; cut < len(full); cut++ {
 			if _, err := Decode(full[:cut]); err == nil {
@@ -205,7 +205,7 @@ func TestBinaryDecodeRejectsTruncation(t *testing.T) {
 // TestBinaryDecodeRejectsTrailingBytes: a frame with bytes after the
 // envelope is not one of ours.
 func TestBinaryDecodeRejectsTrailingBytes(t *testing.T) {
-	b := AppendEncode(nil, Samples()[0])
+	b := AppendEncode(nil, samples()[0])
 	if _, err := Decode(append(b, 0x00)); err == nil {
 		t.Fatal("frame with a trailing byte decoded without error")
 	}
@@ -277,7 +277,7 @@ func TestBinaryRejectsNegativeFields(t *testing.T) {
 // and the size cap that keeps giant value frames out of the pool.
 func TestWireBufPoolRoundTrip(t *testing.T) {
 	wb := GetBuf()
-	wb.B = AppendEncode(wb.B[:0], Samples()[0])
+	wb.B = AppendEncode(wb.B[:0], samples()[0])
 	if _, err := Decode(wb.B); err != nil {
 		t.Fatalf("decode from pooled buffer: %v", err)
 	}
@@ -295,7 +295,7 @@ func TestWireBufPoolRoundTrip(t *testing.T) {
 
 // BenchmarkAppendEncode / BenchmarkDecodeBinary put numbers on the codec.
 func BenchmarkAppendEncode(b *testing.B) {
-	envs := Samples()
+	envs := samples()
 	buf := make([]byte, 0, 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -305,7 +305,7 @@ func BenchmarkAppendEncode(b *testing.B) {
 
 func BenchmarkDecodeBinary(b *testing.B) {
 	var frames [][]byte
-	for _, e := range Samples() {
+	for _, e := range samples() {
 		frames = append(frames, AppendEncode(nil, e))
 	}
 	b.ReportAllocs()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -13,8 +14,14 @@ func TestDegreeExperimentShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", dist, err)
 		}
-		if h.N() != 3000 {
-			t.Fatalf("%s: histogram over %d objects", dist, h.N())
+		objects := 0
+		for _, row := range strings.Split(strings.TrimSpace(h.String()), "\n") {
+			var degree, count int
+			fmt.Sscanf(row, "%d\t%d", &degree, &count)
+			objects += count
+		}
+		if objects != 3000 {
+			t.Fatalf("%s: histogram over %d objects", dist, objects)
 		}
 		mean := h.Mean()
 		if mean < 5.3 || mean > 6.0 {

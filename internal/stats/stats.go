@@ -28,12 +28,6 @@ func (h *Histogram) Add(v int) {
 	h.n++
 }
 
-// Count returns the number of observations of value v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// N returns the total number of observations.
-func (h *Histogram) N() int { return h.n }
-
 // Mode returns the most frequent value (smallest wins ties) and its count.
 func (h *Histogram) Mode() (value, count int) {
 	first := true
@@ -72,8 +66,8 @@ func (h *Histogram) MassIn(lo, hi int) float64 {
 	return float64(s) / float64(h.n)
 }
 
-// Values returns the observed values in increasing order.
-func (h *Histogram) Values() []int {
+// values returns the observed values in increasing order.
+func (h *Histogram) values() []int {
 	vs := make([]int, 0, len(h.counts))
 	for v := range h.counts {
 		vs = append(vs, v)
@@ -86,7 +80,7 @@ func (h *Histogram) Values() []int {
 // paper's Fig 5 data.
 func (h *Histogram) String() string {
 	var b strings.Builder
-	for _, v := range h.Values() {
+	for _, v := range h.values() {
 		fmt.Fprintf(&b, "%d\t%d\n", v, h.counts[v])
 	}
 	return b.String()
@@ -97,15 +91,11 @@ type Running struct {
 	n    int
 	sum  float64
 	sum2 float64
-	min  float64
 	max  float64
 }
 
 // Add records x.
 func (r *Running) Add(x float64) {
-	if r.n == 0 || x < r.min {
-		r.min = x
-	}
 	if r.n == 0 || x > r.max {
 		r.max = x
 	}
@@ -137,9 +127,6 @@ func (r *Running) Std() float64 {
 	}
 	return math.Sqrt(v)
 }
-
-// Min returns the smallest observation (0 when empty).
-func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest observation (0 when empty).
 func (r *Running) Max() float64 { return r.max }
@@ -185,27 +172,6 @@ func LinearFit(x, y []float64) Fit {
 		r2 = 1 - ssRes/ssTot
 	}
 	return Fit{Slope: slope, Intercept: intercept, R2: r2}
-}
-
-// ChiSquared returns the χ² statistic Σ (obs−exp)²/exp for observed bucket
-// counts against expected counts. Buckets with non-positive expectation
-// are skipped (they carry no information). Statistical tests compare the
-// result against a critical value for their degrees of freedom — e.g. the
-// kleinberg long-link sampling test checks its radius histogram against
-// the d-harmonic law this way.
-func ChiSquared(observed, expected []float64) float64 {
-	if len(observed) != len(expected) {
-		return math.Inf(1)
-	}
-	s := 0.0
-	for i := range observed {
-		if expected[i] <= 0 {
-			continue
-		}
-		d := observed[i] - expected[i]
-		s += d * d / expected[i]
-	}
-	return s
 }
 
 // Percentile returns the p-th percentile (0..100) of xs (which it sorts).

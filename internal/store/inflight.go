@@ -109,10 +109,3 @@ func (f *Inflight) Cancel(id uint64) bool {
 	}
 	return true
 }
-
-// Pending returns the number of unresolved requests.
-func (f *Inflight) Pending() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.pending)
-}

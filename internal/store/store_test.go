@@ -106,8 +106,8 @@ func TestInflightResolve(t *testing.T) {
 	f := NewInflight(0)
 	var got Reply
 	id, _ := f.Add(func(r Reply) { got = r }, 0)
-	if f.Pending() != 1 {
-		t.Fatalf("pending = %d", f.Pending())
+	if len(f.pending) != 1 {
+		t.Fatalf("pending = %d", len(f.pending))
 	}
 	if !f.Resolve(id, Reply{Found: true, Value: []byte("x"), Hops: 4}) {
 		t.Fatal("resolve must find the request")
@@ -118,8 +118,8 @@ func TestInflightResolve(t *testing.T) {
 	if f.Resolve(id, Reply{}) {
 		t.Fatal("duplicate resolve must be dropped")
 	}
-	if f.Pending() != 0 {
-		t.Fatalf("pending after resolve = %d", f.Pending())
+	if len(f.pending) != 0 {
+		t.Fatalf("pending after resolve = %d", len(f.pending))
 	}
 }
 
@@ -129,8 +129,8 @@ func TestInflightLimit(t *testing.T) {
 	if !ok {
 		t.Fatal("first add refused under a limit of 1")
 	}
-	if _, ok := f.Add(func(Reply) {}, 0); ok || f.Pending() != 1 {
-		t.Fatalf("add at the limit: admitted=%v pending=%d", ok, f.Pending())
+	if _, ok := f.Add(func(Reply) {}, 0); ok || len(f.pending) != 1 {
+		t.Fatalf("add at the limit: admitted=%v pending=%d", ok, len(f.pending))
 	}
 	f.Resolve(id, Reply{})
 	if next, ok := f.Add(func(Reply) {}, 0); !ok || next != id+1 {
@@ -150,8 +150,8 @@ func TestInflightTimeout(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("timeout never fired")
 	}
-	if f.Pending() != 0 {
-		t.Fatalf("pending after timeout = %d", f.Pending())
+	if len(f.pending) != 0 {
+		t.Fatalf("pending after timeout = %d", len(f.pending))
 	}
 }
 

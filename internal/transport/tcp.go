@@ -151,9 +151,9 @@ func (cc *tcpConn) idle() bool {
 	return !cc.flushing && len(cc.pending) == 0
 }
 
-// MaxFrame is the largest accepted message frame (1 MiB); VoroNet views
+// maxFrame is the largest accepted message frame (1 MiB); VoroNet views
 // are O(1) so real frames are tiny.
-const MaxFrame = 1 << 20
+const maxFrame = 1 << 20
 
 // maxHello bounds the listen address a hello may carry (a DNS name is at
 // most 253 bytes, a port 5).
@@ -544,7 +544,7 @@ func readFrame(r *bufio.Reader, fn func(payload []byte)) error {
 		return err
 	}
 	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxFrame {
+	if n > maxFrame {
 		return errors.New("transport: oversized frame")
 	}
 	size := 4 + int(n)

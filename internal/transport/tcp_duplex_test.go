@@ -316,7 +316,7 @@ func TestTCPConnectionWithoutHelloIsClosed(t *testing.T) {
 		"empty":     appendFrame(nil, nil),
 		"no port":   appendFrame(nil, []byte("127.0.0.1")),
 		"too long":  appendFrame(nil, append(bytes.Repeat([]byte("h"), maxHello), ":80"...)),
-		"oversized": binary.BigEndian.AppendUint32(nil, MaxFrame+1),
+		"oversized": binary.BigEndian.AppendUint32(nil, maxFrame+1),
 	} {
 		c, err := net.Dial("tcp", a.Addr())
 		if err != nil {

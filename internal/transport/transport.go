@@ -54,9 +54,8 @@ var ErrClosed = errors.New("transport: endpoint closed")
 // latencies, partitions — are drawn from a single seeded RNG at Send time,
 // which makes whole distributed protocol runs reproducible bit for bit.
 //
-// Fault injection is per directed link: SetLinkRule pins a rule to one
-// (from, to) pair, SetPeerRule to every link touching one address, and
-// SetDefaultRule to everything else. Named partitions drop messages that
+// Fault injection is per host: SetPeerRule pins a rule to every link
+// touching one address, and SetDefaultRule applies to everything else. Named partitions drop messages that
 // cross group boundaries until healed. Faults never surface as Send
 // errors: like a real lossy network, the message silently disappears (and
 // DroppedCount increments). Send errors are reserved for structural
@@ -85,7 +84,6 @@ type Bus struct {
 	dropSeq  uint64
 
 	defRule    LinkRule
-	linkRules  map[[2]string]LinkRule
 	peerRules  map[string]LinkRule
 	partitions map[string]map[string]int
 }
@@ -153,7 +151,6 @@ func NewSeededBus(seed int64) *Bus {
 	return &Bus{
 		peers:      make(map[string]*busEndpoint),
 		rng:        rand.New(rand.NewSource(seed)),
-		linkRules:  make(map[[2]string]LinkRule),
 		peerRules:  make(map[string]LinkRule),
 		partitions: make(map[string]map[string]int),
 	}
@@ -179,37 +176,28 @@ func (b *Bus) SetDefaultRule(r LinkRule) {
 	b.defRule = r
 }
 
-// SetLinkRule pins a rule to the directed link from → to, overriding peer
-// and default rules.
-func (b *Bus) SetLinkRule(from, to string, r LinkRule) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.linkRules[[2]string{from, to}] = r
-}
-
 // SetPeerRule applies a rule to every link into or out of addr (a slow or
-// flaky host rather than a single bad cable). An exact link rule wins; the
-// destination's peer rule is consulted before the source's.
+// flaky host rather than a single bad cable). The destination's peer rule
+// is consulted before the source's.
 func (b *Bus) SetPeerRule(addr string, r LinkRule) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.peerRules[addr] = r
 }
 
-// ClearRules removes every link, peer and default rule. Installed
+// ClearRules removes every peer and default rule. Installed
 // partitions are unaffected (heal them explicitly).
 func (b *Bus) ClearRules() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.defRule = LinkRule{}
-	b.linkRules = make(map[[2]string]LinkRule)
 	b.peerRules = make(map[string]LinkRule)
 }
 
 // InstallPartition installs (or replaces) a named partition: a message
 // whose source and destination fall in different groups is dropped.
 // Addresses absent from every group are unconstrained by this partition.
-// The partition persists until HealPartition or Heal.
+// The partition persists until Heal.
 func (b *Bus) InstallPartition(name string, groups ...[]string) {
 	m := make(map[string]int)
 	for gi, g := range groups {
@@ -222,28 +210,11 @@ func (b *Bus) InstallPartition(name string, groups ...[]string) {
 	b.partitions[name] = m
 }
 
-// HealPartition removes the named partition.
-func (b *Bus) HealPartition(name string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.partitions, name)
-}
-
 // Heal removes every installed partition.
 func (b *Bus) Heal() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.partitions = make(map[string]map[string]int)
-}
-
-// AdvanceTime moves the virtual clock forward by ticks. The clock
-// otherwise advances only when Drain pops a message bearing a later
-// delivery time; scheduled fault windows (LinkRule.DropFrom/DropUntil)
-// are evaluated against it at send time.
-func (b *Bus) AdvanceTime(ticks uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.now += ticks
 }
 
 // Now returns the current virtual time in ticks. It advances only when
@@ -257,9 +228,6 @@ func (b *Bus) Now() uint64 {
 // ruleFor resolves the effective rule for one directed link. Caller holds
 // b.mu.
 func (b *Bus) ruleFor(from, to string) LinkRule {
-	if r, ok := b.linkRules[[2]string{from, to}]; ok {
-		return r
-	}
 	if r, ok := b.peerRules[to]; ok {
 		return r
 	}

@@ -35,28 +35,6 @@ func TestLocalCellNoNeighbors(t *testing.T) {
 	}
 }
 
-func TestCellAreaInUnitSquareSumsToOne(t *testing.T) {
-	tr, ids := buildRandom(t, 80, 62)
-	d := New(tr)
-	total := 0.0
-	for _, v := range ids {
-		total += d.CellAreaIn(v, geom.Pt(0, 0), geom.Pt(1, 1))
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Fatalf("clipped areas sum to %g, want 1", total)
-	}
-}
-
-func TestCellAreaInDisjointBox(t *testing.T) {
-	tr, ids := buildRandom(t, 30, 63)
-	d := New(tr)
-	// A box far away from all sites intersects only hull cells; a box
-	// outside the clip bound intersects nothing.
-	if a := d.CellAreaIn(ids[0], geom.Pt(50, 50), geom.Pt(51, 51)); a != 0 {
-		t.Fatalf("area in far box: %g", a)
-	}
-}
-
 func TestConvexPolygonIntersectsSegment(t *testing.T) {
 	sq := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}}
 	cases := []struct {

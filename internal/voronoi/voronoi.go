@@ -18,9 +18,9 @@ import (
 	"voronet/internal/geom"
 )
 
-// DefaultBound is the half-extent of the clipping box, centred on (0.5,
+// defaultBound is the half-extent of the clipping box, centred on (0.5,
 // 0.5). Coordinates VoroNet manipulates stay within [-√2, 1+√2].
-const DefaultBound = 8.0
+const defaultBound = 8.0
 
 // Diagram is a Voronoi view over a triangulation. It holds scratch buffers
 // and is not safe for concurrent use; create one per goroutine.
@@ -35,7 +35,7 @@ type Diagram struct {
 
 // New returns a Voronoi view of tr with the default clipping box.
 func New(tr *delaunay.Triangulation) *Diagram {
-	return &Diagram{tr: tr, lo: 0.5 - DefaultBound, hi: 0.5 + DefaultBound}
+	return &Diagram{tr: tr, lo: 0.5 - defaultBound, hi: 0.5 + defaultBound}
 }
 
 // Cell returns the Voronoi region of site v as a convex counterclockwise
@@ -175,51 +175,6 @@ func (d *Diagram) DistanceToRegion(v delaunay.VertexID, p geom.Point) (geom.Poin
 	return best, math.Sqrt(bestD)
 }
 
-// CellArea returns the area of the (clipped) Voronoi region of v.
-func (d *Diagram) CellArea(v delaunay.VertexID) float64 {
-	poly := d.Cell(v)
-	return polygonArea(poly)
-}
-
-// CellAreaIn returns the area of R(v) intersected with the axis-aligned
-// box [lo.X, hi.X] × [lo.Y, hi.Y]. Over the unit square these areas sum to
-// exactly 1, which makes 1/CellAreaIn an unbiased decentralized estimator
-// of the overlay size (used by the dynamic-NMax extension).
-func (d *Diagram) CellAreaIn(v delaunay.VertexID, lo, hi geom.Point) float64 {
-	poly := append([]geom.Point(nil), d.Cell(v)...)
-	var out []geom.Point
-	clips := []struct {
-		n geom.Point
-		c float64
-	}{
-		{geom.Pt(-1, 0), -lo.X},
-		{geom.Pt(1, 0), hi.X},
-		{geom.Pt(0, -1), -lo.Y},
-		{geom.Pt(0, 1), hi.Y},
-	}
-	for _, cl := range clips {
-		out = clipHalfplane(poly, cl.n, cl.c, out[:0])
-		poly, out = out, poly
-		if len(poly) == 0 {
-			return 0
-		}
-	}
-	return polygonArea(poly)
-}
-
-func polygonArea(poly []geom.Point) float64 {
-	if len(poly) < 3 {
-		return 0
-	}
-	s := 0.0
-	for i := range poly {
-		a := poly[i]
-		b := poly[(i+1)%len(poly)]
-		s += a.Cross(b)
-	}
-	return s / 2
-}
-
 // LocalCell computes the Voronoi region of `self` against an explicit
 // neighbour list, clipped to a box of half-extent bound around (0.5, 0.5).
 // This is how a *distributed* VoroNet node reasons about its own region —
@@ -228,7 +183,7 @@ func polygonArea(poly []geom.Point) float64 {
 // polygon.
 func LocalCell(self geom.Point, neighbors []geom.Point, bound float64) []geom.Point {
 	if bound <= 0 {
-		bound = DefaultBound
+		bound = defaultBound
 	}
 	lo, hi := 0.5-bound, 0.5+bound
 	poly := []geom.Point{
@@ -245,26 +200,4 @@ func LocalCell(self geom.Point, neighbors []geom.Point, bound float64) []geom.Po
 		}
 	}
 	return poly
-}
-
-// CellVertices returns the Voronoi vertices (circumcentres of the incident
-// Delaunay faces) of an interior site in counterclockwise order. For hull
-// sites the unbounded cell has no such finite representation; ok is false.
-// Cell (clipped) covers both cases.
-func (d *Diagram) CellVertices(v delaunay.VertexID, buf []geom.Point) (pts []geom.Point, ok bool) {
-	pts = buf[:0]
-	if d.tr.IsHullVertex(v) || d.tr.Dimension() < 2 {
-		return pts, false
-	}
-	ok = true
-	d.tr.FacesAround(v, func(a, b, c delaunay.VertexID) bool {
-		cc, fine := geom.Circumcenter(d.tr.Point(a), d.tr.Point(b), d.tr.Point(c))
-		if !fine {
-			ok = false
-			return false
-		}
-		pts = append(pts, cc)
-		return true
-	})
-	return pts, ok
 }

@@ -25,7 +25,7 @@ func buildRandom(t *testing.T, n int, seed int64) (*delaunay.Triangulation, []de
 }
 
 func TestContainsMatchesNearestSite(t *testing.T) {
-	tr, _ := buildRandom(t, 150, 11)
+	tr, ids := buildRandom(t, 150, 11)
 	d := New(tr)
 	rng := rand.New(rand.NewSource(12))
 	for q := 0; q < 400; q++ {
@@ -38,15 +38,14 @@ func TestContainsMatchesNearestSite(t *testing.T) {
 		// region claims p must be equidistant.
 		dn := geom.Dist2(p, tr.Point(nearest))
 		cnt := 0
-		tr.ForEachSite(func(v delaunay.VertexID, pt geom.Point) bool {
-			if d.Contains(v, p) {
+		for _, v := range ids {
+			if pt := tr.Point(v); d.Contains(v, p) {
 				cnt++
 				if math.Abs(geom.Dist2(p, pt)-dn) > 1e-12 {
 					t.Fatalf("region of non-nearest site %v contains %v", pt, p)
 				}
 			}
-			return true
-		})
+		}
 		if cnt < 1 {
 			t.Fatalf("no region contains %v", p)
 		}
@@ -78,9 +77,9 @@ func TestCellAreasTileTheBox(t *testing.T) {
 	d := New(tr)
 	total := 0.0
 	for _, v := range ids {
-		total += d.CellArea(v)
+		total += polygonArea(d.Cell(v))
 	}
-	box := (2 * DefaultBound) * (2 * DefaultBound)
+	box := (2 * defaultBound) * (2 * defaultBound)
 	if math.Abs(total-box) > 1e-6*box {
 		t.Fatalf("cell areas sum to %g, want %g", total, box)
 	}
@@ -146,39 +145,6 @@ func TestDistanceToRegionBruteForce(t *testing.T) {
 	}
 }
 
-func TestCellVertices(t *testing.T) {
-	tr := delaunay.New()
-	for _, p := range []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}} {
-		if _, err := tr.Insert(p, delaunay.NoVertex); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, err := tr.Insert(geom.Pt(0.5, 0.5), delaunay.NoVertex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := New(tr)
-	pts, ok := d.CellVertices(c, nil)
-	if !ok {
-		t.Fatal("interior cell must have finite vertices")
-	}
-	if len(pts) != 4 {
-		t.Fatalf("centre cell of square has %d Voronoi vertices, want 4", len(pts))
-	}
-	// Hull site: no finite representation.
-	var hull delaunay.VertexID
-	tr.ForEachSite(func(v delaunay.VertexID, _ geom.Point) bool {
-		if tr.IsHullVertex(v) {
-			hull = v
-			return false
-		}
-		return true
-	})
-	if _, ok := d.CellVertices(hull, nil); ok {
-		t.Fatal("hull cell must report no finite vertex set")
-	}
-}
-
 func TestDegenerateModeCells(t *testing.T) {
 	// Two sites: cells are halfplanes (clipped to the box).
 	tr := delaunay.New()
@@ -188,9 +154,9 @@ func TestDegenerateModeCells(t *testing.T) {
 	if !d.Contains(a, geom.Pt(0.1, 0.9)) || d.Contains(a, geom.Pt(0.9, 0.1)) {
 		t.Fatal("halfplane containment wrong for two sites")
 	}
-	areaA := d.CellArea(a)
-	areaB := d.CellArea(b)
-	box := (2 * DefaultBound) * (2 * DefaultBound)
+	areaA := polygonArea(d.Cell(a))
+	areaB := polygonArea(d.Cell(b))
+	box := (2 * defaultBound) * (2 * defaultBound)
 	if math.Abs(areaA+areaB-box) > 1e-6*box {
 		t.Fatalf("two halfplanes must tile the box: %g + %g", areaA, areaB)
 	}
@@ -215,4 +181,17 @@ func BenchmarkDistanceToRegion(b *testing.B) {
 		v := ids[i%len(ids)]
 		d.DistanceToRegion(v, geom.Pt(rng.Float64(), rng.Float64()))
 	}
+}
+
+// polygonArea is the shoelace area of a counterclockwise polygon.
+func polygonArea(poly []geom.Point) float64 {
+	if len(poly) < 3 {
+		return 0
+	}
+	s := 0.0
+	for i := range poly {
+		a, b := poly[i], poly[(i+1)%len(poly)]
+		s += a.X*b.Y - a.Y*b.X
+	}
+	return s / 2
 }

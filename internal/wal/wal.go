@@ -85,18 +85,18 @@ const (
 	// capped well below this (store.MaxValueBytes = 512 KiB).
 	maxPayloadBytes = 1 << 20
 
-	// DefaultSegmentBytes is the rotation threshold when Options
-	// leaves SegmentBytes zero.
-	DefaultSegmentBytes = 4 << 20
+	// defaultSegmentBytes is the segment rotation threshold.
+	defaultSegmentBytes = 4 << 20
 )
 
 // Options configures a Log.
 type Options struct {
 	// Dir is the segment directory; created if missing.
 	Dir string
-	// SegmentBytes rotates to a new segment once the current one
-	// reaches this size. Zero means DefaultSegmentBytes.
-	SegmentBytes int64
+	// segmentBytes rotates to a new segment once the current one
+	// reaches this size (defaultSegmentBytes when zero); the rotation
+	// tests set it small.
+	segmentBytes int64
 	// Policy selects the fsync cadence (default SyncAlways).
 	Policy SyncPolicy
 	// FsyncObserve, if non-nil, receives the wall-clock seconds of
@@ -142,8 +142,8 @@ type Log struct {
 // last valid record. A torn tail on the final segment is truncated away
 // so the next append produces a readable file.
 func Open(opt Options, apply func(proto.StoreRecord)) (*Log, ReplayStats, error) {
-	if opt.SegmentBytes <= 0 {
-		opt.SegmentBytes = DefaultSegmentBytes
+	if opt.segmentBytes <= 0 {
+		opt.segmentBytes = defaultSegmentBytes
 	}
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, ReplayStats{}, err
@@ -278,7 +278,7 @@ func (l *Log) Append(rec proto.StoreRecord) error {
 	if l.failed {
 		return errors.New("wal: log failed (torn frame could not be removed)")
 	}
-	if l.size >= l.opt.SegmentBytes {
+	if l.size >= l.opt.segmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
 		}

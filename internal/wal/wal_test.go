@@ -156,7 +156,7 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 // segments in full.
 func TestCorruptCRCMidSegment(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(Options{Dir: dir, SegmentBytes: 64}, nil)
+	l, _, err := Open(Options{Dir: dir, segmentBytes: 64}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -197,7 +197,7 @@ func TestCorruptCRCMidSegment(t *testing.T) {
 
 func TestRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(Options{Dir: dir, SegmentBytes: 128}, nil)
+	l, _, err := Open(Options{Dir: dir, segmentBytes: 128}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

@@ -54,9 +54,9 @@ func (u *Uniform) Next() geom.Point {
 // Name implements Source.
 func (u *Uniform) Name() string { return "uniform" }
 
-// DefaultValues is the per-axis discretisation of the power-law generator
+// defaultValues is the per-axis discretisation of the power-law generator
 // (see the package comment for why it is coarse).
-const DefaultValues = 64
+const defaultValues = 64
 
 // PowerLaw draws each coordinate from a Zipf(α) distribution over Values
 // discrete cells with uniform jitter inside the cell.
@@ -70,14 +70,14 @@ type PowerLaw struct {
 
 // NewPowerLaw returns a power-law source with the given skew α > 0.
 func NewPowerLaw(alpha float64, rng *rand.Rand) *PowerLaw {
-	p := &PowerLaw{Alpha: alpha, Values: DefaultValues, Rand: rng}
+	p := &PowerLaw{Alpha: alpha, Values: defaultValues, Rand: rng}
 	p.init()
 	return p
 }
 
 func (p *PowerLaw) init() {
 	if p.Values <= 0 {
-		p.Values = DefaultValues
+		p.Values = defaultValues
 	}
 	p.cdf = make([]float64, p.Values)
 	sum := 0.0
@@ -160,17 +160,17 @@ func (c *Clusters) Next() geom.Point {
 // Name implements Source.
 func (c *Clusters) Name() string { return "clusters" }
 
-// Grid yields the points of a Side×Side lattice in row-major order, then
+// grid yields the points of a Side×Side lattice in row-major order, then
 // repeats with a tiny deterministic offset. It is a degeneracy stress
 // source: every lattice square is co-circular and every row/column is
 // collinear.
-type Grid struct {
+type grid struct {
 	Side int
 	i    int
 }
 
 // Next returns the next lattice point.
-func (g *Grid) Next() geom.Point {
+func (g *grid) Next() geom.Point {
 	n := g.Side * g.Side
 	idx := g.i % n
 	round := g.i / n
@@ -182,7 +182,7 @@ func (g *Grid) Next() geom.Point {
 }
 
 // Name implements Source.
-func (g *Grid) Name() string { return "grid" }
+func (g *grid) Name() string { return "grid" }
 
 // ZipfKeys yields keys drawn from a fixed set of K distinct uniform points
 // with Zipf(α) popularity: the i-th most popular key is drawn with
@@ -233,9 +233,6 @@ func (z *ZipfKeys) Next() geom.Point {
 	return z.keys[sort.SearchFloat64s(z.cdf, z.Rand.Float64())]
 }
 
-// Keys returns the underlying key set, most popular first.
-func (z *ZipfKeys) Keys() []geom.Point { return append([]geom.Point(nil), z.keys...) }
-
 // Name implements Source.
 func (z *ZipfKeys) Name() string { return "zipfkeys" }
 
@@ -254,7 +251,7 @@ func ByName(name string, rng *rand.Rand) Source {
 	case "clusters":
 		return NewClusters(8, 0.02, rng)
 	case "grid":
-		return &Grid{Side: 100}
+		return &grid{Side: 100}
 	}
 	return nil
 }

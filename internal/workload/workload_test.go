@@ -77,7 +77,7 @@ func TestClustersStayInSquare(t *testing.T) {
 }
 
 func TestGridDeterministicAndDistinct(t *testing.T) {
-	g := &Grid{Side: 10}
+	g := &grid{Side: 10}
 	seen := map[[2]float64]bool{}
 	for i := 0; i < 150; i++ {
 		p := g.Next()
@@ -109,7 +109,7 @@ func TestByName(t *testing.T) {
 func TestZipfKeysHotKeyPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	z := NewZipfKeys(1.2, 16, rng)
-	keys := z.Keys()
+	keys := z.keys
 	if len(keys) != 16 {
 		t.Fatalf("key set size %d", len(keys))
 	}

@@ -37,8 +37,6 @@
 package voronet
 
 import (
-	"io"
-
 	"voronet/internal/core"
 	"voronet/internal/geom"
 	"voronet/internal/proto"
@@ -66,9 +64,6 @@ type Config = core.Config
 // Object is an overlay object with its protocol state.
 type Object = core.Object
 
-// BackRef identifies one long link of one object (a BLRn entry).
-type BackRef = core.BackRef
-
 // Counters accounts protocol costs (Greedyneighbour calls, maintenance
 // messages, fictive insertions).
 type Counters = core.Counters
@@ -81,13 +76,13 @@ type QueryStats = core.QueryStats
 
 // Overlay is a VoroNet overlay. It follows a single-writer / many-readers
 // discipline: mutating and serially-accounted operations (Insert, Join,
-// Remove, HandleQuery, RouteToObject, and the scratch-backed accessors
-// such as VoronoiNeighbors and Cell) serialise behind an internal write
-// lock, while the Router read engine, the Store fast path and the
-// scratch-free accessors (Owner, Position, Degree, ...) run under the
-// read lock — so routing, owner resolution and store reads scale across
-// cores, concurrently with one writer. Fan concurrent reads through one
-// Router per goroutine.
+// Remove, HandleQuery, RouteToObject, RangeQuery, RadiusQuery, and the
+// scratch-backed accessors such as VoronoiNeighbors and Cell) serialise
+// behind an internal write lock, while the Router read engine, the Store
+// fast path and the scratch-free accessors (Owner, Position, Degree, ...)
+// run under the read lock — so routing, owner resolution and store reads
+// scale across cores, concurrently with one writer. Fan concurrent reads
+// through one Router per goroutine.
 type Overlay = core.Overlay
 
 // Errors returned by overlay operations.
@@ -101,8 +96,8 @@ var (
 type RoutePair = core.RoutePair
 
 // Router is the overlay's concurrent read engine: mutation-free greedy
-// routing, owner resolution and range/radius queries over private scratch
-// state, guarded by the overlay's read lock. Create one per goroutine with
+// routing and owner resolution over private scratch state, guarded by the
+// overlay's read lock. Create one per goroutine with
 // Overlay.NewRouter; any number may run concurrently, including while a
 // single writer joins and removes objects. See Overlay.MeasureRoutes for
 // the pre-built parallel route measurement.
@@ -137,9 +132,6 @@ func NewStore(ov *Overlay, replication int) *Store { return core.NewStore(ov, re
 
 // New creates an empty overlay provisioned for cfg.NMax objects.
 func New(cfg Config) *Overlay { return core.New(cfg) }
-
-// Load reconstructs an overlay from an Overlay.Save snapshot.
-func Load(r io.Reader) (*Overlay, error) { return core.Load(r) }
 
 // DefaultDMin returns the paper's close-neighbour radius 1/√(π·NMax).
 func DefaultDMin(nmax int) float64 { return core.DefaultDMin(nmax) }

@@ -83,7 +83,7 @@ func TestPublicJoinLeaveQuery(t *testing.T) {
 	}
 }
 
-func TestPublicSaveLoadAndParallelRoutes(t *testing.T) {
+func TestPublicParallelRoutes(t *testing.T) {
 	ov := voronet.New(voronet.Config{NMax: 2000, Seed: 6})
 	rng := rand.New(rand.NewSource(7))
 	var ids []voronet.ObjectID
@@ -92,18 +92,6 @@ func TestPublicSaveLoadAndParallelRoutes(t *testing.T) {
 			ids = append(ids, id)
 		}
 	}
-	var buf bytes.Buffer
-	if err := ov.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ov2, err := voronet.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ov2.Len() != ov.Len() {
-		t.Fatalf("loaded %d objects, want %d", ov2.Len(), ov.Len())
-	}
-
 	pairs := make([]voronet.RoutePair, 100)
 	for i := range pairs {
 		pairs[i] = voronet.RoutePair{From: ids[rng.Intn(len(ids))], To: ids[rng.Intn(len(ids))]}
@@ -112,24 +100,15 @@ func TestPublicSaveLoadAndParallelRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, _, err := ov2.MeasureRoutes(pairs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range h1 {
-		if h1[i] != h2[i] {
-			t.Fatalf("pair %d: %d vs %d hops after save/load", i, h1[i], h2[i])
+	for i, p := range pairs {
+		if h, err := ov.RouteToObject(p.From, p.To); err != nil || h != h1[i] {
+			t.Fatalf("pair %d: %d hops serially (%v), %d measured in parallel", i, h, err, h1[i])
 		}
 	}
-	// Cell and DistanceToRegion on the public surface.
+	// Cell on the public surface.
 	cell := ov.Cell(ids[0])
 	if len(cell) < 3 {
 		t.Fatalf("cell has %d vertices", len(cell))
-	}
-	pos, _ := ov.Position(ids[0])
-	z, d, err := ov.DistanceToRegion(ids[0], pos)
-	if err != nil || d != 0 || z != pos {
-		t.Fatalf("DistanceToRegion at own site: %v %g %v", z, d, err)
 	}
 }
 
