@@ -199,8 +199,6 @@ func TestEveryOptionHasACaller(t *testing.T) {
 // package returns). Every other exemption is listed with its reason.
 func TestEveryExportHasACaller(t *testing.T) {
 	allowed := map[string]string{
-		"node.Node.RangeQuery": "the live half of the range query; deleting it retires the wire kinds " +
-			"KindRangeForward/KindRangeHit, which is a change of its own",
 		// internal/sim's storeequiv_test.go drives one workload through the
 		// simulator store and the live nodes and compares them key for key.
 		"core.Store.InsertObject": "reference implementation: the store-equivalence test adds its objects through it",

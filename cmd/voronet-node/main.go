@@ -59,7 +59,7 @@ import (
 	"voronet/internal/geom"
 	"voronet/internal/metrics"
 	"voronet/internal/node"
-	"voronet/internal/proto"
+	"voronet/internal/store"
 	"voronet/internal/transport"
 	"voronet/internal/wal"
 )
@@ -218,25 +218,20 @@ func main() {
 				fmt.Println("usage: query X Y")
 				break
 			}
-			done := make(chan struct{})
-			err := nd.Query(geom.Pt(qx, qy), func(owner proto.NodeInfo, hops int) {
-				if hops == node.HopsTimedOut {
-					fmt.Printf("query (%g, %g): no answer before the deadline (owner crashed?)\n", qx, qy)
-				} else {
-					fmt.Printf("owner of (%g, %g): %s at (%g, %g), %d hops\n",
-						qx, qy, owner.Addr, owner.Pos.X, owner.Pos.Y, hops)
-				}
-				close(done)
-			})
-			if err != nil {
+			done := make(chan store.Reply, 1)
+			if err := nd.Query(geom.Pt(qx, qy), func(r store.Reply) { done <- r }); err != nil {
 				fmt.Println("query:", err)
 				break
 			}
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				fmt.Println("query timed out")
+			// The request deadline guarantees the callback fires, so the
+			// verdict is printed once, before the next prompt.
+			r := <-done
+			if r.Err != nil {
+				fmt.Println("query:", r.Err)
+				break
 			}
+			fmt.Printf("owner of (%g, %g): %s at (%g, %g), %d hops\n",
+				qx, qy, r.Owner.Addr, r.Owner.Pos.X, r.Owner.Pos.Y, r.Hops)
 		case "put":
 			if len(fields) < 4 {
 				fmt.Println("usage: put X Y VALUE")

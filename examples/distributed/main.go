@@ -16,7 +16,7 @@ import (
 	"voronet"
 	"voronet/internal/geom"
 	"voronet/internal/node"
-	"voronet/internal/proto"
+	"voronet/internal/store"
 	"voronet/internal/transport"
 )
 
@@ -71,9 +71,9 @@ func main() {
 	for i := 0; i < 4; i++ {
 		q := geom.Pt(rng.Float64(), rng.Float64())
 		from := peers[rng.Intn(len(peers))]
-		if err := from.Query(q, func(owner proto.NodeInfo, hops int) {
+		if err := from.Query(q, func(r store.Reply) {
 			fmt.Printf("  (%.2f, %.2f) from %s -> owner %s in %d hops\n",
-				q.X, q.Y, from.Info().Addr, owner.Addr, hops)
+				q.X, q.Y, from.Info().Addr, r.Owner.Addr, r.Hops)
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -111,8 +111,8 @@ func main() {
 			}
 		}
 		from := live[rng.Intn(len(live))]
-		if err := from.Query(q, func(owner proto.NodeInfo, hops int) {
-			if owner.Addr == best.Addr {
+		if err := from.Query(q, func(r store.Reply) {
+			if r.Owner.Addr == best.Addr {
 				ok++
 			}
 		}); err != nil {

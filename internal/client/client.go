@@ -117,23 +117,8 @@ func (c *Client) handle(from string, payload []byte) {
 	if err != nil {
 		return // malformed frame: drop, the request's deadline reports it
 	}
-	switch env.Type {
-	case proto.KindStoreReply:
-		r := store.Reply{
-			Found: env.Found, Value: env.Value, Version: env.Version,
-			Owner: env.From, Hops: env.Hops, Path: env.Path,
-		}
-		if env.Shed {
-			// The owner refused the op under overload: an explicit
-			// retry-later error for the caller.
-			r.Err = store.ErrOverloaded
-		}
-		c.inflight.Resolve(env.QueryID, r)
-	case proto.KindQueryAnswer:
-		// A point query's answer: the owner itself is the payload.
-		c.inflight.Resolve(env.QueryID, store.Reply{
-			Found: true, Owner: env.From, Hops: env.Hops, Path: env.Path,
-		})
+	if env.Type == proto.KindStoreReply || env.Type == proto.KindQueryAnswer {
+		c.inflight.Resolve(env.QueryID, store.ReplyOf(env))
 	}
 }
 

@@ -96,9 +96,9 @@ func TestRouteRetriesAroundCrashedPeer(t *testing.T) {
 		from := c.nodes[c.rng.Intn(len(c.nodes))]
 		var got proto.NodeInfo
 		ok := false
-		if err := from.Query(jit, func(owner proto.NodeInfo, hops int) {
-			got = owner
-			ok = true
+		if err := from.Query(jit, func(r store.Reply) {
+			got = r.Owner
+			ok = r.Err == nil
 		}); err != nil {
 			t.Fatal(err)
 		}

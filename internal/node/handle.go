@@ -15,8 +15,7 @@ import (
 // concurrently (the TCP transport delivers independent peers' messages in
 // parallel; per-peer order is preserved): every access to shared state
 // goes through n.mu — read paths under the read lock, view surgery under
-// the write lock — or through queryMu / the internally-locked store
-// tables.
+// the write lock — or through the internally-locked store tables.
 func (n *Node) handle(from string, payload []byte) {
 	env, err := proto.Decode(payload)
 	if err != nil {
@@ -33,9 +32,13 @@ func (n *Node) handle(from string, payload []byte) {
 // inject envelopes that the wire decoder would reject, proving the
 // defence-in-depth guards below hold on their own).
 func (n *Node) deliver(env *proto.Envelope) {
-	if env.Type >= 0 && env.Type < proto.KindCount {
-		n.nm.recvByKind[env.Type].Inc()
+	// Decode refuses unknown and retired kinds; one that got past it has
+	// no metric slot and no handler, and is dropped before it can touch
+	// the tombstones.
+	if env.Type < 0 || env.Type >= proto.KindCount || n.nm.recvByKind[env.Type] == nil {
+		return
 	}
+	n.nm.recvByKind[env.Type].Inc()
 	// Tombstone bookkeeping needs the write lock, but the overwhelmingly
 	// common case — no departures advertised, sender not tombstoned — can
 	// establish under the read lock that there is nothing to do.
@@ -187,43 +190,9 @@ func (n *Node) deliver(env *proto.Envelope) {
 		n.mu.Unlock()
 	case proto.KindLeave:
 		n.handleLeave(env)
-	case proto.KindRangeForward:
-		n.handleRangeForward(env)
-	case proto.KindRangeHit:
-		n.queryMu.Lock()
-		pr := n.rangeHits[env.QueryID]
-		n.queryMu.Unlock()
-		if pr != nil {
-			pr.deliver(env.From)
-		}
-	case proto.KindQueryAnswer:
-		n.queryMu.Lock()
-		pq := n.queries[env.QueryID]
-		delete(n.queries, env.QueryID)
-		n.queryMu.Unlock()
-		if pq == nil {
+	case proto.KindQueryAnswer, proto.KindStoreReply:
+		if !n.inflight.Resolve(env.QueryID, store.ReplyOf(env)) {
 			// The answer outlived its request: the deadline reaped it.
-			n.nm.lateAnswers.Inc()
-			return
-		}
-		pq.timer.Stop()
-		n.nm.queryLatency.Observe(time.Since(pq.start).Seconds())
-		n.nm.queryHops.Observe(float64(env.Hops))
-		if n.cache != nil && env.From.Addr != n.self.Addr {
-			n.cache.insert(pq.target, env.From)
-		}
-		pq.cb(env.From, env.Hops)
-	case proto.KindStoreReply:
-		r := store.Reply{
-			Found: env.Found, Value: env.Value, Version: env.Version,
-			Owner: env.From, Hops: env.Hops, Path: env.Path,
-		}
-		if env.Shed {
-			// The owner refused the op under overload: surface the
-			// explicit fast error, not a silent not-found.
-			r.Err = store.ErrOverloaded
-		}
-		if !n.inflight.Resolve(env.QueryID, r) {
 			n.nm.lateAnswers.Inc()
 		}
 	case proto.KindReplicaSync:
@@ -366,8 +335,6 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 			Type: proto.KindQueryAnswer, From: n.self, QueryID: env.QueryID,
 			Hops: env.Hops, Path: env.Path,
 		})
-	case proto.PurposeRange:
-		n.startRangeFlood(env)
 	case proto.PurposeStorePut, proto.PurposeStoreGet, proto.PurposeStoreDelete:
 		n.handleStoreOwned(env)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // lockAuditEndpoint wraps a transport endpoint and, on every outbound
-// send, checks that the owning node holds neither of its mutexes. The
+// send, checks that the owning node does not hold its view lock. The
 // in-memory bus delivers synchronously on the driving goroutine, so a
 // failed TryLock can only mean *this* goroutine reached the transport
 // with a lock held — exactly the "network under locks" bug class: a
@@ -28,11 +28,6 @@ func (e *lockAuditEndpoint) Send(to string, payload []byte) error {
 	if n := e.node; n != nil {
 		if n.mu.TryLock() {
 			n.mu.Unlock()
-		} else {
-			e.violations.Add(1)
-		}
-		if n.queryMu.TryLock() {
-			n.queryMu.Unlock()
 		} else {
 			e.violations.Add(1)
 		}

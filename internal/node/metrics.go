@@ -35,7 +35,7 @@ type nodeMetrics struct {
 	wireSentByKind [proto.KindCount]*metrics.Counter
 	wireRecvByKind [proto.KindCount]*metrics.Counter
 
-	queryLatency  *metrics.Histogram // node_query_seconds: Query round trip
+	queryLatency  *metrics.Histogram // node_query_seconds: answered Query round trip
 	queryHops     *metrics.Histogram // node_query_hops: answered greedy route length
 	queryTimeouts *metrics.Counter   // node_query_timeouts_total
 
@@ -122,6 +122,9 @@ func newNodeMetrics() nodeMetrics {
 		storeShed:        r.Counter("store_shed_total"),
 	}
 	for k := proto.Kind(0); k < proto.KindCount; k++ {
+		if k.String() == "" {
+			continue // a retired kind: its slots stay nil, deliver drops it
+		}
 		nm.sentByKind[k] = r.Counter("node_send_" + k.String() + "_total")
 		nm.recvByKind[k] = r.Counter("node_recv_" + k.String() + "_total")
 		nm.wireSentByKind[k] = r.Counter("node_wire_bytes_sent_" + k.String() + "_total")
@@ -130,10 +133,13 @@ func newNodeMetrics() nodeMetrics {
 	return nm
 }
 
-// storeLatencyFor / storeHopsFor select the per-purpose instruments of a
-// routed store operation.
-func (nm *nodeMetrics) storeLatencyFor(p proto.RoutedPurpose) *metrics.Histogram {
+// latencyFor / hopsFor / timeoutsFor select the per-purpose instruments
+// of a routed request: queries have their own, the store ops share the
+// timeout counter.
+func (nm *nodeMetrics) latencyFor(p proto.RoutedPurpose) *metrics.Histogram {
 	switch p {
+	case proto.PurposeQuery:
+		return nm.queryLatency
 	case proto.PurposeStorePut:
 		return nm.storePutLatency
 	case proto.PurposeStoreGet:
@@ -143,8 +149,10 @@ func (nm *nodeMetrics) storeLatencyFor(p proto.RoutedPurpose) *metrics.Histogram
 	}
 }
 
-func (nm *nodeMetrics) storeHopsFor(p proto.RoutedPurpose) *metrics.Histogram {
+func (nm *nodeMetrics) hopsFor(p proto.RoutedPurpose) *metrics.Histogram {
 	switch p {
+	case proto.PurposeQuery:
+		return nm.queryHops
 	case proto.PurposeStorePut:
 		return nm.storePutHops
 	case proto.PurposeStoreGet:
@@ -152,6 +160,13 @@ func (nm *nodeMetrics) storeHopsFor(p proto.RoutedPurpose) *metrics.Histogram {
 	default:
 		return nm.storeDelHops
 	}
+}
+
+func (nm *nodeMetrics) timeoutsFor(p proto.RoutedPurpose) *metrics.Counter {
+	if p == proto.PurposeQuery {
+		return nm.queryTimeouts
+	}
+	return nm.storeTimeouts
 }
 
 // Metrics returns the node's instrument registry. It is always non-nil;

@@ -59,12 +59,9 @@ type Config struct {
 	// to the key (default store.DefaultReplication).
 	Replication int
 	// RequestTimeout bounds every routed request this node originates
-	// (default 5s). A store operation's callback fires with
-	// store.ErrTimeout when it passes. A Query or RangeQuery left without
-	// an answer (the owner crashed mid-query, the answer was lost) has
-	// its registered callback reaped instead of leaking forever — a Query
-	// callback fires once with HopsTimedOut, a RangeQuery's collection
-	// window closes.
+	// (default 5s): a store operation or query left without an answer
+	// (the owner crashed, the answer was lost) fires its callback once
+	// with store.ErrTimeout.
 	RequestTimeout time.Duration
 	// RouteCacheSize enables the hot-region owner cache with that many
 	// entries: origins remember which node answered for a target cell
@@ -81,19 +78,15 @@ type Config struct {
 	// an acked write is on disk before the ack leaves the node).
 	// Segments rotate at 4 MiB.
 	WALSync wal.SyncPolicy
-	// MaxInflight bounds admitted store work: at the origin, no more
-	// than this many locally-issued routed store ops may be pending; at
-	// the owner, no more than this many store ops execute concurrently.
-	// Work beyond the budget is shed fast with store.ErrOverloaded
-	// (counted in store_shed_total) instead of queueing toward a
-	// timeout. 0 (the default) disables admission control.
+	// MaxInflight bounds admitted work: at the origin, no more than
+	// this many routed requests originated here — store ops and queries
+	// alike — may be pending; at the owner, no more than this many store
+	// ops execute concurrently. Work beyond the budget, and every request
+	// a draining (mid-Shutdown) node originates, is shed fast with
+	// store.ErrOverloaded (counted in store_shed_total) instead of
+	// queueing toward a timeout. 0 (the default) disables the budget.
 	MaxInflight int
 }
-
-// HopsTimedOut is the hop count a Query callback receives when its
-// deadline passed without an answer; the owner argument is the zero
-// NodeInfo.
-const HopsTimedOut = -1
 
 // Errors returned by node operations.
 var (
@@ -106,13 +99,12 @@ var (
 // Locking discipline (see DESIGN.md): mu is a single-writer /
 // many-readers lock over the view state (vn, twoHop, cn, long links,
 // back, tombs). Read-only message paths — the greedy next-hop scan, query
-// and store-GET serving, range-flood fan-out, the public snapshot
-// accessors — take the read lock, snapshot what they need, release it and
-// only then touch the transport. View surgery (join admission, leave,
-// departure repair, neighbour recomputation, BLRn rebalance) takes the
-// write lock. No lock is ever held across a transport send
-// (TestNoLockHeldAcrossSends). queryMu independently guards the
-// query/range callback and flood-dedup tables; it never nests with mu.
+// and store-GET serving, the public snapshot accessors — take the read
+// lock, snapshot what they need, release it and only then touch the
+// transport. View surgery (join admission, leave, departure repair,
+// neighbour recomputation, BLRn rebalance) takes the write lock. No lock
+// is ever held across a transport send (TestNoLockHeldAcrossSends). The
+// request table (inflight) locks itself and never nests with mu.
 type Node struct {
 	mu   sync.RWMutex
 	ep   transport.Endpoint
@@ -143,19 +135,9 @@ type Node struct {
 	// than stranded (see handleReplicaSync).
 	lastVN []proto.NodeInfo
 
-	queryMu  sync.Mutex
-	queries  map[uint64]*pendingQuery
-	querySeq uint64
-
-	// Range-query state: per-origin callbacks (with their reaping timers)
-	// and flood deduplication, all under queryMu so the read-only flood
-	// path never needs the view write lock.
-	rangeHits  map[uint64]*pendingRange
-	rangeSeen  map[rangeKey]bool
-	rangeOrder []rangeKey
-
 	// Object store: the records this node holds (as owner or replica) and
-	// the correlation table for its own routed PUT/GET/DELETE requests.
+	// the one correlation table for the routed requests it originates —
+	// PUT/GET/DELETE and queries.
 	kv       *store.Local
 	inflight *store.Inflight
 
@@ -184,49 +166,6 @@ type Node struct {
 	nm nodeMetrics
 }
 
-// pendingQuery is one registered Query callback and the deadline timer
-// that reaps it if the answer never arrives (the owner crashed
-// mid-query): without the timer the entry — and everything the callback
-// closure captures — would leak forever. start feeds the query-latency
-// histogram; target lets the answer populate the route cache.
-type pendingQuery struct {
-	cb     func(owner proto.NodeInfo, hops int)
-	start  time.Time
-	target geom.Point
-	timer  *time.Timer
-}
-
-// pendingRange is one registered RangeQuery callback with its reaping
-// timer. The protocol is fire-and-collect with no completion signal, so
-// the timer simply ends the collection window; late hits are dropped.
-// deliver and reap synchronise on mu: once reap returns, no further cb
-// invocation can start — callers may safely tear down whatever the
-// callback writes to after the window closes.
-type pendingRange struct {
-	cb    func(owner proto.NodeInfo)
-	timer *time.Timer
-
-	mu     sync.Mutex
-	reaped bool
-}
-
-// deliver invokes the callback unless the registration has been reaped.
-func (pr *pendingRange) deliver(owner proto.NodeInfo) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if !pr.reaped {
-		pr.cb(owner)
-	}
-}
-
-// reap closes the collection window: it blocks until any in-flight
-// delivery completes and prevents all future ones.
-func (pr *pendingRange) reap() {
-	pr.mu.Lock()
-	pr.reaped = true
-	pr.mu.Unlock()
-}
-
 // New creates a node at pos attached to ep. The node is not part of any
 // overlay until Bootstrap or Join is called.
 func New(ep transport.Endpoint, pos geom.Point, cfg Config) *Node {
@@ -252,20 +191,17 @@ func newNode(ep transport.Endpoint, pos geom.Point, cfg Config) *Node {
 		cfg.RequestTimeout = 5 * time.Second
 	}
 	n := &Node{
-		ep:        ep,
-		self:      proto.NodeInfo{Addr: ep.Addr(), Pos: pos},
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed ^ int64(len(ep.Addr())))),
-		vn:        make(map[string]proto.NodeInfo),
-		twoHop:    make(map[string][]proto.NodeInfo),
-		cn:        make(map[string]proto.NodeInfo),
-		tombs:     make(map[string]uint64),
-		queries:   make(map[uint64]*pendingQuery),
-		rangeHits: make(map[uint64]*pendingRange),
-		rangeSeen: make(map[rangeKey]bool),
-		kv:        store.NewLocal(),
-		inflight:  store.NewInflight(cfg.MaxInflight),
-		nm:        newNodeMetrics(),
+		ep:       ep,
+		self:     proto.NodeInfo{Addr: ep.Addr(), Pos: pos},
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(len(ep.Addr())))),
+		vn:       make(map[string]proto.NodeInfo),
+		twoHop:   make(map[string][]proto.NodeInfo),
+		cn:       make(map[string]proto.NodeInfo),
+		tombs:    make(map[string]uint64),
+		kv:       store.NewLocal(),
+		inflight: store.NewInflight(cfg.MaxInflight),
+		nm:       newNodeMetrics(),
 	}
 	if cfg.RouteCacheSize > 0 {
 		n.cache = newRouteCache(cfg.RouteCacheSize, cfg.DMin)
@@ -363,47 +299,15 @@ func (n *Node) Join(via string) error {
 	})
 }
 
-// Query greedy-routes a point query (Algorithm 4) and invokes cb with the
-// owning object and the hop count when the answer arrives. If no answer
-// arrives within Config.RequestTimeout — the owner crashed mid-query, the
-// answer was lost — cb fires exactly once with the zero NodeInfo and
-// HopsTimedOut, and the registration is reaped rather than leaked.
-func (n *Node) Query(p geom.Point, cb func(owner proto.NodeInfo, hops int)) error {
-	n.mu.RLock()
-	if !n.joined {
-		n.mu.RUnlock()
-		return ErrNotJoined
-	}
-	n.mu.RUnlock()
-	n.queryMu.Lock()
-	n.querySeq++
-	id := n.querySeq
-	pq := &pendingQuery{cb: cb, start: time.Now(), target: p}
-	pq.timer = time.AfterFunc(n.cfg.RequestTimeout, func() {
-		n.queryMu.Lock()
-		reaped := n.queries[id] == pq
-		if reaped {
-			delete(n.queries, id)
-		}
-		n.queryMu.Unlock()
-		if reaped {
-			n.nm.queryTimeouts.Inc()
-			cb(proto.NodeInfo{}, HopsTimedOut)
-		}
-	})
-	n.queries[id] = pq
-	n.queryMu.Unlock()
-	env := &proto.Envelope{
-		Type:    proto.KindRoute,
-		Purpose: proto.PurposeQuery,
-		Target:  p,
-		Origin:  n.self,
-		QueryID: id,
-	}
-	// Start routing at ourselves: the origin is hop 0 of the greedy path,
-	// handled like any other hop.
-	n.handle(n.self.Addr, proto.AppendEncode(nil, env))
-	return nil
+// Query greedy-routes a point query (Algorithm 4) and invokes cb with
+// the answer: Owner is the object owning p's region, Hops the route
+// length. It travels like a store operation — same request table, same
+// MaxInflight budget, same refusal while draining — and its callback
+// fires exactly once, with store.ErrTimeout if no answer arrives within
+// Config.RequestTimeout (the owner crashed mid-query, the answer was
+// lost).
+func (n *Node) Query(p geom.Point, cb func(store.Reply)) error {
+	return n.originate(proto.PurposeQuery, p, nil, cb, false)
 }
 
 // Leave departs the overlay: the node recomputes the tessellation around

@@ -10,6 +10,7 @@ import (
 	"voronet/internal/delaunay"
 	"voronet/internal/geom"
 	"voronet/internal/proto"
+	"voronet/internal/store"
 	"voronet/internal/transport"
 )
 
@@ -287,9 +288,9 @@ func TestQueryFindsOwner(t *testing.T) {
 		from := c.nodes[c.rng.Intn(len(c.nodes))]
 		var got proto.NodeInfo
 		gotHops := -1
-		if err := from.Query(p, func(owner proto.NodeInfo, hops int) {
-			got = owner
-			gotHops = hops
+		if err := from.Query(p, func(r store.Reply) {
+			got = r.Owner
+			gotHops = r.Hops
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -387,14 +388,18 @@ func TestOverTCP(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	target := geom.Pt(0.45, 0.45)
-	done := make(chan proto.NodeInfo, 1)
-	if err := nodes[1].Query(target, func(owner proto.NodeInfo, hops int) {
-		done <- owner
+	done := make(chan store.Reply, 1)
+	if err := nodes[1].Query(target, func(r store.Reply) {
+		done <- r
 	}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case owner := <-done:
+	case r := <-done:
+		if r.Err != nil {
+			t.Fatalf("TCP query: %v", r.Err)
+		}
+		owner := r.Owner
 		best := nodes[0].Info()
 		for _, nd := range nodes {
 			if geom.Dist2(nd.Info().Pos, target) < geom.Dist2(best.Pos, target) {

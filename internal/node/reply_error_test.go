@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"voronet/internal/geom"
-	"voronet/internal/proto"
 	"voronet/internal/store"
 )
 
@@ -116,7 +115,7 @@ func TestQuerySecondsReconcilesWithInflightWindow(t *testing.T) {
 	for lo := 0; lo < ops; lo += window {
 		for i := lo; i < lo+window && i < ops; i++ {
 			origin := c.nodes[rng.Intn(len(c.nodes))]
-			if err := origin.Query(geom.Pt(rng.Float64(), rng.Float64()), func(proto.NodeInfo, int) {}); err != nil {
+			if err := origin.Query(geom.Pt(rng.Float64(), rng.Float64()), func(store.Reply) {}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"voronet/internal/geom"
 	"voronet/internal/proto"
+	"voronet/internal/store"
 	"voronet/internal/transport"
 )
 
@@ -89,7 +90,7 @@ func TestRouteRetryOnTransientFailure(t *testing.T) {
 	fl.mu.Unlock()
 
 	var owner proto.NodeInfo
-	if err := origin.Query(geom.Pt(0.88, 0.88), func(o proto.NodeInfo, hops int) { owner = o }); err != nil {
+	if err := origin.Query(geom.Pt(0.88, 0.88), func(r store.Reply) { owner = r.Owner }); err != nil {
 		t.Fatal(err)
 	}
 	bus.Drain()
@@ -124,7 +125,7 @@ func TestRouteNoRetryOnStructuralFailure(t *testing.T) {
 			fl.mu.Unlock()
 
 			var owner proto.NodeInfo
-			if err := origin.Query(geom.Pt(0.88, 0.88), func(o proto.NodeInfo, hops int) { owner = o }); err != nil {
+			if err := origin.Query(geom.Pt(0.88, 0.88), func(r store.Reply) { owner = r.Owner }); err != nil {
 				t.Fatal(err)
 			}
 			bus.Drain()

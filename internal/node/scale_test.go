@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"voronet/internal/geom"
-	"voronet/internal/proto"
 	"voronet/internal/stats"
+	"voronet/internal/store"
 )
 
 func TestDistributedQueryHopsArePolylog(t *testing.T) {
@@ -22,9 +22,10 @@ func TestDistributedQueryHopsArePolylog(t *testing.T) {
 		p := geom.Pt(c.rng.Float64(), c.rng.Float64())
 		from := c.nodes[c.rng.Intn(len(c.nodes))]
 		answered := false
-		if err := from.Query(p, func(owner proto.NodeInfo, h int) {
+		if err := from.Query(p, func(r store.Reply) {
+			owner := r.Owner
 			answered = true
-			hops.Add(float64(h))
+			hops.Add(float64(r.Hops))
 			best := c.nodes[0].Info()
 			for _, nd := range c.nodes {
 				if geom.Dist2(nd.Info().Pos, p) < geom.Dist2(best.Pos, p) {
@@ -86,8 +87,10 @@ func TestMessageLossDegradesGracefully(t *testing.T) {
 	for q := 0; q < 30; q++ {
 		p := geom.Pt(c.rng.Float64(), c.rng.Float64())
 		from := c.nodes[c.rng.Intn(len(c.nodes))]
-		if err := from.Query(p, func(owner proto.NodeInfo, h int) {
-			okCount++
+		if err := from.Query(p, func(r store.Reply) {
+			if r.Err == nil {
+				okCount++
+			}
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -52,19 +52,19 @@ func chunkRecords(recs []proto.StoreRecord) [][]proto.StoreRecord {
 // Put routes a PUT for key to its region owner and invokes cb (may be nil)
 // with the acknowledgement or a timeout.
 func (n *Node) Put(key geom.Point, value []byte, cb func(store.Reply)) error {
-	return n.storeOp(proto.PurposeStorePut, key, value, cb)
+	return n.originate(proto.PurposeStorePut, key, value, cb, false)
 }
 
 // Get routes a GET for key and invokes cb with the value held by the first
 // replica on the greedy path, or the owner's authoritative answer.
 func (n *Node) Get(key geom.Point, cb func(store.Reply)) error {
-	return n.storeOp(proto.PurposeStoreGet, key, nil, cb)
+	return n.originate(proto.PurposeStoreGet, key, nil, cb, false)
 }
 
 // Delete routes a DELETE for key to its region owner, which tombstones the
 // record and replicates the tombstone.
 func (n *Node) Delete(key geom.Point, cb func(store.Reply)) error {
-	return n.storeOp(proto.PurposeStoreDelete, key, nil, cb)
+	return n.originate(proto.PurposeStoreDelete, key, nil, cb, false)
 }
 
 // getTrace is Get with per-hop tracing: the request travels with Trace
@@ -72,7 +72,7 @@ func (n *Node) Delete(key geom.Point, cb func(store.Reply)) error {
 // the reply's Path holds the full route, ending with the answering
 // owner ("owner") or on-path replica ("replica").
 func (n *Node) getTrace(key geom.Point, cb func(store.Reply)) error {
-	return n.storeOpTraced(proto.PurposeStoreGet, key, nil, cb, true)
+	return n.originate(proto.PurposeStoreGet, key, nil, cb, true)
 }
 
 // GetTraceSync is a traced Get blocking until the reply (or timeout).
@@ -80,11 +80,11 @@ func (n *Node) GetTraceSync(key geom.Point) (store.Reply, error) {
 	return n.waitOp(func(cb func(store.Reply)) error { return n.getTrace(key, cb) })
 }
 
-func (n *Node) storeOp(purpose proto.RoutedPurpose, key geom.Point, value []byte, cb func(store.Reply)) error {
-	return n.storeOpTraced(purpose, key, value, cb, false)
-}
-
-func (n *Node) storeOpTraced(purpose proto.RoutedPurpose, key geom.Point, value []byte, cb func(store.Reply), trace bool) error {
+// originate registers cb in the request table and routes one request for
+// key from this node: a store operation or a query. cb (may be nil) fires
+// exactly once — with the answer, an owner-side shed or a timeout — iff
+// originate returns nil.
+func (n *Node) originate(purpose proto.RoutedPurpose, key geom.Point, value []byte, cb func(store.Reply), trace bool) error {
 	if purpose == proto.PurposeStorePut && len(value) > store.MaxValueBytes {
 		// Reject loudly: an oversized envelope would be dropped by the
 		// frame decoder and the operation would hang until its timeout.
@@ -108,27 +108,27 @@ func (n *Node) storeOpTraced(purpose proto.RoutedPurpose, key geom.Point, value 
 	if cb == nil {
 		cb = func(store.Reply) {}
 	}
-	// Observe the op's round trip and route length on the way back to
-	// the caller; a timeout (or any error reply) counts separately and
-	// stays out of the latency book. Successful replies also feed the
-	// route cache: the answering node is the best-known waypoint for
-	// this key's region (for a GET answered by an on-path replica it is
-	// a node adjacent to the owner, which the strictly-closer scan still
-	// routes through profitably).
+	// Observe the request's round trip and route length on the way back
+	// to the caller; a timeout counts separately and stays out of the
+	// latency book. Successful replies also feed the route cache: the
+	// answering node is the best-known waypoint for this key's region
+	// (for a GET answered by an on-path replica it is a node adjacent to
+	// the owner, which the strictly-closer scan still routes through
+	// profitably).
 	start := time.Now()
 	inner := cb
 	instrumented := func(r store.Reply) {
 		if r.Err == nil {
-			n.nm.storeLatencyFor(purpose).Observe(time.Since(start).Seconds())
-			n.nm.storeHopsFor(purpose).Observe(float64(r.Hops))
+			n.nm.latencyFor(purpose).Observe(time.Since(start).Seconds())
+			n.nm.hopsFor(purpose).Observe(float64(r.Hops))
 			if n.cache != nil && r.Owner.Addr != "" && r.Owner.Addr != n.self.Addr {
 				n.cache.insert(key, r.Owner)
 			}
 		} else if !errors.Is(r.Err, store.ErrOverloaded) {
 			// An owner-side shed came back fast and was already counted
 			// in store_shed_total at the owner; only genuine timeouts
-			// belong in store_timeouts_total.
-			n.nm.storeTimeouts.Inc()
+			// belong in the timeout counters.
+			n.nm.timeoutsFor(purpose).Inc()
 		}
 		inner(r)
 	}

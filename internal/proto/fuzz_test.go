@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
@@ -69,12 +70,76 @@ const historicalGobFrame = "" +
 	"696f6e010600010744656c6574656401020000002cff80011e0101046e3030310101fed03f01fee83f00000200010001" +
 	"0200000363070200000301760101010c00"
 
-func gobFrame(t testing.TB) []byte {
-	b, err := hex.DecodeString(historicalGobFrame)
+// historicalRangeForwardFrame and historicalRangeHitFrame are the two
+// frames of the retired live range flood, as its last senders encoded
+// them: kind bytes 13 and 14, and the forward carries purpose 3 and the
+// segment-end field bit (1<<3). All three values stay reserved and Decode
+// must reject any frame that uses one; the forward frame also seeds the
+// fuzzer.
+const (
+	historicalRangeForwardFrame = "b10d9f010d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f0003" +
+		"9a9999999999b93f9a9999999999c93f9a9999999999e93f000000000000e83f0d31302e302e302e393a373030311f85eb51" +
+		"b81eed3fb81e85eb51b8be3f004d"
+	historicalRangeHitFrame = "b10e81010d31302e302e302e353a37303031cdccccccccccdc3f14ae47e17a14de3f004d"
+)
+
+func gobFrame(t testing.TB) []byte { return hexFrame(t, historicalGobFrame) }
+
+func hexFrame(t testing.TB, s string) []byte {
+	b, err := hex.DecodeString(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestDecodeRejectsUnknownKindsAndPurposes: the kind byte and the purpose
+// varint used to be taken as they came, so a frame of kind 200, or of a
+// retired range-flood kind, decoded cleanly and reached the node's
+// dispatcher. Every value outside the live vocabulary is now a decode
+// error, as is the reserved segment-end field bit.
+func TestDecodeRejectsUnknownKindsAndPurposes(t *testing.T) {
+	withKind := func(k byte) []byte {
+		b := AppendEncode(nil, &Envelope{Type: KindCNAdd, From: NodeInfo{Addr: "a", Pos: geom.Pt(0.3, 0.4)}})
+		b[1] = k
+		return b
+	}
+	withPurpose := func(p RoutedPurpose) []byte {
+		return AppendEncode(nil, &Envelope{Type: KindRoute, Purpose: p, Target: geom.Pt(0.5, 0.5), QueryID: 3})
+	}
+	// A route whose flags add bit 3 and whose body carries its 16 bytes
+	// where the retired field sat, between Target and QueryID.
+	segmentEnd := []byte{wireMagic, byte(KindRoute)}
+	segmentEnd = binary.AppendUvarint(segmentEnd, flagTarget|1<<3|flagQueryID)
+	segmentEnd = appendPoint(segmentEnd, geom.Pt(0.1, 0.2))
+	segmentEnd = appendPoint(segmentEnd, geom.Pt(0.8, 0.75))
+	segmentEnd = binary.AppendUvarint(segmentEnd, 77)
+
+	cases := map[string][]byte{
+		"retired range forward": hexFrame(t, historicalRangeForwardFrame),
+		"retired range hit":     hexFrame(t, historicalRangeHitFrame),
+		"retired kind 13":       withKind(13),
+		"retired kind 14":       withKind(14),
+		"kind past the last":    withKind(byte(KindCount)),
+		"kind 200":              withKind(200),
+		"kind 255":              withKind(255),
+		"retired purpose 3":     withPurpose(3),
+		"purpose past the last": withPurpose(PurposeStoreDelete + 1),
+		"purpose 1<<40":         withPurpose(1 << 40),
+		"segment-end field bit": segmentEnd,
+	}
+	for name, frame := range cases {
+		if env, err := Decode(frame); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error", name, env)
+		}
+	}
+	// The same helpers with live values decode: the rejections above are
+	// about the values, not the frames.
+	for _, frame := range [][]byte{withKind(byte(KindSyncPull)), withPurpose(PurposeStoreDelete)} {
+		if _, err := Decode(frame); err != nil {
+			t.Errorf("live frame %x: %v", frame, err)
+		}
+	}
 }
 
 // TestDecodeRejectsGobFrame: the first byte of a frame is the format
@@ -95,6 +160,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		f.Add(AppendEncode(nil, env))
 	}
 	f.Add(gobFrame(f))
+	f.Add(hexFrame(f, historicalRangeForwardFrame))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
 	// Hostile binary shapes: truncated frames, unterminated varints,
@@ -117,6 +183,14 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	// mutations explore the hostile-field space.
 	for _, env := range hostileSeeds() {
 		f.Add(AppendEncode(nil, env))
+	}
+	// The retired range-flood frames, whole, truncated and over-long: the
+	// kind byte alone must get them refused, whatever follows it.
+	f.Add(hexFrame(f, historicalRangeHitFrame))
+	for _, s := range []string{historicalRangeForwardFrame, historicalRangeHitFrame} {
+		b := hexFrame(f, s)
+		f.Add(b[:len(b)/2])
+		f.Add(append(append([]byte{}, b...), 0x00))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

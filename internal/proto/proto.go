@@ -72,11 +72,12 @@ const (
 	// KindBackWithdraw tells a BLRn holder to drop the sender's entry
 	// (the sender is leaving).
 	KindBackWithdraw
-	// KindRangeForward floods a range query along Voronoi neighbours whose
-	// regions intersect the segment [Target, TargetB].
-	KindRangeForward
-	// KindRangeHit reports one in-range object to the query origin.
-	KindRangeHit
+	// kindRetiredRangeForward and kindRetiredRangeHit reserve the bytes
+	// of the retired live range flood (§7 range queries exist only in the
+	// simulator), so every later kind keeps its byte. No node sends them
+	// and Decode refuses them.
+	kindRetiredRangeForward
+	kindRetiredRangeHit
 	// KindStoreReply answers a routed store operation (PurposeStorePut /
 	// PurposeStoreGet / PurposeStoreDelete) back at the request origin,
 	// correlated by QueryID.
@@ -117,15 +118,14 @@ var kindNames = [KindCount]string{
 	KindLeaveCN:        "leave_cn",
 	KindQueryAnswer:    "query_answer",
 	KindBackWithdraw:   "back_withdraw",
-	KindRangeForward:   "range_forward",
-	KindRangeHit:       "range_hit",
 	KindStoreReply:     "store_reply",
 	KindReplicaSync:    "replica_sync",
 	KindSyncDigest:     "sync_digest",
 	KindSyncPull:       "sync_pull",
 }
 
-// String names a kind for metrics and diagnostics.
+// String names a kind for metrics and diagnostics. A retired kind's name
+// is empty: it has no metric series.
 func (k Kind) String() string {
 	if k >= 0 && k < KindCount {
 		return kindNames[k]
@@ -144,10 +144,9 @@ const (
 	PurposeLongLink
 	// PurposeQuery locates the owner of a query point (Algorithm 4).
 	PurposeQuery
-	// PurposeRange locates the owner of a segment's start, then floods
-	// along the objects whose regions intersect the segment (§7,
-	// perspective 1). Target is the segment start, TargetB its end.
-	PurposeRange
+	// purposeRetiredRange reserves the value of the retired live range
+	// flood, so every later purpose keeps its value; Decode refuses it.
+	purposeRetiredRange
 	// PurposeStorePut locates the owner of a key's region, which stores
 	// the carried value and replicates it (Target is the key, Value the
 	// payload).
@@ -159,6 +158,9 @@ const (
 	// PurposeStoreDelete locates the owner of a key's region, which
 	// tombstones the record and replicates the tombstone.
 	PurposeStoreDelete
+
+	// purposeCount bounds the purposes Decode accepts. Keep it last.
+	purposeCount
 )
 
 // TraceHop is one hop of a per-hop routing trace: the address of the
@@ -216,11 +218,17 @@ type Envelope struct {
 	// Routing (KindRoute).
 	Purpose RoutedPurpose
 	Target  geom.Point
-	TargetB geom.Point // segment end for PurposeRange / KindRangeForward
-	Origin  NodeInfo   // the node the answer should reach
-	Link    int        // long-link index for PurposeLongLink
-	Hops    int        // accumulated Greedyneighbour count
-	QueryID uint64     // correlates PurposeQuery with KindQueryAnswer
+	// The 16 bytes of the retired range flood's segment end stay: they
+	// keep a decoded Envelope at 464 bytes, in the runtime's 480-byte
+	// size class. At 448 it shares its class with goroutine descriptors,
+	// which the runtime never frees, and the spans those pin among the
+	// short-lived envelopes raised the in-use heap of a 256-peer TCP
+	// overlay by 18 % (EXPERIMENTS.md, "Retired paths").
+	_       [16]byte
+	Origin  NodeInfo // the node the answer should reach
+	Link    int      // long-link index for PurposeLongLink
+	Hops    int      // accumulated Greedyneighbour count
+	QueryID uint64   // correlates a routed request with its answer
 
 	// Tracing (KindRoute with Trace set; Path rides the answer home on
 	// KindQueryAnswer / KindStoreReply). Each node on the greedy path
@@ -271,9 +279,10 @@ const maxEnvelopeBytes = 1 << 20
 // error. Malformed bytes yield an error, never a panic: nodes drop
 // garbage frames and stay up (see FuzzEnvelopeRoundTrip). Structurally
 // valid frames carrying semantically impossible field values are
-// rejected here too: no legitimate sender ever produces a negative Link,
-// Hops or BackEntry.Link, and a negative Link would otherwise reach a
-// slice index in the receiving node.
+// rejected here too: no legitimate sender ever produces an unknown or
+// retired kind or purpose, or a negative Link, Hops or BackEntry.Link,
+// and a negative Link would otherwise reach a slice index in the
+// receiving node.
 func Decode(b []byte) (*Envelope, error) {
 	if len(b) > maxEnvelopeBytes {
 		return nil, fmt.Errorf("proto: decode: frame of %d bytes exceeds %d", len(b), maxEnvelopeBytes)
@@ -287,6 +296,12 @@ func Decode(b []byte) (*Envelope, error) {
 // validate rejects field values no correct peer can send. It runs on every
 // decode, so it must stay O(fields).
 func (e *Envelope) validate() error {
+	if e.Type < 0 || e.Type >= KindCount || kindNames[e.Type] == "" {
+		return fmt.Errorf("proto: decode: unknown kind %d", int(e.Type))
+	}
+	if e.Purpose < 0 || e.Purpose >= purposeCount || e.Purpose == purposeRetiredRange {
+		return fmt.Errorf("proto: decode: unknown purpose %d", int(e.Purpose))
+	}
 	if e.Link < 0 {
 		return fmt.Errorf("proto: decode: negative Link %d", e.Link)
 	}

@@ -48,10 +48,6 @@ func samples() []*Envelope {
 		{Type: KindQueryAnswer, From: ni("10.0.0.4:7001", 0.38, 0.58), QueryID: 831, Hops: 6,
 			Path: []TraceHop{{Addr: "10.0.0.4:7001", Rule: "owner", Nanos: 990}}},
 		{Type: KindBackWithdraw, From: ni("10.0.0.3:7001", 0.52, 0.41), Link: 1},
-		{Type: KindRangeForward, From: ni("10.0.0.2:7001", 0.31, 0.44), Purpose: PurposeRange,
-			Target: geom.Pt(0.10, 0.20), TargetB: geom.Pt(0.80, 0.75),
-			Origin: ni("10.0.0.9:7001", 0.91, 0.12), QueryID: 77},
-		{Type: KindRangeHit, From: ni("10.0.0.5:7001", 0.45, 0.47), QueryID: 77},
 		{Type: KindStoreReply, From: ni("10.0.0.5:7001", 0.45, 0.47), QueryID: 912,
 			Found: true, Version: 12, Hops: 3, Value: []byte("the stored value payload")},
 		{Type: KindReplicaSync, From: ni("10.0.0.5:7001", 0.45, 0.47), Handoff: true,

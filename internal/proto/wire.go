@@ -45,12 +45,14 @@ const wireMagic = 0xB1
 
 // Flag bits: one per optional envelope field, in encode order. Bool
 // fields (Trace, Found, Handoff, Shed) have no body — the bit is the
-// value.
+// value. flagRetiredTargetB keeps the bit of the retired range flood's
+// segment end, so every later field keeps its bit; it is never set, and
+// Decode refuses a frame that sets it.
 const (
 	flagFrom = 1 << iota
 	flagPurpose
 	flagTarget
-	flagTargetB
+	flagRetiredTargetB
 	flagOrigin
 	flagLink
 	flagHops
@@ -71,6 +73,9 @@ const (
 	flagHandoff
 	flagShed
 	flagDigest
+
+	// knownFlags is every bit a v1 frame may set.
+	knownFlags = (flagDigest<<1 - 1) &^ flagRetiredTargetB
 )
 
 // WireBuf is a pooled encode buffer. The cycle is: GetBuf, append the
@@ -117,9 +122,6 @@ func AppendEncode(dst []byte, e *Envelope) []byte {
 	}
 	if e.Target != (geom.Point{}) {
 		flags |= flagTarget
-	}
-	if e.TargetB != (geom.Point{}) {
-		flags |= flagTargetB
 	}
 	if e.Origin != (NodeInfo{}) {
 		flags |= flagOrigin
@@ -191,9 +193,6 @@ func AppendEncode(dst []byte, e *Envelope) []byte {
 	}
 	if flags&flagTarget != 0 {
 		dst = appendPoint(dst, e.Target)
-	}
-	if flags&flagTargetB != 0 {
-		dst = appendPoint(dst, e.TargetB)
 	}
 	if flags&flagOrigin != 0 {
 		dst = appendNodeInfo(dst, &e.Origin)
@@ -490,9 +489,6 @@ func decodeBinary(b []byte) (*Envelope, error) {
 	if flags&flagTarget != 0 {
 		e.Target = r.point()
 	}
-	if flags&flagTargetB != 0 {
-		e.TargetB = r.point()
-	}
 	if flags&flagOrigin != 0 {
 		e.Origin = r.nodeInfo()
 	}
@@ -600,7 +596,7 @@ func decodeBinary(b []byte) (*Envelope, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if unknown := flags &^ (flagDigest<<1 - 1); unknown != 0 {
+	if unknown := flags &^ knownFlags; unknown != 0 {
 		return nil, fmt.Errorf("proto: decode: unknown flag bits %#x", unknown)
 	}
 	if r.off != len(b) {

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -9,6 +10,9 @@ import (
 
 	"voronet/internal/geom"
 )
+
+// livePurposes are the routed purposes a frame may carry.
+var livePurposes = []RoutedPurpose{PurposeJoin, PurposeLongLink, PurposeQuery, PurposeStorePut, PurposeStoreGet, PurposeStoreDelete}
 
 // randEnvelope draws a random envelope of the given kind, populating the
 // fields that kind legitimately carries (plus, occasionally, ones it does
@@ -55,9 +59,9 @@ func randEnvelope(rng *rand.Rand, k Kind) *Envelope {
 
 	e := &Envelope{Type: k, From: ninfo()}
 	switch k {
-	case KindRoute, KindRangeForward:
-		e.Purpose = RoutedPurpose(rng.Intn(7))
-		e.Target, e.TargetB = pt(), pt()
+	case KindRoute:
+		e.Purpose = livePurposes[rng.Intn(len(livePurposes))]
+		e.Target = pt()
 		e.Origin = ninfo()
 		e.Link = rng.Intn(8)
 		e.Hops = rng.Intn(64)
@@ -85,7 +89,7 @@ func randEnvelope(rng *rand.Rand, k Kind) *Envelope {
 		for i := rng.Intn(5); i > 0; i-- {
 			e.Back = append(e.Back, BackEntry{Origin: ninfo(), Link: rng.Intn(8), Target: pt()})
 		}
-	case KindQueryAnswer, KindRangeHit:
+	case KindQueryAnswer:
 		e.QueryID = rng.Uint64()
 		e.Hops = rng.Intn(64)
 	case KindStoreReply:
@@ -133,12 +137,36 @@ func randEnvelope(rng *rand.Rand, k Kind) *Envelope {
 	return e
 }
 
+// sampleGolden pins the v1 bytes of every samples() envelope, keyed by
+// kind name. Retiring a kind reserves its byte instead of renumbering the
+// ones after it, so these strings must never change: a peer built before
+// a retirement and one built after it still speak the same frames.
+var sampleGolden = map[string]string{
+	"route":            "b100d7070d31302e302e302e313a373030319a9999999999c93f333333333333d33f00022fdd24068195e33f6abc74931804d63f0d31302e302e302e393a373030311f85eb51b81eed3fb81e85eb51b8be3f0008bf06020d31302e302e302e393a37303031046c6f6e67f0280000000000000d31302e302e302e373a3730303102766ea208000000000000",
+	"join_grant":       "b10181f8060d31302e302e302e353a37303031cdccccccccccdc3f14ae47e17a14de3f00030d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f000d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f000d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f00020d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f00020d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f000d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f000d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00010d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f00020d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f000d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00010d31302e302e302e383a37303031295c8fc2f528bc3f8fc2f5285c8fea3f0002713d0ad7a370dd3fb81e85eb51b8de3f010d31302e302e302e363a373030310102",
+	"set_neighbors":    "b10281080d31302e302e302e353a37303031cdccccccccccdc3f14ae47e17a14de3f00030d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f000d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f000d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f00",
+	"neighbor_list":    "b1038188020d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f00030d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f000d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f000d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f00010d31302e302e302e363a37303031",
+	"cn_add":           "b104010d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00",
+	"cn_remove":        "b105010d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00",
+	"long_link_grant":  "b106e180010d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f0004120d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f00",
+	"back_transfer":    "b10781400d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f00020d31302e302e302e383a37303031295c8fc2f528bc3f8fc2f5285c8fea3f00009a9999999999d93f9a9999999999e13f0d31302e302e302e393a373030311f85eb51b81eed3fb81e85eb51b8be3f0006ae47e17a14aed73f85eb51b81e85e33f",
+	"long_link_update": "b108a180010d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f00020d31302e302e302e373a373030311f85eb51b81ee53fe17a14ae47e1ca3f00",
+	"leave":            "b10981080d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00020d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f000d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00",
+	"leave_cn":         "b10a010d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00",
+	"query_answer":     "b10bc1050d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f000cbf06010d31302e302e302e343a37303031056f776e6572de03000000000000",
+	"back_withdraw":    "b10c210d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f0002",
+	"store_reply":      "b10fc181380d31302e302e302e353a37303031cdccccccccccdc3f14ae47e17a14de3f00069007187468652073746f7265642076616c7565207061796c6f61640c",
+	"replica_sync":     "b1108180c0010d31302e302e302e353a37303031cdccccccccccdc3f14ae47e17a14de3f0002713d0ad7a370dd3f713d0ad7a370dd3f177265706c6963617465642d7265636f72642d76616c75650400295c8fc2f528dc3f5c8fc2f5285cdf3f000701",
+	"sync_digest":      "b111818080040d31302e302e302e353a37303031cdccccccccccdc3f14ae47e17a14de3f00100102030405060708090a0b0c0d0e0f10",
+	"sync_pull":        "b112818080040d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f00080909090909090909",
+}
+
 // TestBinaryGobDifferential is the round-trip property test of the wire
 // codec: for every kind, over many randomly drawn envelopes (and the
 // curated Samples), decoding an encoded envelope must give back the
 // source envelope exactly, and the encoding must be a fixpoint (decode ∘
 // encode = id on wire bytes), so a decoded envelope can always be
-// forwarded intact.
+// forwarded intact. Each sample also encodes to its pinned golden bytes.
 func TestBinaryGobDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	check := func(t *testing.T, env *Envelope) {
@@ -158,15 +186,43 @@ func TestBinaryGobDifferential(t *testing.T) {
 	}
 	for _, env := range samples() {
 		check(t, env)
+		if got, want := hex.EncodeToString(AppendEncode(nil, env)), sampleGolden[env.Type.String()]; got != want {
+			t.Errorf("kind %v encodes to\n%s\nwant the pinned\n%s", env.Type, got, want)
+		}
 	}
+	if len(samples()) != len(sampleGolden) {
+		t.Errorf("%d samples, %d golden frames", len(samples()), len(sampleGolden))
+	}
+	// A retired kind's byte stays reserved: whatever fields an envelope of
+	// it carries, Decode refuses the frame. Its draws come from their own
+	// source so the live kinds see the same envelopes as before.
+	retiredRng := rand.New(rand.NewSource(43))
 	for k := Kind(0); k < KindCount; k++ {
 		k := k
+		if name, ok := retiredKindNames[k]; ok {
+			t.Run(name, func(t *testing.T) {
+				for i := 0; i < 300; i++ {
+					env := randEnvelope(retiredRng, k)
+					if got, err := Decode(AppendEncode(nil, env)); err == nil {
+						t.Fatalf("retired kind %d decoded to %+v, want an error", int(k), got)
+					}
+				}
+			})
+			continue
+		}
 		t.Run(k.String(), func(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				check(t, randEnvelope(rng, k))
 			}
 		})
 	}
+}
+
+// retiredKindNames are the names the reserved kinds carried before they
+// retired; Kind.String gives them none.
+var retiredKindNames = map[Kind]string{
+	kindRetiredRangeForward: "range_forward",
+	kindRetiredRangeHit:     "range_hit",
 }
 
 // TestAppendEncodeZeroAllocs is the allocation regression gate of the

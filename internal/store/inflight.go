@@ -7,17 +7,19 @@ import (
 	"voronet/internal/proto"
 )
 
-// Reply is the outcome of one routed store operation, delivered to the
-// callback registered with Inflight.Add.
+// Reply is the outcome of one routed request — a store operation or a
+// point query — delivered to the callback registered with Inflight.Add.
 type Reply struct {
 	// Found reports whether the key had a live record (GET) or the
-	// operation was applied (PUT / DELETE ack).
+	// operation was applied (PUT / DELETE ack); a query answer is always
+	// Found.
 	Found bool
 	// Value is the record payload (GET only).
 	Value []byte
 	// Version is the version acted upon.
 	Version uint64
-	// Owner is the node that answered.
+	// Owner is the node that answered: for a query, the owner of the
+	// queried point.
 	Owner proto.NodeInfo
 	// Hops is the greedy route length the request travelled.
 	Hops int
@@ -25,8 +27,25 @@ type Reply struct {
 	// operations (Node.GetTrace): one entry per node the request
 	// visited, ending with the answering owner or replica.
 	Path []proto.TraceHop
-	// Err is ErrTimeout when the reply deadline passed, nil otherwise.
+	// Err is ErrTimeout when the reply deadline passed, ErrOverloaded
+	// when the owner shed the operation, nil otherwise.
 	Err error
+}
+
+// ReplyOf reads the answer an envelope carries back to a request's
+// origin: a KindStoreReply, or a KindQueryAnswer, whose sender is the
+// queried point's owner and so always Found. An owner-side shed becomes
+// ErrOverloaded, an explicit retry-later error rather than a silent
+// not-found.
+func ReplyOf(env *proto.Envelope) Reply {
+	r := Reply{
+		Found: env.Found || env.Type == proto.KindQueryAnswer, Value: env.Value,
+		Version: env.Version, Owner: env.From, Hops: env.Hops, Path: env.Path,
+	}
+	if env.Shed {
+		r.Err = ErrOverloaded
+	}
+	return r
 }
 
 // Inflight correlates routed store requests with their replies: each

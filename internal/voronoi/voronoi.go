@@ -174,30 +174,3 @@ func (d *Diagram) DistanceToRegion(v delaunay.VertexID, p geom.Point) (geom.Poin
 	}
 	return best, math.Sqrt(bestD)
 }
-
-// LocalCell computes the Voronoi region of `self` against an explicit
-// neighbour list, clipped to a box of half-extent bound around (0.5, 0.5).
-// This is how a *distributed* VoroNet node reasons about its own region —
-// the region is fully determined by the node's view (its Voronoi
-// neighbours), no global structure needed. The result is a convex ccw
-// polygon.
-func LocalCell(self geom.Point, neighbors []geom.Point, bound float64) []geom.Point {
-	if bound <= 0 {
-		bound = defaultBound
-	}
-	lo, hi := 0.5-bound, 0.5+bound
-	poly := []geom.Point{
-		geom.Pt(lo, lo), geom.Pt(hi, lo), geom.Pt(hi, hi), geom.Pt(lo, hi),
-	}
-	var out []geom.Point
-	for _, q := range neighbors {
-		n := q.Sub(self)
-		m := self.Add(q).Scale(0.5)
-		out = clipHalfplane(poly, n, n.Dot(m), out[:0])
-		poly, out = out, poly
-		if len(poly) == 0 {
-			break
-		}
-	}
-	return poly
-}
