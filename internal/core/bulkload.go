@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -38,8 +39,14 @@ type bulkLink struct {
 // BulkLoad is a bootstrap operation: it holds the overlay write lock for
 // the duration. On a non-empty overlay it falls back to serial insertion
 // (the takeover exchange with existing objects' links has no batched
-// equivalent).
+// equivalent). A point with a NaN or infinite coordinate fails the whole
+// call, naming its index, before anything is built.
 func (o *Overlay) BulkLoad(points []geom.Point, workers int) ([]ObjectID, error) {
+	for i, p := range points {
+		if err := checkFinite(p); err != nil {
+			return nil, fmt.Errorf("voronet: bulk load: point %d: %w", i, err)
+		}
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -89,11 +96,12 @@ func (o *Overlay) BulkLoad(points []geom.Point, workers int) ([]ObjectID, error)
 	}
 
 	// Phase 3: long links. Target draws and owner resolution are
-	// read-only against the finished tessellation (NearestSiteRO is the
-	// same walk concurrent Routers run), so chunks of objects fan out
-	// across workers. Since every object's links are resolved against the
-	// *final* point set, no takeover exchange is needed: the owner found
-	// here is the owner the incremental exchange would have converged to.
+	// read-only against the finished tessellation and grid (NearestSiteRO
+	// is the same walk concurrent Routers run, and it starts beside the
+	// target: walkStart), so chunks of objects fan out across workers.
+	// Since every object's links are resolved against the *final* point
+	// set, no takeover exchange is needed: the owner found here is the
+	// owner the incremental exchange would have converged to.
 	k := o.cfg.LongLinks
 	live := o.ids
 	nChunks := (len(live) + bulkChunk - 1) / bulkChunk
@@ -116,7 +124,7 @@ func (o *Overlay) BulkLoad(points []geom.Point, workers int) ([]ObjectID, error)
 				for j := 0; j < k; j++ {
 					tgt := o.chooseLRTWith(rng, obj.Pos)
 					var owner delaunay.VertexID
-					owner, vbuf = o.tr.NearestSiteRO(tgt, obj.vert, vbuf)
+					owner, vbuf = o.tr.NearestSiteRO(tgt, o.walkStart(tgt, obj.vert), vbuf)
 					out = append(out, bulkLink{tgt: tgt, owner: owner})
 				}
 			}

@@ -126,3 +126,42 @@ func (c *closeIndex) within(p geom.Point, exclude delaunay.VertexID, buf []delau
 	}
 	return buf
 }
+
+// maxNearRings caps near's search, so that a miss reads at most
+// (2·16+1)² = 1 089 heads. An overlay that needs more rings to expect
+// eight vertices holds fewer than 8/1 089 of a vertex per cell (fewer than
+// 7 000 vertices at NMax 300k), and a walk across so few sites from the
+// caller's own start is short anyway.
+const maxNearRings = 16
+
+// near returns a live vertex in p's clamped cell or, when that cell is
+// empty, in the nearest non-empty ring of cells around it: the start for
+// a walk towards p. The ring limit comes from the grid's occupancy, n
+// live vertices over side² cells: enough rings, (2r+1)² cells, to expect
+// about eight vertices, and never more than maxNearRings. Past it near
+// returns NoVertex.
+func (c *closeIndex) near(p geom.Point, n int) delaunay.VertexID {
+	if n == 0 {
+		return delaunay.NoVertex
+	}
+	limit := min(int(math.Ceil((math.Sqrt(8/float64(n))*float64(c.side)-1)/2)), maxNearRings)
+	kx, ky := c.key(p)
+	for r := 0; r <= limit; r++ {
+		for x := max(kx-r, 0); x <= min(kx+r, c.side-1); x++ {
+			// The ring's two edge columns are read whole, the columns
+			// between them only at their top and bottom cells.
+			step := 2 * r
+			if x == kx-r || x == kx+r {
+				step = 1
+			}
+			for y := ky - r; y <= ky+r; y += step {
+				if y >= 0 && y < c.side {
+					if v := c.head[x*c.side+y]; v != 0 {
+						return delaunay.VertexID(v)
+					}
+				}
+			}
+		}
+	}
+	return delaunay.NoVertex
+}

@@ -125,10 +125,16 @@ func (o *Overlay) CheckInvariants(deep bool) error {
 	}
 
 	if deep {
+		// The reference owner is walked from the object itself, never from
+		// the close-neighbour grid, so it checks the grid-seeded walks of
+		// insert and BulkLoad rather than repeating them; and read-only, so
+		// the check leaves the walk state it checks as it found it.
+		var vbuf []delaunay.VertexID
 		for _, id := range o.ids {
 			obj := o.objs[id]
 			for j, tgt := range obj.longTargets {
-				ownerV := o.tr.NearestSite(tgt, obj.vert)
+				var ownerV delaunay.VertexID
+				ownerV, vbuf = o.tr.NearestSiteRO(tgt, obj.vert, vbuf)
 				want := o.byVertex[ownerV]
 				got := o.longNeighbor(obj, j)
 				if got != want && !o.equidistantOwners(tgt, got, want) {

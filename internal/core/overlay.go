@@ -484,30 +484,55 @@ func (o *Overlay) Degree(id ObjectID) (int, error) {
 
 // Owner returns the object whose Voronoi region contains p — the paper's
 // Obj(p) — resolved against the ground-truth tessellation with a read-only
-// nearest-site walk. hint accelerates the lookup. Safe for concurrent
-// callers; see Router for an allocation-free equivalent.
+// nearest-site walk. The walk starts beside p (see walkStart); hint's
+// object is the start only when the close-neighbour grid has no vertex
+// near p. Safe for concurrent callers; see Router for an allocation-free
+// equivalent.
 func (o *Overlay) Owner(p geom.Point, hint ObjectID) (ObjectID, error) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	id, _ := o.owner(p, hint, nil)
-	if id == NoObject {
-		return NoObject, ErrEmpty
-	}
-	return id, nil
+	id, _, err := o.owner(p, hint, nil)
+	return id, err
 }
 
 // owner resolves Obj(p) without side effects, reusing vbuf for the
 // nearest-site descent.
-func (o *Overlay) owner(p geom.Point, hint ObjectID, vbuf []delaunay.VertexID) (ObjectID, []delaunay.VertexID) {
+func (o *Overlay) owner(p geom.Point, hint ObjectID, vbuf []delaunay.VertexID) (ObjectID, []delaunay.VertexID, error) {
+	if err := checkFinite(p); err != nil {
+		return NoObject, vbuf, err
+	}
 	if len(o.ids) == 0 {
-		return NoObject, vbuf
+		return NoObject, vbuf, ErrEmpty
 	}
 	h := delaunay.NoVertex
 	if obj := o.objs[hint]; obj != nil {
 		h = obj.vert
 	}
-	v, vbuf := o.tr.NearestSiteRO(p, h, vbuf)
-	return o.byVertex[v], vbuf
+	v, vbuf := o.tr.NearestSiteRO(p, o.walkStart(p, h), vbuf)
+	return o.byVertex[v], vbuf, nil
+}
+
+// walkStart returns where a walk towards p starts when the vertex the
+// caller holds may be far from p: a live vertex beside p from the
+// close-neighbour grid (closeIndex.near), or fallback when the grid has
+// none within its ring limit. This is the one place that fallback lives.
+// The walk's answer does not depend on its start, except at exact ties
+// between equidistant sites.
+func (o *Overlay) walkStart(p geom.Point, fallback delaunay.VertexID) delaunay.VertexID {
+	if v := o.grid.near(p, len(o.ids)); v != delaunay.NoVertex {
+		return v
+	}
+	return fallback
+}
+
+// checkFinite rejects a position with a NaN or infinite coordinate: such
+// a point has no place in the tessellation, and the grid would clamp it
+// into a border cell.
+func checkFinite(p geom.Point) error {
+	if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+		return fmt.Errorf("voronet: position %v is not finite", p)
+	}
+	return nil
 }
 
 // Insert adds an object at p directly against the shared substrate: the
@@ -522,8 +547,16 @@ func (o *Overlay) Insert(p geom.Point) (ObjectID, error) {
 }
 
 // insert adds a regular object at p: tessellation surgery, the BLRn
-// take-over, and its long links.
+// take-over, and its long links. Without a hint the location walk starts
+// beside p (walkStart), falling back to the last face the triangulation
+// touched.
 func (o *Overlay) insert(p geom.Point, hint delaunay.VertexID) (ObjectID, error) {
+	if err := checkFinite(p); err != nil {
+		return NoObject, err
+	}
+	if hint == delaunay.NoVertex {
+		hint = o.walkStart(p, delaunay.NoVertex)
+	}
 	id, obj, err := o.insertBase(p, hint)
 	if err != nil {
 		return NoObject, err
@@ -613,12 +646,14 @@ func (o *Overlay) removeFictive(id ObjectID) error {
 	return nil
 }
 
-// registerLongLink resolves Obj(tgt) with a nearest-site descent from obj
-// and records link j of obj: target, owner, and the owner's BLRn entry.
-// Caller holds the write lock.
+// registerLongLink resolves Obj(tgt) with a nearest-site walk that starts
+// beside tgt (walkStart, falling back to obj) and records link j of obj:
+// target, owner, and the owner's BLRn entry. Caller holds the write lock.
 func (o *Overlay) registerLongLink(obj *Object, j int, tgt geom.Point) {
 	obj.longTargets = append(obj.longTargets, tgt)
-	holder := o.objs[o.byVertex[o.tr.NearestSite(tgt, obj.vert)]]
+	var v delaunay.VertexID
+	v, o.nbuf = o.tr.NearestSiteRO(tgt, o.walkStart(tgt, obj.vert), o.nbuf)
+	holder := o.objs[o.byVertex[v]]
 	o.setLong(obj, j, holder)
 	holder.addBack(obj, j)
 }

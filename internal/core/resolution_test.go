@@ -1,9 +1,14 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"voronet/internal/delaunay"
 	"voronet/internal/geom"
 	"voronet/internal/workload"
 )
@@ -92,5 +97,157 @@ func checkResolutionAgreement(t *testing.T, o *Overlay, from ObjectID, p geom.Po
 	if fast != fict && !o.equidistantOwners(p, fast, fict) {
 		t.Fatalf("%s: owner of %v: fast path %d (d=%g), fictive %d (d=%g)",
 			label, p, fast, geom.Dist2(o.objs[fast].Pos, p), fict, geom.Dist2(o.objs[fict].Pos, p))
+	}
+}
+
+// TestWalkStartMatchesScan checks the walks that start beside their
+// target (walkStart) against an all-sites scan: owners named by Owner and
+// Router.Owner, and every long-link holder that insert and BulkLoad
+// resolved. It covers dense overlays (uniform and α = 5, built both ways),
+// targets outside the square out to √2 that clamp into border cells, a
+// sparse overlay whose grid runs past maxNearRings so that both of
+// walkStart's branches run, and 1–3-object and collinear overlays.
+func TestWalkStartMatchesScan(t *testing.T) {
+	type overlay struct {
+		name   string
+		o      *Overlay
+		sparse bool // the grid misses as well as hits
+	}
+	var overlays []overlay
+	for _, alpha := range []float64{0, 5} {
+		for _, bulk := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(alpha) + 41))
+			var src workload.Source = &workload.Uniform{Rand: rng}
+			if alpha > 0 {
+				src = workload.NewPowerLaw(alpha, rng)
+			}
+			o := New(Config{NMax: 3000, Seed: 9})
+			if bulk {
+				pts := make([]geom.Point, 3000)
+				for i := range pts {
+					pts[i] = src.Next()
+				}
+				if _, err := o.BulkLoad(pts, 2); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				fill(t, o, src, 3000)
+			}
+			overlays = append(overlays, overlay{name: fmt.Sprintf("alpha%g/bulk=%v", alpha, bulk), o: o})
+		}
+	}
+	sparse := New(Config{NMax: 1 << 20, Seed: 10})
+	fill(t, sparse, &workload.Uniform{Rand: rand.New(rand.NewSource(43))}, 400)
+	overlays = append(overlays, overlay{name: "sparse", o: sparse, sparse: true})
+	for li, pts := range [][]geom.Point{
+		{{X: 0.5, Y: 0.5}},
+		{{X: 0.25, Y: 0.5}, {X: 0.75, Y: 0.5}},
+		{{X: 0.1, Y: 0.3}, {X: 0.5, Y: 0.5}, {X: 0.9, Y: 0.7}},
+		{{X: 0.1, Y: 0.5}, {X: 0.3, Y: 0.5}, {X: 0.5, Y: 0.5}, {X: 0.7, Y: 0.5}, {X: 0.9, Y: 0.5}},
+	} {
+		o := New(Config{NMax: 100, Seed: int64(li)})
+		for _, p := range pts {
+			if _, err := o.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		overlays = append(overlays, overlay{name: fmt.Sprintf("tiny%d", len(pts)), o: o})
+	}
+
+	rng := rand.New(rand.NewSource(44))
+	for _, ov := range overlays {
+		o := ov.o
+		r := o.NewRouter()
+		hits, misses := 0, 0
+		for q := 0; q < 600; q++ {
+			// A point in the square, then every other one pushed out by
+			// up to √2, as far as a long-link target goes.
+			p := geom.Pt(rng.Float64(), rng.Float64())
+			if q%2 == 1 {
+				a, d := rng.Float64()*2*math.Pi, rng.Float64()*math.Sqrt2
+				p = geom.Pt(p.X+d*math.Cos(a), p.Y+d*math.Sin(a))
+			}
+			if o.grid.near(p, len(o.ids)) == delaunay.NoVertex {
+				misses++
+			} else {
+				hits++
+			}
+			want := scanOwner(o, p)
+			hint := o.ids[rng.Intn(len(o.ids))]
+			for _, owner := range []func(geom.Point, ObjectID) (ObjectID, error){o.Owner, r.Owner} {
+				got, err := owner(p, hint)
+				if err != nil {
+					t.Fatalf("%s: Owner(%v): %v", ov.name, p, err)
+				}
+				if got != want && !o.equidistantOwners(p, got, want) {
+					t.Fatalf("%s: Owner(%v) = %d, the scan names %d", ov.name, p, got, want)
+				}
+			}
+		}
+		if hits == 0 || ov.sparse && misses == 0 {
+			t.Fatalf("%s: the grid seeded %d walks and missed %d", ov.name, hits, misses)
+		}
+		for _, id := range o.ids {
+			obj := o.objs[id]
+			for j, tgt := range obj.longTargets {
+				if got, want := o.longNeighbor(obj, j), scanOwner(o, tgt); got != want && !o.equidistantOwners(tgt, got, want) {
+					t.Fatalf("%s: object %d link %d held by %d, the scan names %d", ov.name, id, j, got, want)
+				}
+			}
+		}
+		if err := o.CheckInvariants(true); err != nil {
+			t.Fatalf("%s: %v", ov.name, err)
+		}
+	}
+}
+
+// scanOwner is Obj(p) by brute force: the live object nearest p.
+func scanOwner(o *Overlay, p geom.Point) ObjectID {
+	best, bestD := NoObject, math.Inf(1)
+	for _, id := range o.ids {
+		if d := geom.Dist2(o.objs[id].Pos, p); d < bestD {
+			best, bestD = id, d
+		}
+	}
+	return best
+}
+
+// TestNonFinitePositionsRejected: a NaN or infinite coordinate is an
+// error of its own at every entry point that takes a position, never a
+// duplicate, never an owner, and it leaves the overlay as it was.
+func TestNonFinitePositionsRejected(t *testing.T) {
+	bad := []geom.Point{
+		geom.Pt(math.NaN(), 0.5), geom.Pt(0.5, math.NaN()),
+		geom.Pt(math.Inf(1), 0.5), geom.Pt(0.5, math.Inf(-1)),
+	}
+	for _, empty := range []bool{true, false} {
+		o := New(Config{NMax: 100, Seed: 1})
+		if !empty {
+			fill(t, o, &workload.Uniform{Rand: rand.New(rand.NewSource(2))}, 20)
+		}
+		n := o.Len()
+		for _, p := range bad {
+			if _, err := o.Insert(p); err == nil || errors.Is(err, ErrDuplicate) {
+				t.Fatalf("Insert(%v) on %d objects: %v", p, n, err)
+			}
+			if _, err := o.Join(p, NoObject); err == nil || errors.Is(err, ErrDuplicate) {
+				t.Fatalf("Join(%v) on %d objects: %v", p, n, err)
+			}
+			for _, owner := range []func(geom.Point, ObjectID) (ObjectID, error){o.Owner, o.NewRouter().Owner} {
+				if id, err := owner(p, NoObject); err == nil || errors.Is(err, ErrEmpty) || id != NoObject {
+					t.Fatalf("Owner(%v) on %d objects: %d, %v", p, n, id, err)
+				}
+			}
+		}
+		pts := []geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.2, 0.2), geom.Pt(0.3, 0.3), bad[2]}
+		if ids, err := o.BulkLoad(pts, 1); err == nil || ids != nil || !strings.Contains(err.Error(), "point 3") {
+			t.Fatalf("BulkLoad with a non-finite point 3 on %d objects: %v, %v", n, ids, err)
+		}
+		if o.Len() != n {
+			t.Fatalf("rejected positions changed the overlay: %d objects, want %d", o.Len(), n)
+		}
+		if err := o.CheckInvariants(true); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

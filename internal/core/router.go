@@ -58,18 +58,17 @@ func (r *Router) RouteToPoint(from ObjectID, target geom.Point) (RouteResult, er
 	return r.o.resolve(&r.rt, from, target)
 }
 
-// Owner resolves Obj(p) with a read-only nearest-site walk; hint
-// accelerates the lookup. The concurrent, allocation-free equivalent of
+// Owner resolves Obj(p) with a read-only nearest-site walk that starts
+// beside p; hint's object is the start only when the close-neighbour grid
+// has no vertex near p. The concurrent, allocation-free equivalent of
 // Overlay.Owner.
 func (r *Router) Owner(p geom.Point, hint ObjectID) (ObjectID, error) {
 	r.o.mu.RLock()
 	defer r.o.mu.RUnlock()
 	var id ObjectID
-	id, r.nbuf = r.o.owner(p, hint, r.nbuf)
-	if id == NoObject {
-		return NoObject, ErrEmpty
-	}
-	return id, nil
+	var err error
+	id, r.nbuf, err = r.o.owner(p, hint, r.nbuf)
+	return id, err
 }
 
 // voronoiNeighbors appends vn(id) to buf using the router's private vertex

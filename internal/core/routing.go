@@ -263,6 +263,9 @@ func (o *Overlay) Join(p geom.Point, via ObjectID) (ObjectID, error) {
 }
 
 func (o *Overlay) join(p geom.Point, via ObjectID) (ObjectID, error) {
+	if err := checkFinite(p); err != nil {
+		return NoObject, err
+	}
 	if len(o.ids) == 0 {
 		// Bootstrap: the first object has the whole square as its region;
 		// its long links necessarily point to itself.
@@ -402,7 +405,8 @@ func (o *Overlay) resolveByFictive(cur delaunay.VertexID, tgt geom.Point) (Objec
 	if owner == NoObject {
 		// tgt coincided with an existing object, or its neighbours were all
 		// fictive: fall back to the ground truth.
-		v := o.tr.NearestSite(tgt, cur)
+		var v delaunay.VertexID
+		v, o.nbuf = o.tr.NearestSiteRO(tgt, cur, o.nbuf)
 		owner = o.byVertex[v]
 	}
 	return owner, nil

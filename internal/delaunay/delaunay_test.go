@@ -38,7 +38,7 @@ func TestEmptyAndLowDimensions(t *testing.T) {
 	if tr.Dimension() != 0 {
 		t.Fatalf("dim after 1 site: %d", tr.Dimension())
 	}
-	if got := tr.NearestSite(geom.Pt(0.9, 0.9), NoVertex); got != a {
+	if got, _ := tr.NearestSiteRO(geom.Pt(0.9, 0.9), NoVertex, nil); got != a {
 		t.Fatalf("nearest with one site: %d", got)
 	}
 
@@ -59,7 +59,7 @@ func TestEmptyAndLowDimensions(t *testing.T) {
 		t.Fatalf("dim after collinear inserts: %d", tr.Dimension())
 	}
 	// Chain neighbours are line-adjacent sites.
-	mid := tr.NearestSite(geom.Pt(0.61, 0.5), NoVertex)
+	mid, _ := tr.NearestSiteRO(geom.Pt(0.61, 0.5), NoVertex, nil)
 	if got := tr.Point(mid); got != geom.Pt(0.6, 0.5) {
 		t.Fatalf("nearest on chain: %v", got)
 	}
@@ -364,7 +364,7 @@ func TestNearestSite(t *testing.T) {
 	for q := 0; q < 500; q++ {
 		// Mix of inside and outside queries.
 		p := geom.Pt(rng.Float64()*2-0.5, rng.Float64()*2-0.5)
-		got := tr.NearestSite(p, NoVertex)
+		got, _ := tr.NearestSiteRO(p, NoVertex, nil)
 		best, bestD := NoVertex, 0.0
 		for i, pt := range pts {
 			d := geom.Dist2(p, pt)
@@ -373,7 +373,7 @@ func TestNearestSite(t *testing.T) {
 			}
 		}
 		if geom.Dist2(p, tr.Point(got)) != bestD {
-			t.Fatalf("NearestSite(%v): got %v (d=%g) want %v (d=%g)",
+			t.Fatalf("NearestSiteRO(%v): got %v (d=%g) want %v (d=%g)",
 				p, tr.Point(got), geom.Dist2(p, tr.Point(got)), tr.Point(best), bestD)
 		}
 	}
@@ -701,8 +701,9 @@ func BenchmarkNearestSite(b *testing.B) {
 	for i := 0; i < 10000; i++ {
 		tr.Insert(geom.Pt(rng.Float64(), rng.Float64()), NoVertex)
 	}
+	var buf []VertexID
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.NearestSite(geom.Pt(rng.Float64(), rng.Float64()), NoVertex)
+		_, buf = tr.NearestSiteRO(geom.Pt(rng.Float64(), rng.Float64()), NoVertex, buf)
 	}
 }

@@ -239,29 +239,19 @@ func (t *Triangulation) locateExhaustive(p geom.Point, record bool) Location {
 	panic("delaunay: exhaustive location failed")
 }
 
-// NearestSite returns the live site closest to p (ties broken
-// arbitrarily but deterministically), using point location plus greedy
-// descent over Delaunay neighbours. hint accelerates the search.
+// NearestSiteRO returns the live site closest to p (ties broken
+// arbitrarily but deterministically), using point location from hint's
+// face plus greedy descent over Delaunay neighbours. It has no side
+// effects: the location walk neither advances the shared RNG nor updates
+// the last-face cache, and the neighbour scratch comes from the caller,
+// so concurrent goroutines may resolve owners simultaneously on a frozen
+// triangulation. It returns the (possibly grown) scratch buffer for reuse.
 //
 // This is exactly the paper's Obj(Target): the object whose Voronoi region
 // contains the point. The greedy descent is sound because in a Delaunay
 // triangulation every non-nearest vertex has a neighbour strictly closer
 // to the query.
-func (t *Triangulation) NearestSite(p geom.Point, hint VertexID) VertexID {
-	v, _ := t.nearestSite(p, hint, nil, false)
-	return v
-}
-
-// NearestSiteRO is NearestSite without side effects: the location walk
-// neither advances the shared RNG nor updates the last-face cache, and the
-// neighbour scratch comes from the caller, so concurrent goroutines may
-// resolve owners simultaneously on a frozen triangulation. It returns the
-// (possibly grown) scratch buffer for reuse.
 func (t *Triangulation) NearestSiteRO(p geom.Point, hint VertexID, buf []VertexID) (VertexID, []VertexID) {
-	return t.nearestSite(p, hint, buf, true)
-}
-
-func (t *Triangulation) nearestSite(p geom.Point, hint VertexID, buf []VertexID, ro bool) (VertexID, []VertexID) {
 	if t.nFinite == 0 {
 		return NoVertex, buf
 	}
@@ -276,12 +266,7 @@ func (t *Triangulation) nearestSite(p geom.Point, hint VertexID, buf []VertexID,
 		}
 		return best, buf
 	}
-	var loc Location
-	if ro {
-		loc = t.LocateRO(p, hint)
-	} else {
-		loc = t.locate(p, hint)
-	}
+	loc := t.LocateRO(p, hint)
 	var cur VertexID
 	switch loc.Kind {
 	case LocVertex:

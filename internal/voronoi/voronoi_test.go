@@ -30,7 +30,7 @@ func TestContainsMatchesNearestSite(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for q := 0; q < 400; q++ {
 		p := geom.Pt(rng.Float64()*1.4-0.2, rng.Float64()*1.4-0.2)
-		nearest := tr.NearestSite(p, delaunay.NoVertex)
+		nearest, _ := tr.NearestSiteRO(p, delaunay.NoVertex, nil)
 		if !d.Contains(nearest, p) {
 			t.Fatalf("nearest site's region must contain the query %v", p)
 		}
