@@ -6,7 +6,6 @@ import (
 
 	"voronet/internal/delaunay"
 	"voronet/internal/geom"
-	"voronet/internal/node"
 	"voronet/internal/proto"
 	"voronet/internal/stats"
 	"voronet/internal/store"
@@ -261,9 +260,9 @@ func (r *Run) checkStore(ref *reference, rep *CheckReport) {
 }
 
 // checkRouting samples (origin, target) pairs and walks the greedy route
-// over the nodes' actual views — vn ∪ cn ∪ long links, live entries only,
-// exactly the candidate set handleRoute uses — requiring arrival at the
-// true owner of the target.
+// over the nodes' actual views, requiring arrival at the true owner of
+// the target. Each step is the node's own (node.Node.NextHop, the step
+// handleRoute takes), with the reference's liveness vetoing dead entries.
 func (r *Run) checkRouting(ref *reference, samples int, rep *CheckReport) {
 	limit := 4*len(ref.members) + 20
 	for i := 0; i < samples; i++ {
@@ -272,11 +271,14 @@ func (r *Run) checkRouting(ref *reference, samples int, rep *CheckReport) {
 		cur := origin
 		hops := 0
 		for ; hops <= limit; hops++ {
-			next := nextHop(cur.nd, target, ref)
-			if next == "" {
+			next, ok := cur.nd.NextHop(target, func(c proto.NodeInfo) bool {
+				_, live := ref.byAddr[c.Addr]
+				return !live
+			})
+			if !ok {
 				break
 			}
-			cur = ref.byAddr[next]
+			cur = ref.byAddr[next.Addr]
 		}
 		rep.RouteTried++
 		want := ref.ownerOf(target)
@@ -300,40 +302,6 @@ func (r *Run) checkRouting(ref *reference, samples int, rep *CheckReport) {
 		}
 		rep.MeanHops = run.Mean()
 	}
-}
-
-// nextHop picks the strictly closer live view entry exactly as
-// handleRoute would (ties to the lowest address), or "" when nd's region
-// contains the target.
-func nextHop(nd *node.Node, target geom.Point, ref *reference) string {
-	self := nd.Info()
-	best := self.Addr
-	bestD := geom.Dist2(self.Pos, target)
-	consider := func(c proto.NodeInfo) {
-		if c.Addr == "" || c.Addr == self.Addr {
-			return
-		}
-		if _, live := ref.byAddr[c.Addr]; !live {
-			return
-		}
-		d := geom.Dist2(c.Pos, target)
-		if d < bestD || (d == bestD && best != self.Addr && c.Addr < best) {
-			best, bestD = c.Addr, d
-		}
-	}
-	for _, v := range nd.Neighbors() {
-		consider(v)
-	}
-	for _, v := range nd.CloseNeighbors() {
-		consider(v)
-	}
-	for _, v := range nd.LongNeighbors() {
-		consider(v)
-	}
-	if best == self.Addr {
-		return ""
-	}
-	return best
 }
 
 func addrList(infos []proto.NodeInfo) string {

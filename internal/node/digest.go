@@ -94,10 +94,7 @@ func (n *Node) syncPlan() ([]pushTo, int) {
 // local holding, pull only what we lack. No reply at all when nothing is
 // missing — silence is the no-diff fast path.
 func (n *Node) handleSyncDigest(env *proto.Envelope) {
-	n.mu.RLock()
-	joined := n.joined
-	n.mu.RUnlock()
-	if !joined && !env.Handoff {
+	if !n.Joined() && !env.Handoff {
 		// A plain replica refresh to a departed node is stale: drop,
 		// exactly as handleReplicaSync does. A handoff digest is
 		// different — our store is empty, so the pull below requests

@@ -24,7 +24,7 @@ func (n *Node) NotifyDeparted(addr string) {
 	start := time.Now()
 	n.mu.Lock()
 	if !n.joined || addr == n.self.Addr {
-		n.mu.Unlock()
+		n.unlock()
 		return
 	}
 	if g, dead := n.tombs[addr]; dead {
@@ -33,7 +33,7 @@ func (n *Node) NotifyDeparted(addr string) {
 		v, inVN := n.vn[addr]
 		c, inCN := n.cn[addr]
 		if !(inVN && v.Gen > g) && !(inCN && c.Gen > g) {
-			n.mu.Unlock()
+			n.unlock()
 			return
 		}
 	}
@@ -86,7 +86,7 @@ func (n *Node) NotifyDeparted(addr string) {
 	for i, j := range relink {
 		targets[i] = n.longTargets[j]
 	}
-	n.mu.Unlock()
+	n.unlock()
 
 	for _, v := range vns {
 		// Best effort: further dead peers are repaired by their own

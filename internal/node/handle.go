@@ -15,7 +15,8 @@ import (
 // concurrently (the TCP transport delivers independent peers' messages in
 // parallel; per-peer order is preserved): every access to shared state
 // goes through n.mu — read paths under the read lock, view surgery under
-// the write lock — or through the internally-locked store tables.
+// the write lock — through the published route view (the greedy step) or
+// through the internally-locked store tables.
 func (n *Node) handle(from string, payload []byte) {
 	env, err := proto.Decode(payload)
 	if err != nil {
@@ -87,7 +88,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 			lifted = true
 		}
 		n.purgeTombstonedLocked()
-		n.mu.Unlock()
+		n.unlock()
 		if lifted {
 			// Lifting alone is not enough: while the address was
 			// tombstoned, every piece of gossip naming it (SetNeighbors,
@@ -113,13 +114,13 @@ func (n *Node) deliver(env *proto.Envelope) {
 	case proto.KindCNRemove:
 		n.mu.Lock()
 		delete(n.cn, env.From.Addr)
-		n.mu.Unlock()
+		n.unlock()
 	case proto.KindLeaveCN:
 		n.mu.Lock()
 		delete(n.cn, env.From.Addr)
 		n.tombstoneLocked(env.From.Addr, env.From.Gen)
 		n.purgeTombstonedLocked()
-		n.mu.Unlock()
+		n.unlock()
 	case proto.KindLongLinkGrant:
 		n.mu.Lock()
 		// The lower bound is defence in depth: proto.Decode rejects
@@ -129,13 +130,13 @@ func (n *Node) deliver(env *proto.Envelope) {
 		if env.Link >= 0 && env.Link < len(n.longNbrs) {
 			n.longNbrs[env.Link] = env.From
 		}
-		n.mu.Unlock()
+		n.unlock()
 	case proto.KindLongLinkUpdate:
 		n.mu.Lock()
 		if env.Link >= 0 && env.Link < len(n.longNbrs) {
 			n.longNbrs[env.Link] = env.Granter
 		}
-		n.mu.Unlock()
+		n.unlock()
 	case proto.KindBackTransfer:
 		n.mu.Lock()
 		if !n.joined {
@@ -148,7 +149,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 			// them; our farewell marker (Departed contains us) tombstones
 			// us at the recipient, whose rebalance then cannot choose us.
 			self := n.self
-			n.mu.Unlock()
+			n.unlock()
 			fromDeparted := false
 			for _, d := range env.Departed {
 				if d == env.From.Addr {
@@ -176,7 +177,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 		// node delegates its entries while it still sits in our view, and
 		// bouncing one back would strand it on the departed node.
 		moves := n.backRebalanceLocked(env.From.Addr)
-		n.mu.Unlock()
+		n.unlock()
 		n.sendBackMoves(moves)
 	case proto.KindBackWithdraw:
 		n.mu.Lock()
@@ -187,7 +188,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 				break
 			}
 		}
-		n.mu.Unlock()
+		n.unlock()
 	case proto.KindLeave:
 		n.handleLeave(env)
 	case proto.KindQueryAnswer, proto.KindStoreReply:
@@ -206,20 +207,24 @@ func (n *Node) deliver(env *proto.Envelope) {
 
 // handleRoute performs one greedy step of Algorithm 5's framework, or
 // handles the routed purpose locally when this node owns the target
-// region (no neighbour is closer). The whole forwarding path is read-only
-// over the view — concurrent routed messages scan under the shared read
-// lock and never wait on each other.
+// region (no neighbour is closer). The forwarding path reads only the
+// published route view — no lock, no tombstone lookup — so concurrent
+// routed messages never wait on each other or on view surgery.
 func (n *Node) handleRoute(env *proto.Envelope) {
 	var hopStart time.Time
 	if env.Trace {
 		hopStart = time.Now()
 		n.nm.traced.Inc()
 	}
+	v := n.view.Load()
+	if v == nil {
+		return // not joined, or already left
+	}
 	// A GET is answered by the first node on the greedy path holding the
 	// key — owner or replica; a tombstone answers "deleted" with equal
 	// authority. The rank check keeps nodes that dropped out of the key's
 	// replica set under churn from serving stale versions.
-	if env.Purpose == proto.PurposeStoreGet && n.Joined() {
+	if env.Purpose == proto.PurposeStoreGet {
 		if rec, ok := n.kv.Lookup(env.Target); ok && n.inReplicaSet(env.Target) {
 			if env.Trace {
 				hit := *env
@@ -231,83 +236,48 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 			return
 		}
 	}
-	n.mu.RLock()
-	if !n.joined {
-		// Not joined, or a concurrent Leave completed while the replica
-		// lookup ran without the lock.
-		n.mu.RUnlock()
-		return
-	}
-	best := n.self
-	bestD := geom.Dist2(n.self.Pos, env.Target)
-	// bestRule names the candidate class the winning next hop came from —
-	// the per-hop trace's routing rule ("owner" when no candidate beats
-	// self).
-	bestRule := "owner"
 	// A join must be admitted by the current owner of the joiner's
 	// region — never routed to the joiner itself, which is not in the
 	// overlay yet and would drop it. The joiner can appear in views
-	// mid-join when it is a durable restart: the tombstone lift above
-	// integrated it the moment its join request arrived, and its target
-	// (its own position) is at distance zero from itself.
-	skip := ""
+	// mid-join when it is a durable restart: the tombstone lift in
+	// deliver integrated it the moment its join request arrived, and its
+	// target (its own position) is at distance zero from itself.
+	var skip func(proto.NodeInfo) bool
 	if env.Purpose == proto.PurposeJoin {
-		skip = env.Origin.Addr
+		skip = func(c proto.NodeInfo) bool { return c.Addr == env.Origin.Addr }
 	}
-	consider := func(c proto.NodeInfo, class string) {
-		if c.Addr == "" || c.Addr == n.self.Addr || c.Addr == skip || n.deadLocked(c) {
-			return
-		}
-		d := geom.Dist2(c.Pos, env.Target)
-		// Strictly closer wins; among equally close candidates the lowest
-		// address wins (ties with self keep self: the owner stays put).
-		// The tie-break makes the choice independent of map iteration
-		// order, a requirement for replayable chaos transcripts.
-		if d < bestD || (d == bestD && best.Addr != n.self.Addr && c.Addr < best.Addr) {
-			best, bestD = c, d
-			bestRule = class
-		}
-	}
-	// The route cache is consulted before the view scan, at the origin
-	// only (env.Hops == 0): origins are where answers populate it, so
-	// intermediate hops would only ever miss. The cached owner is just
-	// one more candidate under the strictly-closer rule — a stale entry
-	// loses the scan or fails the send (repairing the views), it cannot
-	// misroute or serve a stale owner.
+	// The route cache is consulted at the origin only (env.Hops == 0):
+	// origins are where answers populate it, so intermediate hops would
+	// only ever miss. The cached owner is just one more candidate under
+	// the strictly-closer rule — a stale entry loses the pick or fails
+	// the send (repairing the views), it cannot misroute or serve a stale
+	// owner.
+	var cached routeEntry
 	if n.cache != nil && env.Hops == 0 {
 		if owner, ok := n.cache.Lookup(env.Target); ok {
 			n.nm.cacheHits.Inc()
-			consider(owner, "cache")
+			cached = routeEntry{owner, "cache"}
 		} else {
 			n.nm.cacheMisses.Inc()
 		}
 	}
-	for _, v := range n.vn {
-		consider(v, "vn")
-	}
-	for _, c := range n.cn {
-		consider(c, "cn")
-	}
-	for _, l := range n.longNbrs {
-		consider(l, "long")
-	}
-	n.mu.RUnlock()
+	best := v.next(env.Target, cached, skip) // its class is the trace's rule
 
-	if best.Addr != n.self.Addr {
+	if best.info.Addr != n.self.Addr {
 		fwd := *env
 		fwd.Hops++
 		fwd.From = n.self
 		if fwd.Trace {
 			// Copy-append: fwd shares env's Path backing array, and the
 			// departure-repair retry below re-traces from env.
-			fwd.Path = proto.AppendHop(env.Path, n.traceHop(bestRule, hopStart))
+			fwd.Path = proto.AppendHop(env.Path, n.traceHop(best.class, hopStart))
 		}
-		if err := n.sendWithRetry(best.Addr, &fwd); err != nil {
+		if err := n.sendWithRetry(best.info.Addr, &fwd); err != nil {
 			// The chosen next hop is unreachable at the transport level —
 			// it crashed without a leave announcement. Repair the views
 			// around it and retry the step with what remains; each retry
 			// tombstones one address, so the recursion terminates.
-			n.NotifyDeparted(best.Addr)
+			n.NotifyDeparted(best.info.Addr)
 			n.handleRoute(env)
 		}
 		return
@@ -326,7 +296,7 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 	case proto.PurposeLongLink:
 		n.mu.Lock()
 		n.back = append(n.back, proto.BackEntry{Origin: env.Origin, Link: env.Link, Target: env.Target})
-		n.mu.Unlock()
+		n.unlock()
 		n.send(env.Origin.Addr, &proto.Envelope{
 			Type: proto.KindLongLinkGrant, From: n.self, Link: env.Link, Hops: env.Hops,
 		})
@@ -404,7 +374,7 @@ func (n *Node) handleJoinGrant(env *proto.Envelope) {
 	start := time.Now()
 	n.mu.Lock()
 	if n.joined {
-		n.mu.Unlock()
+		n.unlock()
 		return
 	}
 	defer func() { n.nm.joinGrantTime.Observe(time.Since(start).Seconds()) }()
@@ -423,7 +393,7 @@ func (n *Node) handleJoinGrant(env *proto.Envelope) {
 	n.longNbrs = make([]proto.NodeInfo, len(targets))
 	vns := n.vnList()
 	dep, depGen := n.departedLocked()
-	n.mu.Unlock()
+	n.unlock()
 
 	// Freshness: our neighbours need our list in their two-hop tables.
 	for _, v := range vns {
@@ -454,7 +424,7 @@ func (n *Node) handleSetNeighbors(env *proto.Envelope) {
 func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 	n.mu.Lock()
 	if !n.joined || j.Addr == n.self.Addr {
-		n.mu.Unlock()
+		n.unlock()
 		return
 	}
 	if g, dead := n.tombs[j.Addr]; dead {
@@ -463,7 +433,7 @@ func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 			// resurrect a crashed node until the next purge killed it
 			// again. Only a strictly newer generation — a durably
 			// restarted successor — overrides a tombstone here.
-			n.mu.Unlock()
+			n.unlock()
 			return
 		}
 		n.liftTombLocked(j.Addr)
@@ -502,7 +472,7 @@ func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 		vns = n.vnList()
 	}
 	dep, depGen := n.departedLocked()
-	n.mu.Unlock()
+	n.unlock()
 
 	for _, v := range vns {
 		n.send(v.Addr, &proto.Envelope{Type: proto.KindNeighborList, From: n.self, Neighbors: vns, Departed: dep, DepartedGen: depGen})
@@ -536,12 +506,12 @@ func (n *Node) handleNeighborList(env *proto.Envelope) {
 	}
 	n.mu.Lock()
 	if !n.joined {
-		n.mu.Unlock()
+		n.unlock()
 		return
 	}
 	_, isNbr := n.vn[env.From.Addr]
 	if !isNbr && !mentionsUs {
-		n.mu.Unlock()
+		n.unlock()
 		return
 	}
 	n.twoHop[env.From.Addr] = env.Neighbors
@@ -566,7 +536,7 @@ func (n *Node) handleNeighborList(env *proto.Envelope) {
 		rebut = n.vnList()
 	}
 	dep, depGen := n.departedLocked()
-	n.mu.Unlock()
+	n.unlock()
 	for _, v := range vns {
 		n.send(v.Addr, &proto.Envelope{Type: proto.KindNeighborList, From: n.self, Neighbors: vns, Departed: dep, DepartedGen: depGen})
 	}
@@ -603,7 +573,7 @@ func (n *Node) handleCNAdd(env *proto.Envelope) {
 		replyTo = append(replyTo, c)
 	}
 	self := n.self
-	n.mu.Unlock()
+	n.unlock()
 	for _, c := range replyTo {
 		n.send(c.Addr, &proto.Envelope{Type: proto.KindCNAdd, From: self, CloseCand: []proto.NodeInfo{self}})
 	}
@@ -673,7 +643,7 @@ func (n *Node) sendBackMoves(moves []backMove) {
 		n.mu.Lock()
 		n.back = append(n.back, retry...)
 		moves = n.backRebalanceLocked("")
-		n.mu.Unlock()
+		n.unlock()
 	}
 }
 
@@ -684,7 +654,7 @@ func (n *Node) handleLeave(env *proto.Envelope) {
 	gone := env.From.Addr
 	n.mu.Lock()
 	if !n.joined {
-		n.mu.Unlock()
+		n.unlock()
 		return
 	}
 	n.tombstoneLocked(gone, env.From.Gen)
@@ -698,7 +668,7 @@ func (n *Node) handleLeave(env *proto.Envelope) {
 	n.recomputeLocked(pool)
 	vns := n.vnList()
 	dep, depGen := n.departedLocked()
-	n.mu.Unlock()
+	n.unlock()
 	for _, v := range vns {
 		n.send(v.Addr, &proto.Envelope{
 			Type: proto.KindNeighborList, From: n.self, Neighbors: vns, Departed: dep, DepartedGen: depGen,
@@ -736,17 +706,16 @@ func (n *Node) candidatePool() map[string]proto.NodeInfo {
 // owner can never linger as a cached candidate. Caller holds n.mu (the
 // cache is a leaf lock).
 func (n *Node) tombstoneLocked(addr string, gen uint64) {
-	if g, dead := n.tombs[addr]; dead {
-		// Already dead — but a later incarnation may have died since;
-		// remember the highest generation seen dead so its gossip
-		// cannot be shadowed by the older tombstone.
-		if gen > g {
-			n.tombs[addr] = gen
-		}
-		return
+	g, dead := n.tombs[addr]
+	if dead && gen <= g {
+		return // this incarnation or a later one is already dead
+	}
+	// Remember the highest generation seen dead, so its gossip cannot be
+	// shadowed by an older tombstone, and drop the cache entries naming it.
+	if !dead {
+		n.tombOrder = append(n.tombOrder, addr)
 	}
 	n.tombs[addr] = gen
-	n.tombOrder = append(n.tombOrder, addr)
 	if n.cache != nil {
 		if dropped := n.cache.invalidateOwner(addr); dropped > 0 {
 			n.nm.cacheInvalidations.Add(uint64(dropped))

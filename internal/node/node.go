@@ -65,7 +65,7 @@ type Config struct {
 	RequestTimeout time.Duration
 	// RouteCacheSize enables the hot-region owner cache with that many
 	// entries: origins remember which node answered for a target cell
-	// and feed it into the next greedy scan as an extra candidate (see
+	// and feed it into their first greedy step as an extra candidate (see
 	// cache.go for the coherence rules). 0 (the default) disables the
 	// cache.
 	RouteCacheSize int
@@ -98,13 +98,15 @@ var (
 //
 // Locking discipline (see DESIGN.md): mu is a single-writer /
 // many-readers lock over the view state (vn, twoHop, cn, long links,
-// back, tombs). Read-only message paths — the greedy next-hop scan, query
-// and store-GET serving, the public snapshot accessors — take the read
-// lock, snapshot what they need, release it and only then touch the
-// transport. View surgery (join admission, leave, departure repair,
-// neighbour recomputation, BLRn rebalance) takes the write lock. No lock
-// is ever held across a transport send (TestNoLockHeldAcrossSends). The
-// request table (inflight) locks itself and never nests with mu.
+// back, tombs). View surgery (join admission, leave, departure repair,
+// neighbour recomputation, BLRn rebalance) takes the write lock and
+// releases it through unlock, which first publishes the route view —
+// the immutable candidate set the greedy step reads without any lock
+// (view.go). Other read-only paths — store-GET replica checks, the
+// public snapshot accessors — take the read lock, snapshot what they
+// need, release it and only then touch the transport. No lock is ever
+// held across a transport send (TestNoLockHeldAcrossSends). The request
+// table (inflight) locks itself and never nests with mu.
 type Node struct {
 	mu   sync.RWMutex
 	ep   transport.Endpoint
@@ -120,6 +122,10 @@ type Node struct {
 	longTargets []geom.Point
 	longNbrs    []proto.NodeInfo
 	back        []proto.BackEntry
+
+	// view is the route view built from vn, cn, longNbrs and tombs;
+	// written only by unlock, nil while not joined.
+	view atomic.Pointer[routeView]
 
 	// tombs records departed addresses so that stale gossip cannot
 	// resurrect them (see handle): presence means dead, the value is the
@@ -213,11 +219,7 @@ func newNode(ep transport.Endpoint, pos geom.Point, cfg Config) *Node {
 func (n *Node) Info() proto.NodeInfo { return n.self }
 
 // Joined reports whether the node is part of an overlay.
-func (n *Node) Joined() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.joined
-}
+func (n *Node) Joined() bool { return n.view.Load() != nil }
 
 // Neighbors returns a snapshot of vn.
 func (n *Node) Neighbors() []proto.NodeInfo {
@@ -266,7 +268,7 @@ func (n *Node) LongTargets() []geom.Point {
 // owns the whole attribute space and its long links point to itself.
 func (n *Node) Bootstrap() error {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlock()
 	if n.joined {
 		return ErrAlreadyJoined
 	}
@@ -285,12 +287,9 @@ func (n *Node) Bootstrap() error {
 // asynchronous; poll Joined (the in-memory bus makes it synchronous under
 // Drain).
 func (n *Node) Join(via string) error {
-	n.mu.RLock()
-	if n.joined {
-		n.mu.RUnlock()
+	if n.Joined() {
 		return ErrAlreadyJoined
 	}
-	n.mu.RUnlock()
 	return n.send(via, &proto.Envelope{
 		Type:    proto.KindRoute,
 		Purpose: proto.PurposeJoin,
@@ -318,7 +317,7 @@ func (n *Node) Leave() error {
 	start := time.Now()
 	n.mu.Lock()
 	if !n.joined {
-		n.mu.Unlock()
+		n.unlock()
 		return ErrNotJoined
 	}
 	defer func() { n.nm.leaveTime.Observe(time.Since(start).Seconds()) }()
@@ -401,7 +400,7 @@ func (n *Node) Leave() error {
 	if n.cache != nil {
 		n.cache.Clear()
 	}
-	n.mu.Unlock()
+	n.unlock()
 
 	for _, m := range out {
 		// Unreachable peers have already departed and need no notice;

@@ -90,12 +90,9 @@ func (n *Node) originate(purpose proto.RoutedPurpose, key geom.Point, value []by
 		// frame decoder and the operation would hang until its timeout.
 		return store.ErrValueTooLarge
 	}
-	n.mu.RLock()
-	if !n.joined {
-		n.mu.RUnlock()
+	if !n.Joined() {
 		return ErrNotJoined
 	}
-	n.mu.RUnlock()
 	// Origin-side admission: a draining node (mid-Shutdown) and an
 	// origin already at its inflight budget (inflight.Add below, which
 	// checks and takes a slot in one step) refuse synchronously —
@@ -122,7 +119,14 @@ func (n *Node) originate(purpose proto.RoutedPurpose, key geom.Point, value []by
 			n.nm.latencyFor(purpose).Observe(time.Since(start).Seconds())
 			n.nm.hopsFor(purpose).Observe(float64(r.Hops))
 			if n.cache != nil && r.Owner.Addr != "" && r.Owner.Addr != n.self.Addr {
-				n.cache.insert(key, r.Owner)
+				// Never a tombstoned owner (a dead incarnation's
+				// straggler); the read lock orders this after any
+				// invalidation by tombstoneLocked.
+				n.mu.RLock()
+				if !n.deadLocked(r.Owner) {
+					n.cache.insert(key, r.Owner)
+				}
+				n.mu.RUnlock()
 			}
 		} else if !errors.Is(r.Err, store.ErrOverloaded) {
 			// An owner-side shed came back fast and was already counted

@@ -1,0 +1,415 @@
+package node
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"voronet/internal/geom"
+	"voronet/internal/proto"
+	"voronet/internal/store"
+	"voronet/internal/transport"
+)
+
+// recordEndpoint is a transport endpoint that delivers nothing and
+// records every envelope sent through it, in order.
+type recordEndpoint struct {
+	addr string
+	mu   sync.Mutex
+	to   []string
+	envs []*proto.Envelope
+}
+
+func (e *recordEndpoint) Addr() string                 { return e.addr }
+func (e *recordEndpoint) SetHandler(transport.Handler) {}
+func (e *recordEndpoint) Close() error                 { return nil }
+
+func (e *recordEndpoint) Send(to string, payload []byte) error {
+	env, err := proto.Decode(payload)
+	if err != nil {
+		return err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.to = append(e.to, to)
+	e.envs = append(e.envs, env)
+	return nil
+}
+
+// scanNextHop is the greedy step as handleRoute wrote it before the
+// route view: one pass over the cached owner, vn, cn and the long links
+// under the read lock, one tombstone lookup per candidate. It is the
+// reference the view's pick must reproduce, candidate and class alike.
+func scanNextHop(n *Node, target geom.Point, skip func(proto.NodeInfo) bool, withCache bool) (proto.NodeInfo, string) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	best := n.self
+	bestD := geom.Dist2(n.self.Pos, target)
+	bestRule := "owner"
+	consider := func(c proto.NodeInfo, class string) {
+		if c.Addr == "" || c.Addr == n.self.Addr || (skip != nil && skip(c)) || n.deadLocked(c) {
+			return
+		}
+		d := geom.Dist2(c.Pos, target)
+		if d < bestD || (d == bestD && best.Addr != n.self.Addr && c.Addr < best.Addr) {
+			best, bestD = c, d
+			bestRule = class
+		}
+	}
+	if withCache && n.cache != nil {
+		if owner, ok := n.cache.Lookup(target); ok {
+			consider(owner, "cache")
+		}
+	}
+	for _, v := range n.vn {
+		consider(v, "vn")
+	}
+	for _, c := range n.cn {
+		consider(c, "cn")
+	}
+	for _, l := range n.longNbrs {
+		consider(l, "long")
+	}
+	return best, bestRule
+}
+
+// TestRoutePickMatchesScan property-tests the route view's pick against
+// the per-hop scan it replaced, through NextHop and through handleRoute's
+// forwarded (or answered) envelope and its trace rule, on random views
+// built to collide: positions on a coarse grid (equal distances, also to
+// self), one address in several classes, self-address and empty long
+// slots, tombstones older and newer than the entries they shadow, the
+// join exclusion, a cached owner tying the view's pick at the same and at
+// a different address, and a NaN target.
+func TestRoutePickMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	pool := []string{"a", "b", "c", "d", "f", "g", "h"} // self is "e"
+	grid := func() float64 { return float64(rng.Intn(5)) / 4 }
+	randInfo := func(addr string) proto.NodeInfo {
+		return proto.NodeInfo{Addr: addr, Pos: geom.Pt(grid(), grid()), Gen: uint64(rng.Intn(3))}
+	}
+	var forwarded, owned, cacheWins, joins int
+	for iter := 0; iter < 3000; iter++ {
+		ep := &recordEndpoint{addr: "e"}
+		cfg := Config{DMin: 0.05, RequestTimeout: time.Hour}
+		useCache := rng.Intn(2) == 0
+		if useCache {
+			cfg.RouteCacheSize = 4
+		}
+		n := New(ep, geom.Pt(grid(), grid()), cfg)
+
+		n.mu.Lock()
+		n.joined = true
+		var known []proto.NodeInfo
+		for _, a := range pool {
+			if rng.Intn(2) == 0 {
+				c := randInfo(a)
+				n.vn[a] = c
+				known = append(known, c)
+			}
+		}
+		for _, a := range pool {
+			switch rng.Intn(4) {
+			case 0:
+				if v, ok := n.vn[a]; ok {
+					n.cn[a] = v // the same entry in two classes
+				}
+			case 1:
+				c := randInfo(a)
+				n.cn[a] = c
+				known = append(known, c)
+			}
+		}
+		for j := rng.Intn(4); j > 0; j-- {
+			switch k := rng.Intn(4); {
+			case k == 0:
+				n.longNbrs = append(n.longNbrs, proto.NodeInfo{})
+			case k == 1:
+				n.longNbrs = append(n.longNbrs, n.self)
+			case k == 2 && len(known) > 0:
+				n.longNbrs = append(n.longNbrs, known[rng.Intn(len(known))])
+			default:
+				n.longNbrs = append(n.longNbrs, randInfo(pool[rng.Intn(len(pool))]))
+			}
+		}
+		for _, a := range pool {
+			if rng.Intn(4) == 0 {
+				n.tombs[a] = uint64(rng.Intn(3))
+			}
+		}
+		n.unlock()
+
+		target := geom.Pt(grid(), grid())
+		switch rng.Intn(10) {
+		case 0:
+			target = n.self.Pos
+		case 1:
+			target = geom.Pt(math.NaN(), 0.5)
+		case 2:
+			target = geom.Pt(grid()+0.125, grid()-0.125)
+		}
+		purpose, origin := proto.PurposeQuery, proto.NodeInfo{Addr: "origin", Pos: geom.Pt(0.5, 0.5)}
+		var skip func(proto.NodeInfo) bool
+		if rng.Intn(4) == 0 {
+			joins++
+			purpose, origin = proto.PurposeJoin, randInfo(pool[rng.Intn(len(pool))])
+			skip = func(c proto.NodeInfo) bool { return c.Addr == origin.Addr }
+		}
+
+		// NextHop against the scan, with and without a veto.
+		want, wantRule := scanNextHop(n, target, skip, false)
+		got, fwd := n.NextHop(target, skip)
+		if fwd != (wantRule != "owner") || (fwd && got != want) {
+			t.Fatalf("iter %d: NextHop = %+v,%v, scan = %+v,%s", iter, got, fwd, want, wantRule)
+		}
+		veto := func(c proto.NodeInfo) bool { return c.Addr < "c" || c.Addr == "e" } // self is never vetoed
+		want, wantRule = scanNextHop(n, target, veto, false)
+		if got, fwd = n.NextHop(target, veto); fwd != (wantRule != "owner") || (fwd && got != want) {
+			t.Fatalf("iter %d: vetoed NextHop = %+v,%v, scan = %+v,%s", iter, got, fwd, want, wantRule)
+		}
+
+		// Seed the cache: a tie with the view's pick at the same address
+		// or at another one, another live address, or self.
+		if useCache {
+			pick, _ := scanNextHop(n, target, skip, false)
+			c := randInfo(pool[rng.Intn(len(pool))])
+			switch rng.Intn(4) {
+			case 0:
+				c = pick
+			case 1:
+				c = proto.NodeInfo{Addr: pool[rng.Intn(len(pool))], Pos: pick.Pos}
+			case 2:
+				c = n.self
+			}
+			n.mu.RLock()
+			if n.deadLocked(c) {
+				c.Gen = n.tombs[c.Addr] + 1 // the cache holds the living only
+			}
+			n.mu.RUnlock()
+			n.cache.insert(target, c)
+		}
+
+		// The hop itself: what it forwards, to whom, under which rule.
+		want, wantRule = scanNextHop(n, target, skip, true)
+		if wantRule == "cache" {
+			cacheWins++
+		}
+		n.handleRoute(&proto.Envelope{
+			Type: proto.KindRoute, Purpose: purpose, Target: target, Origin: origin, Trace: true,
+		})
+		if len(ep.envs) == 0 {
+			t.Fatalf("iter %d: the hop sent nothing (scan: %+v,%s)", iter, want, wantRule)
+		}
+		sent, to := ep.envs[0], ep.to[0]
+		switch {
+		case wantRule != "owner":
+			forwarded++
+			if sent.Type != proto.KindRoute || to != want.Addr {
+				t.Fatalf("iter %d: hop sent %v to %s, scan forwards to %+v (%s)", iter, sent.Type, to, want, wantRule)
+			}
+			if last := sent.Path[len(sent.Path)-1]; last.Rule != wantRule || last.Addr != "e" {
+				t.Fatalf("iter %d: traced hop %+v, scan rule %s", iter, last, wantRule)
+			}
+		case purpose == proto.PurposeJoin:
+			owned++
+			if sent.Type != proto.KindJoinGrant || to != origin.Addr {
+				t.Fatalf("iter %d: owner sent %v to %s, want the join grant to %s", iter, sent.Type, to, origin.Addr)
+			}
+		default:
+			owned++
+			if sent.Type != proto.KindQueryAnswer || to != "origin" || sent.Path[len(sent.Path)-1].Rule != "owner" {
+				t.Fatalf("iter %d: owner sent %v to %s path %+v, want an answer to origin", iter, sent.Type, to, sent.Path)
+			}
+		}
+	}
+	if forwarded < 500 || owned < 300 || cacheWins < 50 || joins < 300 {
+		t.Fatalf("weak coverage: %d forwarded, %d owned, %d cache wins, %d joins", forwarded, owned, cacheWins, joins)
+	}
+}
+
+// viewsCurrent fails unless every node's published route view equals
+// the one a fresh rebuild from its maps publishes (nil for a node that is
+// not joined).
+func viewsCurrent(t *testing.T, when string, nodes []*Node) {
+	t.Helper()
+	for _, n := range nodes {
+		n.mu.Lock()
+		got := n.view.Load()
+		n.unlock()
+		want := n.view.Load()
+		if (got == nil) != (want == nil) || (got != nil && !slices.Equal(*got, *want)) {
+			t.Fatalf("%s: %s publishes a stale view:\n got  %v\n want %v", when, n.Info().Addr, got, want)
+		}
+	}
+}
+
+// TestRouteViewAlwaysCurrent drives a durable cluster through joins,
+// graceful leaves, crashes reported to some survivors (the rest learn by
+// tombstone gossip), long-link grants and updates and a durable restart
+// at a higher generation, and requires every node's published view to
+// equal a fresh build after every drain.
+func TestRouteViewAlwaysCurrent(t *testing.T) {
+	c, _ := newDurableCluster(t, 12, 35, nil)
+	var all []*Node
+	track := func() { all = append(all, c.nodes[len(c.nodes)-1]) }
+	all = append(all, c.nodes...)
+	viewsCurrent(t, "after the build", all)
+	rng := rand.New(rand.NewSource(35))
+	for round := 0; round < 6; round++ {
+		c.addNode(t, geom.Pt(rng.Float64(), rng.Float64()), 0.02)
+		track()
+		viewsCurrent(t, fmt.Sprintf("round %d join", round), all)
+
+		idx := 1 + rng.Intn(len(c.nodes)-1)
+		victim := c.nodes[idx]
+		c.nodes = append(c.nodes[:idx], c.nodes[idx+1:]...)
+		if round%2 == 0 {
+			if err := victim.Leave(); err != nil {
+				t.Fatal(err)
+			}
+			c.bus.Drain()
+			viewsCurrent(t, fmt.Sprintf("round %d leave", round), all)
+			continue
+		}
+		// Crash: half the survivors are told, the rest hear by gossip.
+		victim.ep.Close()
+		gone := victim.Info()
+		for k, nd := range c.nodes {
+			if k%2 == 0 {
+				nd.NotifyDeparted(gone.Addr)
+			}
+		}
+		c.bus.Drain()
+		viewsCurrent(t, fmt.Sprintf("round %d crash", round), all)
+		if round != 3 {
+			continue
+		}
+		// Durable restart at the same address, one generation up.
+		ep, err := c.bus.Attach(gone.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd2, _, err := NewDurable(ep, gone.Pos, victim.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nd2.Info().Gen <= gone.Gen {
+			t.Fatalf("restart at generation %d, the dead incarnation had %d", nd2.Info().Gen, gone.Gen)
+		}
+		if err := nd2.Join(c.nodes[0].Info().Addr); err != nil {
+			t.Fatal(err)
+		}
+		c.bus.Drain()
+		if !nd2.Joined() {
+			t.Fatal("restarted node failed to rejoin")
+		}
+		c.nodes = append(c.nodes, nd2)
+		track()
+		viewsCurrent(t, fmt.Sprintf("round %d restart", round), all)
+	}
+	var grants, updates uint64
+	for _, nd := range all {
+		grants += counter(nd, "node_recv_long_link_grant_total")
+		updates += counter(nd, "node_recv_long_link_update_total")
+	}
+	if grants == 0 || updates == 0 {
+		t.Fatalf("the run exercised %d long-link grants and %d updates; want both", grants, updates)
+	}
+}
+
+// TestRouteForwardsWithoutViewLock holds a node's view lock for writing
+// while the node forwards a query toward a close neighbour: the greedy
+// step must not wait on the lock.
+func TestRouteForwardsWithoutViewLock(t *testing.T) {
+	ep := &recordEndpoint{addr: "s"}
+	n := New(ep, geom.Pt(0.5, 0.5), Config{DMin: 0.05, RequestTimeout: time.Hour})
+	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	nbr := proto.NodeInfo{Addr: "t", Pos: geom.Pt(0.52, 0.5)}
+	n.deliver(&proto.Envelope{Type: proto.KindCNAdd, From: nbr, CloseCand: []proto.NodeInfo{nbr}})
+
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		n.handleRoute(&proto.Envelope{Type: proto.KindRoute, Purpose: proto.PurposeQuery, Target: nbr.Pos, Origin: n.self})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handleRoute blocked on the view lock")
+	}
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	last := len(ep.envs) - 1
+	if last < 0 || ep.envs[last].Type != proto.KindRoute || ep.to[last] != nbr.Addr {
+		t.Fatalf("the hop did not forward to %s: sent %v", nbr.Addr, ep.to)
+	}
+}
+
+// TestRouteCacheSkipsTombstonedOwner delivers an answer from a dead
+// incarnation — a straggler from generation 1 of an address tombstoned
+// at generation 2, which does not lift the tombstone — and requires the
+// origin not to cache it as the target's owner; a cached later
+// incarnation goes when a tombstone raised to its generation arrives.
+func TestRouteCacheSkipsTombstonedOwner(t *testing.T) {
+	bus := transport.NewBus()
+	epO, err := bus.Attach("o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epX, err := bus.Attach("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routed []*proto.Envelope
+	epX.SetHandler(func(_ string, payload []byte) {
+		if env, err := proto.Decode(payload); err == nil && env.Type == proto.KindRoute {
+			routed = append(routed, env)
+		}
+	})
+	o := New(epO, geom.Pt(0.1, 0.1), Config{DMin: 0.05, RouteCacheSize: 8, RequestTimeout: time.Hour})
+	if err := o.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	x1 := proto.NodeInfo{Addr: "x", Pos: geom.Pt(0.12, 0.1), Gen: 1}
+	o.deliver(&proto.Envelope{Type: proto.KindCNAdd, From: x1, CloseCand: []proto.NodeInfo{x1}})
+
+	target := geom.Pt(0.13, 0.1)
+	var replies []store.Reply
+	if err := o.Query(target, func(r store.Reply) { replies = append(replies, r) }); err != nil {
+		t.Fatal(err)
+	}
+	bus.Drain()
+	if len(routed) != 1 {
+		t.Fatalf("x received %d routed queries, want 1", len(routed))
+	}
+	// x dies at generation 2 (gossip from a third peer), then its
+	// generation-1 answer arrives.
+	o.deliver(&proto.Envelope{Type: proto.KindCNRemove, From: proto.NodeInfo{Addr: "y"},
+		Departed: []string{"x"}, DepartedGen: []uint64{2}})
+	o.deliver(&proto.Envelope{Type: proto.KindQueryAnswer, From: x1, QueryID: routed[0].QueryID})
+	if len(replies) != 1 || replies[0].Err != nil {
+		t.Fatalf("replies = %+v, want the one answer", replies)
+	}
+	if !o.tombstoned("x") {
+		t.Fatal("the straggler lifted x's tombstone")
+	}
+	if owner, ok := o.cache.Lookup(target); ok {
+		t.Fatalf("the route cache holds tombstoned %+v", owner)
+	}
+	// A later incarnation cached, then its own death raises the
+	// tombstone's generation: the raise must evict it too.
+	o.cache.insert(target, proto.NodeInfo{Addr: "x", Pos: x1.Pos, Gen: 3})
+	o.deliver(&proto.Envelope{Type: proto.KindCNRemove, From: proto.NodeInfo{Addr: "y"},
+		Departed: []string{"x"}, DepartedGen: []uint64{3}})
+	if owner, ok := o.cache.Lookup(target); ok {
+		t.Fatalf("the route cache holds %+v after its generation died", owner)
+	}
+}
