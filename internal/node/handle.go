@@ -325,6 +325,9 @@ func (n *Node) admitJoin(env *proto.Envelope) {
 	start := time.Now()
 	defer func() { n.nm.joinAdmitTime.Observe(time.Since(start).Seconds()) }()
 	j := env.Origin
+	if !finite(j.Pos) {
+		return // no region to grant; Decode refuses such a joiner already
+	}
 
 	// The read lock suffices: the joiner's neighbour list is computed from
 	// the candidate pool (us, our neighbours, their neighbours) and nothing
@@ -332,7 +335,7 @@ func (n *Node) admitJoin(env *proto.Envelope) {
 	n.mu.RLock()
 	pool := n.candidatePool()
 	pool[j.Addr] = j
-	newVN := miniNeighbors(j, pool)
+	newVN := cellNeighbors(j, pool)
 
 	// Bootstrap two-hop knowledge for the joiner from what we know.
 	var records []proto.NeighborRecord
@@ -563,8 +566,8 @@ func (n *Node) handleCNAdd(env *proto.Envelope) {
 		if n.deadLocked(c) {
 			continue
 		}
-		if geom.Dist(c.Pos, n.self.Pos) > n.cfg.DMin {
-			continue
+		if !(geom.Dist(c.Pos, n.self.Pos) <= n.cfg.DMin) {
+			continue // too far, or not a position at all (NaN)
 		}
 		if _, known := n.cn[c.Addr]; known {
 			continue
@@ -792,11 +795,11 @@ func (n *Node) departedLocked() ([]string, []uint64) {
 	return addrs, gens
 }
 
-// recomputeLocked rebuilds vn from the pool — the local Delaunay
-// computation every view change comes down to — and reports whether the
-// set changed. Caller holds n.mu.
+// recomputeLocked rebuilds vn from the pool — the cell walk every view
+// change comes down to (cellNeighbors) — and reports whether the set
+// changed. Caller holds n.mu.
 func (n *Node) recomputeLocked(pool map[string]proto.NodeInfo) bool {
-	newVN := miniNeighbors(n.self, pool)
+	newVN := cellNeighbors(n.self, pool)
 	fresh := make(map[string]proto.NodeInfo, len(newVN))
 	for _, v := range newVN {
 		fresh[v.Addr] = v

@@ -1,7 +1,11 @@
 package node
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"testing"
+	"time"
 
 	"voronet/internal/geom"
 	"voronet/internal/proto"
@@ -51,5 +55,97 @@ func TestNegativeLinkEnvelopeDoesNotPanic(t *testing.T) {
 	}
 	if !n.Joined() {
 		t.Fatal("node no longer joined after hostile envelopes")
+	}
+}
+
+// TestNonFinitePositionsAreRefused: a NaN or infinite position in a
+// NodeInfo used to pass Decode. A neighbour list naming a peer at
+// (NaN, 0.3), or a join routed for a joiner there, panicked the node in
+// its neighbour computation — over TCP that ended the process, and under
+// a recover it left n.mu held, so the next accessor hung — and a peer at
+// (+Inf, 0.3) was admitted into vn. The frames are now refused at
+// decode, and — defence in depth — the node ignores such candidates and
+// joiners even past the decoder. Everything runs under a timeout so that
+// a wedged lock fails the test instead of hanging it.
+func TestNonFinitePositionsAreRefused(t *testing.T) {
+	c := newCluster(t, 12, 0.05, 36)
+	victim := c.nodes[5]
+	nbrs := victim.Neighbors()
+	sort.Slice(nbrs, func(i, j int) bool { return nbrs[i].Addr < nbrs[j].Addr })
+	nbr := nbrs[0]
+	var nbrList []proto.NodeInfo
+	for _, nd := range c.nodes {
+		if nd.Info().Addr == nbr.Addr {
+			nbrList = nd.Neighbors()
+		}
+	}
+	// The addresses sort before every member's, so the hostile entries
+	// come first in any address-ordered pass over a candidate pool.
+	nan := proto.NodeInfo{Addr: "0nan", Pos: geom.Pt(math.NaN(), 0.3)}
+	inf := proto.NodeInfo{Addr: "0inf", Pos: geom.Pt(math.Inf(1), 0.3)}
+	ninf := proto.NodeInfo{Addr: "0ninf", Pos: geom.Pt(0.3, math.Inf(-1))}
+	hostile := []*proto.Envelope{
+		{Type: proto.KindNeighborList, From: nbr, Neighbors: append(append([]proto.NodeInfo(nil), nbrList...), nan)},
+		{Type: proto.KindNeighborList, From: nbr, Neighbors: append(append([]proto.NodeInfo(nil), nbrList...), inf, ninf)},
+		{Type: proto.KindRoute, Purpose: proto.PurposeJoin, Target: nan.Pos, Origin: nan},
+		{Type: proto.KindRoute, Purpose: proto.PurposeJoin, Target: inf.Pos, Origin: inf},
+		{Type: proto.KindSetNeighbors, From: nbr, Origin: nan},
+		{Type: proto.KindSetNeighbors, From: nbr, Origin: ninf},
+		{Type: proto.KindCNAdd, From: nbr, CloseCand: []proto.NodeInfo{nan, inf}},
+	}
+	guarded := func(what string, f func()) {
+		t.Helper()
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			f()
+		}()
+		select {
+		case p := <-done:
+			if p != nil {
+				t.Fatalf("%s panicked: %v", what, p)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s hung", what)
+		}
+	}
+	for i, env := range hostile {
+		before := counter(victim, "node_decode_errors_total")
+		guarded(fmt.Sprintf("frame %d over the wire", i), func() {
+			victim.handle(nbr.Addr, proto.AppendEncode(nil, env))
+			c.bus.Drain()
+		})
+		if counter(victim, "node_decode_errors_total") != before+1 {
+			t.Errorf("frame %d (%v) was not refused at decode", i, env.Type)
+		}
+		guarded(fmt.Sprintf("envelope %d past the decoder", i), func() {
+			victim.deliver(env)
+			c.bus.Drain()
+		})
+	}
+	guarded("reading the views", func() {
+		for _, nd := range c.nodes {
+			for _, v := range append(nd.Neighbors(), nd.CloseNeighbors()...) {
+				if !finite(v.Pos) {
+					t.Errorf("%s admitted %s at %v", nd.Info().Addr, v.Addr, v.Pos)
+				}
+			}
+		}
+	})
+	c.checkViewsAgainstReference(t)
+
+	// A node at a non-finite position cannot enter an overlay at all.
+	for i, p := range []geom.Point{nan.Pos, inf.Pos, ninf.Pos} {
+		ep, err := c.bus.Attach(fmt.Sprintf("bad%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd := New(ep, p, Config{DMin: 0.05})
+		if err := nd.Join(victim.Info().Addr); err == nil {
+			t.Errorf("Join at %v succeeded", p)
+		}
+		if err := nd.Bootstrap(); err == nil || nd.Joined() {
+			t.Errorf("Bootstrap at %v succeeded", p)
+		}
 	}
 }

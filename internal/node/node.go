@@ -10,10 +10,11 @@
 // and the neighbourhood is told to update (§3.3). Concretely, every
 // affected node rebuilds its own Voronoi neighbour list from its candidate
 // pool (itself, its neighbours, their neighbours, plus the arriving or
-// departing object) with a small local Delaunay computation; the pool
+// departing object) by walking around its own cell with the exact
+// predicates (cell.go), without building a triangulation; the pool
 // provably contains the true new neighbour set under the paper's 2-hop
 // knowledge assumption, and the node tests validate the resulting views
-// against the reference substrate (internal/core) site-for-site.
+// against a reference Delaunay triangulation site-for-site.
 //
 // One deliberate divergence from Algorithms 1–5: routed operations travel
 // greedily all the way to the region owner instead of stopping at the
@@ -36,7 +37,6 @@ import (
 
 	"sync/atomic"
 
-	"voronet/internal/delaunay"
 	"voronet/internal/geom"
 	"voronet/internal/kleinberg"
 	"voronet/internal/proto"
@@ -124,8 +124,10 @@ type Node struct {
 	back        []proto.BackEntry
 
 	// view is the route view built from vn, cn, longNbrs and tombs;
-	// written only by unlock, nil while not joined.
-	view atomic.Pointer[routeView]
+	// written only by unlock, nil while not joined. viewBuf is unlock's
+	// scratch for the next view, under mu.
+	view    atomic.Pointer[routeView]
+	viewBuf routeView
 
 	// tombs records departed addresses so that stale gossip cannot
 	// resurrect them (see handle): presence means dead, the value is the
@@ -267,6 +269,9 @@ func (n *Node) LongTargets() []geom.Point {
 // Bootstrap declares this node the first object of a fresh overlay: it
 // owns the whole attribute space and its long links point to itself.
 func (n *Node) Bootstrap() error {
+	if err := checkFinite(n.self.Pos); err != nil {
+		return err
+	}
 	n.mu.Lock()
 	defer n.unlock()
 	if n.joined {
@@ -289,6 +294,9 @@ func (n *Node) Bootstrap() error {
 func (n *Node) Join(via string) error {
 	if n.Joined() {
 		return ErrAlreadyJoined
+	}
+	if err := checkFinite(n.self.Pos); err != nil {
+		return err
 	}
 	return n.send(via, &proto.Envelope{
 		Type:    proto.KindRoute,
@@ -475,44 +483,4 @@ func (n *Node) sendWithRetry(to string, env *proto.Envelope) error {
 
 func (n *Node) String() string {
 	return fmt.Sprintf("node(%s @ %.4f,%.4f)", n.self.Addr, n.self.Pos.X, n.self.Pos.Y)
-}
-
-// miniNeighbors rebuilds this node's Voronoi neighbour list from a
-// candidate pool via a local Delaunay computation. pool must contain the
-// node itself. Candidates are inserted in address order so the resulting
-// neighbour list — which rides on the wire in grants and gossip — is
-// independent of map iteration order.
-func miniNeighbors(self proto.NodeInfo, pool map[string]proto.NodeInfo) []proto.NodeInfo {
-	tr := delaunay.New()
-	byVert := make(map[delaunay.VertexID]proto.NodeInfo, len(pool))
-	var selfV delaunay.VertexID = delaunay.NoVertex
-	// Insert self first so duplicates resolve in our favour deterministically.
-	sv, err := tr.Insert(self.Pos, delaunay.NoVertex)
-	if err == nil {
-		selfV = sv
-		byVert[sv] = self
-	}
-	addrs := make([]string, 0, len(pool))
-	for a := range pool {
-		if a != self.Addr {
-			addrs = append(addrs, a)
-		}
-	}
-	sort.Strings(addrs)
-	for _, a := range addrs {
-		inf := pool[a]
-		v, err := tr.Insert(inf.Pos, delaunay.NoVertex)
-		if err != nil {
-			continue // duplicate position: ignore the shadowed candidate
-		}
-		byVert[v] = inf
-	}
-	if selfV == delaunay.NoVertex {
-		return nil
-	}
-	var out []proto.NodeInfo
-	for _, v := range tr.Neighbors(selfV, nil) {
-		out = append(out, byVert[v])
-	}
-	return out
 }

@@ -27,11 +27,13 @@ type routeEntry struct {
 
 // unlock releases n.mu's write lock after publishing the route view of
 // the state it leaves — every write section ends here, so no mutation can
-// forget to republish. The view is nil while the node is not joined.
+// forget to republish. The view is nil while the node is not joined. It
+// is built into n.viewBuf and published as a fresh copy only when it
+// differs from the published one: most write sections change no
+// candidate.
 func (n *Node) unlock() {
 	if n.joined {
-		v := make(routeView, 1, 1+len(n.vn)+len(n.cn)+len(n.longNbrs))
-		v[0] = routeEntry{n.self, "owner"}
+		v := append(n.viewBuf[:0], routeEntry{n.self, "owner"})
 		add := func(c proto.NodeInfo, class string) {
 			if c.Addr != "" && c.Addr != n.self.Addr && !n.deadLocked(c) {
 				v = append(v, routeEntry{c, class})
@@ -47,7 +49,11 @@ func (n *Node) unlock() {
 			add(c, "long")
 		}
 		slices.SortStableFunc(v[1:], func(a, b routeEntry) int { return strings.Compare(a.info.Addr, b.info.Addr) })
-		n.view.Store(&v)
+		n.viewBuf = v
+		if old := n.view.Load(); old == nil || !slices.Equal(*old, v) {
+			fresh := slices.Clone(v)
+			n.view.Store(&fresh)
+		}
 	} else {
 		n.view.Store(nil)
 	}

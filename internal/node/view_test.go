@@ -413,3 +413,37 @@ func TestRouteCacheSkipsTombstonedOwner(t *testing.T) {
 		t.Fatalf("the route cache holds %+v after its generation died", owner)
 	}
 }
+
+// TestRouteViewKeptWhenUnchanged: a write section that changes no
+// candidate — a bare lock and unlock, a back-link withdrawal, a close
+// neighbour offered again — republishes nothing, so the published view
+// keeps its pointer; one that does change a candidate publishes a fresh
+// view and leaves the old one as it was.
+func TestRouteViewKeptWhenUnchanged(t *testing.T) {
+	ep := &recordEndpoint{addr: "s"}
+	n := New(ep, geom.Pt(0.5, 0.5), Config{DMin: 0.05, RequestTimeout: time.Hour})
+	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	nbr := proto.NodeInfo{Addr: "t", Pos: geom.Pt(0.52, 0.5)}
+	n.deliver(&proto.Envelope{Type: proto.KindCNAdd, From: nbr, CloseCand: []proto.NodeInfo{nbr}})
+	v := n.view.Load()
+	was := slices.Clone(*v)
+	for _, write := range []func(){
+		func() { n.mu.Lock(); n.unlock() },
+		func() { n.deliver(&proto.Envelope{Type: proto.KindBackWithdraw, From: nbr, Link: 0}) },
+		func() { n.deliver(&proto.Envelope{Type: proto.KindCNAdd, From: nbr, CloseCand: []proto.NodeInfo{nbr}}) },
+	} {
+		write()
+		if got := n.view.Load(); got != v {
+			t.Fatalf("an unchanged view was republished: %v -> %v", *v, *got)
+		}
+	}
+	n.deliver(&proto.Envelope{Type: proto.KindCNRemove, From: nbr})
+	if got := n.view.Load(); got == v || len(*got) != 1 {
+		t.Fatalf("dropping the close neighbour published %v", *got)
+	}
+	if !slices.Equal(*v, was) {
+		t.Fatalf("the old view was written after it was replaced: %v, was %v", *v, was)
+	}
+}

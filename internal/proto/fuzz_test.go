@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"testing"
 
 	"voronet/internal/geom"
@@ -41,6 +42,43 @@ func hostileSeeds() []*Envelope {
 		{Type: KindRoute, Purpose: PurposeLongLink, Target: geom.Pt(0.5, 0.5), Link: -3},
 		{Type: KindRoute, Purpose: PurposeQuery, Target: geom.Pt(0.1, 0.1), Hops: -5},
 		{Type: KindBackTransfer, Back: []BackEntry{{Origin: NodeInfo{Addr: "o"}, Link: -2, Target: geom.Pt(0.9, 0.1)}}},
+	}
+}
+
+// nonFiniteSeeds returns envelopes naming a peer at a NaN or infinite
+// position — in every NodeInfo field the decoder reads. Decode must
+// reject every one of them: such a site has no place in a tessellation.
+func nonFiniteSeeds() []*Envelope {
+	nan := NodeInfo{Addr: "nan", Pos: geom.Pt(math.NaN(), 0.3)}
+	inf := NodeInfo{Addr: "inf", Pos: geom.Pt(math.Inf(1), 0.3)}
+	ninf := NodeInfo{Addr: "ninf", Pos: geom.Pt(0.3, math.Inf(-1))}
+	return []*Envelope{
+		{Type: KindNeighborList, From: NodeInfo{Addr: "a", Pos: geom.Pt(0.2, 0.2)}, Neighbors: []NodeInfo{{Addr: "b", Pos: geom.Pt(0.4, 0.4)}, nan}},
+		{Type: KindRoute, Purpose: PurposeJoin, Target: nan.Pos, Origin: nan},
+		{Type: KindSetNeighbors, From: inf, Origin: NodeInfo{Addr: "j", Pos: geom.Pt(0.5, 0.5)}},
+		{Type: KindJoinGrant, TwoHop: []NeighborRecord{{Node: ninf, VN: []NodeInfo{{Addr: "b"}}}}},
+		{Type: KindJoinGrant, TwoHop: []NeighborRecord{{Node: NodeInfo{Addr: "b"}, VN: []NodeInfo{inf}}}},
+		{Type: KindCNAdd, CloseCand: []NodeInfo{ninf}},
+		{Type: KindBackTransfer, Back: []BackEntry{{Origin: nan, Link: 1, Target: geom.Pt(0.9, 0.1)}}},
+		{Type: KindLongLinkUpdate, Granter: inf, Link: 0},
+	}
+}
+
+// TestDecodeRejectsNonFinitePositions: a NodeInfo at (NaN, 0.3) or
+// (+Inf, 0.3) used to decode, and reached the receiving node's neighbour
+// computation. A routed Target is not a site: a NaN target still
+// decodes, and routing keeps it at the first node.
+func TestDecodeRejectsNonFinitePositions(t *testing.T) {
+	for i, env := range nonFiniteSeeds() {
+		if got, err := Decode(AppendEncode(nil, env)); err == nil {
+			t.Errorf("seed %d: %v envelope decoded to %+v, want rejection", i, env.Type, got)
+		}
+	}
+	route := &Envelope{Type: KindRoute, Purpose: PurposeQuery, Target: geom.Pt(math.NaN(), 0.5),
+		Origin: NodeInfo{Addr: "o", Pos: geom.Pt(0.1, 0.1)}, QueryID: 4}
+	got, err := Decode(AppendEncode(nil, route))
+	if err != nil || !math.IsNaN(got.Target.X) {
+		t.Fatalf("NaN route target: %+v, %v", got, err)
 	}
 }
 
@@ -178,10 +216,10 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		f.Add(b[:len(b)/2])
 		f.Add(append(append([]byte{}, b...), 0x00))
 	}
-	// Negative Link/Hops envelopes zigzag-encode fine but must be
-	// rejected by Decode's validation — seed the fuzzer with them so
-	// mutations explore the hostile-field space.
-	for _, env := range hostileSeeds() {
+	// Negative Link/Hops envelopes and peers at non-finite positions
+	// encode fine but must be rejected by Decode's validation — seed the
+	// fuzzer with them so mutations explore the hostile-field space.
+	for _, env := range append(hostileSeeds(), nonFiniteSeeds()...) {
 		f.Add(AppendEncode(nil, env))
 	}
 	// The retired range-flood frames, whole, truncated and over-long: the
