@@ -51,6 +51,7 @@ type Client struct {
 	inflight *store.Inflight
 	self     proto.NodeInfo
 	retried  atomic.Uint64
+	names    proto.Intern // the addresses of the nodes that answer
 
 	mu     sync.Mutex
 	closed bool
@@ -112,9 +113,12 @@ func (c *Client) Close() error {
 }
 
 // handle demultiplexes one inbound reply frame onto its waiting request.
+// The envelope is a pooled one (proto.GetEnvelope); the callback gets a
+// store.Reply, a copy of its fields.
 func (c *Client) handle(from string, payload []byte) {
-	env, err := proto.Decode(payload)
-	if err != nil {
+	env := proto.GetEnvelope()
+	defer proto.PutEnvelope(env)
+	if err := proto.DecodeInto(env, payload, &c.names); err != nil {
 		return // malformed frame: drop, the request's deadline reports it
 	}
 	if env.Type == proto.KindStoreReply || env.Type == proto.KindQueryAnswer {

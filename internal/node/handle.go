@@ -17,9 +17,14 @@ import (
 // goes through n.mu — read paths under the read lock, view surgery under
 // the write lock — through the published route view (the greedy step) or
 // through the internally-locked store tables.
+//
+// The envelope is a pooled one (proto.GetEnvelope): no handler keeps a
+// pointer to it, only copies of its fields and its freshly allocated
+// slices.
 func (n *Node) handle(from string, payload []byte) {
-	env, err := proto.Decode(payload)
-	if err != nil {
+	env := proto.GetEnvelope()
+	defer proto.PutEnvelope(env)
+	if err := proto.DecodeInto(env, payload, &n.names); err != nil {
 		n.nm.decodeErrs.Inc()
 		return // malformed frame: drop
 	}

@@ -149,6 +149,10 @@ type Node struct {
 	kv       *store.Local
 	inflight *store.Inflight
 
+	// names interns the addresses handle decodes (proto.Intern), so a
+	// frame from a known peer allocates none.
+	names proto.Intern
+
 	// cache is the hot-region owner cache (nil unless
 	// Config.RouteCacheSize > 0). It is a leaf lock: safe to consult
 	// under n.mu and from callback paths.

@@ -218,13 +218,6 @@ type Envelope struct {
 	// Routing (KindRoute).
 	Purpose RoutedPurpose
 	Target  geom.Point
-	// The 16 bytes of the retired range flood's segment end stay: they
-	// keep a decoded Envelope at 464 bytes, in the runtime's 480-byte
-	// size class. At 448 it shares its class with goroutine descriptors,
-	// which the runtime never frees, and the spans those pin among the
-	// short-lived envelopes raised the in-use heap of a 256-peer TCP
-	// overlay by 18 % (EXPERIMENTS.md, "Retired paths").
-	_       [16]byte
 	Origin  NodeInfo // the node the answer should reach
 	Link    int      // long-link index for PurposeLongLink
 	Hops    int      // accumulated Greedyneighbour count
@@ -274,23 +267,39 @@ type Envelope struct {
 // decoder allocate unboundedly before the payload is even validated.
 const maxEnvelopeBytes = 1 << 20
 
-// Decode deserialises one binary v1 frame. The first byte is the format
-// version (wireMagic); a frame that starts with anything else is an
-// error. Malformed bytes yield an error, never a panic: nodes drop
+// Decode deserialises one binary v1 frame into a fresh envelope; see
+// DecodeInto.
+func Decode(b []byte) (*Envelope, error) {
+	e := new(Envelope)
+	if err := DecodeInto(e, b, nil); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// DecodeInto deserialises one binary v1 frame into e, overwriting every
+// field; on error e's contents are unspecified. The first byte is the
+// format version (wireMagic); a frame that starts with anything else is
+// an error. Malformed bytes yield an error, never a panic: nodes drop
 // garbage frames and stay up (see FuzzEnvelopeRoundTrip). Structurally
 // valid frames carrying semantically impossible field values are
 // rejected here too: no legitimate sender ever produces an unknown or
 // retired kind or purpose, or a negative Link, Hops or BackEntry.Link,
 // and a negative Link would otherwise reach a slice index in the
 // receiving node.
-func Decode(b []byte) (*Envelope, error) {
+//
+// Strings — addresses, departures, trace rules — come from intern when it
+// is non-nil, so a frame from a known peer allocates none; every slice
+// field is allocated fresh, so e may be reused while what a handler kept
+// of an earlier frame stays intact. Nothing in e aliases b.
+func DecodeInto(e *Envelope, b []byte, intern *Intern) error {
 	if len(b) > maxEnvelopeBytes {
-		return nil, fmt.Errorf("proto: decode: frame of %d bytes exceeds %d", len(b), maxEnvelopeBytes)
+		return fmt.Errorf("proto: decode: frame of %d bytes exceeds %d", len(b), maxEnvelopeBytes)
 	}
 	if len(b) == 0 || b[0] != wireMagic {
-		return nil, errBadMagic
+		return errBadMagic
 	}
-	return decodeBinary(b)
+	return decodeBinary(e, b, intern)
 }
 
 // validate rejects field values no correct peer can send. It runs on every

@@ -25,10 +25,12 @@
 //
 // AppendEncode performs zero heap allocations (gated by
 // TestAppendEncodeZeroAllocs); senders thread pooled buffers through it
-// via GetBuf/WireBuf.Put. Decode necessarily allocates the envelope and
-// copies every string and byte slice out of the frame: inbound frame
-// buffers are reused by the transport read loops, so a decoded envelope
-// must never alias them.
+// via GetBuf/WireBuf.Put. The decoder copies every string and byte slice
+// out of the frame: inbound frame buffers are reused by the transport
+// read loops, so a decoded envelope must never alias them. DecodeInto
+// into a reused envelope, with strings from an Intern table, allocates
+// nothing for a frame that carries no slice field
+// (TestDecodeIntoZeroAllocs).
 package proto
 
 import (
@@ -104,6 +106,20 @@ func (wb *WireBuf) Put() {
 		wb.B = make([]byte, 0, 2048)
 	}
 	wireBufPool.Put(wb)
+}
+
+var envelopePool = sync.Pool{New: func() any { return new(Envelope) }}
+
+// GetEnvelope fetches a pooled envelope to DecodeInto. The cycle mirrors
+// the WireBuf one: the goroutine that gets an envelope puts it back with
+// PutEnvelope once nothing points at it any more.
+func GetEnvelope() *Envelope { return envelopePool.Get().(*Envelope) }
+
+// PutEnvelope clears e, so the pool pins none of the slices a handler
+// kept, and returns it to the pool.
+func PutEnvelope(e *Envelope) {
+	*e = Envelope{}
+	envelopePool.Put(e)
 }
 
 // AppendEncode appends the binary v1 encoding of e to dst and returns
@@ -319,9 +335,10 @@ func appendNodeInfos(dst []byte, ns []NodeInfo) []byte {
 // end, so a malformed frame can never panic or allocate past the bytes
 // it actually carries.
 type wireReader struct {
-	b   []byte
-	off int
-	err error
+	b      []byte
+	off    int
+	err    error
+	intern *Intern // nil: every string is a fresh copy
 }
 
 var (
@@ -421,7 +438,7 @@ func (r *wireReader) str() string {
 		r.fail("string length %d exceeds remaining %d bytes", n, r.rem())
 		return ""
 	}
-	return string(r.take(int(n))) // copies: the frame buffer is reused
+	return r.intern.str(r.take(int(n))) // copies: the frame buffer is reused
 }
 
 func (r *wireReader) bytes() []byte {
@@ -473,12 +490,12 @@ func (r *wireReader) nodeInfos() []NodeInfo {
 
 // decodeBinary parses one binary v1 frame. The caller has already
 // checked the magic byte and the maxEnvelopeBytes cap.
-func decodeBinary(b []byte) (*Envelope, error) {
+func decodeBinary(e *Envelope, b []byte, intern *Intern) error {
 	if len(b) < 2 {
-		return nil, errTruncated
+		return errTruncated
 	}
-	e := &Envelope{Type: Kind(b[1])}
-	r := &wireReader{b: b, off: 2}
+	*e = Envelope{Type: Kind(b[1])}
+	r := &wireReader{b: b, off: 2, intern: intern}
 	flags := r.uvarint()
 
 	e.Trace = flags&flagTrace != 0
@@ -600,16 +617,53 @@ func decodeBinary(b []byte) (*Envelope, error) {
 	}
 
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if unknown := flags &^ knownFlags; unknown != 0 {
-		return nil, fmt.Errorf("proto: decode: unknown flag bits %#x", unknown)
+		return fmt.Errorf("proto: decode: unknown flag bits %#x", unknown)
 	}
 	if r.off != len(b) {
-		return nil, fmt.Errorf("proto: decode: %d trailing bytes after envelope", len(b)-r.off)
+		return fmt.Errorf("proto: decode: %d trailing bytes after envelope", len(b)-r.off)
 	}
-	if err := e.validate(); err != nil {
-		return nil, err
+	return e.validate()
+}
+
+// Intern is a bounded table of the strings a node's decoder has read —
+// peer addresses, departures, trace rules — so that a frame from a known
+// peer decodes without allocating them. The set a node meets is its
+// neighbourhood plus the origins of the requests routed through it; a
+// table that reaches maxInterned is cleared rather than grown, so a peer
+// sending a flood of distinct addresses costs allocations, never memory.
+// The zero value is an empty table; it is safe for concurrent use.
+type Intern struct {
+	mu sync.Mutex
+	m  map[string]string
+}
+
+// maxInterned bounds an Intern table. A 256-peer overlay's busiest node
+// meets a few hundred distinct addresses (its views, the joiners routed
+// through it during set-up, the clients); at ≈ 64 bytes an entry the cap
+// holds a node's table under 64 KiB.
+const maxInterned = 1024
+
+// str returns b as a string: the interned copy when t holds one, and a
+// fresh copy — interned for next time — otherwise. A nil t interns
+// nothing.
+func (t *Intern) str(b []byte) string {
+	if t == nil {
+		return string(b)
 	}
-	return e, nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s, ok := t.m[string(b)]; ok { // the lookup does not allocate
+		return s
+	}
+	if t.m == nil {
+		t.m = make(map[string]string)
+	} else if len(t.m) >= maxInterned {
+		clear(t.m)
+	}
+	s := string(b)
+	t.m[s] = s
+	return s
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"voronet/internal/metrics"
@@ -67,6 +67,7 @@ type endpointMetrics struct {
 	accepts   *metrics.Counter // connections accepted
 	refreshes *metrics.Counter // cached connections superseded by a fresh inbound one
 	openConns *metrics.Gauge   // connections, dialled or accepted, whose lane is running
+	readBufs  *metrics.Gauge   // read buffers lanes hold (laneReader): ≈ 0 while idle
 
 	// dispatchWait is the time an inbound frame waited for a dispatch
 	// worker slot (the endpoint's lock-wait signal: it grows when
@@ -89,6 +90,7 @@ func newEndpointMetrics(r *metrics.Registry) endpointMetrics {
 		accepts:      r.Counter("tcp_accepts_total"),
 		refreshes:    r.Counter("tcp_conn_refresh_total"),
 		openConns:    r.Gauge("tcp_open_conns"),
+		readBufs:     r.Gauge("tcp_read_bufs_held"),
 		dispatchWait: r.Histogram("tcp_dispatch_wait_seconds", metrics.LatencyBuckets()),
 		inflight:     r.Gauge("tcp_inflight_dispatches"),
 		queueBytes:   r.Gauge("tcp_write_queue_bytes"),
@@ -163,18 +165,23 @@ const maxHello = 260
 // one and blocks until the write carrying those bytes finished (directly
 // or inside a coalesced flush batch), so the buffer can return to the
 // pool the moment Send's outcome is known; a flusher flattens its batches
-// into one, and a lane reads into one a frame too large for its read
-// buffer. maxPooledFrame keeps the occasional MiB-sized value frame from
-// pinning pool memory.
+// into one, and a lane borrows one for each read (laneReader).
+// maxPooledFrame keeps the occasional MiB-sized value frame from pinning
+// pool memory.
 type frameBuf struct{ b []byte }
+
+// pooledFrameBuf is a fresh frameBuf's capacity: it holds whole every
+// protocol message of the benchmark's workloads, the 1 KiB store PUT and
+// its replica push included.
+const pooledFrameBuf = 2 << 10
 
 const maxPooledFrame = 1 << 18
 
-var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 2048)} }}
+var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, pooledFrameBuf)} }}
 
 func putFrameBuf(fb *frameBuf) {
 	if cap(fb.b) > maxPooledFrame {
-		fb.b = make([]byte, 0, 2048)
+		fb.b = make([]byte, 0, pooledFrameBuf)
 	}
 	framePool.Put(fb)
 }
@@ -247,17 +254,6 @@ func (e *TCPEndpoint) startLane(c *tcpConn) bool {
 	return true
 }
 
-// laneReadBuf is the size of every lane's read buffer. Connections live
-// as long as both peers do, so each side of each peer pair pays it for the
-// life of the overlay: on the benchmark's tcp-get workload (256 peers, 8
-// clients, ≈ 100-byte frames) peak memory is 56.7 MiB with bufio's
-// default 4 KiB, 41.1 with 2 KiB, 32.9 with 1 KiB and 28.7 with 512 B, at
-// the same throughput (46.9 MiB when connections were torn down as fast
-// as they were made). 1 KiB holds whole every protocol message but a
-// store record above ≈ 900 bytes; a frame that does not fit is read
-// straight into a pooled buffer (readFrame).
-const laneReadBuf = 1 << 10
-
 // lane is c's ordered delivery lane: frames are handled inline, one at a
 // time, in arrival order. The endpoint semaphore bounds concurrency
 // across lanes and a handler that stalls blocks only this connection. It
@@ -266,29 +262,45 @@ const laneReadBuf = 1 << 10
 // An accepted connection's first frame is the dialler's hello, so the
 // peer's address is fixed per connection — nothing later on the wire can
 // change it — and the `from` string handed to the handler is allocated
-// once. Together with in-place frame reads and the pooled send frames
-// this makes the steady-state transport path allocation-free per message.
+// once. Together with the borrowed read buffer (laneReader) and the
+// pooled send frames this makes the steady-state transport path
+// allocation-free per message.
 func (e *TCPEndpoint) lane(c *tcpConn) {
 	defer e.wg.Done()
 	defer e.em.openConns.Dec()
 	defer e.evict(c)
-	r := bufio.NewReaderSize(c.c, laneReadBuf)
-	if c.peer == "" { // accepted: the hello names the peer
-		err := readFrame(r, func(hello []byte) {
-			if len(hello) <= maxHello {
-				c.peer = string(hello)
-			}
-		})
-		if err != nil {
+	l, err := newLaneReader(c.c, e.em.readBufs)
+	if err != nil {
+		return
+	}
+	defer l.drop()
+	hello := c.peer == "" // accepted: the first frame names the peer
+	for {
+		if err := l.rc.Read(l.read); err != nil || l.err != nil {
 			return
 		}
-		if _, _, err := net.SplitHostPort(c.peer); err != nil {
-			return // not a hello: no address to answer on
+		for {
+			payload, err := l.next()
+			if err != nil {
+				return
+			}
+			if payload == nil {
+				break
+			}
+			if !hello {
+				e.dispatch(c.peer, payload)
+				continue
+			}
+			if len(payload) > maxHello {
+				return
+			}
+			peer := string(payload)
+			if _, _, err := net.SplitHostPort(peer); err != nil {
+				return // not a hello: no address to answer on
+			}
+			c.peer, hello = peer, false
+			e.adopt(c)
 		}
-		e.adopt(c)
-	}
-	deliver := func(payload []byte) { e.dispatch(c.peer, payload) }
-	for readFrame(r, deliver) == nil {
 	}
 }
 
@@ -533,44 +545,117 @@ func appendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// readFrame reads one frame and calls fn with its payload, which is valid
-// only during the call (the Handler payload-lifetime contract): a frame
-// that fits r's buffer is handed over where it lies and discarded after,
-// a larger one is read into a pooled buffer that goes back when fn
-// returns.
-func readFrame(r *bufio.Reader, fn func(payload []byte)) error {
-	hdr, err := r.Peek(4)
+// laneReader is a lane's read side. Connections live as long as both
+// peers do and almost all of them are idle at any instant, so a lane owns
+// no buffer. It borrows a pooled frameBuf for the read once the socket is
+// readable, hands every whole frame in it to the handler where the frame
+// lies — the Handler contract says a payload is valid only during the
+// call — and reads on until the socket is drained. At the EAGAIN the
+// buffer goes back to the pool unless bytes of an unfinished frame wait
+// in it: only a lane in the middle of a frame keeps one across a wait.
+// A frame that fits the pooled buffer costs one read; a larger one grows
+// the borrowed buffer to its size, and putFrameBuf drops a growth above
+// maxPooledFrame.
+type laneReader struct {
+	rc   syscall.RawConn
+	held *metrics.Gauge // counts the borrowed buffer
+	fb   *frameBuf      // borrowed; nil while parked without a partial frame
+	r, w int            // fb.b[r:w] is read and not yet handed over
+	// err is the outcome of the last read: io.EOF, or the socket error.
+	err error
+	// read is fill bound once, so that a read allocates nothing.
+	read func(fd uintptr) bool
+}
+
+func newLaneReader(c net.Conn, held *metrics.Gauge) (*laneReader, error) {
+	sc, ok := c.(syscall.Conn)
+	if !ok {
+		return nil, fmt.Errorf("transport: %T has no raw socket", c)
+	}
+	rc, err := sc.SyscallConn()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > maxFrame {
-		return errors.New("transport: oversized frame")
+	l := &laneReader{rc: rc, held: held}
+	l.read = l.fill
+	return l, nil
+}
+
+// fill is the RawConn read callback: it reads what the socket holds into
+// the free tail of the buffer, borrowing one first if need be. On EAGAIN
+// it gives the buffer back unless a partial frame waits in it, and
+// reports false, so the runtime parks the lane until the socket is
+// readable and calls fill again.
+func (l *laneReader) fill(fd uintptr) bool {
+	if l.fb == nil {
+		l.fb = framePool.Get().(*frameBuf)
+		l.fb.b = l.fb.b[:cap(l.fb.b)]
+		l.held.Inc()
 	}
-	size := 4 + int(n)
-	if size <= r.Size() {
-		b, err := r.Peek(size)
-		if err != nil {
-			return err
+	for {
+		n, err := syscall.Read(int(fd), l.fb.b[l.w:])
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err == syscall.EAGAIN:
+			if l.r == l.w {
+				l.drop()
+			}
+			return false
+		case err != nil:
+			l.err = err
+		case n == 0:
+			l.err = io.EOF
+		default:
+			l.w += n
 		}
-		fn(b[4:])
-		_, err = r.Discard(size)
-		return err
+		return true
 	}
-	if _, err := r.Discard(4); err != nil {
-		return err
+}
+
+// next returns the next whole frame's payload, valid until the following
+// read, or nil when the buffer holds no whole frame (an empty frame's
+// payload is empty, not nil). Then it makes room
+// for the rest of a partial frame — moving it to the front of the
+// buffer, or into a larger one — so that the next read has space.
+func (l *laneReader) next() ([]byte, error) {
+	if l.fb == nil {
+		return nil, nil
 	}
-	fb := framePool.Get().(*frameBuf)
-	defer putFrameBuf(fb)
-	if cap(fb.b) < int(n) {
-		fb.b = make([]byte, n)
+	buf := l.fb.b[l.r:l.w]
+	if len(buf) == 0 {
+		l.r, l.w = 0, 0
+		return nil, nil
 	}
-	b := fb.b[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
-		return err
+	need := 4
+	if len(buf) >= 4 {
+		n := binary.BigEndian.Uint32(buf)
+		if n > maxFrame {
+			return nil, errors.New("transport: oversized frame")
+		}
+		need += int(n)
+		if len(buf) >= need {
+			l.r += need
+			return buf[4:need], nil
+		}
 	}
-	fn(b)
-	return nil
+	if l.r+need > len(l.fb.b) {
+		if need > len(l.fb.b) {
+			l.fb.b = make([]byte, need)
+		}
+		l.w = copy(l.fb.b, buf)
+		l.r = 0
+	}
+	return nil, nil
+}
+
+// drop gives the buffer back to the pool.
+func (l *laneReader) drop() {
+	if l.fb != nil {
+		putFrameBuf(l.fb)
+		l.fb, l.r, l.w = nil, 0, 0
+		l.held.Dec()
+	}
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)

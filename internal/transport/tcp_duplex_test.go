@@ -271,13 +271,13 @@ func TestTCPRestartWithoutFIN(t *testing.T) {
 	}
 }
 
-// TestTCPFrameSizesAroundReadBuffer: frames that fit a lane's read buffer
-// are handed over in place and larger ones through a pooled buffer; a
-// stream that mixes both, with sizes on either side of the boundary, must
-// arrive intact and in order.
+// TestTCPFrameSizesAroundReadBuffer: frames that fit the pooled buffer a
+// lane borrows are read whole in one go and larger ones grow it; a stream
+// that mixes both, with sizes on either side of the boundary, must arrive
+// intact and in order.
 func TestTCPFrameSizesAroundReadBuffer(t *testing.T) {
 	a, b := listenT(t), listenT(t)
-	sizes := []int{0, 1, laneReadBuf - 5, laneReadBuf - 4, laneReadBuf - 3, laneReadBuf, 3 * laneReadBuf, 64 << 10, 7, maxPooledFrame + 1, 100}
+	sizes := []int{0, 1, pooledFrameBuf - 5, pooledFrameBuf - 4, pooledFrameBuf - 3, pooledFrameBuf, 3 * pooledFrameBuf, 64 << 10, 7, maxPooledFrame + 1, 100}
 	payload := func(i, n int) []byte {
 		p := make([]byte, n)
 		for k := range p {

@@ -16,10 +16,11 @@ import (
 )
 
 // Handler processes an inbound message. The payload slice is owned by
-// the transport and valid only for the duration of the call: TCP read
-// loops reuse one buffer per connection, so a handler that needs the
-// bytes later must copy them (every handler in this codebase decodes or
-// copies synchronously).
+// the transport and valid only for the duration of the call: a TCP lane
+// hands the frame over where it lies in a pooled read buffer, which goes
+// back to the pool once the socket is drained, so a handler that needs
+// the bytes later must copy them (every handler in this codebase decodes
+// or copies synchronously).
 type Handler func(from string, payload []byte)
 
 // Endpoint is one node's attachment to a transport.
