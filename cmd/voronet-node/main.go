@@ -315,18 +315,23 @@ func main() {
 				}
 			}
 		case "view":
-			fmt.Printf("vn (%d):\n", len(nd.Neighbors()))
-			for _, v := range nd.Neighbors() {
+			// Each list is taken once: a concurrent Leave (the SIGTERM
+			// shutdown) may empty the views between two calls.
+			vn, cn := nd.Neighbors(), nd.CloseNeighbors()
+			links, targets := nd.LongNeighbors(), nd.LongTargets()
+			fmt.Printf("vn (%d):\n", len(vn))
+			for _, v := range vn {
 				fmt.Printf("  %s (%g, %g)\n", v.Addr, v.Pos.X, v.Pos.Y)
 			}
-			fmt.Printf("cn (%d):\n", len(nd.CloseNeighbors()))
-			for _, v := range nd.CloseNeighbors() {
+			fmt.Printf("cn (%d):\n", len(cn))
+			for _, v := range cn {
 				fmt.Printf("  %s (%g, %g)\n", v.Addr, v.Pos.X, v.Pos.Y)
 			}
-			fmt.Printf("LRn (%d):\n", len(nd.LongNeighbors()))
-			for j, v := range nd.LongNeighbors() {
-				tgt := nd.LongTargets()[j]
-				fmt.Printf("  link %d -> %s (target %g, %g)\n", j, v.Addr, tgt.X, tgt.Y)
+			fmt.Printf("LRn (%d):\n", len(links))
+			for j, v := range links {
+				if j < len(targets) {
+					fmt.Printf("  link %d -> %s (target %g, %g)\n", j, v.Addr, targets[j].X, targets[j].Y)
+				}
 			}
 		case "metrics":
 			snap := nd.Metrics().Snapshot()

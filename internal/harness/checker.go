@@ -146,8 +146,7 @@ func (r *Run) runCheck(c check) CheckReport {
 // neighbourhood — the union of local views forms the global tessellation.
 func (r *Run) checkViews(ref *reference, rep *CheckReport) {
 	for _, m := range ref.members {
-		got := m.nd.Neighbors()
-		sort.Slice(got, func(i, j int) bool { return got[i].Addr < got[j].Addr })
+		got := m.nd.Neighbors() // in address order
 		want := ref.nbrs[m.addr]
 		ok := len(got) == len(want)
 		if ok {

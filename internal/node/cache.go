@@ -23,7 +23,7 @@ import (
 // never with an owner this node holds tombstoned; invalidated by address
 // whenever the node tombstones a departure and by region when a newcomer
 // takes a cached key over; cleared when this node leaves. The mutex is a
-// leaf lock, safe to take under n.mu (read or write) and from callbacks.
+// leaf lock, safe to take under n.mu and from callbacks.
 type routeCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -122,7 +122,7 @@ func (rc *routeCache) dropIf(drop func(key geom.Point, owner proto.NodeInfo) boo
 }
 
 // invalidateOwner drops every entry naming addr and returns how many it
-// removed; every departure reaches it through tombstoneLocked.
+// removed; every departure reaches it through Node.tombstone.
 func (rc *routeCache) invalidateOwner(addr string) int {
 	return rc.dropIf(func(_ geom.Point, owner proto.NodeInfo) bool { return owner.Addr == addr })
 }

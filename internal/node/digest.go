@@ -80,14 +80,12 @@ func unpackFPs(b []byte) []uint64 {
 // would choose them — and returns it with the number of records
 // considered. Both are zero when the node is not joined.
 func (n *Node) syncPlan() ([]pushTo, int) {
-	n.mu.RLock()
-	joined, vns := n.joined, n.vnList()
-	n.mu.RUnlock()
-	if !joined {
+	nb := n.view.Load()
+	if !nb.joined {
 		return nil, 0
 	}
 	recs := n.kv.Snapshot()
-	return placementPlan(n.self, vns, n.cfg.Replication, recs, false), len(recs)
+	return placementPlan(n.self, nb.vn, n.cfg.Replication, recs, false), len(recs)
 }
 
 // handleSyncDigest answers an anti-entropy opener: fingerprint our whole

@@ -1,9 +1,9 @@
 package node
 
 import (
+	"slices"
 	"time"
 
-	"voronet/internal/geom"
 	"voronet/internal/proto"
 )
 
@@ -22,82 +22,70 @@ import (
 // itself hits further dead peers.
 func (n *Node) NotifyDeparted(addr string) {
 	start := time.Now()
-	n.mu.Lock()
-	if !n.joined || addr == n.self.Addr {
-		n.unlock()
+	nb := n.lock()
+	if !nb.joined || addr == n.self.Addr {
+		n.unlock(nb)
 		return
 	}
-	if g, dead := n.tombs[addr]; dead {
+	vi, inVN := find(nb.vn, addr)
+	ci, inCN := find(nb.cn, addr)
+	if g, dead := nb.tombs.gen[addr]; dead {
 		// Idempotence — unless a newer incarnation of the address has
 		// since rejoined our views; its crash is fresh news.
-		v, inVN := n.vn[addr]
-		c, inCN := n.cn[addr]
-		if !(inVN && v.Gen > g) && !(inCN && c.Gen > g) {
-			n.unlock()
+		if !(inVN && nb.vn[vi].Gen > g) && !(inCN && nb.cn[ci].Gen > g) {
+			n.unlock(nb)
 			return
 		}
 	}
 	defer func() { n.nm.departTime.Observe(time.Since(start).Seconds()) }()
-	gone, wasVN := n.vn[addr]
 	// Tombstone the incarnation we knew; a durably restarted successor
 	// (higher generation) stays admissible.
-	gen := gone.Gen
-	if !wasVN {
-		if c, ok := n.cn[addr]; ok {
-			gen = c.Gen
-		}
+	var gone proto.NodeInfo
+	if inVN {
+		gone = nb.vn[vi]
+	} else if inCN {
+		gone = nb.cn[ci]
 	}
-	n.tombstoneLocked(addr, gen)
-	// Build the pool before dropping the dead peer's list: its old
-	// neighbours are exactly the other border nodes of the hole.
-	pool := n.candidatePool()
-	delete(pool, addr)
-	delete(n.vn, addr)
-	delete(n.twoHop, addr)
-	delete(n.cn, addr)
-	if wasVN {
-		n.recomputeLocked(pool)
+	n.tombstone(nb, addr, gone.Gen)
+	nb.cn = without(nb.cn, addr)
+	if inVN {
+		// The pool keeps the dead peer's list: its old neighbours are
+		// exactly the other border nodes of the hole.
+		pool := nb.candidatePool(n.self)
+		delete(pool, addr)
+		nb.recompute(n.self, pool)
 	}
 	// Drop BLRn entries originated by the dead peer: there is no origin
 	// left to serve the link for.
-	kept := n.back[:0]
-	for _, ref := range n.back {
-		if ref.Origin.Addr != addr {
-			kept = append(kept, ref)
-		}
-	}
-	n.back = kept
+	nb.back = slices.DeleteFunc(slices.Clone(nb.back), func(ref proto.BackEntry) bool { return ref.Origin.Addr == addr })
 	// Long links the dead peer held must be re-routed to the targets' new
 	// owners; clear the slot so routing skips it until the grant arrives.
 	var relink []int
-	for j, h := range n.longNbrs {
+	for j, h := range nb.longNbrs {
 		if h.Addr == addr {
-			n.longNbrs[j] = proto.NodeInfo{}
+			nb.setLong(j, proto.NodeInfo{})
 			relink = append(relink, j)
 		}
 	}
 	var vns []proto.NodeInfo
-	if wasVN {
-		vns = n.vnList()
+	if inVN {
+		vns = nb.vn
 	}
-	dep, depGen := n.departedLocked()
+	dep, depGen := nb.tombs.departed()
 	self := n.self
-	targets := make([]geom.Point, len(relink))
-	for i, j := range relink {
-		targets[i] = n.longTargets[j]
-	}
-	n.unlock()
+	targets := nb.longTargets
+	n.unlock(nb)
 
 	for _, v := range vns {
 		// Best effort: further dead peers are repaired by their own
 		// notifications.
 		_ = n.send(v.Addr, &proto.Envelope{Type: proto.KindNeighborList, From: self, Neighbors: vns, Departed: dep, DepartedGen: depGen})
 	}
-	for i, j := range relink {
+	for _, j := range relink {
 		env := &proto.Envelope{
 			Type:    proto.KindRoute,
 			Purpose: proto.PurposeLongLink,
-			Target:  targets[i],
+			Target:  targets[j],
 			Origin:  self,
 			Link:    j,
 		}
@@ -107,7 +95,7 @@ func (n *Node) NotifyDeparted(addr string) {
 	// copy; re-replicate the ones we now own and push the rest to their
 	// new owners (who may hold nothing — the dead owner's replica set
 	// need not contain them).
-	if wasVN {
+	if inVN {
 		n.repairDepartedRecords(self, gone, vns)
 	}
 }

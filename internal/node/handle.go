@@ -2,7 +2,6 @@ package node
 
 import (
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -13,10 +12,9 @@ import (
 
 // handle dispatches one inbound protocol message. Handlers may run
 // concurrently (the TCP transport delivers independent peers' messages in
-// parallel; per-peer order is preserved): every access to shared state
-// goes through n.mu — read paths under the read lock, view surgery under
-// the write lock — through the published route view (the greedy step) or
-// through the internally-locked store tables.
+// parallel; per-peer order is preserved): a read path loads the published
+// neighbourhood, view surgery edits a copy under n.mu, and the store
+// tables lock themselves.
 //
 // The envelope is a pooled one (proto.GetEnvelope): no handler keeps a
 // pointer to it, only copies of its fields and its freshly allocated
@@ -45,17 +43,11 @@ func (n *Node) deliver(env *proto.Envelope) {
 		return
 	}
 	n.nm.recvByKind[env.Type].Inc()
-	// Tombstone bookkeeping needs the write lock, but the overwhelmingly
+	// Tombstone bookkeeping needs the writer lock, but the overwhelmingly
 	// common case — no departures advertised, sender not tombstoned — can
-	// establish under the read lock that there is nothing to do.
-	needTombWork := len(env.Departed) > 0
-	if !needTombWork {
-		n.mu.RLock()
-		_, needTombWork = n.tombs[env.From.Addr]
-		n.mu.RUnlock()
-	}
-	if needTombWork {
-		n.mu.Lock()
+	// establish from the published view that there is nothing to do.
+	if _, dead := n.view.Load().tombs.gen[env.From.Addr]; dead || len(env.Departed) > 0 {
+		nb := n.lock()
 		// Merge the sender's tombstones: gossip must not resurrect the
 		// dead. Each entry kills one incarnation (Departed[i] at
 		// DepartedGen[i], generation 0 when absent) — if we can see a
@@ -73,13 +65,13 @@ func (n *Node) deliver(env *proto.Envelope) {
 			if i < len(env.DepartedGen) {
 				g = env.DepartedGen[i]
 			}
-			if v, ok := n.vn[d]; ok && v.Gen > g {
+			if i, ok := find(nb.vn, d); ok && nb.vn[i].Gen > g {
 				continue
 			}
-			if v, ok := n.cn[d]; ok && v.Gen > g {
+			if i, ok := find(nb.cn, d); ok && nb.cn[i].Gen > g {
 				continue
 			}
-			n.tombstoneLocked(d, g)
+			n.tombstone(nb, d, g)
 		}
 		// A message from a tombstoned address proves it is alive again
 		// (rejoined at the same address): lift the tombstone — unless the
@@ -87,13 +79,13 @@ func (n *Node) deliver(env *proto.Envelope) {
 		// on its way out), or the message is a straggler from the dead
 		// incarnation itself (sender generation below the one that died).
 		lifted := false
-		if g, dead := n.tombs[env.From.Addr]; dead && env.From.Gen >= g &&
+		if g, dead := nb.tombs.gen[env.From.Addr]; dead && env.From.Gen >= g &&
 			!selfDeparted && env.Type != proto.KindLeave && env.Type != proto.KindLeaveCN {
-			n.liftTombLocked(env.From.Addr)
+			nb.liftTomb(env.From.Addr)
 			lifted = true
 		}
-		n.purgeTombstonedLocked()
-		n.unlock()
+		nb.purgeTombstoned()
+		n.unlock(nb)
 		if lifted {
 			// Lifting alone is not enough: while the address was
 			// tombstoned, every piece of gossip naming it (SetNeighbors,
@@ -117,34 +109,26 @@ func (n *Node) deliver(env *proto.Envelope) {
 	case proto.KindCNAdd:
 		n.handleCNAdd(env)
 	case proto.KindCNRemove:
-		n.mu.Lock()
-		delete(n.cn, env.From.Addr)
-		n.unlock()
+		nb := n.lock()
+		nb.cn = without(nb.cn, env.From.Addr)
+		n.unlock(nb)
 	case proto.KindLeaveCN:
-		n.mu.Lock()
-		delete(n.cn, env.From.Addr)
-		n.tombstoneLocked(env.From.Addr, env.From.Gen)
-		n.purgeTombstonedLocked()
-		n.unlock()
+		nb := n.lock()
+		nb.cn = without(nb.cn, env.From.Addr)
+		n.tombstone(nb, env.From.Addr, env.From.Gen)
+		nb.purgeTombstoned()
+		n.unlock(nb)
 	case proto.KindLongLinkGrant:
-		n.mu.Lock()
-		// The lower bound is defence in depth: proto.Decode rejects
-		// negative Link fields, but a slice index from the wire must
-		// never be trusted on one layer alone (a Link of -1 panicked the
-		// node before the guard).
-		if env.Link >= 0 && env.Link < len(n.longNbrs) {
-			n.longNbrs[env.Link] = env.From
-		}
-		n.unlock()
+		nb := n.lock()
+		nb.setLong(env.Link, env.From)
+		n.unlock(nb)
 	case proto.KindLongLinkUpdate:
-		n.mu.Lock()
-		if env.Link >= 0 && env.Link < len(n.longNbrs) {
-			n.longNbrs[env.Link] = env.Granter
-		}
-		n.unlock()
+		nb := n.lock()
+		nb.setLong(env.Link, env.Granter)
+		n.unlock(nb)
 	case proto.KindBackTransfer:
-		n.mu.Lock()
-		if !n.joined {
+		nb := n.lock()
+		if !nb.joined {
 			// We have left but a reordered transfer still reached us.
 			// If the sender has also departed (its farewell marker lists
 			// itself), bouncing would ping-pong between two dead nodes
@@ -154,7 +138,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 			// them; our farewell marker (Departed contains us) tombstones
 			// us at the recipient, whose rebalance then cannot choose us.
 			self := n.self
-			n.unlock()
+			n.unlock(nb)
 			fromDeparted := false
 			for _, d := range env.Departed {
 				if d == env.From.Addr {
@@ -174,26 +158,27 @@ func (n *Node) deliver(env *proto.Envelope) {
 			}
 			return
 		}
-		n.back = append(n.back, env.Back...)
+		nb.back = append(nb.back, env.Back...)
 		// The sender believed we are closer to the targets than it is; a
 		// neighbour of ours may be closer still. Re-placing forwards the
 		// entry along strictly decreasing distance, so the chain
 		// terminates at the true owner. The sender is excluded: a leaving
 		// node delegates its entries while it still sits in our view, and
 		// bouncing one back would strand it on the departed node.
-		moves := n.backRebalanceLocked(env.From.Addr)
-		n.unlock()
+		moves := nb.backRebalance(n.self, env.From.Addr)
+		n.unlock(nb)
 		n.sendBackMoves(moves)
 	case proto.KindBackWithdraw:
-		n.mu.Lock()
-		for i, ref := range n.back {
+		nb := n.lock()
+		for i, ref := range nb.back {
 			if ref.Origin.Addr == env.From.Addr && ref.Link == env.Link {
-				n.back[i] = n.back[len(n.back)-1]
-				n.back = n.back[:len(n.back)-1]
+				back := slices.Clone(nb.back)
+				back[i] = back[len(back)-1]
+				nb.back = back[:len(back)-1]
 				break
 			}
 		}
-		n.unlock()
+		n.unlock(nb)
 	case proto.KindLeave:
 		n.handleLeave(env)
 	case proto.KindQueryAnswer, proto.KindStoreReply:
@@ -221,8 +206,8 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 		hopStart = time.Now()
 		n.nm.traced.Inc()
 	}
-	v := n.view.Load()
-	if v == nil {
+	nb := n.view.Load()
+	if nb.route == nil {
 		return // not joined, or already left
 	}
 	// A GET is answered by the first node on the greedy path holding the
@@ -266,7 +251,7 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 			n.nm.cacheMisses.Inc()
 		}
 	}
-	best := v.next(env.Target, cached, skip) // its class is the trace's rule
+	best := nb.route.next(env.Target, cached, skip) // its class is the trace's rule
 
 	if best.info.Addr != n.self.Addr {
 		fwd := *env
@@ -299,9 +284,9 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 	case proto.PurposeJoin:
 		n.admitJoin(env)
 	case proto.PurposeLongLink:
-		n.mu.Lock()
-		n.back = append(n.back, proto.BackEntry{Origin: env.Origin, Link: env.Link, Target: env.Target})
-		n.unlock()
+		nb := n.lock()
+		nb.back = append(nb.back, proto.BackEntry{Origin: env.Origin, Link: env.Link, Target: env.Target})
+		n.unlock(nb)
 		n.send(env.Origin.Addr, &proto.Envelope{
 			Type: proto.KindLongLinkGrant, From: n.self, Link: env.Link, Hops: env.Hops,
 		})
@@ -334,27 +319,23 @@ func (n *Node) admitJoin(env *proto.Envelope) {
 		return // no region to grant; Decode refuses such a joiner already
 	}
 
-	// The read lock suffices: the joiner's neighbour list is computed from
-	// the candidate pool (us, our neighbours, their neighbours) and nothing
-	// of ours is written.
-	n.mu.RLock()
-	pool := n.candidatePool()
+	// The published view suffices: the joiner's neighbour list is computed
+	// from the candidate pool (us, our neighbours, their neighbours) and
+	// nothing of ours is written.
+	nb := n.view.Load()
+	pool := nb.candidatePool(n.self)
 	pool[j.Addr] = j
 	newVN := cellNeighbors(j, pool)
 
 	// Bootstrap two-hop knowledge for the joiner from what we know.
 	var records []proto.NeighborRecord
 	for _, y := range newVN {
-		switch {
-		case y.Addr == n.self.Addr:
-			records = append(records, proto.NeighborRecord{Node: n.self, VN: n.vnList()})
-		default:
-			if lst, ok := n.twoHop[y.Addr]; ok {
-				records = append(records, proto.NeighborRecord{Node: y, VN: lst})
-			}
+		if y.Addr == n.self.Addr {
+			records = append(records, proto.NeighborRecord{Node: n.self, VN: nb.vn})
+		} else if i, ok := find(nb.vn, y.Addr); ok && nb.twoHop[i] != nil {
+			records = append(records, proto.NeighborRecord{Node: y, VN: nb.twoHop[i]})
 		}
 	}
-	n.mu.RUnlock()
 
 	// Grant the joiner its region and view.
 	n.send(j.Addr, &proto.Envelope{
@@ -380,28 +361,27 @@ func (n *Node) admitJoin(env *proto.Envelope) {
 // links (Algorithm 2).
 func (n *Node) handleJoinGrant(env *proto.Envelope) {
 	start := time.Now()
-	n.mu.Lock()
-	if n.joined {
-		n.unlock()
+	nb := n.lock()
+	if nb.joined {
+		n.unlock(nb)
 		return
 	}
 	defer func() { n.nm.joinGrantTime.Observe(time.Since(start).Seconds()) }()
-	n.joined = true
-	for _, v := range env.Neighbors {
-		n.vn[v.Addr] = v
-	}
+	nb.joined = true
+	nb.vn = slices.CompactFunc(slices.SortedFunc(slices.Values(env.Neighbors), byAddr), sameAddr)
+	nb.twoHop = make([][]proto.NodeInfo, len(nb.vn))
 	for _, rec := range env.TwoHop {
-		n.twoHop[rec.Node.Addr] = rec.VN
+		nb.setTwoHop(rec.Node.Addr, rec.VN)
 	}
 	targets := make([]geom.Point, 0, n.cfg.LongLinks)
 	for jdx := 0; jdx < n.cfg.LongLinks; jdx++ {
 		targets = append(targets, n.chooseLRT())
 	}
-	n.longTargets = targets
-	n.longNbrs = make([]proto.NodeInfo, len(targets))
-	vns := n.vnList()
-	dep, depGen := n.departedLocked()
-	n.unlock()
+	nb.longTargets = targets
+	nb.longNbrs = make([]proto.NodeInfo, len(targets))
+	vns := nb.vn
+	dep, depGen := nb.tombs.departed()
+	n.unlock(nb)
 
 	// Freshness: our neighbours need our list in their two-hop tables.
 	for _, v := range vns {
@@ -430,25 +410,25 @@ func (n *Node) handleSetNeighbors(env *proto.Envelope) {
 // refreshes neighbours, and performs the close-neighbour and BLRn
 // exchanges of AddVoronoiRegion.
 func (n *Node) integrateNewcomer(j proto.NodeInfo) {
-	n.mu.Lock()
-	if !n.joined || j.Addr == n.self.Addr {
-		n.unlock()
+	nb := n.lock()
+	if !nb.joined || j.Addr == n.self.Addr {
+		n.unlock(nb)
 		return
 	}
-	if g, dead := n.tombs[j.Addr]; dead {
+	if g, dead := nb.tombs.gen[j.Addr]; dead {
 		if j.Gen <= g {
 			// Stale gossip about a dead incarnation: integrating it would
 			// resurrect a crashed node until the next purge killed it
 			// again. Only a strictly newer generation — a durably
 			// restarted successor — overrides a tombstone here.
-			n.unlock()
+			n.unlock(nb)
 			return
 		}
-		n.liftTombLocked(j.Addr)
+		nb.liftTomb(j.Addr)
 	}
-	pool := n.candidatePool()
+	pool := nb.candidatePool(n.self)
 	pool[j.Addr] = j
-	changed := n.recomputeLocked(pool)
+	changed := nb.recompute(n.self, pool)
 	// Cache coherence on AddVoronoiRegion: regions the newcomer is now
 	// strictly closer to changed hands, so their cached owners are stale.
 	if n.cache != nil {
@@ -463,24 +443,24 @@ func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 	if geom.Dist(n.self.Pos, j.Pos) <= n.cfg.DMin {
 		cand = append(cand, n.self)
 	}
-	for _, c := range n.cn {
+	for _, c := range nb.cn {
 		if geom.Dist(c.Pos, j.Pos) <= n.cfg.DMin {
 			cand = append(cand, c)
 		}
 	}
-	sort.Slice(cand, func(i, k int) bool { return cand[i].Addr < cand[k].Addr })
+	slices.SortFunc(cand, byAddr)
 	// BLRn handover: entries some neighbour (usually the newcomer) is now
 	// strictly closer to move to their new owner. The newcomer case of
 	// §4.2.1 is subsumed: if j took over a target's region it is either a
 	// neighbour of ours or reachable through one, and the transfer chain
 	// strictly approaches the target.
-	moves := n.backRebalanceLocked("")
+	moves := nb.backRebalance(n.self, "")
 	var vns []proto.NodeInfo
 	if changed {
-		vns = n.vnList()
+		vns = nb.vn
 	}
-	dep, depGen := n.departedLocked()
-	n.unlock()
+	dep, depGen := nb.tombs.departed()
+	n.unlock(nb)
 
 	for _, v := range vns {
 		n.send(v.Addr, &proto.Envelope{Type: proto.KindNeighborList, From: n.self, Neighbors: vns, Departed: dep, DepartedGen: depGen})
@@ -512,44 +492,47 @@ func (n *Node) handleNeighborList(env *proto.Envelope) {
 			break
 		}
 	}
-	n.mu.Lock()
-	if !n.joined {
-		n.unlock()
+	nb := n.lock()
+	if !nb.joined {
+		n.unlock(nb)
 		return
 	}
-	_, isNbr := n.vn[env.From.Addr]
+	_, isNbr := find(nb.vn, env.From.Addr)
 	if !isNbr && !mentionsUs {
-		n.unlock()
+		n.unlock(nb)
 		return
 	}
-	n.twoHop[env.From.Addr] = env.Neighbors
-	pool := n.candidatePool()
+	// The sender's list joins the pool whether or not it is a neighbour
+	// yet, and is kept if it is one after the recompute.
+	nb.setTwoHop(env.From.Addr, env.Neighbors)
+	pool := nb.candidatePool(n.self)
+	nb.addLive(pool, env.Neighbors)
 	pool[env.From.Addr] = env.From
-	changed := n.recomputeLocked(pool)
-	_, nowNbr := n.vn[env.From.Addr]
+	changed := nb.recompute(n.self, pool)
+	_, nowNbr := find(nb.vn, env.From.Addr)
+	if nowNbr && !isNbr {
+		nb.setTwoHop(env.From.Addr, env.Neighbors)
+	}
 	var vns []proto.NodeInfo
 	var moves []backMove
 	if changed {
-		vns = n.vnList()
+		vns = nb.vn
 		// A sharpened view can reveal a neighbour closer to one of our
 		// BLRn targets: re-place those entries at the new owner.
-		moves = n.backRebalanceLocked("")
+		moves = nb.backRebalance(n.self, "")
 	}
 	// Asymmetry repair: the sender believes we are its neighbour but our
 	// richer pool disagrees (its view holds a false edge). Send it our
 	// list: it carries the witness that invalidates the edge, so the
 	// sender's next recompute drops us and views converge.
-	var rebut []proto.NodeInfo
-	if mentionsUs && !nowNbr {
-		rebut = n.vnList()
-	}
-	dep, depGen := n.departedLocked()
-	n.unlock()
+	rebut := mentionsUs && !nowNbr
+	dep, depGen := nb.tombs.departed()
+	n.unlock(nb)
 	for _, v := range vns {
 		n.send(v.Addr, &proto.Envelope{Type: proto.KindNeighborList, From: n.self, Neighbors: vns, Departed: dep, DepartedGen: depGen})
 	}
-	if rebut != nil {
-		n.send(env.From.Addr, &proto.Envelope{Type: proto.KindNeighborList, From: n.self, Neighbors: rebut, Departed: dep, DepartedGen: depGen})
+	if rebut {
+		n.send(env.From.Addr, &proto.Envelope{Type: proto.KindNeighborList, From: n.self, Neighbors: nb.vn, Departed: dep, DepartedGen: depGen})
 	}
 	n.sendBackMoves(moves)
 }
@@ -558,7 +541,7 @@ func (n *Node) handleNeighborList(env *proto.Envelope) {
 // relation stays symmetric. Replies are sent only for newly added
 // entries, which makes the exchange converge.
 func (n *Node) handleCNAdd(env *proto.Envelope) {
-	n.mu.Lock()
+	nb := n.lock()
 	var replyTo []proto.NodeInfo
 	for _, c := range env.CloseCand {
 		if c.Addr == n.self.Addr {
@@ -568,22 +551,34 @@ func (n *Node) handleCNAdd(env *proto.Envelope) {
 		// can still carry the dead address; since the preamble no longer
 		// purges on every message (only when tombstone work arrives),
 		// nothing downstream would evict it.
-		if n.deadLocked(c) {
+		if nb.tombs.dead(c) {
 			continue
 		}
 		if !(geom.Dist(c.Pos, n.self.Pos) <= n.cfg.DMin) {
 			continue // too far, or not a position at all (NaN)
 		}
-		if _, known := n.cn[c.Addr]; known {
+		i, known := find(nb.cn, c.Addr)
+		if known {
 			continue
 		}
-		n.cn[c.Addr] = c
+		nb.cn = slices.Concat(nb.cn[:i], []proto.NodeInfo{c}, nb.cn[i:])
 		replyTo = append(replyTo, c)
 	}
 	self := n.self
-	n.unlock()
+	n.unlock(nb)
 	for _, c := range replyTo {
 		n.send(c.Addr, &proto.Envelope{Type: proto.KindCNAdd, From: self, CloseCand: []proto.NodeInfo{self}})
+	}
+}
+
+// setLong points long link j at holder h. The lower bound is defence in
+// depth: proto.Decode rejects negative Link fields, but a slice index from
+// the wire must never be trusted on one layer alone (a Link of -1
+// panicked the node before the guard).
+func (nb *neighbourhood) setLong(j int, h proto.NodeInfo) {
+	if j >= 0 && j < len(nb.longNbrs) && nb.longNbrs[j] != h {
+		nb.longNbrs = slices.Clone(nb.longNbrs)
+		nb.longNbrs[j] = h
 	}
 }
 
@@ -593,8 +588,8 @@ type backMove struct {
 	ref proto.BackEntry
 }
 
-// backRebalanceLocked removes from BLRn every entry some current Voronoi
-// neighbour is strictly closer to than this node and returns the moves.
+// backRebalance removes from BLRn every entry some current Voronoi
+// neighbour is strictly closer to than self and returns the moves.
 // The paper keeps each back entry at the owner of its target; under
 // concurrent joins and churn, ownership knowledge sharpens as views
 // converge, so every view change re-places the entries. Each move
@@ -602,26 +597,28 @@ type backMove struct {
 // move), so transfer chains terminate at the true owner once views are
 // exact — the greedy property guarantees the owner's neighbourhood always
 // contains a closer next holder while the entry is misplaced. exclude
-// (may be empty) names a peer never to move to. Caller holds n.mu.
-func (n *Node) backRebalanceLocked(exclude string) []backMove {
-	if len(n.back) == 0 || len(n.vn) == 0 {
+// (may be empty) names a peer never to move to.
+func (nb *neighbourhood) backRebalance(self proto.NodeInfo, exclude string) []backMove {
+	if len(nb.back) == 0 || len(nb.vn) == 0 {
 		return nil
 	}
-	vns := without(n.vnList(), exclude)
+	vns := without(nb.vn, exclude)
 	var moves []backMove
-	kept := n.back[:0]
-	for _, ref := range n.back {
-		if to, isSelf := ownerForKey(n.self, vns, ref.Target); isSelf {
+	var kept []proto.BackEntry
+	for _, ref := range nb.back {
+		if to, isSelf := ownerForKey(self, vns, ref.Target); isSelf {
 			kept = append(kept, ref)
 		} else {
 			moves = append(moves, backMove{to: to, ref: ref})
 		}
 	}
-	n.back = kept
+	if len(moves) > 0 {
+		nb.back = kept
+	}
 	return moves
 }
 
-// sendBackMoves executes the transfers computed by backRebalanceLocked:
+// sendBackMoves executes the transfers computed by backRebalance:
 // each entry travels to its new holder and the link's origin is told who
 // holds it now. A transport-unreachable holder (a crash the views have
 // not caught up with) triggers the departure repair and the entry is
@@ -648,10 +645,10 @@ func (n *Node) sendBackMoves(moves []backMove) {
 		if len(retry) == 0 {
 			return
 		}
-		n.mu.Lock()
-		n.back = append(n.back, retry...)
-		moves = n.backRebalanceLocked("")
-		n.unlock()
+		nb := n.lock()
+		nb.back = append(nb.back, retry...)
+		moves = nb.backRebalance(n.self, "")
+		n.unlock(nb)
 	}
 }
 
@@ -660,23 +657,21 @@ func (n *Node) sendBackMoves(moves []backMove) {
 // we hold in the two-hop table, supplies the hole's other border nodes).
 func (n *Node) handleLeave(env *proto.Envelope) {
 	gone := env.From.Addr
-	n.mu.Lock()
-	if !n.joined {
-		n.unlock()
+	nb := n.lock()
+	if !nb.joined {
+		n.unlock(nb)
 		return
 	}
-	n.tombstoneLocked(gone, env.From.Gen)
+	n.tombstone(nb, gone, env.From.Gen)
 	// Build the pool *before* dropping the departed node's list: its old
 	// neighbours are exactly the other border nodes of the hole.
-	pool := n.candidatePool()
+	pool := nb.candidatePool(n.self)
 	delete(pool, gone)
-	delete(n.vn, gone)
-	delete(n.twoHop, gone)
-	delete(n.cn, gone)
-	n.recomputeLocked(pool)
-	vns := n.vnList()
-	dep, depGen := n.departedLocked()
-	n.unlock()
+	nb.recompute(n.self, pool)
+	nb.cn = without(nb.cn, gone)
+	vns := nb.vn
+	dep, depGen := nb.tombs.departed()
+	n.unlock(nb)
 	for _, v := range vns {
 		n.send(v.Addr, &proto.Envelope{
 			Type: proto.KindNeighborList, From: n.self, Neighbors: vns, Departed: dep, DepartedGen: depGen,
@@ -688,161 +683,8 @@ func (n *Node) handleLeave(env *proto.Envelope) {
 	n.repairDepartedRecords(n.self, env.From, vns)
 }
 
-// candidatePool gathers self + vn + two-hop nodes, excluding tombstoned
-// (departed) addresses. Caller holds n.mu.
-func (n *Node) candidatePool() map[string]proto.NodeInfo {
-	pool := make(map[string]proto.NodeInfo, 1+len(n.vn)*6)
-	pool[n.self.Addr] = n.self
-	for a, v := range n.vn {
-		if !n.deadLocked(v) {
-			pool[a] = v
-		}
-	}
-	for _, lst := range n.twoHop {
-		for _, v := range lst {
-			if _, ok := pool[v.Addr]; !ok && !n.deadLocked(v) {
-				pool[v.Addr] = v
-			}
-		}
-	}
-	return pool
-}
+// byAddr orders view lists by address, the order every list on the wire
+// and every send loop follows: deterministic chaos transcripts require it.
+func byAddr(a, b proto.NodeInfo) int { return strings.Compare(a.Addr, b.Addr) }
 
-// tombstoneLocked records a departure and evicts the address from all
-// views, including the route cache — every departure path (graceful
-// leave, crash repair, tombstone gossip) funnels through here, so a dead
-// owner can never linger as a cached candidate. Caller holds n.mu (the
-// cache is a leaf lock).
-func (n *Node) tombstoneLocked(addr string, gen uint64) {
-	g, dead := n.tombs[addr]
-	if dead && gen <= g {
-		return // this incarnation or a later one is already dead
-	}
-	// Remember the highest generation seen dead, so its gossip cannot be
-	// shadowed by an older tombstone, and drop the cache entries naming it.
-	if !dead {
-		n.tombOrder = append(n.tombOrder, addr)
-	}
-	n.tombs[addr] = gen
-	if n.cache != nil {
-		if dropped := n.cache.invalidateOwner(addr); dropped > 0 {
-			n.nm.cacheInvalidations.Add(uint64(dropped))
-		}
-	}
-}
-
-// liftTombLocked removes a tombstone entirely — the entry and its place
-// in the re-advertisement queue — so this node stops gossiping the
-// departure of an address it has seen alive again. Caller holds n.mu.
-func (n *Node) liftTombLocked(addr string) {
-	delete(n.tombs, addr)
-	for i, a := range n.tombOrder {
-		if a == addr {
-			n.tombOrder = append(n.tombOrder[:i], n.tombOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// deadLocked reports whether c refers to a tombstoned incarnation: the
-// address is tombstoned and c's generation is not newer than the one
-// that died. A NodeInfo carrying a higher generation is a durably
-// restarted successor and passes. Caller holds n.mu (read or write).
-func (n *Node) deadLocked(c proto.NodeInfo) bool {
-	g, dead := n.tombs[c.Addr]
-	return dead && c.Gen <= g
-}
-
-// purgeTombstonedLocked removes tombstoned addresses from the live views.
-// Caller holds n.mu.
-func (n *Node) purgeTombstonedLocked() {
-	if len(n.tombs) == 0 {
-		return
-	}
-	for a, v := range n.vn {
-		if n.deadLocked(v) {
-			delete(n.vn, a)
-			delete(n.twoHop, a)
-		}
-	}
-	for a, v := range n.cn {
-		if n.deadLocked(v) {
-			delete(n.cn, a)
-		}
-	}
-}
-
-// maxAdvertisedTombs bounds how many departures ride on each gossip
-// message; older ones have long since propagated.
-const maxAdvertisedTombs = 64
-
-// departedLocked snapshots the most recent tombstones with the
-// generations they died at (nil gens when all zero, keeping the wire
-// format of gen-free overlays unchanged). Caller holds n.mu.
-func (n *Node) departedLocked() ([]string, []uint64) {
-	if len(n.tombOrder) == 0 {
-		return nil, nil
-	}
-	start := 0
-	if len(n.tombOrder) > maxAdvertisedTombs {
-		start = len(n.tombOrder) - maxAdvertisedTombs
-	}
-	addrs := append([]string(nil), n.tombOrder[start:]...)
-	var gens []uint64
-	for i, a := range addrs {
-		if g := n.tombs[a]; g > 0 {
-			if gens == nil {
-				gens = make([]uint64, len(addrs))
-			}
-			gens[i] = g
-		}
-	}
-	return addrs, gens
-}
-
-// recomputeLocked rebuilds vn from the pool — the cell walk every view
-// change comes down to (cellNeighbors) — and reports whether the set
-// changed. Caller holds n.mu.
-func (n *Node) recomputeLocked(pool map[string]proto.NodeInfo) bool {
-	newVN := cellNeighbors(n.self, pool)
-	fresh := make(map[string]proto.NodeInfo, len(newVN))
-	for _, v := range newVN {
-		fresh[v.Addr] = v
-	}
-	changed := len(fresh) != len(n.vn)
-	if !changed {
-		for a := range fresh {
-			if _, ok := n.vn[a]; !ok {
-				changed = true
-				break
-			}
-		}
-	}
-	// Drop stale two-hop entries for nodes that left the neighbourhood.
-	for a := range n.twoHop {
-		if _, keep := fresh[a]; !keep {
-			delete(n.twoHop, a)
-		}
-	}
-	n.vn = fresh
-	return changed
-}
-
-// vnList snapshots vn as a slice, sorted by address: the list rides on the
-// wire and drives send loops, and deterministic chaos transcripts require
-// that map iteration order never leak into the message sequence. Caller
-// holds n.mu.
-func (n *Node) vnList() []proto.NodeInfo {
-	return n.vnAppendLocked(make([]proto.NodeInfo, 0, len(n.vn)))
-}
-
-// vnAppendLocked is vnList into buf[:0]: a caller with a stack buffer (the
-// GET path's inReplicaSet) snapshots the view without allocating.
-func (n *Node) vnAppendLocked(buf []proto.NodeInfo) []proto.NodeInfo {
-	buf = buf[:0]
-	for _, v := range n.vn {
-		buf = append(buf, v)
-	}
-	slices.SortFunc(buf, func(a, b proto.NodeInfo) int { return strings.Compare(a.Addr, b.Addr) })
-	return buf
-}
+func sameAddr(a, b proto.NodeInfo) bool { return a.Addr == b.Addr }

@@ -31,11 +31,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
-	"time"
-
 	"sync/atomic"
+	"time"
 
 	"voronet/internal/geom"
 	"voronet/internal/kleinberg"
@@ -96,52 +95,25 @@ var (
 
 // Node is one VoroNet peer.
 //
-// Locking discipline (see DESIGN.md): mu is a single-writer /
-// many-readers lock over the view state (vn, twoHop, cn, long links,
-// back, tombs). View surgery (join admission, leave, departure repair,
-// neighbour recomputation, BLRn rebalance) takes the write lock and
-// releases it through unlock, which first publishes the route view —
-// the immutable candidate set the greedy step reads without any lock
-// (view.go). Other read-only paths — store-GET replica checks, the
-// public snapshot accessors — take the read lock, snapshot what they
-// need, release it and only then touch the transport. No lock is ever
-// held across a transport send (TestNoLockHeldAcrossSends). The request
-// table (inflight) locks itself and never nests with mu.
+// Locking discipline (see DESIGN.md): the node's view — vn with the
+// two-hop lists, cn, long links, back, tombstones — is one immutable
+// neighbourhood value (view.go) published through view. Readers, the
+// greedy step among them, load the pointer and take no lock. View surgery
+// (join admission, leave, departure repair, neighbour recomputation, BLRn
+// rebalance) serialises on mu, which only writers take: lock hands the
+// section a copy to edit and unlock publishes it. No lock is ever held
+// across a transport send (TestNoLockHeldAcrossSends). The request table
+// (inflight) locks itself and never nests with mu.
 type Node struct {
-	mu   sync.RWMutex
+	mu   sync.Mutex
 	ep   transport.Endpoint
 	self proto.NodeInfo
 	cfg  Config
 	rng  *rand.Rand
 
-	joined bool
-	vn     map[string]proto.NodeInfo   // Voronoi neighbours
-	twoHop map[string][]proto.NodeInfo // their neighbour lists
-	cn     map[string]proto.NodeInfo   // close neighbours
-
-	longTargets []geom.Point
-	longNbrs    []proto.NodeInfo
-	back        []proto.BackEntry
-
-	// view is the route view built from vn, cn, longNbrs and tombs;
-	// written only by unlock, nil while not joined. viewBuf is unlock's
-	// scratch for the next view, under mu.
-	view    atomic.Pointer[routeView]
-	viewBuf routeView
-
-	// tombs records departed addresses so that stale gossip cannot
-	// resurrect them (see handle): presence means dead, the value is the
-	// incarnation number the address died at (0 on overlays without
-	// generations). A NodeInfo carrying a higher generation is a durably
-	// restarted successor and passes every tombstone filter (see
-	// deadLocked). tombOrder bounds what we re-advertise.
-	tombs     map[string]uint64
-	tombOrder []string
-
-	// lastVN snapshots the Voronoi neighbour list at departure: a store
-	// handoff bounced back after Leave is re-delegated through it rather
-	// than stranded (see handleReplicaSync).
-	lastVN []proto.NodeInfo
+	// view is the published neighbourhood: set by newNode, then written
+	// only by unlock.
+	view atomic.Pointer[neighbourhood]
 
 	// Object store: the records this node holds (as owner or replica) and
 	// the one correlation table for the routed requests it originates —
@@ -155,7 +127,7 @@ type Node struct {
 
 	// cache is the hot-region owner cache (nil unless
 	// Config.RouteCacheSize > 0). It is a leaf lock: safe to consult
-	// under n.mu and from callback paths.
+	// from any path, under n.mu or not.
 	cache *routeCache
 
 	// Durability (see durable.go): wal is set once by NewDurable before
@@ -207,10 +179,6 @@ func newNode(ep transport.Endpoint, pos geom.Point, cfg Config) *Node {
 		self:     proto.NodeInfo{Addr: ep.Addr(), Pos: pos},
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(len(ep.Addr())))),
-		vn:       make(map[string]proto.NodeInfo),
-		twoHop:   make(map[string][]proto.NodeInfo),
-		cn:       make(map[string]proto.NodeInfo),
-		tombs:    make(map[string]uint64),
 		kv:       store.NewLocal(),
 		inflight: store.NewInflight(cfg.MaxInflight),
 		nm:       newNodeMetrics(),
@@ -218,6 +186,7 @@ func newNode(ep transport.Endpoint, pos geom.Point, cfg Config) *Node {
 	if cfg.RouteCacheSize > 0 {
 		n.cache = newRouteCache(cfg.RouteCacheSize, cfg.DMin)
 	}
+	n.view.Store(&neighbourhood{tombs: &tombstones{}})
 	return n
 }
 
@@ -225,50 +194,22 @@ func newNode(ep transport.Endpoint, pos geom.Point, cfg Config) *Node {
 func (n *Node) Info() proto.NodeInfo { return n.self }
 
 // Joined reports whether the node is part of an overlay.
-func (n *Node) Joined() bool { return n.view.Load() != nil }
+func (n *Node) Joined() bool { return n.view.Load().joined }
 
-// Neighbors returns a snapshot of vn.
-func (n *Node) Neighbors() []proto.NodeInfo {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]proto.NodeInfo, 0, len(n.vn))
-	for _, v := range n.vn {
-		out = append(out, v)
-	}
-	return out
-}
+// Neighbors returns a copy of vn, in address order.
+func (n *Node) Neighbors() []proto.NodeInfo { return slices.Clone(n.view.Load().vn) }
 
-// CloseNeighbors returns a snapshot of cn.
-func (n *Node) CloseNeighbors() []proto.NodeInfo {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]proto.NodeInfo, 0, len(n.cn))
-	for _, v := range n.cn {
-		out = append(out, v)
-	}
-	return out
-}
+// CloseNeighbors returns a copy of cn, in address order.
+func (n *Node) CloseNeighbors() []proto.NodeInfo { return slices.Clone(n.view.Load().cn) }
 
-// LongNeighbors returns a snapshot of the long-link view.
-func (n *Node) LongNeighbors() []proto.NodeInfo {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return append([]proto.NodeInfo(nil), n.longNbrs...)
-}
+// LongNeighbors returns a copy of the long-link view.
+func (n *Node) LongNeighbors() []proto.NodeInfo { return slices.Clone(n.view.Load().longNbrs) }
 
-// BackEntries returns a snapshot of BLRn.
-func (n *Node) BackEntries() []proto.BackEntry {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return append([]proto.BackEntry(nil), n.back...)
-}
+// BackEntries returns a copy of BLRn.
+func (n *Node) BackEntries() []proto.BackEntry { return slices.Clone(n.view.Load().back) }
 
 // LongTargets returns the node's fixed long-link target points.
-func (n *Node) LongTargets() []geom.Point {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return append([]geom.Point(nil), n.longTargets...)
-}
+func (n *Node) LongTargets() []geom.Point { return slices.Clone(n.view.Load().longTargets) }
 
 // Bootstrap declares this node the first object of a fresh overlay: it
 // owns the whole attribute space and its long links point to itself.
@@ -276,16 +217,16 @@ func (n *Node) Bootstrap() error {
 	if err := checkFinite(n.self.Pos); err != nil {
 		return err
 	}
-	n.mu.Lock()
-	defer n.unlock()
-	if n.joined {
+	nb := n.lock()
+	defer n.unlock(nb)
+	if nb.joined {
 		return ErrAlreadyJoined
 	}
-	n.joined = true
+	nb.joined = true
 	for j := 0; j < n.cfg.LongLinks; j++ {
-		n.longTargets = append(n.longTargets, n.chooseLRT())
-		n.longNbrs = append(n.longNbrs, n.self)
-		n.back = append(n.back, proto.BackEntry{Origin: n.self, Link: j, Target: n.longTargets[j]})
+		nb.longTargets = append(nb.longTargets, n.chooseLRT())
+		nb.longNbrs = append(nb.longNbrs, n.self)
+		nb.back = append(nb.back, proto.BackEntry{Origin: n.self, Link: j, Target: nb.longTargets[j]})
 	}
 	return nil
 }
@@ -327,32 +268,27 @@ func (n *Node) Query(p geom.Point, cb func(store.Reply)) error {
 // neighbours (§4.2.2).
 func (n *Node) Leave() error {
 	start := time.Now()
-	n.mu.Lock()
-	if !n.joined {
-		n.unlock()
+	nb := n.lock()
+	if !nb.joined {
+		n.unlock(nb)
 		return ErrNotJoined
 	}
 	defer func() { n.nm.leaveTime.Observe(time.Since(start).Seconds()) }()
-	n.joined = false
+	nb.joined = false
 
 	type outMsg struct {
 		to  string
 		env *proto.Envelope
 	}
 	var out []outMsg
-	// All iteration below runs over sorted snapshots: the resulting
-	// message sequence must be deterministic for replayable chaos runs.
-	vns := n.vnList()
-	n.lastVN = vns
-	cns := make([]proto.NodeInfo, 0, len(n.cn))
-	for _, c := range n.cn {
-		cns = append(cns, c)
-	}
-	sort.Slice(cns, func(i, j int) bool { return cns[i].Addr < cns[j].Addr })
+	// vn and cn are sorted by address: the resulting message sequence is
+	// deterministic, as replayable chaos runs require.
+	vns := nb.vn
+	nb.lastVN = vns
 
 	// Delegate BLRn entries to the Voronoi neighbour closest to each
 	// target; after our region disappears that neighbour owns the target.
-	for _, ref := range n.back {
+	for _, ref := range nb.back {
 		if ref.Origin.Addr == n.self.Addr {
 			continue
 		}
@@ -365,10 +301,10 @@ func (n *Node) Leave() error {
 			outMsg{ref.Origin.Addr, &proto.Envelope{Type: proto.KindLongLinkUpdate, From: n.self, Granter: best, Link: ref.Link}},
 		)
 	}
-	n.back = nil
+	nb.back = nil
 
 	// Withdraw our own long links from their holders.
-	for j, h := range n.longNbrs {
+	for j, h := range nb.longNbrs {
 		if h.Addr == "" || h.Addr == n.self.Addr {
 			continue
 		}
@@ -401,18 +337,18 @@ func (n *Node) Leave() error {
 	for _, v := range vns {
 		out = append(out, outMsg{v.Addr, &proto.Envelope{Type: proto.KindLeave, From: n.self}})
 	}
-	for _, c := range cns {
+	for _, c := range nb.cn {
 		out = append(out, outMsg{c.Addr, &proto.Envelope{Type: proto.KindLeaveCN, From: n.self}})
 	}
-	n.vn = map[string]proto.NodeInfo{}
-	n.twoHop = map[string][]proto.NodeInfo{}
-	n.cn = map[string]proto.NodeInfo{}
-	n.longNbrs = nil
-	n.longTargets = nil
+	nb.vn = nil
+	nb.twoHop = nil
+	nb.cn = nil
+	nb.longNbrs = nil
+	nb.longTargets = nil
 	if n.cache != nil {
 		n.cache.Clear()
 	}
-	n.unlock()
+	n.unlock(nb)
 
 	for _, m := range out {
 		// Unreachable peers have already departed and need no notice;

@@ -74,10 +74,7 @@ func TestCrashedOriginReplyCountsAndRepairs(t *testing.T) {
 	// the owner and gone from its view — a later route through the owner
 	// can never pick the dead address again.
 	c.bus.Drain()
-	owner.mu.RLock()
-	_, tombstoned := owner.tombs[gone]
-	owner.mu.RUnlock()
-	if !tombstoned {
+	if !owner.tombstoned(gone) {
 		t.Fatalf("owner %s did not tombstone crashed origin %s after the failed reply",
 			owner.Info().Addr, gone)
 	}

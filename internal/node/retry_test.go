@@ -150,8 +150,6 @@ func TestRouteNoRetryOnStructuralFailure(t *testing.T) {
 // tombstoned reports whether addr is in this node's tombstone set
 // (white-box test helper).
 func (n *Node) tombstoned(addr string) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	_, dead := n.tombs[addr]
+	_, dead := n.view.Load().tombs.gen[addr]
 	return dead
 }

@@ -120,13 +120,13 @@ func (n *Node) originate(purpose proto.RoutedPurpose, key geom.Point, value []by
 			n.nm.hopsFor(purpose).Observe(float64(r.Hops))
 			if n.cache != nil && r.Owner.Addr != "" && r.Owner.Addr != n.self.Addr {
 				// Never a tombstoned owner (a dead incarnation's
-				// straggler); the read lock orders this after any
-				// invalidation by tombstoneLocked.
-				n.mu.RLock()
-				if !n.deadLocked(r.Owner) {
+				// straggler); the writer lock orders this after any
+				// invalidation by tombstone.
+				n.mu.Lock()
+				if !n.view.Load().tombs.dead(r.Owner) {
 					n.cache.insert(key, r.Owner)
 				}
-				n.mu.RUnlock()
+				n.mu.Unlock()
 			}
 		} else if !errors.Is(r.Err, store.ErrOverloaded) {
 			// An owner-side shed came back fast and was already counted
@@ -315,9 +315,13 @@ func infoPos(vns []proto.NodeInfo) func(int) (geom.Point, bool) {
 	return func(i int) (geom.Point, bool) { return vns[i].Pos, true }
 }
 
-// without returns vns minus the peer at addr, filtering in place.
+// without returns the address-sorted vns minus the peer at addr: vns
+// itself when it holds no such peer, else a copy.
 func without(vns []proto.NodeInfo, addr string) []proto.NodeInfo {
-	return slices.DeleteFunc(vns, func(v proto.NodeInfo) bool { return v.Addr == addr })
+	if i, ok := find(vns, addr); ok {
+		return slices.Concat(vns[:i], vns[i+1:])
+	}
+	return vns
 }
 
 // nearestOf returns the member of vns nearest to key — ties to the lower
@@ -441,17 +445,9 @@ func (n *Node) replyStoreHit(env *proto.Envelope, rec proto.StoreRecord) {
 // to a cleared store on a departed node would strand the records (two
 // adjacent nodes leaving concurrently hand their records to each other).
 func (n *Node) handleReplicaSync(env *proto.Envelope) {
-	n.mu.RLock()
-	joined := n.joined
-	self := n.self
-	var lastVN []proto.NodeInfo
-	if !joined {
-		lastVN = append([]proto.NodeInfo(nil), n.lastVN...)
-	}
-	n.mu.RUnlock()
-	if !joined {
+	if nb := n.view.Load(); !nb.joined {
 		if env.Handoff {
-			n.redelegateHandoff(env, self, lastVN)
+			n.redelegateHandoff(env, n.self, nb.lastVN)
 		}
 		// A plain replica refresh to a departed node is stale: drop.
 		return
@@ -558,9 +554,7 @@ func (n *Node) redelegateHandoff(env *proto.Envelope, self proto.NodeInfo, lastV
 // one batch per distinct target. exclude (may be empty) names a peer to
 // leave out.
 func (n *Node) replicateRecords(recs []proto.StoreRecord, exclude string) {
-	n.mu.RLock()
-	vns := without(n.vnList(), exclude)
-	n.mu.RUnlock()
+	vns := without(n.view.Load().vn, exclude)
 	n.sendPushes(placementPlan(n.self, vns, n.cfg.Replication, recs, true))
 }
 
@@ -572,17 +566,16 @@ func (n *Node) replicateRecords(recs []proto.StoreRecord, exclude string) {
 // that churn has made stale; they forward GETs to the owner instead of
 // answering.
 func (n *Node) inReplicaSet(key geom.Point) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
 	// The owner candidate by our view: nearest to the key among us and
 	// our neighbours.
-	var view [16]proto.NodeInfo
-	owner, isSelf := ownerForKey(n.self, n.vnAppendLocked(view[:0]), key)
+	nb := n.view.Load()
+	owner, isSelf := ownerForKey(n.self, nb.vn, key)
 	if isSelf {
 		return true
 	}
-	lst, ok := n.twoHop[owner.Addr]
-	if !ok {
+	i, _ := find(nb.vn, owner.Addr)
+	lst := nb.twoHop[i]
+	if lst == nil {
 		return false
 	}
 	if _, owns := ownerForKey(owner, lst, key); !owns {

@@ -115,6 +115,8 @@ func TestTCPConcurrentAPIDuringChurn(t *testing.T) {
 						answered.Add(1)
 					}
 				}
+				// The public accessors read the published view too.
+				_, _, _, _, _ = nd.Neighbors(), nd.CloseNeighbors(), nd.LongNeighbors(), nd.BackEntries(), nd.LongTargets()
 			}
 		}(c)
 	}

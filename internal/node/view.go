@@ -1,6 +1,7 @@
 package node
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -10,13 +11,229 @@ import (
 	"voronet/internal/store"
 )
 
-// routeView is the greedy step's candidate set, rebuilt on every view
-// change and read without a lock: self at index 0 (class "owner"), then
-// every live Voronoi neighbour ("vn"), close neighbour ("cn") and long
-// link ("long"), stable-sorted by address so an address held in several
-// classes keeps the order vn, cn, long. Tombstoned incarnations, empty
-// long slots and entries naming self are left out. A published view is
-// never written again.
+// neighbourhood is a node's whole local view (§4.1), published through
+// Node.view as one value that is never written after it is published:
+// readers load the pointer and need no lock. A write section (lock …
+// unlock) edits a copy and replaces each field it changes rather than
+// writing through it: a slice may grow by append past its end (no
+// published value reads past its own length) but is never overwritten or
+// truncated in place, so every field a write leaves alone is shared with
+// the previous value.
+type neighbourhood struct {
+	joined bool
+	// vn is the Voronoi neighbour list, sorted by address; twoHop[i] is
+	// vn[i]'s own neighbour list (the "neighbours' neighbours" of §4.1),
+	// nil while unknown.
+	vn     []proto.NodeInfo
+	twoHop [][]proto.NodeInfo
+	cn     []proto.NodeInfo // close neighbours, sorted by address
+
+	longTargets []geom.Point
+	longNbrs    []proto.NodeInfo
+	back        []proto.BackEntry
+
+	tombs *tombstones
+
+	// lastVN is vn at departure: a store handoff bounced back after Leave
+	// is re-delegated through it rather than stranded (handleReplicaSync).
+	lastVN []proto.NodeInfo
+
+	// route is the greedy step's candidate set, derived from the fields
+	// above by unlock; nil while not joined.
+	route *routeView
+}
+
+// tombstones records departed addresses so that stale gossip cannot
+// resurrect them (see deliver): presence in gen means dead, the value is
+// the incarnation number the address died at (0 on overlays without
+// generations). A NodeInfo carrying a higher generation is a durably
+// restarted successor and passes every tombstone filter (see dead). order
+// bounds what we re-advertise. Like the neighbourhood holding it, a set is
+// never written after it is published: adding or lifting a tombstone
+// builds a new one.
+type tombstones struct {
+	gen   map[string]uint64
+	order []string
+}
+
+// dead reports whether c refers to a tombstoned incarnation: the address
+// is tombstoned and c's generation is not newer than the one that died.
+func (t *tombstones) dead(c proto.NodeInfo) bool {
+	g, dead := t.gen[c.Addr]
+	return dead && c.Gen <= g
+}
+
+// maxAdvertisedTombs bounds how many departures ride on each gossip
+// message; older ones have long since propagated.
+const maxAdvertisedTombs = 64
+
+// departed lists the most recent tombstones with the generations they
+// died at (nil gens when all zero, keeping the wire format of gen-free
+// overlays unchanged).
+func (t *tombstones) departed() ([]string, []uint64) {
+	if len(t.order) == 0 {
+		return nil, nil
+	}
+	addrs := t.order[max(0, len(t.order)-maxAdvertisedTombs):]
+	var gens []uint64
+	for i, a := range addrs {
+		if g := t.gen[a]; g > 0 {
+			if gens == nil {
+				gens = make([]uint64, len(addrs))
+			}
+			gens[i] = g
+		}
+	}
+	return addrs, gens
+}
+
+// lock takes the writer lock and returns a copy of the published
+// neighbourhood for the write section to edit; unlock publishes it.
+func (n *Node) lock() *neighbourhood {
+	n.mu.Lock()
+	nb := *n.view.Load()
+	return &nb
+}
+
+// unlock publishes nb and releases the writer lock — every write section
+// ends here. The route view is re-derived only when a field it is built
+// from was replaced; a write that changes no candidate keeps the pointer.
+func (n *Node) unlock(nb *neighbourhood) {
+	old := n.view.Load()
+	switch {
+	case !nb.joined:
+		nb.route = nil
+	case !old.joined || !same(nb.vn, old.vn) || !same(nb.cn, old.cn) ||
+		!same(nb.longNbrs, old.longNbrs) || nb.tombs != old.tombs:
+		nb.route = nb.deriveRoute(n.self)
+	}
+	n.view.Store(nb)
+	n.mu.Unlock()
+}
+
+// same reports whether a and b are one slice: a field a write section
+// left alone.
+func same[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// find returns the index of addr in the address-sorted list, or where it
+// would go, and whether it is there.
+func find(list []proto.NodeInfo, addr string) (int, bool) {
+	return slices.BinarySearchFunc(list, addr, func(c proto.NodeInfo, a string) int { return strings.Compare(c.Addr, a) })
+}
+
+// candidatePool gathers self + vn + two-hop nodes, excluding tombstoned
+// (departed) incarnations.
+func (nb *neighbourhood) candidatePool(self proto.NodeInfo) map[string]proto.NodeInfo {
+	pool := make(map[string]proto.NodeInfo, 1+len(nb.vn)*6)
+	pool[self.Addr] = self
+	nb.addLive(pool, nb.vn)
+	for _, lst := range nb.twoHop {
+		nb.addLive(pool, lst)
+	}
+	return pool
+}
+
+// addLive adds to pool every member of lst it does not hold yet, unless
+// tombstoned.
+func (nb *neighbourhood) addLive(pool map[string]proto.NodeInfo, lst []proto.NodeInfo) {
+	for _, v := range lst {
+		if _, ok := pool[v.Addr]; !ok && !nb.tombs.dead(v) {
+			pool[v.Addr] = v
+		}
+	}
+}
+
+// recompute rebuilds vn from the pool — the cell walk every view change
+// comes down to (cellNeighbors) — keeping the two-hop lists of the
+// neighbours that stay, and reports whether the set of addresses changed.
+func (nb *neighbourhood) recompute(self proto.NodeInfo, pool map[string]proto.NodeInfo) bool {
+	vn := cellNeighbors(self, pool)
+	if slices.Equal(vn, nb.vn) {
+		return false
+	}
+	changed := !slices.EqualFunc(vn, nb.vn, sameAddr)
+	twoHop := make([][]proto.NodeInfo, len(vn))
+	for i, v := range vn {
+		if j, ok := find(nb.vn, v.Addr); ok {
+			twoHop[i] = nb.twoHop[j]
+		}
+	}
+	nb.vn, nb.twoHop = vn, twoHop
+	return changed
+}
+
+// setTwoHop records lst as the Voronoi neighbour addr's own list; a
+// non-neighbour's list is not kept.
+func (nb *neighbourhood) setTwoHop(addr string, lst []proto.NodeInfo) {
+	if lst == nil {
+		lst = []proto.NodeInfo{} // known, and empty
+	}
+	if i, ok := find(nb.vn, addr); ok {
+		nb.twoHop = slices.Clone(nb.twoHop)
+		nb.twoHop[i] = lst
+	}
+}
+
+// purgeTombstoned removes tombstoned incarnations from vn and cn.
+func (nb *neighbourhood) purgeTombstoned() {
+	if slices.ContainsFunc(nb.vn, nb.tombs.dead) {
+		var vn []proto.NodeInfo
+		var twoHop [][]proto.NodeInfo
+		for i, v := range nb.vn {
+			if !nb.tombs.dead(v) {
+				vn, twoHop = append(vn, v), append(twoHop, nb.twoHop[i])
+			}
+		}
+		nb.vn, nb.twoHop = vn, twoHop
+	}
+	if slices.ContainsFunc(nb.cn, nb.tombs.dead) {
+		nb.cn = slices.DeleteFunc(slices.Clone(nb.cn), nb.tombs.dead)
+	}
+}
+
+// tombstone records a departure and evicts the address from the route
+// cache — every departure path (graceful leave, crash repair, tombstone
+// gossip) funnels through here, so a dead owner can never linger as a
+// cached candidate. The caller holds n.mu (the cache is a leaf lock).
+func (n *Node) tombstone(nb *neighbourhood, addr string, gen uint64) {
+	g, dead := nb.tombs.gen[addr]
+	if dead && gen <= g {
+		return // this incarnation or a later one is already dead
+	}
+	// Remember the highest generation seen dead, so its gossip cannot be
+	// shadowed by an older tombstone, and drop the cache entries naming it.
+	t := &tombstones{gen: make(map[string]uint64, len(nb.tombs.gen)+1), order: nb.tombs.order}
+	maps.Copy(t.gen, nb.tombs.gen)
+	if !dead {
+		t.order = append(t.order, addr)
+	}
+	t.gen[addr] = gen
+	nb.tombs = t
+	if n.cache != nil {
+		if dropped := n.cache.invalidateOwner(addr); dropped > 0 {
+			n.nm.cacheInvalidations.Add(uint64(dropped))
+		}
+	}
+}
+
+// liftTomb removes a tombstone entirely — the entry and its place in the
+// re-advertisement queue — so this node stops gossiping the departure of
+// an address it has seen alive again.
+func (nb *neighbourhood) liftTomb(addr string) {
+	t := &tombstones{gen: maps.Clone(nb.tombs.gen)}
+	delete(t.gen, addr)
+	t.order = slices.DeleteFunc(slices.Clone(nb.tombs.order), func(a string) bool { return a == addr })
+	nb.tombs = t
+}
+
+// routeView is the greedy step's candidate set, read without a lock: self
+// at index 0 (class "owner"), then every live Voronoi neighbour ("vn"),
+// close neighbour ("cn") and long link ("long"), stable-sorted by address
+// so an address held in several classes keeps the order vn, cn, long.
+// Tombstoned incarnations, empty long slots and entries naming self are
+// left out. A published view is never written again.
 type routeView []routeEntry
 
 // routeEntry is one candidate and its class, the rule a traced hop records.
@@ -25,39 +242,21 @@ type routeEntry struct {
 	class string
 }
 
-// unlock releases n.mu's write lock after publishing the route view of
-// the state it leaves — every write section ends here, so no mutation can
-// forget to republish. The view is nil while the node is not joined. It
-// is built into n.viewBuf and published as a fresh copy only when it
-// differs from the published one: most write sections change no
-// candidate.
-func (n *Node) unlock() {
-	if n.joined {
-		v := append(n.viewBuf[:0], routeEntry{n.self, "owner"})
-		add := func(c proto.NodeInfo, class string) {
-			if c.Addr != "" && c.Addr != n.self.Addr && !n.deadLocked(c) {
+// deriveRoute builds the route view of nb for the node self.
+func (nb *neighbourhood) deriveRoute(self proto.NodeInfo) *routeView {
+	v := routeView{{self, "owner"}}
+	add := func(cs []proto.NodeInfo, class string) {
+		for _, c := range cs {
+			if c.Addr != "" && c.Addr != self.Addr && !nb.tombs.dead(c) {
 				v = append(v, routeEntry{c, class})
 			}
 		}
-		for _, c := range n.vn {
-			add(c, "vn")
-		}
-		for _, c := range n.cn {
-			add(c, "cn")
-		}
-		for _, c := range n.longNbrs {
-			add(c, "long")
-		}
-		slices.SortStableFunc(v[1:], func(a, b routeEntry) int { return strings.Compare(a.info.Addr, b.info.Addr) })
-		n.viewBuf = v
-		if old := n.view.Load(); old == nil || !slices.Equal(*old, v) {
-			fresh := slices.Clone(v)
-			n.view.Store(&fresh)
-		}
-	} else {
-		n.view.Store(nil)
 	}
-	n.mu.Unlock()
+	add(nb.vn, "vn")
+	add(nb.cn, "cn")
+	add(nb.longNbrs, "long")
+	slices.SortStableFunc(v[1:], func(a, b routeEntry) int { return strings.Compare(a.info.Addr, b.info.Addr) })
+	return &v
 }
 
 // next is the greedy step (Algorithm 5's Greedyneighbour): the candidate
@@ -84,7 +283,7 @@ func (v routeView) next(target geom.Point, extra routeEntry, skip func(proto.Nod
 // skip (may be nil) vetoes candidates, as the chaos checker does with
 // its ground-truth liveness.
 func (n *Node) NextHop(target geom.Point, skip func(proto.NodeInfo) bool) (proto.NodeInfo, bool) {
-	v := n.view.Load()
+	v := n.view.Load().route
 	if v == nil {
 		return proto.NodeInfo{}, false
 	}

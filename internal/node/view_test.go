@@ -41,17 +41,16 @@ func (e *recordEndpoint) Send(to string, payload []byte) error {
 }
 
 // scanNextHop is the greedy step as handleRoute wrote it before the
-// route view: one pass over the cached owner, vn, cn and the long links
-// under the read lock, one tombstone lookup per candidate. It is the
-// reference the view's pick must reproduce, candidate and class alike.
+// route view: one pass over the cached owner, vn, cn and the long links,
+// one tombstone lookup per candidate. It is the reference the view's pick
+// must reproduce, candidate and class alike.
 func scanNextHop(n *Node, target geom.Point, skip func(proto.NodeInfo) bool, withCache bool) (proto.NodeInfo, string) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	nb := n.view.Load()
 	best := n.self
 	bestD := geom.Dist2(n.self.Pos, target)
 	bestRule := "owner"
 	consider := func(c proto.NodeInfo, class string) {
-		if c.Addr == "" || c.Addr == n.self.Addr || (skip != nil && skip(c)) || n.deadLocked(c) {
+		if c.Addr == "" || c.Addr == n.self.Addr || (skip != nil && skip(c)) || nb.tombs.dead(c) {
 			return
 		}
 		d := geom.Dist2(c.Pos, target)
@@ -65,13 +64,13 @@ func scanNextHop(n *Node, target geom.Point, skip func(proto.NodeInfo) bool, wit
 			consider(owner, "cache")
 		}
 	}
-	for _, v := range n.vn {
+	for _, v := range nb.vn {
 		consider(v, "vn")
 	}
-	for _, c := range n.cn {
+	for _, c := range nb.cn {
 		consider(c, "cn")
 	}
-	for _, l := range n.longNbrs {
+	for _, l := range nb.longNbrs {
 		consider(l, "long")
 	}
 	return best, bestRule
@@ -102,46 +101,49 @@ func TestRoutePickMatchesScan(t *testing.T) {
 		}
 		n := New(ep, geom.Pt(grid(), grid()), cfg)
 
-		n.mu.Lock()
-		n.joined = true
+		// pool is sorted, so vn and cn are built in address order.
+		nb := n.lock()
+		nb.joined = true
 		var known []proto.NodeInfo
 		for _, a := range pool {
 			if rng.Intn(2) == 0 {
 				c := randInfo(a)
-				n.vn[a] = c
+				nb.vn = append(nb.vn, c)
 				known = append(known, c)
 			}
 		}
+		nb.twoHop = make([][]proto.NodeInfo, len(nb.vn))
 		for _, a := range pool {
 			switch rng.Intn(4) {
 			case 0:
-				if v, ok := n.vn[a]; ok {
-					n.cn[a] = v // the same entry in two classes
+				if i, ok := find(nb.vn, a); ok {
+					nb.cn = append(nb.cn, nb.vn[i]) // the same entry in two classes
 				}
 			case 1:
 				c := randInfo(a)
-				n.cn[a] = c
+				nb.cn = append(nb.cn, c)
 				known = append(known, c)
 			}
 		}
 		for j := rng.Intn(4); j > 0; j-- {
 			switch k := rng.Intn(4); {
 			case k == 0:
-				n.longNbrs = append(n.longNbrs, proto.NodeInfo{})
+				nb.longNbrs = append(nb.longNbrs, proto.NodeInfo{})
 			case k == 1:
-				n.longNbrs = append(n.longNbrs, n.self)
+				nb.longNbrs = append(nb.longNbrs, n.self)
 			case k == 2 && len(known) > 0:
-				n.longNbrs = append(n.longNbrs, known[rng.Intn(len(known))])
+				nb.longNbrs = append(nb.longNbrs, known[rng.Intn(len(known))])
 			default:
-				n.longNbrs = append(n.longNbrs, randInfo(pool[rng.Intn(len(pool))]))
+				nb.longNbrs = append(nb.longNbrs, randInfo(pool[rng.Intn(len(pool))]))
 			}
 		}
+		nb.tombs = &tombstones{gen: map[string]uint64{}}
 		for _, a := range pool {
 			if rng.Intn(4) == 0 {
-				n.tombs[a] = uint64(rng.Intn(3))
+				nb.tombs.gen[a] = uint64(rng.Intn(3))
 			}
 		}
-		n.unlock()
+		n.unlock(nb)
 
 		target := geom.Pt(grid(), grid())
 		switch rng.Intn(10) {
@@ -185,11 +187,9 @@ func TestRoutePickMatchesScan(t *testing.T) {
 			case 2:
 				c = n.self
 			}
-			n.mu.RLock()
-			if n.deadLocked(c) {
-				c.Gen = n.tombs[c.Addr] + 1 // the cache holds the living only
+			if tombs := n.view.Load().tombs; tombs.dead(c) {
+				c.Gen = tombs.gen[c.Addr] + 1 // the cache holds the living only
 			}
-			n.mu.RUnlock()
 			n.cache.insert(target, c)
 		}
 
@@ -231,16 +231,32 @@ func TestRoutePickMatchesScan(t *testing.T) {
 	}
 }
 
-// viewsCurrent fails unless every node's published route view equals
-// the one a fresh rebuild from its maps publishes (nil for a node that is
-// not joined).
+// viewsCurrent fails unless every node's published neighbourhood is
+// whole: vn and cn sorted by address, without duplicates and without a
+// tombstoned incarnation, one two-hop slot per vn member, and a route
+// view equal to one freshly derived from the value's own fields (nil for
+// a node that is not joined).
 func viewsCurrent(t *testing.T, when string, nodes []*Node) {
 	t.Helper()
 	for _, n := range nodes {
-		n.mu.Lock()
-		got := n.view.Load()
-		n.unlock()
-		want := n.view.Load()
+		nb := n.view.Load()
+		for class, list := range map[string][]proto.NodeInfo{"vn": nb.vn, "cn": nb.cn} {
+			for i, c := range list {
+				if i > 0 && list[i-1].Addr >= c.Addr {
+					t.Fatalf("%s: %s's %s is not sorted and unique: %v", when, n.Info().Addr, class, list)
+				}
+				if nb.tombs.dead(c) {
+					t.Fatalf("%s: %s's %s holds tombstoned %+v", when, n.Info().Addr, class, c)
+				}
+			}
+		}
+		if len(nb.twoHop) != len(nb.vn) {
+			t.Fatalf("%s: %s holds %d two-hop lists for %d Voronoi neighbours", when, n.Info().Addr, len(nb.twoHop), len(nb.vn))
+		}
+		got, want := nb.route, (*routeView)(nil)
+		if nb.joined {
+			want = nb.deriveRoute(n.self)
+		}
 		if (got == nil) != (want == nil) || (got != nil && !slices.Equal(*got, *want)) {
 			t.Fatalf("%s: %s publishes a stale view:\n got  %v\n want %v", when, n.Info().Addr, got, want)
 		}
@@ -353,6 +369,94 @@ func TestRouteForwardsWithoutViewLock(t *testing.T) {
 	}
 }
 
+// TestReadersNeverWaitOnWriter holds a node's writer lock while every path
+// that only reads the view runs: a GET an on-path replica answers, a join
+// admission up to its grant, a replica push, an anti-entropy sweep, a
+// message from a live sender and each public accessor. None may wait.
+func TestReadersNeverWaitOnWriter(t *testing.T) {
+	ep := &recordEndpoint{addr: "s"}
+	n := New(ep, geom.Pt(0.5, 0.5), Config{DMin: 0.05, Replication: 1, RequestTimeout: time.Hour})
+	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	// One Voronoi neighbour t whose own list is {s}: t owns keys near it
+	// and s is their replica.
+	nbr := proto.NodeInfo{Addr: "t", Pos: geom.Pt(0.6, 0.5)}
+	n.deliver(&proto.Envelope{Type: proto.KindSetNeighbors, From: nbr, Origin: nbr})
+	n.deliver(&proto.Envelope{Type: proto.KindNeighborList, From: nbr, Neighbors: []proto.NodeInfo{n.self}})
+	key := geom.Pt(0.58, 0.5)
+	n.kv.Apply(proto.StoreRecord{Key: key, Value: []byte("v"), Version: 1})
+	sent := func(kind proto.Kind, to string) bool {
+		ep.mu.Lock()
+		defer ep.mu.Unlock()
+		for i, env := range ep.envs {
+			if env.Type == kind && ep.to[i] == to {
+				return true
+			}
+		}
+		return false
+	}
+
+	n.mu.Lock()
+	held := true
+	defer func() {
+		if held {
+			n.mu.Unlock()
+		}
+	}()
+	within := func(what string, read func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { read(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s waited on the writer lock", what)
+		}
+	}
+	origin := proto.NodeInfo{Addr: "o", Pos: geom.Pt(0.1, 0.1)}
+	within("a replica's GET", func() {
+		n.deliver(&proto.Envelope{Type: proto.KindRoute, Purpose: proto.PurposeStoreGet, Target: key, Origin: origin, From: origin, QueryID: 7})
+	})
+	if !sent(proto.KindStoreReply, origin.Addr) {
+		t.Fatal("the replica did not answer the GET")
+	}
+	within("a replica push", func() {
+		n.deliver(&proto.Envelope{Type: proto.KindReplicaSync, From: nbr, Handoff: true,
+			Records: []proto.StoreRecord{{Key: geom.Pt(0.3, 0.3), Value: []byte("w"), Version: 1}}})
+	})
+	if _, ok := n.StoreLookup(geom.Pt(0.3, 0.3)); !ok {
+		t.Fatal("the pushed record was not applied")
+	}
+	within("SyncReplicas", func() { n.SyncReplicas() })
+	within("a message from a live sender", func() {
+		n.deliver(&proto.Envelope{Type: proto.KindQueryAnswer, From: nbr, QueryID: 99})
+	})
+	within("the accessors", func() {
+		_, _, _, _, _, _ = n.Joined(), n.Neighbors(), n.CloseNeighbors(), n.LongNeighbors(), n.BackEntries(), n.LongTargets()
+	})
+	// A join admission reads the view, grants, and only then integrates
+	// the joiner under the lock: the grant must leave while it is held.
+	joiner := proto.NodeInfo{Addr: "j", Pos: geom.Pt(0.45, 0.5)}
+	joined := make(chan struct{})
+	go func() {
+		n.deliver(&proto.Envelope{Type: proto.KindRoute, Purpose: proto.PurposeJoin, Target: joiner.Pos, Origin: joiner, From: joiner})
+		close(joined)
+	}()
+	for deadline := time.Now().Add(2 * time.Second); !sent(proto.KindJoinGrant, joiner.Addr); {
+		if time.Now().After(deadline) {
+			t.Fatal("the join admission waited on the writer lock before granting")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	held = false
+	n.mu.Unlock()
+	<-joined
+	if _, ok := find(n.Neighbors(), joiner.Addr); !ok {
+		t.Fatalf("the admitted joiner is not a neighbour: %v", n.Neighbors())
+	}
+}
+
 // TestRouteCacheSkipsTombstonedOwner delivers an answer from a dead
 // incarnation — a straggler from generation 1 of an address tombstoned
 // at generation 2, which does not lift the tombstone — and requires the
@@ -427,20 +531,20 @@ func TestRouteViewKeptWhenUnchanged(t *testing.T) {
 	}
 	nbr := proto.NodeInfo{Addr: "t", Pos: geom.Pt(0.52, 0.5)}
 	n.deliver(&proto.Envelope{Type: proto.KindCNAdd, From: nbr, CloseCand: []proto.NodeInfo{nbr}})
-	v := n.view.Load()
+	v := n.view.Load().route
 	was := slices.Clone(*v)
 	for _, write := range []func(){
-		func() { n.mu.Lock(); n.unlock() },
+		func() { n.unlock(n.lock()) },
 		func() { n.deliver(&proto.Envelope{Type: proto.KindBackWithdraw, From: nbr, Link: 0}) },
 		func() { n.deliver(&proto.Envelope{Type: proto.KindCNAdd, From: nbr, CloseCand: []proto.NodeInfo{nbr}}) },
 	} {
 		write()
-		if got := n.view.Load(); got != v {
+		if got := n.view.Load().route; got != v {
 			t.Fatalf("an unchanged view was republished: %v -> %v", *v, *got)
 		}
 	}
 	n.deliver(&proto.Envelope{Type: proto.KindCNRemove, From: nbr})
-	if got := n.view.Load(); got == v || len(*got) != 1 {
+	if got := n.view.Load().route; got == v || len(*got) != 1 {
 		t.Fatalf("dropping the close neighbour published %v", *got)
 	}
 	if !slices.Equal(*v, was) {

@@ -30,7 +30,7 @@ import (
 // parallel; a slow handler stops frame reads on its own connection only
 // (the kernel socket buffer and TCP flow control are the bounded mailbox),
 // never its peers'. The handler must be safe for concurrent invocation
-// (internal/node is; its read paths share an RWMutex).
+// (internal/node is; its read paths take no lock).
 //
 // The lane is also what notices the peer's FIN or RST and drops the
 // connection from the cache; without that a frame written to a connection
