@@ -178,8 +178,8 @@ func (c *Client) Put(key geom.Point, value []byte, cb func(store.Reply)) error {
 	return c.dispatch(proto.PurposeStorePut, key, value, cb)
 }
 
-// Get fetches the record under key; cb fires with the first answer (owner
-// or passing replica).
+// Get fetches the record under key; cb fires with its region owner's
+// answer.
 func (c *Client) Get(key geom.Point, cb func(store.Reply)) error {
 	return c.dispatch(proto.PurposeStoreGet, key, nil, cb)
 }

@@ -210,22 +210,6 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 	if nb.route == nil {
 		return // not joined, or already left
 	}
-	// A GET is answered by the first node on the greedy path holding the
-	// key — owner or replica; a tombstone answers "deleted" with equal
-	// authority. The rank check keeps nodes that dropped out of the key's
-	// replica set under churn from serving stale versions.
-	if env.Purpose == proto.PurposeStoreGet {
-		if rec, ok := n.kv.Lookup(env.Target); ok && n.inReplicaSet(env.Target) {
-			if env.Trace {
-				hit := *env
-				hit.Path = proto.AppendHop(env.Path, n.traceHop("replica", hopStart))
-				n.replyStoreHit(&hit, rec)
-				return
-			}
-			n.replyStoreHit(env, rec)
-			return
-		}
-	}
 	// A join must be admitted by the current owner of the joiner's
 	// region — never routed to the joiner itself, which is not in the
 	// overlay yet and would drop it. The joiner can appear in views

@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"voronet/internal/geom"
@@ -77,7 +78,8 @@ func TestTracedQueryReturnsGreedyPath(t *testing.T) {
 }
 
 // TestTracedStoreGetPath checks that a traced GET carries the routing
-// trace back in the reply, terminating at the node that answered.
+// trace back in the reply: the greedy walk from the origin, ending at the
+// owner, which answered.
 func TestTracedStoreGetPath(t *testing.T) {
 	c := newCluster(t, 40, 0.02, 12)
 	key := geom.Pt(0.77, 0.31)
@@ -112,9 +114,19 @@ func TestTracedStoreGetPath(t *testing.T) {
 	if len(got.Path) == 0 {
 		t.Fatal("traced get returned no path")
 	}
-	last := got.Path[len(got.Path)-1]
-	if last.Rule != "owner" && last.Rule != "replica" {
-		t.Fatalf("terminal hop rule %q, want owner or replica", last.Rule)
+	if last := got.Path[len(got.Path)-1]; last.Rule != "owner" {
+		t.Fatalf("terminal hop rule %q, want owner", last.Rule)
+	}
+	// The path is the greedy walk from the origin to the owner.
+	var want, addrs []string
+	for _, nd := range c.walk(t, c.nodes[5], key) {
+		want = append(want, nd.Info().Addr)
+	}
+	for _, h := range got.Path {
+		addrs = append(addrs, h.Addr)
+	}
+	if !slices.Equal(addrs, want) {
+		t.Fatalf("traced path %v, want the greedy walk %v", addrs, want)
 	}
 	// An untraced Get must not pay for a path.
 	fired = false

@@ -88,6 +88,26 @@ func (c *cluster) addNode(t *testing.T, pos geom.Point, dmin float64) *Node {
 	return nd
 }
 
+// walk is the greedy path from nd toward target by NextHop: nd first,
+// the target's owner last.
+func (c *cluster) walk(t *testing.T, nd *Node, target geom.Point) []*Node {
+	t.Helper()
+	byAddr := make(map[string]*Node, len(c.nodes))
+	for _, m := range c.nodes {
+		byAddr[m.Info().Addr] = m
+	}
+	p := []*Node{nd}
+	for len(p) <= len(c.nodes) {
+		next, fwd := p[len(p)-1].NextHop(target, nil)
+		if !fwd {
+			return p
+		}
+		p = append(p, byAddr[next.Addr])
+	}
+	t.Fatalf("the walk toward %v from %s does not end", target, nd.Info().Addr)
+	return nil
+}
+
 // checkViewsAgainstReference rebuilds the ground-truth Delaunay
 // triangulation of the live nodes and requires every node's vn to match it
 // exactly.

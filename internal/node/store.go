@@ -55,8 +55,8 @@ func (n *Node) Put(key geom.Point, value []byte, cb func(store.Reply)) error {
 	return n.originate(proto.PurposeStorePut, key, value, cb, false)
 }
 
-// Get routes a GET for key and invokes cb with the value held by the first
-// replica on the greedy path, or the owner's authoritative answer.
+// Get routes a GET for key to its region owner and invokes cb with the
+// owner's answer: the live record, or an authoritative miss.
 func (n *Node) Get(key geom.Point, cb func(store.Reply)) error {
 	return n.originate(proto.PurposeStoreGet, key, nil, cb, false)
 }
@@ -70,7 +70,7 @@ func (n *Node) Delete(key geom.Point, cb func(store.Reply)) error {
 // getTrace is Get with per-hop tracing: the request travels with Trace
 // set, every node on the greedy path appends one proto.TraceHop, and
 // the reply's Path holds the full route, ending with the answering
-// owner ("owner") or on-path replica ("replica").
+// owner ("owner").
 func (n *Node) getTrace(key geom.Point, cb func(store.Reply)) error {
 	return n.originate(proto.PurposeStoreGet, key, nil, cb, true)
 }
@@ -108,10 +108,7 @@ func (n *Node) originate(purpose proto.RoutedPurpose, key geom.Point, value []by
 	// Observe the request's round trip and route length on the way back
 	// to the caller; a timeout counts separately and stays out of the
 	// latency book. Successful replies also feed the route cache: the
-	// answering node is the best-known waypoint for this key's region
-	// (for a GET answered by an on-path replica it is a node adjacent to
-	// the owner, which the strictly-closer scan still routes through
-	// profitably).
+	// answering node owns this key's region.
 	start := time.Now()
 	inner := cb
 	instrumented := func(r store.Reply) {
@@ -351,7 +348,10 @@ func ownerForKey(self proto.NodeInfo, vns []proto.NodeInfo, key geom.Point) (pro
 }
 
 // handleStoreOwned executes a routed store operation at the owner of the
-// key's region (no neighbour is closer to the key).
+// key's region (no neighbour is closer to the key). It is the only place
+// a PUT, GET or DELETE is answered. A write is acked before its replica
+// push lands; no replica answers a GET, so a read issued after the ack
+// still returns the acked version (TestGetAfterAckedPutReturnsIt).
 func (n *Node) handleStoreOwned(env *proto.Envelope) {
 	// env.Path already ends with this node's terminal hop (handleRoute
 	// appended it before dispatching here); the reply carries it home.
@@ -384,8 +384,6 @@ func (n *Node) handleStoreOwned(env *proto.Envelope) {
 		reply.Found = true
 		reply.Version = rec.Version
 	case proto.PurposeStoreGet:
-		// The on-path replica check in handleRoute answered if we held the
-		// key; reaching here as owner means an authoritative miss.
 		if rec, ok := n.kv.Get(env.Target); ok {
 			reply.Found = true
 			reply.Value = rec.Value
@@ -421,21 +419,6 @@ func (n *Node) replyToOrigin(origin string, reply *proto.Envelope) {
 	if errors.Is(err, transport.ErrUnknownPeer) || errors.Is(err, transport.ErrClosed) {
 		n.NotifyDeparted(origin)
 	}
-}
-
-// replyStoreHit answers a GET from this node's local record (owner or
-// replica on the greedy path). A tombstone is an authoritative miss.
-func (n *Node) replyStoreHit(env *proto.Envelope, rec proto.StoreRecord) {
-	reply := &proto.Envelope{
-		Type: proto.KindStoreReply, From: n.self, QueryID: env.QueryID,
-		Hops: env.Hops, Path: env.Path,
-	}
-	if !rec.Deleted {
-		reply.Found = true
-		reply.Value = rec.Value
-		reply.Version = rec.Version
-	}
-	n.replyToOrigin(env.Origin.Addr, reply)
 }
 
 // handleReplicaSync merges pushed records; a handoff makes this node the
@@ -556,43 +539,6 @@ func (n *Node) redelegateHandoff(env *proto.Envelope, self proto.NodeInfo, lastV
 func (n *Node) replicateRecords(recs []proto.StoreRecord, exclude string) {
 	vns := without(n.view.Load().vn, exclude)
 	n.sendPushes(placementPlan(n.self, vns, n.cfg.Replication, recs, true))
-}
-
-// inReplicaSet reports whether this node is in the key's current replica
-// set — it is the owner, or one of the R nodes the owner replicates to
-// (the R members of the owner's Voronoi neighbour list closest to the
-// key). The owner's list is read from the two-hop table, so the test is
-// exact once views are converged. Nodes outside the set may hold copies
-// that churn has made stale; they forward GETs to the owner instead of
-// answering.
-func (n *Node) inReplicaSet(key geom.Point) bool {
-	// The owner candidate by our view: nearest to the key among us and
-	// our neighbours.
-	nb := n.view.Load()
-	owner, isSelf := ownerForKey(n.self, nb.vn, key)
-	if isSelf {
-		return true
-	}
-	i, _ := find(nb.vn, owner.Addr)
-	lst := nb.twoHop[i]
-	if lst == nil {
-		return false
-	}
-	if _, owns := ownerForKey(owner, lst, key); !owns {
-		// The candidate has a neighbour closer to the key, so it is not
-		// the owner (greedy property): we are too far from the key to
-		// know the true replica set.
-		return false
-	}
-	// The owner's own ranking of its own list: what replicateRecords
-	// pushes to is what answers.
-	var rank [8]int
-	for _, i := range store.Closest(rank[:0], n.cfg.Replication, len(lst), key, infoPos(lst)) {
-		if lst[i].Addr == n.self.Addr {
-			return true
-		}
-	}
-	return false
 }
 
 // storeHandoffToNewcomer collects the records whose key now falls in the

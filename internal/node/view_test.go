@@ -370,9 +370,10 @@ func TestRouteForwardsWithoutViewLock(t *testing.T) {
 }
 
 // TestReadersNeverWaitOnWriter holds a node's writer lock while every path
-// that only reads the view runs: a GET an on-path replica answers, a join
-// admission up to its grant, a replica push, an anti-entropy sweep, a
-// message from a live sender and each public accessor. None may wait.
+// that only reads the view runs: a GET it forwards, a GET it answers as
+// owner, a join admission up to its grant, a replica push, an anti-entropy
+// sweep, a message from a live sender and each public accessor. None may
+// wait.
 func TestReadersNeverWaitOnWriter(t *testing.T) {
 	ep := &recordEndpoint{addr: "s"}
 	n := New(ep, geom.Pt(0.5, 0.5), Config{DMin: 0.05, Replication: 1, RequestTimeout: time.Hour})
@@ -380,12 +381,12 @@ func TestReadersNeverWaitOnWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One Voronoi neighbour t whose own list is {s}: t owns keys near it
-	// and s is their replica.
+	// and s owns the rest.
 	nbr := proto.NodeInfo{Addr: "t", Pos: geom.Pt(0.6, 0.5)}
 	n.deliver(&proto.Envelope{Type: proto.KindSetNeighbors, From: nbr, Origin: nbr})
 	n.deliver(&proto.Envelope{Type: proto.KindNeighborList, From: nbr, Neighbors: []proto.NodeInfo{n.self}})
-	key := geom.Pt(0.58, 0.5)
-	n.kv.Apply(proto.StoreRecord{Key: key, Value: []byte("v"), Version: 1})
+	theirs, ours := geom.Pt(0.58, 0.5), geom.Pt(0.42, 0.5)
+	n.kv.Apply(proto.StoreRecord{Key: ours, Value: []byte("v"), Version: 1})
 	sent := func(kind proto.Kind, to string) bool {
 		ep.mu.Lock()
 		defer ep.mu.Unlock()
@@ -415,11 +416,20 @@ func TestReadersNeverWaitOnWriter(t *testing.T) {
 		}
 	}
 	origin := proto.NodeInfo{Addr: "o", Pos: geom.Pt(0.1, 0.1)}
-	within("a replica's GET", func() {
-		n.deliver(&proto.Envelope{Type: proto.KindRoute, Purpose: proto.PurposeStoreGet, Target: key, Origin: origin, From: origin, QueryID: 7})
+	within("a forwarded GET", func() {
+		n.deliver(&proto.Envelope{Type: proto.KindRoute, Purpose: proto.PurposeStoreGet, Target: theirs, Origin: origin, From: origin, QueryID: 7})
+	})
+	if !sent(proto.KindRoute, nbr.Addr) {
+		t.Fatal("the GET for t's key was not forwarded to t")
+	}
+	if sent(proto.KindStoreReply, origin.Addr) {
+		t.Fatal("a non-owner answered the GET")
+	}
+	within("an owned GET", func() {
+		n.deliver(&proto.Envelope{Type: proto.KindRoute, Purpose: proto.PurposeStoreGet, Target: ours, Origin: origin, From: origin, QueryID: 8})
 	})
 	if !sent(proto.KindStoreReply, origin.Addr) {
-		t.Fatal("the replica did not answer the GET")
+		t.Fatal("the owner did not answer the GET")
 	}
 	within("a replica push", func() {
 		n.deliver(&proto.Envelope{Type: proto.KindReplicaSync, From: nbr, Handoff: true,

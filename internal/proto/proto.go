@@ -151,9 +151,8 @@ const (
 	// the carried value and replicates it (Target is the key, Value the
 	// payload).
 	PurposeStorePut
-	// PurposeStoreGet locates a copy of a key's record: any node on the
-	// greedy path holding the key answers, the owner answers
-	// authoritatively.
+	// PurposeStoreGet locates the owner of a key's region, which answers
+	// with its record or an authoritative miss.
 	PurposeStoreGet
 	// PurposeStoreDelete locates the owner of a key's region, which
 	// tombstones the record and replicates the tombstone.
@@ -167,8 +166,7 @@ const (
 // node that handled the envelope, the rule that chose the next hop (or
 // terminated the route), and the wall-clock nanoseconds the hop spent in
 // the handler. Rules are "vn" / "cn" / "long" for a greedy forward via
-// that candidate class, "owner" when the handler owned the target, and
-// "replica" when a store read was answered from a passing replica.
+// that candidate class, and "owner" when the handler owned the target.
 // Addr+Rule are deterministic under the serial simnet; Nanos is wall
 // time and is not.
 type TraceHop struct {

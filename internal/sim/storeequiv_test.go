@@ -18,7 +18,8 @@ import (
 // joins, puts, overwrites, deletes, a churn phase, more puts — through the
 // distributed implementation (internal/node over the in-memory bus) and
 // the simulator mirror (internal/core.Store), and requires the two to
-// agree key for key: same value, or both deleted/missing.
+// agree key for key: same value answered by the same owner, or both
+// deleted/missing.
 func TestStoreEquivalenceUnderChurn(t *testing.T) {
 	const (
 		nStart = 80
@@ -37,6 +38,7 @@ func TestStoreEquivalenceUnderChurn(t *testing.T) {
 	ov := core.New(core.Config{NMax: nStart + 64, Seed: 2026})
 	st := core.NewStore(ov, rep)
 	idOf := make(map[string]core.ObjectID)
+	addrOf := make(map[core.ObjectID]string)
 
 	addPeer := func(pos geom.Point) string {
 		addr := fmt.Sprintf("p%03d", seq)
@@ -67,6 +69,7 @@ func TestStoreEquivalenceUnderChurn(t *testing.T) {
 			t.Fatalf("mirror insert: %v", err)
 		}
 		idOf[addr] = id
+		addrOf[id] = addr
 		return addr
 	}
 
@@ -86,6 +89,7 @@ func TestStoreEquivalenceUnderChurn(t *testing.T) {
 		if err := st.RemoveObject(idOf[addr]); err != nil {
 			t.Fatalf("mirror remove: %v", err)
 		}
+		delete(addrOf, idOf[addr])
 		delete(idOf, addr)
 	}
 
@@ -178,6 +182,15 @@ func TestStoreEquivalenceUnderChurn(t *testing.T) {
 			t.Fatalf("key %d %v: mirror %q vs distributed %q", i, key, mv, got.Value)
 		case merr != nil && !errors.Is(merr, store.ErrNotFound):
 			t.Fatalf("mirror get %d: %v", i, merr)
+		}
+		if merr == nil {
+			owner, err := ov.Owner(key, idOf[origin])
+			if err != nil {
+				t.Fatalf("mirror owner %d: %v", i, err)
+			}
+			if got.Owner.Addr != addrOf[owner] {
+				t.Fatalf("key %d %v: answered by %s, the mirror's owner is %s", i, key, got.Owner.Addr, addrOf[owner])
+			}
 		}
 	}
 

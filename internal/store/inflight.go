@@ -25,7 +25,7 @@ type Reply struct {
 	Hops int
 	// Path is the per-hop routing trace, populated only for traced
 	// operations (Node.GetTrace): one entry per node the request
-	// visited, ending with the answering owner or replica.
+	// visited, ending with the answering owner.
 	Path []proto.TraceHop
 	// Err is ErrTimeout when the reply deadline passed, ErrOverloaded
 	// when the owner shed the operation, nil otherwise.
