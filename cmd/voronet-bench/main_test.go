@@ -79,7 +79,7 @@ func structFields(t *testing.T, dir, typ string) []string {
 }
 
 // TestEveryOptionHasACaller keeps the rule that shrank node.Config from 14
-// fields to 9: an option exists because some program gives it a value.
+// fields to 8: an option exists because some program gives it a value.
 // Every exported field of node.Config, core.Config, client.Options and
 // wal.Options must be set — as a composite-literal key, or by
 // `v.Field = …` on a variable the same file made from such a literal — in

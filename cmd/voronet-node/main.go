@@ -75,7 +75,6 @@ var (
 	syncEvery = flag.Duration("sync-interval", 30*time.Second, "anti-entropy replica sweep period (0 disables)")
 	debugAddr = flag.String("debug-addr", "", "serve JSON metrics and pprof on this HTTP address (e.g. 127.0.0.1:6060)")
 	connect   = flag.String("connect", "", "run as a pipelined client of the overlay member at this address (no join)")
-	cacheSize = flag.Int("route-cache", 0, "route/owner cache entries (0 disables)")
 
 	walDir      = flag.String("wal-dir", "", "write-ahead log directory: log every acked write, replay on restart")
 	walFsync    = flag.String("wal-fsync", "always", "WAL fsync policy: always|batch|never (-wal-dir)")
@@ -98,11 +97,10 @@ func main() {
 	defer ep.Close()
 
 	cfg := node.Config{
-		DMin:           voronet.DefaultDMin(*nmax),
-		LongLinks:      *links,
-		Seed:           time.Now().UnixNano(),
-		RouteCacheSize: *cacheSize,
-		MaxInflight:    *maxInflight,
+		DMin:        voronet.DefaultDMin(*nmax),
+		LongLinks:   *links,
+		Seed:        time.Now().UnixNano(),
+		MaxInflight: *maxInflight,
 	}
 	var nd *node.Node
 	if *walDir != "" {

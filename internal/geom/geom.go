@@ -23,6 +23,25 @@ type Point struct {
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y float64) Point { return Point{x, y} }
 
+// minCoord and maxCoord bound the position domain of a site: each
+// coordinate is 0 or has a magnitude in [minCoord, maxCoord]. On that
+// domain no product Orient2D or InCircle forms overflows or underflows, so
+// both predicates are exact; far outside it they are not, and nodes that
+// disagree on one site's cell trade view updates without end.
+const (
+	minCoord = 0x1p-64
+	maxCoord = 0x1p32
+)
+
+// InDomain reports whether p lies in the position domain (NaN and ±Inf
+// do not).
+func InDomain(p Point) bool { return inDomain(p.X) && inDomain(p.Y) }
+
+func inDomain(v float64) bool {
+	a := math.Abs(v)
+	return a == 0 || a >= minCoord && a <= maxCoord
+}
+
 // Add returns p + q (componentwise).
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 

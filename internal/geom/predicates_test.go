@@ -146,6 +146,73 @@ func TestPredicatesMatchExactReference(t *testing.T) {
 	}
 }
 
+// TestPredicatesExactOnDomain draws points at the edges of the position
+// domain — magnitudes at maxCoord and minCoord, a few ulps apart, mixed
+// with zeros and every scale between — and requires both predicates to
+// match the rational reference. Far past the top edge InCircle's float
+// arithmetic overflows and the sign comes out wrong.
+func TestPredicatesExactOnDomain(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	coord := func() float64 {
+		var v float64
+		switch rng.Intn(5) {
+		case 0:
+			v = maxCoord
+		case 1:
+			v = minCoord
+		case 2:
+			return 0
+		default:
+			v = math.Ldexp(1, -64+rng.Intn(97))
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			v = math.Nextafter(v, 1) // up from minCoord, down from maxCoord
+		}
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	gen := func() Point {
+		p := Pt(coord(), coord())
+		if !InDomain(p) {
+			t.Fatalf("%v is outside the domain", p)
+		}
+		return p
+	}
+	for i := 0; i < 10000; i++ {
+		a, b, c, d := gen(), gen(), gen(), gen()
+		if got, want := Orient2D(a, b, c), ratOrient2D(a, b, c); got != want {
+			t.Fatalf("Orient2D(%v,%v,%v) = %d, want %d", a, b, c, got, want)
+		}
+		if got, want := InCircle(a, b, c, d), ratInCircle(a, b, c, d); got != want {
+			t.Fatalf("InCircle(%v,%v,%v,%v) = %d, want %d", a, b, c, d, got, want)
+		}
+	}
+	for _, p := range []Point{
+		Pt(maxCoord, -maxCoord), Pt(minCoord, 0), Pt(0, -minCoord),
+	} {
+		if !InDomain(p) {
+			t.Errorf("%v is refused", p)
+		}
+	}
+	for _, p := range []Point{
+		Pt(math.Nextafter(maxCoord, 2*maxCoord), 0), Pt(0, -math.Nextafter(minCoord, 0)),
+		Pt(math.NaN(), 0.5), Pt(0.5, math.Inf(-1)), Pt(-1e100, -1e103),
+	} {
+		if InDomain(p) {
+			t.Errorf("%v is admitted", p)
+		}
+	}
+	// Far past the bound: d is inside the circle through a, b, c, but
+	// the lifted terms overflow to infinity.
+	s := 1e100
+	a, b, c, d := Pt(0, -s), Pt(s, 0), Pt(0, s), Pt(-s/2, 0)
+	if got, want := InCircle(a, b, c, d), ratInCircle(a, b, c, d); got == want {
+		t.Errorf("InCircle at %g agrees with the reference (%d); the bound guards nothing", s, got)
+	}
+}
+
 func TestOrient2DAntisymmetry(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy float64) bool {
 		a, b, c := Pt(ax, ay), Pt(bx, by), Pt(cx, cy)

@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"math"
 	"math/big"
 	"slices"
 	"strings"
@@ -22,8 +21,9 @@ import (
 //     would share a zero-length edge with self;
 //   - a candidate at self's position is shadowed by self, and of several
 //     candidates sharing a position the lower address stands for all;
-//   - a candidate with a NaN or infinite coordinate is ignored, and a
-//     self at such a position has no neighbours.
+//   - a candidate outside the position domain (geom.InDomain: a NaN,
+//     infinite, far-off or tiny non-zero coordinate) is ignored, and a
+//     self there has no neighbours.
 //
 // It walks the star of self. The nearest candidate is a neighbour; from
 // neighbour q the next one counter-clockwise is found by one scan
@@ -33,12 +33,12 @@ import (
 // candidates and d neighbours: no triangulation is built.
 func cellNeighbors(self proto.NodeInfo, pool map[string]proto.NodeInfo) []proto.NodeInfo {
 	s := self.Pos
-	if !finite(s) {
+	if !geom.InDomain(s) {
 		return nil
 	}
 	cand := make([]proto.NodeInfo, 0, len(pool))
 	for _, c := range pool {
-		if c.Addr != self.Addr && c.Pos != s && finite(c.Pos) {
+		if c.Addr != self.Addr && c.Pos != s && geom.InDomain(c.Pos) {
 			cand = append(cand, c)
 		}
 	}
@@ -49,9 +49,7 @@ func cellNeighbors(self proto.NodeInfo, pool map[string]proto.NodeInfo) []proto.
 	f := cand[first].Pos
 	out := make([]proto.NodeInfo, 1, 8)
 	out[0] = cand[first]
-	// Every step adds a distinct neighbour, so len(cand) bounds the walk
-	// even where the predicates' float filters overflow (coordinates
-	// near the float range).
+	// Every step adds a distinct neighbour, so len(cand) bounds the walk.
 	for dir, q := 1, f; len(out) < len(cand); {
 		r := nextAround(s, q, cand, dir)
 		if r >= 0 && cand[r].Pos == f {
@@ -176,17 +174,11 @@ func exactDist2(s, p geom.Point) *big.Rat {
 	return d.Add(d, sq(p.Y, s.Y))
 }
 
-// checkFinite refuses a non-finite own position: no overlay has a region
-// for it, and every peer would drop its frames.
-func checkFinite(p geom.Point) error {
-	if !finite(p) {
-		return fmt.Errorf("node: position %v is not finite", p)
+// checkPosition refuses an own position outside the position domain: no
+// overlay has a region for it, and every peer would drop its frames.
+func checkPosition(p geom.Point) error {
+	if !geom.InDomain(p) {
+		return fmt.Errorf("node: position %v is outside the position domain", p)
 	}
 	return nil
-}
-
-// finite reports whether both coordinates of p are neither NaN nor
-// infinite.
-func finite(p geom.Point) bool {
-	return !math.IsNaN(p.X) && !math.IsNaN(p.Y) && !math.IsInf(p.X, 0) && !math.IsInf(p.Y, 0)
 }

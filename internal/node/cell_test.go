@@ -53,16 +53,16 @@ func miniNeighbors(self proto.NodeInfo, pool map[string]proto.NodeInfo) []proto.
 
 // bruteCell is the positive-length rule written as its definition, with
 // no walk: after shadowing (self's position, then the lower address at a
-// shared one) and dropping non-finite candidates, c is a neighbour iff no
-// candidate lies strictly inside the segment self–c and some circle
-// through self and c has every other candidate strictly outside — that
-// is, every p strictly left of self→c puts every p' strictly right of it
-// outside the circle (self, c, p). O(k³).
+// shared one) and dropping candidates outside the position domain, c is
+// a neighbour iff no candidate lies strictly inside the segment self–c
+// and some circle through self and c has every other candidate strictly
+// outside — that is, every p strictly left of self→c puts every p'
+// strictly right of it outside the circle (self, c, p). O(k³).
 func bruteCell(self proto.NodeInfo, pool map[string]proto.NodeInfo) []string {
 	s := self.Pos
 	at := map[geom.Point]proto.NodeInfo{}
 	for _, c := range pool {
-		if c.Addr == self.Addr || c.Pos == s || !finite(c.Pos) {
+		if c.Addr == self.Addr || c.Pos == s || !geom.InDomain(c.Pos) {
 			continue
 		}
 		if o, ok := at[c.Pos]; !ok || c.Addr < o.Addr {
@@ -213,7 +213,8 @@ func TestCellNeighborsMatchDelaunay(t *testing.T) {
 // Delaunay triangulation is not unique, or degenerate, against the brute
 // force only: integer lattices, a ring with and without its centre,
 // collinear pools, a candidate at self's position, two candidates at one
-// position, non-finite candidates, and pools of 0–2 candidates.
+// position, candidates outside the position domain, and pools of 0–2
+// candidates.
 func TestCellNeighborsDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	self := func(p geom.Point) proto.NodeInfo { return proto.NodeInfo{Addr: "self", Pos: p} }
@@ -325,9 +326,10 @@ func TestCellNeighborsDegenerate(t *testing.T) {
 	}
 	checkCell(t, "misrounded nearest", s, poolOf(s, near), true)
 
-	// Non-finite candidates are ignored; a non-finite self has no
-	// neighbours; tiny pools.
-	bad := []geom.Point{{X: math.NaN(), Y: 0.3}, {X: math.Inf(1), Y: 0.3}, {X: 0.3, Y: math.Inf(-1)}}
+	// Candidates outside the position domain are ignored; a self outside
+	// it has no neighbours; tiny pools.
+	bad := []geom.Point{{X: math.NaN(), Y: 0.3}, {X: math.Inf(1), Y: 0.3}, {X: 0.3, Y: math.Inf(-1)},
+		{X: -1e100, Y: -1e103}, {X: 0.3, Y: 1e-300}}
 	for i := 0; i < 100; i++ {
 		s, pts := uniformPool(rng, rng.Intn(8))
 		me := self(s)
@@ -336,7 +338,7 @@ func TestCellNeighborsDegenerate(t *testing.T) {
 			a := fmt.Sprintf("bad%d", j)
 			pool[a] = proto.NodeInfo{Addr: a, Pos: p}
 		}
-		checkCell(t, fmt.Sprintf("non-finite %d", i), me, pool, false)
+		checkCell(t, fmt.Sprintf("out of domain %d", i), me, pool, false)
 		for _, p := range bad {
 			if got := cellNeighbors(self(p), poolOf(self(p), pts)); got != nil {
 				t.Fatalf("self at %v has neighbours %v", p, got)

@@ -46,7 +46,7 @@ func (n *Node) NotifyDeparted(addr string) {
 	} else if inCN {
 		gone = nb.cn[ci]
 	}
-	n.tombstone(nb, addr, gone.Gen)
+	nb.tombstone(addr, gone.Gen)
 	nb.cn = without(nb.cn, addr)
 	if inVN {
 		// The pool keeps the dead peer's list: its old neighbours are

@@ -71,7 +71,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 			if i, ok := find(nb.cn, d); ok && nb.cn[i].Gen > g {
 				continue
 			}
-			n.tombstone(nb, d, g)
+			nb.tombstone(d, g)
 		}
 		// A message from a tombstoned address proves it is alive again
 		// (rejoined at the same address): lift the tombstone — unless the
@@ -115,7 +115,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 	case proto.KindLeaveCN:
 		nb := n.lock()
 		nb.cn = without(nb.cn, env.From.Addr)
-		n.tombstone(nb, env.From.Addr, env.From.Gen)
+		nb.tombstone(env.From.Addr, env.From.Gen)
 		nb.purgeTombstoned()
 		n.unlock(nb)
 	case proto.KindLongLinkGrant:
@@ -220,22 +220,7 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 	if env.Purpose == proto.PurposeJoin {
 		skip = func(c proto.NodeInfo) bool { return c.Addr == env.Origin.Addr }
 	}
-	// The route cache is consulted at the origin only (env.Hops == 0):
-	// origins are where answers populate it, so intermediate hops would
-	// only ever miss. The cached owner is just one more candidate under
-	// the strictly-closer rule — a stale entry loses the pick or fails
-	// the send (repairing the views), it cannot misroute or serve a stale
-	// owner.
-	var cached routeEntry
-	if n.cache != nil && env.Hops == 0 {
-		if owner, ok := n.cache.Lookup(env.Target); ok {
-			n.nm.cacheHits.Inc()
-			cached = routeEntry{owner, "cache"}
-		} else {
-			n.nm.cacheMisses.Inc()
-		}
-	}
-	best := nb.route.next(env.Target, cached, skip) // its class is the trace's rule
+	best := nb.route.next(env.Target, skip) // its class is the trace's rule
 
 	if best.info.Addr != n.self.Addr {
 		fwd := *env
@@ -299,7 +284,7 @@ func (n *Node) admitJoin(env *proto.Envelope) {
 	start := time.Now()
 	defer func() { n.nm.joinAdmitTime.Observe(time.Since(start).Seconds()) }()
 	j := env.Origin
-	if !finite(j.Pos) {
+	if !geom.InDomain(j.Pos) {
 		return // no region to grant; Decode refuses such a joiner already
 	}
 
@@ -413,13 +398,6 @@ func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 	pool := nb.candidatePool(n.self)
 	pool[j.Addr] = j
 	changed := nb.recompute(n.self, pool)
-	// Cache coherence on AddVoronoiRegion: regions the newcomer is now
-	// strictly closer to changed hands, so their cached owners are stale.
-	if n.cache != nil {
-		if dropped := n.cache.invalidateTakenOver(j.Pos); dropped > 0 {
-			n.nm.cacheInvalidations.Add(uint64(dropped))
-		}
-	}
 
 	// Lemma 1 exchange: send the newcomer every close-neighbour candidate
 	// we can see (ourselves and our cn entries within dmin of it).
@@ -646,7 +624,7 @@ func (n *Node) handleLeave(env *proto.Envelope) {
 		n.unlock(nb)
 		return
 	}
-	n.tombstone(nb, gone, env.From.Gen)
+	nb.tombstone(gone, env.From.Gen)
 	// Build the pool *before* dropping the departed node's list: its old
 	// neighbours are exactly the other border nodes of the hole.
 	pool := nb.candidatePool(n.self)

@@ -126,7 +126,7 @@ func TestNonFinitePositionsAreRefused(t *testing.T) {
 	guarded("reading the views", func() {
 		for _, nd := range c.nodes {
 			for _, v := range append(nd.Neighbors(), nd.CloseNeighbors()...) {
-				if !finite(v.Pos) {
+				if !geom.InDomain(v.Pos) {
 					t.Errorf("%s admitted %s at %v", nd.Info().Addr, v.Addr, v.Pos)
 				}
 			}
@@ -146,6 +146,57 @@ func TestNonFinitePositionsAreRefused(t *testing.T) {
 		}
 		if err := nd.Bootstrap(); err == nil || nd.Joined() {
 			t.Errorf("Bootstrap at %v succeeded", p)
+		}
+	}
+}
+
+// TestFarJoinerDrains routes one join for a joiner at a position far
+// outside the position domain into small clusters, over the wire (handle)
+// and past the decoder (deliver). At such magnitudes the predicates'
+// floating-point arithmetic overflows, the nodes disagree on the
+// joiner's cell, and their view exchanges used never to end; the joiner
+// must now be refused, leaving at most a short drain. Each drain runs
+// under a deadline; one that outlives it is cut by closing the cluster's
+// endpoints.
+func TestFarJoinerDrains(t *testing.T) {
+	far := []geom.Point{
+		geom.Pt(-1e100, -1e103), geom.Pt(-5e126, -6e129), geom.Pt(-1e150, -1e153), geom.Pt(1e126, 1e129),
+	}
+	for _, dmin := range []float64{0.1, 0.02, 0.001} {
+		for seed := int64(1); seed <= 8; seed++ {
+			for _, p := range far {
+				for _, wire := range []bool{true, false} {
+					c := newCluster(t, 5, dmin, seed)
+					from := c.nodes[1].Info()
+					env := &proto.Envelope{Type: proto.KindRoute, Purpose: proto.PurposeJoin, Target: p,
+						Origin: proto.NodeInfo{Addr: "joiner", Pos: p}, From: from}
+					before := c.bus.DeliveredCount()
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						if wire {
+							c.nodes[0].handle(from.Addr, proto.AppendEncode(nil, env))
+						} else {
+							c.nodes[0].deliver(env)
+						}
+						c.bus.Drain()
+					}()
+					select {
+					case <-done:
+					case <-time.After(2 * time.Second):
+						for _, nd := range c.nodes {
+							nd.ep.Close()
+						}
+						<-done
+						t.Fatalf("dmin %v seed %d joiner at %v (wire %v): the drain did not end, %d deliveries",
+							dmin, seed, p, wire, c.bus.DeliveredCount()-before)
+					}
+					if n := c.bus.DeliveredCount() - before; n > 50 {
+						t.Fatalf("dmin %v seed %d joiner at %v (wire %v): %d deliveries, want at most 50",
+							dmin, seed, p, wire, n)
+					}
+				}
+			}
 		}
 	}
 }

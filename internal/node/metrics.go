@@ -55,14 +55,8 @@ type nodeMetrics struct {
 	departTime    *metrics.Histogram // node_depart_repair_seconds: crash repair surgery
 	backMoves     *metrics.Counter   // node_blrn_moves_total: BLRn entries re-placed
 
-	traced *metrics.Counter // node_traced_routes_total: envelopes handled with Trace set
-
-	// The route cache's effectiveness, and answers that arrived after
-	// the deadline had already reaped their request.
-	cacheHits          *metrics.Counter // node_cache_hits_total: origin found a cached owner for the target's cell
-	cacheMisses        *metrics.Counter // node_cache_misses_total: origin consulted the cache and found nothing
-	cacheInvalidations *metrics.Counter // node_cache_invalidations_total: entries dropped by view-change surgery
-	lateAnswers        *metrics.Counter // node_late_answers_total: answers for a request its deadline already reaped
+	traced      *metrics.Counter // node_traced_routes_total: envelopes handled with Trace set
+	lateAnswers *metrics.Counter // node_late_answers_total: answers for a request its deadline already reaped
 
 	// Durability (see durable.go) and overload shedding.
 	walAppends       *metrics.Counter   // wal_appends_total: records logged
@@ -104,11 +98,7 @@ func newNodeMetrics() nodeMetrics {
 		departTime:      r.Histogram("node_depart_repair_seconds", lat),
 		backMoves:       r.Counter("node_blrn_moves_total"),
 		traced:          r.Counter("node_traced_routes_total"),
-
-		cacheHits:          r.Counter("node_cache_hits_total"),
-		cacheMisses:        r.Counter("node_cache_misses_total"),
-		cacheInvalidations: r.Counter("node_cache_invalidations_total"),
-		lateAnswers:        r.Counter("node_late_answers_total"),
+		lateAnswers:     r.Counter("node_late_answers_total"),
 
 		walAppends:       r.Counter("wal_appends_total"),
 		walErrs:          r.Counter("wal_errors_total"),

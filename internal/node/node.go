@@ -62,12 +62,6 @@ type Config struct {
 	// (the owner crashed, the answer was lost) fires its callback once
 	// with store.ErrTimeout.
 	RequestTimeout time.Duration
-	// RouteCacheSize enables the hot-region owner cache with that many
-	// entries: origins remember which node answered for a target cell
-	// and feed it into their first greedy step as an extra candidate (see
-	// cache.go for the coherence rules). 0 (the default) disables the
-	// cache.
-	RouteCacheSize int
 	// WALDir, when non-empty and the node is built with NewDurable,
 	// holds the write-ahead log: every acked PUT/DELETE (and every
 	// replica apply) is logged there before the ack, and a restarted
@@ -125,11 +119,6 @@ type Node struct {
 	// frame from a known peer allocates none.
 	names proto.Intern
 
-	// cache is the hot-region owner cache (nil unless
-	// Config.RouteCacheSize > 0). It is a leaf lock: safe to consult
-	// from any path, under n.mu or not.
-	cache *routeCache
-
 	// Durability (see durable.go): wal is set once by NewDurable before
 	// the message handler is installed and never reassigned, so the nil
 	// fast path needs no lock; all operations on a live log serialise
@@ -183,9 +172,6 @@ func newNode(ep transport.Endpoint, pos geom.Point, cfg Config) *Node {
 		inflight: store.NewInflight(cfg.MaxInflight),
 		nm:       newNodeMetrics(),
 	}
-	if cfg.RouteCacheSize > 0 {
-		n.cache = newRouteCache(cfg.RouteCacheSize, cfg.DMin)
-	}
 	n.view.Store(&neighbourhood{tombs: &tombstones{}})
 	return n
 }
@@ -214,7 +200,7 @@ func (n *Node) LongTargets() []geom.Point { return slices.Clone(n.view.Load().lo
 // Bootstrap declares this node the first object of a fresh overlay: it
 // owns the whole attribute space and its long links point to itself.
 func (n *Node) Bootstrap() error {
-	if err := checkFinite(n.self.Pos); err != nil {
+	if err := checkPosition(n.self.Pos); err != nil {
 		return err
 	}
 	nb := n.lock()
@@ -240,7 +226,7 @@ func (n *Node) Join(via string) error {
 	if n.Joined() {
 		return ErrAlreadyJoined
 	}
-	if err := checkFinite(n.self.Pos); err != nil {
+	if err := checkPosition(n.self.Pos); err != nil {
 		return err
 	}
 	return n.send(via, &proto.Envelope{
@@ -345,9 +331,6 @@ func (n *Node) Leave() error {
 	nb.cn = nil
 	nb.longNbrs = nil
 	nb.longTargets = nil
-	if n.cache != nil {
-		n.cache.Clear()
-	}
 	n.unlock(nb)
 
 	for _, m := range out {

@@ -22,7 +22,7 @@ type cluster struct {
 	rng   *rand.Rand
 	seq   int
 	// cfgMut, when set before nodes are added, adjusts each node's config
-	// (e.g. enabling RouteCacheSize for the route-cache tests).
+	// (e.g. a WALDir per node, or a MaxInflight budget).
 	cfgMut func(*Config)
 }
 

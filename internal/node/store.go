@@ -107,24 +107,13 @@ func (n *Node) originate(purpose proto.RoutedPurpose, key geom.Point, value []by
 	}
 	// Observe the request's round trip and route length on the way back
 	// to the caller; a timeout counts separately and stays out of the
-	// latency book. Successful replies also feed the route cache: the
-	// answering node owns this key's region.
+	// latency book.
 	start := time.Now()
 	inner := cb
 	instrumented := func(r store.Reply) {
 		if r.Err == nil {
 			n.nm.latencyFor(purpose).Observe(time.Since(start).Seconds())
 			n.nm.hopsFor(purpose).Observe(float64(r.Hops))
-			if n.cache != nil && r.Owner.Addr != "" && r.Owner.Addr != n.self.Addr {
-				// Never a tombstoned owner (a dead incarnation's
-				// straggler); the writer lock orders this after any
-				// invalidation by tombstone.
-				n.mu.Lock()
-				if !n.view.Load().tombs.dead(r.Owner) {
-					n.cache.insert(key, r.Owner)
-				}
-				n.mu.Unlock()
-			}
 		} else if !errors.Is(r.Err, store.ErrOverloaded) {
 			// An owner-side shed came back fast and was already counted
 			// in store_shed_total at the owner; only genuine timeouts

@@ -430,3 +430,81 @@ func TestPlacementHotPathAllocs(t *testing.T) {
 		t.Errorf("replicateRecords: %v allocs per push, e0d111f's was 38", a)
 	}
 }
+
+// TestStoreRepliesUnderScriptedChurn replays one seeded script of joins,
+// alternating graceful leaves and crashes, puts, deletes and reads that
+// revisit earlier keys, and requires every reply to match a map of the
+// acknowledged writes: a put acks, a delete finds exactly the live keys,
+// a read returns the last value written or nothing after a delete. A
+// closing sweep reads every key again from spread-out origins.
+func TestStoreRepliesUnderScriptedChurn(t *testing.T) {
+	const (
+		seed    = 77
+		initial = 24
+		rounds  = 8
+		opsPer  = 20
+	)
+	c := newCluster(t, initial, 0.02, seed)
+	script := rand.New(rand.NewSource(seed + 1))
+	live := map[geom.Point][]byte{}
+	var keys []geom.Point
+	check := func(what string, k geom.Point, r store.Reply) {
+		t.Helper()
+		want, found := live[k]
+		if r.Err != nil || r.Found != found || !bytes.Equal(r.Value, want) {
+			t.Fatalf("%s %v: %+v, want found=%v value %q", what, k, r, found, want)
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		c.addNode(t, geom.Pt(script.Float64(), script.Float64()), 0.02)
+		idx := 1 + script.Intn(len(c.nodes)-1)
+		victim := c.nodes[idx]
+		if round%2 == 0 {
+			if err := victim.Leave(); err != nil {
+				t.Fatalf("round %d leave: %v", round, err)
+			}
+		} else {
+			victim.ep.Close() // crash: no protocol, links die
+			gone := victim.Info().Addr
+			for i, nd := range c.nodes {
+				if i != idx {
+					nd.NotifyDeparted(gone)
+				}
+			}
+		}
+		c.nodes = append(c.nodes[:idx], c.nodes[idx+1:]...)
+		c.bus.Drain()
+
+		for op := 0; op < opsPer; op++ {
+			origin := c.nodes[script.Intn(len(c.nodes))]
+			switch {
+			case op%4 == 0 || len(keys) == 0:
+				k := geom.Pt(script.Float64(), script.Float64())
+				v := []byte(fmt.Sprintf("v%d-%d", round, op))
+				c.putKey(t, origin, k, v)
+				keys = append(keys, k)
+				live[k] = v
+			case op%7 == 0:
+				k := keys[script.Intn(len(keys))]
+				var r *store.Reply
+				if err := origin.Delete(k, func(rep store.Reply) { r = &rep }); err != nil {
+					t.Fatalf("round %d delete: %v", round, err)
+				}
+				c.bus.Drain()
+				if r == nil {
+					t.Fatalf("round %d delete %v: no reply", round, k)
+				}
+				if _, found := live[k]; r.Err != nil || r.Found != found {
+					t.Fatalf("round %d delete %v: %+v, want found=%v", round, k, *r, found)
+				}
+				delete(live, k)
+			default:
+				k := keys[script.Intn(len(keys))]
+				check(fmt.Sprintf("round %d get", round), k, c.getKey(t, origin, k))
+			}
+		}
+	}
+	for i, k := range keys {
+		check("sweep get", k, c.getKey(t, c.nodes[(i*3+1)%len(c.nodes)], k))
+	}
+}

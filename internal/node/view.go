@@ -3,7 +3,6 @@ package node
 import (
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"voronet/internal/geom"
@@ -193,17 +192,15 @@ func (nb *neighbourhood) purgeTombstoned() {
 	}
 }
 
-// tombstone records a departure and evicts the address from the route
-// cache — every departure path (graceful leave, crash repair, tombstone
-// gossip) funnels through here, so a dead owner can never linger as a
-// cached candidate. The caller holds n.mu (the cache is a leaf lock).
-func (n *Node) tombstone(nb *neighbourhood, addr string, gen uint64) {
+// tombstone records a departure — every departure path (graceful leave,
+// crash repair, tombstone gossip) funnels through here.
+func (nb *neighbourhood) tombstone(addr string, gen uint64) {
 	g, dead := nb.tombs.gen[addr]
 	if dead && gen <= g {
 		return // this incarnation or a later one is already dead
 	}
 	// Remember the highest generation seen dead, so its gossip cannot be
-	// shadowed by an older tombstone, and drop the cache entries naming it.
+	// shadowed by an older tombstone.
 	t := &tombstones{gen: make(map[string]uint64, len(nb.tombs.gen)+1), order: nb.tombs.order}
 	maps.Copy(t.gen, nb.tombs.gen)
 	if !dead {
@@ -211,11 +208,6 @@ func (n *Node) tombstone(nb *neighbourhood, addr string, gen uint64) {
 	}
 	t.gen[addr] = gen
 	nb.tombs = t
-	if n.cache != nil {
-		if dropped := n.cache.invalidateOwner(addr); dropped > 0 {
-			n.nm.cacheInvalidations.Add(uint64(dropped))
-		}
-	}
 }
 
 // liftTomb removes a tombstone entirely — the entry and its place in the
@@ -262,15 +254,9 @@ func (nb *neighbourhood) deriveRoute(self proto.NodeInfo) *routeView {
 // next is the greedy step (Algorithm 5's Greedyneighbour): the candidate
 // nearest to target by store.Nearest, the rule replica placement ranks
 // by, so self keeps its ties and other ties go to the lower address; a
-// NaN target stays at self. extra, unless empty or self, is one more
-// candidate (the origin's cached owner), ranked ahead of the entries
-// holding its address in a copy of the view. skip (may be nil) vetoes
-// candidates other than self.
-func (v routeView) next(target geom.Point, extra routeEntry, skip func(proto.NodeInfo) bool) routeEntry {
-	if extra.info.Addr != "" && extra.info.Addr != v[0].info.Addr {
-		k := 1 + sort.Search(len(v)-1, func(i int) bool { return v[1+i].info.Addr >= extra.info.Addr })
-		v = slices.Concat(v[:k], routeView{extra}, v[k:])
-	}
+// NaN target stays at self. skip (may be nil) vetoes candidates other
+// than self.
+func (v routeView) next(target geom.Point, skip func(proto.NodeInfo) bool) routeEntry {
 	i := store.Nearest(len(v), target, func(i int) (geom.Point, bool) {
 		return v[i].info.Pos, i == 0 || skip == nil || !skip(v[i].info)
 	})
@@ -279,7 +265,7 @@ func (v routeView) next(target geom.Point, extra routeEntry, skip func(proto.Nod
 
 // NextHop returns the node one greedy step from this node toward target
 // goes to, or false when this node's region holds target (or it is not
-// joined): handleRoute's step without the origin's route-cache candidate.
+// joined): the step handleRoute takes.
 // skip (may be nil) vetoes candidates, as the chaos checker does with
 // its ground-truth liveness.
 func (n *Node) NextHop(target geom.Point, skip func(proto.NodeInfo) bool) (proto.NodeInfo, bool) {
@@ -287,6 +273,6 @@ func (n *Node) NextHop(target geom.Point, skip func(proto.NodeInfo) bool) (proto
 	if v == nil {
 		return proto.NodeInfo{}, false
 	}
-	e := v.next(target, routeEntry{}, skip)
+	e := v.next(target, skip)
 	return e.info, e.class != "owner"
 }

@@ -41,10 +41,10 @@ func (e *recordEndpoint) Send(to string, payload []byte) error {
 }
 
 // scanNextHop is the greedy step as handleRoute wrote it before the
-// route view: one pass over the cached owner, vn, cn and the long links,
-// one tombstone lookup per candidate. It is the reference the view's pick
-// must reproduce, candidate and class alike.
-func scanNextHop(n *Node, target geom.Point, skip func(proto.NodeInfo) bool, withCache bool) (proto.NodeInfo, string) {
+// route view: one pass over vn, cn and the long links, one tombstone
+// lookup per candidate. It is the reference the view's pick must
+// reproduce, candidate and class alike.
+func scanNextHop(n *Node, target geom.Point, skip func(proto.NodeInfo) bool) (proto.NodeInfo, string) {
 	nb := n.view.Load()
 	best := n.self
 	bestD := geom.Dist2(n.self.Pos, target)
@@ -57,11 +57,6 @@ func scanNextHop(n *Node, target geom.Point, skip func(proto.NodeInfo) bool, wit
 		if d < bestD || (d == bestD && best.Addr != n.self.Addr && c.Addr < best.Addr) {
 			best, bestD = c, d
 			bestRule = class
-		}
-	}
-	if withCache && n.cache != nil {
-		if owner, ok := n.cache.Lookup(target); ok {
-			consider(owner, "cache")
 		}
 	}
 	for _, v := range nb.vn {
@@ -82,8 +77,7 @@ func scanNextHop(n *Node, target geom.Point, skip func(proto.NodeInfo) bool, wit
 // built to collide: positions on a coarse grid (equal distances, also to
 // self), one address in several classes, self-address and empty long
 // slots, tombstones older and newer than the entries they shadow, the
-// join exclusion, a cached owner tying the view's pick at the same and at
-// a different address, and a NaN target.
+// join exclusion and a NaN target.
 func TestRoutePickMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	pool := []string{"a", "b", "c", "d", "f", "g", "h"} // self is "e"
@@ -91,15 +85,10 @@ func TestRoutePickMatchesScan(t *testing.T) {
 	randInfo := func(addr string) proto.NodeInfo {
 		return proto.NodeInfo{Addr: addr, Pos: geom.Pt(grid(), grid()), Gen: uint64(rng.Intn(3))}
 	}
-	var forwarded, owned, cacheWins, joins int
+	var forwarded, owned, joins int
 	for iter := 0; iter < 3000; iter++ {
 		ep := &recordEndpoint{addr: "e"}
-		cfg := Config{DMin: 0.05, RequestTimeout: time.Hour}
-		useCache := rng.Intn(2) == 0
-		if useCache {
-			cfg.RouteCacheSize = 4
-		}
-		n := New(ep, geom.Pt(grid(), grid()), cfg)
+		n := New(ep, geom.Pt(grid(), grid()), Config{DMin: 0.05, RequestTimeout: time.Hour})
 
 		// pool is sorted, so vn and cn are built in address order.
 		nb := n.lock()
@@ -163,41 +152,19 @@ func TestRoutePickMatchesScan(t *testing.T) {
 		}
 
 		// NextHop against the scan, with and without a veto.
-		want, wantRule := scanNextHop(n, target, skip, false)
+		want, wantRule := scanNextHop(n, target, skip)
 		got, fwd := n.NextHop(target, skip)
 		if fwd != (wantRule != "owner") || (fwd && got != want) {
 			t.Fatalf("iter %d: NextHop = %+v,%v, scan = %+v,%s", iter, got, fwd, want, wantRule)
 		}
 		veto := func(c proto.NodeInfo) bool { return c.Addr < "c" || c.Addr == "e" } // self is never vetoed
-		want, wantRule = scanNextHop(n, target, veto, false)
+		want, wantRule = scanNextHop(n, target, veto)
 		if got, fwd = n.NextHop(target, veto); fwd != (wantRule != "owner") || (fwd && got != want) {
 			t.Fatalf("iter %d: vetoed NextHop = %+v,%v, scan = %+v,%s", iter, got, fwd, want, wantRule)
 		}
 
-		// Seed the cache: a tie with the view's pick at the same address
-		// or at another one, another live address, or self.
-		if useCache {
-			pick, _ := scanNextHop(n, target, skip, false)
-			c := randInfo(pool[rng.Intn(len(pool))])
-			switch rng.Intn(4) {
-			case 0:
-				c = pick
-			case 1:
-				c = proto.NodeInfo{Addr: pool[rng.Intn(len(pool))], Pos: pick.Pos}
-			case 2:
-				c = n.self
-			}
-			if tombs := n.view.Load().tombs; tombs.dead(c) {
-				c.Gen = tombs.gen[c.Addr] + 1 // the cache holds the living only
-			}
-			n.cache.insert(target, c)
-		}
-
 		// The hop itself: what it forwards, to whom, under which rule.
-		want, wantRule = scanNextHop(n, target, skip, true)
-		if wantRule == "cache" {
-			cacheWins++
-		}
+		want, wantRule = scanNextHop(n, target, skip)
 		n.handleRoute(&proto.Envelope{
 			Type: proto.KindRoute, Purpose: purpose, Target: target, Origin: origin, Trace: true,
 		})
@@ -226,8 +193,8 @@ func TestRoutePickMatchesScan(t *testing.T) {
 			}
 		}
 	}
-	if forwarded < 500 || owned < 300 || cacheWins < 50 || joins < 300 {
-		t.Fatalf("weak coverage: %d forwarded, %d owned, %d cache wins, %d joins", forwarded, owned, cacheWins, joins)
+	if forwarded < 500 || owned < 300 || joins < 300 {
+		t.Fatalf("weak coverage: %d forwarded, %d owned, %d joins", forwarded, owned, joins)
 	}
 }
 
@@ -371,9 +338,9 @@ func TestRouteForwardsWithoutViewLock(t *testing.T) {
 
 // TestReadersNeverWaitOnWriter holds a node's writer lock while every path
 // that only reads the view runs: a GET it forwards, a GET it answers as
-// owner, a join admission up to its grant, a replica push, an anti-entropy
-// sweep, a message from a live sender and each public accessor. None may
-// wait.
+// owner, a GET it originates up to its callback, a join admission up to
+// its grant, a replica push, an anti-entropy sweep, a message from a live
+// sender and each public accessor. None may wait.
 func TestReadersNeverWaitOnWriter(t *testing.T) {
 	ep := &recordEndpoint{addr: "s"}
 	n := New(ep, geom.Pt(0.5, 0.5), Config{DMin: 0.05, Replication: 1, RequestTimeout: time.Hour})
@@ -431,6 +398,31 @@ func TestReadersNeverWaitOnWriter(t *testing.T) {
 	if !sent(proto.KindStoreReply, origin.Addr) {
 		t.Fatal("the owner did not answer the GET")
 	}
+	// A GET of its own, answered by t: the reply's callback fires with
+	// the lock still held.
+	var got []store.Reply
+	within("an originated GET", func() {
+		if err := n.Get(theirs, func(r store.Reply) { got = append(got, r) }); err != nil {
+			t.Error(err)
+		}
+	})
+	var id uint64
+	ep.mu.Lock()
+	for i, env := range ep.envs {
+		if env.Type == proto.KindRoute && env.Origin.Addr == n.self.Addr && ep.to[i] == nbr.Addr {
+			id = env.QueryID
+		}
+	}
+	ep.mu.Unlock()
+	if id == 0 {
+		t.Fatal("the originated GET was not forwarded to t")
+	}
+	within("the originated GET's answer", func() {
+		n.deliver(&proto.Envelope{Type: proto.KindStoreReply, From: nbr, QueryID: id, Found: true, Value: []byte("t"), Hops: 1})
+	})
+	if len(got) != 1 || got[0].Err != nil || string(got[0].Value) != "t" || got[0].Owner.Addr != nbr.Addr {
+		t.Fatalf("the originated GET's callback saw %+v, want t's one answer", got)
+	}
 	within("a replica push", func() {
 		n.deliver(&proto.Envelope{Type: proto.KindReplicaSync, From: nbr, Handoff: true,
 			Records: []proto.StoreRecord{{Key: geom.Pt(0.3, 0.3), Value: []byte("w"), Version: 1}}})
@@ -467,12 +459,11 @@ func TestReadersNeverWaitOnWriter(t *testing.T) {
 	}
 }
 
-// TestRouteCacheSkipsTombstonedOwner delivers an answer from a dead
+// TestStragglerAnswerKeepsTombstone delivers an answer from a dead
 // incarnation — a straggler from generation 1 of an address tombstoned
-// at generation 2, which does not lift the tombstone — and requires the
-// origin not to cache it as the target's owner; a cached later
-// incarnation goes when a tombstone raised to its generation arrives.
-func TestRouteCacheSkipsTombstonedOwner(t *testing.T) {
+// at generation 2 — and requires the origin to hand the answer to its
+// caller without lifting the tombstone.
+func TestStragglerAnswerKeepsTombstone(t *testing.T) {
 	bus := transport.NewBus()
 	epO, err := bus.Attach("o")
 	if err != nil {
@@ -488,16 +479,15 @@ func TestRouteCacheSkipsTombstonedOwner(t *testing.T) {
 			routed = append(routed, env)
 		}
 	})
-	o := New(epO, geom.Pt(0.1, 0.1), Config{DMin: 0.05, RouteCacheSize: 8, RequestTimeout: time.Hour})
+	o := New(epO, geom.Pt(0.1, 0.1), Config{DMin: 0.05, RequestTimeout: time.Hour})
 	if err := o.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
 	x1 := proto.NodeInfo{Addr: "x", Pos: geom.Pt(0.12, 0.1), Gen: 1}
 	o.deliver(&proto.Envelope{Type: proto.KindCNAdd, From: x1, CloseCand: []proto.NodeInfo{x1}})
 
-	target := geom.Pt(0.13, 0.1)
 	var replies []store.Reply
-	if err := o.Query(target, func(r store.Reply) { replies = append(replies, r) }); err != nil {
+	if err := o.Query(geom.Pt(0.13, 0.1), func(r store.Reply) { replies = append(replies, r) }); err != nil {
 		t.Fatal(err)
 	}
 	bus.Drain()
@@ -514,17 +504,6 @@ func TestRouteCacheSkipsTombstonedOwner(t *testing.T) {
 	}
 	if !o.tombstoned("x") {
 		t.Fatal("the straggler lifted x's tombstone")
-	}
-	if owner, ok := o.cache.Lookup(target); ok {
-		t.Fatalf("the route cache holds tombstoned %+v", owner)
-	}
-	// A later incarnation cached, then its own death raises the
-	// tombstone's generation: the raise must evict it too.
-	o.cache.insert(target, proto.NodeInfo{Addr: "x", Pos: x1.Pos, Gen: 3})
-	o.deliver(&proto.Envelope{Type: proto.KindCNRemove, From: proto.NodeInfo{Addr: "y"},
-		Departed: []string{"x"}, DepartedGen: []uint64{3}})
-	if owner, ok := o.cache.Lookup(target); ok {
-		t.Fatalf("the route cache holds %+v after its generation died", owner)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 	"testing"
 
 	"voronet/internal/geom"
@@ -45,14 +46,21 @@ func hostileSeeds() []*Envelope {
 	}
 }
 
-// nonFiniteSeeds returns envelopes naming a peer at a NaN or infinite
-// position — in every NodeInfo field the decoder reads. Decode must
-// reject every one of them: such a site has no place in a tessellation.
+// nonFiniteSeeds returns envelopes naming a peer at a NaN, infinite or
+// otherwise out-of-domain position (geom.InDomain) — in every NodeInfo
+// field the decoder reads. Decode must reject every one of them: such a
+// site has no place in a tessellation.
 func nonFiniteSeeds() []*Envelope {
 	nan := NodeInfo{Addr: "nan", Pos: geom.Pt(math.NaN(), 0.3)}
 	inf := NodeInfo{Addr: "inf", Pos: geom.Pt(math.Inf(1), 0.3)}
 	ninf := NodeInfo{Addr: "ninf", Pos: geom.Pt(0.3, math.Inf(-1))}
+	far := NodeInfo{Addr: "far", Pos: geom.Pt(-1e100, -1e103)}
+	edge := NodeInfo{Addr: "edge", Pos: geom.Pt(0.3, math.Nextafter(0x1p32, math.Inf(1)))}
+	tiny := NodeInfo{Addr: "tiny", Pos: geom.Pt(1e-300, 0.3)}
 	return []*Envelope{
+		{Type: KindRoute, Purpose: PurposeJoin, Target: far.Pos, Origin: far},
+		{Type: KindSetNeighbors, From: NodeInfo{Addr: "a", Pos: geom.Pt(0.2, 0.2)}, Origin: edge},
+		{Type: KindCNAdd, CloseCand: []NodeInfo{{Addr: "b", Pos: geom.Pt(0.4, 0.4)}, tiny}},
 		{Type: KindNeighborList, From: NodeInfo{Addr: "a", Pos: geom.Pt(0.2, 0.2)}, Neighbors: []NodeInfo{{Addr: "b", Pos: geom.Pt(0.4, 0.4)}, nan}},
 		{Type: KindRoute, Purpose: PurposeJoin, Target: nan.Pos, Origin: nan},
 		{Type: KindSetNeighbors, From: inf, Origin: NodeInfo{Addr: "j", Pos: geom.Pt(0.5, 0.5)}},
@@ -64,10 +72,11 @@ func nonFiniteSeeds() []*Envelope {
 	}
 }
 
-// TestDecodeRejectsNonFinitePositions: a NodeInfo at (NaN, 0.3) or
-// (+Inf, 0.3) used to decode, and reached the receiving node's neighbour
-// computation. A routed Target is not a site: a NaN target still
-// decodes, and routing keeps it at the first node.
+// TestDecodeRejectsNonFinitePositions: a NodeInfo at (NaN, 0.3),
+// (+Inf, 0.3) or (−1e100, −1e103) used to decode, and reached the
+// receiving node's neighbour computation. A position at the domain's
+// edge decodes. A routed Target is not a site: a NaN or far-off target
+// still decodes, and routing keeps a NaN one at the first node.
 func TestDecodeRejectsNonFinitePositions(t *testing.T) {
 	for i, env := range nonFiniteSeeds() {
 		if got, err := Decode(AppendEncode(nil, env)); err == nil {
@@ -79,6 +88,15 @@ func TestDecodeRejectsNonFinitePositions(t *testing.T) {
 	got, err := Decode(AppendEncode(nil, route))
 	if err != nil || !math.IsNaN(got.Target.X) {
 		t.Fatalf("NaN route target: %+v, %v", got, err)
+	}
+	route.Target = geom.Pt(1e300, -1e300)
+	if got, err = Decode(AppendEncode(nil, route)); err != nil || got.Target != route.Target {
+		t.Fatalf("far route target: %+v, %v", got, err)
+	}
+	edge := &Envelope{Type: KindCNAdd, CloseCand: []NodeInfo{
+		{Addr: "max", Pos: geom.Pt(0x1p32, -0x1p32)}, {Addr: "min", Pos: geom.Pt(-0x1p-64, 0)}}}
+	if got, err = Decode(AppendEncode(nil, edge)); err != nil || !slices.Equal(got.CloseCand, edge.CloseCand) {
+		t.Fatalf("positions at the domain's edge: %+v, %v", got, err)
 	}
 }
 

@@ -458,16 +458,17 @@ func (r *wireReader) bytes() []byte {
 	return out
 }
 
-// nodeInfo reads one NodeInfo. A peer's position must be finite: a NaN
-// or infinite coordinate has no place in anyone's tessellation, so the
-// frame is refused. (A routed Target may be NaN; it is not a site.)
+// nodeInfo reads one NodeInfo. A peer's position must lie in the
+// position domain (geom.InDomain): a NaN, infinite, far-off or tiny
+// non-zero coordinate has no place in anyone's tessellation, so the
+// frame is refused. (A routed Target may be anything; it is not a site.)
 func (r *wireReader) nodeInfo() NodeInfo {
 	var n NodeInfo
 	n.Addr = r.str()
 	n.Pos = r.point()
 	n.Gen = r.uvarint()
-	if p := n.Pos; math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
-		r.fail("position %v of %q is not finite", p, n.Addr)
+	if !geom.InDomain(n.Pos) {
+		r.fail("position %v of %q is outside the position domain", n.Pos, n.Addr)
 	}
 	return n
 }
