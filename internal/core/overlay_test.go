@@ -18,7 +18,7 @@ func newTestOverlay(nmax int) *Overlay {
 
 // linkRadius draws Choose-LRT's radius exactly as chooseLRTWith does.
 func linkRadius(o *Overlay) float64 {
-	return kleinberg.SampleRadius(o.dmin, math.Sqrt2, o.cfg.LongLinkExponent, o.rng)
+	return kleinberg.SampleRadius(o.dmin, math.Sqrt2, o.cfg.LongLinkExponent, o.rng.Float64())
 }
 
 func fill(t *testing.T, o *Overlay, src workload.Source, n int) []ObjectID {

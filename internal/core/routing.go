@@ -26,7 +26,7 @@ func (o *Overlay) chooseLRT(p geom.Point) geom.Point {
 // (bulkload.go), so the caller owns the locking story.
 func (o *Overlay) chooseLRTWith(rng *rand.Rand, p geom.Point) geom.Point {
 	draw := func() geom.Point {
-		r := kleinberg.SampleRadius(o.dmin, math.Sqrt2, o.cfg.LongLinkExponent, rng)
+		r := kleinberg.SampleRadius(o.dmin, math.Sqrt2, o.cfg.LongLinkExponent, rng.Float64())
 		theta := rng.Float64() * 2 * math.Pi
 		return geom.Pt(p.X+r*math.Cos(theta), p.Y+r*math.Sin(theta))
 	}

@@ -42,7 +42,7 @@ func TestSampleRadiusFollowsDHarmonicLaw(t *testing.T) {
 		}
 		observed := make([]float64, buckets)
 		for i := 0; i < samples; i++ {
-			r := SampleRadius(rmin, rmax, s, rng)
+			r := SampleRadius(rmin, rmax, s, rng.Float64())
 			if r < rmin || r > rmax {
 				t.Fatalf("s=%g: radius %g outside [%g,%g]", s, r, rmin, rmax)
 			}

@@ -38,7 +38,7 @@ func New(n, k int, s float64, rng *rand.Rand) *Grid {
 		x, y := v%n, v/n
 		contacts := make([]int32, 0, k)
 		for len(contacts) < k {
-			r := SampleRadius(1, maxR, s, rng)
+			r := SampleRadius(1, maxR, s, rng.Float64())
 			theta := rng.Float64() * 2 * math.Pi
 			tx := x + int(math.Round(r*math.Cos(theta)))
 			ty := y + int(math.Round(r*math.Sin(theta)))
@@ -56,14 +56,13 @@ func New(n, k int, s float64, rng *rand.Rand) *Grid {
 	return g
 }
 
-// SampleRadius draws a long-range radius on [rmin, rmax] with density
-// proportional to r^(1-s) by inverse CDF from one rng.Float64() — the
+// SampleRadius maps one uniform draw u ∈ [0, 1) to a long-range radius on
+// [rmin, rmax] with density proportional to r^(1-s), by inverse CDF — the
 // radius draw of Choose-LRT (Algorithm 3), shared by the lattice above,
 // the simulator (internal/core) and the live node (internal/node), which
-// each draw the angle next. For s = 2 it is log-uniform: a ~ U[ln rmin,
-// ln rmax], r = e^a.
-func SampleRadius(rmin, rmax, s float64, rng *rand.Rand) float64 {
-	u := rng.Float64()
+// each draw u from their own source and the angle next. For s = 2 it is
+// log-uniform: a ~ U[ln rmin, ln rmax], r = e^a.
+func SampleRadius(rmin, rmax, s, u float64) float64 {
 	if s == 2 {
 		return math.Exp(math.Log(rmin) + u*(math.Log(rmax)-math.Log(rmin)))
 	}

@@ -6,7 +6,12 @@
 //
 //   - Hot-path cost is one atomic op per event. Instruments are resolved
 //     once (at construction time) and cached as struct fields; the
-//     registry map is only consulted at registration and snapshot time.
+//     registry's names are only consulted at registration and snapshot
+//     time.
+//   - A peer's books cost little: a Layout declares a registry's
+//     instruments once per process, so every registry made from it
+//     holds its counters in one block and shares the names; histograms
+//     share their bounds and allocate buckets on first use.
 //   - A nil *Registry is a valid no-op registry: every constructor on a
 //     nil receiver returns a nil instrument, and every instrument method
 //     on a nil receiver returns immediately. Code can therefore be
@@ -21,8 +26,10 @@
 package metrics
 
 import (
+	"encoding/binary"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -66,21 +73,42 @@ func (g *Gauge) Dec() { g.Add(-1) }
 
 // Histogram is a fixed-bucket histogram: bucket i counts observations v
 // with v <= Bounds[i]; one implicit overflow bucket counts the rest. The
-// bucket counts and the total count are atomics; the running sum is a
-// float64 maintained with a CAS loop. All methods are safe on a nil
+// bucket counts are atomics, and the total count is their sum, taken at
+// snapshot time; the running sum is a float64 maintained with a CAS loop.
+// The bucket array is allocated by the first Observe, so a histogram that
+// never observes costs its header only. All methods are safe on a nil
 // receiver.
 type Histogram struct {
-	bounds  []float64 // sorted, immutable after construction
-	buckets []atomic.Uint64
-	count   atomic.Uint64
+	bounds  []float64 // shared by every histogram with the same bound set (sharedBounds): never written, never handed out
+	buckets atomic.Pointer[[]atomic.Uint64]
 	sum     atomic.Uint64 // float64 bits
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
+// boundSets holds one sorted, immutable slice per distinct bound set, so
+// the histograms of every registry in the process share their bounds.
+var boundSets struct {
+	mu   sync.Mutex
+	sets map[string][]float64 // keyed by the sorted bounds' bits
+}
+
+// sharedBounds returns the process's shared slice for bounds' set.
+func sharedBounds(bounds []float64) []float64 {
+	b := slices.Clone(bounds)
+	slices.Sort(b)
+	key := make([]byte, 0, 8*len(b))
+	for _, v := range b {
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+	}
+	boundSets.mu.Lock()
+	defer boundSets.mu.Unlock()
+	if s, ok := boundSets.sets[string(key)]; ok {
+		return s
+	}
+	if boundSets.sets == nil {
+		boundSets.sets = make(map[string][]float64)
+	}
+	boundSets.sets[string(key)] = b
+	return b
 }
 
 // Observe records one value.
@@ -95,8 +123,11 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
+	b := h.buckets.Load()
+	if b == nil {
+		b = h.allocBuckets()
+	}
+	(*b)[i].Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -106,15 +137,29 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
+// allocBuckets installs the bucket array on the first Observe; when two
+// first observations race, both use the array that won.
+func (h *Histogram) allocBuckets() *[]atomic.Uint64 {
+	b := make([]atomic.Uint64, len(h.bounds)+1)
+	if h.buckets.CompareAndSwap(nil, &b) {
+		return &b
+	}
+	return h.buckets.Load()
+}
+
+// snapshot copies the histogram's state, bounds included: a snapshot
+// shares no memory with any live histogram.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
-		Bounds:  h.bounds,
-		Buckets: make([]uint64, len(h.buckets)),
-		Count:   h.count.Load(),
+		Bounds:  slices.Clone(h.bounds),
+		Buckets: make([]uint64, len(h.bounds)+1),
 		Sum:     math.Float64frombits(h.sum.Load()),
 	}
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
+	if b := h.buckets.Load(); b != nil {
+		for i := range *b {
+			s.Buckets[i] = (*b)[i].Load()
+			s.Count += s.Buckets[i]
+		}
 	}
 	return s
 }
@@ -137,25 +182,94 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Registry holds named instruments. Registration is idempotent: asking
-// twice for the same name returns the same instrument, so independent
-// subsystems can share one registry without coordination. A nil
-// *Registry is a valid no-op registry.
-type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+// Layout names a fixed set of instruments once per process: a package
+// that builds one registry per peer declares its instruments in a Layout,
+// and every registry made from it holds them in one block per kind,
+// allocated at once. The names stay in the Layout, shared by every such
+// registry, and are read only by registration and Snapshot. A Layout is
+// immutable.
+type Layout struct {
+	counters, gauges, histograms []string
+	bounds                       [][]float64 // bounds[i] is histograms[i]'s shared bound set
+	index                        [3]map[string]int
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+// NewLayout declares counters, gauges and histograms (name → bucket
+// bounds). A name may appear once per kind.
+func NewLayout(counters, gauges []string, histograms map[string][]float64) *Layout {
+	l := &Layout{counters: slices.Clone(counters), gauges: slices.Clone(gauges), histograms: slices.Sorted(maps.Keys(histograms))}
+	for _, name := range l.histograms {
+		l.bounds = append(l.bounds, sharedBounds(histograms[name]))
+	}
+	for k, names := range [3][]string{l.counters, l.gauges, l.histograms} {
+		l.index[k] = make(map[string]int, len(names))
+		for i, name := range names {
+			if _, dup := l.index[k][name]; dup {
+				panic("metrics: " + name + " declared twice in one layout")
+			}
+			l.index[k][name] = i
+		}
+	}
+	return l
+}
+
+// NewRegistry returns a registry holding l's instruments, all at zero.
+func (l *Layout) NewRegistry() *Registry {
+	r := &Registry{
+		layout:     l,
+		counters:   make([]Counter, len(l.counters)),
+		gauges:     make([]Gauge, len(l.gauges)),
+		histograms: make([]Histogram, len(l.histograms)),
+	}
+	for i := range r.histograms {
+		r.histograms[i].bounds = l.bounds[i]
+	}
+	return r
+}
+
+// Indices of Layout.index.
+const (
+	kindCounter = iota
+	kindGauge
+	kindHistogram
+)
+
+// slot returns name's index among the layout's instruments of kind k, or
+// -1 when the registry has no layout or the layout does not declare it.
+func (r *Registry) slot(k int, name string) int {
+	if r.layout == nil {
+		return -1
+	}
+	if i, ok := r.layout.index[k][name]; ok {
+		return i
+	}
+	return -1
+}
+
+// Registry holds named instruments. Registration is idempotent: asking
+// twice for the same name returns the same instrument, so independent
+// subsystems can share one registry without coordination. The
+// instruments of the registry's Layout, if it has one, sit in one block
+// each per kind; any other name gets its own instrument in a map. A nil
+// *Registry is a valid no-op registry.
+type Registry struct {
+	// The layout's instruments: fixed at construction, read without a
+	// lock.
+	layout     *Layout
+	counters   []Counter
+	gauges     []Gauge
+	histograms []Histogram
+
+	mu    sync.Mutex
+	extra struct {
+		counters   map[string]*Counter
+		gauges     map[string]*Gauge
+		histograms map[string]*Histogram
 	}
 }
+
+// NewRegistry returns an empty registry with no layout.
+func NewRegistry() *Registry { return &Registry{} }
 
 // Counter returns the counter registered under name, creating it if
 // needed. Returns nil on a nil registry.
@@ -163,14 +277,12 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
+	if i := r.slot(kindCounter, name); i >= 0 {
+		return &r.counters[i]
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return getOrMake(&r.extra.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the gauge registered under name, creating it if needed.
@@ -179,32 +291,41 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
+	if i := r.slot(kindGauge, name); i >= 0 {
+		return &r.gauges[i]
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrMake(&r.extra.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the histogram registered under name, creating it
 // with the given bucket bounds if needed. Re-registration with different
-// bounds keeps the original bounds (first registration wins). Returns
-// nil on a nil registry.
+// bounds keeps the original bounds (first registration wins; a layout's
+// histograms are registered first). Returns nil on a nil registry.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
+	if i := r.slot(kindHistogram, name); i >= 0 {
+		return &r.histograms[i]
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.histograms[name] = h
+	return getOrMake(&r.extra.histograms, name, func() *Histogram { return &Histogram{bounds: sharedBounds(bounds)} })
+}
+
+// getOrMake returns (*m)[name], storing mk() there first when absent.
+func getOrMake[T any](m *map[string]*T, name string, mk func() *T) *T {
+	if v, ok := (*m)[name]; ok {
+		return v
 	}
-	return h
+	if *m == nil {
+		*m = make(map[string]*T)
+	}
+	v := mk()
+	(*m)[name] = v
+	return v
 }
 
 // Snapshot copies every instrument's current state. Safe to call
@@ -220,15 +341,26 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
+	if l := r.layout; l != nil {
+		for i, name := range l.counters {
+			s.Counters[name] = r.counters[i].v.Load()
+		}
+		for i, name := range l.gauges {
+			s.Gauges[name] = r.gauges[i].v.Load()
+		}
+		for i, name := range l.histograms {
+			s.Histograms[name] = r.histograms[i].snapshot()
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.counters {
+	for name, c := range r.extra.counters {
 		s.Counters[name] = c.v.Load()
 	}
-	for name, g := range r.gauges {
+	for name, g := range r.extra.gauges {
 		s.Gauges[name] = g.v.Load()
 	}
-	for name, h := range r.histograms {
+	for name, h := range r.extra.histograms {
 		s.Histograms[name] = h.snapshot()
 	}
 	return s

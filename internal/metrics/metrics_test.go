@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -245,5 +246,137 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 	if string(j1) != string(j2) {
 		t.Fatalf("snapshot JSON not deterministic:\n%s\n%s", j1, j2)
+	}
+}
+
+// TestSnapshotDoesNotAliasBounds: a caller that edits a snapshot's bounds
+// must change neither the histogram it came from nor any other one.
+func TestSnapshotDoesNotAliasBounds(t *testing.T) {
+	r := NewRegistry()
+	a := r.Histogram("a", []float64{1, 2, 5})
+	r.Histogram("b", []float64{1, 2, 5})
+	a.Observe(1.5)
+	s := r.Snapshot().Histograms["a"]
+	s.Bounds[0] = 99
+	slices.Reverse(s.Bounds)
+	for _, name := range []string{"a", "b"} {
+		if got := r.Snapshot().Histograms[name].Bounds; !reflect.DeepEqual(got, []float64{1, 2, 5}) {
+			t.Fatalf("histogram %s bounds = %v after a snapshot was edited, want [1 2 5]", name, got)
+		}
+	}
+	a.Observe(1.5)
+	if got := r.Snapshot().Histograms["a"].Buckets; !reflect.DeepEqual(got, []uint64{0, 2, 0, 0}) {
+		t.Fatalf("buckets = %v after a snapshot was edited, want [0 2 0 0]", got)
+	}
+}
+
+var testLayout = NewLayout(
+	[]string{"c_one", "c_two"},
+	[]string{"g_one"},
+	map[string][]float64{"h_lat": LatencyBuckets(), "h_hops": HopBuckets()},
+)
+
+// TestLayoutRegistry: a layout's instruments live in the registry's block,
+// registering one of them by name returns its slot, a registry made from
+// the layout is independent of every other, and names outside the layout
+// still register. A histogram that never observed is in the snapshot with
+// zero buckets.
+func TestLayoutRegistry(t *testing.T) {
+	r1, r2 := testLayout.NewRegistry(), testLayout.NewRegistry()
+	if r1.Counter("c_two") != &r1.counters[1] || r1.Counter("c_two") != r1.Counter("c_two") {
+		t.Fatal("a layout counter must register as its slot in the block")
+	}
+	if r1.Gauge("g_one") != r1.Gauge("g_one") || r1.Histogram("h_hops", []float64{7}) != r1.Histogram("h_hops", nil) {
+		t.Fatal("layout registration must be idempotent")
+	}
+	if r1.Counter("c_one") == r2.Counter("c_one") {
+		t.Fatal("two registries of one layout must not share a counter")
+	}
+	r1.Counter("c_one").Add(3)
+	r1.Gauge("g_one").Add(-2)
+	r1.Histogram("h_hops", nil).Observe(2)
+	r1.Counter("extra").Inc()
+	r1.Histogram("h_extra", []float64{2, 1}).Observe(5)
+
+	s := r1.Snapshot()
+	want := Snapshot{
+		Counters: map[string]uint64{"c_one": 3, "c_two": 0, "extra": 1},
+		Gauges:   map[string]int64{"g_one": -2},
+		Histograms: map[string]HistogramSnapshot{
+			"h_lat":   {Bounds: LatencyBuckets(), Buckets: make([]uint64, len(LatencyBuckets())+1)},
+			"h_hops":  {Bounds: HopBuckets(), Buckets: append(make([]uint64, 2), append([]uint64{1}, make([]uint64, len(HopBuckets())-2)...)...), Count: 1, Sum: 2},
+			"h_extra": {Bounds: []float64{1, 2}, Buckets: []uint64{0, 0, 1}, Count: 1, Sum: 5},
+		},
+	}
+	if !reflect.DeepEqual(s, want) {
+		t.Fatalf("snapshot:\n got %+v\nwant %+v", s, want)
+	}
+	if s2 := r2.Snapshot(); s2.Counters["c_one"] != 0 || s2.Histograms["h_hops"].Count != 0 {
+		t.Fatalf("a second registry of the layout saw the first one's events: %+v", s2)
+	}
+	if r1.Histogram("h_lat", nil).buckets.Load() != nil {
+		t.Fatal("a histogram must allocate its buckets on its first Observe, not before")
+	}
+}
+
+// TestBoundsAreShared: histograms with one bound set share one slice,
+// across registries and whether or not they come from a layout.
+func TestBoundsAreShared(t *testing.T) {
+	a := testLayout.NewRegistry().Histogram("h_lat", nil)
+	b := testLayout.NewRegistry().Histogram("h_lat", nil)
+	c := NewRegistry().Histogram("x", LatencyBuckets())
+	if &a.bounds[0] != &b.bounds[0] || &a.bounds[0] != &c.bounds[0] {
+		t.Fatal("histograms with the same bounds must share one bound slice")
+	}
+	if d := NewRegistry().Histogram("y", []float64{3, 1}); !reflect.DeepEqual(d.bounds, []float64{1, 3}) {
+		t.Fatalf("bounds = %v, want sorted", d.bounds)
+	}
+}
+
+func TestLayoutRejectsDuplicates(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a name declared twice in one layout must panic")
+		}
+	}()
+	NewLayout([]string{"a", "a"}, nil, nil)
+}
+
+// TestFirstObserveRacesSnapshot: the first Observe of fresh histograms,
+// which installs their bucket arrays, races Snapshot and Merge; run under
+// -race. No observation may be lost to the race.
+func TestFirstObserveRacesSnapshot(t *testing.T) {
+	const rounds, observers = 50, 4
+	for round := 0; round < rounds; round++ {
+		r := testLayout.NewRegistry()
+		extra := r.Histogram("h_extra", []float64{1})
+		var wg sync.WaitGroup
+		for w := 0; w < observers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.Histogram("h_lat", nil).Observe(1e-3)
+				r.Histogram("h_hops", nil).Observe(3)
+				extra.Observe(0.5)
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var merged Snapshot
+			for i := 0; i < 4; i++ {
+				merged.Merge(r.Snapshot())
+			}
+		}()
+		wg.Wait()
+		for name, h := range r.Snapshot().Histograms {
+			var total uint64
+			for _, b := range h.Buckets {
+				total += b
+			}
+			if h.Count != observers || total != observers {
+				t.Fatalf("round %d: %s count %d, bucket total %d, want %d", round, name, h.Count, total, observers)
+			}
+		}
 	}
 }

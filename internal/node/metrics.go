@@ -71,10 +71,56 @@ type nodeMetrics struct {
 	storeShed        *metrics.Counter   // store_shed_total: ops refused by admission control (origin or owner side)
 }
 
-func newNodeMetrics() nodeMetrics {
-	r := metrics.NewRegistry()
+// kindCounterNames are the per-kind counter names, built once per process:
+// send, recv, wire bytes sent, wire bytes recv. A retired kind's names
+// are empty.
+var kindCounterNames = func() (names [4][proto.KindCount]string) {
+	for k := proto.Kind(0); k < proto.KindCount; k++ {
+		if k.String() == "" {
+			continue
+		}
+		names[0][k] = "node_send_" + k.String() + "_total"
+		names[1][k] = "node_recv_" + k.String() + "_total"
+		names[2][k] = "node_wire_bytes_sent_" + k.String() + "_total"
+		names[3][k] = "node_wire_bytes_recv_" + k.String() + "_total"
+	}
+	return names
+}()
+
+// nodeLayout declares every instrument of a node's registry, so that a
+// node allocates its counters in one block and shares their names and
+// its histograms' bounds with every other node of the process.
+var nodeLayout = func() *metrics.Layout {
+	counters := []string{
+		"node_sent_total", "node_send_self_total", "node_send_errors_total",
+		"node_send_retries_total", "node_decode_errors_total",
+		"node_query_timeouts_total", "store_timeouts_total",
+		"node_blrn_moves_total", "node_traced_routes_total", "node_late_answers_total",
+		"wal_appends_total", "wal_errors_total", "wal_replayed_records_total",
+		"wal_corrupt_frames_total", "wal_torn_tails_total", "wal_compactions_total",
+		"wal_tombstones_gced_total", "node_antientropy_bytes_total", "store_shed_total",
+	}
+	for _, names := range kindCounterNames {
+		for _, name := range names {
+			if name != "" {
+				counters = append(counters, name)
+			}
+		}
+	}
 	lat := metrics.LatencyBuckets()
 	hops := metrics.HopBuckets()
+	return metrics.NewLayout(counters, nil, map[string][]float64{
+		"node_query_seconds": lat, "node_query_hops": hops,
+		"store_put_seconds": lat, "store_get_seconds": lat, "store_delete_seconds": lat,
+		"store_put_hops": hops, "store_get_hops": hops, "store_delete_hops": hops,
+		"node_join_admit_seconds": lat, "node_join_grant_seconds": lat,
+		"node_leave_seconds": lat, "node_depart_repair_seconds": lat,
+		"wal_fsync_seconds": lat,
+	})
+}()
+
+func newNodeMetrics() nodeMetrics {
+	r := nodeLayout.NewRegistry()
 	nm := nodeMetrics{
 		reg:             r,
 		sent:            r.Counter("node_sent_total"),
@@ -82,27 +128,27 @@ func newNodeMetrics() nodeMetrics {
 		sendErrs:        r.Counter("node_send_errors_total"),
 		retries:         r.Counter("node_send_retries_total"),
 		decodeErrs:      r.Counter("node_decode_errors_total"),
-		queryLatency:    r.Histogram("node_query_seconds", lat),
-		queryHops:       r.Histogram("node_query_hops", hops),
+		queryLatency:    r.Histogram("node_query_seconds", nil),
+		queryHops:       r.Histogram("node_query_hops", nil),
 		queryTimeouts:   r.Counter("node_query_timeouts_total"),
-		storePutLatency: r.Histogram("store_put_seconds", lat),
-		storeGetLatency: r.Histogram("store_get_seconds", lat),
-		storeDelLatency: r.Histogram("store_delete_seconds", lat),
-		storePutHops:    r.Histogram("store_put_hops", hops),
-		storeGetHops:    r.Histogram("store_get_hops", hops),
-		storeDelHops:    r.Histogram("store_delete_hops", hops),
+		storePutLatency: r.Histogram("store_put_seconds", nil),
+		storeGetLatency: r.Histogram("store_get_seconds", nil),
+		storeDelLatency: r.Histogram("store_delete_seconds", nil),
+		storePutHops:    r.Histogram("store_put_hops", nil),
+		storeGetHops:    r.Histogram("store_get_hops", nil),
+		storeDelHops:    r.Histogram("store_delete_hops", nil),
 		storeTimeouts:   r.Counter("store_timeouts_total"),
-		joinAdmitTime:   r.Histogram("node_join_admit_seconds", lat),
-		joinGrantTime:   r.Histogram("node_join_grant_seconds", lat),
-		leaveTime:       r.Histogram("node_leave_seconds", lat),
-		departTime:      r.Histogram("node_depart_repair_seconds", lat),
+		joinAdmitTime:   r.Histogram("node_join_admit_seconds", nil),
+		joinGrantTime:   r.Histogram("node_join_grant_seconds", nil),
+		leaveTime:       r.Histogram("node_leave_seconds", nil),
+		departTime:      r.Histogram("node_depart_repair_seconds", nil),
 		backMoves:       r.Counter("node_blrn_moves_total"),
 		traced:          r.Counter("node_traced_routes_total"),
 		lateAnswers:     r.Counter("node_late_answers_total"),
 
 		walAppends:       r.Counter("wal_appends_total"),
 		walErrs:          r.Counter("wal_errors_total"),
-		walFsync:         r.Histogram("wal_fsync_seconds", lat),
+		walFsync:         r.Histogram("wal_fsync_seconds", nil),
 		walReplayed:      r.Counter("wal_replayed_records_total"),
 		walCorrupt:       r.Counter("wal_corrupt_frames_total"),
 		walTorn:          r.Counter("wal_torn_tails_total"),
@@ -111,14 +157,14 @@ func newNodeMetrics() nodeMetrics {
 		antiEntropyBytes: r.Counter("node_antientropy_bytes_total"),
 		storeShed:        r.Counter("store_shed_total"),
 	}
-	for k := proto.Kind(0); k < proto.KindCount; k++ {
-		if k.String() == "" {
+	for k, name := range kindCounterNames[0] {
+		if name == "" {
 			continue // a retired kind: its slots stay nil, deliver drops it
 		}
-		nm.sentByKind[k] = r.Counter("node_send_" + k.String() + "_total")
-		nm.recvByKind[k] = r.Counter("node_recv_" + k.String() + "_total")
-		nm.wireSentByKind[k] = r.Counter("node_wire_bytes_sent_" + k.String() + "_total")
-		nm.wireRecvByKind[k] = r.Counter("node_wire_bytes_recv_" + k.String() + "_total")
+		nm.sentByKind[k] = r.Counter(name)
+		nm.recvByKind[k] = r.Counter(kindCounterNames[1][k])
+		nm.wireSentByKind[k] = r.Counter(kindCounterNames[2][k])
+		nm.wireRecvByKind[k] = r.Counter(kindCounterNames[3][k])
 	}
 	return nm
 }

@@ -30,7 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -103,7 +103,7 @@ type Node struct {
 	ep   transport.Endpoint
 	self proto.NodeInfo
 	cfg  Config
-	rng  *rand.Rand
+	rng  rand.PCG // long-link draws (chooseLRT), under mu
 
 	// view is the published neighbourhood: set by newNode, then written
 	// only by unlock.
@@ -167,11 +167,11 @@ func newNode(ep transport.Endpoint, pos geom.Point, cfg Config) *Node {
 		ep:       ep,
 		self:     proto.NodeInfo{Addr: ep.Addr(), Pos: pos},
 		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(len(ep.Addr())))),
 		kv:       store.NewLocal(),
 		inflight: store.NewInflight(cfg.MaxInflight),
 		nm:       newNodeMetrics(),
 	}
+	n.rng.Seed(uint64(cfg.Seed), uint64(len(ep.Addr())))
 	n.view.Store(&neighbourhood{tombs: &tombstones{}})
 	return n
 }
@@ -347,10 +347,12 @@ func (n *Node) Leave() error {
 }
 
 // chooseLRT draws a long-link target (Algorithm 3, the paper's s = 2)
-// around the node: radius first, then angle, as internal/core does.
+// around the node: radius first, then angle, as internal/core does. The
+// caller holds mu.
 func (n *Node) chooseLRT() geom.Point {
-	r := kleinberg.SampleRadius(n.cfg.DMin, math.Sqrt2, 2, n.rng)
-	theta := n.rng.Float64() * 2 * math.Pi
+	rng := rand.New(&n.rng)
+	r := kleinberg.SampleRadius(n.cfg.DMin, math.Sqrt2, 2, rng.Float64())
+	theta := rng.Float64() * 2 * math.Pi
 	return geom.Pt(n.self.Pos.X+r*math.Cos(theta), n.self.Pos.Y+r*math.Sin(theta))
 }
 

@@ -79,6 +79,19 @@ type endpointMetrics struct {
 	queueBytes   *metrics.Gauge
 }
 
+// endpointLayout declares an endpoint's instruments, so that every
+// endpoint of the process shares their names and bounds (see
+// metrics.Layout).
+var endpointLayout = metrics.NewLayout(
+	[]string{
+		"tcp_frames_in_total", "tcp_bytes_in_total", "tcp_frames_out_total",
+		"tcp_bytes_out_total", "tcp_send_errors_total", "tcp_dials_total",
+		"tcp_accepts_total", "tcp_conn_refresh_total",
+	},
+	[]string{"tcp_open_conns", "tcp_read_bufs_held", "tcp_inflight_dispatches", "tcp_write_queue_bytes"},
+	map[string][]float64{"tcp_dispatch_wait_seconds": metrics.LatencyBuckets()},
+)
+
 func newEndpointMetrics(r *metrics.Registry) endpointMetrics {
 	return endpointMetrics{
 		framesIn:     r.Counter("tcp_frames_in_total"),
@@ -91,7 +104,7 @@ func newEndpointMetrics(r *metrics.Registry) endpointMetrics {
 		refreshes:    r.Counter("tcp_conn_refresh_total"),
 		openConns:    r.Gauge("tcp_open_conns"),
 		readBufs:     r.Gauge("tcp_read_bufs_held"),
-		dispatchWait: r.Histogram("tcp_dispatch_wait_seconds", metrics.LatencyBuckets()),
+		dispatchWait: r.Histogram("tcp_dispatch_wait_seconds", nil),
 		inflight:     r.Gauge("tcp_inflight_dispatches"),
 		queueBytes:   r.Gauge("tcp_write_queue_bytes"),
 	}
@@ -193,7 +206,7 @@ func ListenTCP(addr string) (*TCPEndpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
-	reg := metrics.NewRegistry()
+	reg := endpointLayout.NewRegistry()
 	// GOMAXPROCS handler invocations at once across all connections, at
 	// least 2 so a slow handler cannot monopolise the endpoint.
 	workers := max(runtime.GOMAXPROCS(0), 2)
