@@ -438,9 +438,10 @@ func (r *Run) doGet(m *member, key geom.Point) bool {
 	if exp, ok := r.expected[key]; ok && exp.sure {
 		if !rep.Found || !bytes.Equal(rep.Value, exp.val) {
 			if r.lossy {
-				// A replica starved by message loss may serve a stale
-				// version until the next anti-entropy sweep: eventual, not
-				// immediate, consistency under faults.
+				// Only the owner answers a GET, but an owner that took
+				// the key over under message loss may hold an older copy,
+				// or none, until the next anti-entropy sweep: eventual,
+				// not immediate, consistency under faults.
 				state = "stale"
 			} else {
 				r.fail("get %s key=(%.6f,%.6f): got found=%v %q, want %q",

@@ -12,10 +12,10 @@ import (
 // running voronet-node.
 func TestDebugServer(t *testing.T) {
 	r1 := NewRegistry()
-	r2 := NewRegistry()
+	r2 := testLayout.NewRegistry()
 	r1.Counter("node_sent_total").Add(5)
 	r2.Counter("node_sent_total").Add(2)
-	r2.Gauge("tcp_inflight_dispatches").Add(3)
+	r2.GaugeAt(gOne).Add(3)
 	r1.Histogram("store_get_hops", HopBuckets()).Observe(4)
 
 	srv, err := ServeDebug("127.0.0.1:0", r1.Snapshot, r2.Snapshot, nil)
@@ -45,8 +45,8 @@ func TestDebugServer(t *testing.T) {
 	if snap.Counters["node_sent_total"] != 7 {
 		t.Fatalf("merged counter = %d, want 7", snap.Counters["node_sent_total"])
 	}
-	if snap.Gauges["tcp_inflight_dispatches"] != 3 {
-		t.Fatalf("gauge = %d, want 3", snap.Gauges["tcp_inflight_dispatches"])
+	if snap.Gauges["g_one"] != 3 {
+		t.Fatalf("gauge = %d, want 3", snap.Gauges["g_one"])
 	}
 	if snap.Histograms["store_get_hops"].Count != 1 {
 		t.Fatalf("histogram missing from /metrics: %+v", snap.Histograms)

@@ -4,15 +4,15 @@
 //
 // Design constraints (see DESIGN.md §Observability):
 //
-//   - Hot-path cost is one atomic op per event. Instruments are resolved
-//     once (at construction time) and cached as struct fields; the
-//     registry's names are only consulted at registration and snapshot
-//     time.
+//   - Hot-path cost is one atomic op per event. A hot path reaches an
+//     instrument through the ID its Layout declaration returned, an index
+//     into the registry's block: no lock and no map. Names are only
+//     consulted at declaration, registration by name and snapshot time.
 //   - A peer's books cost little: a Layout declares a registry's
 //     instruments once per process, so every registry made from it
 //     holds its counters in one block and shares the names; histograms
 //     share their bounds and allocate buckets on first use.
-//   - A nil *Registry is a valid no-op registry: every constructor on a
+//   - A nil *Registry is a valid no-op registry: every accessor on a
 //     nil receiver returns a nil instrument, and every instrument method
 //     on a nil receiver returns immediately. Code can therefore be
 //     instrumented unconditionally and run metrics-free at zero cost.
@@ -27,7 +27,6 @@ package metrics
 
 import (
 	"encoding/binary"
-	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -182,39 +181,82 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Layout names a fixed set of instruments once per process: a package
-// that builds one registry per peer declares its instruments in a Layout,
-// and every registry made from it holds them in one block per kind,
-// allocated at once. The names stay in the Layout, shared by every such
-// registry, and are read only by registration and Snapshot. A Layout is
-// immutable.
+// Layout declares a fixed set of instruments once per process. A package
+// that builds one registry per peer keeps a Layout as a package variable
+// (the zero Layout is empty and ready) and declares each instrument on it
+// once, as a package variable too. A declaration returns the
+// instrument's ID; every registry made from the layout holds its
+// instruments in one block per kind, allocated at once, and a hot path
+// reaches an instrument through its ID with no name lookup. The names
+// stay in the Layout, shared by every registry, and are read only by
+// registration by name and Snapshot. The first NewRegistry seals the
+// layout: a later declaration panics, and so does a name declared twice
+// for one kind.
 type Layout struct {
+	mu                           sync.Mutex // guards everything below until sealed; nothing changes after
+	sealed                       bool
 	counters, gauges, histograms []string
 	bounds                       [][]float64 // bounds[i] is histograms[i]'s shared bound set
 	index                        [3]map[string]int
 }
 
-// NewLayout declares counters, gauges and histograms (name → bucket
-// bounds). A name may appear once per kind.
-func NewLayout(counters, gauges []string, histograms map[string][]float64) *Layout {
-	l := &Layout{counters: slices.Clone(counters), gauges: slices.Clone(gauges), histograms: slices.Sorted(maps.Keys(histograms))}
-	for _, name := range l.histograms {
-		l.bounds = append(l.bounds, sharedBounds(histograms[name]))
-	}
-	for k, names := range [3][]string{l.counters, l.gauges, l.histograms} {
-		l.index[k] = make(map[string]int, len(names))
-		for i, name := range names {
-			if _, dup := l.index[k][name]; dup {
-				panic("metrics: " + name + " declared twice in one layout")
-			}
-			l.index[k][name] = i
-		}
-	}
-	return l
+// CounterID, GaugeID and HistogramID name one instrument of a Layout: its
+// slot in the registry's block, plus one, so that the zero ID names none.
+// A table of IDs leaves the entries it does not use at zero, and a
+// registry handed one panics rather than count into another instrument.
+type (
+	CounterID   int32
+	GaugeID     int32
+	HistogramID int32
+)
+
+// Counter declares a counter.
+func (l *Layout) Counter(name string) CounterID {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return CounterID(l.declare(kindCounter, name, &l.counters))
 }
 
-// NewRegistry returns a registry holding l's instruments, all at zero.
+// Gauge declares a gauge.
+func (l *Layout) Gauge(name string) GaugeID {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return GaugeID(l.declare(kindGauge, name, &l.gauges))
+}
+
+// Histogram declares a histogram with the given bucket bounds.
+func (l *Layout) Histogram(name string, bounds []float64) HistogramID {
+	b := sharedBounds(bounds)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	id := l.declare(kindHistogram, name, &l.histograms)
+	l.bounds = append(l.bounds, b)
+	return HistogramID(id)
+}
+
+// declare appends name to names, the layout's list of kind k, and returns
+// its ID. Called with l.mu held.
+func (l *Layout) declare(k int, name string, names *[]string) int32 {
+	if l.sealed {
+		panic("metrics: " + name + " declared after its layout made a registry")
+	}
+	if _, dup := l.index[k][name]; dup {
+		panic("metrics: " + name + " declared twice in one layout")
+	}
+	if l.index[k] == nil {
+		l.index[k] = make(map[string]int)
+	}
+	l.index[k][name] = len(*names)
+	*names = append(*names, name)
+	return int32(len(*names))
+}
+
+// NewRegistry seals l and returns a registry holding its instruments, all
+// at zero.
 func (l *Layout) NewRegistry() *Registry {
+	l.mu.Lock()
+	l.sealed = true
+	l.mu.Unlock()
 	r := &Registry{
 		layout:     l,
 		counters:   make([]Counter, len(l.counters)),
@@ -246,12 +288,12 @@ func (r *Registry) slot(k int, name string) int {
 	return -1
 }
 
-// Registry holds named instruments. Registration is idempotent: asking
-// twice for the same name returns the same instrument, so independent
-// subsystems can share one registry without coordination. The
-// instruments of the registry's Layout, if it has one, sit in one block
-// each per kind; any other name gets its own instrument in a map. A nil
-// *Registry is a valid no-op registry.
+// Registry holds named instruments. The instruments of the registry's
+// Layout, if it has one, sit in one block per kind and are reached by
+// ID. Registration by name is idempotent: asking twice for the same name
+// returns the same instrument, a layout's from its block and any other
+// name's from a map, so independent subsystems can share one registry
+// without coordination. A nil *Registry is a valid no-op registry.
 type Registry struct {
 	// The layout's instruments: fixed at construction, read without a
 	// lock.
@@ -263,13 +305,37 @@ type Registry struct {
 	mu    sync.Mutex
 	extra struct {
 		counters   map[string]*Counter
-		gauges     map[string]*Gauge
 		histograms map[string]*Histogram
 	}
 }
 
 // NewRegistry returns an empty registry with no layout.
 func NewRegistry() *Registry { return &Registry{} }
+
+// CounterAt returns the counter id names. Returns nil on a nil registry.
+func (r *Registry) CounterAt(id CounterID) *Counter {
+	if r == nil {
+		return nil
+	}
+	return &r.counters[id-1]
+}
+
+// GaugeAt returns the gauge id names. Returns nil on a nil registry.
+func (r *Registry) GaugeAt(id GaugeID) *Gauge {
+	if r == nil {
+		return nil
+	}
+	return &r.gauges[id-1]
+}
+
+// HistogramAt returns the histogram id names. Returns nil on a nil
+// registry.
+func (r *Registry) HistogramAt(id HistogramID) *Histogram {
+	if r == nil {
+		return nil
+	}
+	return &r.histograms[id-1]
+}
 
 // Counter returns the counter registered under name, creating it if
 // needed. Returns nil on a nil registry.
@@ -285,24 +351,10 @@ func (r *Registry) Counter(name string) *Counter {
 	return getOrMake(&r.extra.counters, name, func() *Counter { return &Counter{} })
 }
 
-// Gauge returns the gauge registered under name, creating it if needed.
-// Returns nil on a nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	if i := r.slot(kindGauge, name); i >= 0 {
-		return &r.gauges[i]
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return getOrMake(&r.extra.gauges, name, func() *Gauge { return &Gauge{} })
-}
-
 // Histogram returns the histogram registered under name, creating it
 // with the given bucket bounds if needed. Re-registration with different
 // bounds keeps the original bounds (first registration wins; a layout's
-// histograms are registered first). Returns nil on a nil registry.
+// histograms are declared first). Returns nil on a nil registry.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
@@ -356,9 +408,6 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	for name, c := range r.extra.counters {
 		s.Counters[name] = c.v.Load()
-	}
-	for name, g := range r.extra.gauges {
-		s.Gauges[name] = g.v.Load()
 	}
 	for name, h := range r.extra.histograms {
 		s.Histograms[name] = h.snapshot()

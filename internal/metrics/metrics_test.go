@@ -14,10 +14,13 @@ import (
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
-	g := r.Gauge("y")
+	g := r.GaugeAt(gOne)
 	h := r.Histogram("z", LatencyBuckets())
 	if c != nil || g != nil || h != nil {
 		t.Fatalf("nil registry must hand out nil instruments, got %v %v %v", c, g, h)
+	}
+	if r.CounterAt(cOne) != nil || r.HistogramAt(hLat) != nil {
+		t.Fatal("nil registry must hand out nil instruments by ID")
 	}
 	c.Inc()
 	c.Add(10)
@@ -35,9 +38,6 @@ func TestRegistrationIsIdempotent(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("a") != r.Counter("a") {
 		t.Fatal("same name must return same counter")
-	}
-	if r.Gauge("b") != r.Gauge("b") {
-		t.Fatal("same name must return same gauge")
 	}
 	h1 := r.Histogram("c", []float64{1, 2})
 	h2 := r.Histogram("c", []float64{5, 6, 7})
@@ -97,7 +97,7 @@ func TestHistogramUnsortedBoundsAreSorted(t *testing.T) {
 // snapshots run concurrently; run under -race this is the registry's
 // race certification, and the final totals certify no lost updates.
 func TestConcurrentTorture(t *testing.T) {
-	r := NewRegistry()
+	r := testLayout.NewRegistry()
 	const (
 		workers = 16
 		iters   = 2000
@@ -122,7 +122,7 @@ func TestConcurrentTorture(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c := r.Counter("shared_counter")
-			g := r.Gauge("shared_gauge")
+			g := r.GaugeAt(gOne)
 			h := r.Histogram("shared_hist", []float64{0.25, 0.5, 0.75})
 			for i := 0; i < iters; i++ {
 				c.Inc()
@@ -143,7 +143,7 @@ func TestConcurrentTorture(t *testing.T) {
 	if got, want := s.Counters["shared_counter"], uint64(workers*iters*2); got != want {
 		t.Fatalf("counter = %d, want %d (lost updates)", got, want)
 	}
-	if got, want := s.Gauges["shared_gauge"], int64(workers*iters); got != want {
+	if got, want := s.Gauges["g_one"], int64(workers*iters); got != want {
 		t.Fatalf("gauge = %d, want %d", got, want)
 	}
 	hs := s.Histograms["shared_hist"]
@@ -165,13 +165,13 @@ func TestConcurrentTorture(t *testing.T) {
 }
 
 func TestSnapshotMerge(t *testing.T) {
-	a := NewRegistry()
-	b := NewRegistry()
+	a := testLayout.NewRegistry()
+	b := testLayout.NewRegistry()
 	a.Counter("c").Add(3)
 	b.Counter("c").Add(4)
 	b.Counter("only_b").Add(1)
-	a.Gauge("g").Add(10)
-	b.Gauge("g").Add(7) // max wins
+	a.GaugeAt(gOne).Add(10)
+	b.GaugeAt(gOne).Add(7) // max wins
 	bounds := []float64{1, 2}
 	a.Histogram("h", bounds).Observe(0.5)
 	b.Histogram("h", bounds).Observe(1.5)
@@ -182,8 +182,8 @@ func TestSnapshotMerge(t *testing.T) {
 	if s.Counters["c"] != 7 || s.Counters["only_b"] != 1 {
 		t.Fatalf("merged counters = %v", s.Counters)
 	}
-	if s.Gauges["g"] != 10 {
-		t.Fatalf("merged gauge = %d, want max 10", s.Gauges["g"])
+	if s.Gauges["g_one"] != 10 {
+		t.Fatalf("merged gauge = %d, want max 10", s.Gauges["g_one"])
 	}
 	h := s.Histograms["h"]
 	if !reflect.DeepEqual(h.Buckets, []uint64{1, 1, 1}) {
@@ -228,12 +228,12 @@ func TestMergeDoesNotAliasSource(t *testing.T) {
 // simnet determinism test and BENCH trajectory diffs rely on.
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func() *Registry {
-		r := NewRegistry()
+		r := testLayout.NewRegistry()
 		for _, n := range []string{"z_last", "a_first", "m_mid"} {
 			r.Counter(n).Add(7)
-			r.Gauge("g_" + n).Add(3)
 			r.Histogram("h_"+n, HopBuckets()).Observe(4)
 		}
+		r.GaugeAt(gOne).Add(3)
 		return r
 	}
 	j1, err := json.Marshal(build().Snapshot())
@@ -270,31 +270,37 @@ func TestSnapshotDoesNotAliasBounds(t *testing.T) {
 	}
 }
 
-var testLayout = NewLayout(
-	[]string{"c_one", "c_two"},
-	[]string{"g_one"},
-	map[string][]float64{"h_lat": LatencyBuckets(), "h_hops": HopBuckets()},
+// testLayout is declared as a package that builds one registry per peer
+// declares its instruments.
+var testLayout Layout
+
+var (
+	cOne  = testLayout.Counter("c_one")
+	cTwo  = testLayout.Counter("c_two")
+	gOne  = testLayout.Gauge("g_one")
+	hLat  = testLayout.Histogram("h_lat", LatencyBuckets())
+	hHops = testLayout.Histogram("h_hops", HopBuckets())
 )
 
-// TestLayoutRegistry: a layout's instruments live in the registry's block,
-// registering one of them by name returns its slot, a registry made from
-// the layout is independent of every other, and names outside the layout
-// still register. A histogram that never observed is in the snapshot with
-// zero buckets.
+// TestLayoutRegistry: a layout's instruments live in the registry's block
+// at their IDs, registering one of them by name returns its slot, a
+// registry made from the layout is independent of every other, and names
+// outside the layout still register. A histogram that never observed is
+// in the snapshot with zero buckets.
 func TestLayoutRegistry(t *testing.T) {
 	r1, r2 := testLayout.NewRegistry(), testLayout.NewRegistry()
-	if r1.Counter("c_two") != &r1.counters[1] || r1.Counter("c_two") != r1.Counter("c_two") {
+	if r1.CounterAt(cTwo) != &r1.counters[1] || r1.Counter("c_two") != r1.CounterAt(cTwo) {
 		t.Fatal("a layout counter must register as its slot in the block")
 	}
-	if r1.Gauge("g_one") != r1.Gauge("g_one") || r1.Histogram("h_hops", []float64{7}) != r1.Histogram("h_hops", nil) {
-		t.Fatal("layout registration must be idempotent")
+	if r1.Histogram("h_hops", []float64{7}) != r1.HistogramAt(hHops) || r1.Histogram("h_lat", nil) != r1.HistogramAt(hLat) {
+		t.Fatal("a layout histogram must register as its slot in the block")
 	}
-	if r1.Counter("c_one") == r2.Counter("c_one") {
-		t.Fatal("two registries of one layout must not share a counter")
+	if r1.CounterAt(cOne) == r2.CounterAt(cOne) || r1.GaugeAt(gOne) == r2.GaugeAt(gOne) {
+		t.Fatal("two registries of one layout must not share an instrument")
 	}
-	r1.Counter("c_one").Add(3)
-	r1.Gauge("g_one").Add(-2)
-	r1.Histogram("h_hops", nil).Observe(2)
+	r1.CounterAt(cOne).Add(3)
+	r1.GaugeAt(gOne).Add(-2)
+	r1.HistogramAt(hHops).Observe(2)
 	r1.Counter("extra").Inc()
 	r1.Histogram("h_extra", []float64{2, 1}).Observe(5)
 
@@ -311,10 +317,10 @@ func TestLayoutRegistry(t *testing.T) {
 	if !reflect.DeepEqual(s, want) {
 		t.Fatalf("snapshot:\n got %+v\nwant %+v", s, want)
 	}
-	if s2 := r2.Snapshot(); s2.Counters["c_one"] != 0 || s2.Histograms["h_hops"].Count != 0 {
+	if s2 := r2.Snapshot(); s2.Counters["c_one"] != 0 || s2.Gauges["g_one"] != 0 || s2.Histograms["h_hops"].Count != 0 {
 		t.Fatalf("a second registry of the layout saw the first one's events: %+v", s2)
 	}
-	if r1.Histogram("h_lat", nil).buckets.Load() != nil {
+	if r1.HistogramAt(hLat).buckets.Load() != nil {
 		t.Fatal("a histogram must allocate its buckets on its first Observe, not before")
 	}
 }
@@ -322,8 +328,8 @@ func TestLayoutRegistry(t *testing.T) {
 // TestBoundsAreShared: histograms with one bound set share one slice,
 // across registries and whether or not they come from a layout.
 func TestBoundsAreShared(t *testing.T) {
-	a := testLayout.NewRegistry().Histogram("h_lat", nil)
-	b := testLayout.NewRegistry().Histogram("h_lat", nil)
+	a := testLayout.NewRegistry().HistogramAt(hLat)
+	b := testLayout.NewRegistry().HistogramAt(hLat)
 	c := NewRegistry().Histogram("x", LatencyBuckets())
 	if &a.bounds[0] != &b.bounds[0] || &a.bounds[0] != &c.bounds[0] {
 		t.Fatal("histograms with the same bounds must share one bound slice")
@@ -333,13 +339,62 @@ func TestBoundsAreShared(t *testing.T) {
 	}
 }
 
-func TestLayoutRejectsDuplicates(t *testing.T) {
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("a name declared twice in one layout must panic")
+			t.Fatalf("%s must panic", what)
 		}
 	}()
-	NewLayout([]string{"a", "a"}, nil, nil)
+	f()
+}
+
+// TestLayoutRejectsDuplicates: a name may be declared once per kind; the
+// same name as another kind is a different instrument.
+func TestLayoutRejectsDuplicates(t *testing.T) {
+	var l Layout
+	l.Counter("a")
+	l.Gauge("a")
+	mustPanic(t, "a counter declared twice", func() { l.Counter("a") })
+	mustPanic(t, "a gauge declared twice", func() { l.Gauge("a") })
+	l.Histogram("h", []float64{1})
+	mustPanic(t, "a histogram declared twice", func() { l.Histogram("h", []float64{2}) })
+	s := l.NewRegistry().Snapshot()
+	if len(s.Counters) != 1 || len(s.Gauges) != 1 || !reflect.DeepEqual(s.Histograms["h"].Bounds, []float64{1}) {
+		t.Fatalf("a refused declaration changed the layout: %+v", s)
+	}
+}
+
+// TestLayoutSealedByNewRegistry: registries made concurrently from one
+// layout seal it (run under -race: the seal is one lock, not a racing
+// write), and a declaration after that panics and leaves every registry
+// as it was.
+func TestLayoutSealedByNewRegistry(t *testing.T) {
+	var l Layout
+	c := l.Counter("c")
+	regs := make([]*Registry, 4)
+	var wg sync.WaitGroup
+	for i := range regs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			regs[i] = l.NewRegistry()
+			regs[i].CounterAt(c).Inc()
+		}()
+	}
+	wg.Wait()
+	mustPanic(t, "a counter declared after NewRegistry", func() { l.Counter("late") })
+	mustPanic(t, "a gauge declared after NewRegistry", func() { l.Gauge("late") })
+	mustPanic(t, "a histogram declared after NewRegistry", func() { l.Histogram("late", nil) })
+	for _, r := range regs {
+		if s := r.Snapshot(); !reflect.DeepEqual(s.Counters, map[string]uint64{"c": 1}) || len(s.Gauges)+len(s.Histograms) != 0 {
+			t.Fatalf("registry after a refused late declaration: %+v", s)
+		}
+	}
+	if got := len(l.NewRegistry().counters); got != 1 {
+		t.Fatalf("a registry made after a refused declaration holds %d counters, want 1", got)
+	}
 }
 
 // TestFirstObserveRacesSnapshot: the first Observe of fresh histograms,
@@ -355,8 +410,8 @@ func TestFirstObserveRacesSnapshot(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				r.Histogram("h_lat", nil).Observe(1e-3)
-				r.Histogram("h_hops", nil).Observe(3)
+				r.HistogramAt(hLat).Observe(1e-3)
+				r.HistogramAt(hHops).Observe(3)
 				extra.Observe(0.5)
 			}()
 		}

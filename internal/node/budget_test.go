@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"voronet/internal/geom"
 	"voronet/internal/proto"
@@ -36,8 +37,12 @@ func liveHeap() uint64 {
 // pcgSink keeps TestPeerHeapBudget's sources on the heap.
 var pcgSink []rand.PCG
 
-// peerBudget is the most heap one simnet peer may hold at N = 1 024.
-const peerBudget = 11 << 10
+// peerBudget is the most heap one simnet peer may hold at N = 1 024, and
+// nodeValueBudget the most its Node value may take of it.
+const (
+	peerBudget      = 9 << 10
+	nodeValueBudget = 256
+)
 
 // TestPeerHeapBudget is the per-peer byte budget by layer. It builds 1 024
 // simnet peers by sequential Join, measures the live heap they hold, and
@@ -66,7 +71,7 @@ func TestPeerHeapBudget(t *testing.T) {
 		rows = append(rows, float64(h-liveHeap())/n)
 		names = append(names, name)
 	}
-	drop("instruments", func(nd *Node) { nd.nm = nodeMetrics{} })
+	drop("instruments", func(nd *Node) { nd.reg = nil })
 	drop("store and request table", func(nd *Node) { nd.kv, nd.inflight = nil, nil })
 	drop("view and two-hop lists", func(nd *Node) { nd.view.Store(nil) })
 	drop("intern table", func(nd *Node) { nd.names = proto.Intern{} })
@@ -87,14 +92,19 @@ func TestPeerHeapBudget(t *testing.T) {
 	for i, r := range rows {
 		t.Logf("%-36s %8.0f B  %5.1f %%", names[i], r, 100*r/total)
 	}
+	var nd Node
+	t.Logf("%-36s %8d B  (in the residual, budget %d B)", "Node value", unsafe.Sizeof(nd), nodeValueBudget)
 	t.Logf("%-36s %8.0f B  (%.1f KiB, budget %.1f KiB)", "total per peer", total, total/1024, peerBudget/1024.0)
+	if unsafe.Sizeof(nd) > nodeValueBudget {
+		t.Errorf("a Node value takes %d B, budget %d B", unsafe.Sizeof(nd), nodeValueBudget)
+	}
 	if total > peerBudget {
 		t.Fatalf("a simnet peer holds %.1f KiB of heap at N = %d, budget %.1f KiB", total/1024, n, peerBudget/1024.0)
 	}
 }
 
 // maxNewAllocs bounds the allocations of one node.New.
-const maxNewAllocs = 64
+const maxNewAllocs = 16
 
 // TestNewAllocs counts what building one node allocates: its registry,
 // store, request table, view and handler. The count repeats exactly.

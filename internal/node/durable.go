@@ -33,7 +33,7 @@ func NewDurable(ep transport.Endpoint, pos geom.Point, cfg Config) (*Node, wal.R
 	l, stats, err := wal.Open(wal.Options{
 		Dir:          cfg.WALDir,
 		Policy:       cfg.WALSync,
-		FsyncObserve: n.nm.walFsync.Observe,
+		FsyncObserve: n.reg.HistogramAt(walFsyncSeconds).Observe,
 	}, func(rec proto.StoreRecord) { n.kv.Apply(rec) })
 	if err != nil {
 		return nil, stats, err
@@ -43,10 +43,10 @@ func NewDurable(ep transport.Endpoint, pos geom.Point, cfg Config) (*Node, wal.R
 	// peers that tombstoned the previous incarnation admit this one only
 	// because its generation is higher.
 	n.self.Gen = stats.Generation
-	n.nm.walReplayed.Add(uint64(stats.Records))
-	n.nm.walCorrupt.Add(uint64(stats.CorruptFrames))
+	n.reg.CounterAt(walReplayedTotal).Add(uint64(stats.Records))
+	n.reg.CounterAt(walCorruptTotal).Add(uint64(stats.CorruptFrames))
 	if stats.Truncated {
-		n.nm.walTorn.Inc()
+		n.reg.CounterAt(walTornTotal).Inc()
 	}
 	ep.SetHandler(n.handle)
 	return n, stats, nil
@@ -64,11 +64,11 @@ func (n *Node) walAppend(recs ...proto.StoreRecord) {
 	n.walMu.Lock()
 	for _, rec := range recs {
 		if err := n.wal.Append(rec); err != nil {
-			n.nm.walErrs.Inc()
+			n.reg.CounterAt(walErrorsTotal).Inc()
 			n.walMu.Unlock()
 			return
 		}
-		n.nm.walAppends.Inc()
+		n.reg.CounterAt(walAppendsTotal).Inc()
 	}
 	compact := n.wal.Segments() >= walCompactSegments
 	n.walMu.Unlock()
@@ -101,7 +101,7 @@ func (n *Node) compactWAL() {
 	for _, rec := range snap {
 		if rec.Deleted {
 			if v, seen := prev[rec.Key]; seen && v == rec.Version && n.kv.DropTombstone(rec.Key, rec.Version) {
-				n.nm.walTombGC.Inc()
+				n.reg.CounterAt(walTombsGCedTotal).Inc()
 				continue
 			}
 			next[rec.Key] = rec.Version
@@ -110,10 +110,10 @@ func (n *Node) compactWAL() {
 	}
 	n.walGC = next
 	if err := n.wal.Compact(kept); err != nil {
-		n.nm.walErrs.Inc()
+		n.reg.CounterAt(walErrorsTotal).Inc()
 		return
 	}
-	n.nm.walCompactions.Inc()
+	n.reg.CounterAt(walCompactionsTotal).Inc()
 }
 
 // walReset discards the log after a graceful Leave handed every record
@@ -126,7 +126,7 @@ func (n *Node) walReset() {
 	defer n.walMu.Unlock()
 	n.walGC = nil
 	if err := n.wal.Reset(); err != nil {
-		n.nm.walErrs.Inc()
+		n.reg.CounterAt(walErrorsTotal).Inc()
 	}
 }
 
@@ -139,7 +139,7 @@ func (n *Node) WALSync() {
 	n.walMu.Lock()
 	defer n.walMu.Unlock()
 	if err := n.wal.Sync(); err != nil {
-		n.nm.walErrs.Inc()
+		n.reg.CounterAt(walErrorsTotal).Inc()
 	}
 }
 
@@ -155,7 +155,7 @@ func (n *Node) Shutdown() error {
 	if n.wal != nil {
 		n.walMu.Lock()
 		if cerr := n.wal.Close(); cerr != nil {
-			n.nm.walErrs.Inc()
+			n.reg.CounterAt(walErrorsTotal).Inc()
 		}
 		n.walMu.Unlock()
 	}

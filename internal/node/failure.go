@@ -37,7 +37,7 @@ func (n *Node) NotifyDeparted(addr string) {
 			return
 		}
 	}
-	defer func() { n.nm.departTime.Observe(time.Since(start).Seconds()) }()
+	defer func() { n.reg.HistogramAt(departRepairSeconds).Observe(time.Since(start).Seconds()) }()
 	// Tombstone the incarnation we knew; a durably restarted successor
 	// (higher generation) stays admissible.
 	var gone proto.NodeInfo

@@ -23,11 +23,11 @@ func (n *Node) handle(from string, payload []byte) {
 	env := proto.GetEnvelope()
 	defer proto.PutEnvelope(env)
 	if err := proto.DecodeInto(env, payload, &n.names); err != nil {
-		n.nm.decodeErrs.Inc()
+		n.reg.CounterAt(decodeErrorsTotal).Inc()
 		return // malformed frame: drop
 	}
-	if env.Type >= 0 && env.Type < proto.KindCount {
-		n.nm.wireRecvByKind[env.Type].Add(uint64(len(payload)))
+	if liveKind(env.Type) {
+		n.reg.CounterAt(wireRecvByKind[env.Type]).Add(uint64(len(payload)))
 	}
 	n.deliver(env)
 }
@@ -39,10 +39,10 @@ func (n *Node) deliver(env *proto.Envelope) {
 	// Decode refuses unknown and retired kinds; one that got past it has
 	// no metric slot and no handler, and is dropped before it can touch
 	// the tombstones.
-	if env.Type < 0 || env.Type >= proto.KindCount || n.nm.recvByKind[env.Type] == nil {
+	if !liveKind(env.Type) {
 		return
 	}
-	n.nm.recvByKind[env.Type].Inc()
+	n.reg.CounterAt(recvByKind[env.Type]).Inc()
 	// Tombstone bookkeeping needs the writer lock, but the overwhelmingly
 	// common case — no departures advertised, sender not tombstoned — can
 	// establish from the published view that there is nothing to do.
@@ -184,7 +184,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 	case proto.KindQueryAnswer, proto.KindStoreReply:
 		if !n.inflight.Resolve(env.QueryID, store.ReplyOf(env)) {
 			// The answer outlived its request: the deadline reaped it.
-			n.nm.lateAnswers.Inc()
+			n.reg.CounterAt(lateAnswersTotal).Inc()
 		}
 	case proto.KindReplicaSync:
 		n.handleReplicaSync(env)
@@ -204,7 +204,7 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 	var hopStart time.Time
 	if env.Trace {
 		hopStart = time.Now()
-		n.nm.traced.Inc()
+		n.reg.CounterAt(tracedRoutesTotal).Inc()
 	}
 	nb := n.view.Load()
 	if nb.route == nil {
@@ -282,7 +282,7 @@ func (n *Node) traceHop(rule string, start time.Time) proto.TraceHop {
 // insert the newcomer and recompute.
 func (n *Node) admitJoin(env *proto.Envelope) {
 	start := time.Now()
-	defer func() { n.nm.joinAdmitTime.Observe(time.Since(start).Seconds()) }()
+	defer func() { n.reg.HistogramAt(joinAdmitSeconds).Observe(time.Since(start).Seconds()) }()
 	j := env.Origin
 	if !geom.InDomain(j.Pos) {
 		return // no region to grant; Decode refuses such a joiner already
@@ -335,7 +335,7 @@ func (n *Node) handleJoinGrant(env *proto.Envelope) {
 		n.unlock(nb)
 		return
 	}
-	defer func() { n.nm.joinGrantTime.Observe(time.Since(start).Seconds()) }()
+	defer func() { n.reg.HistogramAt(joinGrantSeconds).Observe(time.Since(start).Seconds()) }()
 	nb.joined = true
 	nb.vn = slices.CompactFunc(slices.SortedFunc(slices.Values(env.Neighbors), byAddr), sameAddr)
 	nb.twoHop = make([][]proto.NodeInfo, len(nb.vn))
@@ -597,7 +597,7 @@ func (n *Node) sendBackMoves(moves []backMove) {
 				retry = append(retry, mv.ref)
 				continue
 			}
-			n.nm.backMoves.Inc()
+			n.reg.CounterAt(blrnMovesTotal).Inc()
 			// An unreachable origin keeps a stale pointer; it repairs
 			// itself when it next routes through the dead holder.
 			_ = n.send(mv.ref.Origin.Addr, &proto.Envelope{

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -197,6 +198,41 @@ func TestFarJoinerDrains(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDeliverDropsRetiredKinds: Decode refuses a retired or out-of-range
+// kind, and deliver drops one that got past it before it can count it,
+// touch the tombstones or reach a handler. Each envelope names a Voronoi
+// neighbour as departed, which a delivered message would act on.
+func TestDeliverDropsRetiredKinds(t *testing.T) {
+	c := newCluster(t, 16, 0.02, 3)
+	n := c.nodes[len(c.nodes)-1]
+	nb := n.view.Load()
+	if len(nb.vn) == 0 {
+		t.Fatal("a joined node with no Voronoi neighbour")
+	}
+	victim := nb.vn[0]
+	var kinds []proto.Kind
+	for k := range proto.KindCount {
+		if k.String() == "" {
+			kinds = append(kinds, k)
+		}
+	}
+	if len(kinds) == 0 {
+		t.Fatal("no retired kind to inject")
+	}
+	kinds = append(kinds, proto.KindCount)
+	before := n.Metrics().Snapshot()
+	for _, k := range kinds {
+		n.deliver(&proto.Envelope{Type: k, From: victim, Departed: []string{victim.Addr}, Target: n.self.Pos})
+		c.bus.Drain()
+		if n.view.Load() != nb {
+			t.Fatalf("kind %d changed the node's neighbourhood", int(k))
+		}
+		if after := n.Metrics().Snapshot(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("kind %d changed the node's books", int(k))
 		}
 	}
 }

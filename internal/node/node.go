@@ -38,6 +38,7 @@ import (
 
 	"voronet/internal/geom"
 	"voronet/internal/kleinberg"
+	"voronet/internal/metrics"
 	"voronet/internal/proto"
 	"voronet/internal/store"
 	"voronet/internal/transport"
@@ -134,9 +135,9 @@ type Node struct {
 	draining  atomic.Bool
 	storeBusy atomic.Int64
 
-	// nm caches the node's metric instruments (see metrics.go); the
-	// registry is exposed via Metrics().
-	nm nodeMetrics
+	// reg holds the node's instruments, declared in metrics.go and
+	// reached by ID; Metrics() exposes it.
+	reg *metrics.Registry
 }
 
 // New creates a node at pos attached to ep. The node is not part of any
@@ -169,7 +170,7 @@ func newNode(ep transport.Endpoint, pos geom.Point, cfg Config) *Node {
 		cfg:      cfg,
 		kv:       store.NewLocal(),
 		inflight: store.NewInflight(cfg.MaxInflight),
-		nm:       newNodeMetrics(),
+		reg:      nodeLayout.NewRegistry(),
 	}
 	n.rng.Seed(uint64(cfg.Seed), uint64(len(ep.Addr())))
 	n.view.Store(&neighbourhood{tombs: &tombstones{}})
@@ -259,7 +260,7 @@ func (n *Node) Leave() error {
 		n.unlock(nb)
 		return ErrNotJoined
 	}
-	defer func() { n.nm.leaveTime.Observe(time.Since(start).Seconds()) }()
+	defer func() { n.reg.HistogramAt(leaveSeconds).Observe(time.Since(start).Seconds()) }()
 	nb.joined = false
 
 	type outMsg struct {
@@ -368,23 +369,23 @@ func (n *Node) send(to string, env *proto.Envelope) error {
 	defer wb.Put()
 	wb.B = proto.AppendEncode(wb.B[:0], env)
 	b := wb.B
-	n.nm.sent.Inc()
-	n.nm.sentByKind[env.Type].Inc()
-	n.nm.wireSentByKind[env.Type].Add(uint64(len(b)))
+	n.reg.CounterAt(sentTotal).Inc()
+	n.reg.CounterAt(sendByKind[env.Type]).Inc()
+	n.reg.CounterAt(wireSentByKind[env.Type]).Add(uint64(len(b)))
 	switch env.Type {
 	case proto.KindReplicaSync, proto.KindSyncDigest, proto.KindSyncPull:
 		// All replica-maintenance traffic, fingerprints and full records
 		// alike, in one series.
-		n.nm.antiEntropyBytes.Add(uint64(len(b)))
+		n.reg.CounterAt(antiEntropyBytesTotal).Add(uint64(len(b)))
 	}
 	if to == n.self.Addr {
 		// Local delivery without the transport.
-		n.nm.sendSelf.Inc()
+		n.reg.CounterAt(sendSelfTotal).Inc()
 		n.handle(n.self.Addr, b)
 		return nil
 	}
 	if err := n.ep.Send(to, b); err != nil {
-		n.nm.sendErrs.Inc()
+		n.reg.CounterAt(sendErrorsTotal).Inc()
 		return err
 	}
 	return nil
@@ -402,7 +403,7 @@ func (n *Node) sendWithRetry(to string, env *proto.Envelope) error {
 	if err == nil || errors.Is(err, transport.ErrUnknownPeer) || errors.Is(err, transport.ErrClosed) {
 		return err
 	}
-	n.nm.retries.Inc()
+	n.reg.CounterAt(sendRetriesTotal).Inc()
 	return n.send(to, env)
 }
 

@@ -6,6 +6,7 @@ import (
 	"voronet/internal/geom"
 	"voronet/internal/stats"
 	"voronet/internal/store"
+	"voronet/internal/transport"
 )
 
 func TestDistributedQueryHopsArePolylog(t *testing.T) {
@@ -82,7 +83,7 @@ func TestMessageLossDegradesGracefully(t *testing.T) {
 	// resolve (routing needs no acknowledgements), even though view
 	// maintenance under loss is out of the paper's scope.
 	c := newCluster(t, 40, 0.02, 79)
-	c.bus.DropRate = 0.1
+	c.bus.SetDefaultRule(transport.LinkRule{Drop: 0.1})
 	okCount := 0
 	for q := 0; q < 30; q++ {
 		p := geom.Pt(c.rng.Float64(), c.rng.Float64())

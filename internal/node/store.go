@@ -99,7 +99,7 @@ func (n *Node) originate(purpose proto.RoutedPurpose, key geom.Point, value []by
 	// shedding here costs nothing on the wire, and the caller learns
 	// "retry later" in microseconds instead of a timeout later.
 	if n.draining.Load() {
-		n.nm.storeShed.Inc()
+		n.reg.CounterAt(storeShedTotal).Inc()
 		return store.ErrOverloaded
 	}
 	if cb == nil {
@@ -112,19 +112,19 @@ func (n *Node) originate(purpose proto.RoutedPurpose, key geom.Point, value []by
 	inner := cb
 	instrumented := func(r store.Reply) {
 		if r.Err == nil {
-			n.nm.latencyFor(purpose).Observe(time.Since(start).Seconds())
-			n.nm.hopsFor(purpose).Observe(float64(r.Hops))
+			n.reg.HistogramAt(routedSeconds[purpose]).Observe(time.Since(start).Seconds())
+			n.reg.HistogramAt(routedHops[purpose]).Observe(float64(r.Hops))
 		} else if !errors.Is(r.Err, store.ErrOverloaded) {
 			// An owner-side shed came back fast and was already counted
 			// in store_shed_total at the owner; only genuine timeouts
 			// belong in the timeout counters.
-			n.nm.timeoutsFor(purpose).Inc()
+			n.reg.CounterAt(routedTimeouts[purpose]).Inc()
 		}
 		inner(r)
 	}
 	id, ok := n.inflight.Add(instrumented, n.cfg.RequestTimeout)
 	if !ok {
-		n.nm.storeShed.Inc()
+		n.reg.CounterAt(storeShedTotal).Inc()
 		return store.ErrOverloaded
 	}
 	env := &proto.Envelope{
@@ -356,7 +356,7 @@ func (n *Node) handleStoreOwned(env *proto.Envelope) {
 	if max := int64(n.cfg.MaxInflight); max > 0 {
 		if n.storeBusy.Add(1) > max {
 			n.storeBusy.Add(-1)
-			n.nm.storeShed.Inc()
+			n.reg.CounterAt(storeShedTotal).Inc()
 			reply.Shed = true
 			n.replyToOrigin(env.Origin.Addr, reply)
 			return

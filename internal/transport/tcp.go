@@ -48,67 +48,36 @@ type TCPEndpoint struct {
 	closed bool
 	wg     sync.WaitGroup // accept loop and read lanes
 
-	metrics *metrics.Registry
-	em      endpointMetrics
+	reg *metrics.Registry // endpointLayout's instruments
 }
 
-// endpointMetrics caches the endpoint's instruments so the hot paths
-// never touch the registry map. All fields are nil-safe no-ops when the
-// registry is nil (they never are: ListenTCP always builds one —
-// the per-event cost is a handful of atomic ops, measured <5% on the
-// store benchmark).
-type endpointMetrics struct {
-	framesIn  *metrics.Counter // frames handed to the handler
-	bytesIn   *metrics.Counter
-	framesOut *metrics.Counter // frames written (or queued into a coalesced write)
-	bytesOut  *metrics.Counter
-	sendErrs  *metrics.Counter // Send calls that returned an error
-	dials     *metrics.Counter // connections dialled
-	accepts   *metrics.Counter // connections accepted
-	refreshes *metrics.Counter // cached connections superseded by a fresh inbound one
-	openConns *metrics.Gauge   // connections, dialled or accepted, whose lane is running
-	readBufs  *metrics.Gauge   // read buffers lanes hold (laneReader): ≈ 0 while idle
+// endpointLayout declares an endpoint's instruments, each once, below, so
+// that every endpoint of the process shares their names and bounds and
+// reaches them by ID (see metrics.Layout).
+var endpointLayout metrics.Layout
 
-	// dispatchWait is the time an inbound frame waited for a dispatch
-	// worker slot (the endpoint's lock-wait signal: it grows when
-	// handlers outnumber workers). inflight is the number of handler
-	// invocations running right now; queueBytes is the write-coalescing
-	// backlog across connections (the dispatch-queue-depth gauges).
-	dispatchWait *metrics.Histogram
-	inflight     *metrics.Gauge
-	queueBytes   *metrics.Gauge
-}
+var (
+	framesInTotal   = endpointLayout.Counter("tcp_frames_in_total") // frames handed to the handler
+	bytesInTotal    = endpointLayout.Counter("tcp_bytes_in_total")
+	framesOutTotal  = endpointLayout.Counter("tcp_frames_out_total") // frames written (or queued into a coalesced write)
+	bytesOutTotal   = endpointLayout.Counter("tcp_bytes_out_total")
+	sendErrorsTotal = endpointLayout.Counter("tcp_send_errors_total")  // Send calls that returned an error
+	dialsTotal      = endpointLayout.Counter("tcp_dials_total")        // connections dialled
+	acceptsTotal    = endpointLayout.Counter("tcp_accepts_total")      // connections accepted
+	refreshTotal    = endpointLayout.Counter("tcp_conn_refresh_total") // cached connections superseded by a fresh inbound one
+	openConns       = endpointLayout.Gauge("tcp_open_conns")           // connections, dialled or accepted, whose lane is running
+	readBufs        = endpointLayout.Gauge("tcp_read_bufs_held")       // read buffers lanes hold (laneReader): ≈ 0 while idle
 
-// endpointLayout declares an endpoint's instruments, so that every
-// endpoint of the process shares their names and bounds (see
-// metrics.Layout).
-var endpointLayout = metrics.NewLayout(
-	[]string{
-		"tcp_frames_in_total", "tcp_bytes_in_total", "tcp_frames_out_total",
-		"tcp_bytes_out_total", "tcp_send_errors_total", "tcp_dials_total",
-		"tcp_accepts_total", "tcp_conn_refresh_total",
-	},
-	[]string{"tcp_open_conns", "tcp_read_bufs_held", "tcp_inflight_dispatches", "tcp_write_queue_bytes"},
-	map[string][]float64{"tcp_dispatch_wait_seconds": metrics.LatencyBuckets()},
+	// dispatchWaitSeconds is the time an inbound frame waited for a
+	// dispatch worker slot (the endpoint's lock-wait signal: it grows
+	// when handlers outnumber workers). inflightDispatches is the number
+	// of handler invocations running right now; writeQueueBytes is the
+	// write-coalescing backlog across connections (the
+	// dispatch-queue-depth gauges).
+	dispatchWaitSeconds = endpointLayout.Histogram("tcp_dispatch_wait_seconds", metrics.LatencyBuckets())
+	inflightDispatches  = endpointLayout.Gauge("tcp_inflight_dispatches")
+	writeQueueBytes     = endpointLayout.Gauge("tcp_write_queue_bytes")
 )
-
-func newEndpointMetrics(r *metrics.Registry) endpointMetrics {
-	return endpointMetrics{
-		framesIn:     r.Counter("tcp_frames_in_total"),
-		bytesIn:      r.Counter("tcp_bytes_in_total"),
-		framesOut:    r.Counter("tcp_frames_out_total"),
-		bytesOut:     r.Counter("tcp_bytes_out_total"),
-		sendErrs:     r.Counter("tcp_send_errors_total"),
-		dials:        r.Counter("tcp_dials_total"),
-		accepts:      r.Counter("tcp_accepts_total"),
-		refreshes:    r.Counter("tcp_conn_refresh_total"),
-		openConns:    r.Gauge("tcp_open_conns"),
-		readBufs:     r.Gauge("tcp_read_bufs_held"),
-		dispatchWait: r.Histogram("tcp_dispatch_wait_seconds", nil),
-		inflight:     r.Gauge("tcp_inflight_dispatches"),
-		queueBytes:   r.Gauge("tcp_write_queue_bytes"),
-	}
-}
 
 // tcpConn is one connection, dialled or accepted: a read lane (see
 // TCPEndpoint.lane) and a writer with group-commit coalescing: the first
@@ -126,8 +95,8 @@ func newEndpointMetrics(r *metrics.Registry) endpointMetrics {
 // PUTs pooling in pending inflated a queued query's wait to the transfer
 // time of the whole pool.)
 type tcpConn struct {
-	c  net.Conn
-	em *endpointMetrics // owning endpoint's instruments (may be nil in tests)
+	c   net.Conn
+	reg *metrics.Registry // the owning endpoint's (nil, a no-op, in tests)
 
 	// peer is the other side's listen address: the address dialled, or
 	// the one an accepted connection's hello announced (set by the lane
@@ -151,13 +120,6 @@ type pendingFrame struct {
 // Write) while bounding how long any queued frame can be delayed by
 // bytes ahead of it in the same backlog.
 const maxCoalesceBytes = 64 << 10
-
-func (cc *tcpConn) queueGauge() *metrics.Gauge {
-	if cc.em == nil {
-		return nil
-	}
-	return cc.em.queueBytes
-}
 
 // idle reports whether no write is in flight and none is queued.
 func (cc *tcpConn) idle() bool {
@@ -206,18 +168,16 @@ func ListenTCP(addr string) (*TCPEndpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
-	reg := endpointLayout.NewRegistry()
 	// GOMAXPROCS handler invocations at once across all connections, at
 	// least 2 so a slow handler cannot monopolise the endpoint.
 	workers := max(runtime.GOMAXPROCS(0), 2)
 	ep := &TCPEndpoint{
-		ln:      ln,
-		addr:    ln.Addr().String(),
-		sem:     make(chan struct{}, workers),
-		conns:   make(map[string]*tcpConn),
-		open:    make(map[*tcpConn]struct{}),
-		metrics: reg,
-		em:      newEndpointMetrics(reg),
+		ln:    ln,
+		addr:  ln.Addr().String(),
+		sem:   make(chan struct{}, workers),
+		conns: make(map[string]*tcpConn),
+		open:  make(map[*tcpConn]struct{}),
+		reg:   endpointLayout.NewRegistry(),
 	}
 	ep.hello = appendFrame(nil, []byte(ep.addr))
 	ep.wg.Add(1)
@@ -231,7 +191,7 @@ func (e *TCPEndpoint) Addr() string { return e.addr }
 // Metrics returns the endpoint's instrument registry (frame and byte
 // counters, dispatch-wait histogram, in-flight and write-queue gauges),
 // for merging into a node's debug endpoint or a bench snapshot.
-func (e *TCPEndpoint) Metrics() *metrics.Registry { return e.metrics }
+func (e *TCPEndpoint) Metrics() *metrics.Registry { return e.reg }
 
 // SetHandler installs the inbound handler.
 func (e *TCPEndpoint) SetHandler(h Handler) { e.handler.Store(&h) }
@@ -243,9 +203,9 @@ func (e *TCPEndpoint) acceptLoop() {
 		if err != nil {
 			return
 		}
-		e.em.accepts.Inc()
+		e.reg.CounterAt(acceptsTotal).Inc()
 		e.mu.Lock()
-		ok := e.startLane(&tcpConn{c: nc, em: &e.em})
+		ok := e.startLane(&tcpConn{c: nc, reg: e.reg})
 		e.mu.Unlock()
 		if !ok {
 			return
@@ -261,7 +221,7 @@ func (e *TCPEndpoint) startLane(c *tcpConn) bool {
 		return false
 	}
 	e.open[c] = struct{}{}
-	e.em.openConns.Inc()
+	e.reg.GaugeAt(openConns).Inc()
 	e.wg.Add(1)
 	go e.lane(c)
 	return true
@@ -280,9 +240,9 @@ func (e *TCPEndpoint) startLane(c *tcpConn) bool {
 // allocation-free per message.
 func (e *TCPEndpoint) lane(c *tcpConn) {
 	defer e.wg.Done()
-	defer e.em.openConns.Dec()
+	defer e.reg.GaugeAt(openConns).Dec()
 	defer e.evict(c)
-	l, err := newLaneReader(c.c, e.em.readBufs)
+	l, err := newLaneReader(c.c, e.reg.GaugeAt(readBufs))
 	if err != nil {
 		return
 	}
@@ -338,7 +298,7 @@ func (e *TCPEndpoint) adopt(c *tcpConn) {
 		if !old.idle() {
 			return
 		}
-		e.em.refreshes.Inc()
+		e.reg.CounterAt(refreshTotal).Inc()
 	}
 	e.conns[c.peer] = c
 }
@@ -355,12 +315,12 @@ func (e *TCPEndpoint) dispatch(from string, payload []byte) {
 	// concurrency.
 	wait := time.Now()
 	e.sem <- struct{}{}
-	e.em.dispatchWait.Observe(time.Since(wait).Seconds())
-	e.em.framesIn.Inc()
-	e.em.bytesIn.Add(uint64(len(payload)))
-	e.em.inflight.Inc()
+	e.reg.HistogramAt(dispatchWaitSeconds).Observe(time.Since(wait).Seconds())
+	e.reg.CounterAt(framesInTotal).Inc()
+	e.reg.CounterAt(bytesInTotal).Add(uint64(len(payload)))
+	e.reg.GaugeAt(inflightDispatches).Inc()
 	(*h)(from, payload)
-	e.em.inflight.Dec()
+	e.reg.GaugeAt(inflightDispatches).Dec()
 	<-e.sem
 }
 
@@ -402,12 +362,12 @@ func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	}
 	putFrameBuf(fb)
 	if err != nil {
-		e.em.sendErrs.Inc()
+		e.reg.CounterAt(sendErrorsTotal).Inc()
 		e.evict(c)
 		return err
 	}
-	e.em.framesOut.Inc()
-	e.em.bytesOut.Add(uint64(len(payload)))
+	e.reg.CounterAt(framesOutTotal).Inc()
+	e.reg.CounterAt(bytesOutTotal).Add(uint64(len(payload)))
 	return nil
 }
 
@@ -418,17 +378,17 @@ func (e *TCPEndpoint) Send(to string, payload []byte) error {
 func (e *TCPEndpoint) dial(to string) (c *tcpConn, mine bool, err error) {
 	nc, err := net.Dial("tcp", to)
 	if err != nil {
-		e.em.sendErrs.Inc()
+		e.reg.CounterAt(sendErrorsTotal).Inc()
 		return nil, false, fmt.Errorf("transport: dial %s: %w", to, err)
 	}
-	e.em.dials.Inc()
+	e.reg.CounterAt(dialsTotal).Inc()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if existing := e.conns[to]; existing != nil {
 		nc.Close()
 		return existing, false, nil
 	}
-	c = &tcpConn{c: nc, em: &e.em, peer: to, flushing: true}
+	c = &tcpConn{c: nc, reg: e.reg, peer: to, flushing: true}
 	if !e.startLane(c) {
 		return nil, false, ErrClosed
 	}
@@ -458,7 +418,7 @@ func (cc *tcpConn) writeCoalesced(frame []byte) error {
 		// batch that carries our bytes.
 		done := make(chan error, 1)
 		cc.pending = append(cc.pending, pendingFrame{buf: frame, done: done})
-		cc.queueGauge().Add(int64(len(frame)))
+		cc.reg.GaugeAt(writeQueueBytes).Add(int64(len(frame)))
 		cc.mu.Unlock()
 		return <-done
 	}
@@ -515,7 +475,7 @@ func (cc *tcpConn) flushPending() {
 		if cc.pending = cc.pending[batch:]; len(cc.pending) == 0 {
 			cc.pending = nil // release the backing array between bursts
 		}
-		cc.queueGauge().Add(-int64(bytes))
+		cc.reg.GaugeAt(writeQueueBytes).Add(-int64(bytes))
 		cc.mu.Unlock()
 
 		// Flatten into the scratch: one Write per batch keeps group

@@ -78,12 +78,6 @@ type Bus struct {
 	delivered atomic.Uint64 // messages handed to a handler
 	dropped   atomic.Uint64 // lost to faults at send time or to a detached destination
 
-	// DropRate in [0,1] silently drops a deterministic fraction of
-	// messages (legacy failure injection: every k-th send with
-	// k = 1/DropRate). Prefer LinkRule.Drop for seeded probabilistic loss.
-	DropRate float64
-	dropSeq  uint64
-
 	defRule    LinkRule
 	peerRules  map[string]LinkRule
 	partitions map[string]map[string]int
@@ -299,8 +293,8 @@ func (b *Bus) SendCount() uint64 { return b.sends.Load() }
 func (b *Bus) DeliveredCount() uint64 { return b.delivered.Load() }
 
 // DroppedCount returns how many messages were lost — to fault injection
-// (DropRate, link rules, partitions) at send time, or to a destination
-// that detached while the message was in flight.
+// (link rules, partitions) at send time, or to a destination that
+// detached while the message was in flight.
 func (b *Bus) DroppedCount() uint64 { return b.dropped.Load() }
 
 // MetricsSnapshot exports the bus counters as a metrics snapshot, for
@@ -335,28 +329,10 @@ func (e *busEndpoint) Send(to string, payload []byte) error {
 	}
 	// Fault decisions happen at send time, in send order, so a fixed
 	// message sequence consumes the RNG identically across runs.
-	drop := false
-	if b.DropRate > 0 {
-		b.dropSeq++
-		// Deterministic drop pattern: every k-th message where
-		// k = 1/DropRate.
-		if b.DropRate >= 1 || b.dropSeq%uint64(1/b.DropRate+0.5) == 0 {
-			drop = true
-		}
-	}
 	rule := b.ruleFor(e.addr, to)
-	if !drop {
-		switch {
-		case b.partitioned(e.addr, to):
-			drop = true
-		case rule.Down:
-			drop = true
-		case rule.DropUntil > 0 && b.now >= rule.DropFrom && b.now < rule.DropUntil:
-			drop = true
-		case rule.Drop > 0 && b.rng.Float64() < rule.Drop:
-			drop = true
-		}
-	}
+	drop := b.partitioned(e.addr, to) || rule.Down ||
+		rule.DropUntil > 0 && b.now >= rule.DropFrom && b.now < rule.DropUntil ||
+		rule.Drop > 0 && b.rng.Float64() < rule.Drop
 	if drop {
 		b.sends.Add(1)
 		b.dropped.Add(1)

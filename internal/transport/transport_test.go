@@ -80,27 +80,40 @@ func TestBusErrors(t *testing.T) {
 	}
 }
 
+// TestBusDropRate: seeded probabilistic loss (LinkRule.Drop) is booked
+// exactly — every accepted send is delivered or counted dropped, the
+// handler sees exactly the delivered ones — and one seed drops the same
+// messages every run.
 func TestBusDropRate(t *testing.T) {
-	bus := NewBus()
-	a, _ := bus.Attach("a")
-	b, _ := bus.Attach("b")
-	delivered := 0
-	b.SetHandler(func(string, []byte) { delivered++ })
-	a.SetHandler(func(string, []byte) {})
-	bus.DropRate = 0.25
-	for i := 0; i < 100; i++ {
-		a.Send("b", []byte("x"))
+	const sends = 1000
+	run := func() (handled int, bus *Bus) {
+		bus = NewSeededBus(7)
+		a, _ := bus.Attach("a")
+		b, _ := bus.Attach("b")
+		b.SetHandler(func(string, []byte) { handled++ })
+		a.SetHandler(func(string, []byte) {})
+		bus.SetDefaultRule(LinkRule{Drop: 0.25})
+		for i := 0; i < sends; i++ {
+			if err := a.Send("b", []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bus.Drain()
+		return handled, bus
 	}
-	bus.Drain()
-	if delivered != 75 {
-		t.Fatalf("delivered %d with 25%% drop", delivered)
+	handled, bus := run()
+	if bus.SendCount() != sends {
+		t.Fatalf("Sends=%d, want %d", bus.SendCount(), sends)
 	}
 	// Drops are observable, not inferred from silence.
-	if bus.DroppedCount() != 25 {
-		t.Fatalf("Dropped=%d, want 25", bus.DroppedCount())
+	if d, dr := bus.DeliveredCount(), bus.DroppedCount(); d+dr != sends || d != uint64(handled) {
+		t.Fatalf("Delivered=%d + Dropped=%d != %d sends, or != %d handled", d, dr, sends, handled)
 	}
-	if bus.DeliveredCount() != 75 {
-		t.Fatalf("Delivered=%d, want 75", bus.DeliveredCount())
+	if dr := bus.DroppedCount(); dr < 200 || dr > 300 {
+		t.Fatalf("Dropped=%d of %d at 25%% loss", dr, sends)
+	}
+	if again, _ := run(); again != handled {
+		t.Fatalf("one seed delivered %d, then %d", handled, again)
 	}
 }
 
