@@ -93,7 +93,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 			// downstream will ever put the rejoined node back into our
 			// view. Its first direct message carries its identity —
 			// integrate it as a newcomer and recompute now.
-			n.integrateNewcomer(env.From)
+			n.integrateNewcomer(env.From, nil)
 		}
 	}
 
@@ -128,6 +128,13 @@ func (n *Node) deliver(env *proto.Envelope) {
 		n.unlock(nb)
 	case proto.KindBackTransfer:
 		nb := n.lock()
+		if nb.joining {
+			// Not granted yet: keep the entries; handleJoinGrant re-places
+			// them once there is a view to place them by.
+			nb.back = append(nb.back, env.Back...)
+			n.unlock(nb)
+			return
+		}
 		if !nb.joined {
 			// We have left but a reordered transfer still reached us.
 			// If the sender has also departed (its farewell marker lists
@@ -279,7 +286,8 @@ func (n *Node) traceHop(rule string, start time.Time) proto.TraceHop {
 // admitJoin is AddVoronoiRegion (§4.2.1) executed at the owner of the
 // joining object's region: recompute the local tessellation with the new
 // object, grant the joiner its view, and tell every affected neighbour to
-// insert the newcomer and recompute.
+// insert the newcomer and recompute. Each SetNeighbors carries the
+// joiner's granted list, so the joiner need not announce it.
 func (n *Node) admitJoin(env *proto.Envelope) {
 	start := time.Now()
 	defer func() { n.reg.HistogramAt(joinAdmitSeconds).Observe(time.Since(start).Seconds()) }()
@@ -320,14 +328,15 @@ func (n *Node) admitJoin(env *proto.Envelope) {
 		if y.Addr == n.self.Addr {
 			continue
 		}
-		n.send(y.Addr, &proto.Envelope{Type: proto.KindSetNeighbors, From: n.self, Origin: j})
+		n.send(y.Addr, &proto.Envelope{Type: proto.KindSetNeighbors, From: n.self, Origin: j, Neighbors: newVN})
 	}
-	n.integrateNewcomer(j)
+	n.integrateNewcomer(j, newVN)
 }
 
 // handleJoinGrant installs the view granted by the region owner and
-// finishes the join: announce our neighbour list, then establish the long
-// links (Algorithm 2).
+// finishes the join: place what arrived before the grant, then establish
+// the long links (Algorithm 2). The joiner announces nothing: every node
+// the owner named got the granted list with its SetNeighbors.
 func (n *Node) handleJoinGrant(env *proto.Envelope) {
 	start := time.Now()
 	nb := n.lock()
@@ -336,7 +345,7 @@ func (n *Node) handleJoinGrant(env *proto.Envelope) {
 		return
 	}
 	defer func() { n.reg.HistogramAt(joinGrantSeconds).Observe(time.Since(start).Seconds()) }()
-	nb.joined = true
+	nb.joined, nb.joining = true, false
 	nb.vn = slices.CompactFunc(slices.SortedFunc(slices.Values(env.Neighbors), byAddr), sameAddr)
 	nb.twoHop = make([][]proto.NodeInfo, len(nb.vn))
 	for _, rec := range env.TwoHop {
@@ -348,13 +357,19 @@ func (n *Node) handleJoinGrant(env *proto.Envelope) {
 	}
 	nb.longTargets = targets
 	nb.longNbrs = make([]proto.NodeInfo, len(targets))
-	vns := nb.vn
-	dep, depGen := nb.tombs.departed()
+	moves := nb.backRebalance(n.self, "")
+	early, held := nb.early, nb.held
+	nb.early, nb.held = nil, nil
 	n.unlock(nb)
 
-	// Freshness: our neighbours need our list in their two-hop tables.
-	for _, v := range vns {
-		n.send(v.Addr, &proto.Envelope{Type: proto.KindNeighborList, From: n.self, Neighbors: vns, Departed: dep, DepartedGen: depGen})
+	n.sendBackMoves(moves)
+	for _, h := range held {
+		n.replicateRecords(h.recs, h.from)
+	}
+	for _, rec := range early {
+		if !n.view.Load().tombs.dead(rec.Node) {
+			n.handleNeighborList(&proto.Envelope{Type: proto.KindNeighborList, From: rec.Node, Neighbors: rec.VN})
+		}
 	}
 	// Long links: route each search starting at ourselves.
 	for jdx, tgt := range targets {
@@ -370,15 +385,20 @@ func (n *Node) handleJoinGrant(env *proto.Envelope) {
 }
 
 // handleSetNeighbors: a newcomer (env.Origin) entered our region's
-// neighbourhood; integrate it and recompute.
+// neighbourhood, and env.Neighbors is the list it was granted; integrate
+// it and recompute.
 func (n *Node) handleSetNeighbors(env *proto.Envelope) {
-	n.integrateNewcomer(env.Origin)
+	n.integrateNewcomer(env.Origin, env.Neighbors)
 }
 
 // integrateNewcomer recomputes vn with the newcomer in the candidate pool,
 // refreshes neighbours, and performs the close-neighbour and BLRn
-// exchanges of AddVoronoiRegion.
-func (n *Node) integrateNewcomer(j proto.NodeInfo) {
+// exchanges of AddVoronoiRegion. jList is the newcomer's granted list
+// when an admission names it (nil for a rejoin seen by its first
+// message): it enters the pool and the two-hop table, and the new view is
+// announced only to the neighbours gained or lost, since the others'
+// views did not change with ours. Without it every neighbour hears.
+func (n *Node) integrateNewcomer(j proto.NodeInfo, jList []proto.NodeInfo) {
 	nb := n.lock()
 	if !nb.joined || j.Addr == n.self.Addr {
 		n.unlock(nb)
@@ -396,8 +416,14 @@ func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 		nb.liftTomb(j.Addr)
 	}
 	pool := nb.candidatePool(n.self)
+	nb.addLive(pool, jList)
 	pool[j.Addr] = j
+	old := nb.vn
 	changed := nb.recompute(n.self, pool)
+	_, isNbr := find(nb.vn, j.Addr)
+	if jList != nil {
+		nb.setTwoHop(j.Addr, jList)
+	}
 
 	// Lemma 1 exchange: send the newcomer every close-neighbour candidate
 	// we can see (ourselves and our cn entries within dmin of it).
@@ -417,14 +443,23 @@ func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 	// neighbour of ours or reachable through one, and the transfer chain
 	// strictly approaches the target.
 	moves := nb.backRebalance(n.self, "")
-	var vns []proto.NodeInfo
-	if changed {
-		vns = nb.vn
+	var to []proto.NodeInfo
+	switch {
+	case changed && jList != nil:
+		to = symmetricDiff(old, nb.vn)
+	case changed:
+		to = nb.vn
 	}
+	// Rebuttal: the newcomer was granted an edge to us that our pool
+	// refutes; our list carries the witness.
+	if jList != nil && !isNbr && names(jList, n.self.Addr) && !names(to, j.Addr) {
+		to = append(slices.Clip(to), j)
+	}
+	vns := nb.vn
 	dep, depGen := nb.tombs.departed()
 	n.unlock(nb)
 
-	for _, v := range vns {
+	for _, v := range to {
 		n.send(v.Addr, &proto.Envelope{Type: proto.KindNeighborList, From: n.self, Neighbors: vns, Departed: dep, DepartedGen: depGen})
 	}
 	if len(cand) > 0 {
@@ -447,15 +482,14 @@ func (n *Node) integrateNewcomer(j proto.NodeInfo) {
 // in turn; broadcasts stop as soon as views are exact, so the exchange
 // terminates.
 func (n *Node) handleNeighborList(env *proto.Envelope) {
-	mentionsUs := false
-	for _, v := range env.Neighbors {
-		if v.Addr == n.self.Addr {
-			mentionsUs = true
-			break
-		}
-	}
+	mentionsUs := names(env.Neighbors, n.self.Addr)
 	nb := n.lock()
 	if !nb.joined {
+		// A list naming a joiner can overtake its grant, and nothing
+		// repeats it: keep it for handleJoinGrant.
+		if nb.joining && mentionsUs {
+			nb.keepEarly(env.From, env.Neighbors)
+		}
 		n.unlock(nb)
 		return
 	}
@@ -643,6 +677,29 @@ func (n *Node) handleLeave(env *proto.Envelope) {
 	// copy; re-replicate the ones we now own and push the rest to their
 	// new owners (the storage face of RemoveVoronoiRegion).
 	n.repairDepartedRecords(n.self, env.From, vns)
+}
+
+// symmetricDiff returns the members of exactly one of the address-sorted
+// lists a and b, in address order: the peers a view change from a to b
+// gained or lost.
+func symmetricDiff(a, b []proto.NodeInfo) []proto.NodeInfo {
+	var out []proto.NodeInfo
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].Addr < b[0].Addr:
+			out, a = append(out, a[0]), a[1:]
+		case len(a) == 0 || b[0].Addr < a[0].Addr:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			a, b = a[1:], b[1:]
+		}
+	}
+	return out
+}
+
+// names reports whether list holds the peer at addr.
+func names(list []proto.NodeInfo, addr string) bool {
+	return slices.ContainsFunc(list, func(v proto.NodeInfo) bool { return v.Addr == addr })
 }
 
 // byAddr orders view lists by address, the order every list on the wire

@@ -230,12 +230,24 @@ func (n *Node) Join(via string) error {
 	if err := checkPosition(n.self.Pos); err != nil {
 		return err
 	}
-	return n.send(via, &proto.Envelope{
+	n.setJoining(true)
+	err := n.send(via, &proto.Envelope{
 		Type:    proto.KindRoute,
 		Purpose: proto.PurposeJoin,
 		Target:  n.self.Pos,
 		Origin:  n.self,
 	})
+	if err != nil {
+		n.setJoining(false) // no request left: nothing will grant this join
+	}
+	return err
+}
+
+// setJoining marks whether a join request of this node is outstanding.
+func (n *Node) setJoining(on bool) {
+	nb := n.lock()
+	nb.joining = on && !nb.joined
+	n.unlock(nb)
 }
 
 // Query greedy-routes a point query (Algorithm 4) and invokes cb with

@@ -416,13 +416,21 @@ func (n *Node) replyToOrigin(origin string, reply *proto.Envelope) {
 // this node has itself left is re-delegated, never absorbed: applying it
 // to a cleared store on a departed node would strand the records (two
 // adjacent nodes leaving concurrently hand their records to each other).
+// A joining node has not left: it applies what it gets and re-replicates
+// a handoff once its grant installs the view (holdHandoff).
 func (n *Node) handleReplicaSync(env *proto.Envelope) {
+	held := false
 	if nb := n.view.Load(); !nb.joined {
-		if env.Handoff {
+		switch {
+		case nb.joining:
+			held = env.Handoff && n.holdHandoff(env)
+		case env.Handoff:
 			n.redelegateHandoff(env, n.self, nb.lastVN)
+			return
+		default:
+			// A plain replica refresh to a departed node is stale: drop.
+			return
 		}
-		// A plain replica refresh to a departed node is stale: drop.
-		return
 	}
 	// Only records that actually changed local state are re-replicated:
 	// overlapping handoff batches from several affected neighbours would
@@ -437,11 +445,24 @@ func (n *Node) handleReplicaSync(env *proto.Envelope) {
 	// copies from its own WAL, so any single surviving log in a key's
 	// replica set can restore every acked write.
 	n.walAppend(changed...)
-	if env.Handoff && len(changed) > 0 {
+	if env.Handoff && len(changed) > 0 && !held {
 		// Exclude the sender: a leaving node hands off and must not be
 		// re-replicated to.
 		n.replicateRecords(changed, env.From.Addr)
 	}
+}
+
+// holdHandoff keeps a handoff that reached this node before its grant
+// for handleJoinGrant to re-replicate, and reports false when the grant
+// has landed meanwhile and the caller re-replicates as usual.
+func (n *Node) holdHandoff(env *proto.Envelope) bool {
+	nb := n.lock()
+	joining := nb.joining
+	if joining {
+		nb.held = append(nb.held, heldHandoff{env.From.Addr, env.Records})
+	}
+	n.unlock(nb)
+	return joining
 }
 
 // redelegateHandoff forwards a handoff that reached this node after it

@@ -20,6 +20,16 @@ import (
 // the previous value.
 type neighbourhood struct {
 	joined bool
+	// joining is set from Join until the grant installs the view. A
+	// joining node is not a departed one: what reaches it before its
+	// grant — BLRn entries, store records, neighbour lists naming it — is
+	// kept for handleJoinGrant to place, never bounced or re-delegated.
+	joining bool
+	// early holds the neighbour lists naming this node that arrived
+	// before its grant, at most maxEarlyLists, one per sender; held the
+	// store hand-offs that did.
+	early []proto.NeighborRecord
+	held  []heldHandoff
 	// vn is the Voronoi neighbour list, sorted by address; twoHop[i] is
 	// vn[i]'s own neighbour list (the "neighbours' neighbours" of §4.1),
 	// nil while unknown.
@@ -40,6 +50,31 @@ type neighbourhood struct {
 	// route is the greedy step's candidate set, derived from the fields
 	// above by unlock; nil while not joined.
 	route *routeView
+}
+
+// heldHandoff is a store hand-off that reached a joining node: the
+// records are applied at once and re-replicated, excluding the sender,
+// once the grant installs the view they are placed by.
+type heldHandoff struct {
+	from string
+	recs []proto.StoreRecord
+}
+
+// maxEarlyLists bounds the neighbour lists a joining node keeps. A list
+// names the joiner only when its sender has taken the joiner in, and
+// those are its neighbours: a few, never dozens.
+const maxEarlyLists = 32
+
+// keepEarly keeps from's list for the grant, replacing an older one from
+// the same sender; beyond maxEarlyLists senders it drops the list.
+func (nb *neighbourhood) keepEarly(from proto.NodeInfo, lst []proto.NodeInfo) {
+	rec := proto.NeighborRecord{Node: from, VN: lst}
+	if i := slices.IndexFunc(nb.early, func(r proto.NeighborRecord) bool { return r.Node.Addr == from.Addr }); i >= 0 {
+		nb.early = slices.Clone(nb.early)
+		nb.early[i] = rec
+	} else if len(nb.early) < maxEarlyLists {
+		nb.early = append(nb.early, rec)
+	}
 }
 
 // tombstones records departed addresses so that stale gossip cannot

@@ -43,9 +43,10 @@ const (
 	// joiner: its new view (Voronoi neighbours with their own neighbour
 	// lists, close-neighbour candidates, transferred BLRn entries).
 	KindJoinGrant
-	// KindSetNeighbors is sent by the node that recomputed a partial
-	// tessellation (join owner / leaving node) to an affected neighbour:
-	// the authoritative new Voronoi neighbour list of the recipient.
+	// KindSetNeighbors is sent by the owner that admitted a joiner to
+	// each neighbour the joiner was granted: Origin is the joiner and
+	// Neighbors its granted list, which the recipient takes into its pool
+	// and two-hop table before it recomputes its own view.
 	KindSetNeighbors
 	// KindNeighborList refreshes the sender's neighbour list in the
 	// recipient's two-hop table.

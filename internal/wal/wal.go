@@ -434,7 +434,13 @@ func (l *Log) fsync() error {
 	return err
 }
 
+// rotate closes the current segment and opens the next. The closing
+// segment is synced first: openSegment clears dirty, so appends a batch
+// policy has not synced yet would otherwise never reach stable storage.
 func (l *Log) rotate() error {
+	if err := l.Sync(); err != nil {
+		return err
+	}
 	if err := l.f.Close(); err != nil {
 		return err
 	}

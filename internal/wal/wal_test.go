@@ -280,6 +280,64 @@ func TestSyncBatchPolicy(t *testing.T) {
 	l.Close()
 }
 
+// Rotation under SyncBatch syncs the segment it closes: the appends
+// made since the last Sync live only there, and the next segment starts
+// clean, so no later Sync would reach them.
+func TestRotationSyncsClosedSegment(t *testing.T) {
+	dir := t.TempDir()
+	var syncs int
+	l, _, err := Open(Options{
+		Dir:          dir,
+		segmentBytes: 64,
+		Policy:       SyncBatch,
+		FsyncObserve: func(float64) { syncs++ },
+	}, nil)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	// Two records fill segment 1 (the threshold is checked before an
+	// append); the third rotates.
+	l.Append(rec(0.1, 0.1, 1, "seg1-a"))
+	l.Append(rec(0.2, 0.2, 1, "seg1-b"))
+	if syncs != 0 {
+		t.Fatalf("batch policy fsynced on append: %d", syncs)
+	}
+	l.Append(rec(0.3, 0.3, 1, "seg2-a"))
+	if got := l.Segments(); got != 2 {
+		t.Fatalf("segments = %d, want 2", got)
+	}
+	if syncs != 1 {
+		t.Fatalf("rotation fsynced %d times, want 1 (the closed segment)", syncs)
+	}
+	// The new segment's append is still outstanding: Sync reaches it.
+	if err := l.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	if syncs != 2 {
+		t.Fatalf("sync count = %d, want 2", syncs)
+	}
+	l.Close()
+
+	// Under SyncNever a rotation syncs nothing.
+	syncs = 0
+	l, _, err = Open(Options{
+		Dir:          t.TempDir(),
+		segmentBytes: 64,
+		Policy:       SyncNever,
+		FsyncObserve: func(float64) { syncs++ },
+	}, nil)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	for i := 0; i < 5; i++ {
+		l.Append(rec(float64(i)/10, 0.5, 1, "never"))
+	}
+	l.Close()
+	if syncs != 0 {
+		t.Fatalf("SyncNever fsynced %d times", syncs)
+	}
+}
+
 // A partial frame left by a failed write must not poison the log: after
 // restoreTo cuts it away, later appends replay cleanly; and when the cut
 // itself fails the log refuses appends rather than writing records that
