@@ -166,7 +166,8 @@ func (r *Run) checkViews(ref *reference, rep *CheckReport) {
 
 // checkBacklinks: every long link must resolve to the nearest live node
 // to its target and be mirrored by a back entry there; every back entry
-// must point back at a live origin that still holds the link.
+// must point back at a live origin that still holds the link, and a
+// holder keeps one entry per (origin, link).
 func (r *Run) checkBacklinks(ref *reference, rep *CheckReport) {
 	for _, m := range ref.members {
 		links := m.nd.LongNeighbors()
@@ -203,7 +204,18 @@ func (r *Run) checkBacklinks(ref *reference, rep *CheckReport) {
 				rep.addDetail("backlink", "%s link %d not mirrored at %s", m.addr, j, l.Addr)
 			}
 		}
+		type originLink struct {
+			addr string
+			link int
+		}
+		seen := map[originLink]bool{}
 		for _, bk := range m.nd.BackEntries() {
+			k := originLink{bk.Origin.Addr, bk.Link}
+			if seen[k] {
+				rep.BacklinkErrors++
+				rep.addDetail("backlink", "%s holds back entry link %d of %s twice", m.addr, bk.Link, bk.Origin.Addr)
+			}
+			seen[k] = true
 			o, live := ref.byAddr[bk.Origin.Addr]
 			if !live {
 				rep.BacklinkErrors++

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"slices"
 	"time"
 
 	"voronet/internal/proto"
@@ -9,17 +8,16 @@ import (
 
 // NotifyDeparted tells the node that the peer at addr has crashed — the
 // input an external failure detector (or a failed transport send, see
-// handleRoute) provides. Unlike a graceful departure, a crashed peer sends
-// no KindLeave and hands nothing off, so the survivor performs the whole
-// RemoveVoronoiRegion surgery from its own state: tombstone the address,
-// close the tessellation hole from the candidate pool (the dead peer's
-// old neighbour list in our two-hop table supplies the hole's border),
-// drop its BLRn entries, re-route our long links it held, and reclaim and
-// re-replicate the store records whose owner disappeared.
+// handleRoute) provides. A crashed peer sends no KindLeave and hands
+// nothing off, so the survivor repairs from its own state: it tombstones
+// the highest incarnation of addr it holds in any slot and runs the one
+// departure repair (dropDead, then repair), as a KindLeave or a Departed
+// entry in gossip does.
 //
-// The method is idempotent: a second notification for a tombstoned
-// address is a no-op, which also bounds the recursion when repair gossip
-// itself hits further dead peers.
+// A repeat notice is a no-op: nothing of that incarnation is left to
+// repair, which also bounds the recursion when repair traffic itself
+// hits further dead peers. A durably restarted successor (higher
+// generation) seen in a slot since is fresh news.
 func (n *Node) NotifyDeparted(addr string) {
 	start := time.Now()
 	nb := n.lock()
@@ -27,75 +25,55 @@ func (n *Node) NotifyDeparted(addr string) {
 		n.unlock(nb)
 		return
 	}
-	vi, inVN := find(nb.vn, addr)
-	ci, inCN := find(nb.cn, addr)
-	if g, dead := nb.tombs.gen[addr]; dead {
-		// Idempotence — unless a newer incarnation of the address has
-		// since rejoined our views; its crash is fresh news.
-		if !(inVN && nb.vn[vi].Gen > g) && !(inCN && nb.cn[ci].Gen > g) {
-			n.unlock(nb)
-			return
-		}
-	}
-	defer func() { n.reg.HistogramAt(departRepairSeconds).Observe(time.Since(start).Seconds()) }()
-	// Tombstone the incarnation we knew; a durably restarted successor
-	// (higher generation) stays admissible.
-	var gone proto.NodeInfo
-	if inVN {
-		gone = nb.vn[vi]
-	} else if inCN {
-		gone = nb.cn[ci]
-	}
-	nb.tombstone(addr, gone.Gen)
-	nb.cn = without(nb.cn, addr)
-	if inVN {
-		// The pool keeps the dead peer's list: its old neighbours are
-		// exactly the other border nodes of the hole.
-		pool := nb.candidatePool(n.self)
-		delete(pool, addr)
-		nb.recompute(n.self, pool)
-	}
-	// Drop BLRn entries originated by the dead peer: there is no origin
-	// left to serve the link for.
-	nb.back = slices.DeleteFunc(slices.Clone(nb.back), func(ref proto.BackEntry) bool { return ref.Origin.Addr == addr })
-	// Long links the dead peer held must be re-routed to the targets' new
-	// owners; clear the slot so routing skips it until the grant arrives.
-	var relink []int
-	for j, h := range nb.longNbrs {
-		if h.Addr == addr {
-			nb.setLong(j, proto.NodeInfo{})
-			relink = append(relink, j)
-		}
-	}
-	var vns []proto.NodeInfo
-	if inVN {
-		vns = nb.vn
-	}
-	dep, depGen := nb.tombs.departed()
-	self := n.self
-	targets := nb.longTargets
+	nb.tombstone(addr, nb.highestGen(addr))
+	d := nb.dropDead(n.self)
 	n.unlock(nb)
+	n.repair(d, start)
+}
 
-	for _, v := range vns {
+// highestGen is the highest incarnation of addr in any slot of the
+// neighbourhood, 0 when it holds none.
+func (nb *neighbourhood) highestGen(addr string) uint64 {
+	var g uint64
+	for _, lst := range [][]proto.NodeInfo{nb.vn, nb.cn, nb.longNbrs} {
+		for _, v := range lst {
+			if v.Addr == addr {
+				g = max(g, v.Gen)
+			}
+		}
+	}
+	for _, ref := range nb.back {
+		if ref.Origin.Addr == addr {
+			g = max(g, ref.Origin.Gen)
+		}
+	}
+	return g
+}
+
+// repair sends what dropDead left to do: the view that closes a hole
+// goes to each of its members with the tombstones that explain it, each
+// long link whose holder died is routed anew, and the store records a
+// dead neighbour owned are re-placed (the storage face of
+// RemoveVoronoiRegion). The repair's time is booked from start, taken
+// before the write section. Caller must not hold n.mu.
+func (n *Node) repair(d departure, start time.Time) {
+	if len(d.gone) == 0 && len(d.relink) == 0 {
+		return
+	}
+	for _, v := range d.vn {
 		// Best effort: further dead peers are repaired by their own
 		// notifications.
-		_ = n.send(v.Addr, &proto.Envelope{Type: proto.KindNeighborList, From: self, Neighbors: vns, Departed: dep, DepartedGen: depGen})
+		_ = n.send(v.Addr, &proto.Envelope{Type: proto.KindNeighborList, From: n.self, Neighbors: d.vn, Departed: d.dep, DepartedGen: d.depGen})
 	}
-	for _, j := range relink {
-		env := &proto.Envelope{
-			Type:    proto.KindRoute,
-			Purpose: proto.PurposeLongLink,
-			Target:  targets[j],
-			Origin:  self,
-			Link:    j,
-		}
-		n.handle(self.Addr, proto.AppendEncode(nil, env))
+	for _, j := range d.relink {
+		n.seekLongLink(j, d.targets[j])
 	}
-	// Store repair: records the dead peer owned lost their owner-side
-	// copy; re-replicate the ones we now own and push the rest to their
-	// new owners (who may hold nothing — the dead owner's replica set
-	// need not contain them).
-	if inVN {
-		n.repairDepartedRecords(self, gone, vns)
+	// Records a dead neighbour owned lost their owner-side copy: re-
+	// replicate the ones we now own and push the rest to their new owners
+	// (who may hold nothing — the dead owner's replica set need not
+	// contain them).
+	for _, g := range d.gone {
+		n.repairDepartedRecords(n.self, g, d.vn)
 	}
+	n.reg.HistogramAt(departRepairSeconds).Observe(time.Since(start).Seconds())
 }

@@ -257,3 +257,58 @@ search:
 		t.Fatalf("got %q, want %q", got, "survivor")
 	}
 }
+
+// TestGossipFirstDepartureIsRepaired crashes six nodes and lets the news
+// reach most survivors by gossip first: one survivor is notified and its
+// repair announces the departures in its Departed list, and only then is
+// every survivor notified. Whichever comes first, the news must run the
+// whole repair: no long link may stay with a dead holder and no back
+// entry with a dead origin.
+func TestGossipFirstDepartureIsRepaired(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			c := newCluster(t, 45, 0.02, seed)
+			for i := 0; i < 80; i++ {
+				key := geom.Pt(c.rng.Float64(), c.rng.Float64())
+				if err := c.nodes[c.rng.Intn(len(c.nodes))].Put(key, []byte{byte(i)}, nil); err != nil {
+					t.Fatal(err)
+				}
+				c.bus.Drain()
+			}
+			dead := map[string]bool{}
+			var crashed []string
+			for i := 0; i < 6; i++ {
+				idx := 1 + c.rng.Intn(len(c.nodes)-1)
+				nd := c.nodes[idx]
+				nd.ep.Close()
+				crashed = append(crashed, nd.Info().Addr)
+				dead[nd.Info().Addr] = true
+				c.nodes = append(c.nodes[:idx], c.nodes[idx+1:]...)
+			}
+			first := c.nodes[c.rng.Intn(len(c.nodes))]
+			for _, gone := range crashed {
+				first.NotifyDeparted(gone)
+			}
+			c.bus.Drain()
+			for _, nd := range c.nodes {
+				for _, gone := range crashed {
+					nd.NotifyDeparted(gone)
+				}
+			}
+			c.bus.Drain()
+
+			for _, nd := range c.nodes {
+				for j, l := range nd.LongNeighbors() {
+					if dead[l.Addr] {
+						t.Errorf("%s link %d still held by crashed %s", nd.Info().Addr, j, l.Addr)
+					}
+				}
+				for _, ref := range nd.BackEntries() {
+					if dead[ref.Origin.Addr] {
+						t.Errorf("%s holds back entry %d of crashed origin %s", nd.Info().Addr, ref.Link, ref.Origin.Addr)
+					}
+				}
+			}
+		})
+	}
+}

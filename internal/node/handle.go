@@ -47,6 +47,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 	// common case — no departures advertised, sender not tombstoned — can
 	// establish from the published view that there is nothing to do.
 	if _, dead := n.view.Load().tombs.gen[env.From.Addr]; dead || len(env.Departed) > 0 {
+		start := time.Now()
 		nb := n.lock()
 		// Merge the sender's tombstones: gossip must not resurrect the
 		// dead. Each entry kills one incarnation (Departed[i] at
@@ -75,17 +76,20 @@ func (n *Node) deliver(env *proto.Envelope) {
 		}
 		// A message from a tombstoned address proves it is alive again
 		// (rejoined at the same address): lift the tombstone — unless the
-		// sender lists itself as departed (a farewell message from a node
-		// on its way out), or the message is a straggler from the dead
+		// sender lists itself as departed or says farewell (a node on its
+		// way out), or the message is a straggler from the dead
 		// incarnation itself (sender generation below the one that died).
 		lifted := false
 		if g, dead := nb.tombs.gen[env.From.Addr]; dead && env.From.Gen >= g &&
-			!selfDeparted && env.Type != proto.KindLeave && env.Type != proto.KindLeaveCN {
+			!selfDeparted && env.Type != proto.KindLeave {
 			nb.liftTomb(env.From.Addr)
 			lifted = true
 		}
-		nb.purgeTombstoned()
+		// News that arrives by gossip runs the same repair as the node's
+		// own notice would: whichever comes first does the work.
+		d := nb.dropDead(n.self)
 		n.unlock(nb)
+		n.repair(d, start)
 		if lifted {
 			// Lifting alone is not enough: while the address was
 			// tombstoned, every piece of gossip naming it (SetNeighbors,
@@ -108,16 +112,6 @@ func (n *Node) deliver(env *proto.Envelope) {
 		n.handleNeighborList(env)
 	case proto.KindCNAdd:
 		n.handleCNAdd(env)
-	case proto.KindCNRemove:
-		nb := n.lock()
-		nb.cn = without(nb.cn, env.From.Addr)
-		n.unlock(nb)
-	case proto.KindLeaveCN:
-		nb := n.lock()
-		nb.cn = without(nb.cn, env.From.Addr)
-		nb.tombstone(env.From.Addr, env.From.Gen)
-		nb.purgeTombstoned()
-		n.unlock(nb)
 	case proto.KindLongLinkGrant:
 		nb := n.lock()
 		nb.setLong(env.Link, env.From)
@@ -131,7 +125,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 		if nb.joining {
 			// Not granted yet: keep the entries; handleJoinGrant re-places
 			// them once there is a view to place them by.
-			nb.back = append(nb.back, env.Back...)
+			nb.addBack(env.Back...)
 			n.unlock(nb)
 			return
 		}
@@ -165,7 +159,7 @@ func (n *Node) deliver(env *proto.Envelope) {
 			}
 			return
 		}
-		nb.back = append(nb.back, env.Back...)
+		nb.addBack(env.Back...)
 		// The sender believed we are closer to the targets than it is; a
 		// neighbour of ours may be closer still. Re-placing forwards the
 		// entry along strictly decreasing distance, so the chain
@@ -175,19 +169,17 @@ func (n *Node) deliver(env *proto.Envelope) {
 		moves := nb.backRebalance(n.self, env.From.Addr)
 		n.unlock(nb)
 		n.sendBackMoves(moves)
-	case proto.KindBackWithdraw:
-		nb := n.lock()
-		for i, ref := range nb.back {
-			if ref.Origin.Addr == env.From.Addr && ref.Link == env.Link {
-				back := slices.Clone(nb.back)
-				back[i] = back[len(back)-1]
-				nb.back = back[:len(back)-1]
-				break
-			}
-		}
-		n.unlock(nb)
 	case proto.KindLeave:
-		n.handleLeave(env)
+		// The sender left: the same repair as a crash notice, for the
+		// incarnation that says farewell.
+		start := time.Now()
+		nb := n.lock()
+		if nb.joined {
+			nb.tombstone(env.From.Addr, env.From.Gen)
+		}
+		d := nb.dropDead(n.self)
+		n.unlock(nb)
+		n.repair(d, start)
 	case proto.KindQueryAnswer, proto.KindStoreReply:
 		if !n.inflight.Resolve(env.QueryID, store.ReplyOf(env)) {
 			// The answer outlived its request: the deadline reaped it.
@@ -261,7 +253,7 @@ func (n *Node) handleRoute(env *proto.Envelope) {
 		n.admitJoin(env)
 	case proto.PurposeLongLink:
 		nb := n.lock()
-		nb.back = append(nb.back, proto.BackEntry{Origin: env.Origin, Link: env.Link, Target: env.Target})
+		nb.addBack(proto.BackEntry{Origin: env.Origin, Link: env.Link, Target: env.Target})
 		n.unlock(nb)
 		n.send(env.Origin.Addr, &proto.Envelope{
 			Type: proto.KindLongLinkGrant, From: n.self, Link: env.Link, Hops: env.Hops,
@@ -371,17 +363,17 @@ func (n *Node) handleJoinGrant(env *proto.Envelope) {
 			n.handleNeighborList(&proto.Envelope{Type: proto.KindNeighborList, From: rec.Node, Neighbors: rec.VN})
 		}
 	}
-	// Long links: route each search starting at ourselves.
 	for jdx, tgt := range targets {
-		env := &proto.Envelope{
-			Type:    proto.KindRoute,
-			Purpose: proto.PurposeLongLink,
-			Target:  tgt,
-			Origin:  n.self,
-			Link:    jdx,
-		}
-		n.handle(n.self.Addr, proto.AppendEncode(nil, env))
+		n.seekLongLink(jdx, tgt)
 	}
+}
+
+// seekLongLink routes the search for long link j toward its target
+// (Algorithm 2), starting at this node; the target's owner grants it.
+func (n *Node) seekLongLink(j int, target geom.Point) {
+	n.handle(n.self.Addr, proto.AppendEncode(nil, &proto.Envelope{
+		Type: proto.KindRoute, Purpose: proto.PurposeLongLink, Target: target, Origin: n.self, Link: j,
+	}))
 }
 
 // handleSetNeighbors: a newcomer (env.Origin) entered our region's
@@ -642,41 +634,10 @@ func (n *Node) sendBackMoves(moves []backMove) {
 			return
 		}
 		nb := n.lock()
-		nb.back = append(nb.back, retry...)
+		nb.addBack(retry...)
 		moves = nb.backRebalance(n.self, "")
 		n.unlock(nb)
 	}
-}
-
-// handleLeave: a Voronoi neighbour departed; close the hole by
-// recomputing our neighbourhood without it (its old neighbour list, which
-// we hold in the two-hop table, supplies the hole's other border nodes).
-func (n *Node) handleLeave(env *proto.Envelope) {
-	gone := env.From.Addr
-	nb := n.lock()
-	if !nb.joined {
-		n.unlock(nb)
-		return
-	}
-	nb.tombstone(gone, env.From.Gen)
-	// Build the pool *before* dropping the departed node's list: its old
-	// neighbours are exactly the other border nodes of the hole.
-	pool := nb.candidatePool(n.self)
-	delete(pool, gone)
-	nb.recompute(n.self, pool)
-	nb.cn = without(nb.cn, gone)
-	vns := nb.vn
-	dep, depGen := nb.tombs.departed()
-	n.unlock(nb)
-	for _, v := range vns {
-		n.send(v.Addr, &proto.Envelope{
-			Type: proto.KindNeighborList, From: n.self, Neighbors: vns, Departed: dep, DepartedGen: depGen,
-		})
-	}
-	// Store repair: records the departed node owned lost their owner-side
-	// copy; re-replicate the ones we now own and push the rest to their
-	// new owners (the storage face of RemoveVoronoiRegion).
-	n.repairDepartedRecords(n.self, env.From, vns)
 }
 
 // symmetricDiff returns the members of exactly one of the address-sorted

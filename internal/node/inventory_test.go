@@ -20,39 +20,32 @@ var (
 
 	nodeCounters = []string{
 		"node_antientropy_bytes_total", "node_blrn_moves_total", "node_decode_errors_total",
-		"node_late_answers_total", "node_query_timeouts_total",
-		"node_recv_back_transfer_total", "node_recv_back_withdraw_total", "node_recv_cn_add_total",
-		"node_recv_cn_remove_total", "node_recv_join_grant_total", "node_recv_leave_cn_total",
-		"node_recv_leave_total", "node_recv_long_link_grant_total", "node_recv_long_link_update_total",
+		"node_late_answers_total", "node_query_timeouts_total", "node_recv_back_transfer_total",
+		"node_recv_cn_add_total", "node_recv_join_grant_total", "node_recv_leave_total",
+		"node_recv_long_link_grant_total", "node_recv_long_link_update_total",
 		"node_recv_neighbor_list_total", "node_recv_query_answer_total", "node_recv_replica_sync_total",
 		"node_recv_route_total", "node_recv_set_neighbors_total", "node_recv_store_reply_total",
-		"node_recv_sync_digest_total", "node_recv_sync_pull_total",
-		"node_send_back_transfer_total", "node_send_back_withdraw_total", "node_send_cn_add_total",
-		"node_send_cn_remove_total", "node_send_errors_total", "node_send_join_grant_total",
-		"node_send_leave_cn_total", "node_send_leave_total", "node_send_long_link_grant_total",
-		"node_send_long_link_update_total", "node_send_neighbor_list_total", "node_send_query_answer_total",
-		"node_send_replica_sync_total", "node_send_retries_total", "node_send_route_total",
-		"node_send_self_total", "node_send_set_neighbors_total", "node_send_store_reply_total",
-		"node_send_sync_digest_total", "node_send_sync_pull_total", "node_sent_total",
-		"node_traced_routes_total",
-		"node_wire_bytes_recv_back_transfer_total", "node_wire_bytes_recv_back_withdraw_total",
-		"node_wire_bytes_recv_cn_add_total", "node_wire_bytes_recv_cn_remove_total",
-		"node_wire_bytes_recv_join_grant_total", "node_wire_bytes_recv_leave_cn_total",
-		"node_wire_bytes_recv_leave_total", "node_wire_bytes_recv_long_link_grant_total",
-		"node_wire_bytes_recv_long_link_update_total", "node_wire_bytes_recv_neighbor_list_total",
-		"node_wire_bytes_recv_query_answer_total", "node_wire_bytes_recv_replica_sync_total",
-		"node_wire_bytes_recv_route_total", "node_wire_bytes_recv_set_neighbors_total",
-		"node_wire_bytes_recv_store_reply_total", "node_wire_bytes_recv_sync_digest_total",
-		"node_wire_bytes_recv_sync_pull_total",
-		"node_wire_bytes_sent_back_transfer_total", "node_wire_bytes_sent_back_withdraw_total",
-		"node_wire_bytes_sent_cn_add_total", "node_wire_bytes_sent_cn_remove_total",
-		"node_wire_bytes_sent_join_grant_total", "node_wire_bytes_sent_leave_cn_total",
-		"node_wire_bytes_sent_leave_total", "node_wire_bytes_sent_long_link_grant_total",
-		"node_wire_bytes_sent_long_link_update_total", "node_wire_bytes_sent_neighbor_list_total",
-		"node_wire_bytes_sent_query_answer_total", "node_wire_bytes_sent_replica_sync_total",
-		"node_wire_bytes_sent_route_total", "node_wire_bytes_sent_set_neighbors_total",
-		"node_wire_bytes_sent_store_reply_total", "node_wire_bytes_sent_sync_digest_total",
-		"node_wire_bytes_sent_sync_pull_total",
+		"node_recv_sync_digest_total", "node_recv_sync_pull_total", "node_send_back_transfer_total",
+		"node_send_cn_add_total", "node_send_errors_total", "node_send_join_grant_total",
+		"node_send_leave_total", "node_send_long_link_grant_total", "node_send_long_link_update_total",
+		"node_send_neighbor_list_total", "node_send_query_answer_total", "node_send_replica_sync_total",
+		"node_send_retries_total", "node_send_route_total", "node_send_self_total",
+		"node_send_set_neighbors_total", "node_send_store_reply_total", "node_send_sync_digest_total",
+		"node_send_sync_pull_total", "node_sent_total", "node_traced_routes_total",
+		"node_wire_bytes_recv_back_transfer_total", "node_wire_bytes_recv_cn_add_total",
+		"node_wire_bytes_recv_join_grant_total", "node_wire_bytes_recv_leave_total",
+		"node_wire_bytes_recv_long_link_grant_total", "node_wire_bytes_recv_long_link_update_total",
+		"node_wire_bytes_recv_neighbor_list_total", "node_wire_bytes_recv_query_answer_total",
+		"node_wire_bytes_recv_replica_sync_total", "node_wire_bytes_recv_route_total",
+		"node_wire_bytes_recv_set_neighbors_total", "node_wire_bytes_recv_store_reply_total",
+		"node_wire_bytes_recv_sync_digest_total", "node_wire_bytes_recv_sync_pull_total",
+		"node_wire_bytes_sent_back_transfer_total", "node_wire_bytes_sent_cn_add_total",
+		"node_wire_bytes_sent_join_grant_total", "node_wire_bytes_sent_leave_total",
+		"node_wire_bytes_sent_long_link_grant_total", "node_wire_bytes_sent_long_link_update_total",
+		"node_wire_bytes_sent_neighbor_list_total", "node_wire_bytes_sent_query_answer_total",
+		"node_wire_bytes_sent_replica_sync_total", "node_wire_bytes_sent_route_total",
+		"node_wire_bytes_sent_set_neighbors_total", "node_wire_bytes_sent_store_reply_total",
+		"node_wire_bytes_sent_sync_digest_total", "node_wire_bytes_sent_sync_pull_total",
 		"store_shed_total", "store_timeouts_total",
 		"wal_appends_total", "wal_compactions_total", "wal_corrupt_frames_total", "wal_errors_total",
 		"wal_replayed_records_total", "wal_tombstones_gced_total", "wal_torn_tails_total",

@@ -32,7 +32,7 @@ var (
 	joinAdmitSeconds    = nodeLayout.Histogram("node_join_admit_seconds", latBuckets)    // owner-side admission
 	joinGrantSeconds    = nodeLayout.Histogram("node_join_grant_seconds", latBuckets)    // joiner-side view install
 	leaveSeconds        = nodeLayout.Histogram("node_leave_seconds", latBuckets)         // graceful departure surgery
-	departRepairSeconds = nodeLayout.Histogram("node_depart_repair_seconds", latBuckets) // crash repair surgery
+	departRepairSeconds = nodeLayout.Histogram("node_depart_repair_seconds", latBuckets) // departure repair surgery, whatever news ran it
 	blrnMovesTotal      = nodeLayout.Counter("node_blrn_moves_total")                    // BLRn entries re-placed
 
 	tracedRoutesTotal = nodeLayout.Counter("node_traced_routes_total") // envelopes handled with Trace set

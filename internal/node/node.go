@@ -261,10 +261,11 @@ func (n *Node) Query(p geom.Point, cb func(store.Reply)) error {
 	return n.originate(proto.PurposeQuery, p, nil, cb, false)
 }
 
-// Leave departs the overlay: the node recomputes the tessellation around
-// its hole for its neighbours, delegates its BLRn entries to the closest
-// neighbour of each target, withdraws its own links and informs its close
-// neighbours (§4.2.2).
+// Leave departs the overlay (§4.2.2): the node delegates its BLRn entries
+// and its store records to the Voronoi neighbour closest to each target or
+// key, then sends one KindLeave to every peer that holds it in a slot.
+// Each recipient runs the departure repair, closing the hole from its own
+// two-hop table.
 func (n *Node) Leave() error {
 	start := time.Now()
 	nb := n.lock()
@@ -302,14 +303,6 @@ func (n *Node) Leave() error {
 	}
 	nb.back = nil
 
-	// Withdraw our own long links from their holders.
-	for j, h := range nb.longNbrs {
-		if h.Addr == "" || h.Addr == n.self.Addr {
-			continue
-		}
-		out = append(out, outMsg{h.Addr, &proto.Envelope{Type: proto.KindBackWithdraw, From: n.self, Link: j}})
-	}
-
 	// Store handoff: delegate every record (tombstones included) to the
 	// Voronoi neighbour closest to its key — after our region disappears
 	// that neighbour owns the key — marked Handoff so the recipient
@@ -331,13 +324,15 @@ func (n *Node) Leave() error {
 	// itself must never change.
 	n.kv.Clear()
 
-	// Tell the neighbourhood to close the hole and close neighbours to
-	// forget us.
-	for _, v := range vns {
-		out = append(out, outMsg{v.Addr, &proto.Envelope{Type: proto.KindLeave, From: n.self}})
-	}
-	for _, c := range nb.cn {
-		out = append(out, outMsg{c.Addr, &proto.Envelope{Type: proto.KindLeaveCN, From: n.self}})
+	// Say farewell once to each peer that holds us: Voronoi and close
+	// neighbours, and the holders of our long links, whose repair drops
+	// our back entries.
+	to := slices.Concat(vns, nb.cn, nb.longNbrs)
+	slices.SortFunc(to, byAddr)
+	for _, p := range slices.CompactFunc(to, sameAddr) {
+		if p.Addr != "" && p.Addr != n.self.Addr {
+			out = append(out, outMsg{p.Addr, &proto.Envelope{Type: proto.KindLeave, From: n.self}})
+		}
 	}
 	nb.vn = nil
 	nb.twoHop = nil

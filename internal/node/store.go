@@ -46,8 +46,8 @@ func chunkRecords(recs []proto.StoreRecord) [][]proto.StoreRecord {
 // to the Voronoi neighbours closest to the key. Churn handoff rides on the
 // same events that maintain the tessellation: integrateNewcomer hands the
 // newcomer the records its region took over, Leave delegates every record
-// to the neighbour closest to its key, and handleLeave re-replicates the
-// records the survivor now owns.
+// to the neighbour closest to its key, and the departure repair
+// re-replicates the records the survivor now owns.
 
 // Put routes a PUT for key to its region owner and invokes cb (may be nil)
 // with the acknowledgement or a timeout.

@@ -210,25 +210,75 @@ func (nb *neighbourhood) setTwoHop(addr string, lst []proto.NodeInfo) {
 	}
 }
 
-// purgeTombstoned removes tombstoned incarnations from vn and cn.
-func (nb *neighbourhood) purgeTombstoned() {
-	if slices.ContainsFunc(nb.vn, nb.tombs.dead) {
-		var vn []proto.NodeInfo
-		var twoHop [][]proto.NodeInfo
-		for i, v := range nb.vn {
-			if !nb.tombs.dead(v) {
-				vn, twoHop = append(vn, v), append(twoHop, nb.twoHop[i])
-			}
+// departure is what a departure repair leaves to do once n.mu is
+// released (see Node.repair).
+type departure struct {
+	gone    []proto.NodeInfo // Voronoi neighbours that died: their records need repair
+	vn      []proto.NodeInfo // the view that closes their hole, announced to all of it
+	relink  []int            // long links whose holder died
+	targets []geom.Point
+	dep     []string
+	depGen  []uint64
+}
+
+// dropDead is the one departure repair (RemoveVoronoiRegion, §4.2.2), run
+// by every path that adds a tombstone: it removes each tombstoned
+// incarnation from every slot it still occupies. A dead Voronoi neighbour
+// leaves a hole, closed from the candidate pool, which still holds the
+// dead peer's own list: its old neighbours are exactly the hole's other
+// border nodes. Dead close neighbours and back entries whose origin died
+// are dropped; a long link whose holder died is cleared so that routing
+// skips it until it is re-routed. News of a departure already repaired
+// finds nothing of that incarnation left and returns nothing to do.
+func (nb *neighbourhood) dropDead(self proto.NodeInfo) departure {
+	dead := nb.tombs.dead
+	var d departure
+	for _, v := range nb.vn {
+		if dead(v) {
+			d.gone = append(d.gone, v)
 		}
-		nb.vn, nb.twoHop = vn, twoHop
 	}
-	if slices.ContainsFunc(nb.cn, nb.tombs.dead) {
-		nb.cn = slices.DeleteFunc(slices.Clone(nb.cn), nb.tombs.dead)
+	if len(d.gone) > 0 {
+		nb.recompute(self, nb.candidatePool(self))
+		d.vn = nb.vn
+		d.dep, d.depGen = nb.tombs.departed()
+	}
+	if slices.ContainsFunc(nb.cn, dead) {
+		nb.cn = slices.DeleteFunc(slices.Clone(nb.cn), dead)
+	}
+	deadOrigin := func(ref proto.BackEntry) bool { return dead(ref.Origin) }
+	if slices.ContainsFunc(nb.back, deadOrigin) {
+		nb.back = slices.DeleteFunc(slices.Clone(nb.back), deadOrigin)
+	}
+	for j, h := range nb.longNbrs {
+		if h.Addr != "" && dead(h) {
+			nb.setLong(j, proto.NodeInfo{})
+			d.relink = append(d.relink, j)
+		}
+	}
+	d.targets = nb.longTargets
+	return d
+}
+
+// addBack registers BLRn entries. An entry replaces the one held for the
+// same origin address and link: a re-routed link and a hand-over of its
+// old entry can both reach the new holder, in either order.
+func (nb *neighbourhood) addBack(refs ...proto.BackEntry) {
+	for _, ref := range refs {
+		i := slices.IndexFunc(nb.back, func(b proto.BackEntry) bool {
+			return b.Origin.Addr == ref.Origin.Addr && b.Link == ref.Link
+		})
+		if i < 0 {
+			nb.back = append(nb.back, ref)
+			continue
+		}
+		nb.back = slices.Clone(nb.back)
+		nb.back[i] = ref
 	}
 }
 
-// tombstone records a departure — every departure path (graceful leave,
-// crash repair, tombstone gossip) funnels through here.
+// tombstone records a departure; the caller runs dropDead before it
+// publishes the neighbourhood.
 func (nb *neighbourhood) tombstone(addr string, gen uint64) {
 	g, dead := nb.tombs.gen[addr]
 	if dead && gen <= g {

@@ -496,7 +496,7 @@ func TestStragglerAnswerKeepsTombstone(t *testing.T) {
 	}
 	// x dies at generation 2 (gossip from a third peer), then its
 	// generation-1 answer arrives.
-	o.deliver(&proto.Envelope{Type: proto.KindCNRemove, From: proto.NodeInfo{Addr: "y"},
+	o.deliver(&proto.Envelope{Type: proto.KindCNAdd, From: proto.NodeInfo{Addr: "y"},
 		Departed: []string{"x"}, DepartedGen: []uint64{2}})
 	o.deliver(&proto.Envelope{Type: proto.KindQueryAnswer, From: x1, QueryID: routed[0].QueryID})
 	if len(replies) != 1 || replies[0].Err != nil {
@@ -508,7 +508,7 @@ func TestStragglerAnswerKeepsTombstone(t *testing.T) {
 }
 
 // TestRouteViewKeptWhenUnchanged: a write section that changes no
-// candidate — a bare lock and unlock, a back-link withdrawal, a close
+// candidate — a bare lock and unlock, a back entry registered, a close
 // neighbour offered again — republishes nothing, so the published view
 // keeps its pointer; one that does change a candidate publishes a fresh
 // view and leaves the old one as it was.
@@ -524,7 +524,10 @@ func TestRouteViewKeptWhenUnchanged(t *testing.T) {
 	was := slices.Clone(*v)
 	for _, write := range []func(){
 		func() { n.unlock(n.lock()) },
-		func() { n.deliver(&proto.Envelope{Type: proto.KindBackWithdraw, From: nbr, Link: 0}) },
+		func() {
+			n.deliver(&proto.Envelope{Type: proto.KindBackTransfer, From: nbr,
+				Back: []proto.BackEntry{{Origin: nbr, Link: 0, Target: geom.Pt(0.5, 0.51)}}})
+		},
 		func() { n.deliver(&proto.Envelope{Type: proto.KindCNAdd, From: nbr, CloseCand: []proto.NodeInfo{nbr}}) },
 	} {
 		write()
@@ -532,11 +535,45 @@ func TestRouteViewKeptWhenUnchanged(t *testing.T) {
 			t.Fatalf("an unchanged view was republished: %v -> %v", *v, *got)
 		}
 	}
-	n.deliver(&proto.Envelope{Type: proto.KindCNRemove, From: nbr})
+	n.deliver(&proto.Envelope{Type: proto.KindLeave, From: nbr})
 	if got := n.view.Load().route; got == v || len(*got) != 1 {
 		t.Fatalf("dropping the close neighbour published %v", *got)
 	}
 	if !slices.Equal(*v, was) {
 		t.Fatalf("the old view was written after it was replaced: %v, was %v", *v, was)
+	}
+}
+
+// TestBackEntryKeptOncePerLink: a link's origin can re-route it while the
+// old holder's hand-over of the same entry is still in flight, so the new
+// holder gets the routed registration and the transfer, in either order.
+// It keeps one entry per (origin, link), the latest one; another link of
+// the same origin is another entry.
+func TestBackEntryKeptOncePerLink(t *testing.T) {
+	ep := &recordEndpoint{addr: "s"}
+	n := New(ep, geom.Pt(0.5, 0.5), Config{DMin: 0.05, RequestTimeout: time.Hour})
+	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	o := proto.NodeInfo{Addr: "o", Pos: geom.Pt(0.9, 0.9)}
+	tgt := geom.Pt(0.48, 0.5)
+	n.deliver(&proto.Envelope{Type: proto.KindRoute, Purpose: proto.PurposeLongLink, Target: tgt, Origin: o, Link: 0, From: o})
+	o2 := o
+	o2.Gen = 2
+	for _, env := range []*proto.Envelope{
+		{Type: proto.KindBackTransfer, From: proto.NodeInfo{Addr: "h"}, Back: []proto.BackEntry{{Origin: o, Link: 0, Target: tgt}}},
+		{Type: proto.KindBackTransfer, From: proto.NodeInfo{Addr: "h"}, Back: []proto.BackEntry{{Origin: o2, Link: 0, Target: tgt}, {Origin: o, Link: 1, Target: tgt}}},
+	} {
+		n.deliver(env)
+	}
+	var got []proto.BackEntry
+	for _, ref := range n.BackEntries() {
+		if ref.Origin.Addr == o.Addr {
+			got = append(got, ref)
+		}
+	}
+	want := []proto.BackEntry{{Origin: o2, Link: 0, Target: tgt}, {Origin: o, Link: 1, Target: tgt}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("back entries of %s: %+v, want %+v", o.Addr, got, want)
 	}
 }

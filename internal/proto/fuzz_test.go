@@ -139,6 +139,15 @@ const (
 	historicalRangeHitFrame = "b10e81010d31302e302e302e353a37303031cdccccccccccdc3f14ae47e17a14de3f004d"
 )
 
+// historicalDepartureFrames are the last pinned frames of the departure
+// kinds whose work KindLeave does: cn_remove, leave_cn and back_withdraw
+// (kind bytes 5, 10 and 12). Decode must reject each.
+var historicalDepartureFrames = [...]string{
+	"b105010d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00",
+	"b10a010d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00",
+	"b10c210d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f0002",
+}
+
 func gobFrame(t testing.TB) []byte { return hexFrame(t, historicalGobFrame) }
 
 func hexFrame(t testing.TB, s string) []byte {
@@ -175,6 +184,9 @@ func TestDecodeRejectsUnknownKindsAndPurposes(t *testing.T) {
 		"retired range forward": hexFrame(t, historicalRangeForwardFrame),
 		"retired range hit":     hexFrame(t, historicalRangeHitFrame),
 		"retired kind 13":       withKind(13),
+		"retired cn_remove":     hexFrame(t, historicalDepartureFrames[0]),
+		"retired leave_cn":      hexFrame(t, historicalDepartureFrames[1]),
+		"retired back_withdraw": hexFrame(t, historicalDepartureFrames[2]),
 		"retired kind 14":       withKind(14),
 		"kind past the last":    withKind(byte(KindCount)),
 		"kind 200":              withKind(200),
@@ -240,11 +252,18 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	for _, env := range append(hostileSeeds(), nonFiniteSeeds()...) {
 		f.Add(AppendEncode(nil, env))
 	}
-	// The retired range-flood frames, whole, truncated and over-long: the
-	// kind byte alone must get them refused, whatever follows it.
+	// The retired range-flood and departure frames, whole, truncated and
+	// over-long: the kind byte alone must get them refused, whatever
+	// follows it.
 	f.Add(hexFrame(f, historicalRangeHitFrame))
 	for _, s := range []string{historicalRangeForwardFrame, historicalRangeHitFrame} {
 		b := hexFrame(f, s)
+		f.Add(b[:len(b)/2])
+		f.Add(append(append([]byte{}, b...), 0x00))
+	}
+	for _, s := range historicalDepartureFrames {
+		b := hexFrame(f, s)
+		f.Add(b)
 		f.Add(b[:len(b)/2])
 		f.Add(append(append([]byte{}, b...), 0x00))
 	}

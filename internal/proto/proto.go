@@ -51,9 +51,14 @@ const (
 	// KindNeighborList refreshes the sender's neighbour list in the
 	// recipient's two-hop table.
 	KindNeighborList
-	// KindCNAdd / KindCNRemove maintain symmetric close-neighbour sets.
+	// KindCNAdd offers close-neighbour candidates (Lemma 1); each side
+	// answers what it newly adds, so the sets stay symmetric.
 	KindCNAdd
-	KindCNRemove
+	// kindRetiredCNRemove, kindRetiredLeaveCN and kindRetiredBackWithdraw
+	// reserve the bytes of departure kinds whose work KindLeave does, so
+	// every later kind keeps its byte. No node sends them and Decode
+	// refuses them.
+	kindRetiredCNRemove
 	// KindLongLinkGrant answers a routed long-link search: the owner of
 	// the target region grants the link and registers the back pointer.
 	KindLongLinkGrant
@@ -62,17 +67,17 @@ const (
 	// KindLongLinkUpdate tells a link's origin that its long-range
 	// neighbour changed (churn repair via the back link).
 	KindLongLinkUpdate
-	// KindLeave announces a departure to a Voronoi neighbour, carrying the
-	// recipient's recomputed neighbour list.
+	// KindLeave is a departing node's farewell, sent once to every peer
+	// that holds it in a slot: its Voronoi and close neighbours and the
+	// holders of its long links. It carries only From: each recipient
+	// drops the sender from every slot, closing the hole in its view from
+	// its own two-hop table, and re-routes what the sender held for it.
 	KindLeave
-	// KindLeaveCN announces a departure to a close neighbour.
-	KindLeaveCN
+	kindRetiredLeaveCN
 	// KindQueryAnswer returns the owner of a queried point to the
 	// requester (AnswerQuery in Algorithm 4).
 	KindQueryAnswer
-	// KindBackWithdraw tells a BLRn holder to drop the sender's entry
-	// (the sender is leaving).
-	KindBackWithdraw
+	kindRetiredBackWithdraw
 	// kindRetiredRangeForward and kindRetiredRangeHit reserve the bytes
 	// of the retired live range flood (§7 range queries exist only in the
 	// simulator), so every later kind keeps its byte. No node sends them
@@ -111,14 +116,11 @@ var kindNames = [KindCount]string{
 	KindSetNeighbors:   "set_neighbors",
 	KindNeighborList:   "neighbor_list",
 	KindCNAdd:          "cn_add",
-	KindCNRemove:       "cn_remove",
 	KindLongLinkGrant:  "long_link_grant",
 	KindBackTransfer:   "back_transfer",
 	KindLongLinkUpdate: "long_link_update",
 	KindLeave:          "leave",
-	KindLeaveCN:        "leave_cn",
 	KindQueryAnswer:    "query_answer",
-	KindBackWithdraw:   "back_withdraw",
 	KindStoreReply:     "store_reply",
 	KindReplicaSync:    "replica_sync",
 	KindSyncDigest:     "sync_digest",

@@ -33,7 +33,6 @@ func samples() []*Envelope {
 		{Type: KindNeighborList, From: ni("10.0.0.2:7001", 0.31, 0.44), Neighbors: vn,
 			Departed: []string{"10.0.0.6:7001"}},
 		{Type: KindCNAdd, From: ni("10.0.0.3:7001", 0.52, 0.41)},
-		{Type: KindCNRemove, From: ni("10.0.0.3:7001", 0.52, 0.41)},
 		{Type: KindLongLinkGrant, From: ni("10.0.0.4:7001", 0.38, 0.58),
 			Granter: ni("10.0.0.4:7001", 0.38, 0.58), Link: 2, Hops: 9},
 		{Type: KindBackTransfer, From: ni("10.0.0.4:7001", 0.38, 0.58),
@@ -44,10 +43,8 @@ func samples() []*Envelope {
 		{Type: KindLongLinkUpdate, From: ni("10.0.0.2:7001", 0.31, 0.44),
 			Granter: ni("10.0.0.7:7001", 0.66, 0.21), Link: 1},
 		{Type: KindLeave, From: ni("10.0.0.3:7001", 0.52, 0.41), Neighbors: vn[:2]},
-		{Type: KindLeaveCN, From: ni("10.0.0.3:7001", 0.52, 0.41)},
 		{Type: KindQueryAnswer, From: ni("10.0.0.4:7001", 0.38, 0.58), QueryID: 831, Hops: 6,
 			Path: []TraceHop{{Addr: "10.0.0.4:7001", Rule: "owner", Nanos: 990}}},
-		{Type: KindBackWithdraw, From: ni("10.0.0.3:7001", 0.52, 0.41), Link: 1},
 		{Type: KindStoreReply, From: ni("10.0.0.5:7001", 0.45, 0.47), QueryID: 912,
 			Found: true, Version: 12, Hops: 3, Value: []byte("the stored value payload")},
 		{Type: KindReplicaSync, From: ni("10.0.0.5:7001", 0.45, 0.47), Handoff: true,

@@ -81,7 +81,7 @@ func randEnvelope(rng *rand.Rand, k Kind) *Envelope {
 				e.Back = append(e.Back, BackEntry{Origin: ninfo(), Link: rng.Intn(8), Target: pt()})
 			}
 		}
-	case KindLongLinkGrant, KindLongLinkUpdate, KindBackWithdraw:
+	case KindLongLinkGrant, KindLongLinkUpdate:
 		e.Granter = ninfo()
 		e.Link = rng.Intn(8)
 		e.Hops = rng.Intn(64)
@@ -147,14 +147,11 @@ var sampleGolden = map[string]string{
 	"set_neighbors":    "b10281080d31302e302e302e353a37303031cdccccccccccdc3f14ae47e17a14de3f00030d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f000d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f000d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f00",
 	"neighbor_list":    "b1038188020d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f00030d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f000d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f000d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f00010d31302e302e302e363a37303031",
 	"cn_add":           "b104010d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00",
-	"cn_remove":        "b105010d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00",
 	"long_link_grant":  "b106e180010d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f0004120d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f00",
 	"back_transfer":    "b10781400d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f00020d31302e302e302e383a37303031295c8fc2f528bc3f8fc2f5285c8fea3f00009a9999999999d93f9a9999999999e13f0d31302e302e302e393a373030311f85eb51b81eed3fb81e85eb51b8be3f0006ae47e17a14aed73f85eb51b81e85e33f",
 	"long_link_update": "b108a180010d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f00020d31302e302e302e373a373030311f85eb51b81ee53fe17a14ae47e1ca3f00",
 	"leave":            "b10981080d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00020d31302e302e302e323a37303031d7a3703d0ad7d33f295c8fc2f528dc3f000d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00",
-	"leave_cn":         "b10a010d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f00",
 	"query_answer":     "b10bc1050d31302e302e302e343a3730303152b81e85eb51d83f8fc2f5285c8fe23f000cbf06010d31302e302e302e343a37303031056f776e6572de03000000000000",
-	"back_withdraw":    "b10c210d31302e302e302e333a37303031a4703d0ad7a3e03f3d0ad7a3703dda3f0002",
 	"store_reply":      "b10fc181380d31302e302e302e353a37303031cdccccccccccdc3f14ae47e17a14de3f00069007187468652073746f7265642076616c7565207061796c6f61640c",
 	"replica_sync":     "b1108180c0010d31302e302e302e353a37303031cdccccccccccdc3f14ae47e17a14de3f0002713d0ad7a370dd3f713d0ad7a370dd3f177265706c6963617465642d7265636f72642d76616c75650400295c8fc2f528dc3f5c8fc2f5285cdf3f000701",
 	"sync_digest":      "b111818080040d31302e302e302e353a37303031cdccccccccccdc3f14ae47e17a14de3f00100102030405060708090a0b0c0d0e0f10",
@@ -221,6 +218,9 @@ func TestBinaryGobDifferential(t *testing.T) {
 // retiredKindNames are the names the reserved kinds carried before they
 // retired; Kind.String gives them none.
 var retiredKindNames = map[Kind]string{
+	kindRetiredCNRemove:     "cn_remove",
+	kindRetiredLeaveCN:      "leave_cn",
+	kindRetiredBackWithdraw: "back_withdraw",
 	kindRetiredRangeForward: "range_forward",
 	kindRetiredRangeHit:     "range_hit",
 }
