@@ -15,7 +15,7 @@ func TestDebugServer(t *testing.T) {
 	r2 := testLayout.NewRegistry()
 	r1.Counter("node_sent_total").Add(5)
 	r2.Counter("node_sent_total").Add(2)
-	r2.GaugeAt(gOne).Add(3)
+	r2.GaugeAt(gOne).add(3)
 	r1.Histogram("store_get_hops", HopBuckets()).Observe(4)
 
 	srv, err := ServeDebug("127.0.0.1:0", r1.Snapshot, r2.Snapshot, nil)

@@ -56,8 +56,8 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Add moves the gauge by d (negative d decreases it).
-func (g *Gauge) Add(d int64) {
+// add moves the gauge by d (negative d decreases it).
+func (g *Gauge) add(d int64) {
 	if g == nil {
 		return
 	}
@@ -65,10 +65,10 @@ func (g *Gauge) Add(d int64) {
 }
 
 // Inc moves the gauge up by one.
-func (g *Gauge) Inc() { g.Add(1) }
+func (g *Gauge) Inc() { g.add(1) }
 
 // Dec moves the gauge down by one.
-func (g *Gauge) Dec() { g.Add(-1) }
+func (g *Gauge) Dec() { g.add(-1) }
 
 // Histogram is a fixed-bucket histogram: bucket i counts observations v
 // with v <= Bounds[i]; one implicit overflow bucket counts the rest. The

@@ -24,7 +24,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	c.Inc()
 	c.Add(10)
-	g.Add(5)
+	g.add(5)
 	g.Inc()
 	g.Dec()
 	h.Observe(0.5)
@@ -170,8 +170,8 @@ func TestSnapshotMerge(t *testing.T) {
 	a.Counter("c").Add(3)
 	b.Counter("c").Add(4)
 	b.Counter("only_b").Add(1)
-	a.GaugeAt(gOne).Add(10)
-	b.GaugeAt(gOne).Add(7) // max wins
+	a.GaugeAt(gOne).add(10)
+	b.GaugeAt(gOne).add(7) // max wins
 	bounds := []float64{1, 2}
 	a.Histogram("h", bounds).Observe(0.5)
 	b.Histogram("h", bounds).Observe(1.5)
@@ -233,7 +233,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 			r.Counter(n).Add(7)
 			r.Histogram("h_"+n, HopBuckets()).Observe(4)
 		}
-		r.GaugeAt(gOne).Add(3)
+		r.GaugeAt(gOne).add(3)
 		return r
 	}
 	j1, err := json.Marshal(build().Snapshot())
@@ -299,7 +299,7 @@ func TestLayoutRegistry(t *testing.T) {
 		t.Fatal("two registries of one layout must not share an instrument")
 	}
 	r1.CounterAt(cOne).Add(3)
-	r1.GaugeAt(gOne).Add(-2)
+	r1.GaugeAt(gOne).add(-2)
 	r1.HistogramAt(hHops).Observe(2)
 	r1.Counter("extra").Inc()
 	r1.Histogram("h_extra", []float64{2, 1}).Observe(5)

@@ -70,7 +70,7 @@ var (
 		"tcp_accepts_total", "tcp_bytes_in_total", "tcp_bytes_out_total", "tcp_conn_refresh_total",
 		"tcp_dials_total", "tcp_frames_in_total", "tcp_frames_out_total", "tcp_send_errors_total",
 	}
-	tcpGauges     = []string{"tcp_inflight_dispatches", "tcp_open_conns", "tcp_read_bufs_held", "tcp_write_queue_bytes"}
+	tcpGauges     = []string{"tcp_inflight_dispatches", "tcp_open_conns", "tcp_read_bufs_held"}
 	tcpHistograms = map[string][]float64{"tcp_dispatch_wait_seconds": latencyBounds}
 )
 

@@ -59,7 +59,7 @@ var endpointLayout metrics.Layout
 var (
 	framesInTotal   = endpointLayout.Counter("tcp_frames_in_total") // frames handed to the handler
 	bytesInTotal    = endpointLayout.Counter("tcp_bytes_in_total")
-	framesOutTotal  = endpointLayout.Counter("tcp_frames_out_total") // frames written (or queued into a coalesced write)
+	framesOutTotal  = endpointLayout.Counter("tcp_frames_out_total") // frames written
 	bytesOutTotal   = endpointLayout.Counter("tcp_bytes_out_total")
 	sendErrorsTotal = endpointLayout.Counter("tcp_send_errors_total")  // Send calls that returned an error
 	dialsTotal      = endpointLayout.Counter("tcp_dials_total")        // connections dialled
@@ -71,61 +71,27 @@ var (
 	// dispatchWaitSeconds is the time an inbound frame waited for a
 	// dispatch worker slot (the endpoint's lock-wait signal: it grows
 	// when handlers outnumber workers). inflightDispatches is the number
-	// of handler invocations running right now; writeQueueBytes is the
-	// write-coalescing backlog across connections (the
-	// dispatch-queue-depth gauges).
+	// of handler invocations running right now.
 	dispatchWaitSeconds = endpointLayout.Histogram("tcp_dispatch_wait_seconds", metrics.LatencyBuckets())
 	inflightDispatches  = endpointLayout.Gauge("tcp_inflight_dispatches")
-	writeQueueBytes     = endpointLayout.Gauge("tcp_write_queue_bytes")
 )
 
 // tcpConn is one connection, dialled or accepted: a read lane (see
-// TCPEndpoint.lane) and a writer with group-commit coalescing: the first
-// sender to reach an idle connection writes its frame immediately and
-// becomes the flusher; frames from senders that arrive while that write
-// syscall is in flight accumulate in pending and are flushed in batches
-// once it returns. Coalescing adds no latency when the connection is idle
-// and batches exactly when the connection is the bottleneck.
-//
-// Each flush batch is capped at maxCoalesceBytes: the backlog is drained
-// FIFO in bounded Writes rather than one unbounded Write, so a small
-// frame queued behind a burst of large ones waits for at most one capped
-// batch ahead of it, not for the entire backlog to hit the wire. (The
-// unbounded window was the mixed-load tail-latency bug: 128 KiB store
-// PUTs pooling in pending inflated a queued query's wait to the transfer
-// time of the whole pool.)
+// TCPEndpoint.lane) and one writer at a time. A Send holds mu across the
+// single Write of its frame, so frames never interleave their bytes and a
+// Send returns after the Write that carried them. Few senders ever share
+// a connection — an endpoint runs at most max(GOMAXPROCS, 2) handlers at
+// once — so a sender rarely finds the lock taken, and one that does waits
+// for one frame's Write.
 type tcpConn struct {
-	c   net.Conn
-	reg *metrics.Registry // the owning endpoint's (nil, a no-op, in tests)
+	c net.Conn
 
 	// peer is the other side's listen address: the address dialled, or
 	// the one an accepted connection's hello announced (set by the lane
 	// before it publishes the connection in conns).
 	peer string
 
-	mu       sync.Mutex // guards pending/flushing
-	flushing bool
-	pending  []pendingFrame
-}
-
-// pendingFrame is one queued frame awaiting a coalesced flush; done
-// receives the outcome of the Write call that carried its bytes.
-type pendingFrame struct {
-	buf  []byte
-	done chan error
-}
-
-// maxCoalesceBytes caps one coalesced flush batch. 64 KiB keeps the
-// syscall amortisation of group commit (dozens of small frames per
-// Write) while bounding how long any queued frame can be delayed by
-// bytes ahead of it in the same backlog.
-const maxCoalesceBytes = 64 << 10
-
-// idle reports whether no write is in flight and none is queued.
-func (cc *tcpConn) idle() bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return !cc.flushing && len(cc.pending) == 0
+	mu sync.Mutex // held across each frame's Write
 }
 
 // maxFrame is the largest accepted message frame (1 MiB); VoroNet views
@@ -137,10 +103,9 @@ const maxFrame = 1 << 20
 const maxHello = 260
 
 // frameBuf is a pooled frame buffer. Send encodes [length | payload] into
-// one and blocks until the write carrying those bytes finished (directly
-// or inside a coalesced flush batch), so the buffer can return to the
-// pool the moment Send's outcome is known; a flusher flattens its batches
-// into one, and a lane borrows one for each read (laneReader).
+// one and writes it before returning, so the buffer can return to the
+// pool the moment Send's outcome is known; a lane borrows one for each
+// read (laneReader).
 // maxPooledFrame keeps the occasional MiB-sized value frame from pinning
 // pool memory.
 type frameBuf struct{ b []byte }
@@ -189,7 +154,7 @@ func ListenTCP(addr string) (*TCPEndpoint, error) {
 func (e *TCPEndpoint) Addr() string { return e.addr }
 
 // Metrics returns the endpoint's instrument registry (frame and byte
-// counters, dispatch-wait histogram, in-flight and write-queue gauges),
+// counters, dispatch-wait histogram, in-flight and open-connection gauges),
 // for merging into a node's debug endpoint or a bench snapshot.
 func (e *TCPEndpoint) Metrics() *metrics.Registry { return e.reg }
 
@@ -205,7 +170,7 @@ func (e *TCPEndpoint) acceptLoop() {
 		}
 		e.reg.CounterAt(acceptsTotal).Inc()
 		e.mu.Lock()
-		ok := e.startLane(&tcpConn{c: nc, reg: e.reg})
+		ok := e.startLane(&tcpConn{c: nc})
 		e.mu.Unlock()
 		if !ok {
 			return
@@ -282,8 +247,9 @@ func (e *TCPEndpoint) lane(c *tcpConn) {
 // while it is idle: the peer dialling anew hints that it may have
 // restarted without our lane on the old socket having seen a FIN or RST
 // (a host that lost power sends neither), and an idle connection has
-// nothing to lose. A connection mid-write is left alone: if it really is
-// dead the write fails and Send's error path evicts it anyway.
+// nothing to lose. A connection whose writer lock is held is left alone:
+// if it really is dead the write fails and Send's error path evicts it
+// anyway.
 //
 // The superseded connection is not closed here. It may be perfectly
 // healthy — when both sides dial at once each adopts the other's — and
@@ -295,9 +261,10 @@ func (e *TCPEndpoint) adopt(c *tcpConn) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if old := e.conns[c.peer]; old != nil {
-		if !old.idle() {
+		if !old.mu.TryLock() {
 			return
 		}
+		old.mu.Unlock()
 		e.reg.CounterAt(refreshTotal).Inc()
 	}
 	e.conns[c.peer] = c
@@ -325,11 +292,10 @@ func (e *TCPEndpoint) dispatch(from string, payload []byte) {
 }
 
 // Send writes one frame on the connection to the peer, dialling only if
-// neither side has yet. Concurrent Sends are safe: frames to the same
-// peer never interleave their bytes, and frames queued while another
-// frame's write syscall is in flight are flushed together with a single
-// Write (group commit). Send returns once its own frame has been written
-// (or the coalesced write carrying it failed).
+// neither side has yet. Concurrent Sends are safe: each holds the
+// connection's writer lock across the one Write of its frame, so frames to
+// the same peer never interleave their bytes. Send returns once that Write
+// returned, and never keeps the payload.
 func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	e.mu.Lock()
 	if e.closed {
@@ -347,19 +313,18 @@ func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	}
 	fb := framePool.Get().(*frameBuf)
 	fb.b = fb.b[:0]
-	// Either write returns only after the Write call that carried this
-	// frame's bytes finished (its own, or a flush batch that copied them
-	// out first), so the buffer is reusable on return.
 	if dialled {
-		// A connection is born with its write flag held by the Send that
+		// A connection is born with its writer lock held by the Send that
 		// dialled it, so the hello leads whatever else is sent on it, in
 		// one Write with this frame.
-		fb.b = appendFrame(append(fb.b, e.hello...), payload)
-		err = c.writeAsFlusher(fb.b)
-	} else {
-		fb.b = appendFrame(fb.b, payload)
-		err = c.writeCoalesced(fb.b)
+		fb.b = append(fb.b, e.hello...)
 	}
+	fb.b = appendFrame(fb.b, payload)
+	if !dialled {
+		c.mu.Lock()
+	}
+	_, err = c.c.Write(fb.b)
+	c.mu.Unlock()
 	putFrameBuf(fb)
 	if err != nil {
 		e.reg.CounterAt(sendErrorsTotal).Inc()
@@ -371,9 +336,10 @@ func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	return nil
 }
 
-// dial connects to the peer and caches the connection. If one appeared in
-// the meantime — another Send dialled, or the peer reached us first — the
-// new socket is dropped unused and that connection is returned, with mine
+// dial connects to the peer and caches the connection, returning it with
+// its writer lock held and mine true. If one appeared in the meantime —
+// another Send dialled, or the peer reached us first — the new socket is
+// dropped unused and that connection is returned unlocked, with mine
 // false.
 func (e *TCPEndpoint) dial(to string) (c *tcpConn, mine bool, err error) {
 	nc, err := net.Dial("tcp", to)
@@ -388,7 +354,8 @@ func (e *TCPEndpoint) dial(to string) (c *tcpConn, mine bool, err error) {
 		nc.Close()
 		return existing, false, nil
 	}
-	c = &tcpConn{c: nc, reg: e.reg, peer: to, flushing: true}
+	c = &tcpConn{c: nc, peer: to}
+	c.mu.Lock()
 	if !e.startLane(c) {
 		return nil, false, ErrClosed
 	}
@@ -407,90 +374,6 @@ func (e *TCPEndpoint) evict(c *tcpConn) {
 	delete(e.open, c)
 	e.mu.Unlock()
 	c.c.Close()
-}
-
-// writeCoalesced writes one frame with group commit (see tcpConn). It
-// returns the error of the Write call that carried this frame's bytes.
-func (cc *tcpConn) writeCoalesced(frame []byte) error {
-	cc.mu.Lock()
-	if cc.flushing {
-		// A write is in flight: queue behind it and wait for the flush
-		// batch that carries our bytes.
-		done := make(chan error, 1)
-		cc.pending = append(cc.pending, pendingFrame{buf: frame, done: done})
-		cc.reg.GaugeAt(writeQueueBytes).Add(int64(len(frame)))
-		cc.mu.Unlock()
-		return <-done
-	}
-	cc.flushing = true
-	cc.mu.Unlock()
-	return cc.writeAsFlusher(frame)
-}
-
-// writeAsFlusher writes frame for the caller that holds the flushing flag,
-// and hands the flag on.
-func (cc *tcpConn) writeAsFlusher(frame []byte) error {
-	_, err := cc.c.Write(frame)
-	// Anything that queued up behind us is flushed by a dedicated
-	// goroutine, not by looping here: this goroutine is usually a
-	// connection lane's handler, and under sustained load the pending
-	// buffer can refill faster than it drains — looping would hold this
-	// sender (and its lane, and a dispatch-worker slot) captive
-	// indefinitely. At most one flushPending goroutine exists per
-	// connection, because flushing stays true until it drains.
-	cc.mu.Lock()
-	if len(cc.pending) == 0 {
-		cc.flushing = false
-		cc.mu.Unlock()
-		return err
-	}
-	cc.mu.Unlock()
-	go cc.flushPending()
-	return err
-}
-
-// flushPending drains the pending queue batch by batch: each batch is the
-// longest FIFO prefix within maxCoalesceBytes (always at least one frame,
-// so an oversized frame still goes out alone), sent with one Write whose
-// outcome every frame in the batch observes. It runs until the queue is
-// empty and then releases the flushing flag.
-func (cc *tcpConn) flushPending() {
-	// The batch scratch is borrowed for the drain, not kept on the
-	// connection, which outlives its bursts by hours.
-	scratch := framePool.Get().(*frameBuf)
-	defer putFrameBuf(scratch)
-	for {
-		cc.mu.Lock()
-		if len(cc.pending) == 0 {
-			cc.flushing = false
-			cc.mu.Unlock()
-			return
-		}
-		batch, bytes := 1, len(cc.pending[0].buf)
-		for batch < len(cc.pending) && bytes+len(cc.pending[batch].buf) <= maxCoalesceBytes {
-			bytes += len(cc.pending[batch].buf)
-			batch++
-		}
-		frames := cc.pending[:batch:batch]
-		if cc.pending = cc.pending[batch:]; len(cc.pending) == 0 {
-			cc.pending = nil // release the backing array between bursts
-		}
-		cc.reg.GaugeAt(writeQueueBytes).Add(-int64(bytes))
-		cc.mu.Unlock()
-
-		// Flatten into the scratch: one Write per batch keeps group
-		// commit's syscall economics without net.Buffers (whose writev
-		// fast path only exists for real TCP conns).
-		buf := scratch.b[:0]
-		for _, f := range frames {
-			buf = append(buf, f.buf...)
-		}
-		_, werr := cc.c.Write(buf)
-		scratch.b = buf
-		for _, f := range frames {
-			f.done <- werr
-		}
-	}
 }
 
 // Close shuts the endpoint down, closing every connection and waiting for

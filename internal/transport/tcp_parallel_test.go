@@ -114,10 +114,11 @@ func TestTCPParallelDispatchOverlaps(t *testing.T) {
 	}
 }
 
-// TestTCPCoalescedWritesIntact: hammer one connection from many
-// goroutines; group-commit coalescing must never corrupt or drop a frame.
-func TestTCPCoalescedWritesIntact(t *testing.T) {
-	t.Run("coalesced", func(t *testing.T) {
+// TestTCPConcurrentWritesIntact: hammer one connection from many
+// goroutines; the writer lock must never let a frame be corrupted or
+// dropped.
+func TestTCPConcurrentWritesIntact(t *testing.T) {
+	t.Run("16_senders", func(t *testing.T) {
 		recv, err := ListenTCP("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
