@@ -236,7 +236,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 }
 
 // BenchmarkJoin measures the full protocol join (Algorithm 1: routing,
-// fictive objects, long-link search).
+// the charge of its fictive objects, long-link search).
 func BenchmarkJoin(b *testing.B) {
 	b.ReportAllocs()
 	ov := voronet.New(voronet.Config{NMax: 1 << 20, Seed: 38})
@@ -264,9 +264,9 @@ func BenchmarkJoin(b *testing.B) {
 // objects), then Store.JoinObject and Store.RemoveObject in alternation,
 // as the benchmark's sim-churn writer does. ns/op is the mean over joins
 // and removes; exterior-ms/op is the mean of the joins whose own drawn
-// target left the square: the ones whose probe objects become hull
-// vertices, which costs that Delaunay surgery and nothing else (fictive
-// objects take no part in the BLRn exchange).
+// target left the square: the ones whose fictive Target would become a
+// hull vertex, which prices a cavity over the hull instead of a small one
+// (fictive objects are charged, never inserted).
 func BenchmarkChurnAt100k(b *testing.B) {
 	b.ReportAllocs()
 	ov := voronet.New(voronet.Config{NMax: 100000, Seed: 52})

@@ -11,9 +11,10 @@
 // deadline, so a crashed owner fails one operation, not the connection.
 //
 // This replaces dial-per-operation command loops: over TCP all requests
-// to the gateway share one cached connection (the transport's group
-// commit batches their frames), and responses are demultiplexed as they
-// arrive, so slow operations never head-of-line-block fast ones.
+// to the gateway share one cached connection (one frame per write, its
+// senders taking turns on the connection's writer lock), and responses are
+// demultiplexed as they arrive, so slow operations never head-of-line-block
+// fast ones.
 package client
 
 import (

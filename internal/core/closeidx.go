@@ -22,9 +22,9 @@ import (
 // out along the Hilbert curve, so the vertices of one 3×3 block are
 // neighbours in memory too.
 //
-// A coordinate outside [0, 1) — fictive objects at exterior long-link
-// targets, objects placed on or beyond the border — clamps into the border
-// cells. Clamping is monotone and 1-Lipschitz on cell indices, so two
+// A coordinate outside [0, 1) — an exterior long-link target whose fictive
+// object is charged its close neighbours, objects placed on or beyond the
+// border — clamps into the border cells. Clamping is monotone and 1-Lipschitz on cell indices, so two
 // points within one cell width of each other still have keys at most one
 // apart on each axis, and a 3×3 block around the clamped key covers radius
 // `cell` exactly as it does without the clamp.

@@ -7,12 +7,12 @@ import (
 	"voronet/internal/geom"
 )
 
-// The two tests below enforce the rule stated at insertFictive: a fictive
-// object does tessellation surgery only. Both also watch remove's ring
-// scratch, which is built for the first BLRn entry a removed object has to
-// place and for nothing else: a ring that was never built means no object
-// removed in between held an entry, and the only objects removed inside
-// searchLongLink and join are the fictive ones.
+// The two tests below enforce the rule stated at literalInsert, which is
+// what lets join and searchLongLink charge their fictive objects without
+// building them: a fictive object does tessellation surgery only. Both
+// watch remove's ring scratch, which is built for the first BLRn entry a
+// removed object has to place and for nothing else: a ring that was never
+// built means no object removed in between held an entry.
 
 // linkSnapshot is every object's BLRn in list order and every LRn, in
 // Overlay.ids order.
@@ -34,11 +34,12 @@ func snapshotLinks(o *Overlay) linkSnapshot {
 }
 
 // TestProbeLeavesNoTrace resolves 200 long-link targets, a third of them or
-// more outside the unit square, through Algorithm 2's routed search and
-// requires that its probe objects leave the overlay as they found it: every
-// BLRn list entry for entry in list order, every long link, the object
-// tables and the triangulation's site count. Probes that took entries and
-// handed them back would restore the sets and not the order.
+// more outside the unit square, through Algorithm 2's routed search, and
+// each once more through the literal protocol (literalOwner), and requires
+// that the probe objects leave the overlay as they found it: every BLRn
+// list entry for entry in list order, every long link, the object tables
+// and the triangulation's site count. Probes that took entries and handed
+// them back would restore the sets and not the order.
 func TestProbeLeavesNoTrace(t *testing.T) {
 	for _, sc := range handOverScenarios {
 		if sc.name == "uniform" {
@@ -63,8 +64,19 @@ func TestProbeLeavesNoTrace(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: target %d: %v", sc.name, i, err)
 			}
-			if want, _ := o.Owner(tgt, from.ID); owner != want && !o.equidistantOwners(tgt, owner, want) {
-				t.Fatalf("%s: target %d: probe names %d, owner is %d", sc.name, i, owner, want)
+			stop, _, err := o.routeToPoint(&o.rt, from.vert, tgt)
+			if err != nil {
+				t.Fatalf("%s: target %d: %v", sc.name, i, err)
+			}
+			literal, err := literalOwner(o, stop, tgt)
+			if err != nil {
+				t.Fatalf("%s: target %d: %v", sc.name, i, err)
+			}
+			want, _ := o.Owner(tgt, from.ID)
+			for _, got := range []ObjectID{owner, literal} {
+				if got != want && !o.equidistantOwners(tgt, got, want) {
+					t.Fatalf("%s: target %d: probe names %d, owner is %d", sc.name, i, got, want)
+				}
 			}
 		}
 		if exterior < 60 {
@@ -82,7 +94,7 @@ func TestProbeLeavesNoTrace(t *testing.T) {
 				sc.name, len(o.objs), len(o.ids), o.tr.NumSites(), nObjs, nObjs, nSites)
 		}
 		c := o.counters
-		if c.FictiveInserts-c0.FictiveInserts < 200 || c.Leaves != c0.Leaves || c.Joins != c0.Joins {
+		if c.FictiveInserts-c0.FictiveInserts < 400 || c.Leaves != c0.Leaves || c.Joins != c0.Joins {
 			t.Errorf("%s: counters moved from %+v to %+v", sc.name, c0, c)
 		}
 		if err := o.CheckInvariants(true); err != nil {
@@ -127,11 +139,11 @@ func TestJoinBehindSteppingStoneKeepsOwnership(t *testing.T) {
 		}
 		var besideZ, hidden map[ObjectID]bool
 		if z, dz := o.fictiveSite(stop, p); dz > 0 {
-			zID := o.insertFictive(z, stop)
+			zID := literalInsert(o, z, stop)
 			if zID == NoObject {
 				t.Fatalf("join %d: stepping-stone site %v is occupied", i, z)
 			}
-			pID := o.insertFictive(p, o.objs[zID].vert)
+			pID := literalInsert(o, p, o.objs[zID].vert)
 			besideZ, hidden = neighbours(zID), map[ObjectID]bool{}
 			besideP := neighbours(pID)
 			for id := range besideZ {
@@ -139,10 +151,10 @@ func TestJoinBehindSteppingStoneKeepsOwnership(t *testing.T) {
 					hidden[id] = true
 				}
 			}
-			if err := o.removeFictive(pID); err != nil {
+			if err := literalRemove(o, pID); err != nil {
 				t.Fatal(err)
 			}
-			if err := o.removeFictive(zID); err != nil {
+			if err := literalRemove(o, zID); err != nil {
 				t.Fatal(err)
 			}
 			behindZ++

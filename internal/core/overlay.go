@@ -176,7 +176,8 @@ type Counters struct {
 	// RemoveVoronoiRegion (O(|vn|) each, §4.2).
 	MaintenanceMessages uint64
 	// FictiveInserts counts fictive-object insertions (the z and Target
-	// objects of Algorithms 1, 2, 4, inserted and removed again).
+	// objects of Algorithms 1 and 2, which the protocol inserts and removes
+	// again and the simulator charges without building; see fictiveID).
 	FictiveInserts uint64
 	// Joins, Leaves, Queries count completed operations.
 	Joins   uint64
@@ -228,10 +229,13 @@ type Overlay struct {
 	counters Counters
 
 	nbuf []delaunay.VertexID // scratch (write-locked paths only)
-	ring []*Object           // remove's Voronoi neighbours (write-locked paths only)
-	rpos []geom.Point        // their positions, index-aligned with ring
-	rt   routeState          // routing scratch (write-locked paths only)
-	qsc  queryScratch        // flood scratch (write-locked paths only)
+	// cz and ct are the cavities of Algorithms 1 and 2's fictive objects,
+	// the stepping-stone z and the Target (write-locked paths only).
+	cz, ct delaunay.Cavity
+	ring   []*Object    // remove's Voronoi neighbours (write-locked paths only)
+	rpos   []geom.Point // their positions, index-aligned with ring
+	rt     routeState   // routing scratch (write-locked paths only)
+	qsc    queryScratch // flood scratch (write-locked paths only)
 }
 
 // setVertexObject records v → id, growing the vertex-indexed tables as
@@ -619,33 +623,6 @@ func (o *Overlay) takeOver(obj *Object) {
 	}
 }
 
-// insertFictive inserts a fictive object — the z of Algorithm 1, the z and
-// Target of Algorithm 2 — and returns NoObject when the site is taken. A
-// fictive object does tessellation surgery and nothing else: it never
-// takes, holds or re-delegates a BLRn entry. It is inserted and removed
-// within one hold of the write lock and nothing routes in between, so any
-// entry it took it would hand straight back to the holder it came from;
-// and a real object inserted beside it runs its takeOver once the fictive
-// one is gone (join), so no holder is ever hidden behind one.
-func (o *Overlay) insertFictive(p geom.Point, hint delaunay.VertexID) ObjectID {
-	id, _, err := o.insertBase(p, hint)
-	if err != nil {
-		return NoObject
-	}
-	o.counters.FictiveInserts++
-	return id
-}
-
-// removeFictive removes a fictive object: its ring recomputes the
-// tessellation (remove charges it) and there is nothing to re-delegate.
-func (o *Overlay) removeFictive(id ObjectID) error {
-	if err := o.remove(id); err != nil {
-		return err
-	}
-	o.counters.Leaves-- // fictive removals are not protocol leaves
-	return nil
-}
-
 // registerLongLink resolves Obj(tgt) with a nearest-site walk that starts
 // beside tgt (walkStart, falling back to obj) and records link j of obj:
 // target, owner, and the owner's BLRn entry. Caller holds the write lock.
@@ -682,8 +659,8 @@ func (o *Overlay) remove(id ObjectID) error {
 	// Delegate BLRn entries to the closest Voronoi neighbour (the first
 	// such in ring order). The ring — the neighbours' records with their
 	// positions side by side, every entry being measured against all of
-	// them — is built for the first entry there is to place: a fictive
-	// object holds none, and it is most of what is ever removed.
+	// them — is built for the first entry there is to place, and not at all
+	// for an object that holds none.
 	o.ring, o.rpos = o.ring[:0], o.rpos[:0]
 	for _, e := range obj.back {
 		if e.obj == obj {

@@ -16,7 +16,8 @@ import (
 // TestOwnerResolutionEquivalence is the property behind the mutation-free
 // read path: for any overlay and any query point, the owner named by the
 // read-only nearest-site walk from the stopping object equals the owner
-// named by the paper's fictive insert/remove dance (Algorithm 4), modulo
+// named by the paper's fictive insert/remove dance (Algorithm 4, done for
+// real by the test oracle literalOwner), modulo
 // genuine ties (a point equidistant from two objects lies on a region
 // boundary — either is a correct Obj(target)). Checked across seeds,
 // distributions and query points inside and outside the square.
@@ -90,7 +91,7 @@ func checkResolutionAgreement(t *testing.T, o *Overlay, from ObjectID, p geom.Po
 	}
 	fastV, _ := o.tr.NearestSiteRO(p, cur, nil)
 	fast := o.byVertex[fastV]
-	fict, err := o.resolveByFictive(cur, p)
+	fict, err := literalOwner(o, cur, p)
 	if err != nil {
 		t.Fatalf("%s: fictive resolution at %v: %v", label, p, err)
 	}

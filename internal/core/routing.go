@@ -250,8 +250,9 @@ func (o *Overlay) routeToPoint(rt *routeState, cur delaunay.VertexID, target geo
 // until the stop condition, insert a fictive object z at
 // DistanceToRegion(p) when p is not locally insertable, insert the object,
 // remove the fictive one, and establish each long link by SearchLongLink
-// (Algorithm 2) — which itself routes and performs the two fictive
-// insertions the paper notes. All costs are accounted in Counters.
+// (Algorithm 2), which routes and inserts two fictive objects of its own.
+// Every fictive object is charged, not built (fictiveID); all costs are
+// accounted in Counters.
 //
 // via may be NoObject, in which case a deterministic arbitrary object is
 // used as the introduction point (the paper assumes each joining object
@@ -287,28 +288,12 @@ func (o *Overlay) join(p geom.Point, via ObjectID) (ObjectID, error) {
 	}
 	o.counters.JoinRouteSteps += uint64(hops)
 
-	// Fictive object z = DistanceToRegion(p) at the stopping object, unless
-	// p is already in R(stop) (Lemma 4 lets us insert z, then p from z).
-	z, dz := o.fictiveSite(stop, p)
-	zID, hint := NoObject, stop
-	if dz > 0 {
-		if zID = o.insertFictive(z, stop); zID != NoObject {
-			hint = o.objs[zID].vert
-		}
-	}
-	id, obj, err := o.insertBase(p, hint)
-	if zID != NoObject {
-		if rerr := o.removeFictive(zID); rerr != nil {
-			return NoObject, rerr
-		}
-	}
+	id, obj, err := o.insertBehindStone(stop, p)
 	if err != nil {
 		return NoObject, err
 	}
-	// The take-over runs once the stepping-stone is gone, against the
-	// joiner's final, all-real neighbourhood: z held nothing, so every
-	// entry whose target is now nearest the joiner is still with a Voronoi
-	// neighbour of the joiner.
+	// The take-over runs against the joiner's final, all-real
+	// neighbourhood: the stepping-stone has left by then.
 	o.takeOver(obj)
 	// AddVoronoiRegion exchanges O(|vn|) messages (§4.2.1).
 	o.nbuf = o.tr.Neighbors(obj.vert, o.nbuf)
@@ -334,21 +319,101 @@ func (o *Overlay) join(p geom.Point, via ObjectID) (ObjectID, error) {
 }
 
 // searchLongLink implements Algorithm 2: route from obj towards the target
-// point, then determine the owning object via the double fictive insertion
-// the paper describes ("finding LRn(x) requires to add two objects (to be
-// removed!)").
+// point, then name the owning object and charge the search's two fictive
+// objects (fictiveOwner).
 func (o *Overlay) searchLongLink(obj *Object, tgt geom.Point) (ObjectID, int, error) {
 	stop, hops, err := o.routeToPoint(&o.rt, obj.vert, tgt)
 	if err != nil {
 		return NoObject, hops, err
 	}
-	owner, err := o.resolveByFictive(stop, tgt)
-	return owner, hops, err
+	return o.fictiveOwner(stop, tgt), hops, nil
+}
+
+// insertBehindStone is Algorithm 1 from the stopping vertex on: the
+// stepping-stone z = DistanceToRegion(p), unless p is already in R(stop)
+// (Lemma 4 lets us insert z, then p from z, then remove z), and the joiner
+// inserted directly with stop as the hint. z is inserted before the joiner,
+// so it takes the ID before the joiner's, and it is charged even when p
+// turns out to be taken.
+func (o *Overlay) insertBehindStone(stop delaunay.VertexID, p geom.Point) (ObjectID, *Object, error) {
+	z, dz := o.fictiveSite(stop, p)
+	zFree := dz > 0 && o.tr.CavityRO(z, stop, &o.cz)
+	if zFree {
+		o.fictiveID()
+	}
+	id, obj, err := o.insertBase(p, stop)
+	if zFree {
+		ring := o.cz.Degree()
+		if err == nil {
+			ring = o.tr.DegreeWith(&o.cz, z, p)
+		}
+		// The joiner, inserted, is in the grid: it counts among z's close
+		// neighbours without help.
+		o.chargeRemoval(z, ring)
+	}
+	return id, obj, err
+}
+
+// fictiveOwner is Algorithm 2 from the stopping vertex on. The paper names
+// the owner by inserting two fictive objects ("finding LRn(x) requires to
+// add two objects (to be removed!)"): the stepping-stone z =
+// DistanceToRegion(tgt), then the Target at tgt; z leaves, the Target's
+// nearest Voronoi neighbour is the owner, and the Target leaves. Both are
+// charged, not built (fictiveID). The owner is the site nearest tgt, which
+// a read-only walk from the stopping object names. z's ring when it leaves
+// is its star with the Target's conflicts applied (DegreeWith), and its
+// close neighbours include the Target when that lies within dmin; the
+// Target's ring is its own cavity's boundary, z being gone by then.
+func (o *Overlay) fictiveOwner(stop delaunay.VertexID, tgt geom.Point) ObjectID {
+	z, dz := o.fictiveSite(stop, tgt)
+	zFree := dz > 0 && o.tr.CavityRO(z, stop, &o.cz)
+	tFree := o.tr.CavityRO(tgt, stop, &o.ct) // a charged z lies dz > 0 from tgt
+	if zFree {
+		o.fictiveID()
+		ring := o.cz.Degree()
+		if tFree {
+			ring = o.tr.DegreeWith(&o.cz, z, tgt)
+			if geom.Dist2(z, tgt) <= o.grid.r2 {
+				ring++ // the Target, a close neighbour the grid does not hold
+			}
+		}
+		o.chargeRemoval(z, ring)
+	}
+	if tFree {
+		o.fictiveID()
+		o.chargeRemoval(tgt, o.ct.Degree())
+	}
+	var v delaunay.VertexID
+	v, o.nbuf = o.tr.NearestSiteRO(tgt, stop, o.nbuf)
+	return o.byVertex[v]
+}
+
+// fictiveID charges the insertion of a fictive object — the z of
+// Algorithm 1, the z and Target of Algorithm 2 — which is charged what
+// inserting and removing it would cost and is never built: the figures and
+// digests read only that charge and the owner the probe names, and the
+// cavity the insertion would carve (delaunay.CavityRO) determines both. A
+// fictive object would take, hold and re-delegate no BLRn entry and owns
+// no long link, so the charge is this — the object ID it takes, so that
+// every real object keeps the ID the literal protocol gives it, and the
+// count — and chargeRemoval.
+func (o *Overlay) fictiveID() {
+	o.nextID++
+	o.counters.FictiveInserts++
+}
+
+// chargeRemoval charges the removal of a fictive object at p, as remove
+// counts it: one message to each of its ring Voronoi neighbours (plus any
+// fictive close neighbour the caller adds in) and one to each object the
+// close-neighbour grid holds within dmin of p.
+func (o *Overlay) chargeRemoval(p geom.Point, ring int) {
+	o.nbuf = o.grid.within(p, delaunay.NoVertex, o.nbuf)
+	o.counters.MaintenanceMessages += uint64(ring + len(o.nbuf))
 }
 
 // fictiveSite computes z = DistanceToRegion(target) at the object at
 // vertex cur, handling the degenerate (dim < 2) overlay where regions are
-// not polygons.
+// not polygons: there z is cur's own site, which is taken.
 func (o *Overlay) fictiveSite(cur delaunay.VertexID, target geom.Point) (geom.Point, float64) {
 	if o.tr.Dimension() < 2 {
 		pos := o.tr.Point(cur)
@@ -357,68 +422,13 @@ func (o *Overlay) fictiveSite(cur delaunay.VertexID, target geom.Point) (geom.Po
 	return o.vor.DistanceToRegion(cur, target)
 }
 
-// resolveByFictive determines Obj(tgt) the way the protocol does: insert a
-// fictive object at z = DistanceToRegion(tgt) (if needed), insert a fictive
-// object at tgt itself, read off the nearest Voronoi neighbour, and remove
-// both again. Exercising the real insert/remove machinery here is
-// deliberate: it is what the protocol costs and what the paper's
-// correctness argument (Lemma 4) is about.
-func (o *Overlay) resolveByFictive(cur delaunay.VertexID, tgt geom.Point) (ObjectID, error) {
-	z, dz := o.fictiveSite(cur, tgt)
-	zID, hint := NoObject, cur
-	if dz > 0 {
-		if zID = o.insertFictive(z, cur); zID != NoObject {
-			hint = o.objs[zID].vert
-		}
-	}
-	tID := o.insertFictive(tgt, hint)
-
-	// Remove the stepping-stone z before reading off the owner, as
-	// Algorithm 4 does (AddVoronoiRegion(z); AddVoronoiRegion(Query);
-	// RemoveVoronoiRegion(z); find y ∈ vn(Query) minimising d(y, Query)).
-	// With z gone, the nearest Voronoi neighbour of the fictive target
-	// object is exactly the object owning the target's region afterwards;
-	// scanning while z is still present could name a shadowed second-best.
-	if zID != NoObject {
-		if err := o.removeFictive(zID); err != nil {
-			return NoObject, err
-		}
-	}
-	owner := NoObject
-	if tID != NoObject {
-		tObj := o.objs[tID]
-		o.nbuf = o.tr.Neighbors(tObj.vert, o.nbuf)
-		best := math.Inf(1)
-		for _, v := range o.nbuf {
-			nid := o.byVertex[v]
-			if nid == tID {
-				continue
-			}
-			if d := geom.Dist2(o.objs[nid].Pos, tgt); d < best {
-				owner, best = nid, d
-			}
-		}
-		if err := o.removeFictive(tID); err != nil {
-			return NoObject, err
-		}
-	}
-	if owner == NoObject {
-		// tgt coincided with an existing object, or its neighbours were all
-		// fictive: fall back to the ground truth.
-		var v delaunay.VertexID
-		v, o.nbuf = o.tr.NearestSiteRO(tgt, cur, o.nbuf)
-		owner = o.byVertex[v]
-	}
-	return owner, nil
-}
-
 // HandleQuery implements Algorithm 4: route the query point from object
 // `from`, determine the owner, and "answer" it by returning the owner.
 // Hops is the Greedyneighbour count.
 //
-// The stopping object names Obj(query) by resolve's read-only walk; the
-// paper's literal fictive insert/remove dance names the same owner
-// (resolveByFictive, which join's searchLongLink still performs;
+// The stopping object names Obj(query) by resolve's read-only walk, as
+// searchLongLink does for a long-link target; the paper's literal fictive
+// insert/remove dance names the same owner (the test oracle of
 // TestOwnerResolutionEquivalence). The call serialises against the overlay
 // (it updates the shared counters); the Router/Store fast path is the
 // concurrent equivalent.

@@ -38,98 +38,40 @@ func (t *Triangulation) place(v VertexID, hint VertexID) error {
 }
 
 // insertSite wires vertex v into the dim-2 structure via Bowyer–Watson:
-// locate, grow the conflict cavity, carve it and star the boundary from v.
+// locate, walk the conflict cavity (conflictRegion, the walk CavityRO
+// prices insertions with), carve it and star the boundary from v.
 func (t *Triangulation) insertSite(v VertexID, hint VertexID) error {
 	p := t.verts[v].p
 	loc := t.locate(p, hint)
 	if loc.Kind == LocVertex {
 		return &duplicateError{Existing: loc.Vertex}
 	}
-
-	// Seed the conflict region. A cavity face is marked by clearing its
-	// alive flag; every one of them is freed below.
-	t.cavity = t.cavity[:0]
-	t.boundary = t.boundary[:0]
-	push := func(f FaceID) {
-		t.faces[f].alive = false
-		t.cavity = append(t.cavity, f)
-	}
-	switch loc.Kind {
-	case LocFace, LocOutside:
-		push(loc.Face)
-	case LocEdge:
-		push(loc.Face)
-		push(t.faces[loc.Face].n[loc.Edge])
-	}
-
-	// Grow the cavity breadth-first over strictly conflicting faces,
-	// collecting the boundary as directed edges with the cavity on the left.
-	for qi := 0; qi < len(t.cavity); qi++ {
-		f := t.cavity[qi]
-		fc := t.faces[f]
-		for k := 0; k < 3; k++ {
-			g := fc.n[k]
-			if !t.faces[g].alive {
-				continue
-			}
-			if t.inConflict(g, p) {
-				push(g)
-				continue
-			}
-			a := fc.v[(k+1)%3]
-			b := fc.v[(k+2)%3]
-			gi := t.neighborIndex(g, f)
-			t.boundary = append(t.boundary, bEdge{a: a, b: b, out: g, outIdx: gi})
-		}
-	}
+	c := &t.cav
+	t.conflictRegion(p, loc, c)
 
 	// Stitch: one new face (a, b, v) per boundary edge, fanned around v.
-	// The boundary is a single cycle; chain edges by their start vertex.
-	startOf := make(map[VertexID]int, len(t.boundary))
-	for i := range t.boundary {
-		startOf[t.boundary[i].a] = i
-	}
-	for i := range t.boundary {
-		e := &t.boundary[i]
+	// The boundary comes in cycle order, so each face meets the next one's.
+	for i := range c.edges {
+		e := &c.edges[i]
 		e.newFace = t.newFace(e.a, e.b, v)
 		t.link(e.newFace, 2, e.out, e.outIdx)
 	}
-	for i := range t.boundary {
-		e := &t.boundary[i]
-		j, ok := startOf[e.b]
-		if !ok {
+	for i := range c.edges {
+		e, next := &c.edges[i], &c.edges[(i+1)%len(c.edges)]
+		if e.b != next.a {
 			panic("delaunay: cavity boundary is not a cycle")
 		}
-		next := &t.boundary[j]
 		// e.newFace = (a, b, v): edge (b, v) is opposite index 0.
 		// next.newFace = (b, c, v): edge (v, b) is opposite index 1.
 		t.link(e.newFace, 0, next.newFace, 1)
 	}
 
-	for _, f := range t.cavity {
+	for _, f := range c.faces {
 		t.freeFace(f)
 	}
-	t.setFace(v, t.boundary[0].newFace)
-	t.lastFace = t.boundary[0].newFace
+	t.setFace(v, c.edges[0].newFace)
+	t.lastFace = c.edges[0].newFace
 	return nil
-}
-
-// inConflict reports whether face g strictly conflicts with the new point
-// p: for finite faces, p strictly inside the circumcircle; for infinite
-// faces, p strictly on the unbounded side of the hull edge.
-func (t *Triangulation) inConflict(g FaceID, p geom.Point) bool {
-	gc := &t.faces[g]
-	for k := 0; k < 3; k++ {
-		if gc.v[k] == Infinite {
-			u := t.verts[gc.v[(k+1)%3]].p
-			w := t.verts[gc.v[(k+2)%3]].p
-			return geom.Orient2D(u, w, p) > 0
-		}
-	}
-	a := t.verts[gc.v[0]].p
-	b := t.verts[gc.v[1]].p
-	c := t.verts[gc.v[2]].p
-	return geom.InCircle(a, b, c, p) > 0
 }
 
 // placeLowDim handles insertion while the site set has affine dimension

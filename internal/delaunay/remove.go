@@ -4,8 +4,9 @@ import "voronet/internal/geom"
 
 // Remove deletes site v and retriangulates the hole so the structure stays
 // exactly Delaunay. This is the substrate of the paper's
-// RemoveVoronoiRegion (§4.2.2) and of the fictive-object removals in
-// AddObject / SearchLongLink / HandlingQuery (Algorithms 1, 2, 4).
+// RemoveVoronoiRegion (§4.2.2). Outside the rebuilds (a change of
+// dimension, the degenerate fallback) it allocates nothing once its scratch
+// has grown to the largest hole seen.
 func (t *Triangulation) Remove(v VertexID) error {
 	defer t.flush()
 	if v == Infinite || !t.Alive(v) {
@@ -88,13 +89,9 @@ func (t *Triangulation) collectStar(v VertexID) {
 // infinite vertex at infPos) is entirely collinear.
 func (t *Triangulation) chainCollinear(infPos int) bool {
 	k := len(t.starV)
-	var pts []geom.Point
-	for j := 1; j < k; j++ {
-		u := t.starV[(infPos+j)%k]
-		pts = append(pts, t.verts[u].p)
-	}
-	for j := 2; j < len(pts); j++ {
-		if geom.Orient2D(pts[0], pts[1], pts[j]) != 0 {
+	at := func(j int) geom.Point { return t.verts[t.starV[(infPos+j)%k]].p }
+	for j := 3; j < k; j++ {
+		if geom.Orient2D(at(1), at(2), at(j)) != 0 {
 			return false
 		}
 	}
@@ -107,15 +104,16 @@ type outerOwner struct {
 	idx int
 }
 
-// starOuters returns, for each star face i, the face across the link edge
-// (starV[i], starV[i+1]) and the edge's index in that face.
+// starOuters fills rm.outs: for each star face i, the face across the link
+// edge (starV[i], starV[i+1]) and the edge's index in that face.
 func (t *Triangulation) starOuters(v VertexID) []outerOwner {
-	outs := make([]outerOwner, len(t.starF))
-	for i, f := range t.starF {
+	outs := t.rm.outs[:0]
+	for _, f := range t.starF {
 		vi := t.vertIndex(f, v)
 		g := t.faces[f].n[vi]
-		outs[i] = outerOwner{f: g, idx: t.neighborIndex(g, f)}
+		outs = append(outs, outerOwner{f: g, idx: t.neighborIndex(g, f)})
 	}
+	t.rm.outs = outs
 	return outs
 }
 
@@ -124,16 +122,15 @@ func (t *Triangulation) starOuters(v VertexID) []outerOwner {
 // inputs; caller rebuilds).
 func (t *Triangulation) removeInterior(v VertexID) bool {
 	outs := t.starOuters(v)
-	poly := append([]VertexID(nil), t.starV...)
-	created, ok := t.fillPolygon(poly, outs)
-	if !ok {
+	t.rm.created = t.rm.created[:0]
+	if !t.fillPolygon(t.starV, outs) {
 		return false
 	}
-	t.legalizeAmong(created)
+	t.legalizeAmong(t.rm.created)
 	for _, f := range t.starF {
 		t.freeFace(f)
 	}
-	t.lastFace = created[0]
+	t.lastFace = t.rm.created[0]
 	return true
 }
 
@@ -142,19 +139,19 @@ func (t *Triangulation) removeInterior(v VertexID) bool {
 func (t *Triangulation) removeHull(v VertexID, infPos int) bool {
 	outs := t.starOuters(v)
 	k := len(t.starV)
+	rm := &t.rm
 
 	// Rotate so the link reads (Infinite, u_0, ..., u_m); chain[j] = u_j,
 	// chainOut[j] = owner across (u_j, u_{j+1}), infOutPrev = owner across
 	// (Infinite, u_0), infOutNext = owner across (u_m, Infinite).
-	m := k - 2
-	chain := make([]VertexID, 0, m+1)
-	chainOut := make([]outerOwner, 0, m)
+	chain, chainOut := rm.chain[:0], rm.chainOut[:0]
 	for j := 1; j < k; j++ {
 		chain = append(chain, t.starV[(infPos+j)%k])
 	}
 	for j := 1; j < k-1; j++ {
 		chainOut = append(chainOut, outs[(infPos+j)%k])
 	}
+	rm.chain, rm.chainOut = chain, chainOut
 	infOutPrev := outs[infPos]         // across (Infinite, u_0)
 	infOutNext := outs[(infPos+k-1)%k] // across (u_m, Infinite)
 
@@ -164,7 +161,7 @@ func (t *Triangulation) removeHull(v VertexID, infPos int) bool {
 	// pocket that must be filled with finite faces. Collinear vertices stay
 	// on the hull. The link is counterclockwise around v, so "dips away"
 	// means a strictly left turn along the chain.
-	hull := make([]int, 0, len(chain)) // indices into chain
+	hull := rm.hull[:0] // indices into chain
 	for i := range chain {
 		for len(hull) >= 2 {
 			a := t.verts[chain[hull[len(hull)-2]]].p
@@ -178,54 +175,39 @@ func (t *Triangulation) removeHull(v VertexID, infPos int) bool {
 		}
 		hull = append(hull, i)
 	}
+	rm.hull = hull
 
 	// Build the new infinite faces, one per consecutive hull pair, filling
 	// pockets with finite faces. The stored finite edge of an infinite face
 	// runs clockwise along the hull, which here is increasing chain order.
-	type piece struct {
-		inf     FaceID
-		created []FaceID
-	}
-	pieces := make([]piece, 0, len(hull)-1)
-	allCreated := make([]FaceID, 0, 8)
+	infs := rm.infs[:0]
+	rm.created = rm.created[:0]
 	okAll := true
 	for h := 0; h+1 < len(hull); h++ {
 		p, q := hull[h], hull[h+1]
 		infFace := t.newFace(chain[p], chain[q], Infinite)
-		pc := piece{inf: infFace}
+		infs = append(infs, infFace)
 		if q == p+1 {
 			// Hull edge coincides with a link edge: link straight through.
 			t.link(infFace, 2, chainOut[p].f, chainOut[p].idx)
-		} else {
-			// Pocket: ccw polygon (u_p, ..., u_q) closed by the chord
-			// (u_q -> u_p) owned by the new infinite face.
-			n := q - p + 1
-			poly := make([]VertexID, 0, n)
-			owners := make([]outerOwner, 0, n)
-			for j := p; j <= q; j++ {
-				poly = append(poly, chain[j])
-			}
-			for i := 0; i < n-1; i++ {
-				owners = append(owners, chainOut[p+i])
-			}
-			owners = append(owners, outerOwner{f: infFace, idx: 2})
-			created, ok := t.fillPolygon(poly, owners)
-			if !ok {
-				okAll = false
-				break
-			}
-			pc.created = created
-			allCreated = append(allCreated, created...)
+			continue
 		}
-		pieces = append(pieces, pc)
+		// Pocket: ccw polygon (u_p, ..., u_q) closed by the chord
+		// (u_q -> u_p) owned by the new infinite face.
+		rm.pocket = append(append(rm.pocket[:0], chainOut[p:q]...), outerOwner{f: infFace, idx: 2})
+		if !t.fillPolygon(chain[p:q+1], rm.pocket) {
+			okAll = false
+			break
+		}
 	}
+	rm.infs = infs
 	if !okAll {
 		// Undo the partial construction and signal the rebuild fallback.
-		for _, pc := range pieces {
-			t.freeFace(pc.inf)
-			for _, f := range pc.created {
-				t.freeFace(f)
-			}
+		for _, f := range infs {
+			t.freeFace(f)
+		}
+		for _, f := range rm.created {
+			t.freeFace(f)
 		}
 		return false
 	}
@@ -233,45 +215,46 @@ func (t *Triangulation) removeHull(v VertexID, infPos int) bool {
 	// Link the infinite faces to each other and to the surviving hull.
 	// F_i = (H[i], H[i+1], inf): edge (H[i+1], inf) is opposite v[0] ->
 	// index 0; edge (inf, H[i]) is opposite v[1] -> index 1.
-	for h := 0; h+1 < len(pieces); h++ {
-		t.link(pieces[h].inf, 0, pieces[h+1].inf, 1)
+	for h := 0; h+1 < len(infs); h++ {
+		t.link(infs[h], 0, infs[h+1], 1)
 	}
-	first := pieces[0].inf // shares (inf, u_0) with the face beyond u_0
-	last := pieces[len(pieces)-1].inf
+	first := infs[0] // shares (inf, u_0) with the face beyond u_0
+	last := infs[len(infs)-1]
 	t.link(first, 1, infOutPrev.f, infOutPrev.idx)
 	t.link(last, 0, infOutNext.f, infOutNext.idx)
 
-	t.legalizeAmong(allCreated)
+	t.legalizeAmong(rm.created)
 	for _, f := range t.starF {
 		t.freeFace(f)
 	}
-	t.lastFace = pieces[0].inf
+	t.lastFace = infs[0]
 	return true
 }
 
 // fillPolygon triangulates the simple counterclockwise polygon poly (all
 // finite vertices) by ear clipping, linking edge i (poly[i] -> poly[i+1])
-// to owners[i]. It returns the created faces and reports success; on
-// failure nothing is created.
-func (t *Triangulation) fillPolygon(poly []VertexID, owners []outerOwner) ([]FaceID, bool) {
+// to owners[i], and appends the faces it creates to rm.created. It reports
+// success; on failure it creates nothing.
+func (t *Triangulation) fillPolygon(poly []VertexID, owners []outerOwner) bool {
 	n := len(poly)
 	if n < 3 {
-		return nil, false
+		return false
 	}
-	next := make([]int, n)
-	prev := make([]int, n)
-	owner := make([]outerOwner, n)
+	rm := &t.rm
+	next, prev, owner := rm.next[:0], rm.prev[:0], rm.owner[:0]
 	for i := 0; i < n; i++ {
-		next[i] = (i + 1) % n
-		prev[i] = (i + n - 1) % n
-		owner[i] = owners[i]
+		next = append(next, (i+1)%n)
+		prev = append(prev, (i+n-1)%n)
+		owner = append(owner, owners[i])
 	}
-	created := make([]FaceID, 0, n-2)
-	fail := func() ([]FaceID, bool) {
-		for _, f := range created {
+	rm.next, rm.prev, rm.owner = next, prev, owner
+	base := len(rm.created)
+	fail := func() bool {
+		for _, f := range rm.created[base:] {
 			t.freeFace(f)
 		}
-		return nil, false
+		rm.created = rm.created[:base]
+		return false
 	}
 
 	remaining := n
@@ -285,7 +268,7 @@ func (t *Triangulation) fillPolygon(poly []VertexID, owners []outerOwner) ([]Fac
 			if t.earOK(poly, next, a, b, c) {
 				// Cut ear (a, b, c): face (poly[a], poly[b], poly[c]).
 				f := t.newFace(poly[a], poly[b], poly[c])
-				created = append(created, f)
+				rm.created = append(rm.created, f)
 				// Edge (a,b) is opposite poly[c] -> index 2; (b,c) opposite
 				// poly[a] -> 0; diagonal (c,a)... our face is (A,B,C) so the
 				// diagonal (A,C) is edge (C,A), opposite B -> index 1.
@@ -315,11 +298,11 @@ func (t *Triangulation) fillPolygon(poly []VertexID, owners []outerOwner) ([]Fac
 		return fail()
 	}
 	f := t.newFace(poly[a], poly[b], poly[c])
-	created = append(created, f)
+	rm.created = append(rm.created, f)
 	t.link(f, 2, owner[a].f, owner[a].idx)
 	t.link(f, 0, owner[b].f, owner[b].idx)
 	t.link(f, 1, owner[c].f, owner[c].idx)
-	return created, true
+	return true
 }
 
 // earOK reports whether (a, b, c) — consecutive active polygon indices —
@@ -349,24 +332,29 @@ func (t *Triangulation) earOK(poly []VertexID, next []int, a, b, c int) bool {
 
 // legalizeAmong restores the Delaunay property inside a freshly filled
 // region by Lawson flips. Only edges between two faces of the region are
-// flipped; the region boundary is fixed.
+// flipped; the region boundary is fixed. Membership is a generation stamp
+// per face (flips keep face IDs, so it stays valid throughout).
 func (t *Triangulation) legalizeAmong(created []FaceID) {
 	if len(created) < 2 {
 		return
 	}
-	in := make(map[FaceID]bool, len(created))
+	rm := &t.rm
+	if n := len(t.faces); len(rm.mark) < n {
+		rm.mark = append(rm.mark, make([]uint32, n-len(rm.mark))...)
+	}
+	if rm.gen++; rm.gen == 0 {
+		clear(rm.mark)
+		rm.gen = 1
+	}
 	for _, f := range created {
-		in[f] = true
+		rm.mark[f] = rm.gen
 	}
-	type edge struct {
-		f FaceID
-		k int
-	}
-	var stack []edge
+	in := func(f FaceID) bool { return rm.mark[f] == rm.gen }
+	stack := rm.flips[:0]
 	for _, f := range created {
 		for k := 0; k < 3; k++ {
-			if in[t.faces[f].n[k]] {
-				stack = append(stack, edge{f, k})
+			if in(t.faces[f].n[k]) {
+				stack = append(stack, faceEdge{f, k})
 			}
 		}
 	}
@@ -375,7 +363,7 @@ func (t *Triangulation) legalizeAmong(created []FaceID) {
 		stack = stack[:len(stack)-1]
 		f := e.f
 		g := t.faces[f].n[e.k]
-		if !in[g] {
+		if !in(g) {
 			continue
 		}
 		// Shared edge may have rotated away due to earlier flips; re-derive.
@@ -404,14 +392,15 @@ func (t *Triangulation) legalizeAmong(created []FaceID) {
 			continue
 		}
 		for k := 0; k < 3; k++ {
-			if in[t.faces[f].n[k]] {
-				stack = append(stack, edge{f, k})
+			if in(t.faces[f].n[k]) {
+				stack = append(stack, faceEdge{f, k})
 			}
-			if in[t.faces[g].n[k]] {
-				stack = append(stack, edge{g, k})
+			if in(t.faces[g].n[k]) {
+				stack = append(stack, faceEdge{g, k})
 			}
 		}
 	}
+	rm.flips = stack
 }
 
 // flipEdge flips the edge of f at index i (shared with g), replacing faces

@@ -295,3 +295,46 @@ func TestDegreeZeroAllocs(t *testing.T) {
 		t.Fatalf("degrees %d, %d: want 64 and 2", tr.Degree(c), chain.Degree(3))
 	}
 }
+
+// TestRemoveZeroAllocs pins Remove at zero allocations in steady state,
+// for an interior site and for a hull site, each removed and inserted
+// again at its own position: every buffer the hole's retriangulation
+// needs is the triangulation's scratch, and Insert needs none either.
+func TestRemoveZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
+	rng := rand.New(rand.NewSource(88))
+	pts := make([]geom.Point, 2000)
+	for i := range pts {
+		pts[i] = geom.Pt(rng.Float64(), rng.Float64())
+	}
+	tr := New()
+	tr.InsertBulkParallel(pts, 1)
+	for _, hull := range []bool{false, true} {
+		v := NoVertex
+		forEachSite(tr, func(u VertexID, _ geom.Point) bool {
+			if isHullVertex(tr, u) == hull && tr.Degree(u) >= 6 {
+				v = u
+				return false
+			}
+			return true
+		})
+		p := tr.Point(v)
+		cycle := func() {
+			if err := tr.Remove(v); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if v, err = tr.Insert(p, NoVertex); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle() // grow the scratch to this site's hole
+		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+			t.Fatalf("hull=%v: Remove and Insert allocate %.1f times per cycle, want 0", hull, allocs)
+		}
+		mustValidate(t, tr, "after the cycles")
+	}
+	if tr.rebuilds != 0 {
+		t.Fatalf("%d removals fell back to a rebuild", tr.rebuilds)
+	}
+}

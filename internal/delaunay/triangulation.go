@@ -140,11 +140,30 @@ type Triangulation struct {
 	queue []VertexID
 
 	// scratch buffers reused across operations.
-	cavity   []FaceID
-	boundary []bEdge
-	starF    []FaceID
-	starV    []VertexID
-	fanBuf   []VertexID
+	cav    Cavity
+	rm     removal
+	starF  []FaceID
+	starV  []VertexID
+	fanBuf []VertexID
+}
+
+// removal is Remove's scratch: the hole's outer faces, the ear clipper's
+// polygon links, the faces it created, the hull retraction's chain, and
+// the generation-stamped face mark that legalizeAmong tests membership by.
+type removal struct {
+	outs     []outerOwner
+	pocket   []outerOwner // a hull pocket's edge owners, chord last
+	next     []int
+	prev     []int
+	owner    []outerOwner
+	created  []FaceID
+	chain    []VertexID
+	chainOut []outerOwner
+	hull     []int
+	infs     []FaceID
+	flips    []faceEdge
+	mark     []uint32 // by face: == gen while the face is in legalizeAmong's region
+	gen      uint32
 }
 
 type bEdge struct {

@@ -22,8 +22,9 @@
 // machinery exists to prove termination bounds for point targets; greedy
 // forwarding over Voronoi neighbours already terminates at the owner
 // (every non-owner has a neighbour strictly closer to the target), and the
-// owner inserts locally. The simulator (internal/core) implements the
-// literal fictive-object protocol and accounts its costs.
+// owner inserts locally. The simulator (internal/core) follows the paper's
+// stop condition and charges the fictive objects what the literal protocol
+// costs.
 package node
 
 import (

@@ -28,9 +28,8 @@ type MaintenancePoint struct {
 	// leaver's ring and close neighbours, one per long link withdrawn and
 	// two per BLRn entry it re-delegates.
 	LeaveMaintenance float64
-	// FictivePerJoin is the mean number of fictive-object insertions per
-	// join (Algorithms 1 and 2 use up to 1 + 2·k of them); each does
-	// tessellation surgery only.
+	// FictivePerJoin is the mean number of fictive-object insertions
+	// charged per join (Algorithms 1 and 2 use up to 1 + 2·k of them).
 	FictivePerJoin float64
 }
 
@@ -94,8 +93,8 @@ func (e MaintenanceExperiment) Run() ([]MaintenancePoint, error) {
 			JoinRouteSteps: float64(cj.JoinRouteSteps) / float64(e.Ops),
 			FictivePerJoin: float64(cj.FictiveInserts) / float64(e.Ops),
 		}
-		// Joins also perform fictive removals, which are counted in
-		// MaintenanceMessages; report the total per join.
+		// Joins are also charged their fictive removals, which are counted
+		// in MaintenanceMessages; report the total per join.
 		pt.JoinMaintenance = float64(cj.MaintenanceMessages) / float64(e.Ops)
 
 		// Leaves (remove exactly the objects we added, restoring N).

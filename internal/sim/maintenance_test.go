@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestMaintenanceCostsScale(t *testing.T) {
 	// With clamped long-link targets the paper's O(1)-maintenance analysis
@@ -78,5 +81,55 @@ func TestMaintenanceHullPileUpWithoutClamping(t *testing.T) {
 func TestMaintenanceExperimentErrors(t *testing.T) {
 	if _, err := (MaintenanceExperiment{Sizes: []int{10}, Distribution: "nope"}).Run(); err == nil {
 		t.Fatal("unknown distribution must error")
+	}
+}
+
+// TestMaintenanceChargePinned pins what the CI smoke run of
+// `voronet-bench -maintenance -n 4000` measures — its sizes, operation
+// count, distribution and the command's default seed — as whole counts
+// over the 200 operations of each row: the joins' routing hops and
+// maintenance messages, the leaves' messages, and the fictive objects
+// charged. The printed table rounds these to one or two decimals; a change
+// to what a join is charged moves a count.
+func TestMaintenanceChargePinned(t *testing.T) {
+	const ops = 200
+	want := []struct {
+		interior                                  bool
+		n                                         int
+		joinRoute, joinMaint, leaveMaint, fictive float64
+	}{
+		{false, 1000, 3376, 4513, 1922, 353},
+		{false, 4000, 5175, 4881, 1972, 385},
+		{true, 1000, 3162, 3738, 1961, 349},
+		{true, 4000, 4613, 3783, 1972, 360},
+	}
+	matched := 0
+	for _, interior := range []bool{false, true} {
+		pts, err := MaintenanceExperiment{
+			Sizes: []int{1000, 4000}, Ops: ops, Distribution: "uniform",
+			InteriorTargets: interior, Seed: 20070326,
+		}.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts {
+			got := [4]float64{p.JoinRouteSteps, p.JoinMaintenance, p.LeaveMaintenance, p.FictivePerJoin}
+			for i := range got {
+				got[i] = math.Round(got[i] * ops)
+			}
+			for _, w := range want {
+				if w.interior != interior || w.n != p.N {
+					continue
+				}
+				matched++
+				if exp := [4]float64{w.joinRoute, w.joinMaint, w.leaveMaint, w.fictive}; got != exp {
+					t.Errorf("interior=%v N=%d: joinRoute, joinMaint, leaveMaint, fictive = %v over %d ops, pinned %v",
+						interior, p.N, got, ops, exp)
+				}
+			}
+		}
+	}
+	if matched != len(want) {
+		t.Errorf("%d of %d pinned rows measured", matched, len(want))
 	}
 }
