@@ -1,197 +1,23 @@
 package voronet_test
 
-// Benchmark harness: one benchmark per figure of the paper's evaluation
-// (§5), plus the ablation benches listed in DESIGN.md. Each benchmark runs
-// a scaled-down instance of exactly the code path that regenerates the
-// full figure (cmd/voronet-bench runs the full-size versions and
-// EXPERIMENTS.md records the results). The reported custom metrics — mean
-// hops, degree mode, fitted slope — are the paper's quantities.
+// Micro-benchmarks of the simulator and its store: what one insert, join,
+// route, PUT or GET costs in one process. The paper's figures, with their
+// verdicts, are cmd/voronet-bench's; end-to-end speed is benchmark/'s.
 //
 // Run with:
 //
 //	go test -bench=. -benchmem .
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"voronet"
-	"voronet/internal/kleinberg"
-	"voronet/internal/sim"
-	"voronet/internal/stats"
 	"voronet/internal/workload"
 )
 
-// benchN is the overlay size used by the figure benchmarks; the paper uses
-// 300 000, which the cmd/voronet-bench harness reproduces.
+// benchN is the overlay size of the route and store benchmarks.
 const benchN = 20000
-
-// BenchmarkFig5DegreeDistribution regenerates Fig 5: the out-degree
-// (|vn(o)|) histogram under the uniform and highly skewed distributions.
-func BenchmarkFig5DegreeDistribution(b *testing.B) {
-	b.ReportAllocs()
-	for _, dist := range sim.Fig5Distributions {
-		b.Run(dist, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h, err := sim.DegreeExperiment{N: benchN, Distribution: dist, Seed: 42}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				mode, _ := h.Mode()
-				b.ReportMetric(float64(mode), "degree-mode")
-				b.ReportMetric(h.Mean(), "degree-mean")
-				b.ReportMetric(h.MassIn(3, 9), "mass3to9")
-			}
-		})
-	}
-}
-
-// BenchmarkFig6RouteLength regenerates one point of each Fig 6 curve: mean
-// greedy route length per distribution. Close neighbours are excluded from
-// the candidate set, matching the measurement the paper's curves are
-// consistent with (see EXPERIMENTS.md).
-func BenchmarkFig6RouteLength(b *testing.B) {
-	b.ReportAllocs()
-	for _, dist := range sim.Fig6Distributions {
-		b.Run(dist, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pts, err := sim.RouteExperiment{
-					MaxN: benchN, Samples: 500, Distribution: dist,
-					DisableCloseNeighbours: true, Seed: 7,
-				}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(pts[len(pts)-1].MeanHops, "hops")
-			}
-		})
-	}
-}
-
-// BenchmarkFig7PolylogFit regenerates Fig 7: the slope of log(H) against
-// log(log(N)), expected ≈ 2.
-func BenchmarkFig7PolylogFit(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts, err := sim.RouteExperiment{
-			MaxN: benchN, Checkpoint: benchN / 8, Samples: 500,
-			Distribution: "uniform", DisableCloseNeighbours: true, Seed: 11,
-		}.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		fit := sim.FitPolylog(pts)
-		b.ReportMetric(fit.Slope, "slope")
-		b.ReportMetric(fit.R2, "r2")
-	}
-}
-
-// BenchmarkFig8LongLinkCount regenerates Fig 8: mean route length as a
-// function of the number of long-range links per object.
-func BenchmarkFig8LongLinkCount(b *testing.B) {
-	b.ReportAllocs()
-	for _, k := range []int{1, 2, 4, 6, 8, 10} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pts, err := sim.RouteExperiment{
-					MaxN: benchN, Samples: 500, Distribution: "uniform",
-					LongLinks: k, DisableCloseNeighbours: true, Seed: 13,
-				}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(pts[len(pts)-1].MeanHops, "hops")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationNoCloseNeighbours (A1) compares routing with and
-// without cn(o) as shortcut candidates on skewed data.
-func BenchmarkAblationNoCloseNeighbours(b *testing.B) {
-	b.ReportAllocs()
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"with-cn", false}, {"no-cn", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pts, err := sim.RouteExperiment{
-					MaxN: benchN / 2, Samples: 500, Distribution: "alpha5",
-					DisableCloseNeighbours: mode.disable, Seed: 17,
-				}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(pts[len(pts)-1].MeanHops, "hops")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationNoLongLinks (A2): pure Delaunay greedy routing is
-// polynomial (Θ(√N) hops), the reason long links exist.
-func BenchmarkAblationNoLongLinks(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts, err := sim.RouteExperiment{
-			MaxN: benchN / 2, Samples: 300, Distribution: "uniform",
-			DisableLongLinks: true, Seed: 19,
-		}.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pts[len(pts)-1].MeanHops, "hops")
-	}
-}
-
-// BenchmarkAblationExponent (A3) sweeps the long-link length exponent s;
-// Kleinberg's theorem places the asymptotic optimum at s = 2.
-func BenchmarkAblationExponent(b *testing.B) {
-	b.ReportAllocs()
-	// 0.01 stands in for the area-uniform s=0 regime: the Config zero
-	// value selects the paper default s=2.
-	for _, s := range []float64{0.01, 1, 2, 3} {
-		b.Run(fmt.Sprintf("s=%g", s), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pts, err := sim.RouteExperiment{
-					MaxN: benchN / 2, Samples: 500, Distribution: "uniform",
-					LongLinkExponent: s, DisableCloseNeighbours: true, Seed: 23,
-				}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(pts[len(pts)-1].MeanHops, "hops")
-			}
-		})
-	}
-}
-
-// BenchmarkKleinbergBaseline (A4) routes on Kleinberg's grid of comparable
-// size, the model VoroNet generalises (§2.1).
-func BenchmarkKleinbergBaseline(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(29))
-	side := 100 // 10 000 nodes
-	g := kleinberg.New(side, 1, 2, rng)
-	b.ResetTimer()
-	var agg stats.Running
-	for i := 0; i < b.N; i++ {
-		h, err := g.MeanRouteLength(200, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		agg.Add(h)
-	}
-	b.ReportMetric(agg.Mean(), "hops")
-}
 
 // The micro-benchmarks below seed the overlay's RNG (long-link targets)
 // one above the position stream's, as internal/sim does: equal seeds make
@@ -263,10 +89,7 @@ func BenchmarkJoin(b *testing.B) {
 // the long-link targets leave the unit square and pile up on the hull
 // objects), then Store.JoinObject and Store.RemoveObject in alternation,
 // as the benchmark's sim-churn writer does. ns/op is the mean over joins
-// and removes; exterior-ms/op is the mean of the joins whose own drawn
-// target left the square: the ones whose fictive Target would become a
-// hull vertex, which prices a cavity over the hull instead of a small one
-// (fictive objects are charged, never inserted).
+// and removes.
 func BenchmarkChurnAt100k(b *testing.B) {
 	b.ReportAllocs()
 	ov := voronet.New(voronet.Config{NMax: 100000, Seed: 52})
@@ -290,8 +113,6 @@ func BenchmarkChurnAt100k(b *testing.B) {
 		}
 		joined = append(joined, id)
 	}
-	var exterior time.Duration
-	nExterior := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%2 == 1 {
@@ -303,20 +124,11 @@ func BenchmarkChurnAt100k(b *testing.B) {
 			joined = joined[:len(joined)-1]
 			continue
 		}
-		t0 := time.Now()
 		id, err := st.JoinObject(src.Next(), ids[rng.Intn(len(ids))])
 		if err != nil {
 			b.Fatal(err)
 		}
-		d := time.Since(t0)
 		joined = append(joined, id)
-		if tgts, _ := ov.LongTargets(id); !tgts[0].InUnitSquare() {
-			exterior += d
-			nExterior++
-		}
-	}
-	if nExterior > 0 {
-		b.ReportMetric(exterior.Seconds()*1e3/float64(nExterior), "exterior-ms/op")
 	}
 }
 
@@ -344,7 +156,7 @@ func BenchmarkRouteAfterChurn(b *testing.B) {
 		hops := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := rt.RouteToPoint(ids[q.Intn(n)], voronet.Pt(q.Float64(), q.Float64()))
+			res, err := rt.RouteToPoint(ids[q.Intn(n)], voronet.Point{X: q.Float64(), Y: q.Float64()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -467,24 +279,4 @@ func BenchmarkStoreGet(b *testing.B) {
 	st, from, uniform, zipf := storeGetSetup(b)
 	b.Run("uniform", get(st, from, uniform))
 	b.Run("zipf1.1", get(st, from, zipf))
-}
-
-// BenchmarkHandleQuery measures Algorithm 4 end to end (routing plus the
-// read-only owner resolution).
-func BenchmarkHandleQuery(b *testing.B) {
-	b.ReportAllocs()
-	ov := voronet.New(voronet.Config{NMax: benchN, Seed: 44})
-	rng := rand.New(rand.NewSource(43))
-	src := &workload.Uniform{Rand: rng}
-	for ov.Len() < benchN/2 {
-		ov.Insert(src.Next())
-	}
-	var from voronet.ObjectID
-	from, _ = ov.RandomObject(rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ov.HandleQuery(from, voronet.Pt(rng.Float64(), rng.Float64())); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -189,9 +189,9 @@ func TestEveryOptionHasACaller(t *testing.T) {
 // TestEveryExportHasACaller extends that rule to every exported name of
 // internal/ and of the root package: a top-level func, method, type, const
 // or var stays exported only if a non-test .go file outside its package —
-// under cmd/, internal/, examples/, benchmark/ or in the root package —
-// uses it. The root package is the product surface, so the programs under
-// examples/ count as callers. Calls are resolved by go/types, so a `.Len()`
+// under cmd/, internal/, benchmark/ or in the root package — uses it. The
+// root package's own names need such a caller too: a demo program is no
+// product caller. Calls are resolved by go/types, so a `.Len()`
 // on some other type is not mistaken for one. Exempt without a listing: a
 // method through which its type satisfies an interface, and a type, const
 // or sentinel error that a kept name hands to its callers (a type in its
@@ -203,6 +203,11 @@ func TestEveryExportHasACaller(t *testing.T) {
 		// simulator store and the live nodes and compares them key for key.
 		"core.Store.InsertObject": "reference implementation: the store-equivalence test adds its objects through it",
 		"core.Store.Delete":       "reference implementation: the store-equivalence test deletes keys through it",
+		"core.Overlay.Owner":      "reference implementation: TestStoreEquivalenceUnderChurn (internal/sim/storeequiv_test.go) checks each live reply's owner against it",
+		"node.Node.Delete":        "reference implementation's counterpart: TestStoreEquivalenceUnderChurn (internal/sim/storeequiv_test.go) deletes keys on the live nodes through it, beside core.Store.Delete on the mirror; DeleteSync would block on the bus the test drains by hand",
+		// internal/sim's equivalence_test.go builds one position set by
+		// Insert and by Join and compares their route lengths.
+		"core.Overlay.RouteToObject": "reference implementation: TestInsertBuildEquivalentToJoinBuild (internal/sim/equivalence_test.go) measures both overlays' routes through it",
 	}
 
 	root, err := filepath.Abs(filepath.Join("..", ".."))
@@ -215,7 +220,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 	// Every package directory a caller may sit in, with its import path
 	// (benchmark/ is module voronet/benchmark, so the rule is the same).
 	dirs := map[string]string{root: "voronet"}
-	for _, top := range []string{"cmd", "internal", "examples", "benchmark"} {
+	for _, top := range []string{"cmd", "internal", "benchmark"} {
 		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d fs.DirEntry, err error) error {
 			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
 				rel, _ := filepath.Rel(root, filepath.Dir(path))
@@ -555,13 +560,16 @@ func TestCommittedFiguresDivergeOnlyWhereKnown(t *testing.T) {
 	}
 }
 
-// TestDocsNameWhatExists keeps README.md, DESIGN.md and EXPERIMENTS.md
-// from pointing at result files or Go source files that are not in the
-// tree, at voronet-bench flags that are not defined, or (back-ticked) at
+// TestDocsNameWhatExists keeps README.md, DESIGN.md, EXPERIMENTS.md and
+// the verify skill (.claude/skills/verify/SKILL.md) from pointing at
+// result files or Go source files that are not in the tree, at
+// voronet-bench flags that are not defined, at a ./path that a go
+// run/build/test/vet command line in an sh block names but that is not a
+// directory of the tree (./... aside), or (back-ticked) at
 // tests, benchmarks and fuzz targets no *_test.go declares, at a
 // `Config.X`, `node.Config.X` or `core.Config.X` that is not a field, or
 // at a back-ticked CamelCase identifier of two or more humps (`DefaultDMin`,
-// `Overlay.LongNeighbors`) that appears as a word in no .go file; the
+// `Node.LongNeighbors`) that appears as a word in no .go file; the
 // same for every test name in .github/workflows/ci.yml, where a `-run` pattern
 // that matches nothing passes silently. Text under a "Retired …" heading
 // is history and exempt.
@@ -629,10 +637,12 @@ func TestDocsNameWhatExists(t *testing.T) {
 	optionFields["voronet"] = optionFields["core"]
 	optionFields[""] = slices.Concat(optionFields["node"], optionFields["core"])
 	flagWord := regexp.MustCompile(`(?:^|\s)-{1,2}([a-z][\w-]*)`)
+	goCmd := regexp.MustCompile(`\bgo (?:run|build|test|vet)\b`)
+	localPath := regexp.MustCompile(`(?:^|\s)(\./[\w./-]*)`)
 	// Two humps or more: a capital, then lower case, then another capital
 	// (`NumGC`, `DefaultDMin`), possibly after a `Type.` qualifier.
 	camel := regexp.MustCompile("`(?:\\w+\\.)?([A-Z][a-z0-9]+[A-Z]\\w*)")
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Fatal(err)
@@ -695,6 +705,22 @@ func TestDocsNameWhatExists(t *testing.T) {
 				for _, m := range flagWord.FindAllStringSubmatch(args, -1) {
 					if flag.Lookup(m[1]) == nil {
 						at("voronet-bench has no flag -%s", m[1])
+					}
+				}
+			}
+			if cmd := goCmd.FindStringIndex(line); inSh && cmd != nil {
+				// Up to a pipe, a redirect, a comment or the next command.
+				args := line[cmd[1]:]
+				if end := strings.IndexAny(args, "|>#&;"); end >= 0 {
+					args = args[:end]
+				}
+				for _, m := range localPath.FindAllStringSubmatch(args, -1) {
+					dir := strings.TrimSuffix(m[1], "/...")
+					if dir == "." {
+						continue
+					}
+					if fi, err := os.Stat(filepath.Join(root, dir)); err != nil || !fi.IsDir() {
+						at("a go command names %s, which is not a directory of the tree", m[1])
 					}
 				}
 			}

@@ -71,7 +71,7 @@ func (g *shedGateway) requests() int {
 // the first reply — the client never re-dispatches a refused operation;
 // what to do about overload is the caller's call.
 func TestClientNoRetryByDefault(t *testing.T) {
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	gw := newShedGateway(t, bus, 1)
 	cep, err := bus.Attach("client")
 	if err != nil {

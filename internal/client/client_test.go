@@ -20,7 +20,7 @@ import (
 // async API and drain between dispatch and assertion.
 func busOverlay(t *testing.T, n int) (*transport.Bus, []*node.Node) {
 	t.Helper()
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	rng := rand.New(rand.NewSource(7))
 	nodes := make([]*node.Node, 0, n)
 	for i := 0; i < n; i++ {
@@ -150,7 +150,7 @@ func TestClientOverBus(t *testing.T) {
 // orphaned inflight entry: the callback never fires, not even when the
 // request's deadline passes; the error is the caller's signal.
 func TestClientFailedSendCancels(t *testing.T) {
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	cep, err := bus.Attach("client")
 	if err != nil {
 		t.Fatal(err)

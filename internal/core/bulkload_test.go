@@ -42,8 +42,8 @@ func TestBulkLoadInvariants(t *testing.T) {
 		if id == NoObject {
 			t.Fatalf("point %d unexpectedly rejected", i)
 		}
-		if pos, err := o.Position(id); err != nil || pos != pts[i] {
-			t.Fatalf("object %d at %v, want %v (err %v)", id, pos, pts[i], err)
+		if pos := o.objs[id].Pos; pos != pts[i] {
+			t.Fatalf("object %d at %v, want %v", id, pos, pts[i])
 		}
 	}
 	if err := o.CheckInvariants(true); err != nil {

@@ -77,7 +77,7 @@ func TestCloseNeighborsMatchBruteForce(t *testing.T) {
 						want = append(want, b)
 					}
 				}
-				got, err := o.CloseNeighbors(a, nil)
+				got, err := o.closeNeighbors(a, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

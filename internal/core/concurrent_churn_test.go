@@ -137,17 +137,13 @@ func TestConcurrentChurnMatchesSerialBuild(t *testing.T) {
 		refID[obj.Pos] = id
 	}
 	nbrPositions := func(ov *Overlay, id ObjectID) []geom.Point {
-		nbrs, err := ov.VoronoiNeighbors(id, nil)
+		nbrs, err := ov.NewRouter().voronoiNeighbors(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := make([]geom.Point, len(nbrs))
 		for i, nid := range nbrs {
-			pos, err := ov.Position(nid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = pos
+			out[i] = ov.objs[nid].Pos
 		}
 		sort.Slice(out, func(a, b int) bool {
 			if out[a].X != out[b].X {

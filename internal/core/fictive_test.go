@@ -26,7 +26,7 @@ func snapshotLinks(o *Overlay) linkSnapshot {
 	s := linkSnapshot{ids: append([]ObjectID(nil), o.ids...)}
 	for _, id := range s.ids {
 		back, _ := o.backLongRange(id)
-		long, _ := o.LongNeighbors(id)
+		long := longNeighbors(o, id)
 		s.back = append(s.back, back)
 		s.long = append(s.long, long)
 	}

@@ -74,8 +74,7 @@ func (sc handOverScenario) build(t *testing.T, seed int64) (*Overlay, []ObjectID
 	if sc.minExterior > 0 {
 		exterior, total := 0, 0
 		for _, id := range live {
-			tgts, _ := o.LongTargets(id)
-			for _, tgt := range tgts {
+			for _, tgt := range o.objs[id].longTargets {
 				total++
 				if !tgt.InUnitSquare() {
 					exterior++
@@ -177,11 +176,7 @@ func handOverDigest(t *testing.T, sc handOverScenario, seed int64) (state, traff
 	}
 	for _, id := range live {
 		put(uint64(id))
-		ln, err := o.LongNeighbors(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range ln {
+		for _, n := range longNeighbors(o, id) {
 			put(uint64(n))
 		}
 		back := sortedBackRefs(o, id)
@@ -213,13 +208,12 @@ func sortedBackRefs(o *Overlay, id ObjectID) []backRef {
 // accessorSink keeps the reader's loads in TestAccessorsAreSnapshots alive.
 var accessorSink uint64
 
-// TestAccessorsAreSnapshots is the regression test for LongNeighbors,
-// LongTargets and backLongRange handing out live internal slices: a writer
-// joins and removes objects on the hull next to a watched object whose own
-// long-link target is exterior (so the link is re-homed by every such
-// join), while a reader ranges over the three slices it was handed after
-// the accessor released its lock.
-// Under -race this fails if any of the three aliases overlay state.
+// TestAccessorsAreSnapshots is the regression test for backLongRange
+// handing out the live BLRn list: a writer joins and removes objects on the
+// hull next to a watched object whose own long-link target is exterior (so
+// the link is re-homed by every such join), while a reader ranges over the
+// slice it was handed after the accessor released its lock.
+// Under -race this fails if the slice aliases overlay state.
 func TestAccessorsAreSnapshots(t *testing.T) {
 	o := New(Config{NMax: 400, Seed: 1001})
 	rng := rand.New(rand.NewSource(1))
@@ -235,25 +229,22 @@ func TestAccessorsAreSnapshots(t *testing.T) {
 	// BLRn list among such objects (a hull-side holder).
 	watched, longest := NoObject, -1
 	for _, id := range ids {
-		tgts, _ := o.LongTargets(id)
 		back, _ := o.backLongRange(id)
-		if !tgts[0].InUnitSquare() && len(back) > longest {
+		if !o.objs[id].longTargets[0].InUnitSquare() && len(back) > longest {
 			watched, longest = id, len(back)
 		}
 	}
 	if watched == NoObject || longest < 2 {
 		t.Fatalf("no hull-side object with an exterior target (longest BLRn %d)", longest)
 	}
-	wpos, _ := o.Position(watched)
-	wtgts, _ := o.LongTargets(watched)
+	wobj := o.objs[watched]
 	// Where the writer joins: next to the point of the square closest to
 	// the watched link's target (takes that link over), and next to the
 	// watched object and its entries' targets (takes over part of its BLRn).
-	sites := []geom.Point{wtgts[0].ClampUnitSquare(), wpos}
+	sites := []geom.Point{wobj.longTargets[0].ClampUnitSquare(), wobj.Pos}
 	back, _ := o.backLongRange(watched)
 	for _, ref := range back {
-		tg, _ := o.LongTargets(ref.Obj)
-		sites = append(sites, tg[ref.Link].ClampUnitSquare())
+		sites = append(sites, o.objs[ref.Obj].longTargets[ref.Link].ClampUnitSquare())
 	}
 
 	done := make(chan struct{})
@@ -267,22 +258,14 @@ func TestAccessorsAreSnapshots(t *testing.T) {
 				return
 			default:
 			}
-			ln, err := o.LongNeighbors(watched)
+			bl, err := o.backLongRange(watched)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			lt, _ := o.LongTargets(watched)
-			bl, _ := o.backLongRange(watched)
 			// Range over what was returned, long after the lock is gone.
 			var sum uint64
 			for pass := 0; pass < 200; pass++ {
-				for _, n := range ln {
-					sum += uint64(n)
-				}
-				for _, p := range lt {
-					sum += math.Float64bits(p.X)
-				}
 				for _, ref := range bl {
 					sum += uint64(ref.Obj) + uint64(ref.Link)
 				}
@@ -293,8 +276,10 @@ func TestAccessorsAreSnapshots(t *testing.T) {
 
 	rehomed, resized := 0, 0
 	lastHolder, lastLen := NoObject, -1
+	// observe runs on the writer's goroutine, so it may read the
+	// overlay without the lock.
 	observe := func() {
-		ln, _ := o.LongNeighbors(watched)
+		ln := longNeighbors(o, watched)
 		bl, _ := o.backLongRange(watched)
 		if lastLen >= 0 {
 			if ln[0] != lastHolder {

@@ -201,20 +201,12 @@ func TestFictiveChargeMatchesOracle(t *testing.T) {
 		rng  *rand.Rand
 	}
 	var overlays []overlay
-	for _, src := range []struct {
-		name string
-		mk   func(rng *rand.Rand) workload.Source
-	}{
-		{"uniform", func(rng *rand.Rand) workload.Source { return &workload.Uniform{Rand: rng} }},
-		{"alpha2", func(rng *rand.Rand) workload.Source { return workload.NewPowerLaw(2, rng) }},
-		{"alpha5", func(rng *rand.Rand) workload.Source { return workload.NewPowerLaw(5, rng) }},
-		{"clusters", func(rng *rand.Rand) workload.Source { return workload.NewClusters(3, 0.01, rng) }},
-	} {
+	for _, src := range []string{"uniform", "alpha2", "alpha5", "clusters"} {
 		for seed := int64(1); seed <= 2; seed++ {
 			rng := rand.New(rand.NewSource(seed * 1000))
 			o := New(Config{NMax: 1500, Seed: seed})
-			ids := fill(t, o, src.mk(rng), 350)
-			overlays = append(overlays, overlay{fmt.Sprintf("%s/seed%d", src.name, seed), o, ids, rng})
+			ids := fill(t, o, workload.ByName(src, rng), 350)
+			overlays = append(overlays, overlay{fmt.Sprintf("%s/seed%d", src, seed), o, ids, rng})
 		}
 	}
 	for _, sc := range handOverScenarios[1:] {

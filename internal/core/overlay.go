@@ -189,19 +189,18 @@ type Counters struct {
 //
 // Concurrency: the overlay follows a single-writer / many-readers
 // discipline guarded by an internal RWMutex. Mutating operations (Insert,
-// Join, Remove) and every operation that touches the shared counters or
-// scratch buffers — RouteToObject, HandleQuery, RangeQuery, RadiusQuery,
-// GreedyNeighbor, and the scratch-backed accessors VoronoiNeighbors and
-// Cell — take the write lock and therefore serialise. The read lock covers
-// the Router engine (and the Store fast path built on it) plus the
-// scratch-free accessors (Owner, Position, CloseNeighbors, Degree, Len,
+// Join, Remove) and RouteToObject, which charges the shared counters and
+// uses the overlay's scratch buffers, take the write lock and therefore
+// serialise. The read lock covers the Router engine (and the Store fast
+// path built on it) plus the scratch-free accessors (Owner, Degree, Len,
 // ...), so any number of goroutines can route and resolve owners
 // concurrently through per-goroutine Routers, including while a single
 // writer joins and leaves objects.
 type Overlay struct {
 	// mu is the read/write gate described above. Internal code never
-	// locks; every exported entry point acquires exactly one lock level
-	// and delegates to unexported lockless implementations.
+	// locks; every exported entry point (and handleQuery, the serial
+	// reference the Router is tested against) acquires exactly one lock
+	// level and delegates to unexported lockless implementations.
 	mu sync.RWMutex
 
 	cfg  Config
@@ -235,7 +234,6 @@ type Overlay struct {
 	ring   []*Object    // remove's Voronoi neighbours (write-locked paths only)
 	rpos   []geom.Point // their positions, index-aligned with ring
 	rt     routeState   // routing scratch (write-locked paths only)
-	qsc    queryScratch // flood scratch (write-locked paths only)
 }
 
 // setVertexObject records v → id, growing the vertex-indexed tables as
@@ -318,13 +316,6 @@ func (o *Overlay) Len() int {
 	return len(o.ids)
 }
 
-// DMin returns the close-neighbour radius in force.
-func (o *Overlay) DMin() float64 {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.dmin
-}
-
 // Counters returns a snapshot of the protocol cost counters.
 func (o *Overlay) Counters() Counters {
 	o.mu.RLock()
@@ -337,17 +328,6 @@ func (o *Overlay) ResetCounters() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.counters = Counters{}
-}
-
-// Position returns the position of object id.
-func (o *Overlay) Position(id ObjectID) (geom.Point, error) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	obj := o.objs[id]
-	if obj == nil {
-		return geom.Point{}, ErrNotFound
-	}
-	return obj.Pos, nil
 }
 
 // RandomObject returns a uniformly random live object ID using the
@@ -379,31 +359,8 @@ func (o *Overlay) ForEachObject(fn func(*Object) bool) {
 	}
 }
 
-// VoronoiNeighbors appends the Voronoi-neighbour view vn(o) of object id to
-// buf. This is the set whose size Fig 5 histograms.
-func (o *Overlay) VoronoiNeighbors(id ObjectID, buf []ObjectID) ([]ObjectID, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	obj := o.objs[id]
-	if obj == nil {
-		return buf[:0], ErrNotFound
-	}
-	buf = buf[:0]
-	o.nbuf = o.tr.Neighbors(obj.vert, o.nbuf)
-	for _, v := range o.nbuf {
-		buf = append(buf, o.byVertex[v])
-	}
-	return buf, nil
-}
-
-// CloseNeighbors appends the close-neighbour view cn(o) — objects within
+// closeNeighbors appends the close-neighbour view cn(o) — objects within
 // dmin, excluding id itself — to buf.
-func (o *Overlay) CloseNeighbors(id ObjectID, buf []ObjectID) ([]ObjectID, error) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.closeNeighbors(id, buf)
-}
-
 func (o *Overlay) closeNeighbors(id ObjectID, buf []ObjectID) ([]ObjectID, error) {
 	obj := o.objs[id]
 	if obj == nil {
@@ -415,35 +372,6 @@ func (o *Overlay) closeNeighbors(id ObjectID, buf []ObjectID) ([]ObjectID, error
 		buf = append(buf, o.byVertex[v])
 	}
 	return buf, nil
-}
-
-// LongNeighbors returns the long-range view LRn(o): one entry per long
-// link. The slice is a snapshot the caller owns; a concurrent writer
-// re-homes links in place, so the live one is never handed out.
-func (o *Overlay) LongNeighbors(id ObjectID) ([]ObjectID, error) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	obj := o.objs[id]
-	if obj == nil {
-		return nil, ErrNotFound
-	}
-	var ln []ObjectID
-	for j := range obj.longTargets {
-		ln = append(ln, o.longNeighbor(obj, j))
-	}
-	return ln, nil
-}
-
-// LongTargets returns a snapshot of the long-link target points LRt(o),
-// fixed at join time.
-func (o *Overlay) LongTargets(id ObjectID) ([]geom.Point, error) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	obj := o.objs[id]
-	if obj == nil {
-		return nil, ErrNotFound
-	}
-	return append([]geom.Point(nil), obj.longTargets...), nil
 }
 
 // backLongRange returns a snapshot of the BLRn(o) view, in list order.
@@ -459,20 +387,6 @@ func (o *Overlay) backLongRange(id ObjectID) ([]backRef, error) {
 		refs[i] = backRef{Obj: e.obj.ID, Link: int(e.link)}
 	}
 	return refs, nil
-}
-
-// Cell returns object id's Voronoi region as a convex counterclockwise
-// polygon (unbounded hull cells are clipped to a large box). The slice is
-// freshly allocated. Returns nil for unknown objects or degenerate
-// (dimension < 2) overlays.
-func (o *Overlay) Cell(id ObjectID) []geom.Point {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	obj := o.objs[id]
-	if obj == nil || o.tr.Dimension() < 2 {
-		return nil
-	}
-	return append([]geom.Point(nil), o.vor.Cell(obj.vert)...)
 }
 
 // Degree returns |vn(o)|.

@@ -15,29 +15,14 @@ func TestAccessors(t *testing.T) {
 	o := New(Config{NMax: 500, Seed: 99, LongLinks: 2})
 	rng := rand.New(rand.NewSource(100))
 	ids := fill(t, o, &workload.Uniform{Rand: rng}, 50)
-	if ln, err := o.LongNeighbors(ids[0]); err != nil || len(ln) != 2 {
-		t.Fatalf("LongNeighbors: %v, %v; want 2 links", ln, err)
-	}
-	if _, err := o.Position(987654); !errors.Is(err, ErrNotFound) {
-		t.Fatal("Position of missing object must fail")
+	if ln := longNeighbors(o, ids[0]); len(ln) != 2 {
+		t.Fatalf("long neighbours: %v; want 2 links", ln)
 	}
 	if _, err := o.backLongRange(987654); !errors.Is(err, ErrNotFound) {
 		t.Fatal("backLongRange of missing object must fail")
 	}
-	if _, err := o.LongTargets(987654); !errors.Is(err, ErrNotFound) {
-		t.Fatal("LongTargets of missing object must fail")
-	}
-	if _, err := o.LongNeighbors(987654); !errors.Is(err, ErrNotFound) {
-		t.Fatal("LongNeighbors of missing object must fail")
-	}
 	if _, err := o.Degree(987654); !errors.Is(err, ErrNotFound) {
 		t.Fatal("Degree of missing object must fail")
-	}
-	if _, err := o.VoronoiNeighbors(987654, nil); !errors.Is(err, ErrNotFound) {
-		t.Fatal("VoronoiNeighbors of missing object must fail")
-	}
-	if _, err := o.CloseNeighbors(987654, nil); !errors.Is(err, ErrNotFound) {
-		t.Fatal("CloseNeighbors of missing object must fail")
 	}
 
 	// RandomObject over an empty overlay fails; over a live one it draws
@@ -84,7 +69,7 @@ func TestBackLongRangeView(t *testing.T) {
 	ids := fill(t, o, &workload.Uniform{Rand: rng}, 200)
 	// Every long link must appear in its holder's BLRn view.
 	for _, id := range ids {
-		ln, _ := o.LongNeighbors(id)
+		ln := longNeighbors(o, id)
 		for j, holder := range ln {
 			back, err := o.backLongRange(holder)
 			if err != nil {
@@ -116,7 +101,7 @@ func TestLinkRadiusExponents(t *testing.T) {
 	half := math.Sqrt2 / 2
 	for i := 0; i < n; i++ {
 		r := linkRadius(o)
-		if r < o.DMin()-1e-15 || r > math.Sqrt2+1e-12 {
+		if r < o.dmin-1e-15 || r > math.Sqrt2+1e-12 {
 			t.Fatalf("s=0 radius %g out of bounds", r)
 		}
 		if r <= half {
@@ -185,11 +170,11 @@ func TestQuickRoutingAlwaysArrives(t *testing.T) {
 		case 0:
 			src = &workload.Uniform{Rand: rng}
 		case 1:
-			src = workload.NewPowerLaw(2, rng)
+			src = workload.ByName("alpha2", rng)
 		case 2:
-			src = workload.NewClusters(3, 0.01, rng)
+			src = workload.ByName("clusters", rng)
 		default:
-			src = workload.NewPowerLaw(5, rng)
+			src = workload.ByName("alpha5", rng)
 		}
 		o := New(Config{NMax: 400, Seed: seed})
 		var ids []ObjectID
@@ -237,7 +222,7 @@ func TestJoinIntoTinyOverlays(t *testing.T) {
 		}
 	}
 	// Queries against the tiny overlay.
-	res, err := o.HandleQuery(last, geom.Pt(0.26, 0.51))
+	res, err := o.handleQuery(last, geom.Pt(0.26, 0.51))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +253,7 @@ func TestRouteToPointFromOutsideSquare(t *testing.T) {
 		{X: -0.5, Y: 0.5}, {X: 1.5, Y: 1.5}, {X: 0.5, Y: -1.2}, {X: 2.0, Y: -0.3},
 	}
 	for _, tgt := range targets {
-		res, err := o.HandleQuery(ids[0], tgt)
+		res, err := o.handleQuery(ids[0], tgt)
 		if err != nil {
 			t.Fatalf("route to %v: %v", tgt, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"voronet/internal/delaunay"
 	"voronet/internal/geom"
 	"voronet/internal/kleinberg"
 	"voronet/internal/workload"
@@ -37,6 +38,17 @@ func fill(t *testing.T, o *Overlay, src workload.Source, n int) []ObjectID {
 	return ids
 }
 
+// longNeighbors is LRn(id), one entry per long link. Callers hold no lock,
+// so no writer may run beside them.
+func longNeighbors(o *Overlay, id ObjectID) []ObjectID {
+	obj := o.objs[id]
+	ln := make([]ObjectID, len(obj.longTargets))
+	for j := range ln {
+		ln[j] = o.longNeighbor(obj, j)
+	}
+	return ln
+}
+
 func TestInsertBasics(t *testing.T) {
 	o := newTestOverlay(1000)
 	id, err := o.Insert(geom.Pt(0.5, 0.5))
@@ -49,12 +61,11 @@ func TestInsertBasics(t *testing.T) {
 	if _, err := o.Insert(geom.Pt(0.5, 0.5)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate: %v", err)
 	}
-	pos, err := o.Position(id)
-	if err != nil || pos != geom.Pt(0.5, 0.5) {
-		t.Fatalf("Position: %v %v", pos, err)
+	if pos := o.objs[id].Pos; pos != geom.Pt(0.5, 0.5) {
+		t.Fatalf("Pos: %v", pos)
 	}
 	// Single object: its long link points to itself (it owns everything).
-	ln, _ := o.LongNeighbors(id)
+	ln := longNeighbors(o, id)
 	if len(ln) != 1 || ln[0] != id {
 		t.Fatalf("singleton long link: %v", ln)
 	}
@@ -99,9 +110,9 @@ func TestViewsOnSmallOverlay(t *testing.T) {
 
 	// Close neighbours are symmetric.
 	for _, id := range ids {
-		cn, _ := o.CloseNeighbors(id, nil)
+		cn, _ := o.closeNeighbors(id, nil)
 		for _, cid := range cn {
-			back, _ := o.CloseNeighbors(cid, nil)
+			back, _ := o.closeNeighbors(cid, nil)
 			found := false
 			for _, b := range back {
 				if b == id {
@@ -125,7 +136,7 @@ func TestLemma1MatchesGrid(t *testing.T) {
 	ids := fill(t, o, &workload.Uniform{Rand: rng}, 400)
 	nonEmpty := 0
 	for _, id := range ids {
-		direct, _ := o.CloseNeighbors(id, nil)
+		direct, _ := o.closeNeighbors(id, nil)
 		if len(direct) > 0 {
 			nonEmpty++
 		}
@@ -164,7 +175,7 @@ func TestRouteToPointFindsOwner(t *testing.T) {
 	for q := 0; q < 200; q++ {
 		from := ids[rng.Intn(len(ids))]
 		p := geom.Pt(rng.Float64(), rng.Float64())
-		res, err := o.HandleQuery(from, p)
+		res, err := o.handleQuery(from, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +193,7 @@ func TestRouteToPointFindsOwner(t *testing.T) {
 		// The stop object must satisfy Algorithm 5's stop condition.
 		stop := o.objs[res.Stop]
 		dCur := geom.Dist(p, stop.Pos)
-		if dCur > o.DMin() {
+		if dCur > o.dmin {
 			_, dz := o.vor.DistanceToRegion(stop.vert, p)
 			if dz > dCur/3+1e-12 {
 				t.Fatalf("stop condition violated: dz=%g dCur/3=%g", dz, dCur/3)
@@ -225,7 +236,7 @@ func TestJoinMatchesInsertStructure(t *testing.T) {
 func TestChurnMaintainsInvariants(t *testing.T) {
 	o := New(Config{NMax: 3000, Seed: 8, LongLinks: 2})
 	rng := rand.New(rand.NewSource(9))
-	src := workload.NewPowerLaw(2, rng)
+	src := workload.ByName("alpha2", rng)
 	var ids []ObjectID
 	for step := 0; step < 900; step++ {
 		switch {
@@ -282,7 +293,7 @@ func TestLongLinkRepairOnLeave(t *testing.T) {
 	// is re-established to the new owner of the target point.
 	var who ObjectID = NoObject
 	for _, id := range ids {
-		ln, _ := o.LongNeighbors(id)
+		ln := longNeighbors(o, id)
 		if ln[0] != id && ln[0] != NoObject {
 			who = id
 			break
@@ -291,16 +302,16 @@ func TestLongLinkRepairOnLeave(t *testing.T) {
 	if who == NoObject {
 		t.Fatal("no object with a foreign long link")
 	}
-	ln, _ := o.LongNeighbors(who)
+	ln := longNeighbors(o, who)
 	victim := ln[0]
 	if err := o.Remove(victim); err != nil {
 		t.Fatal(err)
 	}
-	ln2, _ := o.LongNeighbors(who)
+	ln2 := longNeighbors(o, who)
 	if ln2[0] == victim {
 		t.Fatal("long link still names the departed object")
 	}
-	tgts, _ := o.LongTargets(who)
+	tgts := o.objs[who].longTargets
 	owner, err := o.Owner(tgts[0], who)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +332,7 @@ func TestHandleQuery(t *testing.T) {
 	for q := 0; q < 100; q++ {
 		from := ids[rng.Intn(len(ids))]
 		p := geom.Pt(rng.Float64(), rng.Float64())
-		res, err := o.HandleQuery(from, p)
+		res, err := o.handleQuery(from, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +346,7 @@ func TestHandleQuery(t *testing.T) {
 	if c := o.Counters(); c.Queries != 100 || c.FictiveInserts != 0 {
 		t.Fatalf("100 queries counted %d, with %d fictive inserts", c.Queries, c.FictiveInserts)
 	}
-	if _, err := o.HandleQuery(999999, geom.Pt(0.5, 0.5)); !errors.Is(err, ErrNotFound) {
+	if _, err := o.handleQuery(999999, geom.Pt(0.5, 0.5)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown origin: %v", err)
 	}
 	if o.Len() != len(ids) {
@@ -346,87 +357,12 @@ func TestHandleQuery(t *testing.T) {
 	}
 }
 
-func TestRangeQuery(t *testing.T) {
-	o := newTestOverlay(2000)
-	rng := rand.New(rand.NewSource(12))
-	ids := fill(t, o, &workload.Uniform{Rand: rng}, 500)
-	a, b := geom.Pt(0.1, 0.4), geom.Pt(0.9, 0.4)
-	got, st, err := o.RangeQuery(ids[0], a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 {
-		t.Fatal("empty range result")
-	}
-	// Ground truth: objects whose region intersects the segment = owners of
-	// densely sampled points of the segment.
-	want := map[ObjectID]bool{}
-	for s := 0; s <= 4000; s++ {
-		f := float64(s) / 4000
-		p := geom.Pt(a.X+(b.X-a.X)*f, a.Y+(b.Y-a.Y)*f)
-		id, _ := o.Owner(p, NoObject)
-		want[id] = true
-	}
-	gotSet := map[ObjectID]bool{}
-	for _, id := range got {
-		gotSet[id] = true
-	}
-	for id := range want {
-		if !gotSet[id] {
-			t.Fatalf("range query missed owner %d", id)
-		}
-	}
-	// Results must be ordered along the segment.
-	for i := 1; i < len(got); i++ {
-		pi := o.objs[got[i-1]].Pos.X
-		pj := o.objs[got[i]].Pos.X
-		if pi > pj {
-			t.Fatal("range result not ordered along the segment")
-		}
-	}
-	if st.Visited < len(got) {
-		t.Fatalf("stats: visited %d < results %d", st.Visited, len(got))
-	}
-}
-
-func TestRadiusQuery(t *testing.T) {
-	o := newTestOverlay(2000)
-	rng := rand.New(rand.NewSource(13))
-	ids := fill(t, o, &workload.Uniform{Rand: rng}, 600)
-	centre := geom.Pt(0.5, 0.5)
-	r := 0.15
-	got, _, err := o.RadiusQuery(ids[0], centre, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[ObjectID]bool{}
-	for _, id := range ids {
-		if geom.Dist(o.objs[id].Pos, centre) <= r {
-			want[id] = true
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("radius query: %d results, want %d", len(got), len(want))
-	}
-	for _, id := range got {
-		if !want[id] {
-			t.Fatalf("radius query returned %d outside the disk", id)
-		}
-	}
-	// Ordered by distance.
-	for i := 1; i < len(got); i++ {
-		if geom.Dist2(o.objs[got[i-1]].Pos, centre) > geom.Dist2(o.objs[got[i]].Pos, centre) {
-			t.Fatal("radius result not ordered by distance")
-		}
-	}
-}
-
 func TestMultipleLongLinks(t *testing.T) {
 	o := New(Config{NMax: 2000, LongLinks: 5, Seed: 14})
 	rng := rand.New(rand.NewSource(15))
 	ids := fill(t, o, &workload.Uniform{Rand: rng}, 500)
 	for _, id := range ids {
-		ln, _ := o.LongNeighbors(id)
+		ln := longNeighbors(o, id)
 		if len(ln) != 5 {
 			t.Fatalf("object %d has %d long links", id, len(ln))
 		}
@@ -482,7 +418,7 @@ func TestLongLinkRadiusDistribution(t *testing.T) {
 	o := newTestOverlay(10000)
 	n := 20000
 	var count int
-	median := math.Sqrt(o.DMin() * math.Sqrt2)
+	median := math.Sqrt(o.dmin * math.Sqrt2)
 	for i := 0; i < n; i++ {
 		if linkRadius(o) < median {
 			count++
@@ -495,7 +431,7 @@ func TestLongLinkRadiusDistribution(t *testing.T) {
 	// Bounds.
 	for i := 0; i < 1000; i++ {
 		r := linkRadius(o)
-		if r < o.DMin()-1e-15 || r > math.Sqrt2+1e-12 {
+		if r < o.dmin-1e-15 || r > math.Sqrt2+1e-12 {
 			t.Fatalf("radius %g out of [dmin, √2]", r)
 		}
 	}
@@ -507,7 +443,7 @@ func TestChooseLRTLemma2(t *testing.T) {
 	// lands within distance d of the source scales like ln(d)/ln-range —
 	// i.e. the radius CDF is log-linear. Check at three scales.
 	o := newTestOverlay(100000)
-	dmin := o.DMin()
+	dmin := o.dmin
 	n := 50000
 	counts := map[float64]int{0.01: 0, 0.1: 0, 1.0: 0}
 	for i := 0; i < n; i++ {
@@ -547,17 +483,12 @@ func TestOwnerAndGreedyNeighborErrors(t *testing.T) {
 	if _, err := o.Owner(geom.Pt(0.5, 0.5), NoObject); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("owner on empty overlay: %v", err)
 	}
-	if _, err := o.GreedyNeighbor(7, geom.Pt(0, 0)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("greedy neighbour of missing object: %v", err)
-	}
 	id, _ := o.Insert(geom.Pt(0.25, 0.25))
-	n, err := o.GreedyNeighbor(id, geom.Pt(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj := o.objs[id]
+	o.rt.nbuf = o.tr.Neighbors(obj.vert, o.rt.nbuf)
 	// Singleton with a self long-link: no other neighbour exists.
-	if n != NoObject {
-		t.Fatalf("singleton greedy neighbour: %d", n)
+	if v := o.greedyNeighbor(&o.rt, obj.vert, obj.Pos, geom.Pt(1, 1)); v != delaunay.NoVertex {
+		t.Fatalf("singleton greedy neighbour: vertex %d", v)
 	}
 }
 

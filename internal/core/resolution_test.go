@@ -22,20 +22,11 @@ import (
 // boundary — either is a correct Obj(target)). Checked across seeds,
 // distributions and query points inside and outside the square.
 func TestOwnerResolutionEquivalence(t *testing.T) {
-	sources := []struct {
-		name string
-		mk   func(rng *rand.Rand) workload.Source
-	}{
-		{"uniform", func(rng *rand.Rand) workload.Source { return &workload.Uniform{Rand: rng} }},
-		{"alpha2", func(rng *rand.Rand) workload.Source { return workload.NewPowerLaw(2, rng) }},
-		{"alpha5", func(rng *rand.Rand) workload.Source { return workload.NewPowerLaw(5, rng) }},
-		{"clusters", func(rng *rand.Rand) workload.Source { return workload.NewClusters(3, 0.01, rng) }},
-	}
-	for _, src := range sources {
+	for _, src := range []string{"uniform", "alpha2", "alpha5", "clusters"} {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed * 1000))
 			o := New(Config{NMax: 1500, Seed: seed})
-			ids := fill(t, o, src.mk(rng), 350)
+			ids := fill(t, o, workload.ByName(src, rng), 350)
 			for q := 0; q < 120; q++ {
 				from := ids[rng.Intn(len(ids))]
 				// Every third query leaves the unit square (long-link
@@ -44,10 +35,10 @@ func TestOwnerResolutionEquivalence(t *testing.T) {
 				if q%3 == 0 {
 					p = geom.Pt(rng.Float64()*2-0.5, rng.Float64()*2-0.5)
 				}
-				checkResolutionAgreement(t, o, from, p, src.name)
+				checkResolutionAgreement(t, o, from, p, src)
 			}
 			if err := o.CheckInvariants(true); err != nil {
-				t.Fatalf("%s seed %d: %v", src.name, seed, err)
+				t.Fatalf("%s seed %d: %v", src, seed, err)
 			}
 		}
 	}
@@ -120,7 +111,7 @@ func TestWalkStartMatchesScan(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(alpha) + 41))
 			var src workload.Source = &workload.Uniform{Rand: rng}
 			if alpha > 0 {
-				src = workload.NewPowerLaw(alpha, rng)
+				src = workload.ByName("alpha5", rng)
 			}
 			o := New(Config{NMax: 3000, Seed: 9})
 			if bulk {

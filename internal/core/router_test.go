@@ -35,7 +35,7 @@ func TestRouterMatchesSequentialRouting(t *testing.T) {
 func TestMeasureRoutesParallel(t *testing.T) {
 	o := newTestOverlay(5000)
 	rng := rand.New(rand.NewSource(202))
-	ids := fill(t, o, workload.NewPowerLaw(2, rng), 1200)
+	ids := fill(t, o, workload.ByName("alpha2", rng), 1200)
 
 	pairs := make([]RoutePair, 400)
 	for i := range pairs {

@@ -56,20 +56,6 @@ type routeState struct {
 	steps *uint64
 }
 
-// GreedyNeighbor returns the neighbour of id — over vn(o) ∪ cn(o) ∪ LRn(o)
-// — closest to target, the paper's Greedyneighbour primitive. It returns
-// NoObject only when the object has no neighbours (singleton overlay).
-func (o *Overlay) GreedyNeighbor(id ObjectID, target geom.Point) (ObjectID, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	obj := o.objs[id]
-	if obj == nil {
-		return NoObject, ErrNotFound
-	}
-	o.rt.nbuf = o.tr.Neighbors(obj.vert, o.rt.nbuf)
-	return o.vertexObject(o.greedyNeighbor(&o.rt, obj.vert, obj.Pos, target)), nil
-}
-
 // greedyNeighbor scans vn ∪ cn ∪ LRn of the object at vertex cur (whose
 // position is pos) and returns the candidate closest to target, the first
 // such in that order, or NoVertex when there is none. The caller has
@@ -184,11 +170,10 @@ type RouteResult struct {
 // target, with a nearest-site walk from the stopping object — O(1)
 // expected, since the stop condition left the walk within a constant
 // factor of the target's region. Every read in the package goes through
-// it: HandleQuery, Router.RouteToPoint, the range and radius floods, and
-// the Store's Put, Get and Delete. It is read-only — all scratch comes
-// from rt, and it touches neither the triangulation's walk RNG nor its
-// hint — so any number of callers may run it under the overlay's read
-// lock, each with its own rt.
+// it: handleQuery, Router.RouteToPoint and the Store's Put, Get and
+// Delete. It is read-only — all scratch comes from rt, and it touches
+// neither the triangulation's walk RNG nor its hint — so any number of
+// callers may run it under the overlay's read lock, each with its own rt.
 func (o *Overlay) resolve(rt *routeState, from ObjectID, target geom.Point) (RouteResult, error) {
 	src := o.objs[from]
 	if src == nil {
@@ -422,7 +407,7 @@ func (o *Overlay) fictiveSite(cur delaunay.VertexID, target geom.Point) (geom.Po
 	return o.vor.DistanceToRegion(cur, target)
 }
 
-// HandleQuery implements Algorithm 4: route the query point from object
+// handleQuery implements Algorithm 4: route the query point from object
 // `from`, determine the owner, and "answer" it by returning the owner.
 // Hops is the Greedyneighbour count.
 //
@@ -430,9 +415,10 @@ func (o *Overlay) fictiveSite(cur delaunay.VertexID, target geom.Point) (geom.Po
 // searchLongLink does for a long-link target; the paper's literal fictive
 // insert/remove dance names the same owner (the test oracle of
 // TestOwnerResolutionEquivalence). The call serialises against the overlay
-// (it updates the shared counters); the Router/Store fast path is the
-// concurrent equivalent.
-func (o *Overlay) HandleQuery(from ObjectID, query geom.Point) (RouteResult, error) {
+// (it updates the shared counters). It is the serial reference that
+// TestRouterQueriesMatchSerial holds Router.RouteToPoint to; the
+// Router/Store fast path is the product's entry point.
+func (o *Overlay) handleQuery(from ObjectID, query geom.Point) (RouteResult, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	res, err := o.resolve(&o.rt, from, query)

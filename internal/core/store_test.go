@@ -99,7 +99,7 @@ func TestStoreChurnHandoff(t *testing.T) {
 	check := func(phase string) {
 		live := ids[:0:0]
 		for _, id := range ids {
-			if _, err := ov.Position(id); err == nil {
+			if ov.objs[id] != nil {
 				live = append(live, id)
 			}
 		}
@@ -126,7 +126,7 @@ func TestStoreChurnHandoff(t *testing.T) {
 	removed := 0
 	for removed < 15 {
 		id := ids[rng.Intn(len(ids))]
-		if _, err := ov.Position(id); err != nil {
+		if ov.objs[id] == nil {
 			continue
 		}
 		if err := st.RemoveObject(id); err != nil {

@@ -93,31 +93,3 @@ func ClosestPointOnSegment(p, a, b Point) Point {
 	}
 	return a.Add(ab.Scale(t))
 }
-
-// ConvexPolygonIntersectsSegment reports whether a convex counterclockwise
-// polygon and segment [a,b] intersect, via separating-axis tests over the
-// polygon edge normals and the segment normal.
-func ConvexPolygonIntersectsSegment(poly []Point, a, b Point) bool {
-	if len(poly) < 3 {
-		return false
-	}
-	test := func(ax Point) bool {
-		minP, maxP := math.Inf(1), math.Inf(-1)
-		for _, p := range poly {
-			v := ax.Dot(p)
-			minP = math.Min(minP, v)
-			maxP = math.Max(maxP, v)
-		}
-		sa, sb := ax.Dot(a), ax.Dot(b)
-		minS, maxS := math.Min(sa, sb), math.Max(sa, sb)
-		return maxP < minS || maxS < minP
-	}
-	for i := range poly {
-		e := poly[(i+1)%len(poly)].Sub(poly[i])
-		if test(Pt(-e.Y, e.X)) {
-			return false
-		}
-	}
-	d := b.Sub(a)
-	return !test(Pt(-d.Y, d.X))
-}

@@ -240,7 +240,7 @@ func (r *Run) checkStore(ref *reference, rep *CheckReport) {
 		exp := r.expected[key]
 		rep.StoreKeys++
 		owner := ref.ownerOf(key)
-		required := append([]*member{owner}, ref.replicaSet(owner, key, r.scn.Replication)...)
+		required := append([]*member{owner}, ref.replicaSet(owner, key, scenarioReplication)...)
 		bad := false
 		var v0 *proto.StoreRecord
 		for _, m := range required {

@@ -35,6 +35,15 @@ import (
 	"voronet/internal/workload"
 )
 
+// Every scenario's nodes run with these parameters and take their
+// positions from this workload source; the transcript header names them.
+const (
+	scenarioDMin        = 0.02
+	scenarioLongLinks   = 1
+	scenarioReplication = store.DefaultReplication
+	scenarioPositions   = "uniform"
+)
+
 // Scenario is a declarative chaos script: a seeded overlay configuration
 // plus an ordered list of steps.
 type Scenario struct {
@@ -42,14 +51,6 @@ type Scenario struct {
 	// Seed drives every random choice in the run (and the bus's fault
 	// draws). Same scenario + same seed ⇒ byte-identical transcript.
 	Seed int64
-	// DMin, LongLinks, Replication parameterise the nodes (defaults:
-	// 0.02, 1, store.DefaultReplication).
-	DMin        float64
-	LongLinks   int
-	Replication int
-	// Positions names the workload source for node positions (default
-	// "uniform").
-	Positions string
 	// Durable gives every node a write-ahead log in a private temp
 	// directory (removed when the run ends): nodes are built with
 	// node.NewDurable, crashes stop untracking keys (the records survive
@@ -158,28 +159,12 @@ type Run struct {
 // Run executes the scenario and returns its result. Execution errors
 // (structural misuse, not invariant violations) surface as error.
 func (s Scenario) Run() (*Result, error) {
-	if s.DMin <= 0 {
-		s.DMin = 0.02
-	}
-	if s.LongLinks <= 0 {
-		s.LongLinks = 1
-	}
-	if s.Replication <= 0 {
-		s.Replication = store.DefaultReplication
-	}
-	if s.Positions == "" {
-		s.Positions = "uniform"
-	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	src := workload.ByName(s.Positions, rng)
-	if src == nil {
-		return nil, fmt.Errorf("harness: unknown position source %q", s.Positions)
-	}
 	r := &Run{
 		scn:      s,
 		bus:      transport.NewSeededBus(s.Seed),
 		rng:      rng,
-		src:      src,
+		src:      workload.ByName(scenarioPositions, rng),
 		tr:       newTranscript(),
 		expected: make(map[geom.Point]*expectation),
 		res:      &Result{},
@@ -195,7 +180,7 @@ func (s Scenario) Run() (*Result, error) {
 		r.walRoot = dir
 	}
 	r.tr.logf("scenario %s seed=%d dmin=%.4f longlinks=%d replication=%d positions=%s durable=%v",
-		s.Name, s.Seed, s.DMin, s.LongLinks, s.Replication, s.Positions, s.Durable)
+		s.Name, s.Seed, scenarioDMin, scenarioLongLinks, scenarioReplication, scenarioPositions, s.Durable)
 	for i, st := range s.Steps {
 		if err := st.run(r); err != nil {
 			return nil, fmt.Errorf("harness: scenario %s step %d: %w", s.Name, i+1, err)
@@ -294,10 +279,10 @@ func (r *Run) fail(format string, args ...any) {
 // its predecessor did.
 func (r *Run) nodeConfig(idx int, addr string) node.Config {
 	cfg := node.Config{
-		DMin:        r.scn.DMin,
-		LongLinks:   r.scn.LongLinks,
+		DMin:        scenarioDMin,
+		LongLinks:   scenarioLongLinks,
 		Seed:        r.scn.Seed + int64(idx),
-		Replication: r.scn.Replication,
+		Replication: scenarioReplication,
 		// Replies either arrive during the drain or are lost to a fault;
 		// an effectively infinite timeout keeps wall-clock timers (which
 		// would be nondeterministic) out of the run entirely.

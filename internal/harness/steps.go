@@ -155,7 +155,7 @@ func (s crash) run(r *Run) error {
 			owner := ref.ownerOf(k)
 			requiredDead := victimSet[owner.addr]
 			if requiredDead {
-				for _, m := range ref.replicaSet(owner, k, r.scn.Replication) {
+				for _, m := range ref.replicaSet(owner, k, scenarioReplication) {
 					if !victimSet[m.addr] {
 						requiredDead = false
 						break

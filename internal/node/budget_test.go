@@ -111,7 +111,7 @@ const maxNewAllocs = 16
 func TestNewAllocs(t *testing.T) {
 	skipUnderRace(t)
 	const runs = 50
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	eps := make([]transport.Endpoint, runs+1)
 	for i := range eps {
 		ep, err := bus.Attach(fmt.Sprintf("n%03d", i))

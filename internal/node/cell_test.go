@@ -158,7 +158,7 @@ func TestCellNeighborsMatchDelaunay(t *testing.T) {
 			return uniformPool(rng, k)
 		},
 		"powerlaw": func(k int) (geom.Point, []geom.Point) {
-			src := workload.NewPowerLaw(5, rng)
+			src := workload.ByName("alpha5", rng)
 			pts := make([]geom.Point, k)
 			for i := range pts {
 				pts[i] = src.Next()

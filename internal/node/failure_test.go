@@ -134,7 +134,7 @@ func TestRouteRetriesAroundCrashedPeer(t *testing.T) {
 // not be lost — and the drain must terminate (no farewell ping-pong
 // between the two departed endpoints, which stay open).
 func TestConcurrentLeavesDoNotStrandRecords(t *testing.T) {
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	rng := rand.New(rand.NewSource(13))
 	var nodes []*Node
 	mk := func(pos geom.Point) *Node {

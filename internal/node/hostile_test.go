@@ -19,7 +19,7 @@ import (
 // defence in depth — the handlers must bounds-check even an envelope that
 // somehow got past the decoder.
 func TestNegativeLinkEnvelopeDoesNotPanic(t *testing.T) {
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	ep, err := bus.Attach("victim")
 	if err != nil {
 		t.Fatal(err)

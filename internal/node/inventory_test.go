@@ -111,7 +111,7 @@ func checkInventory(t *testing.T, what string, s metrics.Snapshot, counters, gau
 // fresh node's, a fresh durable node's and a fresh TCP endpoint's
 // registry.
 func TestInstrumentInventory(t *testing.T) {
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	ep, err := bus.Attach("a")
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func (e *lockAuditEndpoint) Send(to string, payload []byte) error {
 // test for the store read/write path audit: every send must happen after
 // the state under the lock has been snapshotted and the lock released.
 func TestNoLockHeldAcrossSends(t *testing.T) {
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	var violations atomic.Int64
 	rng := rand.New(rand.NewSource(61))
 

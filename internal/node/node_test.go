@@ -33,7 +33,7 @@ func newCluster(t *testing.T, n int, dmin float64, seed int64) *cluster {
 
 func newClusterCfg(t *testing.T, n int, dmin float64, seed int64, cfgMut func(*Config)) *cluster {
 	t.Helper()
-	c := &cluster{bus: transport.NewBus(), rng: rand.New(rand.NewSource(seed)), cfgMut: cfgMut}
+	c := &cluster{bus: transport.NewSeededBus(1), rng: rand.New(rand.NewSource(seed)), cfgMut: cfgMut}
 	for i := 0; i < n; i++ {
 		pos := geom.Pt(c.rng.Float64(), c.rng.Float64())
 		c.addNode(t, pos, dmin)
@@ -332,7 +332,7 @@ func TestQueryFindsOwner(t *testing.T) {
 }
 
 func TestJoinErrors(t *testing.T) {
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	ep, _ := bus.Attach("solo")
 	nd := New(ep, geom.Pt(0.5, 0.5), Config{DMin: 0.01})
 	if err := nd.Leave(); err != ErrNotJoined {

@@ -20,7 +20,7 @@ import (
 // start no store operation the 50 ms RequestTimeout could cut short.)
 func TestQueryTimeoutReapsCallback(t *testing.T) {
 	const timeout = 50 * time.Millisecond
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	mk := func(addr string, pos geom.Point) (*Node, transport.Endpoint) {
 		ep, err := bus.Attach(addr)
 		if err != nil {

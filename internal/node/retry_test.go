@@ -79,7 +79,7 @@ func twoNodeOverlay(t *testing.T, bus *transport.Bus, wrap func(transport.Endpoi
 // link (a cached TCP connection the remote closed while idle) must be
 // retried exactly once and succeed — without condemning the peer.
 func TestRouteRetryOnTransientFailure(t *testing.T) {
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	origin, peer, fl := twoNodeOverlay(t, bus, func(ep transport.Endpoint) *flakyEndpoint {
 		return newFlaky(ep, errors.New("transient: connection reset"))
 	})
@@ -114,7 +114,7 @@ func TestRouteRetryOnTransientFailure(t *testing.T) {
 func TestRouteNoRetryOnStructuralFailure(t *testing.T) {
 	for _, structural := range []error{transport.ErrUnknownPeer, transport.ErrClosed} {
 		t.Run(structural.Error(), func(t *testing.T) {
-			bus := transport.NewBus()
+			bus := transport.NewSeededBus(1)
 			origin, peer, fl := twoNodeOverlay(t, bus, func(ep transport.Endpoint) *flakyEndpoint {
 				return newFlaky(ep, structural)
 			})

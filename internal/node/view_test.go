@@ -464,7 +464,7 @@ func TestReadersNeverWaitOnWriter(t *testing.T) {
 // at generation 2 — and requires the origin to hand the answer to its
 // caller without lifting the tombstone.
 func TestStragglerAnswerKeepsTombstone(t *testing.T) {
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	epO, err := bus.Attach("o")
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestInsertBuildEquivalentToJoinBuild(t *testing.T) {
 	}
 	const n = 4000
 	posRng := rand.New(rand.NewSource(71))
-	src := workload.NewPowerLaw(2, posRng)
+	src := workload.ByName("alpha2", posRng)
 	positions := make([]geom.Point, 0, n)
 	for len(positions) < n {
 		positions = append(positions, src.Next())

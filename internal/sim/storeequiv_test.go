@@ -29,7 +29,7 @@ func TestStoreEquivalenceUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(2025))
 
 	// Distributed side.
-	bus := transport.NewBus()
+	bus := transport.NewSeededBus(1)
 	nodes := make(map[string]*node.Node) // live nodes by address
 	var addrs []string                   // live addresses, insertion order
 	seq := 0

@@ -91,14 +91,10 @@ type Running struct {
 	n    int
 	sum  float64
 	sum2 float64
-	max  float64
 }
 
 // Add records x.
 func (r *Running) Add(x float64) {
-	if r.n == 0 || x > r.max {
-		r.max = x
-	}
 	r.n++
 	r.sum += x
 	r.sum2 += x * x
@@ -127,9 +123,6 @@ func (r *Running) Std() float64 {
 	}
 	return math.Sqrt(v)
 }
-
-// Max returns the largest observation (0 when empty).
-func (r *Running) Max() float64 { return r.max }
 
 // Fit is a least-squares line y = Slope·x + Intercept.
 type Fit struct {

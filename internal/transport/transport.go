@@ -136,10 +136,6 @@ type busEndpoint struct {
 	closed  bool
 }
 
-// NewBus returns an empty bus with a fixed default seed (fault draws are
-// deterministic out of the box).
-func NewBus() *Bus { return NewSeededBus(1) }
-
 // NewSeededBus returns an empty bus whose fault decisions (probabilistic
 // drops, latency draws) follow the given seed.
 func NewSeededBus(seed int64) *Bus {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestBusFIFODelivery(t *testing.T) {
-	bus := NewBus()
+	bus := NewSeededBus(1)
 	a, err := bus.Attach("a")
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestBusFIFODelivery(t *testing.T) {
 func TestBusHandlerEnqueues(t *testing.T) {
 	// Messages enqueued by handlers during a drain are delivered in the
 	// same drain.
-	bus := NewBus()
+	bus := NewSeededBus(1)
 	a, _ := bus.Attach("a")
 	b, _ := bus.Attach("b")
 	count := 0
@@ -64,7 +64,7 @@ func TestBusHandlerEnqueues(t *testing.T) {
 }
 
 func TestBusErrors(t *testing.T) {
-	bus := NewBus()
+	bus := NewSeededBus(1)
 	a, _ := bus.Attach("a")
 	if _, err := bus.Attach("a"); err == nil {
 		t.Fatal("duplicate attach must fail")
@@ -120,7 +120,7 @@ func TestBusDropRate(t *testing.T) {
 func TestBusPayloadIsolation(t *testing.T) {
 	// The bus must copy payloads: mutating the sender's buffer after Send
 	// must not affect delivery.
-	bus := NewBus()
+	bus := NewSeededBus(1)
 	a, _ := bus.Attach("a")
 	b, _ := bus.Attach("b")
 	var got string

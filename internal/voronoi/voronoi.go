@@ -38,14 +38,14 @@ func New(tr *delaunay.Triangulation) *Diagram {
 	return &Diagram{tr: tr, lo: 0.5 - defaultBound, hi: 0.5 + defaultBound}
 }
 
-// Cell returns the Voronoi region of site v as a convex counterclockwise
+// cell returns the Voronoi region of site v as a convex counterclockwise
 // polygon, clipped to the diagram's bounding box. The slice is reused by
 // subsequent calls; copy it if it must persist.
 //
 // With fewer than two sites (or in degenerate collinear mode) cells are
 // still well defined as halfplane intersections of the site's chain
 // neighbours.
-func (d *Diagram) Cell(v delaunay.VertexID) []geom.Point {
+func (d *Diagram) cell(v delaunay.VertexID) []geom.Point {
 	o := d.tr.Point(v)
 	// Start from the bounding box...
 	d.bufA = append(d.bufA[:0],
@@ -95,10 +95,10 @@ func clipHalfplane(poly []geom.Point, n geom.Point, c float64, dst []geom.Point)
 	return dst
 }
 
-// Contains reports whether p lies in the (closed) Voronoi region of v,
+// contains reports whether p lies in the (closed) Voronoi region of v,
 // i.e. whether v is a nearest site to p. The test is local: v is nearest
 // iff it is at least as close to p as every one of its Voronoi neighbours.
-func (d *Diagram) Contains(v delaunay.VertexID, p geom.Point) bool {
+func (d *Diagram) contains(v delaunay.VertexID, p geom.Point) bool {
 	o := d.tr.Point(v)
 	dv := geom.Dist2(p, o)
 	d.nbuf = d.tr.Neighbors(v, d.nbuf)
@@ -152,10 +152,10 @@ func (d *Diagram) BeyondBisectors(v delaunay.VertexID, nbrs []delaunay.VertexID,
 // routing target p: if p lies in R(v) the result is p itself with distance
 // zero, otherwise the nearest boundary point of the cell.
 func (d *Diagram) DistanceToRegion(v delaunay.VertexID, p geom.Point) (geom.Point, float64) {
-	if d.Contains(v, p) {
+	if d.contains(v, p) {
 		return p, 0
 	}
-	poly := d.Cell(v)
+	poly := d.cell(v)
 	if len(poly) == 0 {
 		// Numerically impossible for a live site (its cell contains it);
 		// fall back to the site position.

@@ -31,7 +31,7 @@ func TestContainsMatchesNearestSite(t *testing.T) {
 	for q := 0; q < 400; q++ {
 		p := geom.Pt(rng.Float64()*1.4-0.2, rng.Float64()*1.4-0.2)
 		nearest, _ := tr.NearestSiteRO(p, delaunay.NoVertex, nil)
-		if !d.Contains(nearest, p) {
+		if !d.contains(nearest, p) {
 			t.Fatalf("nearest site's region must contain the query %v", p)
 		}
 		// And points are in at most one open region: any other site whose
@@ -39,7 +39,7 @@ func TestContainsMatchesNearestSite(t *testing.T) {
 		dn := geom.Dist2(p, tr.Point(nearest))
 		cnt := 0
 		for _, v := range ids {
-			if pt := tr.Point(v); d.Contains(v, p) {
+			if pt := tr.Point(v); d.contains(v, p) {
 				cnt++
 				if math.Abs(geom.Dist2(p, pt)-dn) > 1e-12 {
 					t.Fatalf("region of non-nearest site %v contains %v", pt, p)
@@ -56,7 +56,7 @@ func TestCellContainsSite(t *testing.T) {
 	tr, ids := buildRandom(t, 100, 13)
 	d := New(tr)
 	for _, v := range ids {
-		poly := d.Cell(v)
+		poly := d.cell(v)
 		if len(poly) < 3 {
 			t.Fatalf("cell of %d has %d vertices", v, len(poly))
 		}
@@ -77,7 +77,7 @@ func TestCellAreasTileTheBox(t *testing.T) {
 	d := New(tr)
 	total := 0.0
 	for _, v := range ids {
-		total += polygonArea(d.Cell(v))
+		total += polygonArea(d.cell(v))
 	}
 	box := (2 * defaultBound) * (2 * defaultBound)
 	if math.Abs(total-box) > 1e-6*box {
@@ -94,7 +94,7 @@ func TestDistanceToRegion(t *testing.T) {
 		v := ids[rng.Intn(len(ids))]
 		z, dist := d.DistanceToRegion(v, p)
 		// The returned point must be (weakly) inside the region.
-		if !d.Contains(v, z) {
+		if !d.contains(v, z) {
 			// Allow boundary round-off: z must be no closer to any
 			// neighbour than to v beyond a tiny tolerance.
 			o := tr.Point(v)
@@ -114,7 +114,7 @@ func TestDistanceToRegion(t *testing.T) {
 			t.Fatalf("distance inconsistent with returned point")
 		}
 		// If p is in the region, distance must be 0 and z == p.
-		if d.Contains(v, p) && (dist != 0 || z != p) {
+		if d.contains(v, p) && (dist != 0 || z != p) {
 			t.Fatalf("p in region but DistanceToRegion = %v, %g", z, dist)
 		}
 		// The distance is a lower bound for the distance to the site and is
@@ -137,7 +137,7 @@ func TestDistanceToRegionBruteForce(t *testing.T) {
 		_, dist := d.DistanceToRegion(v, p)
 		for s := 0; s < 400; s++ {
 			sample := geom.Pt(rng.Float64()*2-0.5, rng.Float64()*2-0.5)
-			if d.Contains(v, sample) && geom.Dist(p, sample) < dist-1e-9 {
+			if d.contains(v, sample) && geom.Dist(p, sample) < dist-1e-9 {
 				t.Fatalf("sample %v in R(%d) closer (%g) than reported distance %g",
 					sample, v, geom.Dist(p, sample), dist)
 			}
@@ -151,11 +151,11 @@ func TestDegenerateModeCells(t *testing.T) {
 	a, _ := tr.Insert(geom.Pt(0.25, 0.5), delaunay.NoVertex)
 	b, _ := tr.Insert(geom.Pt(0.75, 0.5), delaunay.NoVertex)
 	d := New(tr)
-	if !d.Contains(a, geom.Pt(0.1, 0.9)) || d.Contains(a, geom.Pt(0.9, 0.1)) {
+	if !d.contains(a, geom.Pt(0.1, 0.9)) || d.contains(a, geom.Pt(0.9, 0.1)) {
 		t.Fatal("halfplane containment wrong for two sites")
 	}
-	areaA := polygonArea(d.Cell(a))
-	areaB := polygonArea(d.Cell(b))
+	areaA := polygonArea(d.cell(a))
+	areaB := polygonArea(d.cell(b))
 	box := (2 * defaultBound) * (2 * defaultBound)
 	if math.Abs(areaA+areaB-box) > 1e-6*box {
 		t.Fatalf("two halfplanes must tile the box: %g + %g", areaA, areaB)

@@ -4,7 +4,7 @@
 // most popular attribute value is proportional to 1/i^α, with α ∈ {1, 2, 5}
 // for low, mid and high skew.
 //
-// The power-law generator discretises each axis into Values cells, draws
+// The power-law generator discretises each axis into equal cells, draws
 // the cell index of each coordinate independently from a Zipf(α)
 // distribution, and places the coordinate uniformly inside the chosen cell.
 // This realises "frequency of the i-th most popular value ∝ 1/i^α" while
@@ -58,42 +58,32 @@ func (u *Uniform) Name() string { return "uniform" }
 // (see the package comment for why it is coarse).
 const defaultValues = 64
 
-// PowerLaw draws each coordinate from a Zipf(α) distribution over Values
-// discrete cells with uniform jitter inside the cell.
-type PowerLaw struct {
-	Alpha  float64
-	Values int
-	Rand   *rand.Rand
-
-	cdf []float64 // cumulative Zipf weights
+// powerLaw draws each coordinate from a Zipf(α) distribution over
+// defaultValues discrete cells with uniform jitter inside the cell.
+type powerLaw struct {
+	alpha float64
+	rng   *rand.Rand
+	cdf   []float64 // cumulative Zipf weights
 }
 
-// NewPowerLaw returns a power-law source with the given skew α > 0.
-func NewPowerLaw(alpha float64, rng *rand.Rand) *PowerLaw {
-	p := &PowerLaw{Alpha: alpha, Values: defaultValues, Rand: rng}
-	p.init()
-	return p
-}
-
-func (p *PowerLaw) init() {
-	if p.Values <= 0 {
-		p.Values = defaultValues
-	}
-	p.cdf = make([]float64, p.Values)
+// newPowerLaw returns a power-law source with the given skew α > 0.
+func newPowerLaw(alpha float64, rng *rand.Rand) *powerLaw {
+	p := &powerLaw{alpha: alpha, rng: rng, cdf: make([]float64, defaultValues)}
 	sum := 0.0
-	for i := 0; i < p.Values; i++ {
-		sum += 1 / math.Pow(float64(i+1), p.Alpha)
+	for i := range p.cdf {
+		sum += 1 / math.Pow(float64(i+1), alpha)
 		p.cdf[i] = sum
 	}
 	for i := range p.cdf {
 		p.cdf[i] /= sum
 	}
+	return p
 }
 
 // rank draws a cell index from the Zipf distribution by binary search over
 // the cumulative weights.
-func (p *PowerLaw) rank() int {
-	u := p.Rand.Float64()
+func (p *powerLaw) rank() int {
+	u := p.rng.Float64()
 	lo, hi := 0, len(p.cdf)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -107,19 +97,16 @@ func (p *PowerLaw) rank() int {
 }
 
 // Next returns the next skewed point.
-func (p *PowerLaw) Next() geom.Point {
-	if p.cdf == nil {
-		p.init()
-	}
-	v := float64(p.Values)
-	x := (float64(p.rank()) + p.Rand.Float64()) / v
-	y := (float64(p.rank()) + p.Rand.Float64()) / v
+func (p *powerLaw) Next() geom.Point {
+	v := float64(defaultValues)
+	x := (float64(p.rank()) + p.rng.Float64()) / v
+	y := (float64(p.rank()) + p.rng.Float64()) / v
 	return geom.Pt(x, y)
 }
 
 // Name implements Source.
-func (p *PowerLaw) Name() string {
-	switch p.Alpha {
+func (p *powerLaw) Name() string {
+	switch p.alpha {
 	case 1:
 		return "sparse(alpha=1)"
 	case 2:
@@ -130,20 +117,18 @@ func (p *PowerLaw) Name() string {
 	return "sparse"
 }
 
-// Clusters draws points from NumClusters Gaussian blobs with standard
-// deviation Sigma, clamped to the unit square. Used by examples and stress
-// tests (it produces dense co-located groups like real attribute data).
-type Clusters struct {
-	NumClusters int
-	Sigma       float64
-	Rand        *rand.Rand
-
+// clusters draws points from Gaussian blobs of standard deviation sigma
+// around uniformly drawn centres, clamped to the unit square: dense
+// co-located groups like real attribute data, for stress tests.
+type clusters struct {
+	sigma   float64
+	rng     *rand.Rand
 	centres []geom.Point
 }
 
-// NewClusters returns a cluster source.
-func NewClusters(n int, sigma float64, rng *rand.Rand) *Clusters {
-	c := &Clusters{NumClusters: n, Sigma: sigma, Rand: rng}
+// newClusters returns a source of n clusters.
+func newClusters(n int, sigma float64, rng *rand.Rand) *clusters {
+	c := &clusters{sigma: sigma, rng: rng}
 	for i := 0; i < n; i++ {
 		c.centres = append(c.centres, geom.Pt(rng.Float64(), rng.Float64()))
 	}
@@ -151,14 +136,14 @@ func NewClusters(n int, sigma float64, rng *rand.Rand) *Clusters {
 }
 
 // Next returns the next clustered point.
-func (c *Clusters) Next() geom.Point {
-	ctr := c.centres[c.Rand.Intn(len(c.centres))]
-	p := geom.Pt(ctr.X+c.Rand.NormFloat64()*c.Sigma, ctr.Y+c.Rand.NormFloat64()*c.Sigma)
+func (c *clusters) Next() geom.Point {
+	ctr := c.centres[c.rng.Intn(len(c.centres))]
+	p := geom.Pt(ctr.X+c.rng.NormFloat64()*c.sigma, ctr.Y+c.rng.NormFloat64()*c.sigma)
 	return p.ClampUnitSquare()
 }
 
 // Name implements Source.
-func (c *Clusters) Name() string { return "clusters" }
+func (c *clusters) Name() string { return "clusters" }
 
 // grid yields the points of a Side×Side lattice in row-major order, then
 // repeats with a tiny deterministic offset. It is a degeneracy stress
@@ -186,7 +171,7 @@ func (g *grid) Name() string { return "grid" }
 
 // ZipfKeys yields keys drawn from a fixed set of K distinct uniform points
 // with Zipf(α) popularity: the i-th most popular key is drawn with
-// probability ∝ 1/i^α. Unlike PowerLaw — whose in-cell jitter makes every
+// probability ∝ 1/i^α. Unlike the power-law source — whose in-cell jitter makes every
 // draw a distinct point — ZipfKeys repeats the same points, which is the
 // hot-key access pattern store stress tests need (a handful of keys absorb
 // most of the traffic and hammer one owner's region).
@@ -243,20 +228,15 @@ func ByName(name string, rng *rand.Rand) Source {
 	case "uniform":
 		return &Uniform{Rand: rng}
 	case "alpha1":
-		return NewPowerLaw(1, rng)
+		return newPowerLaw(1, rng)
 	case "alpha2":
-		return NewPowerLaw(2, rng)
+		return newPowerLaw(2, rng)
 	case "alpha5":
-		return NewPowerLaw(5, rng)
+		return newPowerLaw(5, rng)
 	case "clusters":
-		return NewClusters(8, 0.02, rng)
+		return newClusters(3, 0.01, rng)
 	case "grid":
 		return &grid{Side: 100}
 	}
 	return nil
-}
-
-// Names lists the sources usable with ByName.
-func Names() []string {
-	return []string{"uniform", "alpha1", "alpha2", "alpha5", "clusters", "grid"}
 }

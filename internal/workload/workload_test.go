@@ -27,15 +27,15 @@ func TestPowerLawRankFrequencies(t *testing.T) {
 	// The frequency of the i-th most popular value must be ∝ 1/i^α:
 	// check the ratio of the two most popular cells.
 	for _, alpha := range []float64{1, 2, 5} {
-		p := NewPowerLaw(alpha, rand.New(rand.NewSource(2)))
+		p := newPowerLaw(alpha, rand.New(rand.NewSource(2)))
 		n := 200000
-		counts := make([]int, p.Values)
+		counts := make([]int, defaultValues)
 		for i := 0; i < n; i++ {
 			pt := p.Next()
 			if pt.X < 0 || pt.X >= 1 || pt.Y < 0 || pt.Y >= 1 {
 				t.Fatalf("alpha=%g: point %v out of range", alpha, pt)
 			}
-			counts[int(pt.X*float64(p.Values))]++
+			counts[int(pt.X*float64(defaultValues))]++
 		}
 		ratio := float64(counts[0]) / float64(counts[1])
 		want := math.Pow(2, alpha)
@@ -48,11 +48,11 @@ func TestPowerLawRankFrequencies(t *testing.T) {
 func TestPowerLawSkewOrdering(t *testing.T) {
 	// Higher α concentrates more mass in the top cell.
 	top := func(alpha float64) float64 {
-		p := NewPowerLaw(alpha, rand.New(rand.NewSource(3)))
+		p := newPowerLaw(alpha, rand.New(rand.NewSource(3)))
 		n := 50000
 		c := 0
 		for i := 0; i < n; i++ {
-			if p.Next().X < 1/float64(p.Values) {
+			if p.Next().X < 1/float64(defaultValues) {
 				c++
 			}
 		}
@@ -68,7 +68,7 @@ func TestPowerLawSkewOrdering(t *testing.T) {
 }
 
 func TestClustersStayInSquare(t *testing.T) {
-	c := NewClusters(5, 0.05, rand.New(rand.NewSource(4)))
+	c := newClusters(5, 0.05, rand.New(rand.NewSource(4)))
 	for i := 0; i < 5000; i++ {
 		if !c.Next().InUnitSquare() {
 			t.Fatal("cluster point escaped the unit square")
@@ -91,7 +91,7 @@ func TestGridDeterministicAndDistinct(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, name := range Names() {
+	for _, name := range []string{"uniform", "alpha1", "alpha2", "alpha5", "clusters", "grid"} {
 		src := ByName(name, rng)
 		if src == nil {
 			t.Fatalf("ByName(%q) = nil", name)

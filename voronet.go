@@ -15,22 +15,22 @@
 // # Quick start
 //
 //	ov := voronet.New(voronet.Config{NMax: 100000})
-//	a, _ := ov.Insert(voronet.Pt(0.25, 0.75))
-//	b, _ := ov.Insert(voronet.Pt(0.80, 0.10))
+//	a, _ := ov.Insert(voronet.Point{X: 0.25, Y: 0.75})
+//	b, _ := ov.Insert(voronet.Point{X: 0.80, Y: 0.10})
 //	hops, _ := ov.RouteToObject(a, b)
-//	owner, _ := ov.Owner(voronet.Pt(0.5, 0.5), a)
+//	key := voronet.Point{X: 0.5, Y: 0.5}
+//	owner, _ := ov.Owner(key, a)
 //
 //	st := voronet.NewStore(ov, voronet.DefaultReplication)
-//	st.Put(a, voronet.Pt(0.5, 0.5), []byte("payload"))
-//	val, hops, _ := st.Get(b, voronet.Pt(0.5, 0.5))
+//	st.Put(a, key, []byte("payload"))
+//	val, hops, _ := st.Get(b, key)
 //
 // The package re-exports the simulation engine (internal/core): one
 // process holds the tessellation the distributed protocol maintains
 // collectively, with per-object views and exact protocol cost accounting
 // per the paper's Algorithms 1–5. The genuinely distributed,
 // message-passing node (internal/node, internal/transport) realises the
-// same protocol over TCP or an in-memory bus; see examples/distributed and
-// cmd/voronet-node.
+// same protocol over TCP or an in-memory bus; see cmd/voronet-node.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduction of every figure of the paper's evaluation.
@@ -45,12 +45,6 @@ import (
 
 // Point is a position in the 2-D attribute space (the unit square).
 type Point = geom.Point
-
-// Pt builds a Point.
-func Pt(x, y float64) Point { return geom.Pt(x, y) }
-
-// Dist returns the Euclidean distance between two points.
-func Dist(a, b Point) float64 { return geom.Dist(a, b) }
 
 // ObjectID identifies an overlay object. IDs are never reused.
 type ObjectID = core.ObjectID
@@ -71,18 +65,14 @@ type Counters = core.Counters
 // RouteResult reports a point routing outcome (Algorithm 5).
 type RouteResult = core.RouteResult
 
-// QueryStats accounts the cost of a range or radius query.
-type QueryStats = core.QueryStats
-
 // Overlay is a VoroNet overlay. It follows a single-writer / many-readers
 // discipline: mutating and serially-accounted operations (Insert, Join,
-// Remove, HandleQuery, RouteToObject, RangeQuery, RadiusQuery, and the
-// scratch-backed accessors such as VoronoiNeighbors and Cell) serialise
-// behind an internal write lock, while the Router read engine, the Store
-// fast path and the scratch-free accessors (Owner, Position, Degree, ...)
-// run under the read lock — so routing, owner resolution and store reads
-// scale across cores, concurrently with one writer. Fan concurrent reads
-// through one Router per goroutine.
+// Remove, RouteToObject) serialise behind an internal write lock, while
+// the Router read engine, the Store fast path and the scratch-free
+// accessors (Owner, Degree, Len, ...) run under the read lock — so
+// routing, owner resolution and store reads scale across cores,
+// concurrently with one writer. Fan concurrent reads through one Router
+// per goroutine.
 type Overlay = core.Overlay
 
 // Errors returned by overlay operations.

@@ -12,15 +12,15 @@ import (
 // TestQuickstart exercises the public API exactly as the README shows it.
 func TestQuickstart(t *testing.T) {
 	ov := voronet.New(voronet.Config{NMax: 100000, Seed: 1})
-	a, err := ov.Insert(voronet.Pt(0.25, 0.75))
+	a, err := ov.Insert(voronet.Point{X: 0.25, Y: 0.75})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ov.Insert(voronet.Pt(0.80, 0.10))
+	b, err := ov.Insert(voronet.Point{X: 0.80, Y: 0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ov.Insert(voronet.Pt(0.25, 0.75)); !errors.Is(err, voronet.ErrDuplicate) {
+	if _, err := ov.Insert(voronet.Point{X: 0.25, Y: 0.75}); !errors.Is(err, voronet.ErrDuplicate) {
 		t.Fatalf("duplicate: %v", err)
 	}
 	hops, err := ov.RouteToObject(a, b)
@@ -30,7 +30,7 @@ func TestQuickstart(t *testing.T) {
 	if hops != 1 {
 		t.Fatalf("two objects are mutual neighbours: %d hops", hops)
 	}
-	owner, err := ov.Owner(voronet.Pt(0.3, 0.7), a)
+	owner, err := ov.Owner(voronet.Point{X: 0.3, Y: 0.7}, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +40,6 @@ func TestQuickstart(t *testing.T) {
 	if d := voronet.DefaultDMin(100000); d <= 0 || d >= 1 {
 		t.Fatalf("DefaultDMin: %g", d)
 	}
-	if voronet.Dist(voronet.Pt(0, 0), voronet.Pt(3, 4)) != 5 {
-		t.Fatal("Dist")
-	}
 }
 
 func TestPublicJoinLeaveQuery(t *testing.T) {
@@ -51,7 +48,7 @@ func TestPublicJoinLeaveQuery(t *testing.T) {
 	var ids []voronet.ObjectID
 	var last voronet.ObjectID = voronet.NoObject
 	for i := 0; i < 300; i++ {
-		id, err := ov.Join(voronet.Pt(rng.Float64(), rng.Float64()), last)
+		id, err := ov.Join(voronet.Point{X: rng.Float64(), Y: rng.Float64()}, last)
 		if err != nil {
 			if errors.Is(err, voronet.ErrDuplicate) {
 				continue
@@ -61,11 +58,11 @@ func TestPublicJoinLeaveQuery(t *testing.T) {
 		ids = append(ids, id)
 		last = id
 	}
-	res, err := ov.HandleQuery(ids[0], voronet.Pt(0.5, 0.5))
+	res, err := ov.NewRouter().RouteToPoint(ids[0], voronet.Point{X: 0.5, Y: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := ov.Owner(voronet.Pt(0.5, 0.5), voronet.NoObject)
+	want, _ := ov.Owner(voronet.Point{X: 0.5, Y: 0.5}, voronet.NoObject)
 	if res.Owner != want {
 		t.Fatalf("query owner %d, want %d", res.Owner, want)
 	}
@@ -78,7 +75,7 @@ func TestPublicJoinLeaveQuery(t *testing.T) {
 		t.Fatalf("Len after removals: %d", ov.Len())
 	}
 	c := ov.Counters()
-	if c.Joins == 0 || c.Leaves != 100 || c.Queries != 1 {
+	if c.Joins == 0 || c.Leaves != 100 {
 		t.Fatalf("counters: %+v", c)
 	}
 }
@@ -88,7 +85,7 @@ func TestPublicParallelRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var ids []voronet.ObjectID
 	for len(ids) < 300 {
-		if id, err := ov.Insert(voronet.Pt(rng.Float64(), rng.Float64())); err == nil {
+		if id, err := ov.Insert(voronet.Point{X: rng.Float64(), Y: rng.Float64()}); err == nil {
 			ids = append(ids, id)
 		}
 	}
@@ -105,40 +102,6 @@ func TestPublicParallelRoutes(t *testing.T) {
 			t.Fatalf("pair %d: %d hops serially (%v), %d measured in parallel", i, h, err, h1[i])
 		}
 	}
-	// Cell on the public surface.
-	cell := ov.Cell(ids[0])
-	if len(cell) < 3 {
-		t.Fatalf("cell has %d vertices", len(cell))
-	}
-}
-
-func TestPublicRangeAndRadiusQueries(t *testing.T) {
-	ov := voronet.New(voronet.Config{NMax: 5000, Seed: 4})
-	rng := rand.New(rand.NewSource(5))
-	var first voronet.ObjectID = voronet.NoObject
-	for i := 0; i < 400; i++ {
-		id, err := ov.Insert(voronet.Pt(rng.Float64(), rng.Float64()))
-		if err == nil && first == voronet.NoObject {
-			first = id
-		}
-	}
-	seg, st, err := ov.RangeQuery(first, voronet.Pt(0.2, 0.5), voronet.Pt(0.8, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seg) == 0 || st.Visited == 0 {
-		t.Fatal("empty range query on a populated overlay")
-	}
-	disk, _, err := ov.RadiusQuery(first, voronet.Pt(0.5, 0.5), 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range disk {
-		pos, _ := ov.Position(id)
-		if voronet.Dist(pos, voronet.Pt(0.5, 0.5)) > 0.2 {
-			t.Fatal("radius query returned an object outside the disk")
-		}
-	}
 }
 
 // TestStorePublicAPI exercises the object store exactly as the README
@@ -148,7 +111,7 @@ func TestStorePublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var ids []voronet.ObjectID
 	for len(ids) < 200 {
-		id, err := ov.Insert(voronet.Pt(rng.Float64(), rng.Float64()))
+		id, err := ov.Insert(voronet.Point{X: rng.Float64(), Y: rng.Float64()})
 		if err != nil {
 			continue
 		}
@@ -156,7 +119,7 @@ func TestStorePublicAPI(t *testing.T) {
 	}
 	st := voronet.NewStore(ov, voronet.DefaultReplication)
 
-	key := voronet.Pt(0.42, 0.13)
+	key := voronet.Point{X: 0.42, Y: 0.13}
 	if _, _, err := st.Get(ids[0], key); !errors.Is(err, voronet.ErrKeyNotFound) {
 		t.Fatalf("missing key: %v", err)
 	}
