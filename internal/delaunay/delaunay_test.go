@@ -466,8 +466,8 @@ func TestGridChurn(t *testing.T) {
 func TestGridFullDrain(t *testing.T) {
 	// Remove every grid point in pseudo-random order down to the empty
 	// structure, validating continuously: exercises co-circular cavity
-	// fills, collinear hull chains, pocket retriangulation and both
-	// dimension downgrades.
+	// fills, collinear hull chains, hull removals that expose sites behind
+	// them and both dimension downgrades.
 	tr := New()
 	const k = 6
 	var ids []VertexID

@@ -68,8 +68,8 @@ func ringPoints(m int, r float64, rng *rand.Rand) []geom.Point {
 }
 
 // TestNeighborSlotsMatchFan drives seeded insert/remove sequences through
-// every path that rewrites a fan — Bowyer–Watson cavities, interior and
-// hull removals with their flips, dimension changes through rebuildAll, a
+// every path that rewrites a fan — Bowyer–Watson cavities, the ears that
+// fill interior and hull removals, dimension changes through rebuildAll, a
 // duplicate that frees its vertex — and checks the slots after each
 // operation.
 func TestNeighborSlotsMatchFan(t *testing.T) {

@@ -27,10 +27,10 @@
 //     so Neighbors, called once per routing hop, reads one record instead
 //     of walking the faces around the vertex. Every write of a vertex's
 //     incident face goes through setFace, which queues the vertex; every
-//     face entering a fan comes from newFace or flipEdge, which both call
-//     it. Insert and Remove flush the queue before they return, refilling
-//     each queued vertex's slots with the fan walk (InsertBulkParallel
-//     flushes once, at the end), so outside them the slots equal the walk.
+//     face entering a fan comes from newFace, which calls it. Insert and
+//     Remove flush the queue before they return, refilling each queued
+//     vertex's slots with the fan walk (InsertBulkParallel flushes once,
+//     at the end), so outside them the slots equal the walk.
 //
 // The structure is not safe for concurrent mutation; the VoroNet simulator
 // drives one triangulation per overlay from a single goroutine.
@@ -147,23 +147,12 @@ type Triangulation struct {
 	fanBuf []VertexID
 }
 
-// removal is Remove's scratch: the hole's outer faces, the ear clipper's
-// polygon links, the faces it created, the hull retraction's chain, and
-// the generation-stamped face mark that legalizeAmong tests membership by.
+// removal is Remove's scratch: the hole's boundary as a linked ring of
+// link corners, each with the outer face edge its boundary edge meets.
 type removal struct {
-	outs     []outerOwner
-	pocket   []outerOwner // a hull pocket's edge owners, chord last
-	next     []int
-	prev     []int
-	owner    []outerOwner
-	created  []FaceID
-	chain    []VertexID
-	chainOut []outerOwner
-	hull     []int
-	infs     []FaceID
-	flips    []faceEdge
-	mark     []uint32 // by face: == gen while the face is in legalizeAmong's region
-	gen      uint32
+	owner []faceEdge // owner[i]: the face edge across corner i's boundary edge
+	next  []int
+	prev  []int
 }
 
 type bEdge struct {

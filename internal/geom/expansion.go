@@ -69,15 +69,6 @@ func (e expansion) sign() int {
 	}
 }
 
-// approx returns a floating-point approximation of the exact sum of e.
-func (e expansion) approx() float64 {
-	s := 0.0
-	for _, c := range e {
-		s += c
-	}
-	return s
-}
-
 // newExp2 builds a two-component expansion from the (hi, lo) pair produced
 // by twoSum / twoDiff / twoProd.
 func newExp2(hi, lo float64) expansion {

@@ -251,15 +251,6 @@ func (r *Run) live() []*member {
 	return out
 }
 
-// liveNodes returns the live node handles in index order.
-func (r *Run) liveNodes() []*node.Node {
-	var out []*node.Node
-	for _, m := range r.live() {
-		out = append(out, m.nd)
-	}
-	return out
-}
-
 // busLine renders the bus counters for transcript lines.
 func (r *Run) busLine() string {
 	return fmt.Sprintf("delivered=%d dropped=%d vt=%d",

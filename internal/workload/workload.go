@@ -145,30 +145,6 @@ func (c *clusters) Next() geom.Point {
 // Name implements Source.
 func (c *clusters) Name() string { return "clusters" }
 
-// grid yields the points of a Side×Side lattice in row-major order, then
-// repeats with a tiny deterministic offset. It is a degeneracy stress
-// source: every lattice square is co-circular and every row/column is
-// collinear.
-type grid struct {
-	Side int
-	i    int
-}
-
-// Next returns the next lattice point.
-func (g *grid) Next() geom.Point {
-	n := g.Side * g.Side
-	idx := g.i % n
-	round := g.i / n
-	g.i++
-	x := float64(idx%g.Side) / float64(g.Side)
-	y := float64(idx/g.Side) / float64(g.Side)
-	off := float64(round) * 1e-7
-	return geom.Pt(x+off, y+off)
-}
-
-// Name implements Source.
-func (g *grid) Name() string { return "grid" }
-
 // ZipfKeys yields keys drawn from a fixed set of K distinct uniform points
 // with Zipf(α) popularity: the i-th most popular key is drawn with
 // probability ∝ 1/i^α. Unlike the power-law source — whose in-cell jitter makes every
@@ -221,8 +197,8 @@ func (z *ZipfKeys) Next() geom.Point {
 // Name implements Source.
 func (z *ZipfKeys) Name() string { return "zipfkeys" }
 
-// ByName returns the named source: "uniform", "alpha1", "alpha2", "alpha5",
-// "clusters" or "grid". It returns nil for unknown names.
+// ByName returns the named source: "uniform", "alpha1", "alpha2", "alpha5"
+// or "clusters". It returns nil for unknown names.
 func ByName(name string, rng *rand.Rand) Source {
 	switch name {
 	case "uniform":
@@ -235,8 +211,6 @@ func ByName(name string, rng *rand.Rand) Source {
 		return newPowerLaw(5, rng)
 	case "clusters":
 		return newClusters(3, 0.01, rng)
-	case "grid":
-		return &grid{Side: 100}
 	}
 	return nil
 }

@@ -76,22 +76,9 @@ func TestClustersStayInSquare(t *testing.T) {
 	}
 }
 
-func TestGridDeterministicAndDistinct(t *testing.T) {
-	g := &grid{Side: 10}
-	seen := map[[2]float64]bool{}
-	for i := 0; i < 150; i++ {
-		p := g.Next()
-		k := [2]float64{p.X, p.Y}
-		if seen[k] {
-			t.Fatalf("grid produced duplicate %v at step %d", p, i)
-		}
-		seen[k] = true
-	}
-}
-
 func TestByName(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, name := range []string{"uniform", "alpha1", "alpha2", "alpha5", "clusters", "grid"} {
+	for _, name := range []string{"uniform", "alpha1", "alpha2", "alpha5", "clusters"} {
 		src := ByName(name, rng)
 		if src == nil {
 			t.Fatalf("ByName(%q) = nil", name)
